@@ -122,11 +122,11 @@ pub const RULES: &[Rule] = &[
         id: "ND008",
         summary: "raw thread primitive bypassing the rank scheduler",
         rationale: "direct thread::spawn/thread::Builder/JoinHandle use in simulation-state \
-                    code creates OS threads the N:M scheduler cannot see: they break the \
-                    at-most-one-runnable-rank invariant, defeat the --sim-workers thread \
-                    budget, and make peak thread counts scale with rank count again. Ranks \
-                    must go through Sim::spawn; the kernel and the worker pool are the only \
-                    sanctioned owners of raw threads (waived).",
+                    code creates OS threads the kernel cannot see: they break the \
+                    at-most-one-runnable-rank invariant and make a run's thread count \
+                    scale with rank count again (a fiber run creates none). Ranks must go \
+                    through Sim::spawn; the thread-backed rank context of the legacy 1:1 \
+                    mode is the only sanctioned owner of raw threads (waived).",
         sim_state_only: true,
     },
 ];
@@ -247,34 +247,22 @@ pub const WAIVERS: &[Waiver] = &[
         token: "sum::<f64>",
         reason: "vector norm over an index-ordered slice",
     },
-    // ── ND008: the two sanctioned owners of raw threads ──
+    // ── ND008: the one sanctioned owner of raw threads ──
     Waiver {
         rule: "ND008",
-        path_suffix: "sim/src/kernel.rs",
+        path_suffix: "sim/src/handoff.rs",
         token: "JoinHandle",
-        reason: "the kernel itself holds the legacy 1:1 mode's per-rank join handles; \
-                 it is the scheduler, not a bypass of it",
+        reason: "the thread-backed rank context holds its rank's join handle and joins \
+                 it when the rank exits, dies or is aborted; it is the legacy 1:1 \
+                 scheduler mode, not a bypass of the scheduler",
     },
     Waiver {
         rule: "ND008",
-        path_suffix: "sim/src/kernel.rs",
+        path_suffix: "sim/src/handoff.rs",
         token: "thread::Builder",
         reason: "legacy 1:1 mode spawns one named, stack-sized thread per rank here — \
-                 the differential oracle the N:M scheduler is checked against",
-    },
-    Waiver {
-        rule: "ND008",
-        path_suffix: "sim/src/sched.rs",
-        token: "JoinHandle",
-        reason: "the worker pool owns its workers' join handles; this is the N:M \
-                 scheduler the rule funnels everyone else toward",
-    },
-    Waiver {
-        rule: "ND008",
-        path_suffix: "sim/src/sched.rs",
-        token: "thread::Builder",
-        reason: "the worker pool spawns its --sim-workers named threads here; the one \
-                 place pool threads may be created",
+                 the portable fallback and the differential oracle the fiber mode is \
+                 checked against",
     },
 ];
 

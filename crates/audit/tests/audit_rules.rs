@@ -81,7 +81,7 @@ fn rogue() { let _h = std::thread::spawn(work); }
     );
 }
 
-/// ND008 is scoped: only the kernel and the worker pool may own raw
+/// ND008 is scoped: only the thread-backed rank context may own raw
 /// threads in sim-state crates, and each primitive carries its own waiver
 /// token so a *new* primitive at a waived path still fires.
 #[test]

@@ -12,7 +12,7 @@
 //! | `fig4_comm_time` | Figure 4 (communication time vs bandwidth / latency) |
 //! | `hostile` | hostile-network robustness scorecard (slow clusters, cross-traffic, diurnal WAN) |
 //! | `topo` | fig3 sensitivity grid per wide-area topology (`--topology` restricts to one shape) |
-//! | `scale` | cluster-count scaling sweep (4x8 -> 64x64, 32 -> 4096 ranks) under the N:M rank scheduler, with a legacy-mode differential assert |
+//! | `scale` | cluster-count scaling sweep (4x8 -> 64x64, 32 -> 4096 ranks) with ranks as fibers, plus a legacy-mode differential assert |
 //! | `cluster_structure` | §5.1 cluster-structure experiment (8x4 vs 4x8 ...) |
 //! | `magpie_bench` | §6 MagPIe collectives vs flat (up to 10x) |
 //! | `micro` | Criterion microbenchmarks of the simulator itself |

@@ -1,22 +1,20 @@
-//! The `scale` target: cluster-count scaling sweep for the N:M rank
-//! scheduler.
+//! The `scale` target: cluster-count scaling sweep of the simulator itself.
 //!
 //! The paper targets all run the fixed 4x8 machine; this target is about
 //! the *simulator*, not the paper's applications: it sweeps the cluster
 //! count 4 -> 64 (32 -> 4096 ranks) through a synthetic SPMD workload and
 //! records, per cell, the virtual makespan, message counts, checksum and
-//! the peak simulator thread count. Every machine size runs under the N:M
-//! worker pool (several worker counts in the full sweep) and — up to a
-//! rank-count ceiling — under the legacy one-thread-per-rank scheduler,
-//! and the target itself asserts their virtual times are bit-identical:
-//! the sweep doubles as a differential test of the scheduler at sizes the
-//! unit suites never reach.
+//! the simulator thread count. Every machine size runs with ranks as
+//! fibers and — up to a rank-count ceiling — under the legacy
+//! one-thread-per-rank scheduler, and the target itself asserts their
+//! virtual times are bit-identical: the sweep doubles as a differential
+//! test of the two execution contexts at sizes the unit suites never reach.
 //!
 //! The workload is three nearest-neighbour ring rounds followed by a
 //! binomial-tree reduction to rank 0 and a binomial-tree broadcast back —
 //! the communication skeleton the paper's applications share — so cells
-//! stress the scheduler's park/wake path (every rendezvous parks a rank)
-//! without dragging application problem-size knobs into the grid. The
+//! stress the kernel's resume/suspend path (every rendezvous suspends a
+//! rank) without dragging application problem-size knobs into the grid. The
 //! summary's `scale` is always `"synthetic"` for that reason, like
 //! `selfperf`.
 
@@ -36,8 +34,8 @@ use crate::{engine, write_csv, BenchError};
 pub const SCALE_SIZES: [(usize, usize); 5] = [(4, 8), (8, 16), (16, 32), (32, 64), (64, 64)];
 
 /// Ranks above this ceiling skip the legacy scheduler cell: one OS thread
-/// per rank is exactly the regime the worker pool exists to avoid, and
-/// spawning 4096 threads is hostile to CI runners.
+/// per rank is exactly the regime fibers exist to avoid, and spawning 4096
+/// threads is hostile to CI runners.
 pub const LEGACY_MAX_RANKS: usize = 2048;
 
 /// Per-rank execution-context stack for scale cells. The synthetic workload
@@ -114,32 +112,32 @@ impl Cell {
         self.clusters * self.procs
     }
 
-    /// Canonical record key, e.g. `c4x8/pool-w2` or `c4x8/legacy`.
+    /// Canonical record key, e.g. `c4x8/fibers` or `c4x8/legacy`.
     fn key(&self) -> String {
         format!("c{}x{}/{}", self.clusters, self.procs, self.mode_name())
     }
 
-    fn mode_name(&self) -> String {
+    fn mode_name(&self) -> &'static str {
         match self.mode {
-            SchedMode::LegacyThreads => "legacy".to_string(),
-            SchedMode::WorkerPool { workers } => format!("pool-w{workers}"),
+            SchedMode::LegacyThreads => "legacy",
+            SchedMode::Fibers => "fibers",
         }
     }
 
-    /// The thread count the kernel must report for this cell.
+    /// The thread count the kernel must report for this cell: the caller's
+    /// own thread for fibers, one per rank for legacy.
     fn expected_threads(&self) -> usize {
         match self.mode {
             SchedMode::LegacyThreads => self.ranks(),
-            SchedMode::WorkerPool { workers } => workers,
+            SchedMode::Fibers => 1,
         }
     }
 }
 
-/// Enumerates the sweep's cells in canonical order: sizes ascending, pool
-/// worker counts ascending, legacy last. The quick grid — what the
-/// committed `BENCH_scale.json` baseline and CI run — keeps one pool cell
-/// per probed size (still reaching the 4096-rank machine) plus one legacy
-/// cell for the differential assert.
+/// Enumerates the sweep's cells in canonical order: sizes ascending, fibers
+/// before legacy. The quick grid — what the committed `BENCH_scale.json`
+/// baseline and CI run — probes three sizes (still reaching the 4096-rank
+/// machine) and keeps one legacy cell for the differential assert.
 fn cells(quick: bool) -> Vec<Cell> {
     let mut cells = Vec::new();
     for &(clusters, procs) in &SCALE_SIZES {
@@ -147,14 +145,11 @@ fn cells(quick: bool) -> Vec<Cell> {
         if quick && !quick_size {
             continue;
         }
-        let workers: &[usize] = if quick { &[2] } else { &[1, 2, 8] };
-        for &w in workers {
-            cells.push(Cell {
-                clusters,
-                procs,
-                mode: SchedMode::WorkerPool { workers: w },
-            });
-        }
+        cells.push(Cell {
+            clusters,
+            procs,
+            mode: SchedMode::Fibers,
+        });
         let legacy_in_quick = quick && (clusters, procs) == (4, 8);
         if (legacy_in_quick || !quick) && clusters * procs <= LEGACY_MAX_RANKS {
             cells.push(Cell {
@@ -173,12 +168,12 @@ fn cells(quick: bool) -> Vec<Cell> {
 ///
 /// [`BenchError::Sim`] when a cell fails, reports an unexpected thread
 /// count, or disagrees with another scheduler mode on the same machine
-/// size (virtual time, message counts or checksum) — the N:M determinism
-/// contract; plus artifact I/O failures.
+/// size (virtual time, message counts or checksum) — the scheduler
+/// determinism contract; plus artifact I/O failures.
 pub fn run_scale(opts: &SweepOpts) -> Result<BenchSummary, BenchError> {
     let cells = cells(opts.quick);
     println!(
-        "== scale: N:M scheduler cluster-count sweep (quick={}, jobs={}) ==",
+        "== scale: simulator cluster-count sweep (quick={}, jobs={}) ==",
         opts.quick, opts.jobs
     );
     println!(
@@ -209,9 +204,9 @@ pub fn run_scale(opts: &SweepOpts) -> Result<BenchSummary, BenchError> {
                 return Err(BenchError::Sim(format!("cell {} failed: {e}", cell.key())));
             }
         };
-        // The headline claim of the N:M scheme: thread count is set by the
-        // flag, not the rank count. Only enforced where the worker pool
-        // actually runs (non-x86_64 hosts silently fall back to legacy).
+        // The headline claim of running ranks as fibers: the thread count
+        // does not grow with the rank count. Only enforced where fibers
+        // actually run (non-x86_64 hosts silently fall back to legacy).
         if cfg!(target_arch = "x86_64") && report.sim_threads != cell.expected_threads() {
             return Err(BenchError::Sim(format!(
                 "cell {}: expected {} simulator thread(s), kernel reports {}",
@@ -232,15 +227,11 @@ pub fn run_scale(opts: &SweepOpts) -> Result<BenchSummary, BenchError> {
             wall
         );
         rows.push(format!(
-            "{},{},{},{},{},{},{},{},{:.6}",
+            "{},{},{},{},{},{},{},{:.6}",
             cell.clusters,
             cell.procs,
             cell.ranks(),
             cell.mode_name(),
-            match cell.mode {
-                SchedMode::LegacyThreads => cell.ranks(),
-                SchedMode::WorkerPool { workers } => workers,
-            },
             report.sim_threads,
             report.elapsed.as_secs_f64(),
             report.kernel_stats.messages,
@@ -296,7 +287,7 @@ pub fn run_scale(opts: &SweepOpts) -> Result<BenchSummary, BenchError> {
     write_csv(
         &opts.out,
         "scale.csv",
-        "clusters,procs,ranks,mode,workers,sim_threads,virtual_s,messages,checksum",
+        "clusters,procs,ranks,mode,sim_threads,virtual_s,messages,checksum",
         &rows,
     )?;
     let path = opts.out.join("BENCH_scale.json");
@@ -343,7 +334,7 @@ mod tests {
         dedup.sort();
         dedup.dedup();
         assert_eq!(dedup.len(), all.len());
-        assert!(all.contains(&"c4x8/pool-w2".to_string()));
+        assert!(all.contains(&"c4x8/fibers".to_string()));
         assert!(all.contains(&"c4x8/legacy".to_string()));
     }
 
@@ -357,11 +348,11 @@ mod tests {
                 .expect("scale workload runs")
         };
         let legacy = run(SchedMode::LegacyThreads);
-        let pool = run(SchedMode::WorkerPool { workers: 2 });
-        assert_eq!(legacy.elapsed, pool.elapsed);
-        assert_eq!(legacy.kernel_stats, pool.kernel_stats);
+        let fibers = run(SchedMode::Fibers);
+        assert_eq!(legacy.elapsed, fibers.elapsed);
+        assert_eq!(legacy.kernel_stats, fibers.kernel_stats);
         let s1: f64 = legacy.results.iter().sum();
-        let s2: f64 = pool.results.iter().sum();
+        let s2: f64 = fibers.results.iter().sum();
         assert_eq!(s1.to_bits(), s2.to_bits());
     }
 }

@@ -2,9 +2,9 @@
 //! hot path, reported through the kernel's [`HotProfile`] counters.
 //!
 //! Unlike the paper targets (which measure the *simulated* machine), these
-//! cells measure the *simulator*: how many scheduler handoffs, thread
-//! parks, event-queue operations, mailbox scans and payload-clone bytes it
-//! spends per simulated workload. Each cell is a small adversarial program
+//! cells measure the *simulator*: how many context switches, thread wakes,
+//! event-queue operations, mailbox scans and payload-clone bytes it spends
+//! per simulated workload. Each cell is a small adversarial program
 //! aimed at one hot path:
 //!
 //! | Cell | Stresses |
@@ -17,8 +17,9 @@
 //!
 //! Every counter except `park_wakes` is deterministic, so the committed
 //! `BENCH_selfperf.json` baseline is compared exactly in CI (`numagap bench
-//! --compare ... --virtual-only`); `park_wakes` depends on host timing (a
-//! spin that loses the race parks) and is exempt, like wall clock.
+//! --compare ... --virtual-only`); `park_wakes` is 0 when ranks run as
+//! fibers and depends on host timing under `--sim-workers legacy`, so it is
+//! exempt, like wall clock.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -104,7 +105,7 @@ fn sum_u64(results: &[u64]) -> f64 {
 }
 
 /// Two ranks exchange `rounds` 8-byte round trips: every simulated event is
-/// a context switch, so this cell isolates the handoff cost per switch.
+/// a context switch, so this cell isolates the cost of one switch.
 fn pingpong(rounds: u64) -> Result<CellOut, String> {
     let machine = Machine::new(uniform_spec(2));
     collect(&machine, sum_u64, move |ctx| {
@@ -266,11 +267,11 @@ pub fn run_selfperf(opts: &SweepOpts) -> Result<BenchSummary, BenchError> {
             Err(e) => return Err(BenchError::Sim(format!("{} failed: {e}", cell.key()))),
         };
         let p = out.profile;
-        // The pre-overhaul channel handoff woke two threads per scheduler
-        // transition (the process for its grant, the kernel for the next
-        // request) — `switches + requests` wakes in total. The parked-slot
-        // handoff only pays a wake when the spin loses the race, so
-        // `park_wakes / (switches + requests)` is the measured improvement.
+        // A rank on an OS thread of its own costs up to two thread wakes per
+        // scheduler transition (the rank for its grant, the kernel for the
+        // next request) — `switches + requests` in total, the
+        // `legacy_wakes` column. Ranks resumed inline as fibers wake nobody:
+        // `park_wakes` is 0 unless the run was forced onto the legacy mode.
         let legacy_wakes = p.switches + p.requests;
         let per_switch = p.park_wakes as f64 / (p.switches.max(1)) as f64;
         println!(
@@ -327,13 +328,12 @@ pub fn run_selfperf(opts: &SweepOpts) -> Result<BenchSummary, BenchError> {
             .expect("cell recorded")
     };
     let pp = find("handoff/pingpong");
-    let legacy = pp.switches + pp.requests;
     println!(
-        "\n  pingpong wakes: {} parked over {} legacy channel wakes \
-         ({:.1}x fewer)",
+        "\n  pingpong: {} thread wake(s) over {} switches \
+         (one OS thread per rank pays up to {})",
         pp.park_wakes,
-        legacy,
-        legacy as f64 / (pp.park_wakes.max(1)) as f64
+        pp.switches,
+        pp.switches + pp.requests
     );
     let (mc, ms) = (find("multicast/cloned"), find("multicast/shared"));
     println!(

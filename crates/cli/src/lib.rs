@@ -178,9 +178,10 @@ pub struct MachineArgs {
     /// Wide-area wiring between cluster gateways (`--topology`); the
     /// default full mesh reproduces the paper's machine bit-for-bit.
     pub wan_topology: WanTopology,
-    /// Rank scheduler selection (`--sim-workers`): `N` multiplexes all
-    /// ranks onto an `N`-thread worker pool, `legacy` keeps one OS thread
-    /// per rank. `None` uses the simulator's default (a 1-worker pool).
+    /// Rank scheduler selection (`--sim-workers`): `fibers` resumes every
+    /// rank inline on the simulator's own thread, `legacy` keeps one OS
+    /// thread per rank. `None` uses the simulator's default (fibers
+    /// wherever the host supports them).
     pub sched_mode: Option<SchedMode>,
 }
 
@@ -577,19 +578,16 @@ fn parse_prob(flag: &str, v: &str) -> Result<f64, ParseError> {
     Ok(p)
 }
 
-/// Parses `--sim-workers`: a worker-pool size, or `legacy` for the
+/// Parses `--sim-workers`: `fibers`, or `legacy` for the
 /// one-OS-thread-per-rank oracle mode.
 fn parse_sim_workers(v: &str) -> Result<SchedMode, ParseError> {
-    if v.eq_ignore_ascii_case("legacy") {
-        return Ok(SchedMode::LegacyThreads);
+    match v.to_ascii_lowercase().as_str() {
+        "fibers" => Ok(SchedMode::Fibers),
+        "legacy" => Ok(SchedMode::LegacyThreads),
+        _ => Err(ParseError(format!(
+            "--sim-workers must be 'fibers' or 'legacy', got '{v}'"
+        ))),
     }
-    let n: usize = parse_num("--sim-workers", v)?;
-    if n == 0 {
-        return Err(ParseError(
-            "--sim-workers must be at least 1, or 'legacy'".into(),
-        ));
-    }
-    Ok(SchedMode::WorkerPool { workers: n })
 }
 
 /// Parses `cluster:from_ms:until_ms` for `--outage`.
@@ -1045,11 +1043,14 @@ MACHINE OPTIONS:
                              must fit the cluster count (exit 2 if not);
                              bench/hostile/predict validate against their
                              fixed 4-cluster machine.
-  --sim-workers <N|legacy>   rank scheduler (any command): multiplex all
-                             ranks onto an N-thread worker pool, or
-                             'legacy' for one OS thread per rank (the
-                             differential oracle). Virtual time is
-                             bit-identical across every choice [default: 1]
+  --sim-workers <fibers|legacy>
+                             rank scheduler (any command): 'fibers' resumes
+                             every rank inline on the simulator's own
+                             thread, 'legacy' gives each rank an OS thread
+                             (the differential oracle, and the only mode on
+                             hosts without fiber support). Virtual time is
+                             bit-identical across the two
+                             [default: fibers where supported]
 
 HOSTILE-NETWORK OPTIONS (any command; soak sweeps comma lists of the
 first three as matrix dimensions):
@@ -1109,8 +1110,8 @@ BENCH OPTIONS:
   pool and writes <target>.csv plus a versioned BENCH_<target>.json
   summary. Artifacts are byte-identical for any --jobs value.
   The scale target sweeps cluster counts 4..64 (32..4096 ranks) through
-  a synthetic SPMD workload under both the N:M worker pool and the
-  legacy 1:1 scheduler, asserts their virtual times match, and records
+  a synthetic SPMD workload with ranks as fibers and under the legacy
+  1:1 thread scheduler, asserts their virtual times match, and records
   each cell's simulator thread count (scale.csv / BENCH_scale.json).
   --compare <OLD> <NEW>      diff two BENCH_*.json files instead of running;
                              determinism drift and wall-clock regressions
@@ -2468,11 +2469,8 @@ mod tests {
 
     #[test]
     fn parses_sim_workers() {
-        match parse(&["run", "--app", "fft", "--sim-workers", "8"]).unwrap() {
-            Command::Run(args) => assert_eq!(
-                args.machine.sched_mode,
-                Some(SchedMode::WorkerPool { workers: 8 })
-            ),
+        match parse(&["run", "--app", "fft", "--sim-workers", "fibers"]).unwrap() {
+            Command::Run(args) => assert_eq!(args.machine.sched_mode, Some(SchedMode::Fibers)),
             other => panic!("expected run, got {other:?}"),
         }
         match parse(&["check", "--sim-workers", "legacy"]).unwrap() {
@@ -2481,19 +2479,23 @@ mod tests {
             }
             other => panic!("expected check, got {other:?}"),
         }
-        match parse(&["bench", "--target", "scale", "--sim-workers", "2"]).unwrap() {
+        match parse(&["bench", "--target", "scale", "--sim-workers", "Fibers"]).unwrap() {
             Command::Bench(args) => {
                 assert_eq!(args.target, "scale");
-                assert_eq!(args.sim_workers, Some(SchedMode::WorkerPool { workers: 2 }));
-                assert_eq!(
-                    Command::Bench(args).sched_mode(),
-                    Some(SchedMode::WorkerPool { workers: 2 })
-                );
+                assert_eq!(args.sim_workers, Some(SchedMode::Fibers));
+                assert_eq!(Command::Bench(args).sched_mode(), Some(SchedMode::Fibers));
             }
             other => panic!("expected bench, got {other:?}"),
         }
-        assert!(parse(&["run", "--app", "fft", "--sim-workers", "0"]).is_err());
-        assert!(parse(&["run", "--app", "fft", "--sim-workers", "turbo"]).is_err());
+        // The worker-pool sizes the flag used to take are usage errors that
+        // name the two values it takes now.
+        for stale in ["8", "0", "turbo"] {
+            let err = parse(&["run", "--app", "fft", "--sim-workers", stale]).unwrap_err();
+            assert!(
+                err.0.contains("'fibers' or 'legacy'") && err.0.contains(stale),
+                "{err:?}"
+            );
+        }
         match parse(&["run", "--app", "fft"]).unwrap() {
             Command::Run(args) => {
                 assert_eq!(

@@ -5,16 +5,20 @@
 //! queued sends nothing (so no observer event exists to flag), and barrier
 //! epoch skew is only meaningful when compared *across* ranks after the run.
 //!
-//! Each simulated process thread gets a thread-local sink, armed by
-//! [`crate::Machine`] around the rank entry function. Runtime primitives
-//! report into it from their `Drop` impls; the records come back per rank in
+//! Each simulated process gets a sink, armed by [`crate::Machine`] around
+//! the rank entry function. Runtime primitives report into it from their
+//! `Drop` impls, which have no context to reach it through, so the sinks
+//! live in a thread-local table keyed by the rank the simulator says is
+//! running ([`numagap_sim::current_rank`]): ranks that share one thread as
+//! fibers each see their own entry. The records come back per rank in
 //! [`crate::RunReport::rank_lints`], where `numagap-analysis` turns them
 //! into diagnostics.
 
 use std::cell::RefCell;
+use std::collections::BTreeMap;
 use std::fmt;
 
-use numagap_sim::Tag;
+use numagap_sim::{current_rank, Tag};
 
 /// One runtime lint observation on one rank.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -63,44 +67,58 @@ impl fmt::Display for LintRecord {
 }
 
 thread_local! {
-    static SINK: RefCell<Option<Vec<LintRecord>>> = const { RefCell::new(None) };
+    /// The armed sinks of the ranks running on this thread, by rank (`None`:
+    /// code outside any simulated process).
+    static SINKS: RefCell<BTreeMap<Option<usize>, Vec<LintRecord>>> =
+        const { RefCell::new(BTreeMap::new()) };
 }
 
-/// Arms collection on the current thread (one simulated process).
-pub(crate) fn arm() {
-    SINK.with(|s| *s.borrow_mut() = Some(Vec::new()));
+/// An armed sink; see [`arm`].
+pub(crate) struct Armed {
+    key: Option<usize>,
+    /// The sink this one displaced: a machine run nested inside a rank body
+    /// reuses the rank numbers of the run around it.
+    outer: Option<Vec<LintRecord>>,
 }
 
-/// Disarms collection and returns everything recorded since [`arm`].
-pub(crate) fn take() -> Vec<LintRecord> {
-    SINK.with(|s| s.borrow_mut().take()).unwrap_or_default()
+/// Arms collection for the current rank until the guard is taken or dropped
+/// (a rank that unwinds leaves nothing behind).
+pub(crate) fn arm() -> Armed {
+    let key = current_rank();
+    let outer = SINKS.with(|s| s.borrow_mut().insert(key, Vec::new()));
+    Armed { key, outer }
 }
 
-/// Records a lint if collection is armed on this thread; a no-op otherwise
-/// (so runtime types behave normally outside a [`crate::Machine`] run).
+impl Armed {
+    /// Disarms collection and returns everything recorded since [`arm`].
+    pub(crate) fn take(self) -> Vec<LintRecord> {
+        SINKS
+            .with(|s| s.borrow_mut().remove(&self.key))
+            .unwrap_or_default()
+    }
+}
+
+impl Drop for Armed {
+    fn drop(&mut self) {
+        SINKS.with(|s| {
+            let mut sinks = s.borrow_mut();
+            match self.outer.take() {
+                Some(outer) => sinks.insert(self.key, outer),
+                None => sinks.remove(&self.key),
+            };
+        });
+    }
+}
+
+/// Records a lint if collection is armed for the current rank; a no-op
+/// otherwise (so runtime types behave normally outside a [`crate::Machine`]
+/// run).
 pub fn report(record: LintRecord) {
-    SINK.with(|s| {
-        if let Some(v) = s.borrow_mut().as_mut() {
+    SINKS.with(|s| {
+        if let Some(v) = s.borrow_mut().get_mut(&current_rank()) {
             v.push(record);
         }
     });
-}
-
-/// Exchanges the thread-local sink with a rank's saved slot — the
-/// rank-locals swapper [`crate::Machine`] registers with the simulator's
-/// worker-pool scheduler. In N:M mode several ranks share each worker
-/// thread, so the sink travels with the rank's execution context instead of
-/// the thread: the scheduler calls this immediately before a fiber resume
-/// (loading the rank's sink) and immediately after (saving it back). The
-/// `slot` is type-erased by the scheduler; it always holds an
-/// `Option<Vec<LintRecord>>`, lazily initialized to the disarmed state.
-pub(crate) fn swap_sink(slot: &mut Option<Box<dyn std::any::Any + Send>>) {
-    let boxed = slot
-        .get_or_insert_with(|| Box::new(None::<Vec<LintRecord>>) as Box<dyn std::any::Any + Send>);
-    let saved = boxed
-        .downcast_mut::<Option<Vec<LintRecord>>>()
-        .expect("rank-locals slot holds a lint sink");
-    SINK.with(|s| std::mem::swap(&mut *s.borrow_mut(), saved));
 }
 
 #[cfg(test)]
@@ -113,12 +131,12 @@ mod tests {
             id: 0,
             generation: 1,
         });
-        assert_eq!(take(), Vec::new());
+        assert_eq!(arm().take(), Vec::new());
     }
 
     #[test]
     fn armed_reports_come_back_in_order() {
-        arm();
+        let armed = arm();
         report(LintRecord::BarrierGeneration {
             id: 2,
             generation: 5,
@@ -127,7 +145,7 @@ mod tests {
             data_tag: Tag::app(1),
             buffered: 3,
         });
-        let got = take();
+        let got = armed.take();
         assert_eq!(got.len(), 2);
         assert!(matches!(
             got[0],
@@ -138,7 +156,22 @@ mod tests {
             id: 0,
             generation: 0,
         });
-        assert_eq!(take(), Vec::new());
+        assert_eq!(arm().take(), Vec::new());
+    }
+
+    #[test]
+    fn a_nested_arm_gives_the_outer_sink_back() {
+        let generation = |generation| LintRecord::BarrierGeneration { id: 0, generation };
+        let outer = arm();
+        report(generation(1));
+        let inner = arm();
+        report(generation(2));
+        assert_eq!(inner.take(), vec![generation(2)]);
+        report(generation(3));
+        // An inner sink dropped without `take` (its rank unwound) restores
+        // the outer one just the same.
+        drop(arm());
+        assert_eq!(outer.take(), vec![generation(1), generation(3)]);
     }
 
     #[test]

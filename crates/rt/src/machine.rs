@@ -50,11 +50,12 @@ impl Machine {
         }
     }
 
-    /// Selects how the simulator maps ranks onto OS threads (see
-    /// [`SchedMode`]): the legacy 1 rank = 1 thread mode, or the N:M worker
-    /// pool that thousand-rank scaling studies need. Virtual time is
-    /// bit-identical across modes and worker counts. Defaults to the
-    /// simulator's process-global mode (the CLI's `--sim-workers` flag).
+    /// Selects what the simulator runs ranks on (see [`SchedMode`]): fibers
+    /// resumed inline on the thread that calls [`Machine::run`], or the
+    /// legacy 1 rank = 1 OS thread mode kept as fallback and oracle. Virtual
+    /// time is bit-identical across the two. Defaults to the simulator's
+    /// process-global mode (the CLI's `--sim-workers` flag), which itself
+    /// defaults to fibers wherever the host supports them.
     pub fn with_sched_mode(mut self, mode: SchedMode) -> Self {
         self.sched_mode = Some(mode);
         self
@@ -176,10 +177,6 @@ impl Machine {
         if let Some(bytes) = self.stack_size {
             sim.stack_size(bytes);
         }
-        // Keep each rank's lint sink with its execution context: in N:M
-        // mode ranks share worker threads, so the plain thread-local would
-        // bleed records across ranks (see `lint::swap_sink`).
-        sim.set_rank_locals_swapper(lint::swap_sink);
         if let Some(limit) = self.time_limit {
             sim.time_limit(SimTime::ZERO + limit);
         }
@@ -200,13 +197,13 @@ impl Machine {
                 if let Some(cfg) = transport {
                     ctx.enable_reliable_transport(cfg);
                 }
-                // Arm the per-thread lint sink so runtime primitives the
-                // entry creates (combiners, barriers) can report on drop.
-                lint::arm();
+                // Arm this rank's lint sink so runtime primitives the entry
+                // creates (combiners, barriers) can report on drop.
+                let lints = lint::arm();
                 let result = entry(&mut ctx);
                 // Flush before taking lints: the flush itself can report.
                 let transport_stats = ctx.finish_transport();
-                (result, lint::take(), transport_stats)
+                (result, lints.take(), transport_stats)
             });
         }
         let out = sim.run()?;
@@ -272,8 +269,8 @@ pub struct RunReport<T> {
     pub transport_stats: Vec<TransportStats>,
     /// The spec the machine ran with.
     pub spec: TwoLayerSpec,
-    /// Peak number of OS threads the simulator used to execute ranks (the
-    /// worker-pool size in N:M mode, the rank count in legacy mode).
+    /// Number of OS threads rank code executed on (1 with fibers — the
+    /// caller's own thread — or the rank count in legacy mode).
     pub sim_threads: usize,
 }
 

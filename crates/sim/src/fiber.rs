@@ -1,36 +1,30 @@
-//! Minimal stackful coroutines ("fibers") for the N:M rank scheduler.
+//! Minimal stackful coroutines ("fibers"): how the kernel runs ranks inline.
 //!
 //! Each simulated rank owns a [`Fiber`]: a heap-allocated stack plus a saved
-//! machine context. A pool worker *resumes* a fiber to run the rank until it
-//! parks on the kernel handoff (via [`yield_now`]), at which point control
-//! returns to the worker. Because a parked fiber is nothing but a stack and a
-//! stack pointer, a later resume may happen on a *different* worker thread —
-//! the rank's execution context migrates freely across the pool.
+//! machine context. The kernel's event loop *resumes* a fiber with an input
+//! value; the rank body runs on its own stack until it hands an output value
+//! to [`Suspender::suspend`], at which point control returns to the resumer.
+//! Both directions are plain function calls on one OS thread — no lock, no
+//! wake, nothing is handed to another thread — and the values travel through
+//! two `Option` fields of the fiber's control block.
 //!
 //! The implementation is deliberately tiny: a hand-rolled x86-64 System V
 //! context switch (callee-saved registers + `mxcsr`/x87 control word) written
 //! with `global_asm!`. No guard pages are installed; stack overflow in a
 //! fiber is undefined behaviour, which is why the default per-rank stack
-//! matches the 8 MiB the legacy thread-per-rank mode used. On non-x86-64
-//! hosts [`SUPPORTED`] is `false` and the simulator falls back to the legacy
-//! 1:1 thread mode.
+//! matches the 8 MiB the thread-per-rank mode uses. On non-x86-64 hosts
+//! [`SUPPORTED`] is `false`, nothing below it is compiled, and the simulator
+//! runs every rank on a thread of its own.
 
-#![cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
-
-/// Whether this build can run fibers (and therefore the worker-pool
-/// scheduler) at all.
+/// Whether this build can run fibers at all.
 pub(crate) const SUPPORTED: bool = cfg!(target_arch = "x86_64");
 
 #[cfg(target_arch = "x86_64")]
-pub(crate) use imp::{yield_now, Fiber};
-
-#[cfg(not(target_arch = "x86_64"))]
-pub(crate) use fallback::{yield_now, Fiber};
+pub(crate) use imp::{Fiber, Suspender};
 
 #[cfg(target_arch = "x86_64")]
 mod imp {
     use std::alloc::{alloc, dealloc, handle_alloc_error, Layout};
-    use std::cell::Cell;
     use std::panic::{catch_unwind, AssertUnwindSafe};
     use std::ptr;
 
@@ -91,38 +85,40 @@ mod imp {
         fn numagap_fiber_trampoline();
     }
 
+    type Entry<I, O> = Box<dyn FnOnce(Suspender<I, O>, I) -> O>;
+
     /// Per-fiber control block, carved out of the top of the fiber's own
-    /// stack allocation so a `Fiber` is a single allocation.
-    struct Control {
-        /// Saved stack pointer of the fiber while it is parked.
+    /// stack allocation so a `Fiber` is a single allocation. Only ever
+    /// touched through raw pointers: both sides of a switch hold one.
+    struct Control<I, O> {
+        /// Saved stack pointer of the fiber while it is suspended.
         fiber_rsp: usize,
-        /// Saved stack pointer of whichever worker resumed the fiber.
+        /// Saved stack pointer of whoever resumed the fiber.
         caller_rsp: usize,
-        /// Set by the fiber just before its final switch back to the worker.
+        /// Set by the fiber just before its final switch back.
         finished: bool,
-        /// The rank body; taken by the trampoline on first resume.
-        entry: Option<Box<dyn FnOnce() + Send>>,
+        /// The fiber body; taken by the trampoline on first resume.
+        entry: Option<Entry<I, O>>,
+        /// The value travelling into the fiber with the current resume.
+        input: Option<I>,
+        /// The value travelling out with the current suspend (or return).
+        output: Option<O>,
     }
 
-    thread_local! {
-        /// Control block of the fiber currently running on this thread, if
-        /// any. `yield_now` uses it to find its way back to the worker.
-        static CURRENT: Cell<*mut Control> = const { Cell::new(ptr::null_mut()) };
-    }
-
-    /// A parked, resumable execution context with its own stack.
-    pub(crate) struct Fiber {
-        ctl: *mut Control,
+    /// A resumable execution context with its own stack. Tied to the thread
+    /// that created it (`!Send`): it is resumed where it was suspended.
+    pub(crate) struct Fiber<I, O> {
+        ctl: *mut Control<I, O>,
         stack: *mut u8,
         layout: Layout,
     }
 
-    // SAFETY: a parked fiber is inert data (a stack plus saved registers) and
-    // its entry closure is required to be `Send`; the scheduler guarantees at
-    // most one thread resumes it at a time.
-    unsafe impl Send for Fiber {}
+    /// The running fiber's way back to its resumer; handed to the fiber body.
+    pub(crate) struct Suspender<I, O> {
+        ctl: *mut Control<I, O>,
+    }
 
-    impl std::fmt::Debug for Fiber {
+    impl<I, O> std::fmt::Debug for Fiber<I, O> {
         fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
             f.debug_struct("Fiber")
                 .field("stack_bytes", &self.layout.size())
@@ -141,36 +137,51 @@ mod imp {
         (n + 15) & !15
     }
 
-    extern "C" fn fiber_entry(ctl: *mut Control) {
+    extern "C" fn fiber_entry<I, O>(ctl: *mut Control<I, O>) {
         // SAFETY: the trampoline passes the control-block pointer forged by
-        // `Fiber::new`; the block outlives the fiber's whole run.
-        let ctl_ref = unsafe { &mut *ctl };
-        let entry = ctl_ref
-            .entry
-            .take()
-            .expect("fiber resumed twice through its trampoline");
-        // Backstop: the scheduler wraps rank bodies in their own
+        // `Fiber::new`; the block outlives the fiber's whole run, and the
+        // resumer is suspended inside `resume`, so nothing else touches it.
+        let (entry, input) = unsafe {
+            (
+                (*ctl)
+                    .entry
+                    .take()
+                    .expect("fiber resumed twice through its trampoline"),
+                (*ctl).input.take().expect("fiber started without an input"),
+            )
+        };
+        // Backstop: the simulator wraps rank bodies in their own
         // catch_unwind, so this one should never see a payload — but a panic
         // escaping through the forged assembly frame would be undefined
         // behaviour, so catch it unconditionally.
-        if catch_unwind(AssertUnwindSafe(entry)).is_err() {
+        let Ok(output) = catch_unwind(AssertUnwindSafe(|| entry(Suspender { ctl }, input))) else {
             std::process::abort();
+        };
+        // SAFETY: as above; switching back to the resumer of this final run,
+        // whose saved context is live.
+        unsafe {
+            (*ctl).output = Some(output);
+            (*ctl).finished = true;
+            numagap_fiber_switch(ptr::addr_of_mut!((*ctl).fiber_rsp), (*ctl).caller_rsp);
         }
-        ctl_ref.finished = true;
-        let caller = ctl_ref.caller_rsp;
-        // SAFETY: switching back to the worker that performed this resume;
-        // both saved contexts are live.
-        unsafe { numagap_fiber_switch(&mut ctl_ref.fiber_rsp, caller) };
         // A finished fiber must never be resumed again.
         std::process::abort();
     }
 
-    impl Fiber {
+    impl<I, O> Fiber<I, O> {
         /// Creates a fiber that will run `entry` on its own `stack_size`-byte
-        /// stack when first resumed. The closure must not unwind (the
-        /// scheduler wraps rank bodies in `catch_unwind`).
-        pub(crate) fn new(stack_size: usize, entry: Box<dyn FnOnce() + Send>) -> Self {
-            let ctl_space = round_up16(std::mem::size_of::<Control>());
+        /// stack when first resumed, passing it the first resume's input. The
+        /// closure must not unwind (the simulator wraps rank bodies in
+        /// `catch_unwind`).
+        pub(crate) fn new<F>(stack_size: usize, entry: F) -> Self
+        where
+            F: FnOnce(Suspender<I, O>, I) -> O + 'static,
+        {
+            assert!(
+                std::mem::align_of::<Control<I, O>>() <= 16,
+                "fiber control block needs more than the stack's 16-byte alignment"
+            );
+            let ctl_space = round_up16(std::mem::size_of::<Control<I, O>>());
             let size = round_up16(stack_size.max(ctl_space + 4096));
             let layout = Layout::from_size_align(size, 16).expect("fiber stack layout overflowed");
             // SAFETY: `layout` has non-zero size.
@@ -181,17 +192,19 @@ mod imp {
             // The control block sits at the very top of the allocation; the
             // usable stack grows down from just below it.
             let sp0 = stack as usize + size - ctl_space;
-            let ctl = sp0 as *mut Control;
+            let ctl = sp0 as *mut Control<I, O>;
             // SAFETY: `ctl` is 16-aligned, in-bounds, and has `ctl_space`
             // bytes of room.
             unsafe {
                 ptr::write(
                     ctl,
                     Control {
-                        fiber_rsp: 0,
+                        fiber_rsp: sp0 - 64,
                         caller_rsp: 0,
                         finished: false,
-                        entry: Some(entry),
+                        entry: Some(Box::new(entry)),
+                        input: None,
+                        output: None,
                     },
                 );
             }
@@ -210,43 +223,84 @@ mod imp {
             seed(32, ctl as u64); // r12 -> control block
             seed(
                 40,
-                fiber_entry as extern "C" fn(*mut Control) as usize as u64,
+                fiber_entry::<I, O> as extern "C" fn(*mut Control<I, O>) as usize as u64,
             ); // r13
             seed(48, 0); // r14
             seed(56, 0); // r15
             seed(64, MXCSR_INIT | (FPCW_INIT << 32));
-            // SAFETY: ctl was just initialised.
-            unsafe { (*ctl).fiber_rsp = sp0 - 64 };
             Fiber { ctl, stack, layout }
         }
 
-        /// Runs the fiber until it parks or finishes. Returns `true` once the
-        /// fiber's entry closure has returned; resuming after that aborts.
-        pub(crate) fn resume(&mut self) -> bool {
+        /// Runs the fiber with `input` until it suspends or its entry
+        /// closure returns, and hands back the value it produced. Check
+        /// [`Self::is_finished`] to tell the two apart.
+        ///
+        /// # Panics
+        ///
+        /// Panics if the fiber already finished.
+        pub(crate) fn resume(&mut self, input: I) -> O {
             let ctl = self.ctl;
-            let prev = CURRENT.with(|c| c.replace(ctl));
-            // SAFETY: the fiber is parked (its saved context is valid) and we
-            // are the only thread resuming it; the switch saves this thread's
-            // context into `caller_rsp` before jumping.
+            assert!(!self.is_finished(), "fiber resumed after it finished");
+            // SAFETY: the fiber is suspended (its saved context is valid) and
+            // `&mut self` makes this the only resume in flight; the switch
+            // saves this context into `caller_rsp` before jumping, and the
+            // fiber only switches back after storing an output.
             unsafe {
-                let caller = ptr::addr_of_mut!((*ctl).caller_rsp);
-                let target = (*ctl).fiber_rsp;
-                numagap_fiber_switch(caller, target);
+                (*ctl).input = Some(input);
+                numagap_fiber_switch(ptr::addr_of_mut!((*ctl).caller_rsp), (*ctl).fiber_rsp);
+                (*ctl)
+                    .output
+                    .take()
+                    .expect("fiber switched back without an output")
             }
-            CURRENT.with(|c| c.set(prev));
+        }
+
+        /// Whether the entry closure has returned.
+        pub(crate) fn is_finished(&self) -> bool {
             // SAFETY: the control block stays valid for the fiber's lifetime.
-            unsafe { (*ctl).finished }
+            unsafe { (*self.ctl).finished }
+        }
+
+        /// Whether the fiber is parked inside [`Suspender::suspend`]: started
+        /// and not finished, so values are alive on its stack.
+        pub(crate) fn is_suspended(&self) -> bool {
+            // SAFETY: as in `is_finished`.
+            unsafe { (*self.ctl).entry.is_none() && !(*self.ctl).finished }
         }
     }
 
-    impl Drop for Fiber {
+    impl<I, O> Suspender<I, O> {
+        /// Suspends the running fiber, handing `output` to its resumer, and
+        /// returns the input of the resume that continues it.
+        ///
+        /// # Safety
+        ///
+        /// Must be called on this fiber's own stack, while it is the context
+        /// its resumer is waiting for: the switch saves the *current* stack
+        /// pointer as the fiber's and jumps to the saved resumer. The
+        /// simulator guarantees it by keeping the suspender inside the
+        /// `ProcCtx` that lives on, and never leaves, the rank body's stack.
+        pub(crate) unsafe fn suspend(&self, output: O) -> I {
+            let ctl = self.ctl;
+            // SAFETY: `ctl` is the live control block of the fiber running on
+            // this stack (caller contract); `caller_rsp` was saved by the
+            // resume that got us here, and the resumer stores an input before
+            // switching back.
+            unsafe {
+                (*ctl).output = Some(output);
+                numagap_fiber_switch(ptr::addr_of_mut!((*ctl).fiber_rsp), (*ctl).caller_rsp);
+                (*ctl).input.take().expect("fiber resumed without an input")
+            }
+        }
+    }
+
+    impl<I, O> Drop for Fiber<I, O> {
         fn drop(&mut self) {
-            // In normal operation the fiber is either never started (entry
-            // still present — drop it with the control block) or finished.
-            // A suspended fiber can only be dropped during a panic teardown
-            // of the scheduler; its stack is deallocated without being
-            // resumed, so values living on it leak — safe (the fiber can
-            // never run again), and the process is unwinding anyway.
+            // A never-started fiber still owns its entry closure, which is
+            // dropped with the control block. A suspended fiber's stack is
+            // deallocated without being resumed, so values living on it leak
+            // — safe (the fiber can never run again); the simulator unwinds
+            // suspended ranks before dropping them.
             // SAFETY: we own the allocation and nothing can resume the
             // fiber concurrently.
             unsafe {
@@ -255,160 +309,90 @@ mod imp {
             }
         }
     }
-
-    /// Parks the currently running fiber, returning control to the worker
-    /// that resumed it. Panics when called from outside a fiber.
-    pub(crate) fn yield_now() {
-        let ctl = CURRENT.with(Cell::get);
-        assert!(
-            !ctl.is_null(),
-            "fiber::yield_now called outside a fiber context"
-        );
-        // SAFETY: `ctl` is the live control block of the fiber running on
-        // this very thread; `caller_rsp` was saved by the resume that got us
-        // here.
-        unsafe {
-            let save = ptr::addr_of_mut!((*ctl).fiber_rsp);
-            let target = (*ctl).caller_rsp;
-            numagap_fiber_switch(save, target);
-        }
-    }
-}
-
-#[cfg(not(target_arch = "x86_64"))]
-mod fallback {
-    //! Inert stand-in so the crate compiles on non-x86-64 hosts; the kernel
-    //! checks [`super::SUPPORTED`] and never constructs one of these there.
-
-    /// Unreachable placeholder for the real fiber type.
-    pub(crate) struct Fiber {}
-
-    impl std::fmt::Debug for Fiber {
-        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-            f.debug_struct("Fiber").finish_non_exhaustive()
-        }
-    }
-
-    impl Fiber {
-        pub(crate) fn new(_stack_size: usize, _entry: Box<dyn FnOnce() + Send>) -> Self {
-            unreachable!("fibers are not supported on this architecture")
-        }
-
-        pub(crate) fn resume(&mut self) -> bool {
-            unreachable!("fibers are not supported on this architecture")
-        }
-    }
-
-    pub(crate) fn yield_now() {
-        unreachable!("fibers are not supported on this architecture")
-    }
 }
 
 #[cfg(all(test, not(loom), target_arch = "x86_64"))]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Arc;
+    use std::cell::{Cell, RefCell};
+    use std::rc::Rc;
 
     #[test]
-    fn fiber_runs_to_completion() {
-        let hits = Arc::new(AtomicUsize::new(0));
-        let h = Arc::clone(&hits);
-        let mut f = Fiber::new(
-            64 * 1024,
-            Box::new(move || {
-                h.fetch_add(1, Ordering::SeqCst);
-            }),
-        );
-        assert!(f.resume());
-        assert_eq!(hits.load(Ordering::SeqCst), 1);
+    fn fiber_runs_to_completion_with_its_first_input() {
+        let mut f = Fiber::new(64 * 1024, |_s: Suspender<u64, u64>, first| first * 2);
+        assert_eq!(f.resume(21), 42);
+        assert!(f.is_finished());
     }
 
     #[test]
-    fn fiber_yields_and_resumes_preserving_state() {
-        let log = Arc::new(std::sync::Mutex::new(Vec::new()));
-        let l = Arc::clone(&log);
-        let mut f = Fiber::new(
-            64 * 1024,
-            Box::new(move || {
-                let mut local = 10u64;
-                l.lock().expect("log poisoned").push(local);
-                yield_now();
-                local += 1;
-                l.lock().expect("log poisoned").push(local);
-                yield_now();
-                local += 1;
-                l.lock().expect("log poisoned").push(local);
-            }),
-        );
-        assert!(!f.resume());
-        assert!(!f.resume());
-        assert!(f.resume());
-        assert_eq!(*log.lock().expect("log poisoned"), vec![10, 11, 12]);
+    fn values_travel_both_ways_and_locals_survive_suspension() {
+        let log = Rc::new(RefCell::new(Vec::new()));
+        let l = Rc::clone(&log);
+        let mut f = Fiber::new(64 * 1024, move |s: Suspender<u64, u64>, first| {
+            let mut local = first;
+            for _ in 0..2 {
+                l.borrow_mut().push(local);
+                // SAFETY: called on this fiber's own stack.
+                local += unsafe { s.suspend(local * 10) };
+            }
+            local
+        });
+        assert!(!f.is_suspended());
+        assert_eq!(f.resume(1), 10);
+        assert!(f.is_suspended());
+        assert_eq!(f.resume(2), 30);
+        assert_eq!(f.resume(4), 7);
+        assert!(f.is_finished() && !f.is_suspended());
+        assert_eq!(*log.borrow(), vec![1, 3]);
     }
 
     #[test]
-    fn fiber_migrates_between_threads() {
-        let sum = Arc::new(AtomicUsize::new(0));
-        let s = Arc::clone(&sum);
-        let mut f = Fiber::new(
-            64 * 1024,
-            Box::new(move || {
-                let local = 7usize;
-                yield_now();
-                s.fetch_add(local * 2, Ordering::SeqCst);
-            }),
-        );
-        assert!(!f.resume());
-        // Finish the fiber on a different OS thread: the saved context and
-        // stack must travel intact.
-        let done = std::thread::spawn(move || {
-            let finished = f.resume();
-            (finished, f)
-        })
-        .join()
-        .expect("fiber thread panicked");
-        assert!(done.0);
-        assert_eq!(sum.load(Ordering::SeqCst), 14);
+    fn a_fiber_can_resume_another_fiber() {
+        let mut outer = Fiber::new(64 * 1024, |s: Suspender<u64, u64>, first| {
+            let mut inner = Fiber::new(64 * 1024, |s: Suspender<u64, u64>, a| {
+                // SAFETY: called on the inner fiber's own stack.
+                a + unsafe { s.suspend(a + 1) }
+            });
+            let mid = inner.resume(first);
+            // SAFETY: called on the outer fiber's own stack.
+            let second = unsafe { s.suspend(mid) };
+            inner.resume(second)
+        });
+        assert_eq!(outer.resume(5), 6);
+        assert_eq!(outer.resume(100), 105);
     }
 
     #[test]
     fn never_started_fiber_drops_cleanly() {
-        struct NoteDrop(Arc<AtomicUsize>);
+        struct NoteDrop(Rc<Cell<usize>>);
         impl Drop for NoteDrop {
             fn drop(&mut self) {
-                self.0.fetch_add(1, Ordering::SeqCst);
+                self.0.set(self.0.get() + 1);
             }
         }
-        let drops = Arc::new(AtomicUsize::new(0));
-        let note = NoteDrop(Arc::clone(&drops));
-        let f = Fiber::new(
-            64 * 1024,
-            Box::new(move || {
-                let _keep = &note;
-            }),
-        );
+        let drops = Rc::new(Cell::new(0));
+        let note = NoteDrop(Rc::clone(&drops));
+        let f = Fiber::new(64 * 1024, move |_s: Suspender<(), ()>, ()| {
+            let _keep = &note;
+        });
         drop(f);
-        assert_eq!(drops.load(Ordering::SeqCst), 1);
+        assert_eq!(drops.get(), 1);
     }
 
     #[test]
     fn float_state_survives_switches() {
-        let out = Arc::new(std::sync::Mutex::new(0.0f64));
-        let o = Arc::clone(&out);
-        let mut f = Fiber::new(
-            64 * 1024,
-            Box::new(move || {
-                let mut acc = 1.0f64 / 3.0;
-                yield_now();
-                acc += 2.5;
-                yield_now();
-                acc *= 3.0;
-                *o.lock().expect("out poisoned") = acc;
-            }),
-        );
-        while !f.resume() {}
-        let expect = (1.0f64 / 3.0 + 2.5) * 3.0;
-        assert_eq!(*out.lock().expect("out poisoned"), expect);
+        let mut f = Fiber::new(64 * 1024, |s: Suspender<(), f64>, ()| {
+            let mut acc = 1.0f64 / 3.0;
+            // SAFETY: both calls are on this fiber's own stack.
+            unsafe { s.suspend(acc) };
+            acc += 2.5;
+            unsafe { s.suspend(acc) };
+            acc * 3.0
+        });
+        let mut last = 0.0;
+        while !f.is_finished() {
+            last = f.resume(());
+        }
+        assert_eq!(last, (1.0f64 / 3.0 + 2.5) * 3.0);
     }
 }

@@ -1,93 +1,61 @@
-//! The kernel ↔ process control handoff: a one-slot parked rendezvous.
+//! The thread-backed execution context: one OS thread per rank, behind the
+//! same `resume(grant) -> request` call the kernel makes on a fiber.
 //!
-//! Each simulated process is an OS thread, and every simulated operation is
-//! a strict rendezvous with the kernel: the process publishes a [`Request`]
-//! and sleeps until the kernel publishes the completing [`Grant`]. The
-//! original implementation used a pair of `std::sync::mpsc` channels per
-//! process, which costs two channel sends (each with its own lock, queue
-//! node and futex wake) per virtual context switch. This module replaces
-//! the pair with a single `Mutex`/`Condvar`-protected slot per process.
+//! This is the portable fallback (the only mode on hosts without fiber
+//! support) and the differential oracle the fiber mode is checked against.
+//! The rank body runs on a dedicated `simproc-{rank}` thread; each
+//! [`ThreadCtx::resume`] publishes the grant into a one-slot
+//! `Mutex`/`Condvar` rendezvous ([`Handoff`]) and sleeps until the rank
+//! publishes its next [`Request`] or its thread ends. Because the protocol
+//! alternates strictly (there is never more than one outstanding request
+//! *or* grant), a one-deep slot is enough; a publisher notifies only when
+//! the peer has recorded itself as parked, and
+//! [`crate::HotProfile::park_wakes`] counts those notifies.
 //!
-//! Because the protocol alternates strictly (there is never more than one
-//! outstanding request *or* grant), a one-deep slot is enough. The waiter
-//! spins briefly before parking; the publisher only issues a condvar notify
-//! when the peer has actually recorded itself as parked. Since the stretch
-//! between a grant and the next request is usually nanoseconds of real
-//! work, the common case hands off inside the spin window with **zero**
-//! thread wakes — the `numagap selfperf` bench records the measured wake
-//! rate in [`crate::HotProfile::park_wakes`].
-//!
-//! Determinism note: whether a particular handoff parks or spins depends on
-//! host timing, but it can never change *what* is handed off or in what
-//! order — virtual time is bit-identical either way. `park_wakes` is the
-//! only host-timing-dependent counter in the profile and is excluded from
-//! exact benchmark comparison.
+//! Determinism note: when a side parks depends on host timing, but that can
+//! never change *what* is handed off or in what order — virtual time is
+//! bit-identical to the fiber mode's.
 
+use std::sync::Arc;
+use std::thread::JoinHandle;
+
+use crate::message;
+use crate::process::{self, Entry, Grant, Port, Request};
+use crate::sched::Context;
 use crate::sync::{Condvar, Mutex};
+use crate::ProcId;
 
-use crate::process::{Grant, Request};
-
-/// Iterations a waiter spins on the slot before starting to yield.
-///
-/// Under `cfg(loom)` a single probe: every spin iteration is a schedule
-/// choice point for the model checker, so a long budget explodes the
-/// search space without adding distinct behaviors (spinning is pure
-/// polling — one probe covers the "saw it before parking" interleaving).
-#[cfg(not(loom))]
-const SPIN: u32 = 192;
-#[cfg(loom)]
-const SPIN: u32 = 1;
-
-/// `yield_now` polls after the busy-spin phase, before parking. A peer that
-/// was itself parked takes microseconds of scheduler latency to wake and
-/// respond — far beyond any busy-spin budget — and one side parking makes
-/// the *other* side's next wait exceed its spin too, so a single park
-/// otherwise cascades into two futex wakes per context switch forever (the
-/// legacy channel behavior). Yielding covers that latency cheaply: with no
-/// other runnable thread a yield returns almost immediately, and with one
-/// it donates the time slice the waking peer needs.
-#[cfg(not(loom))]
-const YIELDS: u32 = 64;
-#[cfg(loom)]
-const YIELDS: u32 = 0;
-
-/// The peer thread hung up: the process side was dropped (normal thread
-/// exit after `Exit`, or a panic unwinding the entry function).
+/// The rank's thread ended: normally after publishing `Exit`, or by a panic
+/// unwinding the entry function.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct Hangup;
+struct Hangup;
 
 #[derive(Default)]
 struct Slot {
     grant: Option<Grant>,
     request: Option<Request>,
-    /// The process thread is parked on `to_proc`.
+    /// The rank's thread is parked on `to_proc`.
     proc_parked: bool,
-    /// The kernel is parked on `to_kernel` waiting for this process.
+    /// The kernel is parked on `to_kernel` waiting for this rank.
     kernel_parked: bool,
-    /// N:M mode: the process *fiber* yielded back to the scheduler and
-    /// needs a [`crate::sched`] wake to resume — distinct from
-    /// `proc_parked`, which records a real OS-thread park (and feeds the
-    /// `park_wakes` counter, which must keep meaning futex-level wakes).
-    sched_parked: bool,
-    /// The process side was dropped; no request will ever arrive again.
+    /// The rank's thread ended; no request will ever arrive again.
     proc_gone: bool,
-    /// N:M mode: panic message captured by the fiber's `catch_unwind`
-    /// before it hung up (there is no thread join to harvest it from).
-    failure: Option<String>,
+    /// Payload bytes the rank's thread had cloned when it ended.
+    cloned: u64,
     /// Condvar notifies issued while the peer was recorded as parked.
     park_wakes: u64,
 }
 
-/// One process's rendezvous slot, shared between the kernel and the
-/// process thread (via `Arc`).
-pub(crate) struct Handoff {
+/// One rank's rendezvous slot, shared between the kernel's [`ThreadCtx`]
+/// and the rank's thread.
+struct Handoff {
     slot: Mutex<Slot>,
     to_proc: Condvar,
     to_kernel: Condvar,
 }
 
 impl Handoff {
-    pub(crate) fn new() -> Self {
+    fn new() -> Self {
         Handoff {
             slot: Mutex::new(Slot::default()),
             to_proc: Condvar::new(),
@@ -95,12 +63,9 @@ impl Handoff {
         }
     }
 
-    /// Kernel side: publishes a grant, waking the process if it is parked.
-    /// Returns `Err(Hangup)` if the process side already hung up, and
-    /// otherwise whether the process fiber is parked on the scheduler and
-    /// needs a [`crate::sched::Scheduler::wake`] to resume (always `false`
-    /// in legacy 1:1 mode, where the thread wake happens right here).
-    pub(crate) fn grant(&self, grant: Grant) -> Result<bool, Hangup> {
+    /// Kernel side: publishes a grant, waking the rank if it is parked.
+    /// Returns `Err(Hangup)` if the rank's thread already ended.
+    fn grant(&self, grant: Grant) -> Result<(), Hangup> {
         let mut s = self.slot.lock().expect("handoff mutex poisoned");
         if s.proc_gone {
             return Err(Hangup);
@@ -111,29 +76,12 @@ impl Handoff {
             s.park_wakes += 1;
             self.to_proc.notify_one();
         }
-        let needs_wake = s.sched_parked;
-        s.sched_parked = false;
-        Ok(needs_wake)
+        Ok(())
     }
 
-    /// Kernel side: takes the next request, spinning briefly before
-    /// parking. Returns `Err(Hangup)` if the process hung up instead.
-    pub(crate) fn recv_request(&self) -> Result<Request, Hangup> {
-        for i in 0..SPIN + YIELDS {
-            if let Ok(mut s) = self.slot.try_lock() {
-                if let Some(req) = s.request.take() {
-                    return Ok(req);
-                }
-                if s.proc_gone {
-                    return Err(Hangup);
-                }
-            }
-            if i < SPIN {
-                crate::sync::spin_loop();
-            } else {
-                crate::sync::yield_now();
-            }
-        }
+    /// Kernel side: takes the next request, parking until there is one.
+    /// Returns `Err(Hangup)` if the rank's thread ended instead.
+    fn recv_request(&self) -> Result<Request, Hangup> {
         let mut s = self.slot.lock().expect("handoff mutex poisoned");
         loop {
             if let Some(req) = s.request.take() {
@@ -148,10 +96,9 @@ impl Handoff {
         }
     }
 
-    /// Process side: publishes a request, waking the kernel if it is
-    /// parked. Infallible: the kernel outlives every process thread's use
-    /// of the slot.
-    pub(crate) fn send_request(&self, request: Request) {
+    /// Rank side: publishes a request, waking the kernel if it is parked.
+    /// Infallible: the kernel outlives every rank thread's use of the slot.
+    fn send_request(&self, request: Request) {
         let mut s = self.slot.lock().expect("handoff mutex poisoned");
         debug_assert!(
             s.request.is_none(),
@@ -164,20 +111,8 @@ impl Handoff {
         }
     }
 
-    /// Process side: takes the next grant, spinning briefly before parking.
-    pub(crate) fn wait_grant(&self) -> Grant {
-        for i in 0..SPIN + YIELDS {
-            if let Ok(mut s) = self.slot.try_lock() {
-                if let Some(grant) = s.grant.take() {
-                    return grant;
-                }
-            }
-            if i < SPIN {
-                crate::sync::spin_loop();
-            } else {
-                crate::sync::yield_now();
-            }
-        }
+    /// Rank side: takes the next grant, parking until there is one.
+    fn wait_grant(&self) -> Grant {
         let mut s = self.slot.lock().expect("handoff mutex poisoned");
         loop {
             if let Some(grant) = s.grant.take() {
@@ -189,87 +124,132 @@ impl Handoff {
         }
     }
 
-    /// N:M mode: the process fiber's grant wait. Identical protocol to
-    /// [`Self::wait_grant`], but instead of parking the OS thread it marks
-    /// the slot scheduler-parked and yields the *fiber* back to its worker;
-    /// the kernel's next grant sees the mark and issues a scheduler wake.
-    /// The mark is set and the grant checked under one lock acquisition, so
-    /// a grant can never slip between the check and the yield unnoticed —
-    /// it either lands in the spin window (no scheduler interaction) or
-    /// observes `sched_parked` and wakes the fiber.
-    pub(crate) fn wait_grant_fiber(&self) -> Grant {
-        loop {
-            for i in 0..SPIN + YIELDS {
-                if let Ok(mut s) = self.slot.try_lock() {
-                    if let Some(grant) = s.grant.take() {
-                        return grant;
-                    }
-                }
-                if i < SPIN {
-                    crate::sync::spin_loop();
-                } else {
-                    crate::sync::yield_now();
-                }
-            }
-            {
-                let mut s = self.slot.lock().expect("handoff mutex poisoned");
-                if let Some(grant) = s.grant.take() {
-                    return grant;
-                }
-                s.sched_parked = true;
-            }
-            crate::fiber::yield_now();
-        }
-    }
-
-    /// N:M mode: arms the scheduler-park mark on a brand-new rank whose
-    /// fiber has never run, so the kernel's very first grant reports
-    /// `needs_wake` and dispatches the fiber for the first time.
-    pub(crate) fn prime_sched_parked(&self) {
-        let mut s = self.slot.lock().expect("handoff mutex poisoned");
-        s.sched_parked = true;
-    }
-
-    /// Process side: marks the slot dead on thread exit (normal or panic)
-    /// and wakes the kernel if it is waiting for a request that will never
-    /// come. Called from [`crate::process::HangupGuard`]'s `Drop`.
-    pub(crate) fn hangup(&self) {
-        self.hangup_with(None);
-    }
-
-    /// N:M mode: hangs up and simultaneously records the panic message the
-    /// fiber's `catch_unwind` captured (if any), under one lock, so the
-    /// kernel can never observe the hangup without the failure being
-    /// readable via [`Self::take_failure`].
-    pub(crate) fn hangup_with(&self, failure: Option<String>) {
-        let mut s = self.slot.lock().expect("handoff mutex poisoned");
+    /// Rank side: marks the slot dead as the thread ends (normally or by a
+    /// panic), leaves the thread's payload-clone count for the kernel, and
+    /// wakes a kernel waiting for a request that will never come.
+    fn hangup(&self, cloned: u64) {
+        // Runs from a `Drop` during unwinding: never panic here, and the
+        // slot's fields are valid after every single store.
+        let mut s = self.slot.lock().unwrap_or_else(|e| e.into_inner());
         s.proc_gone = true;
-        if failure.is_some() {
-            s.failure = failure;
-        }
+        s.cloned = cloned;
         if s.kernel_parked {
             s.park_wakes += 1;
             self.to_kernel.notify_one();
         }
     }
+}
 
-    /// Kernel side: takes the panic message recorded by a fiber hangup.
-    pub(crate) fn take_failure(&self) -> Option<String> {
-        self.slot
-            .lock()
-            .expect("handoff mutex poisoned")
-            .failure
-            .take()
-    }
+/// Hangs up the rank side of the handoff when dropped. Created first on the
+/// rank's thread, so it fires last on every way that thread can end: normal
+/// return (after `Exit` is published), a user panic unwinding the entry
+/// function, or an abort unwind — waking a kernel that would otherwise park
+/// forever waiting for the next request.
+struct HangupGuard(Arc<Handoff>);
 
-    /// Total condvar notifies that woke an actually-parked peer, both
-    /// directions. Host-timing dependent (spins that succeed wake nobody).
-    pub(crate) fn park_wakes(&self) -> u64 {
-        self.slot.lock().expect("handoff mutex poisoned").park_wakes
+impl Drop for HangupGuard {
+    fn drop(&mut self) {
+        self.0.hangup(message::clone_bytes());
     }
 }
 
-/// Exhaustive model checking of the handoff protocol (vendored loom shim).
+struct ThreadPort(Arc<Handoff>);
+
+impl Port for ThreadPort {
+    fn exchange(&mut self, req: Request) -> Grant {
+        self.0.send_request(req);
+        self.0.wait_grant()
+    }
+}
+
+/// A rank running on a dedicated OS thread.
+pub(crate) struct ThreadCtx {
+    handoff: Arc<Handoff>,
+    /// `Some` until the rank's thread has been joined.
+    join: Option<JoinHandle<()>>,
+}
+
+impl ThreadCtx {
+    /// Spawns the rank's thread; it parks at once, waiting for the first
+    /// grant.
+    pub(crate) fn spawn(id: ProcId, nprocs: usize, stack_size: usize, entry: Entry) -> Self {
+        let handoff = Arc::new(Handoff::new());
+        let rank_side = Arc::clone(&handoff);
+        let join = std::thread::Builder::new()
+            .name(format!("simproc-{}", id.0))
+            .stack_size(stack_size)
+            .spawn(move || {
+                let _hangup = HangupGuard(Arc::clone(&rank_side));
+                process::set_current_rank(Some(id.0));
+                let first = rank_side.wait_grant();
+                let port = Box::new(ThreadPort(Arc::clone(&rank_side)));
+                let exit = process::run_rank(id, nprocs, port, first, entry);
+                rank_side.send_request(exit);
+            })
+            .expect("failed to spawn simulated process thread");
+        ThreadCtx {
+            handoff,
+            join: Some(join),
+        }
+    }
+
+    /// Joins the ended thread, folds its payload-clone count into the
+    /// calling (kernel) thread's, and returns its panic message if it
+    /// panicked.
+    fn join(&mut self) -> Option<String> {
+        let failure = self
+            .join
+            .take()?
+            .join()
+            .err()
+            .map(|payload| process::panic_message(&*payload));
+        // Also reached from `Drop`: tolerate poison (every store to the slot
+        // leaves it valid) rather than panic.
+        let slot = self.handoff.slot.lock().unwrap_or_else(|e| e.into_inner());
+        message::add_clone_bytes(slot.cloned);
+        failure
+    }
+}
+
+impl Context for ThreadCtx {
+    fn resume(&mut self, grant: Grant) -> Result<Request, String> {
+        let request = self
+            .handoff
+            .grant(grant)
+            .and_then(|()| self.handoff.recv_request());
+        match request {
+            Ok(exit @ Request::Exit(_)) => {
+                self.join();
+                Ok(exit)
+            }
+            Ok(request) => Ok(request),
+            Err(Hangup) => Err(self
+                .join()
+                .unwrap_or_else(|| "<process hung up without panicking>".to_string())),
+        }
+    }
+
+    fn park_wakes(&self) -> u64 {
+        self.handoff
+            .slot
+            .lock()
+            .expect("handoff mutex poisoned")
+            .park_wakes
+    }
+}
+
+impl Drop for ThreadCtx {
+    fn drop(&mut self) {
+        // Still joinable means the rank is parked waiting for a grant (the
+        // run is being torn down around it): unwind it, then reap it.
+        if self.join.is_some() {
+            let _ = self.handoff.grant(Grant::Abort);
+            self.join();
+        }
+    }
+}
+
+/// Exhaustive model checking of the handoff slot (vendored loom shim).
 ///
 /// Run with `RUSTFLAGS='--cfg loom' cargo test -p numagap-sim --lib loom_`.
 /// Each test explores **every** interleaving of lock/condvar operations
@@ -299,7 +279,7 @@ mod loom_tests {
                 h2.send_request(Request::Compute(SimDuration::from_nanos(3)));
                 let g = h2.wait_grant();
                 assert!(matches!(g, Grant::Proceed(t) if t == SimTime::from_nanos(9)));
-                h2.hangup();
+                h2.hangup(0);
             });
             h.grant(Grant::Proceed(SimTime::from_nanos(7)))
                 .expect("process alive for first grant");
@@ -323,7 +303,7 @@ mod loom_tests {
         loom::model(|| {
             let h = Arc::new(Handoff::new());
             let h2 = Arc::clone(&h);
-            let proc_side = thread::spawn(move || h2.hangup());
+            let proc_side = thread::spawn(move || h2.hangup(0));
             assert!(matches!(h.recv_request(), Err(Hangup)));
             proc_side.join().expect("process side");
         });
@@ -339,7 +319,7 @@ mod loom_tests {
             let h2 = Arc::clone(&h);
             let proc_side = thread::spawn(move || {
                 h2.send_request(Request::Compute(SimDuration::from_nanos(1)));
-                h2.hangup();
+                h2.hangup(0);
             });
             match h.recv_request() {
                 Ok(Request::Compute(d)) => assert_eq!(d, SimDuration::from_nanos(1)),
@@ -362,7 +342,7 @@ mod loom_tests {
             let proc_side = thread::spawn(move || {
                 let g = h2.wait_grant();
                 assert!(matches!(g, Grant::Proceed(t) if t == SimTime::from_nanos(5)));
-                h2.hangup();
+                h2.hangup(0);
             });
             // The process only hangs up after consuming the grant, so the
             // kernel's publish must always succeed — Err(Hangup) here would
@@ -390,7 +370,7 @@ mod tests {
             let g = h2.wait_grant();
             assert!(matches!(g, Grant::Proceed(t) if t == SimTime::from_nanos(7)));
             h2.send_request(Request::Compute(crate::SimDuration::from_nanos(3)));
-            h2.hangup();
+            h2.hangup(0);
         });
         h.grant(Grant::Proceed(SimTime::from_nanos(7))).unwrap();
         match h.recv_request() {
@@ -406,9 +386,9 @@ mod tests {
         let h = Arc::new(Handoff::new());
         let h2 = Arc::clone(&h);
         let worker = std::thread::spawn(move || {
-            // Give the kernel time to exhaust its spin budget and park.
+            // Give the kernel time to park.
             std::thread::sleep(std::time::Duration::from_millis(20));
-            h2.hangup();
+            h2.hangup(0);
         });
         assert!(matches!(h.recv_request(), Err(Hangup)));
         worker.join().unwrap();
@@ -417,7 +397,7 @@ mod tests {
     #[test]
     fn grant_after_hangup_reports_it() {
         let h = Handoff::new();
-        h.hangup();
+        h.hangup(0);
         assert!(matches!(h.grant(Grant::Abort), Err(Hangup)));
     }
 }

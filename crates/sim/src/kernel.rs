@@ -1,18 +1,18 @@
 //! The discrete-event kernel: event queue, process scheduling, delivery.
 //!
 //! Determinism: the kernel processes events in strict `(time, sequence)`
-//! order and runs exactly one process thread at a time, so a run's outcome
-//! depends only on its inputs — never on host thread scheduling. This is
-//! verified by integration tests that compare repeated runs bit-for-bit,
-//! and pinned by the golden makespan suite (`tests/golden_makespan.rs`).
+//! order and runs exactly one process at a time, so a run's outcome depends
+//! only on its inputs — never on host thread scheduling. This is verified by
+//! integration tests that compare repeated runs bit-for-bit, and pinned by
+//! the golden makespan suite (`tests/golden_makespan.rs`).
 //!
 //! The hot path is built from three pieces, each chosen for the strict
 //! alternation the rendezvous protocol guarantees:
 //!
-//! * [`crate::handoff`] — a one-slot `Mutex`/`Condvar` handoff per process
-//!   replaces the old pair of mpsc channels (two channel sends per virtual
-//!   context switch); waiters spin briefly, so the common handoff costs no
-//!   thread wake at all.
+//! * [`crate::sched`] — the event loop resumes the rank an event names and
+//!   gets its next request back as the return value; by default the rank is
+//!   a fiber on this very thread, so a virtual context switch is two stack
+//!   switches and nothing is handed to another thread.
 //! * [`crate::mailbox`] — tag-indexed mailboxes replace the linear
 //!   `VecDeque` scan while returning bit-identical matches.
 //! * [`crate::equeue`] — a one-slot front buffer in front of the event
@@ -23,21 +23,17 @@
 //! surfaces those counters as a benchmark artifact.
 
 use std::any::Any;
-use std::sync::Arc;
-use std::thread::JoinHandle;
 
 use serde::{Deserialize, Serialize};
 
 use crate::equeue::{EventEntry, EventKind, EventQueue, TieBreak};
 use crate::error::{PendingMessage, ProcFailure, SimError, WaitState};
-use crate::fiber::Fiber;
-use crate::handoff::Handoff;
 use crate::mailbox::{Mailbox, MailboxCounters};
 use crate::message::{self, Filter, Message, Payload, Tag};
 use crate::network::{FaultEvent, FaultKind, Network};
 use crate::observe::Observer;
-use crate::process::{AbortToken, Grant, HangupGuard, ProcCtx, Request};
-use crate::sched::{LocalsSwapper, SchedMode, SchedReport, Scheduler, Task};
+use crate::process::{self, Entry, Grant, ProcCtx, Request};
+use crate::sched::{self, Context, SchedMode};
 use crate::time::{SimDuration, SimTime};
 use crate::trace::TraceLog;
 use crate::ProcId;
@@ -89,21 +85,20 @@ pub struct KernelStats {
 ///
 /// Every field except [`HotProfile::park_wakes`] is a pure function of the
 /// simulated program and spec — deterministic across runs, machines and
-/// worker counts, and safe to compare exactly. `park_wakes` measures real
-/// thread wakes and legitimately varies with host timing (a handoff that
-/// completes inside the spin window wakes nobody); benchmark comparison
-/// treats it like wall-clock time.
+/// scheduler modes, and safe to compare exactly. `park_wakes` measures real
+/// thread wakes and legitimately varies with host timing; benchmark
+/// comparison treats it like wall-clock time.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct HotProfile {
-    /// Virtual context switches: grants handed to process threads.
+    /// Virtual context switches: grants a process was resumed with.
     pub switches: u64,
-    /// Requests serviced from process threads.
+    /// Requests serviced from processes.
     pub requests: u64,
-    /// Condvar notifies that woke an actually-parked peer (either
-    /// direction). **Host-timing dependent**; excluded from exact compare.
-    /// The legacy mpsc handoff paid one wake per channel send — about
-    /// `switches + requests` — so `park_wakes / events` against that sum
-    /// is the headline `selfperf` ratio.
+    /// OS-thread wakes the kernel↔process rendezvous cost. Always 0 under
+    /// [`SchedMode::Fibers`], where no rank has a thread to wake. Under
+    /// [`SchedMode::LegacyThreads`] it counts condvar notifies that woke an
+    /// actually-parked peer (either direction) — up to `switches +
+    /// requests`, **host-timing dependent**, excluded from exact compare.
     pub park_wakes: u64,
     /// Event-queue entries that entered the binary heap proper.
     pub heap_pushes: u64,
@@ -145,15 +140,16 @@ pub struct RunOutcome<N> {
     pub network: N,
     /// The execution trace, if tracing was enabled.
     pub trace: Option<TraceLog>,
-    /// Peak number of OS threads the simulator used to execute ranks: the
-    /// worker count under [`SchedMode::WorkerPool`], the rank count under
-    /// [`SchedMode::LegacyThreads`]. (The kernel's own thread is on top.)
+    /// Number of OS threads rank code executed on: 1 under
+    /// [`SchedMode::Fibers`] (the thread that called [`Sim::run`]; the run
+    /// created none), the rank count under [`SchedMode::LegacyThreads`]
+    /// (one spawned per rank, with the kernel's own thread on top).
     pub sim_threads: usize,
     /// Rank dispatch order: the sequence of grants the kernel issued, one
     /// entry per context switch into a rank. Recorded only when
     /// [`Sim::record_dispatch`] was enabled; `None` otherwise. A pure
     /// function of the canonical event order — identical across scheduler
-    /// modes, worker counts, and reruns.
+    /// modes and reruns.
     pub dispatch: Option<Vec<u32>>,
 }
 
@@ -180,8 +176,7 @@ enum ProcState {
 }
 
 struct ProcSlot {
-    handoff: Arc<Handoff>,
-    join: Option<JoinHandle<()>>,
+    ctx: Box<dyn Context>,
     mailbox: Mailbox,
     state: ProcState,
     clock: SimTime,
@@ -190,8 +185,6 @@ struct ProcSlot {
     result: Option<Box<dyn Any + Send>>,
     failure: Option<ProcFailure>,
 }
-
-type Entry = Box<dyn FnOnce(&mut ProcCtx) -> Box<dyn Any + Send> + Send + 'static>;
 
 /// A configured simulation, ready to run.
 ///
@@ -221,7 +214,6 @@ pub struct Sim<N: Network> {
     tie_break: TieBreak,
     sched_mode: Option<SchedMode>,
     record_dispatch: bool,
-    locals_swapper: Option<LocalsSwapper>,
 }
 
 impl<N: Network + std::fmt::Debug> std::fmt::Debug for Sim<N> {
@@ -247,16 +239,15 @@ impl<N: Network> Sim<N> {
             tie_break: TieBreak::Fifo,
             sched_mode: None,
             record_dispatch: false,
-            locals_swapper: None,
         }
     }
 
-    /// Selects how ranks are mapped onto OS threads (default: the
-    /// process-global mode from [`crate::set_default_sched_mode`], which
-    /// itself defaults to a single-worker pool where fibers are supported).
-    /// Virtual time is bit-identical across modes and worker counts; only
-    /// real time and thread count differ. On targets without fiber support
-    /// a requested pool silently falls back to [`SchedMode::LegacyThreads`].
+    /// Selects what ranks run on (default: the process-global mode from
+    /// [`crate::set_default_sched_mode`], which itself defaults to
+    /// [`SchedMode::Fibers`] where fibers are supported). Virtual time is
+    /// bit-identical across modes; only real time and thread count differ.
+    /// On targets without fiber support a requested `Fibers` silently falls
+    /// back to [`SchedMode::LegacyThreads`].
     pub fn sched_mode(&mut self, mode: SchedMode) -> &mut Self {
         self.sched_mode = Some(mode);
         self
@@ -267,22 +258,6 @@ impl<N: Network> Sim<N> {
     /// mode).
     pub fn record_dispatch(&mut self) -> &mut Self {
         self.record_dispatch = true;
-        self
-    }
-
-    /// Registers a swapper for opaque per-rank thread-local state. In
-    /// worker-pool mode several ranks share each worker thread, so an
-    /// embedder keeping rank state in thread-locals (the runtime crate's
-    /// lint sink, for example) registers a function here that exchanges the
-    /// thread-local contents with the rank's saved slot; the scheduler
-    /// calls it immediately before and after every fiber resume. Between
-    /// resumes the worker's own slot is always `None`. Legacy 1:1 runs
-    /// ignore the hook — each rank owns its thread and its thread-locals.
-    pub fn set_rank_locals_swapper<F>(&mut self, swap: F) -> &mut Self
-    where
-        F: Fn(&mut Option<Box<dyn Any + Send>>) + Send + Sync + 'static,
-    {
-        self.locals_swapper = Some(Arc::new(swap));
         self
     }
 
@@ -322,7 +297,11 @@ impl<N: Network> Sim<N> {
         self
     }
 
-    /// Sets the host stack size for process threads (default 8 MiB).
+    /// Sets the host stack size of every rank (default 8 MiB): the rank's
+    /// fiber stack, or its thread's stack under [`SchedMode::LegacyThreads`].
+    /// Fiber stacks are plain heap allocations with **no guard page**, so
+    /// overflowing one is undefined behaviour rather than a fault — size
+    /// them for the deepest call chain a rank body makes.
     pub fn stack_size(&mut self, bytes: usize) -> &mut Self {
         self.stack_size = bytes;
         self
@@ -366,7 +345,34 @@ impl<N: Network> Sim<N> {
     /// exceeded, and [`SimError::ProcessPanicked`] if a panicking entry
     /// function halted the rest of the run.
     pub fn run(self) -> Result<RunOutcome<N>, SimError> {
+        let _host = HostLocals::borrow();
         Kernel::start(self).run()
+    }
+}
+
+/// The calling thread's per-rank thread-locals, borrowed for one run: ranks
+/// publish themselves and count their payload clones on this thread (fibers
+/// directly, rank threads when they are joined), so a run nested inside a
+/// rank body, or following another on the same thread, must find the clone
+/// counter at zero and leave both exactly as it found them.
+struct HostLocals {
+    rank: Option<usize>,
+    cloned: u64,
+}
+
+impl HostLocals {
+    fn borrow() -> Self {
+        HostLocals {
+            rank: process::current_rank(),
+            cloned: message::swap_clone_bytes(0),
+        }
+    }
+}
+
+impl Drop for HostLocals {
+    fn drop(&mut self) {
+        process::set_current_rank(self.rank);
+        message::swap_clone_bytes(self.cloned);
     }
 }
 
@@ -413,12 +419,7 @@ struct Kernel<N: Network> {
     first_failure: Option<usize>,
     trace: Option<TraceLog>,
     observer: Option<Box<dyn Observer>>,
-    /// The worker pool driving rank fibers ([`SchedMode::WorkerPool`] only;
-    /// `None` in legacy 1:1 mode and after teardown).
-    sched: Option<Scheduler>,
-    /// Pool counters harvested by the normal-exit teardown.
-    sched_report: Option<SchedReport>,
-    /// Peak rank-executing thread count (workers, or ranks in legacy mode).
+    /// OS threads rank code runs on (see [`RunOutcome::sim_threads`]).
     sim_threads: usize,
     /// Grant sequence for [`RunOutcome::dispatch`], recorded at the grant
     /// site (single-threaded, canonical order) when enabled.
@@ -428,124 +429,25 @@ struct Kernel<N: Network> {
 impl<N: Network> Kernel<N> {
     fn start(sim: Sim<N>) -> Self {
         let nprocs = sim.entries.len();
-        let mode = sim
-            .sched_mode
-            .unwrap_or_else(crate::sched::default_sched_mode);
-        let mode = if crate::fiber::SUPPORTED {
-            mode
-        } else {
-            SchedMode::LegacyThreads
-        };
-        let mut slots = Vec::with_capacity(nprocs);
-        let mut sched = None;
+        let mode = sched::resolve(sim.sched_mode);
+        let slots = sim
+            .entries
+            .into_iter()
+            .enumerate()
+            .map(|(rank, entry)| ProcSlot {
+                ctx: sched::spawn(mode, ProcId(rank), nprocs, sim.stack_size, entry),
+                mailbox: Mailbox::default(),
+                state: ProcState::Idle,
+                clock: SimTime::ZERO,
+                block_start: SimTime::ZERO,
+                stats: ProcStats::default(),
+                result: None,
+                failure: None,
+            })
+            .collect();
         let sim_threads = match mode {
-            SchedMode::WorkerPool { workers } => {
-                // N:M mode: each rank is a fiber; a fixed worker pool
-                // resumes whichever rank the kernel grants. The handoff is
-                // primed so the very first grant reports `needs_wake` and
-                // dispatches the fiber for its first run.
-                let mut tasks = Vec::with_capacity(nprocs);
-                for (rank, entry) in sim.entries.into_iter().enumerate() {
-                    let handoff = Arc::new(Handoff::new());
-                    handoff.prime_sched_parked();
-                    let proc_handoff = Arc::clone(&handoff);
-                    let fiber = Fiber::new(
-                        sim.stack_size,
-                        Box::new(move || {
-                            let outcome =
-                                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                    let mut ctx = ProcCtx {
-                                        id: ProcId(rank),
-                                        nprocs,
-                                        now: SimTime::ZERO,
-                                        // Defused: the wrapper below hangs up
-                                        // explicitly, with the panic message.
-                                        _hangup: HangupGuard(None),
-                                        handoff: Arc::clone(&proc_handoff),
-                                        fiber: true,
-                                    };
-                                    // Wait for the initial wake before
-                                    // running user code.
-                                    match ctx.handoff.wait_grant_fiber() {
-                                        Grant::Proceed(t) => ctx.now = t,
-                                        Grant::Abort => std::panic::panic_any(AbortToken),
-                                        _ => unreachable!("initial grant must be a proceed"),
-                                    }
-                                    let result = entry(&mut ctx);
-                                    ctx.finish(result);
-                                }));
-                            // Hangup and failure message land in the slot
-                            // under one lock: the kernel can never observe
-                            // the hangup without the diagnostic.
-                            match outcome {
-                                Ok(()) => proc_handoff.hangup_with(None),
-                                Err(payload) => {
-                                    proc_handoff.hangup_with(Some(panic_message(&*payload)));
-                                }
-                            }
-                        }),
-                    );
-                    tasks.push(Task {
-                        fiber,
-                        clone_bytes: 0,
-                        locals: None,
-                    });
-                    slots.push(ProcSlot {
-                        handoff,
-                        join: None,
-                        mailbox: Mailbox::default(),
-                        state: ProcState::Idle,
-                        clock: SimTime::ZERO,
-                        block_start: SimTime::ZERO,
-                        stats: ProcStats::default(),
-                        result: None,
-                        failure: None,
-                    });
-                }
-                sched = Some(Scheduler::new(workers, tasks, sim.locals_swapper.clone()));
-                workers.max(1)
-            }
-            SchedMode::LegacyThreads => {
-                for (rank, entry) in sim.entries.into_iter().enumerate() {
-                    let handoff = Arc::new(Handoff::new());
-                    let proc_handoff = Arc::clone(&handoff);
-                    let join = std::thread::Builder::new()
-                        .name(format!("simproc-{rank}"))
-                        .stack_size(sim.stack_size)
-                        .spawn(move || {
-                            message::reset_clone_bytes();
-                            let mut ctx = ProcCtx {
-                                id: ProcId(rank),
-                                nprocs,
-                                now: SimTime::ZERO,
-                                _hangup: HangupGuard(Some(Arc::clone(&proc_handoff))),
-                                handoff: proc_handoff,
-                                fiber: false,
-                            };
-                            // Wait for the initial wake before running user code.
-                            match ctx.handoff.wait_grant() {
-                                Grant::Proceed(t) => ctx.now = t,
-                                Grant::Abort => std::panic::panic_any(AbortToken),
-                                _ => unreachable!("initial grant must be a proceed"),
-                            }
-                            let result = entry(&mut ctx);
-                            ctx.finish(result);
-                        })
-                        .expect("failed to spawn simulated process thread");
-                    slots.push(ProcSlot {
-                        handoff,
-                        join: Some(join),
-                        mailbox: Mailbox::default(),
-                        state: ProcState::Idle,
-                        clock: SimTime::ZERO,
-                        block_start: SimTime::ZERO,
-                        stats: ProcStats::default(),
-                        result: None,
-                        failure: None,
-                    });
-                }
-                nprocs
-            }
+            SchedMode::Fibers => 1,
+            SchedMode::LegacyThreads => nprocs,
         };
         let mut kernel = Kernel {
             net: sim.net,
@@ -564,8 +466,6 @@ impl<N: Network> Kernel<N> {
             first_failure: None,
             trace: sim.tracing.then(TraceLog::default),
             observer: sim.observer,
-            sched,
-            sched_report: None,
             sim_threads,
             dispatch_log: sim.record_dispatch.then(Vec::new),
         };
@@ -587,32 +487,24 @@ impl<N: Network> Kernel<N> {
         });
     }
 
-    /// Hands a grant to process `p`; on hangup (the thread panicked while
-    /// parked, which only the teardown path can produce) harvests the
-    /// failure and reports `false`. In worker-pool mode a grant to a rank
-    /// whose fiber is parked on the scheduler also dispatches that fiber.
-    fn send_grant(&mut self, p: ProcId, grant: Grant) -> bool {
+    /// Runs process `p` with `grant` until it suspends with its next
+    /// request: one virtual context switch, and the only place the kernel
+    /// enters rank code. A rank that ends without an `Exit` (its entry
+    /// function panicked) is harvested as failed and yields `None`.
+    fn resume(&mut self, p: ProcId, grant: Grant) -> Option<Request> {
         self.profile.switches += 1;
-        match self.slots[p.0].handoff.grant(grant) {
-            Ok(needs_wake) => {
-                // Logged per grant, here on the single-threaded kernel, in
-                // canonical event order. Whether the grant also needs a
-                // scheduler wake (the fiber already parked) or lands while
-                // the rank is still running is host timing and must not
-                // show in the log.
-                if let Some(log) = self.dispatch_log.as_mut() {
-                    log.push(p.0 as u32);
-                }
-                if needs_wake {
-                    if let Some(sched) = &self.sched {
-                        sched.wake(p.0);
-                    }
-                }
-                true
+        // Logged per grant, in canonical event order, before the rank runs.
+        if let Some(log) = self.dispatch_log.as_mut() {
+            log.push(p.0 as u32);
+        }
+        match self.slots[p.0].ctx.resume(grant) {
+            Ok(request) => {
+                self.profile.requests += 1;
+                Some(request)
             }
-            Err(_) => {
-                self.harvest_failure(p);
-                false
+            Err(message) => {
+                self.harvest_failure(p, message);
+                None
             }
         }
     }
@@ -700,6 +592,10 @@ impl<N: Network> Kernel<N> {
         }
     }
 
+    /// The event loop. Every early `return Err` below drops the kernel with
+    /// ranks still suspended mid-body; dropping a live rank's context
+    /// unwinds it (see [`sched::spawn`]), so an aborted run still runs every
+    /// destructor on every rank's stack before `Sim::run` returns.
     fn run(mut self) -> Result<RunOutcome<N>, SimError> {
         loop {
             // Flush deferred bookings at every timestamp boundary, and
@@ -720,7 +616,6 @@ impl<N: Network> Kernel<N> {
                     if let Some(err) = self.failure_error() {
                         return Err(err);
                     }
-                    self.abort_all();
                     return Err(SimError::TimeLimit { limit });
                 }
             }
@@ -736,9 +631,7 @@ impl<N: Network> Kernel<N> {
                     }
                     let clock = self.slots[p.0].clock.max(self.now);
                     self.slots[p.0].clock = clock;
-                    if self.send_grant(p, Grant::Proceed(clock)) {
-                        self.service(p);
-                    }
+                    self.service(p, Grant::Proceed(clock));
                 }
                 EventKind::Deliver(p, msg) => self.deliver(p, msg),
             }
@@ -796,18 +689,7 @@ impl<N: Network> Kernel<N> {
                 })
                 .collect();
             let cycle = find_wait_cycle(&procs);
-            self.abort_all();
             return Err(SimError::Deadlock { at, procs, cycle });
-        }
-        // All processes exited; drain the execution contexts (worker pool
-        // or dedicated threads, depending on the mode).
-        if let Some(sched) = self.sched.take() {
-            self.sched_report = Some(sched.finish());
-        }
-        for slot in &mut self.slots {
-            if let Some(join) = slot.join.take() {
-                let _ = join.join();
-            }
         }
         if let Some(obs) = self.observer.as_mut() {
             obs.on_finish(self.now);
@@ -826,15 +708,10 @@ impl<N: Network> Kernel<N> {
         profile.queue_peak = self.queue.counters.peak_len;
         profile.mailbox_scanned = self.mcounters.scanned;
         profile.mailbox_indexed = self.mcounters.indexed_takes;
-        for slot in &self.slots {
-            profile.park_wakes += slot.handoff.park_wakes();
-        }
-        if let Some(report) = self.sched_report.take() {
-            // Pool-side condvar wakes join the handoff's futex-level wakes:
-            // both are real thread wakes, and both are host-timing
-            // dependent (excluded from exact comparison).
-            profile.park_wakes += report.park_wakes;
-        }
+        profile.park_wakes = self.slots.iter().map(|s| s.ctx.park_wakes()).sum();
+        // Everything the run's ranks cloned was counted on this thread
+        // (`Sim::run` zeroed the counter on entry).
+        profile.bytes_cloned = message::clone_bytes();
         let dispatch = self.dispatch_log.take();
         Ok(RunOutcome {
             elapsed,
@@ -861,18 +738,13 @@ impl<N: Network> Kernel<N> {
         })
     }
 
-    /// Services requests from process `p` until it suspends (compute, blocked
-    /// recv), exits, or its thread dies.
-    fn service(&mut self, p: ProcId) {
+    /// Resumes process `p` with `grant` and services its requests until it
+    /// waits on virtual time (compute, blocked recv), exits, or dies.
+    fn service(&mut self, p: ProcId, mut grant: Grant) {
         loop {
-            let req = match self.slots[p.0].handoff.recv_request() {
-                Ok(req) => req,
-                Err(_) => {
-                    self.harvest_failure(p);
-                    return;
-                }
+            let Some(req) = self.resume(p, grant) else {
+                return;
             };
-            self.profile.requests += 1;
             match req {
                 Request::Compute(d) => {
                     let slot = &mut self.slots[p.0];
@@ -927,10 +799,7 @@ impl<N: Network> Kernel<N> {
                         send_idx,
                         payload,
                     });
-                    let clock = self.slots[p.0].clock;
-                    if !self.send_grant(p, Grant::Proceed(clock)) {
-                        return;
-                    }
+                    grant = Grant::Proceed(self.slots[p.0].clock);
                 }
                 Request::Recv(filter) => {
                     if let Some(obs) = self.observer.as_mut() {
@@ -947,9 +816,7 @@ impl<N: Network> Kernel<N> {
                         if let Some(obs) = self.observer.as_mut() {
                             obs.on_recv_matched(p, &msg, clock);
                         }
-                        if !self.send_grant(p, Grant::Msg(clock, msg)) {
-                            return;
-                        }
+                        grant = Grant::Msg(clock, msg);
                     } else {
                         let slot = &mut self.slots[p.0];
                         slot.state = ProcState::Blocked(filter);
@@ -979,27 +846,18 @@ impl<N: Network> Kernel<N> {
                     if let (Some(obs), Some(msg)) = (self.observer.as_mut(), found.as_ref()) {
                         obs.on_recv_matched(p, msg, clock);
                     }
-                    if !self.send_grant(p, Grant::TryMsg(clock, found)) {
-                        return;
-                    }
+                    grant = Grant::TryMsg(clock, found);
                 }
-                Request::Exit {
-                    result,
-                    bytes_cloned,
-                } => {
+                Request::Exit(result) => {
                     let slot = &mut self.slots[p.0];
                     slot.state = ProcState::Done;
                     slot.result = Some(result);
                     slot.stats.exit_at = slot.clock;
-                    self.profile.bytes_cloned += bytes_cloned;
                     let exit_at = slot.stats.exit_at;
                     if let Some(obs) = self.observer.as_mut() {
                         obs.on_exit(p, exit_at);
                     }
                     self.live -= 1;
-                    if let Some(join) = slot.join.take() {
-                        let _ = join.join();
-                    }
                     return;
                 }
             }
@@ -1042,9 +900,7 @@ impl<N: Network> Kernel<N> {
                 if let Some(obs) = self.observer.as_mut() {
                     obs.on_recv_matched(p, &msg, clock);
                 }
-                if self.send_grant(p, Grant::Msg(clock, msg)) {
-                    self.service(p);
-                }
+                self.service(p, Grant::Msg(clock, msg));
                 return;
             }
         }
@@ -1052,22 +908,8 @@ impl<N: Network> Kernel<N> {
     }
 
     /// Records a dead rank's panic as its own result slot and lets the rest
-    /// of the machine keep running. Legacy mode harvests the panic payload
-    /// by joining the rank's dedicated thread; pool mode reads the message
-    /// the fiber wrapper recorded in the handoff slot at hangup (only the
-    /// owning rank fails — its worker thread and every co-scheduled rank
-    /// are untouched).
-    fn harvest_failure(&mut self, p: ProcId) {
-        let message = match self.slots[p.0].join.take() {
-            Some(join) => match join.join() {
-                Err(payload) => panic_message(&*payload),
-                Ok(()) => "<process hung up without panicking>".to_string(),
-            },
-            None => self.slots[p.0]
-                .handoff
-                .take_failure()
-                .unwrap_or_else(|| "<process hung up without panicking>".to_string()),
-        };
+    /// of the machine keep running: only the owning rank fails.
+    fn harvest_failure(&mut self, p: ProcId, message: String) {
         let slot = &mut self.slots[p.0];
         slot.state = ProcState::Done;
         slot.stats.exit_at = slot.clock;
@@ -1080,56 +922,16 @@ impl<N: Network> Kernel<N> {
 
     /// The error to report when the run halts abnormally after a panic was
     /// harvested: the panic, not its downstream symptoms.
-    fn failure_error(&mut self) -> Option<SimError> {
+    fn failure_error(&self) -> Option<SimError> {
         let rank = self.first_failure?;
         let failure = self.slots[rank]
             .failure
             .clone()
             .expect("first_failure names a failed slot");
-        self.abort_all();
         Some(SimError::ProcessPanicked {
             rank: failure.rank,
             message: failure.message,
         })
-    }
-
-    fn abort_all(&mut self) {
-        for rank in 0..self.slots.len() {
-            if !matches!(self.slots[rank].state, ProcState::Done) {
-                // Every live rank is parked waiting for a grant (strict
-                // rendezvous — see `run`), so the Abort is always
-                // deliverable; in pool mode a scheduler-parked fiber also
-                // needs its dispatch to observe it.
-                if let Ok(needs_wake) = self.slots[rank].handoff.grant(Grant::Abort) {
-                    if needs_wake {
-                        if let Some(sched) = &self.sched {
-                            sched.wake(rank);
-                        }
-                    }
-                }
-            }
-            if let Some(join) = self.slots[rank].join.take() {
-                let _ = join.join();
-            }
-        }
-        if let Some(sched) = self.sched.take() {
-            // Every fiber observes its Abort (or already finished), unwinds
-            // via AbortToken and completes, so this terminates.
-            let _ = sched.finish();
-        }
-    }
-}
-
-/// Renders a caught panic payload the way `harvest_failure` always has.
-fn panic_message(payload: &(dyn Any + Send)) -> String {
-    if payload.is::<AbortToken>() {
-        "aborted by kernel".to_string()
-    } else if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "<non-string panic payload>".to_string()
     }
 }
 

@@ -5,9 +5,11 @@
 //! Two-Layer Interconnects"* (Plaat, Bal, Hofman, Kielmann; HPCA 1999). The
 //! paper ran six parallel applications on a real 128-node testbed whose
 //! inter-cluster links were slowed by delay loops; here, the whole machine is
-//! simulated: every simulated processor is a real OS thread executing the
-//! real application algorithm, but all of its communication and computation
-//! *time* is virtual and charged by a pluggable [`Network`] cost model.
+//! simulated: every simulated processor executes the real application
+//! algorithm on a stack of its own (a fiber resumed by the kernel, or an OS
+//! thread where fibers are unsupported), but all of its communication and
+//! computation *time* is virtual and charged by a pluggable [`Network`] cost
+//! model.
 //!
 //! Determinism is a core guarantee: the kernel runs exactly one process at a
 //! time and orders all events by `(virtual time, sequence number)`, so runs
@@ -56,7 +58,7 @@ pub use kernel::{HotProfile, KernelStats, ProcStats, RunOutcome, Sim};
 pub use message::{Filter, Message, Payload, Tag, TagFilter};
 pub use network::{FaultDisposition, FaultEvent, FaultKind, IdealNetwork, Network, Transfer};
 pub use observe::Observer;
-pub use process::ProcCtx;
+pub use process::{current_rank, ProcCtx};
 pub use sched::{set_default_sched_mode, SchedMode};
 pub use time::{SimDuration, SimTime};
 pub use trace::{TraceEvent, TraceLog};

@@ -93,27 +93,26 @@ use std::cell::Cell;
 
 thread_local! {
     /// Payload bytes deep-copied out of messages on this thread, feeding
-    /// [`crate::HotProfile::bytes_cloned`]. In legacy 1:1 mode each
-    /// simulated process is one OS thread, so the counter is reset when a
-    /// process starts and harvested when it exits. In N:M mode several
-    /// ranks share each worker thread, so the scheduler swaps the counter
-    /// in and out around every fiber resume ([`set_clone_bytes`]) to keep
-    /// the per-rank attribution exact.
+    /// [`crate::HotProfile::bytes_cloned`]. A run zeroes it on the thread
+    /// that calls `Sim::run` and reads the total back when it ends (putting
+    /// back whatever an enclosing run had counted); fibers add to it
+    /// directly, and a rank on a thread of its own hands its count over when
+    /// the thread is joined ([`add_clone_bytes`]).
     static CLONE_BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
-/// Resets this thread's payload-clone byte counter (kernel use).
-pub(crate) fn reset_clone_bytes() {
-    CLONE_BYTES.with(|c| c.set(0));
+/// Replaces this thread's payload-clone byte counter, returning the old
+/// value.
+pub(crate) fn swap_clone_bytes(v: u64) -> u64 {
+    CLONE_BYTES.with(|c| c.replace(v))
 }
 
-/// Loads a rank's saved payload-clone byte count onto this worker thread
-/// before resuming its fiber (scheduler use).
-pub(crate) fn set_clone_bytes(v: u64) {
-    CLONE_BYTES.with(|c| c.set(v));
+/// Adds to this thread's payload-clone byte counter.
+pub(crate) fn add_clone_bytes(n: u64) {
+    CLONE_BYTES.with(|c| c.set(c.get().saturating_add(n)));
 }
 
-/// Reads this thread's payload-clone byte counter (kernel use).
+/// Reads this thread's payload-clone byte counter.
 pub(crate) fn clone_bytes() -> u64 {
     CLONE_BYTES.with(Cell::get)
 }
@@ -177,7 +176,7 @@ impl Message {
     /// Panics if the payload has a different type.
     pub fn expect_clone<T: Any + Send + Sync + Clone>(&self) -> T {
         let v = self.expect_ref::<T>().clone();
-        CLONE_BYTES.with(|c| c.set(c.get().saturating_add(self.wire_bytes)));
+        add_clone_bytes(self.wire_bytes);
         v
     }
 

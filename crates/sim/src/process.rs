@@ -1,20 +1,20 @@
 //! The process-side view of the simulation: [`ProcCtx`].
 //!
-//! Each simulated processor runs as a real OS thread. The kernel grants
-//! control to exactly one process at a time; every simulated operation is a
-//! rendezvous with the kernel, which keeps the whole run deterministic
-//! regardless of host scheduling. The rendezvous itself rides on the
-//! one-slot parked handoff in [`crate::handoff`].
+//! Each simulated processor is an execution context with a stack of its own
+//! (see [`crate::sched`]) that the kernel resumes with a [`Grant`] and that
+//! runs until its next [`Request`]. The kernel resumes exactly one process
+//! at a time and every simulated operation is such a rendezvous, which keeps
+//! the whole run deterministic regardless of host scheduling.
 
 use std::any::Any;
+use std::cell::Cell;
 use std::sync::Arc;
 
-use crate::handoff::Handoff;
-use crate::message::{self, Filter, Message, Payload, Tag};
+use crate::message::{Filter, Message, Payload, Tag};
 use crate::time::{SimDuration, SimTime};
 use crate::ProcId;
 
-/// Requests a process thread sends to the kernel.
+/// Requests a process hands to the kernel when it suspends.
 pub(crate) enum Request {
     /// Advance this process's clock by the given amount of compute time.
     Compute(SimDuration),
@@ -29,12 +29,8 @@ pub(crate) enum Request {
     Recv(Filter),
     /// Poll for a matching message without blocking.
     TryRecv(Filter),
-    /// The process finished with this result; `bytes_cloned` carries the
-    /// thread's payload-copy counter for [`crate::HotProfile`].
-    Exit {
-        result: Box<dyn Any + Send>,
-        bytes_cloned: u64,
-    },
+    /// The process finished with this result.
+    Exit(Box<dyn Any + Send>),
 }
 
 /// Kernel replies completing a request.
@@ -49,27 +45,80 @@ pub(crate) enum Grant {
     Abort,
 }
 
-/// Marker panic payload used to silently unwind a process thread when the
-/// kernel aborts a run. Never observed by user code.
+/// Marker panic payload used to silently unwind a process when the kernel
+/// aborts a run. Never observed by user code.
 pub(crate) struct AbortToken;
 
-/// Hangs up the process side of the handoff when dropped. Lives inside
-/// [`ProcCtx`], so it fires on every way a process thread can end: normal
-/// return (after `Exit` is published), a user panic unwinding the entry
-/// function, or an [`AbortToken`] unwind — waking a kernel that would
-/// otherwise park forever waiting for the next request.
-///
-/// In N:M mode the guard is defused (`None`): the fiber wrapper hangs up
-/// explicitly via [`Handoff::hangup_with`] *after* its `catch_unwind`, so
-/// the panic message is recorded in the slot atomically with the hangup
-/// (there is no thread join for the kernel to harvest a payload from).
-pub(crate) struct HangupGuard(pub(crate) Option<Arc<Handoff>>);
+/// Unwinds the calling rank out of its entry function. Skips the panic hook:
+/// an abort is not a bug to report, and it can run from a context's `Drop`
+/// while the thread is already unwinding.
+fn abort_rank() -> ! {
+    std::panic::resume_unwind(Box::new(AbortToken))
+}
 
-impl Drop for HangupGuard {
-    fn drop(&mut self) {
-        if let Some(h) = &self.0 {
-            h.hangup();
-        }
+/// A rank's type-erased entry function.
+pub(crate) type Entry = Box<dyn FnOnce(&mut ProcCtx) -> Box<dyn Any + Send> + Send + 'static>;
+
+/// The process end of the kernel rendezvous: suspends the rank with `req`
+/// and returns the grant the kernel resumes it with. One implementation per
+/// kind of execution context.
+pub(crate) trait Port {
+    fn exchange(&mut self, req: Request) -> Grant;
+}
+
+thread_local! {
+    /// The rank whose code is running on this thread, published by the
+    /// simulator for embedders that keep per-rank state in thread-locals.
+    static CURRENT_RANK: Cell<Option<usize>> = const { Cell::new(None) };
+}
+
+/// The rank of the simulated process currently running on this thread, or
+/// `None` outside a rank body. With fibers every rank of a run shares the
+/// thread that called [`crate::Sim::run`], so thread-local state that belongs
+/// to a rank (the runtime crate's lint sink, for example) must be keyed by
+/// this rather than by the thread.
+pub fn current_rank() -> Option<usize> {
+    CURRENT_RANK.with(Cell::get)
+}
+
+/// Publishes the rank about to run on this thread; returns the previous one.
+pub(crate) fn set_current_rank(rank: Option<usize>) -> Option<usize> {
+    CURRENT_RANK.with(|c| c.replace(rank))
+}
+
+/// Runs one rank from its first grant to its `Exit` request — the body every
+/// execution context wraps. Unwinds on a user panic or a kernel abort.
+pub(crate) fn run_rank(
+    id: ProcId,
+    nprocs: usize,
+    port: Box<dyn Port>,
+    first: Grant,
+    entry: Entry,
+) -> Request {
+    let mut ctx = ProcCtx {
+        id,
+        nprocs,
+        now: SimTime::ZERO,
+        port,
+    };
+    match first {
+        Grant::Proceed(t) => ctx.now = t,
+        Grant::Abort => abort_rank(),
+        _ => unreachable!("initial grant must be a proceed"),
+    }
+    Request::Exit(entry(&mut ctx))
+}
+
+/// Renders a caught panic payload as a rank's failure diagnostic.
+pub(crate) fn panic_message(payload: &(dyn Any + Send)) -> String {
+    if payload.is::<AbortToken>() {
+        "aborted by kernel".to_string()
+    } else if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "<non-string panic payload>".to_string()
     }
 }
 
@@ -95,14 +144,10 @@ impl Drop for HangupGuard {
 /// sim.run().unwrap();
 /// ```
 pub struct ProcCtx {
-    pub(crate) id: ProcId,
-    pub(crate) nprocs: usize,
-    pub(crate) now: SimTime,
-    pub(crate) handoff: Arc<Handoff>,
-    pub(crate) _hangup: HangupGuard,
-    /// N:M mode: this rank runs as a fiber on the worker pool, so grant
-    /// waits park the fiber on the scheduler instead of the OS thread.
-    pub(crate) fiber: bool,
+    id: ProcId,
+    nprocs: usize,
+    now: SimTime,
+    port: Box<dyn Port>,
 }
 
 impl std::fmt::Debug for ProcCtx {
@@ -137,14 +182,8 @@ impl ProcCtx {
     }
 
     fn rendezvous(&mut self, req: Request) -> Grant {
-        self.handoff.send_request(req);
-        let grant = if self.fiber {
-            self.handoff.wait_grant_fiber()
-        } else {
-            self.handoff.wait_grant()
-        };
-        match grant {
-            Grant::Abort => std::panic::panic_any(AbortToken),
+        match self.port.exchange(req) {
+            Grant::Abort => abort_rank(),
             grant => grant,
         }
     }
@@ -233,14 +272,5 @@ impl ProcCtx {
         let m = self.recv(Filter::tag(tag));
         let src = m.src;
         (src, m.expect_shared::<T>())
-    }
-
-    pub(crate) fn finish(self, result: Box<dyn Any + Send>) {
-        self.handoff.send_request(Request::Exit {
-            result,
-            bytes_cloned: message::clone_bytes(),
-        });
-        // `self` drops here; the HangupGuard marks the slot dead so the
-        // kernel's join sees a finished thread, not a silent stall.
     }
 }

@@ -1,563 +1,183 @@
-//! The N:M rank scheduler: multiplexes simulated ranks onto a worker pool.
+//! Rank execution contexts: what the kernel resumes.
 //!
-//! In the legacy 1:1 mode every rank is a dedicated OS thread parked on its
-//! [`crate::handoff::Handoff`]; at thousands of ranks the thread stacks and
-//! futex traffic dominate. Here each rank is instead a [`crate::fiber::Fiber`]
-//! parked in a per-rank *gate*, and a small pool of `simworker-{i}` threads
-//! resumes whichever ranks the kernel has granted.
+//! Strict rendezvous means at most one rank is runnable at any instant, so
+//! there is nothing to schedule: the kernel's event loop pops an event, calls
+//! [`Context::resume`] on the rank it names with the completing [`Grant`],
+//! and gets back the rank's next [`Request`]. The rank dispatch order *is*
+//! the grant order — a pure function of the canonical `(time, seq)` event
+//! order, whatever kind of context runs the rank body:
 //!
-//! Determinism argument: the kernel is single-threaded and processes events
-//! in canonical `(time, seq)` order; under strict rendezvous it grants at
-//! most one rank at a time during normal operation, so the run queue never
-//! holds more than one entry and the dispatch order *is* the grant order —
-//! a pure function of the canonical event order, independent of worker
-//! count. The worker pool changes which OS thread executes a rank's code,
-//! never *when* in virtual time it executes. The kernel records the grant
-//! sequence at its own (single-threaded) grant site when
-//! [`crate::Sim::record_dispatch`] is enabled, so tests can pin exactly
-//! that; the pool deliberately logs nothing — whether a grant finds the
-//! fiber already parked is host timing.
-//!
-//! The gate state machine closes the wake/park races:
-//!
-//! ```text
-//!   Parked(task) --wake--> Queued --worker pop--> Running
-//!   Running --wake--> Notified          (grant landed mid-run)
-//!   Running --fiber parks--> Parked     (no grant pending)
-//!   Notified --fiber parks--> Running   (worker re-resumes immediately)
-//!   Running --fiber returns--> Done
-//! ```
-//!
-//! `wake` on a `Queued`/`Notified`/`Done` gate is a protocol violation
-//! (double grant) and panics; the loom suite at the bottom of this module
-//! explores every interleaving of the transitions above.
+//! * [`SchedMode::Fibers`] — each rank is a [`crate::fiber`] resumed and suspended
+//!   on the thread that called `Sim::run`; a virtual context switch is two
+//!   stack switches and no OS thread is created.
+//! * [`SchedMode::LegacyThreads`] — each rank is a dedicated OS thread parked
+//!   on a mutex/condvar slot ([`crate::handoff`]); the portable fallback and
+//!   the differential oracle for the fiber mode.
 
-use std::any::Any;
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU8, Ordering};
 
-use crate::fiber::Fiber;
-use crate::sync::{spin_loop, yield_now as thread_yield, Condvar, Mutex};
+use crate::handoff::ThreadCtx;
+use crate::process::{Entry, Grant, Request};
+use crate::ProcId;
 
-/// How simulated ranks are mapped onto OS threads.
+/// How simulated ranks are given a stack to run on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SchedMode {
-    /// One dedicated OS thread per rank (the original model). Kept as the
-    /// differential oracle: virtual time must be bit-identical to the pool.
+    /// Ranks are fibers resumed inline on the thread that runs the kernel.
+    /// The default wherever fibers are supported (x86-64).
+    Fibers,
+    /// One dedicated OS thread per rank (the original model). The only mode
+    /// on targets without fiber support, and the differential oracle
+    /// elsewhere: virtual time must be bit-identical to the fiber mode.
     LegacyThreads,
-    /// Ranks are fibers multiplexed onto a fixed pool of worker threads.
-    WorkerPool {
-        /// Number of pool threads (clamped to at least 1).
-        workers: usize,
-    },
 }
 
-/// Process-global default [`SchedMode`] encoding for [`DEFAULT_MODE`]:
-/// `usize::MAX` = unset, `0` = legacy, `n > 0` = pool with `n` workers.
-const MODE_UNSET: usize = usize::MAX;
-static DEFAULT_MODE: AtomicUsize = AtomicUsize::new(MODE_UNSET);
+/// Process-global default [`SchedMode`]: `0` = unset, else the mode below.
+static DEFAULT_MODE: AtomicU8 = AtomicU8::new(0);
+const MODE_FIBERS: u8 = 1;
+const MODE_LEGACY: u8 = 2;
 
 /// Sets the process-global default scheduler mode used by every
 /// subsequently started [`crate::Sim`] that does not override it. Last
 /// write wins; typically called once by the CLI from `--sim-workers`.
 pub fn set_default_sched_mode(mode: SchedMode) {
     let enc = match mode {
-        SchedMode::LegacyThreads => 0,
-        SchedMode::WorkerPool { workers } => workers.clamp(1, usize::MAX - 1),
+        SchedMode::Fibers => MODE_FIBERS,
+        SchedMode::LegacyThreads => MODE_LEGACY,
     };
     DEFAULT_MODE.store(enc, Ordering::Relaxed);
 }
 
-/// Resolves the effective default mode: the last value passed to
-/// [`set_default_sched_mode`], else a single-worker pool where fibers are
-/// supported and the legacy 1:1 mode elsewhere.
-pub(crate) fn default_sched_mode() -> SchedMode {
-    match DEFAULT_MODE.load(Ordering::Relaxed) {
-        MODE_UNSET => {
-            if crate::fiber::SUPPORTED {
-                SchedMode::WorkerPool { workers: 1 }
-            } else {
-                SchedMode::LegacyThreads
-            }
-        }
-        0 => SchedMode::LegacyThreads,
-        n => SchedMode::WorkerPool { workers: n },
+/// Resolves the mode a run uses: the run's own choice, else the last value
+/// passed to [`set_default_sched_mode`], else fibers — and threads
+/// regardless on a target that cannot run fibers.
+pub(crate) fn resolve(requested: Option<SchedMode>) -> SchedMode {
+    let mode = requested.unwrap_or(match DEFAULT_MODE.load(Ordering::Relaxed) {
+        MODE_LEGACY => SchedMode::LegacyThreads,
+        _ => SchedMode::Fibers,
+    });
+    if crate::fiber::SUPPORTED {
+        mode
+    } else {
+        SchedMode::LegacyThreads
     }
 }
 
-/// Spin/yield budget before a worker parks on the run-queue condvar; a
-/// single probe under loom (see the handoff module for the rationale).
-#[cfg(not(loom))]
-const SPIN: u32 = 192;
-#[cfg(loom)]
-const SPIN: u32 = 1;
-#[cfg(not(loom))]
-const YIELDS: u32 = 64;
-#[cfg(loom)]
-const YIELDS: u32 = 0;
+/// The kernel's handle on one rank's execution context.
+pub(crate) trait Context {
+    /// Runs the rank with `grant` until it suspends with its next request.
+    /// `Err` carries the diagnostic of a rank that ended without an `Exit`:
+    /// its entry function panicked, or it unwound after a [`Grant::Abort`].
+    /// A context must not be resumed again after an `Exit` or an `Err`.
+    fn resume(&mut self, grant: Grant) -> Result<Request, String>;
 
-/// Per-rank dispatch gate (see the module docs for the state machine).
-enum Gate<T> {
-    /// Rank is suspended and not granted; holds its execution context.
-    Parked(T),
-    /// Granted and sitting in the run queue.
-    Queued,
-    /// A worker is currently executing the rank.
-    Running,
-    /// A grant landed while the rank was running; re-resume on park.
-    Notified,
-    /// The rank's fiber ran to completion.
-    Done,
-}
-
-struct QueueState<T> {
-    ready: VecDeque<(usize, T)>,
-    stop: bool,
-    completed: usize,
-    /// Condvar notifies that woke an actually-parked worker.
-    park_wakes: u64,
-    parked_workers: usize,
-}
-
-/// The scheduler's synchronized core, generic over the task payload so the
-/// loom suite can model-check it with plain tokens instead of real fibers.
-pub(crate) struct Core<T> {
-    queue: Mutex<QueueState<T>>,
-    work_cv: Condvar,
-    done_cv: Condvar,
-    gates: Vec<Mutex<Gate<T>>>,
-}
-
-impl<T> Core<T> {
-    pub(crate) fn new(tasks: Vec<T>) -> Self {
-        Core {
-            gates: tasks
-                .into_iter()
-                .map(|t| Mutex::new(Gate::Parked(t)))
-                .collect(),
-            queue: Mutex::new(QueueState {
-                ready: VecDeque::new(),
-                stop: false,
-                completed: 0,
-                park_wakes: 0,
-                parked_workers: 0,
-            }),
-            work_cv: Condvar::new(),
-            done_cv: Condvar::new(),
-        }
-    }
-
-    /// Kernel side: makes rank `p` runnable. Exactly one wake is issued per
-    /// grant, so a gate that is already granted-but-undispatched is a
-    /// protocol violation.
-    pub(crate) fn wake(&self, p: usize) {
-        let mut gate = self.gates[p].lock().expect("gate mutex poisoned");
-        match std::mem::replace(&mut *gate, Gate::Queued) {
-            Gate::Parked(task) => {
-                drop(gate);
-                let mut q = self.queue.lock().expect("run queue mutex poisoned");
-                q.ready.push_back((p, task));
-                if q.parked_workers > 0 {
-                    q.park_wakes += 1;
-                    drop(q);
-                    self.work_cv.notify_one();
-                }
-            }
-            Gate::Running => *gate = Gate::Notified,
-            _ => unreachable!("wake delivered to a rank with an undispatched grant"),
-        }
-    }
-
-    /// Worker side: takes the next runnable rank, spinning briefly before
-    /// parking. Returns `None` once the scheduler is stopping.
-    pub(crate) fn next(&self) -> Option<(usize, T)> {
-        for i in 0..SPIN + YIELDS {
-            if let Ok(mut q) = self.queue.try_lock() {
-                if let Some(item) = q.ready.pop_front() {
-                    return Some(item);
-                }
-                if q.stop {
-                    return None;
-                }
-            }
-            if i < SPIN {
-                spin_loop();
-            } else {
-                thread_yield();
-            }
-        }
-        let mut q = self.queue.lock().expect("run queue mutex poisoned");
-        loop {
-            if let Some(item) = q.ready.pop_front() {
-                return Some(item);
-            }
-            if q.stop {
-                return None;
-            }
-            q.parked_workers += 1;
-            q = self.work_cv.wait(q).expect("run queue mutex poisoned");
-            q.parked_workers -= 1;
-        }
-    }
-
-    /// Worker side: transitions a just-popped rank `Queued -> Running`.
-    pub(crate) fn begin(&self, p: usize) {
-        let mut gate = self.gates[p].lock().expect("gate mutex poisoned");
-        debug_assert!(
-            matches!(&*gate, Gate::Queued),
-            "dispatched rank not in the Queued state"
-        );
-        *gate = Gate::Running;
-    }
-
-    /// Worker side: the rank's fiber parked. Returns the task back when a
-    /// grant landed mid-run (`Notified`): the worker must resume it again
-    /// immediately instead of parking it.
-    pub(crate) fn on_yield(&self, p: usize, task: T) -> Option<T> {
-        let mut gate = self.gates[p].lock().expect("gate mutex poisoned");
-        match &*gate {
-            Gate::Running => {
-                *gate = Gate::Parked(task);
-                None
-            }
-            Gate::Notified => {
-                *gate = Gate::Running;
-                Some(task)
-            }
-            _ => unreachable!("parking rank in an invalid gate state"),
-        }
-    }
-
-    /// Worker side: the rank's fiber ran to completion.
-    pub(crate) fn on_finish(&self, p: usize) {
-        {
-            let mut gate = self.gates[p].lock().expect("gate mutex poisoned");
-            *gate = Gate::Done;
-        }
-        let mut q = self.queue.lock().expect("run queue mutex poisoned");
-        q.completed += 1;
-        drop(q);
-        self.done_cv.notify_all();
-    }
-
-    /// Kernel side: blocks until `n` ranks have finished.
-    pub(crate) fn wait_done(&self, n: usize) {
-        let mut q = self.queue.lock().expect("run queue mutex poisoned");
-        while q.completed < n {
-            q = self.done_cv.wait(q).expect("run queue mutex poisoned");
-        }
-    }
-
-    /// Kernel side: tells idle workers to exit.
-    pub(crate) fn stop(&self) {
-        let mut q = self.queue.lock().expect("run queue mutex poisoned");
-        q.stop = true;
-        drop(q);
-        self.work_cv.notify_all();
-    }
-
+    /// Condvar notifies this context issued to a peer that was actually
+    /// parked (host-timing dependent; a fiber never parks anything).
     fn park_wakes(&self) -> u64 {
-        self.queue
-            .lock()
-            .expect("run queue mutex poisoned")
-            .park_wakes
+        0
     }
 }
 
-/// A rank's schedulable execution context: its fiber plus the pieces of
-/// per-rank state that legacy mode kept in thread-locals and must now swap
-/// in and out around every resume.
-pub(crate) struct Task {
-    /// The rank's suspended execution context.
-    pub(crate) fiber: Fiber,
-    /// Saved value of the thread-local payload-clone byte counter.
-    pub(crate) clone_bytes: u64,
-    /// Opaque per-rank thread-local state owned by an embedder (the runtime
-    /// crate parks its lint sink here); swapped via the registered swapper.
-    pub(crate) locals: Option<Box<dyn Any + Send>>,
+/// Creates rank `id`'s execution context. The rank body starts running on
+/// the first `resume`. Dropping a context whose rank is still suspended
+/// mid-body resumes it one last time with [`Grant::Abort`], so every value on
+/// the rank's stack is dropped — that is how an aborted run tears down.
+pub(crate) fn spawn(
+    mode: SchedMode,
+    id: ProcId,
+    nprocs: usize,
+    stack_size: usize,
+    entry: Entry,
+) -> Box<dyn Context> {
+    match mode {
+        #[cfg(target_arch = "x86_64")]
+        SchedMode::Fibers => Box::new(fiber_ctx::FiberCtx::spawn(id, nprocs, stack_size, entry)),
+        // Threads, also for the fibers `resolve` never picks where they
+        // cannot run.
+        _ => Box::new(ThreadCtx::spawn(id, nprocs, stack_size, entry)),
+    }
 }
 
-/// Swaps a rank's opaque [`Task::locals`] with the embedder's thread-local
-/// slot; called by a worker immediately before and after every resume.
-pub(crate) type LocalsSwapFn = dyn Fn(&mut Option<Box<dyn Any + Send>>) + Send + Sync;
+#[cfg(target_arch = "x86_64")]
+mod fiber_ctx {
+    use std::panic::{catch_unwind, AssertUnwindSafe};
 
-/// Shared, clonable handle to a [`LocalsSwapFn`].
-pub(crate) type LocalsSwapper = Arc<LocalsSwapFn>;
+    use super::Context;
+    use crate::fiber::{Fiber, Suspender};
+    use crate::process::{self, Entry, Grant, Port, Request};
+    use crate::ProcId;
 
-/// Counters and instrumentation harvested from a finished pool.
-pub(crate) struct SchedReport {
-    /// Condvar notifies that woke an actually-parked worker (host-timing
-    /// dependent, excluded from exact comparison like handoff park wakes).
-    pub(crate) park_wakes: u64,
-}
+    /// What a rank fiber hands its resumer: the next request, or the panic
+    /// message its body ended with.
+    type Yielded = Result<Request, String>;
 
-/// The worker pool driving rank fibers; owned by the kernel in
-/// [`SchedMode::WorkerPool`] runs.
-pub(crate) struct Scheduler {
-    core: Arc<Core<Task>>,
-    nranks: usize,
-    workers: Vec<std::thread::JoinHandle<()>>,
-}
+    struct FiberPort(Suspender<Grant, Yielded>);
 
-impl Scheduler {
-    /// Spawns `workers` pool threads over the given rank tasks (one per
-    /// rank, index = rank id, all initially parked and ungranted).
-    pub(crate) fn new(workers: usize, tasks: Vec<Task>, swapper: Option<LocalsSwapper>) -> Self {
-        let nranks = tasks.len();
-        let core = Arc::new(Core::new(tasks));
-        let workers = (0..workers.max(1))
-            .map(|i| {
-                let core = Arc::clone(&core);
-                let swapper = swapper.clone();
-                std::thread::Builder::new()
-                    .name(format!("simworker-{i}"))
-                    .spawn(move || worker_loop(&core, swapper.as_deref()))
-                    .expect("failed to spawn simulator worker thread")
-            })
-            .collect();
-        Scheduler {
-            core,
-            nranks,
-            workers,
+    impl Port for FiberPort {
+        fn exchange(&mut self, req: Request) -> Grant {
+            // SAFETY: a `FiberPort` lives inside the `ProcCtx` that
+            // `run_rank` keeps on the rank fiber's own stack and lends to
+            // the entry function by `&mut` only, so this call is always made
+            // by the rank body, on its fiber, while the kernel waits in
+            // `resume`.
+            unsafe { self.0.suspend(Ok(req)) }
         }
     }
 
-    /// Makes rank `p` runnable (the kernel just granted it).
-    pub(crate) fn wake(&self, p: usize) {
-        self.core.wake(p);
+    /// A rank running as a fiber on the kernel's own thread.
+    pub(super) struct FiberCtx {
+        fiber: Fiber<Grant, Yielded>,
+        rank: usize,
     }
 
-    /// Waits for every rank fiber to finish, stops and joins the workers,
-    /// and harvests the pool counters.
-    pub(crate) fn finish(mut self) -> SchedReport {
-        self.core.wait_done(self.nranks);
-        self.core.stop();
-        for h in self.workers.drain(..) {
-            h.join().expect("simulator worker thread panicked");
-        }
-        SchedReport {
-            park_wakes: self.core.park_wakes(),
-        }
-    }
-}
-
-impl Drop for Scheduler {
-    fn drop(&mut self) {
-        // Reached only when the kernel thread unwinds mid-run (a kernel
-        // bug): stop the workers without waiting for rank completion so the
-        // panic can propagate instead of deadlocking. Suspended fibers are
-        // deallocated without being resumed (their stacks leak their
-        // contents; see `Fiber`'s drop).
-        self.core.stop();
-        for h in self.workers.drain(..) {
-            // A worker that itself panicked already poisoned the run; the
-            // kernel's unwind is the report channel.
-            let _ = h.join();
+    impl FiberCtx {
+        pub(super) fn spawn(id: ProcId, nprocs: usize, stack_size: usize, entry: Entry) -> Self {
+            let fiber = Fiber::new(stack_size, move |suspender, first| {
+                // The fiber body must not unwind: a panic (the user's, or
+                // the abort token) ends the rank here and travels to the
+                // kernel as the fiber's final value.
+                catch_unwind(AssertUnwindSafe(|| {
+                    let port = Box::new(FiberPort(suspender));
+                    process::run_rank(id, nprocs, port, first, entry)
+                }))
+                .map_err(|payload| process::panic_message(&*payload))
+            });
+            FiberCtx { fiber, rank: id.0 }
         }
     }
-}
 
-impl std::fmt::Debug for Scheduler {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Scheduler")
-            .field("nranks", &self.nranks)
-            .field("workers", &self.workers.len())
-            .finish_non_exhaustive()
+    impl Context for FiberCtx {
+        fn resume(&mut self, grant: Grant) -> Result<Request, String> {
+            process::set_current_rank(Some(self.rank));
+            self.fiber.resume(grant)
+        }
     }
-}
 
-fn worker_loop(core: &Core<Task>, swapper: Option<&LocalsSwapFn>) {
-    while let Some((p, mut task)) = core.next() {
-        core.begin(p);
-        loop {
-            // Swap the rank's saved thread-local state onto this worker for
-            // the duration of the resume, and harvest it back afterwards —
-            // the fiber may well resume on a different worker next time.
-            crate::message::set_clone_bytes(task.clone_bytes);
-            if let Some(swap) = swapper {
-                swap(&mut task.locals);
-            }
-            let finished = task.fiber.resume();
-            if let Some(swap) = swapper {
-                swap(&mut task.locals);
-            }
-            task.clone_bytes = crate::message::clone_bytes();
-            if finished {
-                core.on_finish(p);
-                break;
-            }
-            match core.on_yield(p, task) {
-                // A grant landed while the rank was running: resume it
-                // again right away (the single re-notify path).
-                Some(renotified) => task = renotified,
-                None => break,
+    impl Drop for FiberCtx {
+        fn drop(&mut self) {
+            if self.fiber.is_suspended() {
+                // The diagnostic ("aborted by kernel") has nowhere to go.
+                let _ = self.resume(Grant::Abort);
             }
         }
     }
 }
 
-/// Exhaustive model checking of the run-queue/gate protocol (vendored loom
-/// shim), alongside the handoff suite. Run with
-/// `RUSTFLAGS='--cfg loom' cargo test -p numagap-sim --lib loom_`.
-///
-/// The models use a token payload instead of real fibers: the property
-/// under test is the synchronization (no lost wakeup, no deadlock, single
-/// grant resume), which is independent of what the task executes.
-#[cfg(all(loom, test))]
-mod loom_tests {
-    use super::*;
-    use loom::sync::Arc;
-    use loom::thread;
-
-    /// No lost wakeup between `wake` and a parking worker: the worker must
-    /// receive the task and complete it under every interleaving, then see
-    /// the stop flag and exit.
-    #[test]
-    fn loom_sched_wake_reaches_a_parking_worker() {
-        loom::model(|| {
-            let core = Arc::new(Core::new(vec![0u8]));
-            let c2 = Arc::clone(&core);
-            let worker = thread::spawn(move || {
-                let (p, task) = c2.next().expect("task lost before stop");
-                assert_eq!((p, task), (0, 0u8));
-                c2.begin(p);
-                c2.on_finish(p);
-                assert!(c2.next().is_none());
-            });
-            core.wake(0);
-            core.wait_done(1);
-            core.stop();
-            worker.join().expect("worker side");
-        });
-    }
-
-    /// A wake racing the rank's own park (`on_yield`) must resolve to
-    /// exactly one extra resume: either the worker observes `Notified` and
-    /// re-runs the task itself, or the park wins and the wake queues the
-    /// task for a normal dispatch — never both, never neither.
-    #[test]
-    fn loom_sched_wake_during_run_grants_exactly_one_resume() {
-        loom::model(|| {
-            let core = Arc::new(Core::new(vec![7u8]));
-            core.wake(0);
-            let c2 = Arc::clone(&core);
-            let worker = thread::spawn(move || {
-                let (p, task) = c2.next().expect("initial dispatch lost");
-                c2.begin(p);
-                // The kernel's next grant may only land once the rank is
-                // actually running (strict rendezvous), so the racing wake
-                // starts here: it contends with `on_yield` below.
-                let c3 = Arc::clone(&c2);
-                let kernel = thread::spawn(move || c3.wake(0));
-                match c2.on_yield(p, task) {
-                    // Notified path: the rank runs again on this worker.
-                    Some(task) => assert_eq!(task, 7u8),
-                    None => {
-                        // Parked path: the concurrent wake must queue it.
-                        let (p2, task) = c2.next().expect("re-granted task lost");
-                        assert_eq!((p2, task), (p, 7u8));
-                        c2.begin(p2);
-                    }
-                }
-                c2.on_finish(p);
-                kernel.join().expect("kernel side");
-                assert!(c2.next().is_none());
-            });
-            core.wait_done(1);
-            core.stop();
-            worker.join().expect("worker side");
-        });
-    }
-
-    /// Stop racing a parking worker: the worker must observe `stop` and
-    /// exit under every interleaving (the check-then-park window is the
-    /// classic lost-shutdown race).
-    #[test]
-    fn loom_sched_stop_always_releases_a_parking_worker() {
-        loom::model(|| {
-            let core: Arc<Core<u8>> = Arc::new(Core::new(vec![]));
-            let c2 = Arc::clone(&core);
-            let worker = thread::spawn(move || {
-                assert!(c2.next().is_none());
-            });
-            core.stop();
-            worker.join().expect("worker side");
-        });
-    }
-
-    /// `wait_done` racing the final `on_finish` must never deadlock: the
-    /// completion count and its notify are visible under every
-    /// interleaving.
-    #[test]
-    fn loom_sched_wait_done_sees_final_completion() {
-        loom::model(|| {
-            let core = Arc::new(Core::new(vec![1u8]));
-            core.wake(0);
-            let c2 = Arc::clone(&core);
-            let worker = thread::spawn(move || {
-                let (p, _task) = c2.next().expect("dispatch lost");
-                c2.begin(p);
-                c2.on_finish(p);
-                assert!(c2.next().is_none());
-            });
-            core.wait_done(1);
-            core.stop();
-            worker.join().expect("worker side");
-        });
-    }
-}
-
-#[cfg(all(test, not(loom)))]
+#[cfg(test)]
 mod tests {
     use super::*;
 
-    /// Two workers draining a queue of token tasks: every task is
-    /// dispatched exactly once and the pool shuts down cleanly.
     #[test]
-    fn core_dispatches_each_wake_exactly_once() {
-        use std::sync::atomic::{AtomicU32, Ordering};
-        let n = 16;
-        let core = Arc::new(Core::new((0..n as u8).collect::<Vec<_>>()));
-        let hits = Arc::new(AtomicU32::new(0));
-        let workers: Vec<_> = (0..2)
-            .map(|_| {
-                let core = Arc::clone(&core);
-                let hits = Arc::clone(&hits);
-                std::thread::spawn(move || {
-                    while let Some((p, task)) = core.next() {
-                        assert_eq!(task as usize, p);
-                        core.begin(p);
-                        core.on_finish(p);
-                        hits.fetch_add(1, Ordering::SeqCst);
-                    }
-                })
-            })
-            .collect();
-        for p in 0..n {
-            core.wake(p);
-        }
-        core.wait_done(n);
-        core.stop();
-        for w in workers {
-            w.join().expect("worker panicked");
-        }
-        assert_eq!(hits.load(Ordering::SeqCst), n as u32);
-    }
-
-    #[test]
-    fn default_mode_resolves_to_a_concrete_mode() {
-        // Whatever the process-global setting currently is, the resolved
-        // mode must be usable; on unsupported targets the pool never leaks
-        // through the unset default.
-        match default_sched_mode() {
-            SchedMode::WorkerPool { workers } => {
-                if !crate::fiber::SUPPORTED {
-                    panic!("pool default leaked onto a fiber-less target");
-                }
-                assert!(workers >= 1);
-            }
-            SchedMode::LegacyThreads => {}
+    fn an_explicit_mode_wins_and_fibers_never_leak_onto_a_fiberless_target() {
+        assert_eq!(
+            resolve(Some(SchedMode::LegacyThreads)),
+            SchedMode::LegacyThreads
+        );
+        let fibers = resolve(Some(SchedMode::Fibers));
+        if crate::fiber::SUPPORTED {
+            assert_eq!(fibers, SchedMode::Fibers);
+        } else {
+            assert_eq!(fibers, SchedMode::LegacyThreads);
         }
     }
 }

@@ -26,7 +26,7 @@ use numagap_net::{
     das_spec, CrossTrafficPlan, HeteroPreset, LinkParams, LinkSchedule, Topology, TwoLayerSpec,
 };
 use numagap_rt::Machine;
-use numagap_sim::SimDuration;
+use numagap_sim::{SchedMode, SimDuration};
 
 /// The two wide-area presets pinned by the suite: the paper's local-ATM
 /// ceiling territory (fast WAN) and a slow long-haul setting. Both exercise
@@ -82,22 +82,32 @@ fn hostile_spec() -> TwoLayerSpec {
 /// equality of the formatted string is equality of the f64 bit pattern
 /// (modulo NaN, which no app produces).
 fn render() -> String {
-    let cfg = SuiteConfig::at(Scale::Small);
     let mut out = String::new();
     out.push_str("# preset app variant elapsed_ns messages checksum\n");
-    let mut machines = Vec::new();
-    for (preset, lat_ms, bw_mbs) in PRESETS {
-        machines.push((
-            preset,
-            Machine::new(das_spec(CLUSTERS, PROCS_PER_CLUSTER, lat_ms, bw_mbs)),
-        ));
-    }
+    let mut machines = paper_machines();
     machines.push(("wan-hostile", Machine::new(hostile_spec())));
-    // The N:M scheduler's scale regime: a 16x16 (256-rank) machine, an
-    // order of magnitude past the paper presets, pinned exact under the
-    // worker-pool default. FFT is excluded — its Small matrix has 64 rows,
-    // fewer than one per rank.
+    // The scale regime: a 16x16 (256-rank) machine, an order of magnitude
+    // past the paper presets, pinned exact under the default scheduler mode.
+    // FFT is excluded — its Small matrix has 64 rows, fewer than one per
+    // rank.
     machines.push(("wan-16x16", Machine::new(das_spec(16, 16, 10.0, 1.0))));
+    render_cells(&mut out, machines);
+    out
+}
+
+/// The paper's 4x8 machine at the two [`PRESETS`].
+fn paper_machines() -> Vec<(&'static str, Machine)> {
+    PRESETS
+        .into_iter()
+        .map(|(preset, lat_ms, bw_mbs)| {
+            let spec = das_spec(CLUSTERS, PROCS_PER_CLUSTER, lat_ms, bw_mbs);
+            (preset, Machine::new(spec))
+        })
+        .collect()
+}
+
+fn render_cells(out: &mut String, machines: Vec<(&'static str, Machine)>) {
+    let cfg = SuiteConfig::at(Scale::Small);
     for (preset, machine) in machines {
         for (app, variant) in combos() {
             if preset == "wan-16x16" && app == AppId::Fft {
@@ -115,7 +125,6 @@ fn render() -> String {
             .unwrap();
         }
     }
-    out
 }
 
 #[test]
@@ -159,6 +168,30 @@ fn makespans_match_golden() {
          If this change to the timing model is intentional, regenerate with \
          `UPDATE_GOLDEN=1 cargo test -p numagap-sim --test golden_makespan` \
          and commit the diff."
+    );
+}
+
+/// The thread-per-rank scheduler is what hosts without fiber support run
+/// everything on, so it is pinned to the same goldens rather than left to a
+/// `cfg` nobody exercises: the two 4x8 presets under
+/// [`SchedMode::LegacyThreads`] must reproduce their committed lines.
+#[test]
+fn legacy_threads_reproduce_the_paper_machine_goldens() {
+    let mut actual = String::new();
+    let machines = paper_machines()
+        .into_iter()
+        .map(|(preset, m)| (preset, m.with_sched_mode(SchedMode::LegacyThreads)))
+        .collect();
+    render_cells(&mut actual, machines);
+    let golden = std::fs::read_to_string(golden_path()).expect("read golden file");
+    let pinned: String = golden
+        .lines()
+        .filter(|l| PRESETS.iter().any(|(preset, ..)| l.starts_with(preset)))
+        .flat_map(|l| [l, "\n"])
+        .collect();
+    assert_eq!(
+        actual, pinned,
+        "legacy 1:1 threads drifted from the goldens"
     );
 }
 

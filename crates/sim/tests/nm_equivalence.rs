@@ -1,18 +1,22 @@
-//! N:M scheduler differential suite.
+//! Fibers-vs-legacy scheduler differential suite.
 //!
-//! The worker-pool scheduler multiplexes every rank onto `--sim-workers`
-//! OS threads; the legacy mode gives each rank its own thread. Virtual
-//! time must not be able to tell them apart: this suite runs all 11
-//! app/variant combinations on three machines (the paper's full mesh, a
-//! ring-wired WAN, and the hostile storm preset) under the legacy oracle
-//! and under worker pools of 1, 2 and 8 threads, asserting the makespan,
-//! the whole-run kernel accounting and the checksum are bit-identical.
+//! By default every rank is a fiber the kernel resumes inline on its own
+//! thread; the legacy mode gives each rank an OS thread. Virtual time must
+//! not be able to tell them apart: this suite runs all 11 app/variant
+//! combinations on three machines (the paper's full mesh, a ring-wired WAN,
+//! and the hostile storm preset) under the legacy oracle and under fibers,
+//! asserting the makespan, the whole-run kernel accounting and the checksum
+//! are bit-identical.
 //!
 //! A second group locks down the scheduler's own observables: runnable-rank
-//! dispatch order is a pure function of the canonical event order (equal at
-//! every worker count and across reruns), a mid-run panic under N:M fails
-//! only the owning rank, and per-rank payload-clone attribution survives
-//! ranks sharing worker threads.
+//! dispatch order is a pure function of the canonical event order (equal in
+//! both modes and across reruns), a mid-run panic fails only the owning
+//! rank, and payload-clone accounting survives ranks sharing one thread.
+//!
+//! A third group covers what running ranks inline on the caller's thread
+//! must not break: an aborted run still drops everything on every rank's
+//! stack, a run nested inside a rank body and runs on concurrent host
+//! threads do not disturb each other, and the default mode creates no thread.
 
 use numagap_apps::{run_app, AppId, AppRun, Scale, SuiteConfig, Variant};
 use numagap_net::{
@@ -20,14 +24,16 @@ use numagap_net::{
     WanTopology,
 };
 use numagap_rt::Machine;
-use numagap_sim::{Filter, IdealNetwork, ProcId, SchedMode, Sim, SimDuration, Tag};
+use numagap_sim::{
+    Filter, IdealNetwork, ProcId, SchedMode, Sim, SimDuration, SimError, SimTime, Tag,
+};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Barrier};
+
+const BOTH_MODES: [SchedMode; 2] = [SchedMode::Fibers, SchedMode::LegacyThreads];
 
 const CLUSTERS: usize = 4;
 const PROCS_PER_CLUSTER: usize = 8;
-
-/// Worker counts the differential suite probes. 1 serializes everything on
-/// one pool thread, 8 gives every grant a choice of idle workers.
-const WORKER_COUNTS: [usize; 3] = [1, 2, 8];
 
 /// All 11 app/variant combinations in Table 1 order.
 fn combos() -> Vec<(AppId, Variant)> {
@@ -75,17 +81,14 @@ fn assert_equivalent_on(name: &str, spec: &TwoLayerSpec) {
         let oracle = Machine::new(spec.clone()).with_sched_mode(SchedMode::LegacyThreads);
         let oracle_run = run_app(app, &cfg, variant, &oracle)
             .unwrap_or_else(|e| panic!("{app}/{variant} on {name} (legacy): {e}"));
-        for workers in WORKER_COUNTS {
-            let pool =
-                Machine::new(spec.clone()).with_sched_mode(SchedMode::WorkerPool { workers });
-            let pool_run = run_app(app, &cfg, variant, &pool)
-                .unwrap_or_else(|e| panic!("{app}/{variant} on {name} (pool-w{workers}): {e}"));
-            assert_eq!(
-                fingerprint(&oracle_run),
-                fingerprint(&pool_run),
-                "{app}/{variant} on {name}: pool-w{workers} diverged from the 1:1 oracle"
-            );
-        }
+        let fibers = Machine::new(spec.clone()).with_sched_mode(SchedMode::Fibers);
+        let fiber_run = run_app(app, &cfg, variant, &fibers)
+            .unwrap_or_else(|e| panic!("{app}/{variant} on {name} (fibers): {e}"));
+        assert_eq!(
+            fingerprint(&oracle_run),
+            fingerprint(&fiber_run),
+            "{app}/{variant} on {name}: fibers diverged from the 1:1 oracle"
+        );
     }
 }
 
@@ -106,12 +109,18 @@ fn nm_matches_legacy_under_the_hostile_storm() {
 }
 
 /// A deterministic multi-rank workload on the raw kernel: a token ring
-/// where every hop recomputes, so ranks park and wake continually.
+/// where every hop recomputes, so ranks suspend and resume continually.
 fn ring_sim(mode: SchedMode, record: bool) -> Sim<IdealNetwork> {
+    let mut sim = default_ring_sim(record);
+    sim.sched_mode(mode);
+    sim
+}
+
+/// [`ring_sim`] in whatever mode the simulator picks when nobody chooses.
+fn default_ring_sim(record: bool) -> Sim<IdealNetwork> {
     const N: usize = 6;
     const ROUNDS: u32 = 5;
     let mut sim = Sim::new(IdealNetwork::new(N, SimDuration::from_micros(20)));
-    sim.sched_mode(mode);
     if record {
         sim.record_dispatch();
     }
@@ -132,7 +141,7 @@ fn ring_sim(mode: SchedMode, record: bool) -> Sim<IdealNetwork> {
 
 /// Satellite invariant: runnable-rank dispatch order (the kernel's grant
 /// sequence) is a pure function of the canonical event order — not of the
-/// scheduler mode, not of the worker count, and not of host scheduling.
+/// scheduler mode, and not of host scheduling.
 /// (With strict rendezvous at most one rank is runnable per instant, so
 /// the grant sequence *is* the dispatch order.)
 #[test]
@@ -142,18 +151,14 @@ fn dispatch_order_is_a_pure_function_of_the_event_order() {
         .expect("ring runs");
     let baseline_log = baseline.dispatch.expect("dispatch recorded");
     assert!(!baseline_log.is_empty());
-    for workers in WORKER_COUNTS {
-        for rerun in 0..2 {
-            let out = ring_sim(SchedMode::WorkerPool { workers }, true)
-                .run()
-                .expect("ring runs");
-            assert_eq!(out.elapsed, baseline.elapsed, "w={workers} rerun={rerun}");
-            assert_eq!(
-                out.dispatch.expect("dispatch recorded"),
-                baseline_log,
-                "dispatch order moved at w={workers} rerun={rerun}"
-            );
-        }
+    for rerun in 0..2 {
+        let out = ring_sim(SchedMode::Fibers, true).run().expect("ring runs");
+        assert_eq!(out.elapsed, baseline.elapsed, "rerun={rerun}");
+        assert_eq!(
+            out.dispatch.expect("dispatch recorded"),
+            baseline_log,
+            "dispatch order moved under fibers, rerun={rerun}"
+        );
     }
 }
 
@@ -161,19 +166,24 @@ fn dispatch_order_is_a_pure_function_of_the_event_order() {
 /// empty so production sweeps pay nothing for it.
 #[test]
 fn dispatch_log_is_absent_unless_requested() {
-    let out = ring_sim(SchedMode::WorkerPool { workers: 2 }, false)
-        .run()
-        .expect("ring runs");
+    let out = ring_sim(SchedMode::Fibers, false).run().expect("ring runs");
     assert!(out.dispatch.is_none());
 }
 
-/// Satellite regression: a mid-run panic under N:M must fail only the
-/// owning rank — the panic unwinds the rank's fiber, not the shared worker
-/// thread, so every other rank still finishes and reports its result.
+/// Satellite regression: a mid-run panic must fail only the owning rank in
+/// both modes — under fibers the panic unwinds the rank's fiber, not the
+/// thread it shares with the kernel and every other rank, so the others
+/// still finish and report.
 #[test]
-fn panic_under_nm_fails_only_the_owning_rank() {
+fn a_mid_run_panic_fails_only_the_owning_rank() {
+    for mode in BOTH_MODES {
+        panic_fails_only_the_owning_rank(mode);
+    }
+}
+
+fn panic_fails_only_the_owning_rank(mode: SchedMode) {
     let mut sim = Sim::new(IdealNetwork::new(4, SimDuration::from_micros(20)));
-    sim.sched_mode(SchedMode::WorkerPool { workers: 2 });
+    sim.sched_mode(mode);
     for me in 0..4usize {
         sim.spawn(move |ctx| {
             ctx.compute(SimDuration::from_micros(10));
@@ -206,9 +216,9 @@ fn panic_under_nm_fails_only_the_owning_rank() {
 }
 
 /// Satellite regression: `HotProfile::bytes_cloned` is charged to the run
-/// (through each rank's context) even when ranks share a worker thread, and
-/// is identical across scheduler modes — the counter travels with the rank,
-/// not with the OS thread.
+/// whether its ranks share the kernel's thread or each have their own, is
+/// identical across scheduler modes, and does not leak into the next run on
+/// the same thread.
 #[test]
 fn clone_accounting_survives_rank_multiplexing() {
     let run = |mode: SchedMode| {
@@ -231,11 +241,201 @@ fn clone_accounting_survives_rank_multiplexing() {
     };
     let legacy = run(SchedMode::LegacyThreads);
     assert!(legacy > 0, "workload clones payload bytes");
-    for workers in WORKER_COUNTS {
+    for rerun in 0..2 {
         assert_eq!(
-            run(SchedMode::WorkerPool { workers }),
+            run(SchedMode::Fibers),
             legacy,
-            "bytes_cloned drifted at w={workers}"
+            "bytes_cloned drifted under fibers, rerun={rerun}"
         );
+    }
+}
+
+/// Counts its own drops: stands for any value a rank body keeps on its stack.
+struct CountDrop(Arc<AtomicUsize>);
+
+impl Drop for CountDrop {
+    fn drop(&mut self) {
+        self.0.fetch_add(1, Ordering::SeqCst);
+    }
+}
+
+/// An aborted run unwinds every rank that is suspended mid-body — in fiber
+/// mode by resuming it one last time with the abort grant — so by the time
+/// `Sim::run` returns its error, every destructor on every rank's stack has
+/// run. `stuck` is the rank body's way of never finishing.
+fn aborted_run_drops_rank_stacks(
+    mode: SchedMode,
+    limit: Option<SimTime>,
+    stuck: fn(&mut numagap_sim::ProcCtx),
+) -> SimError {
+    const RANKS: usize = 3;
+    let drops = Arc::new(AtomicUsize::new(0));
+    let mut sim = Sim::new(IdealNetwork::new(RANKS, SimDuration::from_micros(20)));
+    sim.sched_mode(mode);
+    if let Some(limit) = limit {
+        sim.time_limit(limit);
+    }
+    for _ in 0..RANKS {
+        let captured = CountDrop(Arc::clone(&drops));
+        let drops = Arc::clone(&drops);
+        sim.spawn(move |ctx| {
+            let _captured = captured;
+            let _boxed = Box::new(CountDrop(Arc::clone(&drops)));
+            ctx.compute(SimDuration::from_micros(5));
+            let _late = CountDrop(drops);
+            stuck(ctx);
+        });
+    }
+    let err = sim.run().expect_err("the run cannot finish");
+    assert_eq!(
+        drops.load(Ordering::SeqCst),
+        3 * RANKS,
+        "{mode:?}: values left alive on an aborted rank's stack"
+    );
+    err
+}
+
+#[test]
+fn a_deadlocked_run_drops_everything_on_every_rank_stack() {
+    for mode in BOTH_MODES {
+        let err = aborted_run_drops_rank_stacks(mode, None, |ctx| {
+            let _ = ctx.recv(Filter::tag(Tag::app(9)));
+        });
+        assert!(matches!(err, SimError::Deadlock { .. }), "{mode:?}: {err}");
+    }
+}
+
+#[test]
+fn a_time_limited_run_drops_everything_on_every_rank_stack() {
+    for mode in BOTH_MODES {
+        let limit = SimTime::from_nanos(1_000_000);
+        let err = aborted_run_drops_rank_stacks(mode, Some(limit), |ctx| loop {
+            ctx.compute(SimDuration::from_micros(50));
+        });
+        assert!(matches!(err, SimError::TimeLimit { .. }), "{mode:?}: {err}");
+    }
+}
+
+/// Elapsed time, dispatch log and clone count of one ring run.
+fn ring_observables(sim: Sim<IdealNetwork>) -> (SimDuration, Vec<u32>, u64) {
+    let out = sim.run().expect("ring runs");
+    (
+        out.elapsed,
+        out.dispatch.expect("dispatch recorded"),
+        out.profile.bytes_cloned,
+    )
+}
+
+/// A whole `Sim::run` started inside a rank body (on that rank's fiber, in
+/// fiber mode) completes, and the outer run cannot tell: same results, same
+/// dispatch order, and none of the inner run's payload clones on its bill.
+#[test]
+fn a_run_nested_inside_a_rank_body_leaves_the_outer_run_unchanged() {
+    let alone = ring_observables(ring_sim(SchedMode::Fibers, true));
+    for outer_mode in BOTH_MODES {
+        let outer = |nested: bool| {
+            let mut sim = Sim::new(IdealNetwork::new(2, SimDuration::from_micros(20)));
+            sim.sched_mode(outer_mode).record_dispatch();
+            sim.spawn(move |ctx| {
+                ctx.send(ProcId(1), Tag::app(0), vec![1u8; 100], 100);
+                let inner = nested.then(|| ring_observables(ring_sim(SchedMode::Fibers, true)));
+                let m = ctx.recv(Filter::tag(Tag::app(1)));
+                (m.expect_clone::<u64>(), inner)
+            });
+            sim.spawn(|ctx| {
+                let m = ctx.recv(Filter::tag(Tag::app(0)));
+                let len = m.expect_clone::<Vec<u8>>().len() as u64;
+                ctx.send(ProcId(0), Tag::app(1), len, 8);
+            });
+            let out = sim.run().expect("outer run completes");
+            let (echoed, inner) = out.results[0]
+                .as_ref()
+                .expect("rank 0 finished")
+                .downcast_ref::<(u64, Option<(SimDuration, Vec<u32>, u64)>)>()
+                .expect("rank 0 result type");
+            assert_eq!(*echoed, 100);
+            let observed = (
+                out.elapsed,
+                out.dispatch.expect("dispatch recorded"),
+                out.profile.bytes_cloned,
+            );
+            (observed, inner.clone())
+        };
+        let (plain, _) = outer(false);
+        let (with_nested, inner) = outer(true);
+        assert_eq!(inner.as_ref(), Some(&alone), "outer {outer_mode:?}");
+        assert_eq!(with_nested, plain, "outer {outer_mode:?}");
+        assert_eq!(plain.2, 108, "outer {outer_mode:?}");
+    }
+}
+
+/// Two host threads each driving a `Sim` of their own at the same time —
+/// what `engine::run_cells --jobs 2` does — get the single-thread results:
+/// everything a run shares with its ranks is per-thread or per-run.
+#[test]
+fn concurrent_host_threads_each_get_the_single_thread_results() {
+    let alone = ring_observables(ring_sim(SchedMode::Fibers, true));
+    let start = Arc::new(Barrier::new(2));
+    let hosts: Vec<_> = (0..2)
+        .map(|_| {
+            let start = Arc::clone(&start);
+            std::thread::spawn(move || {
+                start.wait();
+                (0..20)
+                    .map(|_| ring_observables(ring_sim(SchedMode::Fibers, true)))
+                    .collect::<Vec<_>>()
+            })
+        })
+        .collect();
+    for host in hosts {
+        for run in host.join().expect("host thread") {
+            assert_eq!(run, alone);
+        }
+    }
+}
+
+/// The mode nobody chose resumes every rank on the caller's thread: the run
+/// creates no OS thread and wakes none.
+#[test]
+fn the_default_mode_runs_every_rank_on_the_callers_thread() {
+    let out = default_ring_sim(false).run().expect("ring runs");
+    if cfg!(target_arch = "x86_64") {
+        assert_eq!(out.sim_threads, 1);
+        assert_eq!(out.profile.park_wakes, 0);
+    } else {
+        assert_eq!(out.sim_threads, out.results.len());
+    }
+}
+
+/// A panic in the kernel's own code (here: an observer callback) unwinds
+/// `Sim::run` with ranks suspended mid-body; they are still unwound, on the
+/// way out, rather than leaked — suspended fibers or parked threads alike.
+#[test]
+fn a_kernel_panic_still_unwinds_every_suspended_rank() {
+    struct Bomb;
+    impl numagap_sim::Observer for Bomb {
+        fn on_send(&mut self, _dst: ProcId, _msg: &numagap_sim::Message) {
+            panic!("observer exploded");
+        }
+    }
+    for mode in BOTH_MODES {
+        let drops = Arc::new(AtomicUsize::new(0));
+        let mut sim = Sim::new(IdealNetwork::new(2, SimDuration::from_micros(20)));
+        sim.sched_mode(mode).set_observer(Box::new(Bomb));
+        for me in 0..2usize {
+            let drops = Arc::clone(&drops);
+            sim.spawn(move |ctx| {
+                let _held = CountDrop(drops);
+                ctx.compute(SimDuration::from_micros(5));
+                ctx.send(ProcId(1 - me), Tag::app(0), (), 1);
+                let _ = ctx.recv(Filter::any());
+            });
+        }
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| sim.run()));
+        assert!(
+            unwound.is_err(),
+            "{mode:?}: the observer's panic propagates"
+        );
+        assert_eq!(drops.load(Ordering::SeqCst), 2, "{mode:?}");
     }
 }
