@@ -13,7 +13,6 @@
 //!   and rows are broadcast cluster-aware — each WAN link carries a row once.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use numagap_rt::{Ctx, SequencerServer};
 use numagap_sim::{Filter, Message, Tag};
@@ -24,7 +23,7 @@ use crate::common::{block_owner, block_range, mix64, seeded_rng, RankOutput, Var
 pub const INF: u32 = u32::MAX / 4;
 
 /// ASP problem configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AspConfig {
     /// Number of vertices (matrix is `n x n`).
     pub n: usize,

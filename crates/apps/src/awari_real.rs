@@ -22,8 +22,6 @@
 
 use std::collections::HashMap;
 
-use serde::{Deserialize, Serialize};
-
 use numagap_rt::tags::coll_tag;
 use numagap_rt::{bcast_flat, reduce_flat, Combiner, Ctx};
 use numagap_sim::{Filter, Tag};
@@ -34,7 +32,7 @@ use crate::awari_board::{
 use crate::common::{mix64, RankOutput};
 
 /// Configuration for the distributed real-board solver.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AwariRealConfig {
     /// Build the database for `0..=max_stones` stones.
     pub max_stones: u32,
@@ -100,7 +98,7 @@ pub fn serial_awari_real(cfg: &AwariRealConfig) -> f64 {
 
 /// A cross-level value request: "what is the value of your state
 /// `(level, idx)`? answer to my state `u_idx` (at the level being built)".
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct ValueRequest {
     u_idx: u64,
     succ_level: u32,
@@ -108,7 +106,7 @@ struct ValueRequest {
 }
 
 /// A reply or within-level notification: a successor of `u_idx` has `value`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct ValueNews {
     u_idx: u64,
     value: Wld,
@@ -116,7 +114,7 @@ struct ValueNews {
 
 /// A within-level subscription: "notify `u_idx`'s owner when your state
 /// `v_idx` resolves".
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Subscription {
     u_idx: u64,
     v_idx: u64,

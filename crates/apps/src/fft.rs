@@ -11,7 +11,6 @@
 use std::ops::{Add, Mul, Sub};
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use numagap_rt::Ctx;
 use numagap_sim::Tag;
@@ -19,7 +18,7 @@ use numagap_sim::Tag;
 use crate::common::{block_range, seeded_rng, RankOutput, Variant};
 
 /// A complex number (own implementation — no external dependency).
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Cpx {
     /// Real part.
     pub re: f64,
@@ -70,7 +69,7 @@ impl Mul for Cpx {
 }
 
 /// FFT problem configuration. `log2_n` must be even so the matrix is square.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FftConfig {
     /// Problem size exponent: N = 2^log2_n points.
     pub log2_n: u32,

@@ -3,8 +3,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use numagap_net::NetStats;
 use numagap_rt::{Machine, RunReport, TransportStats};
 use numagap_sim::{KernelStats, Observer, SimDuration, SimError};
@@ -18,7 +16,7 @@ use crate::tsp::{serial_tsp, tsp_rank, TspConfig};
 use crate::water::{serial_water, water_rank, WaterConfig};
 
 /// The six applications of the paper's suite.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AppId {
     /// n-squared molecular dynamics.
     Water,
@@ -91,7 +89,7 @@ impl fmt::Display for AppId {
 }
 
 /// Problem-size scale.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Scale {
     /// Seconds-fast sizes for unit/integration tests.
     Small,
@@ -102,7 +100,7 @@ pub enum Scale {
 }
 
 /// Per-app configurations at a given scale.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SuiteConfig {
     /// Water configuration.
     pub water: WaterConfig,

@@ -193,20 +193,6 @@ pub const WAIVERS: &[Waiver] = &[
     },
     Waiver {
         rule: "ND002",
-        path_suffix: "bench/src/hostile.rs",
-        token: "Instant::now",
-        reason: "wall-clock stopwatch around hostile scorecard cells, recorded as \
-                 wall_s only; the scorecard and compare gate read virtual fields",
-    },
-    Waiver {
-        rule: "ND002",
-        path_suffix: "bench/src/topo.rs",
-        token: "Instant::now",
-        reason: "wall-clock stopwatch around topology sweep cells, recorded as \
-                 wall_s only; the scorecard and compare gate read virtual fields",
-    },
-    Waiver {
-        rule: "ND002",
         path_suffix: "bench/src/scale.rs",
         token: "Instant::now",
         reason: "wall-clock stopwatch around scale sweep cells, recorded as wall_s \

@@ -9,25 +9,15 @@
 //! results are written back into a slot per cell, so the collected output is
 //! in *cell order* regardless of completion order. A `--jobs 8` sweep
 //! therefore produces byte-identical CSV and JSON (modulo wall-clock
-//! fields) to a `--jobs 1` sweep; `tests/bench_engine.rs` pins that.
-//!
-//! Worker count comes from, in priority order: an explicit `jobs` argument
-//! (the CLI's `--jobs`), the `REPRO_JOBS` environment variable, and the
-//! host's available parallelism.
+//! fields) to a `--jobs 1` sweep; `tests/determinism.rs` pins that.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::thread;
 
-/// Default worker count: `REPRO_JOBS` when set to a positive integer,
-/// otherwise the host's available parallelism (1 when unknown).
-pub fn jobs_from_env() -> usize {
-    match std::env::var("REPRO_JOBS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-    {
-        Some(n) if n >= 1 => n,
-        _ => thread::available_parallelism().map_or(1, |n| n.get()),
-    }
+/// Default worker count when `--jobs` is not given: the host's available
+/// parallelism (1 when unknown).
+pub fn default_jobs() -> usize {
+    thread::available_parallelism().map_or(1, |n| n.get())
 }
 
 /// Runs `f` over every cell on up to `jobs` worker threads and returns the
@@ -40,8 +30,7 @@ pub fn jobs_from_env() -> usize {
 ///
 /// # Panics
 ///
-/// A panic inside `f` (e.g. a simulator abort surfaced through
-/// [`crate::must_run`]) is re-raised on the calling thread after the
+/// A panic inside `f` is re-raised on the calling thread after the
 /// remaining workers drain.
 pub fn run_cells<C, R, F>(cells: &[C], jobs: usize, progress: Option<&str>, f: F) -> Vec<R>
 where
@@ -153,7 +142,7 @@ mod tests {
     }
 
     #[test]
-    fn env_default_is_positive() {
-        assert!(jobs_from_env() >= 1);
+    fn default_jobs_is_positive() {
+        assert!(default_jobs() >= 1);
     }
 }

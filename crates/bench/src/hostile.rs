@@ -22,8 +22,6 @@
 //! committed `BENCH_hostile.json` baseline is compared exactly in CI
 //! (`numagap bench --compare ... --virtual-only`), like the paper targets.
 
-use std::time::Instant;
-
 use numagap_apps::{run_app, AppId, SuiteConfig, Variant};
 use numagap_net::{
     CrossTrafficPlan, HeteroPreset, LinkParams, LinkSchedule, Topology, TwoLayerSpec, WanTopology,
@@ -32,8 +30,8 @@ use numagap_rt::Machine;
 use numagap_sim::SimDuration;
 
 use crate::record::{BenchSummary, RunRecord};
-use crate::targets::{variants, SweepOpts};
-use crate::{engine, write_csv, BenchError};
+use crate::targets::{sweep, variants, write_summary, SweepOpts};
+use crate::{write_csv, BenchError};
 
 /// WAN latency (ms) shared by every scenario — the paper's mid-grid point.
 pub const HOSTILE_LATENCY_MS: f64 = 10.0;
@@ -161,31 +159,19 @@ pub fn run_hostile(opts: &SweepOpts) -> Result<BenchSummary, BenchError> {
     for s in &SCENARIOS {
         println!("   {:<10} {}", s.name, s.what);
     }
-    let t0 = Instant::now();
-    let label = if opts.progress { Some("hostile") } else { None };
-    let outs = engine::run_cells(&cells, opts.jobs, label, |_, &(si, app, variant)| {
-        let start = Instant::now();
+    let (outs, wall_s) = sweep(&cells, opts, "hostile", |&(si, app, variant)| {
         let machine = Machine::new(scenario_spec(&SCENARIOS[si], wan));
         let result = run_app(app, &cfg, variant, &machine).map_err(|e| e.to_string());
-        (result, start.elapsed().as_secs_f64())
-    });
-    let scale_name = format!("{:?}", opts.scale).to_ascii_lowercase();
-    let mut summary = BenchSummary::new("hostile", scale_name, opts.quick, opts.jobs);
-    summary.wall_s = t0.elapsed().as_secs_f64();
+        let what = format!("{app}/{variant} under '{}'", SCENARIOS[si].name);
+        (what, result)
+    })?;
+    let mut summary = BenchSummary::new("hostile", opts.scale_name(), opts.quick, opts.jobs);
+    summary.wall_s = wall_s;
     let mut rows = Vec::new();
     // (scenario index, app, variant) -> makespan seconds, canonical order.
     let mut elapsed: Vec<(usize, AppId, Variant, f64)> = Vec::new();
-    for (&(si, app, variant), (result, wall)) in cells.iter().zip(&outs) {
+    for (&(si, app, variant), (run, wall)) in cells.iter().zip(&outs) {
         let s = &SCENARIOS[si];
-        let run = match result {
-            Ok(run) => run,
-            Err(e) => {
-                return Err(BenchError::Sim(format!(
-                    "{app}/{variant} under '{}' failed: {e}",
-                    s.name
-                )))
-            }
-        };
         elapsed.push((si, app, variant, run.elapsed.as_secs_f64()));
         rows.push(format!(
             "{app},{variant},{},{:.6},{},{}",
@@ -264,9 +250,7 @@ pub fn run_hostile(opts: &SweepOpts) -> Result<BenchSummary, BenchError> {
         "app,variant,scenario,elapsed_s,inter_msgs,cross_msgs",
         &rows,
     )?;
-    let path = opts.out.join("BENCH_hostile.json");
-    summary.write(&path)?;
-    println!("  [wrote {}]", path.display());
+    write_summary(&summary, opts)?;
     Ok(summary)
 }
 

@@ -1,51 +1,35 @@
 //! # numagap-bench — the experiment harness
 //!
-//! One bench target per table/figure of the paper (run with `cargo bench`),
-//! all driven by the parallel experiment [`engine`] and shared with the
-//! `numagap bench` CLI subcommand through [`targets`]:
-//!
-//! | Target | Regenerates |
-//! |---|---|
-//! | `table1` | Table 1 (single-cluster speedups, traffic, runtime) + Table 2 |
-//! | `fig1_traffic` | Figure 1 (inter-cluster volume vs message rate) |
-//! | `fig3_sweep` | Figure 3 (12 panels of relative speedup vs bandwidth × latency) |
-//! | `fig4_comm_time` | Figure 4 (communication time vs bandwidth / latency) |
-//! | `hostile` | hostile-network robustness scorecard (slow clusters, cross-traffic, diurnal WAN) |
-//! | `topo` | fig3 sensitivity grid per wide-area topology (`--topology` restricts to one shape) |
-//! | `scale` | cluster-count scaling sweep (4x8 -> 64x64, 32 -> 4096 ranks) with ranks as fibers, plus a legacy-mode differential assert |
-//! | `cluster_structure` | §5.1 cluster-structure experiment (8x4 vs 4x8 ...) |
-//! | `magpie_bench` | §6 MagPIe collectives vs flat (up to 10x) |
-//! | `micro` | Criterion microbenchmarks of the simulator itself |
-//!
-//! Every engine-backed target writes a versioned `BENCH_<target>.json`
-//! summary ([`record`]) next to its CSV artifact; `numagap bench --compare`
-//! diffs two such summaries for determinism drift and wall-clock
-//! regressions.
-//!
-//! Environment knobs:
-//! * `REPRO_SCALE` = `small` | `medium` (default) | `paper`
-//! * `REPRO_QUICK` = `1` — coarse grids for a fast smoke pass
-//! * `REPRO_JOBS` = worker threads (default: available parallelism)
-//! * `REPRO_OUT` — directory for CSV/JSON output (default `bench_results/`)
+//! An experiment is one row of [`targets::TARGETS`]: a name, a one-line
+//! description and a sweep function. `numagap bench --target <name|all>` is
+//! the only way to run one (DESIGN.md §6 maps every paper claim to its
+//! target); the sweep fans its independent simulation cells across the
+//! parallel [`engine`], prints its tables, and writes `<name>.csv` plus a
+//! versioned `BENCH_<name>.json` summary ([`record`]) into the output
+//! directory. `numagap bench --compare` diffs two such summaries for
+//! determinism drift and wall-clock regressions; the committed baselines
+//! live in `crates/bench/baselines/`.
 
 #![warn(missing_docs)]
 
 use std::fmt;
 use std::fs;
 use std::io::{self, Write as _};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
-use numagap_apps::{run_app, AppId, AppRun, Scale, SuiteConfig, Variant};
 use numagap_net::{das_spec, WanTopology};
 use numagap_rt::Machine;
 use numagap_sim::SimDuration;
 
+pub mod ablations;
 pub mod engine;
 pub mod hostile;
 pub mod json;
+pub mod magpie;
 pub mod record;
 pub mod scale;
 pub mod selfperf;
+pub mod structure;
 pub mod targets;
 pub mod topo;
 
@@ -80,33 +64,6 @@ impl From<io::Error> for BenchError {
     fn from(e: io::Error) -> Self {
         BenchError::Io(e)
     }
-}
-
-/// Problem scale selected via `REPRO_SCALE` (default: medium).
-pub fn scale_from_env() -> Scale {
-    match std::env::var("REPRO_SCALE").as_deref() {
-        Ok("small") => Scale::Small,
-        Ok("paper") => Scale::Paper,
-        _ => Scale::Medium,
-    }
-}
-
-/// Whether `REPRO_QUICK=1` asked for coarse grids.
-pub fn quick_from_env() -> bool {
-    std::env::var("REPRO_QUICK").as_deref() == Ok("1")
-}
-
-/// Output directory for CSV/JSON artifacts (`REPRO_OUT`, default
-/// `bench_results/`), created if missing.
-///
-/// # Errors
-///
-/// Propagates the directory-creation failure.
-pub fn out_dir() -> io::Result<PathBuf> {
-    let dir = std::env::var("REPRO_OUT").unwrap_or_else(|_| "bench_results".to_string());
-    let path = PathBuf::from(dir);
-    fs::create_dir_all(&path)?;
-    Ok(path)
 }
 
 /// Writes CSV rows (with header) to `dir/name`.
@@ -154,12 +111,6 @@ pub fn wan_machine_with(
 /// The all-Myrinet single-cluster machine with the same processor count.
 pub fn baseline_machine() -> Machine {
     Machine::new(numagap_net::uniform_spec(CLUSTERS * PROCS_PER_CLUSTER))
-}
-
-/// Runs an app and panics with context on simulator failure (benches have no
-/// graceful recovery path).
-pub fn must_run(app: AppId, cfg: &SuiteConfig, variant: Variant, machine: &Machine) -> AppRun {
-    run_app(app, cfg, variant, machine).unwrap_or_else(|e| panic!("{app}/{variant} failed: {e}"))
 }
 
 /// The paper's relative-speedup metric: `T_singlecluster / T_multicluster`
@@ -218,15 +169,6 @@ mod tests {
         assert!((comm_time_pct(tl, tm) - 50.0).abs() < 1e-12);
         // Faster-than-baseline multi (possible at tiny gaps) clamps comm to 0.
         assert_eq!(comm_time_pct(tm, tl), 0.0);
-    }
-
-    #[test]
-    fn scale_default_is_medium() {
-        // Do not set the env var here (tests run in parallel); just check
-        // the default path.
-        if std::env::var("REPRO_SCALE").is_err() {
-            assert_eq!(scale_from_env(), Scale::Medium);
-        }
     }
 
     #[test]

@@ -20,6 +20,7 @@ use std::fs;
 use std::path::Path;
 
 use numagap_apps::AppRun;
+use numagap_rt::RunReport;
 use numagap_sim::{HotProfile, KernelStats};
 
 use crate::json::{self, Json};
@@ -82,6 +83,28 @@ impl RunRecord {
             sim_threads: None,
         }
     }
+
+    /// Builds a record from a raw [`numagap_rt::Machine::run`] report — the
+    /// cells that drive rank functions directly instead of going through
+    /// [`numagap_apps::run_app`]. The caller says what the cell's checksum
+    /// is; `profile` and `sim_threads` stay `None` (the two targets that
+    /// record them set them from the same report).
+    pub fn from_report<T>(key: String, wall_s: f64, checksum: f64, report: &RunReport<T>) -> Self {
+        RunRecord {
+            key,
+            wall_s,
+            virtual_s: report.elapsed.as_secs_f64(),
+            checksum,
+            kernel: report.kernel_stats,
+            intra_msgs: report.net_stats.intra_msgs,
+            intra_bytes: report.net_stats.intra_payload_bytes,
+            inter_msgs: report.net_stats.inter_msgs,
+            inter_bytes: report.net_stats.inter_payload_bytes,
+            seed: report.effective_seed(),
+            profile: None,
+            sim_threads: None,
+        }
+    }
 }
 
 /// `profile` with every host-timing-dependent field (`park_wakes`) zeroed:
@@ -102,7 +125,7 @@ pub struct BenchSummary {
     pub target: String,
     /// Problem scale the sweep ran at (`small` | `medium` | `paper`).
     pub scale: String,
-    /// Whether the coarse `REPRO_QUICK` grid was used.
+    /// Whether the coarse `--quick` grid was used.
     pub quick: bool,
     /// Worker threads the sweep ran with.
     pub jobs: usize,

@@ -25,7 +25,7 @@ use numagap_rt::{Ctx, Machine};
 use numagap_sim::{SchedMode, SimDuration, Tag};
 
 use crate::record::{BenchSummary, RunRecord};
-use crate::targets::SweepOpts;
+use crate::targets::{write_summary, SweepOpts};
 use crate::{engine, write_csv, BenchError};
 
 /// The swept machine sizes, smallest first: `(clusters, procs_per_cluster)`.
@@ -180,9 +180,8 @@ pub fn run_scale(opts: &SweepOpts) -> Result<BenchSummary, BenchError> {
         "   sizes 4x8 -> 64x64 ({} cells), synthetic ring+reduce+broadcast workload",
         cells.len()
     );
-    let label = if opts.progress { Some("scale") } else { None };
     let t0 = Instant::now();
-    let outs = engine::run_cells(&cells, opts.jobs, label, |_, cell| {
+    let outs = engine::run_cells(&cells, opts.jobs, opts.label("scale"), |_, cell| {
         let start = Instant::now();
         let machine = Machine::new(das_spec(cell.clusters, cell.procs, 10.0, 1.0))
             .with_sched_mode(cell.mode)
@@ -238,18 +237,8 @@ pub fn run_scale(opts: &SweepOpts) -> Result<BenchSummary, BenchError> {
             checksum
         ));
         summary.records.push(RunRecord {
-            key: cell.key(),
-            wall_s: *wall,
-            virtual_s: report.elapsed.as_secs_f64(),
-            checksum,
-            kernel: report.kernel_stats,
-            intra_msgs: report.net_stats.intra_msgs,
-            intra_bytes: report.net_stats.intra_payload_bytes,
-            inter_msgs: report.net_stats.inter_msgs,
-            inter_bytes: report.net_stats.inter_payload_bytes,
-            seed: None,
-            profile: None,
             sim_threads: Some(report.sim_threads),
+            ..RunRecord::from_report(cell.key(), *wall, checksum, report)
         });
     }
     // Differential gate: every scheduler mode that ran a given machine size
@@ -290,9 +279,7 @@ pub fn run_scale(opts: &SweepOpts) -> Result<BenchSummary, BenchError> {
         "clusters,procs,ranks,mode,sim_threads,virtual_s,messages,checksum",
         &rows,
     )?;
-    let path = opts.out.join("BENCH_scale.json");
-    summary.write(&path)?;
-    println!("  [wrote {}]", path.display());
+    write_summary(&summary, opts)?;
     Ok(summary)
 }
 

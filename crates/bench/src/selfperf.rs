@@ -18,29 +18,19 @@
 //! Every counter except `park_wakes` is deterministic, so the committed
 //! `BENCH_selfperf.json` baseline is compared exactly in CI (`numagap bench
 //! --compare ... --virtual-only`); `park_wakes` is 0 when ranks run as
-//! fibers and depends on host timing under `--sim-workers legacy`, so it is
+//! fibers and depends on host timing on hosts without fiber support, so it is
 //! exempt, like wall clock.
 
 use std::sync::Arc;
 use std::time::Instant;
 
-use numagap_net::{uniform_spec, NetStats};
+use numagap_net::uniform_spec;
 use numagap_rt::Machine;
-use numagap_sim::{HotProfile, KernelStats, SimDuration, Tag};
+use numagap_sim::{SimDuration, Tag};
 
 use crate::record::{BenchSummary, RunRecord};
-use crate::targets::SweepOpts;
+use crate::targets::{write_summary, SweepOpts};
 use crate::{engine, write_csv, BenchError};
-
-/// Everything one selfperf cell measures.
-#[derive(Debug, Clone)]
-struct CellOut {
-    elapsed: SimDuration,
-    checksum: f64,
-    kernel: KernelStats,
-    net: NetStats,
-    profile: HotProfile,
-}
 
 #[derive(Debug, Clone, Copy)]
 enum Cell {
@@ -71,32 +61,36 @@ const CELLS: [Cell; 5] = [
     Cell::EventsFanout,
 ];
 
-fn run_cell(cell: Cell, quick: bool) -> Result<CellOut, String> {
+fn run_cell(cell: Cell, quick: bool) -> Result<RunRecord, String> {
+    let key = cell.key();
     match cell {
-        Cell::Pingpong => pingpong(if quick { 500 } else { 5000 }),
-        Cell::Multicast { shared } => multicast(if quick { 24 } else { 240 }, shared),
-        Cell::MailboxTagged => {
-            mailbox_tagged(if quick { 64 } else { 192 }, if quick { 8 } else { 24 })
-        }
-        Cell::EventsFanout => events_fanout(if quick { 12 } else { 60 }),
+        Cell::Pingpong => pingpong(key, if quick { 500 } else { 5000 }),
+        Cell::Multicast { shared } => multicast(key, if quick { 24 } else { 240 }, shared),
+        Cell::MailboxTagged => mailbox_tagged(
+            key,
+            if quick { 64 } else { 192 },
+            if quick { 8 } else { 24 },
+        ),
+        Cell::EventsFanout => events_fanout(key, if quick { 12 } else { 60 }),
     }
 }
 
+/// Runs one cell's program and records it, kernel profile included.
 fn collect<T>(
+    key: &str,
     machine: &Machine,
     checksum_of: impl Fn(&[T]) -> f64,
     entry: impl Fn(&mut numagap_rt::Ctx<'_>) -> T + Send + Sync + 'static,
-) -> Result<CellOut, String>
+) -> Result<RunRecord, String>
 where
     T: Send + 'static,
 {
+    let start = Instant::now();
     let report = machine.run(entry).map_err(|e| e.to_string())?;
-    Ok(CellOut {
-        elapsed: report.elapsed,
-        checksum: checksum_of(&report.results),
-        kernel: report.kernel_stats,
-        net: report.net_stats,
-        profile: report.profile,
+    let wall = start.elapsed().as_secs_f64();
+    Ok(RunRecord {
+        profile: Some(report.profile),
+        ..RunRecord::from_report(key.to_string(), wall, checksum_of(&report.results), &report)
     })
 }
 
@@ -106,9 +100,9 @@ fn sum_u64(results: &[u64]) -> f64 {
 
 /// Two ranks exchange `rounds` 8-byte round trips: every simulated event is
 /// a context switch, so this cell isolates the cost of one switch.
-fn pingpong(rounds: u64) -> Result<CellOut, String> {
+fn pingpong(key: &str, rounds: u64) -> Result<RunRecord, String> {
     let machine = Machine::new(uniform_spec(2));
-    collect(&machine, sum_u64, move |ctx| {
+    collect(key, &machine, sum_u64, move |ctx| {
         let mut acc = 0u64;
         if ctx.rank() == 0 {
             for i in 0..rounds {
@@ -132,10 +126,10 @@ fn pingpong(rounds: u64) -> Result<CellOut, String> {
 /// (`expect_clone`); the shared variant takes an `Arc` handle
 /// (`expect_shared`). Identical virtual time and traffic — the only
 /// difference the profile may show is `bytes_cloned`.
-fn multicast(reps: u64, shared: bool) -> Result<CellOut, String> {
+fn multicast(key: &str, reps: u64, shared: bool) -> Result<RunRecord, String> {
     const BLOCK: usize = 64 * 1024;
     let machine = Machine::new(uniform_spec(8));
-    collect(&machine, sum_u64, move |ctx| {
+    collect(key, &machine, sum_u64, move |ctx| {
         let n = ctx.nprocs();
         let mut acc = 0u64;
         if ctx.rank() == 0 {
@@ -172,9 +166,9 @@ fn multicast(reps: u64, shared: bool) -> Result<CellOut, String> {
 /// drains them in *reverse* tag order, so all but one are parked when their
 /// receive posts. A linear-scan mailbox pays O(depth) per receive here; the
 /// tag index pays O(log depth).
-fn mailbox_tagged(ntags: u32, rounds: u64) -> Result<CellOut, String> {
+fn mailbox_tagged(key: &str, ntags: u32, rounds: u64) -> Result<RunRecord, String> {
     let machine = Machine::new(uniform_spec(2));
-    collect(&machine, sum_u64, move |ctx| {
+    collect(key, &machine, sum_u64, move |ctx| {
         let mut acc = 0u64;
         for round in 0..rounds {
             if ctx.rank() == 0 {
@@ -198,9 +192,9 @@ fn mailbox_tagged(ntags: u32, rounds: u64) -> Result<CellOut, String> {
 /// All-to-all bursts on 8 ranks: every round pushes `n*(n-1)` concurrent
 /// deliveries through the event queue, exercising the heap (not just the
 /// front slot) and the deliver-to-blocked fast path.
-fn events_fanout(rounds: u64) -> Result<CellOut, String> {
+fn events_fanout(key: &str, rounds: u64) -> Result<RunRecord, String> {
     let machine = Machine::new(uniform_spec(8));
-    collect(&machine, sum_u64, move |ctx| {
+    collect(key, &machine, sum_u64, move |ctx| {
         let (me, n) = (ctx.rank(), ctx.nprocs());
         let mut acc = 0u64;
         for round in 0..rounds {
@@ -235,15 +229,8 @@ pub fn run_selfperf(opts: &SweepOpts) -> Result<BenchSummary, BenchError> {
         opts.quick, opts.jobs
     );
     let t0 = Instant::now();
-    let label = if opts.progress {
-        Some("selfperf")
-    } else {
-        None
-    };
-    let outs = engine::run_cells(&CELLS, opts.jobs, label, |_, &cell| {
-        let start = Instant::now();
-        let out = run_cell(cell, opts.quick);
-        (out, start.elapsed().as_secs_f64())
+    let outs = engine::run_cells(&CELLS, opts.jobs, opts.label("selfperf"), |_, &cell| {
+        run_cell(cell, opts.quick)
     });
     let mut summary = BenchSummary::new("selfperf", "synthetic".to_string(), opts.quick, opts.jobs);
     summary.wall_s = t0.elapsed().as_secs_f64();
@@ -261,17 +248,17 @@ pub fn run_selfperf(opts: &SweepOpts) -> Result<BenchSummary, BenchError> {
         "clone_bytes"
     );
     let mut rows = Vec::new();
-    for (cell, (out, wall)) in CELLS.iter().zip(&outs) {
-        let out = match out {
-            Ok(out) => out,
+    for (cell, out) in CELLS.iter().zip(outs) {
+        let rec = match out {
+            Ok(rec) => rec,
             Err(e) => return Err(BenchError::Sim(format!("{} failed: {e}", cell.key()))),
         };
-        let p = out.profile;
+        let p = rec.profile.expect("collect records the profile");
         // A rank on an OS thread of its own costs up to two thread wakes per
         // scheduler transition (the rank for its grant, the kernel for the
         // next request) — `switches + requests` in total, the
         // `legacy_wakes` column. Ranks resumed inline as fibers wake nobody:
-        // `park_wakes` is 0 unless the run was forced onto the legacy mode.
+        // `park_wakes` is 0 unless the host has no fiber support.
         let legacy_wakes = p.switches + p.requests;
         let per_switch = p.park_wakes as f64 / (p.switches.max(1)) as f64;
         println!(
@@ -289,7 +276,7 @@ pub fn run_selfperf(opts: &SweepOpts) -> Result<BenchSummary, BenchError> {
         rows.push(format!(
             "{},{},{},{},{},{},{},{},{},{},{},{},{}",
             cell.key(),
-            out.elapsed.as_secs_f64(),
+            rec.virtual_s,
             p.switches,
             p.requests,
             p.park_wakes,
@@ -302,20 +289,7 @@ pub fn run_selfperf(opts: &SweepOpts) -> Result<BenchSummary, BenchError> {
             p.mailbox_indexed,
             p.bytes_cloned
         ));
-        summary.records.push(RunRecord {
-            key: cell.key().to_string(),
-            wall_s: *wall,
-            virtual_s: out.elapsed.as_secs_f64(),
-            checksum: out.checksum,
-            kernel: out.kernel,
-            intra_msgs: out.net.intra_msgs,
-            intra_bytes: out.net.intra_payload_bytes,
-            inter_msgs: out.net.inter_msgs,
-            inter_bytes: out.net.inter_payload_bytes,
-            seed: None,
-            profile: Some(p),
-            sim_threads: None,
-        });
+        summary.records.push(rec);
     }
 
     // Headline numbers for the two claims this target exists to track.
@@ -348,9 +322,7 @@ pub fn run_selfperf(opts: &SweepOpts) -> Result<BenchSummary, BenchError> {
          heap_pops,front_pops,queue_peak,mailbox_scanned,mailbox_indexed,bytes_cloned",
         &rows,
     )?;
-    let path = opts.out.join("BENCH_selfperf.json");
-    summary.write(&path)?;
-    println!("  [wrote {}]", path.display());
+    write_summary(&summary, opts)?;
     Ok(summary)
 }
 
@@ -405,18 +377,18 @@ mod tests {
         let shared = run_cell(Cell::Multicast { shared: true }, true).unwrap();
         // Zero-copy changes only the clone counter: virtual time, events and
         // results are bit-identical between the two receive styles.
-        assert_eq!(cloned.elapsed, shared.elapsed);
+        assert_eq!(cloned.virtual_s, shared.virtual_s);
         assert_eq!(cloned.checksum, shared.checksum);
         assert_eq!(cloned.kernel, shared.kernel);
-        assert_eq!(shared.profile.bytes_cloned, 0);
+        assert_eq!(shared.profile.unwrap().bytes_cloned, 0);
         // 7 receivers x 24 reps x 64 KiB deep-copied on the clone path.
-        assert_eq!(cloned.profile.bytes_cloned, 7 * 24 * 64 * 1024);
+        assert_eq!(cloned.profile.unwrap().bytes_cloned, 7 * 24 * 64 * 1024);
     }
 
     #[test]
     fn tagged_mailbox_scan_work_is_constant_per_take() {
         let out = run_cell(Cell::MailboxTagged, true).unwrap();
-        let p = out.profile;
+        let p = out.profile.unwrap();
         // Reverse-order draining keeps ~64 messages parked, yet every
         // indexed take examines only its own tag's queue front — scan work
         // per take stays O(1). A linear mailbox would have examined ~half

@@ -1,6 +1,6 @@
-//! Engine-backed experiment targets: the sweeps behind Table 1 and
-//! Figures 1/3/4, shared by the `cargo bench` binaries and the
-//! `numagap bench` CLI subcommand.
+//! The experiment table ([`TARGETS`]) and the sweeps behind Table 1 and
+//! Figures 1/3/4. `numagap bench --target <name|all>` is the only way to
+//! run an experiment; DESIGN.md §6 maps every paper claim to its target.
 //!
 //! Each target enumerates its cells in a fixed canonical order, fans them
 //! across the [`crate::engine`] worker pool, then renders stdout tables,
@@ -8,7 +8,6 @@
 //! the collected results — so every artifact is byte-identical no matter
 //! how many workers ran the sweep (wall-clock fields in the JSON excepted).
 
-use std::io;
 use std::path::PathBuf;
 use std::time::Instant;
 
@@ -21,19 +20,88 @@ use numagap_rt::Machine;
 
 use crate::record::{BenchSummary, RunRecord};
 use crate::{
-    baseline_machine, comm_time_pct, engine, out_dir, print_grid, quick_from_env,
-    relative_speedup_pct, scale_from_env, wan_machine_with, write_csv, BenchError,
+    baseline_machine, comm_time_pct, engine, print_grid, relative_speedup_pct, wan_machine_with,
+    write_csv, BenchError,
 };
 
-/// Every engine-backed target, in the order `--target all` runs them.
-pub const TARGETS: [&str; 7] = ["table1", "fig1", "fig3", "fig4", "hostile", "topo", "scale"];
+/// One experiment: a named sweep that prints its tables and writes its CSV
+/// and `BENCH_<name>.json` artifacts into [`SweepOpts::out`].
+#[derive(Debug)]
+pub struct Target {
+    /// The `--target` spelling, also the stem of the artifact names.
+    pub name: &'static str,
+    /// One line for the usage text: what the target regenerates.
+    pub about: &'static str,
+    /// Runs the sweep.
+    pub run: fn(&SweepOpts) -> Result<BenchSummary, BenchError>,
+}
+
+/// Every experiment this crate can name, in the order `--target all` runs
+/// them. (The CLI appends `serve`, which lives downstream of this crate.)
+pub static TARGETS: [Target; 11] = [
+    Target {
+        name: "table1",
+        about: "Table 1 single-cluster speedups, traffic and runtime (+ Table 2)",
+        run: run_table1,
+    },
+    Target {
+        name: "fig1",
+        about: "Figure 1 inter-cluster volume vs message rate",
+        run: run_fig1,
+    },
+    Target {
+        name: "fig3",
+        about: "Figure 3 relative speedup over the bandwidth x latency grid",
+        run: run_fig3,
+    },
+    Target {
+        name: "fig4",
+        about: "Figure 4 communication-time share vs bandwidth / latency",
+        run: run_fig4,
+    },
+    Target {
+        name: "hostile",
+        about: "robustness scorecard: slow clusters, cross-traffic, diurnal WAN",
+        run: crate::hostile::run_hostile,
+    },
+    Target {
+        name: "topo",
+        about: "fig3 grid per wide-area topology (--topology restricts to one)",
+        run: crate::topo::run_topo,
+    },
+    Target {
+        name: "scale",
+        about: "simulator scaling sweep 4x8 -> 64x64 (32 -> 4096 ranks)",
+        run: crate::scale::run_scale,
+    },
+    Target {
+        name: "magpie",
+        about: "section 6: 14 collectives flat vs cluster-aware, scan ladder, kernel",
+        run: crate::magpie::run_magpie,
+    },
+    Target {
+        name: "structure",
+        about: "section 5.1: cluster shapes 2x16 .. 16x2 and mesh/star/ring at 8x4",
+        run: crate::structure::run_structure,
+    },
+    Target {
+        name: "ablations",
+        about: "six design-choice studies (combining, gateway cost, sequencer, ...)",
+        run: crate::ablations::run_ablations,
+    },
+    Target {
+        name: "selfperf",
+        about: "simulator hot-path profile (HotProfile counters per synthetic cell)",
+        run: crate::selfperf::run_selfperf,
+    },
+];
 
 /// Options for one engine-backed sweep.
 #[derive(Debug, Clone)]
 pub struct SweepOpts {
     /// Problem scale.
     pub scale: Scale,
-    /// Use the coarse quick grid (`REPRO_QUICK=1`).
+    /// Use the coarse quick grid.
     pub quick: bool,
     /// Worker threads.
     pub jobs: usize,
@@ -50,23 +118,6 @@ pub struct SweepOpts {
 }
 
 impl SweepOpts {
-    /// Options from the environment knobs (`REPRO_SCALE`, `REPRO_QUICK`,
-    /// `REPRO_JOBS`, `REPRO_OUT`) — what the `cargo bench` binaries use.
-    ///
-    /// # Errors
-    ///
-    /// Propagates failure to create the output directory.
-    pub fn from_env() -> io::Result<Self> {
-        Ok(SweepOpts {
-            scale: scale_from_env(),
-            quick: quick_from_env(),
-            jobs: engine::jobs_from_env(),
-            out: out_dir()?,
-            progress: true,
-            topology: None,
-        })
-    }
-
     /// Validates the topology override against the paper machine's cluster
     /// count and returns it.
     ///
@@ -82,37 +133,16 @@ impl SweepOpts {
         Ok(self.topology)
     }
 
-    fn scale_name(&self) -> String {
+    pub(crate) fn scale_name(&self) -> String {
         format!("{:?}", self.scale).to_ascii_lowercase()
     }
 
-    fn label<'a>(&self, name: &'a str) -> Option<&'a str> {
+    pub(crate) fn label<'a>(&self, name: &'a str) -> Option<&'a str> {
         if self.progress {
             Some(name)
         } else {
             None
         }
-    }
-}
-
-/// Runs one named target ([`TARGETS`]).
-///
-/// # Errors
-///
-/// Unknown target names, simulator failures in any cell, and artifact I/O.
-pub fn run_target(name: &str, opts: &SweepOpts) -> Result<BenchSummary, BenchError> {
-    match name {
-        "table1" => run_table1(opts),
-        "fig1" => run_fig1(opts),
-        "fig3" => run_fig3(opts),
-        "fig4" => run_fig4(opts),
-        "hostile" => crate::hostile::run_hostile(opts),
-        "topo" => crate::topo::run_topo(opts),
-        "scale" => crate::scale::run_scale(opts),
-        other => Err(BenchError::Sim(format!(
-            "unknown bench target '{other}' (expected one of {})",
-            TARGETS.join(", ")
-        ))),
     }
 }
 
@@ -126,7 +156,7 @@ pub fn variants(app: AppId) -> &'static [Variant] {
 }
 
 /// The variant Figure 4 measures: the surviving (optimized where found) one.
-fn surviving_variant(app: AppId) -> Variant {
+pub(crate) fn surviving_variant(app: AppId) -> Variant {
     if app.has_optimized() {
         Variant::Optimized
     } else {
@@ -145,28 +175,35 @@ pub fn paper_grid(quick: bool) -> (Vec<f64>, Vec<f64>) {
     }
 }
 
-/// Runs every cell through the engine; a failing cell aborts the sweep
-/// with its app/variant named. Each result carries its wall-clock seconds.
-fn sweep<C: Sync>(
+/// Runs every cell through the engine; the first failing cell (in cell
+/// order) aborts the sweep with the name its closure gave it — before the
+/// caller has rendered or written anything. Each result carries its
+/// wall-clock seconds, and the whole sweep's come back beside them: the
+/// stopwatch lives here, so a target built on `sweep` never reads the clock.
+pub(crate) fn sweep<C: Sync, R: Send>(
     cells: &[C],
     opts: &SweepOpts,
     label: &str,
-    run: impl Fn(&C) -> (String, Result<AppRun, String>) + Sync,
-) -> Result<Vec<(AppRun, f64)>, BenchError> {
+    run: impl Fn(&C) -> (String, Result<R, String>) + Sync,
+) -> Result<(Vec<(R, f64)>, f64), BenchError> {
+    let t0 = Instant::now();
     let outs = engine::run_cells(cells, opts.jobs, opts.label(label), |_, cell| {
         let start = Instant::now();
         let (what, result) = run(cell);
         (what, result, start.elapsed().as_secs_f64())
     });
-    outs.into_iter()
+    let wall_s = t0.elapsed().as_secs_f64();
+    let outs: Result<Vec<_>, _> = outs
+        .into_iter()
         .map(|(what, result, wall)| match result {
             Ok(run) => Ok((run, wall)),
             Err(e) => Err(BenchError::Sim(format!("{what} failed: {e}"))),
         })
-        .collect()
+        .collect();
+    Ok((outs?, wall_s))
 }
 
-fn app_cell(
+pub(crate) fn app_cell(
     app: AppId,
     cfg: &SuiteConfig,
     variant: Variant,
@@ -211,15 +248,14 @@ pub fn run_fig3(opts: &SweepOpts) -> Result<BenchSummary, BenchError> {
         bws.len(),
         cells.len()
     );
-    let t0 = Instant::now();
-    let outs = sweep(&cells, opts, "fig3", |cell| match *cell {
+    let (outs, wall_s) = sweep(&cells, opts, "fig3", |cell| match *cell {
         Cell::Base(app) => app_cell(app, &cfg, Variant::Unoptimized, &baseline_machine()),
         Cell::Grid(app, variant, lat, bw) => {
             app_cell(app, &cfg, variant, &wan_machine_with(lat, bw, topology))
         }
     })?;
     let mut summary = BenchSummary::new("fig3", opts.scale_name(), opts.quick, opts.jobs);
-    summary.wall_s = t0.elapsed().as_secs_f64();
+    summary.wall_s = wall_s;
 
     // Baselines land first (enumeration order).
     let mut base = Vec::new();
@@ -318,8 +354,7 @@ pub fn run_fig4(opts: &SweepOpts) -> Result<BenchSummary, BenchError> {
         "== Figure 4: inter-cluster communication time (scale={:?}, jobs={}) ==",
         opts.scale, opts.jobs
     );
-    let t0 = Instant::now();
-    let outs = sweep(&cells, opts, "fig4", |cell| match *cell {
+    let (outs, wall_s) = sweep(&cells, opts, "fig4", |cell| match *cell {
         Cell::Base(app) => app_cell(app, &cfg, Variant::Unoptimized, &baseline_machine()),
         Cell::Bw(app, bw) => app_cell(
             app,
@@ -335,7 +370,7 @@ pub fn run_fig4(opts: &SweepOpts) -> Result<BenchSummary, BenchError> {
         ),
     })?;
     let mut summary = BenchSummary::new("fig4", opts.scale_name(), opts.quick, opts.jobs);
-    summary.wall_s = t0.elapsed().as_secs_f64();
+    summary.wall_s = wall_s;
     let mut base = Vec::new();
     for (cell, (run, wall)) in cells.iter().zip(&outs) {
         if let Cell::Base(app) = cell {
@@ -426,8 +461,7 @@ pub fn run_table1(opts: &SweepOpts) -> Result<BenchSummary, BenchError> {
         "== Table 1: single-cluster performance (scale={:?}, jobs={}) ==\n",
         opts.scale, opts.jobs
     );
-    let t0 = Instant::now();
-    let outs = sweep(&cells, opts, "table1", |&(app, p)| {
+    let (outs, wall_s) = sweep(&cells, opts, "table1", |&(app, p)| {
         app_cell(
             app,
             &cfg,
@@ -436,7 +470,7 @@ pub fn run_table1(opts: &SweepOpts) -> Result<BenchSummary, BenchError> {
         )
     })?;
     let mut summary = BenchSummary::new("table1", opts.scale_name(), opts.quick, opts.jobs);
-    summary.wall_s = t0.elapsed().as_secs_f64();
+    summary.wall_s = wall_s;
     for (&(app, p), (run, wall)) in cells.iter().zip(&outs) {
         summary
             .records
@@ -509,8 +543,7 @@ pub fn run_fig1(opts: &SweepOpts) -> Result<BenchSummary, BenchError> {
          (scale={:?}, jobs={}) ==\n",
         FIG1_LATENCY_MS, FIG1_BANDWIDTH_MBS, opts.scale, opts.jobs
     );
-    let t0 = Instant::now();
-    let outs = sweep(&cells, opts, "fig1", |&app| {
+    let (outs, wall_s) = sweep(&cells, opts, "fig1", |&app| {
         app_cell(
             app,
             &cfg,
@@ -519,7 +552,7 @@ pub fn run_fig1(opts: &SweepOpts) -> Result<BenchSummary, BenchError> {
         )
     })?;
     let mut summary = BenchSummary::new("fig1", opts.scale_name(), opts.quick, opts.jobs);
-    summary.wall_s = t0.elapsed().as_secs_f64();
+    summary.wall_s = wall_s;
     println!(
         "{:<12} {:>16} {:>16} {:>12}",
         "Program", "Volume MB/s/clus", "Messages/s/clus", "Runtime (s)"
@@ -555,7 +588,7 @@ pub fn run_fig1(opts: &SweepOpts) -> Result<BenchSummary, BenchError> {
     Ok(summary)
 }
 
-fn write_summary(summary: &BenchSummary, opts: &SweepOpts) -> Result<(), BenchError> {
+pub(crate) fn write_summary(summary: &BenchSummary, opts: &SweepOpts) -> Result<(), BenchError> {
     let path = opts.out.join(format!("BENCH_{}.json", summary.target));
     summary.write(&path)?;
     println!("  [wrote {}]", path.display());

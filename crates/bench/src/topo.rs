@@ -17,16 +17,12 @@
 //! committed quick baseline is compared exactly in CI
 //! (`numagap bench --compare ... --virtual-only`).
 
-use std::time::Instant;
-
-use numagap_apps::{run_app, AppId, SuiteConfig, Variant};
+use numagap_apps::{AppId, SuiteConfig, Variant};
 use numagap_net::WanTopology;
 
 use crate::record::{BenchSummary, RunRecord};
-use crate::targets::{paper_grid, variants, SweepOpts};
-use crate::{
-    baseline_machine, engine, relative_speedup_pct, wan_machine_with, write_csv, BenchError,
-};
+use crate::targets::{app_cell, paper_grid, sweep, variants, write_summary, SweepOpts};
+use crate::{baseline_machine, relative_speedup_pct, wan_machine_with, write_csv, BenchError};
 
 /// WAN latency (ms) of the scorecard's operating point — present in both
 /// the quick and the full fig3 grid.
@@ -101,41 +97,19 @@ pub fn run_topo(opts: &SweepOpts) -> Result<BenchSummary, BenchError> {
     for t in &shapes {
         println!("   {}", t.label());
     }
-    let t0 = Instant::now();
-    let label = if opts.progress { Some("topo") } else { None };
-    let outs = engine::run_cells(&cells, opts.jobs, label, |_, cell| {
-        let start = Instant::now();
-        let (what, result) = match *cell {
-            Cell::Base(app) => (
-                format!("baseline/{app}"),
-                run_app(app, &cfg, Variant::Unoptimized, &baseline_machine()),
-            ),
-            Cell::Grid(ti, app, variant, lat, bw) => (
-                format!("{}/{app}/{variant}", shapes[ti].flag()),
-                run_app(
-                    app,
-                    &cfg,
-                    variant,
-                    &wan_machine_with(lat, bw, Some(shapes[ti])),
-                ),
-            ),
-        };
-        (
-            what,
-            result.map_err(|e| e.to_string()),
-            start.elapsed().as_secs_f64(),
-        )
-    });
-    let outs = outs
-        .into_iter()
-        .map(|(what, result, wall)| match result {
-            Ok(run) => Ok((run, wall)),
-            Err(e) => Err(BenchError::Sim(format!("{what} failed: {e}"))),
-        })
-        .collect::<Result<Vec<_>, BenchError>>()?;
-    let scale_name = format!("{:?}", opts.scale).to_ascii_lowercase();
-    let mut summary = BenchSummary::new("topo", scale_name, opts.quick, opts.jobs);
-    summary.wall_s = t0.elapsed().as_secs_f64();
+    let (outs, wall_s) = sweep(&cells, opts, "topo", |cell| match *cell {
+        Cell::Base(app) => {
+            let (_, run) = app_cell(app, &cfg, Variant::Unoptimized, &baseline_machine());
+            (format!("baseline/{app}"), run)
+        }
+        Cell::Grid(ti, app, variant, lat, bw) => {
+            let machine = wan_machine_with(lat, bw, Some(shapes[ti]));
+            let (what, run) = app_cell(app, &cfg, variant, &machine);
+            (format!("{}/{what}", shapes[ti].flag()), run)
+        }
+    })?;
+    let mut summary = BenchSummary::new("topo", opts.scale_name(), opts.quick, opts.jobs);
+    summary.wall_s = wall_s;
 
     // Baselines land first (enumeration order).
     let mut base = Vec::new();
@@ -246,9 +220,7 @@ pub fn run_topo(opts: &SweepOpts) -> Result<BenchSummary, BenchError> {
          inter_mbs_per_cluster,inter_msgs",
         &rows,
     )?;
-    let path = opts.out.join("BENCH_topo.json");
-    summary.write(&path)?;
-    println!("  [wrote {}]", path.display());
+    write_summary(&summary, opts)?;
     Ok(summary)
 }
 

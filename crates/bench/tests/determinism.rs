@@ -12,7 +12,7 @@ use std::path::{Path, PathBuf};
 use numagap_apps::Scale;
 use numagap_bench::json::{parse, Json};
 use numagap_bench::record::{compare, CompareOpts};
-use numagap_bench::targets::{run_target, SweepOpts};
+use numagap_bench::targets::{SweepOpts, TARGETS};
 
 fn opts(jobs: usize, out: &Path) -> SweepOpts {
     SweepOpts {
@@ -49,24 +49,40 @@ fn strip_nondeterministic(json: Json) -> Json {
     }
 }
 
-#[test]
-fn fig3_serial_and_parallel_runs_are_equivalent() {
-    let d1 = fresh_dir("j1");
-    let d8 = fresh_dir("j8");
-    let s1 = run_target("fig3", &opts(1, &d1)).expect("serial fig3 sweep");
-    let mut s8 = run_target("fig3", &opts(8, &d8)).expect("parallel fig3 sweep");
+/// Runs `target` at one and at eight workers and requires every artifact
+/// to agree: each CSV byte for byte, the summary modulo wall clock.
+fn serial_and_parallel_runs_are_equivalent(target: &str) {
+    let run = TARGETS
+        .iter()
+        .find(|t| t.name == target)
+        .unwrap_or_else(|| panic!("no target '{target}' in the table"))
+        .run;
+    let d1 = fresh_dir(&format!("{target}_j1"));
+    let d8 = fresh_dir(&format!("{target}_j8"));
+    let s1 = run(&opts(1, &d1)).expect("serial sweep");
+    let mut s8 = run(&opts(8, &d8)).expect("parallel sweep");
 
-    // The CSV artifact must be byte-identical at any worker count.
-    let csv1 = fs::read(d1.join("fig3.csv")).expect("serial fig3.csv");
-    let csv8 = fs::read(d8.join("fig3.csv")).expect("parallel fig3.csv");
-    assert_eq!(csv1, csv8, "fig3.csv bytes depend on the worker count");
+    // Every CSV artifact must be byte-identical at any worker count.
+    let mut csvs: Vec<_> = fs::read_dir(&d1)
+        .expect("list serial artifacts")
+        .map(|e| e.expect("dir entry").file_name())
+        .filter(|name| name.to_string_lossy().ends_with(".csv"))
+        .collect();
+    csvs.sort();
+    assert!(!csvs.is_empty(), "{target} wrote no CSV");
+    for name in &csvs {
+        let csv1 = fs::read(d1.join(name)).expect("serial csv");
+        let csv8 = fs::read(d8.join(name)).expect("parallel csv");
+        assert_eq!(csv1, csv8, "{name:?} bytes depend on the worker count");
+    }
 
     // The JSON summaries agree once wall-clock noise is removed.
-    let j1 = fs::read_to_string(d1.join("BENCH_fig3.json")).expect("serial summary");
-    let j8 = fs::read_to_string(d8.join("BENCH_fig3.json")).expect("parallel summary");
+    let summary = format!("BENCH_{target}.json");
+    let j1 = fs::read_to_string(d1.join(&summary)).expect("serial summary");
+    let j8 = fs::read_to_string(d8.join(&summary)).expect("parallel summary");
     let j1 = strip_nondeterministic(parse(&j1).expect("serial summary parses"));
     let j8 = strip_nondeterministic(parse(&j8).expect("parallel summary parses"));
-    assert_eq!(j1, j8, "BENCH_fig3.json differs beyond wall-clock fields");
+    assert_eq!(j1, j8, "{summary} differs beyond wall-clock fields");
 
     // Compare mode agrees: in virtual-only mode the two runs are clean.
     let virtual_only = CompareOpts {
@@ -76,7 +92,7 @@ fn fig3_serial_and_parallel_runs_are_equivalent() {
     let report = compare(&s1, &s8, &virtual_only);
     assert!(
         report.is_clean(),
-        "virtual-only compare of identical sweeps found: {:?}",
+        "virtual-only compare of identical {target} sweeps found: {:?}",
         report.findings
     );
 
@@ -91,4 +107,24 @@ fn fig3_serial_and_parallel_runs_are_equivalent() {
 
     let _ = fs::remove_dir_all(&d1);
     let _ = fs::remove_dir_all(&d8);
+}
+
+#[test]
+fn fig3_serial_and_parallel_runs_are_equivalent() {
+    serial_and_parallel_runs_are_equivalent("fig3");
+}
+
+#[test]
+fn magpie_serial_and_parallel_runs_are_equivalent() {
+    serial_and_parallel_runs_are_equivalent("magpie");
+}
+
+#[test]
+fn structure_serial_and_parallel_runs_are_equivalent() {
+    serial_and_parallel_runs_are_equivalent("structure");
+}
+
+#[test]
+fn ablations_serial_and_parallel_runs_are_equivalent() {
+    serial_and_parallel_runs_are_equivalent("ablations");
 }

@@ -8,10 +8,8 @@
 //! numagap check [--app X] [--perturb] [machine flags]  # communication sanitizer
 //! numagap audit [--root DIR] [--rules]   # determinism static analysis
 //! numagap soak [--app X ...] [machine flags]  # fault/hostile scenario matrix
-//! numagap bench [--target T] [--jobs N]  # parallel experiment engine
+//! numagap bench [--target T] [--jobs N]  # run experiments (the only way to)
 //! numagap bench --compare OLD NEW        # diff two BENCH_*.json summaries
-//! numagap hostile [--jobs N]             # hostile-network robustness scorecard
-//! numagap selfperf [--quick] [--jobs N]  # profile the simulator hot path
 //! numagap serve [--port P] [--workers N] # batched what-if prediction server
 //! numagap info [machine flags]           # print the machine and its gap
 //! numagap help
@@ -36,14 +34,14 @@ use numagap_apps::{
 };
 use numagap_bench::engine;
 use numagap_bench::record::{compare, BenchSummary, CompareOpts};
-use numagap_bench::targets::{run_target, SweepOpts, TARGETS};
+use numagap_bench::targets::{SweepOpts, Target, TARGETS};
 use numagap_model::{run_predict, PredictOpts};
 use numagap_net::{
     numa_gap, CrossTrafficPlan, FaultPlan, HeteroPreset, LinkParams, LinkSchedule, Topology,
     TwoLayerSpec, WanTopology,
 };
 use numagap_rt::{Machine, TransportConfig};
-use numagap_sim::{SchedMode, SimDuration, SimTime, TieBreak};
+use numagap_sim::{SimDuration, SimTime, TieBreak};
 
 /// Exit code: the command ran to completion but found failures — sanitizer
 /// diagnostics, checksum mismatches, or failing soak cells.
@@ -71,12 +69,6 @@ pub enum Command {
     /// Predict fig3-style sensitivity analytically from a recorded
     /// communication DAG, optionally validating against the simulator.
     Predict(PredictArgs),
-    /// Profile the simulator's own hot path (handoff, event queue, mailbox,
-    /// payload sharing) with synthetic micro-benchmarks.
-    Selfperf(SelfperfArgs),
-    /// Run the hostile-network scenario matrix and print the robustness
-    /// scorecard (same cells as `bench --target hostile`).
-    Hostile(HostileArgs),
     /// Serve batched what-if predictions over HTTP: a DAG cache plus
     /// replay/analytic evaluation behind `POST /v1/whatif`.
     Serve(ServeCmdArgs),
@@ -178,11 +170,6 @@ pub struct MachineArgs {
     /// Wide-area wiring between cluster gateways (`--topology`); the
     /// default full mesh reproduces the paper's machine bit-for-bit.
     pub wan_topology: WanTopology,
-    /// Rank scheduler selection (`--sim-workers`): `fibers` resumes every
-    /// rank inline on the simulator's own thread, `legacy` keeps one OS
-    /// thread per rank. `None` uses the simulator's default (fibers
-    /// wherever the host supports them).
-    pub sched_mode: Option<SchedMode>,
 }
 
 impl Default for MachineArgs {
@@ -206,7 +193,6 @@ impl Default for MachineArgs {
             reorder: 0.0,
             outages: Vec::new(),
             wan_topology: WanTopology::FullMesh,
-            sched_mode: None,
         }
     }
 }
@@ -312,10 +298,7 @@ impl MachineArgs {
     pub fn machine(&self) -> Machine {
         let spec = self.spec();
         let faulty = spec.fault_plan.as_ref().is_some_and(|p| p.any_faults());
-        let mut machine = Machine::new(spec.clone());
-        if let Some(mode) = self.sched_mode {
-            machine = machine.with_sched_mode(mode);
-        }
+        let machine = Machine::new(spec.clone());
         if faulty {
             machine
                 .with_reliable_transport(TransportConfig::for_spec(&spec))
@@ -401,23 +384,23 @@ pub struct SoakArgs {
     /// Skip the mid-run gateway outage that is otherwise planted from each
     /// app's fault-free timing probe.
     pub no_outage: bool,
-    /// Worker threads for the sweep's cells (`REPRO_JOBS` / available
-    /// parallelism when unset). Cell outputs stay in canonical order.
+    /// Worker threads for the sweep's cells (available parallelism when
+    /// unset). Cell outputs stay in canonical order.
     pub jobs: Option<usize>,
 }
 
 /// Flags of the `bench` command.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BenchArgs {
-    /// Which target to run: one of [`TARGETS`] or `all`.
+    /// Which experiment to run: a name from the target table, or `all`.
     pub target: String,
-    /// Worker threads (`REPRO_JOBS` / available parallelism when unset).
+    /// Worker threads (available parallelism when unset).
     pub jobs: Option<usize>,
-    /// Problem scale (`REPRO_SCALE`, default medium, when unset).
+    /// Problem scale (medium when unset).
     pub scale: Option<Scale>,
-    /// Use the coarse quick grids (`REPRO_QUICK=1` also enables this).
+    /// Use the coarse quick grids.
     pub quick: bool,
-    /// Output directory (`REPRO_OUT` / `bench_results` when unset).
+    /// Output directory (`bench_results` when unset).
     pub out: Option<String>,
     /// Compare two `BENCH_*.json` files instead of running a sweep.
     pub compare: Option<(String, String)>,
@@ -431,42 +414,6 @@ pub struct BenchArgs {
     /// `None` (the default) keeps every target bit-identical to the
     /// committed baselines.
     pub topology: Option<WanTopology>,
-    /// Rank scheduler selection (`--sim-workers`) applied to every cell.
-    pub sim_workers: Option<SchedMode>,
-}
-
-/// Flags of the `selfperf` command.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SelfperfArgs {
-    /// Worker threads (`REPRO_JOBS` / available parallelism when unset).
-    pub jobs: Option<usize>,
-    /// Use the coarse quick cells (`REPRO_QUICK=1` also enables this) — the
-    /// grid the committed CI baseline is recorded at.
-    pub quick: bool,
-    /// Output directory (`REPRO_OUT` / `bench_results` when unset).
-    pub out: Option<String>,
-    /// Rank scheduler selection (`--sim-workers`) applied to every cell.
-    pub sim_workers: Option<SchedMode>,
-}
-
-/// Flags of the `hostile` command.
-#[derive(Debug, Clone, PartialEq)]
-pub struct HostileArgs {
-    /// Worker threads (`REPRO_JOBS` / available parallelism when unset).
-    pub jobs: Option<usize>,
-    /// Problem scale (`REPRO_SCALE`, default medium, when unset). The
-    /// committed CI baseline is recorded at `--scale small`.
-    pub scale: Option<Scale>,
-    /// Recorded in the summary for `--compare` grid matching; the scenario
-    /// matrix itself is fixed.
-    pub quick: bool,
-    /// Output directory (`REPRO_OUT` / `bench_results` when unset).
-    pub out: Option<String>,
-    /// Wide-area wiring override (`--topology`) applied to every scenario
-    /// machine; `None` keeps the full mesh the baseline was recorded on.
-    pub topology: Option<WanTopology>,
-    /// Rank scheduler selection (`--sim-workers`) applied to every cell.
-    pub sim_workers: Option<SchedMode>,
 }
 
 /// Flags of the `serve` command.
@@ -474,15 +421,13 @@ pub struct HostileArgs {
 pub struct ServeCmdArgs {
     /// TCP port to bind on 127.0.0.1 (0 picks an ephemeral port).
     pub port: u16,
-    /// Connection/compute worker threads (`REPRO_JOBS` / available
-    /// parallelism when unset).
+    /// Connection/compute worker threads (available parallelism when
+    /// unset).
     pub workers: Option<usize>,
     /// DAG cache capacity, entries.
     pub cache_capacity: usize,
     /// Per-request wall-clock budget, milliseconds.
     pub deadline_ms: u64,
-    /// Rank scheduler selection (`--sim-workers`) for replayed recordings.
-    pub sim_workers: Option<SchedMode>,
 }
 
 /// Flags of the `predict` command.
@@ -492,13 +437,13 @@ pub struct PredictArgs {
     pub apps: Vec<AppId>,
     /// Restrict to one variant (the paper's variants per app when unset).
     pub variant: Option<Variant>,
-    /// Problem scale (`REPRO_SCALE`, default medium, when unset).
+    /// Problem scale (medium when unset).
     pub scale: Option<Scale>,
-    /// Use the coarse quick grid (`REPRO_QUICK=1` also enables this).
+    /// Use the coarse quick grid.
     pub quick: bool,
-    /// Worker threads (`REPRO_JOBS` / available parallelism when unset).
+    /// Worker threads (available parallelism when unset).
     pub jobs: Option<usize>,
-    /// Output directory (`REPRO_OUT` / `bench_results` when unset).
+    /// Output directory (`bench_results` when unset).
     pub out: Option<String>,
     /// WAN latency (ms) of the reference recording point.
     pub ref_latency: f64,
@@ -512,8 +457,6 @@ pub struct PredictArgs {
     /// Wide-area wiring override (`--topology`) for both the recording
     /// machine and every replayed grid point; `None` keeps the full mesh.
     pub topology: Option<WanTopology>,
-    /// Rank scheduler selection (`--sim-workers`) applied to every cell.
-    pub sim_workers: Option<SchedMode>,
 }
 
 /// A parse failure with a user-facing message.
@@ -578,18 +521,6 @@ fn parse_prob(flag: &str, v: &str) -> Result<f64, ParseError> {
     Ok(p)
 }
 
-/// Parses `--sim-workers`: `fibers`, or `legacy` for the
-/// one-OS-thread-per-rank oracle mode.
-fn parse_sim_workers(v: &str) -> Result<SchedMode, ParseError> {
-    match v.to_ascii_lowercase().as_str() {
-        "fibers" => Ok(SchedMode::Fibers),
-        "legacy" => Ok(SchedMode::LegacyThreads),
-        _ => Err(ParseError(format!(
-            "--sim-workers must be 'fibers' or 'legacy', got '{v}'"
-        ))),
-    }
-}
-
 /// Parses `cluster:from_ms:until_ms` for `--outage`.
 fn parse_outage(v: &str) -> Result<(usize, f64, f64), ParseError> {
     let parts: Vec<&str> = v.split(':').collect();
@@ -649,7 +580,7 @@ pub fn parse(args: &[&str]) -> Result<Command, ParseError> {
     let mut workers = None;
     let mut cache_capacity = numagap_serve::DEFAULT_CACHE_CAPACITY;
     let mut deadline_ms = 30_000u64;
-    // `None` until --topology appears: bench/hostile/predict must tell an
+    // `None` until --topology appears: bench/predict must tell an
     // explicit full mesh apart from the (bit-identical) default.
     let mut wan_topology: Option<WanTopology> = None;
     while let Some(flag) = it.next() {
@@ -695,9 +626,6 @@ pub fn parse(args: &[&str]) -> Result<Command, ParseError> {
                     .map_err(|e| ParseError(format!("--topology: {e}")))?;
                 machine.wan_topology = t;
                 wan_topology = Some(t);
-            }
-            "--sim-workers" => {
-                machine.sched_mode = Some(parse_sim_workers(take_value(flag, &mut it)?)?)
             }
             "--verify" => verify = true,
             "--stones" => stones = parse_num(flag, take_value(flag, &mut it)?)?,
@@ -800,13 +728,11 @@ pub fn parse(args: &[&str]) -> Result<Command, ParseError> {
             }
             "--target" => {
                 target = take_value(flag, &mut it)?.to_ascii_lowercase();
-                // `serve` lives in numagap-serve (which depends on the bench
-                // crate), so it cannot appear in bench's own TARGETS table;
-                // execute_bench dispatches it explicitly.
-                if target != "all" && target != "serve" && !TARGETS.contains(&target.as_str()) {
+                if target != "all" && !targets().any(|t| t.name == target) {
+                    let names: Vec<&str> = targets().map(|t| t.name).collect();
                     return Err(ParseError(format!(
-                        "unknown bench target '{target}' (expected all, serve, {})",
-                        TARGETS.join(", ")
+                        "unknown bench target '{target}' (expected all, {})",
+                        names.join(", ")
                     )));
                 }
             }
@@ -893,10 +819,10 @@ pub fn parse(args: &[&str]) -> Result<Command, ParseError> {
             )));
         }
     }
-    // bench/hostile/predict run fixed 4-cluster machines regardless of
+    // bench/predict run fixed 4-cluster machines regardless of
     // --clusters; validate the shape against the machine they will build.
     let topo_clusters = match cmd {
-        "bench" | "hostile" | "predict" => 4,
+        "bench" | "predict" => 4,
         _ => machine.clusters,
     };
     machine
@@ -955,28 +881,12 @@ pub fn parse(args: &[&str]) -> Result<Command, ParseError> {
             threshold,
             virtual_only,
             topology: wan_topology,
-            sim_workers: machine.sched_mode,
-        })),
-        "selfperf" => Ok(Command::Selfperf(SelfperfArgs {
-            jobs,
-            quick,
-            out,
-            sim_workers: machine.sched_mode,
         })),
         "serve" => Ok(Command::Serve(ServeCmdArgs {
             port,
             workers: workers.or(jobs),
             cache_capacity,
             deadline_ms,
-            sim_workers: machine.sched_mode,
-        })),
-        "hostile" => Ok(Command::Hostile(HostileArgs {
-            jobs,
-            scale,
-            quick,
-            out,
-            topology: wan_topology,
-            sim_workers: machine.sched_mode,
         })),
         "predict" => Ok(Command::Predict(PredictArgs {
             apps,
@@ -990,16 +900,45 @@ pub fn parse(args: &[&str]) -> Result<Command, ParseError> {
             validate,
             max_error,
             topology: wan_topology,
-            sim_workers: machine.sched_mode,
         })),
         "info" => Ok(Command::Info(machine)),
         "awari-db" => Ok(Command::AwariDb { stones, machine }),
+        // An experiment's name is not a subcommand of its own.
+        other if targets().any(|t| t.name == other) => Err(ParseError(format!(
+            "unknown command '{other}'; experiments run as `numagap bench --target {other}`"
+        ))),
         other => Err(ParseError(format!("unknown command '{other}'"))),
     }
 }
 
-/// Usage text.
-pub const USAGE: &str = "\
+/// The experiment table: the bench crate's rows, then `serve`, whose sweep
+/// lives downstream of that crate.
+fn targets() -> impl Iterator<Item = &'static Target> {
+    static SERVE: Target = Target {
+        name: "serve",
+        about: "what-if service: batch x worker grid, cold/warm, analytic vs replay",
+        run: numagap_serve::run_serve_bench,
+    };
+    TARGETS.iter().chain(std::iter::once(&SERVE))
+}
+
+/// The rows `--target <target>` runs, in table order: the named one, or
+/// every row for `all`.
+fn selected(target: &str) -> impl Iterator<Item = &'static Target> + '_ {
+    targets().filter(move |t| target == "all" || t.name == target)
+}
+
+/// The usage text, with the `--target` list generated from the experiment
+/// table.
+pub fn usage() -> String {
+    let list: String = targets()
+        .map(|t| format!("    {:<10} {}\n", t.name, t.about))
+        .collect();
+    USAGE.replace("{TARGETS}\n", &list)
+}
+
+/// Usage text; `{TARGETS}` is filled in by [`usage`].
+const USAGE: &str = "\
 numagap — simulated two-layer interconnect testbed (HPCA'99 reproduction)
 
 USAGE:
@@ -1011,8 +950,6 @@ USAGE:
   numagap soak  [--app <name> ...] [SOAK OPTIONS] [MACHINE OPTIONS]
   numagap bench [--target <name>] [BENCH OPTIONS]
   numagap bench --compare <OLD.json> <NEW.json> [--threshold <F>] [--virtual-only]
-  numagap selfperf [--quick] [--jobs <N>] [--out <dir>]
-  numagap hostile [--scale <s>] [--jobs <N>] [--out <dir>]
   numagap serve [--port <P>] [--workers <N>] [--cache-capacity <N>] [--deadline <ms>]
   numagap predict [--app <name> ...] [--validate] [PREDICT OPTIONS]
   numagap info  [MACHINE OPTIONS]
@@ -1041,16 +978,8 @@ MACHINE OPTIONS:
                              deterministic (dimension-ordered / up-down,
                              ties toward the smaller node id). The shape
                              must fit the cluster count (exit 2 if not);
-                             bench/hostile/predict validate against their
-                             fixed 4-cluster machine.
-  --sim-workers <fibers|legacy>
-                             rank scheduler (any command): 'fibers' resumes
-                             every rank inline on the simulator's own
-                             thread, 'legacy' gives each rank an OS thread
-                             (the differential oracle, and the only mode on
-                             hosts without fiber support). Virtual time is
-                             bit-identical across the two
-                             [default: fibers where supported]
+                             bench/predict validate against their fixed
+                             4-cluster machine.
 
 HOSTILE-NETWORK OPTIONS (any command; soak sweeps comma lists of the
 first three as matrix dimensions):
@@ -1087,7 +1016,7 @@ SOAK OPTIONS:
   --timeout <secs>           virtual-time hang limit     [default: 3600]
   --no-outage                skip the planted mid-run gateway outage
   --jobs <N>                 worker threads for the sweep's cells
-                             [default: REPRO_JOBS, else available cores]
+                             [default: available cores]
   Each cell runs one app at drop=i, duplicate=i/2, reorder=i/2 plus a
   gateway outage parked mid-run (placed from a fault-free probe), then
   verifies the checksum against the serial reference. Comma lists given
@@ -1096,57 +1025,28 @@ SOAK OPTIONS:
   and full command line.
 
 BENCH OPTIONS:
-  --target <name>            table1 | fig1 | fig3 | fig4 | hostile | topo
-                             | scale | serve | all      [default: all]
+  --target <name>            one experiment, or `all` for every one in this
+                             order                      [default: all]
+{TARGETS}
   --topology <shape>         re-wire the WAN layer of the paper targets;
                              for --target topo, restrict the sweep to one
                              shape (default: all seven canonical shapes)
-  --jobs <N>                 worker threads [default: REPRO_JOBS, else cores]
+  --jobs <N>                 worker threads        [default: available cores]
   --scale <small|medium|paper>  problem size            [default: medium]
-  --quick                    coarse grids (same as REPRO_QUICK=1)
-  --out <dir>                artifact directory [default: REPRO_OUT, else
-                             bench_results/]
-  Each target fans its independent simulation cells across the worker
-  pool and writes <target>.csv plus a versioned BENCH_<target>.json
-  summary. Artifacts are byte-identical for any --jobs value.
-  The scale target sweeps cluster counts 4..64 (32..4096 ranks) through
-  a synthetic SPMD workload with ranks as fibers and under the legacy
-  1:1 thread scheduler, asserts their virtual times match, and records
-  each cell's simulator thread count (scale.csv / BENCH_scale.json).
+  --quick                    coarse grids
+  --out <dir>                artifact directory  [default: bench_results/]
+  This is the only way to run an experiment: each target fans its
+  independent simulation cells across the worker pool, prints its tables
+  and writes <target>.csv (some write several CSVs) plus a versioned
+  BENCH_<target>.json summary. Artifacts are byte-identical for any --jobs
+  value. CI compares every target's --scale small --quick run against
+  crates/bench/baselines/BENCH_<target>.json with --compare --virtual-only.
+  DESIGN.md section 6 maps each paper claim to its target.
   --compare <OLD> <NEW>      diff two BENCH_*.json files instead of running;
                              determinism drift and wall-clock regressions
                              beyond --threshold [default: 1.5] are findings
   --virtual-only             compare deterministic fields only (baselines
                              recorded on different hardware)
-
-SELFPERF:
-  Profiles the simulator's own hot path with synthetic micro-benchmarks
-  (scheduler handoff ping-pong, zero-copy vs cloned multicast, tag-indexed
-  mailbox draining, event-queue fan-out) and writes selfperf.csv plus
-  BENCH_selfperf.json with the kernel's HotProfile counters per cell.
-  Every counter except park_wakes is deterministic; CI compares the quick
-  grid against crates/bench/baselines/BENCH_selfperf.json with
-  `numagap bench --compare --virtual-only`.
-  --quick                    coarse cells (same as REPRO_QUICK=1)
-  --jobs <N>                 worker threads [default: REPRO_JOBS, else cores]
-  --out <dir>                artifact directory [default: REPRO_OUT, else
-                             bench_results/]
-
-HOSTILE:
-  Runs every app (both variants) under five named scenarios sharing the
-  10 ms / 1 MB/s operating point — clean, slow-home, cross (50% seeded
-  cross-traffic), wave (diurnal WAN: latency x3, bandwidth x0.33), storm
-  (16+8+4+4 tiered clusters + cross-traffic + diurnal WAN) — and prints a
-  robustness scorecard: the makespan each paper optimization still saves
-  per scenario. Writes hostile.csv and BENCH_hostile.json (byte-identical
-  for any --jobs value); CI compares the small-scale run against
-  crates/bench/baselines/BENCH_hostile.json with --compare --virtual-only.
-  Same cells as `numagap bench --target hostile`.
-  --scale <small|medium|paper>  problem size [default: medium; the
-                             committed baseline is small]
-  --jobs <N>                 worker threads [default: REPRO_JOBS, else cores]
-  --out <dir>                artifact directory [default: REPRO_OUT, else
-                             bench_results/]
 
 SERVE:
   Binds a std-only HTTP/1.1 server on 127.0.0.1 that answers batched
@@ -1164,7 +1064,7 @@ SERVE:
   liveness and cache counters; POST /v1/shutdown exits gracefully.
   --port <P>                 TCP port (0 = ephemeral)    [default: 7999]
   --workers <N>              worker threads (--jobs is an alias)
-                             [default: REPRO_JOBS, else cores]
+                             [default: available cores]
   --cache-capacity <N>       DAG cache entries           [default: 32]
   --deadline <ms>            per-request wall-clock budget [default: 30000]
 
@@ -1172,10 +1072,9 @@ PREDICT OPTIONS:
   --app <name>               model only these apps, repeatable [default: all]
   --variant <unopt|opt>      model only this variant  [default: the paper's]
   --scale <small|medium|paper>  problem size           [default: medium]
-  --quick                    coarse fig3 grid (same as REPRO_QUICK=1)
-  --jobs <N>                 worker threads [default: REPRO_JOBS, else cores]
-  --out <dir>                artifact directory [default: REPRO_OUT, else
-                             bench_results/]
+  --quick                    coarse fig3 grid
+  --jobs <N>                 worker threads        [default: available cores]
+  --out <dir>                artifact directory  [default: bench_results/]
   --ref-latency <ms>         WAN latency of the one recorded run [default: 10]
   --ref-bandwidth <MB/s>     WAN bandwidth of that run         [default: 0.3]
   --validate                 re-simulate every grid point; report model error
@@ -1217,36 +1116,11 @@ EXIT CODES:
   2  usage or internal error
 ";
 
-impl Command {
-    /// The `--sim-workers` scheduler selection this command carries, if
-    /// any; `execute` installs it as the process-wide default so every
-    /// machine the command builds (including those assembled deep inside
-    /// bench targets and the serve cache) runs under it.
-    pub fn sched_mode(&self) -> Option<SchedMode> {
-        match self {
-            Command::Run(a) => a.machine.sched_mode,
-            Command::Suite(m) | Command::Info(m) => m.sched_mode,
-            Command::Check(a) => a.machine.sched_mode,
-            Command::Soak(a) => a.machine.sched_mode,
-            Command::Bench(a) => a.sim_workers,
-            Command::Predict(a) => a.sim_workers,
-            Command::Selfperf(a) => a.sim_workers,
-            Command::Hostile(a) => a.sim_workers,
-            Command::Serve(a) => a.sim_workers,
-            Command::AwariDb { machine, .. } => machine.sched_mode,
-            Command::Audit(_) | Command::Help => None,
-        }
-    }
-}
-
 /// Executes a parsed command; returns the process exit code.
 pub fn execute(cmd: Command) -> i32 {
-    if let Some(mode) = cmd.sched_mode() {
-        numagap_sim::set_default_sched_mode(mode);
-    }
     match cmd {
         Command::Help => {
-            println!("{USAGE}");
+            println!("{}", usage());
             0
         }
         Command::Info(machine) => {
@@ -1471,8 +1345,6 @@ pub fn execute(cmd: Command) -> i32 {
         Command::Soak(args) => execute_soak(&args),
         Command::Bench(args) => execute_bench(&args),
         Command::Predict(args) => execute_predict(&args),
-        Command::Selfperf(args) => execute_selfperf(&args),
-        Command::Hostile(args) => execute_hostile(&args),
         Command::Serve(args) => execute_serve(&args),
         Command::Run(args) => {
             let cfg = SuiteConfig::at(args.scale);
@@ -1599,55 +1471,42 @@ pub fn execute_bench(args: &BenchArgs) -> i32 {
             EXIT_FINDINGS
         }
     } else {
-        let out = match &args.out {
-            Some(dir) => {
-                let path = std::path::PathBuf::from(dir);
-                if let Err(e) = std::fs::create_dir_all(&path) {
-                    eprintln!("bench: cannot create output directory {dir}: {e}");
-                    return EXIT_ERROR;
-                }
-                path
-            }
-            None => match numagap_bench::out_dir() {
-                Ok(path) => path,
-                Err(e) => {
-                    eprintln!("bench: cannot create output directory: {e}");
-                    return EXIT_ERROR;
-                }
-            },
+        let out = match out_dir("bench", args.out.as_deref()) {
+            Ok(path) => path,
+            Err(code) => return code,
         };
         let opts = SweepOpts {
-            scale: args.scale.unwrap_or_else(numagap_bench::scale_from_env),
-            quick: args.quick || numagap_bench::quick_from_env(),
-            jobs: args.jobs.unwrap_or_else(engine::jobs_from_env),
+            scale: args.scale.unwrap_or(Scale::Medium),
+            quick: args.quick,
+            jobs: args.jobs.unwrap_or_else(engine::default_jobs),
             out,
             progress: true,
             topology: args.topology,
         };
-        let names: Vec<&str> = if args.target == "all" {
-            let mut all = TARGETS.to_vec();
-            all.push("serve");
-            all
-        } else {
-            vec![args.target.as_str()]
-        };
-        for (i, name) in names.iter().enumerate() {
+        for (i, target) in selected(&args.target).enumerate() {
             if i > 0 {
                 println!();
             }
-            // The serve target lives in numagap-serve (downstream of the
-            // bench crate), so it is dispatched here instead of run_target.
-            let result = if *name == "serve" {
-                numagap_serve::run_serve_bench(&opts).map(|_| ())
-            } else {
-                run_target(name, &opts).map(|_| ())
-            };
-            if let Err(e) = result {
-                eprintln!("bench {name}: {e}");
+            if let Err(e) = (target.run)(&opts) {
+                eprintln!("bench {}: {e}", target.name);
                 return EXIT_ERROR;
             }
         }
         0
+    }
+}
+
+/// Resolves `--out` (default `bench_results/`) and creates the directory;
+/// the error is the exit code, already reported under `cmd`'s name.
+fn out_dir(cmd: &str, out: Option<&str>) -> Result<std::path::PathBuf, i32> {
+    let dir = out.unwrap_or("bench_results");
+    let path = std::path::PathBuf::from(dir);
+    match std::fs::create_dir_all(&path) {
+        Ok(()) => Ok(path),
+        Err(e) => {
+            eprintln!("{cmd}: cannot create output directory {dir}: {e}");
+            Err(EXIT_ERROR)
+        }
     }
 }
 
@@ -1656,7 +1515,7 @@ pub fn execute_bench(args: &BenchArgs) -> i32 {
 pub fn execute_serve(args: &ServeCmdArgs) -> i32 {
     let opts = numagap_serve::ServeOpts {
         port: args.port,
-        workers: args.workers.unwrap_or_else(engine::jobs_from_env),
+        workers: args.workers.unwrap_or_else(engine::default_jobs),
         cache_capacity: args.cache_capacity,
         deadline_ms: args.deadline_ms,
     };
@@ -1678,82 +1537,6 @@ pub fn execute_serve(args: &ServeCmdArgs) -> i32 {
     server.wait();
     println!("serve: shut down");
     0
-}
-
-/// Executes the `selfperf` command: the simulator hot-path micro-benchmarks
-/// (see [`numagap_bench::selfperf`]).
-pub fn execute_selfperf(args: &SelfperfArgs) -> i32 {
-    let out = match &args.out {
-        Some(dir) => {
-            let path = std::path::PathBuf::from(dir);
-            if let Err(e) = std::fs::create_dir_all(&path) {
-                eprintln!("selfperf: cannot create output directory {dir}: {e}");
-                return EXIT_ERROR;
-            }
-            path
-        }
-        None => match numagap_bench::out_dir() {
-            Ok(path) => path,
-            Err(e) => {
-                eprintln!("selfperf: cannot create output directory: {e}");
-                return EXIT_ERROR;
-            }
-        },
-    };
-    let opts = SweepOpts {
-        // Synthetic cells have no application problem size; the summary
-        // records scale "synthetic" regardless (see `run_selfperf`).
-        scale: Scale::Small,
-        quick: args.quick || numagap_bench::quick_from_env(),
-        jobs: args.jobs.unwrap_or_else(engine::jobs_from_env),
-        out,
-        progress: true,
-        topology: None,
-    };
-    match numagap_bench::selfperf::run_selfperf(&opts) {
-        Ok(_) => 0,
-        Err(e) => {
-            eprintln!("selfperf: {e}");
-            EXIT_ERROR
-        }
-    }
-}
-
-/// Executes the `hostile` command: the fixed hostile-network scenario
-/// matrix and its robustness scorecard (see [`numagap_bench::hostile`]).
-pub fn execute_hostile(args: &HostileArgs) -> i32 {
-    let out = match &args.out {
-        Some(dir) => {
-            let path = std::path::PathBuf::from(dir);
-            if let Err(e) = std::fs::create_dir_all(&path) {
-                eprintln!("hostile: cannot create output directory {dir}: {e}");
-                return EXIT_ERROR;
-            }
-            path
-        }
-        None => match numagap_bench::out_dir() {
-            Ok(path) => path,
-            Err(e) => {
-                eprintln!("hostile: cannot create output directory: {e}");
-                return EXIT_ERROR;
-            }
-        },
-    };
-    let opts = SweepOpts {
-        scale: args.scale.unwrap_or_else(numagap_bench::scale_from_env),
-        quick: args.quick || numagap_bench::quick_from_env(),
-        jobs: args.jobs.unwrap_or_else(engine::jobs_from_env),
-        out,
-        progress: true,
-        topology: args.topology,
-    };
-    match numagap_bench::hostile::run_hostile(&opts) {
-        Ok(_) => 0,
-        Err(e) => {
-            eprintln!("hostile: {e}");
-            EXIT_ERROR
-        }
-    }
 }
 
 /// One (app, variant, hetero, schedule, cross-traffic, intensity, seed)
@@ -1919,7 +1702,7 @@ fn run_soak_cell(
 /// experiment engine's worker pool (`--jobs`); the table and the failure
 /// list are rendered in canonical cell order regardless of worker count.
 pub fn execute_soak(args: &SoakArgs) -> i32 {
-    let jobs = args.jobs.unwrap_or_else(engine::jobs_from_env);
+    let jobs = args.jobs.unwrap_or_else(engine::default_jobs);
     let cfg = SuiteConfig::at(args.scale);
     let apps: Vec<AppId> = if args.apps.is_empty() {
         AppId::ALL.to_vec()
@@ -2286,29 +2069,16 @@ fn show_gap(v: Option<f64>) -> String {
 /// and writes `PREDICT_fig3.json` (plus the simulated summary under
 /// `--validate`).
 pub fn execute_predict(args: &PredictArgs) -> i32 {
-    let out = match &args.out {
-        Some(dir) => {
-            let path = std::path::PathBuf::from(dir);
-            if let Err(e) = std::fs::create_dir_all(&path) {
-                eprintln!("predict: cannot create output directory {dir}: {e}");
-                return EXIT_ERROR;
-            }
-            path
-        }
-        None => match numagap_bench::out_dir() {
-            Ok(path) => path,
-            Err(e) => {
-                eprintln!("predict: cannot create output directory: {e}");
-                return EXIT_ERROR;
-            }
-        },
+    let out = match out_dir("predict", args.out.as_deref()) {
+        Ok(path) => path,
+        Err(code) => return code,
     };
     let opts = PredictOpts {
         apps: args.apps.clone(),
         variant: args.variant,
-        scale: args.scale.unwrap_or_else(numagap_bench::scale_from_env),
-        quick: args.quick || numagap_bench::quick_from_env(),
-        jobs: args.jobs.unwrap_or_else(engine::jobs_from_env),
+        scale: args.scale.unwrap_or(Scale::Medium),
+        quick: args.quick,
+        jobs: args.jobs.unwrap_or_else(engine::default_jobs),
         ref_latency_ms: args.ref_latency,
         ref_bandwidth_mbs: args.ref_bandwidth,
         validate: args.validate,
@@ -2468,47 +2238,6 @@ mod tests {
     }
 
     #[test]
-    fn parses_sim_workers() {
-        match parse(&["run", "--app", "fft", "--sim-workers", "fibers"]).unwrap() {
-            Command::Run(args) => assert_eq!(args.machine.sched_mode, Some(SchedMode::Fibers)),
-            other => panic!("expected run, got {other:?}"),
-        }
-        match parse(&["check", "--sim-workers", "legacy"]).unwrap() {
-            Command::Check(args) => {
-                assert_eq!(args.machine.sched_mode, Some(SchedMode::LegacyThreads));
-            }
-            other => panic!("expected check, got {other:?}"),
-        }
-        match parse(&["bench", "--target", "scale", "--sim-workers", "Fibers"]).unwrap() {
-            Command::Bench(args) => {
-                assert_eq!(args.target, "scale");
-                assert_eq!(args.sim_workers, Some(SchedMode::Fibers));
-                assert_eq!(Command::Bench(args).sched_mode(), Some(SchedMode::Fibers));
-            }
-            other => panic!("expected bench, got {other:?}"),
-        }
-        // The worker-pool sizes the flag used to take are usage errors that
-        // name the two values it takes now.
-        for stale in ["8", "0", "turbo"] {
-            let err = parse(&["run", "--app", "fft", "--sim-workers", stale]).unwrap_err();
-            assert!(
-                err.0.contains("'fibers' or 'legacy'") && err.0.contains(stale),
-                "{err:?}"
-            );
-        }
-        match parse(&["run", "--app", "fft"]).unwrap() {
-            Command::Run(args) => {
-                assert_eq!(
-                    args.machine.sched_mode, None,
-                    "unset flag keeps the default"
-                );
-                assert_eq!(Command::Run(args).sched_mode(), None);
-            }
-            other => panic!("expected run, got {other:?}"),
-        }
-    }
-
-    #[test]
     fn parses_audit() {
         match parse(&["audit"]).unwrap() {
             Command::Audit(args) => {
@@ -2533,7 +2262,7 @@ mod tests {
             Command::Bench(args) => {
                 assert_eq!(args.target, "all");
                 assert_eq!(args.jobs, None, "worker count resolved at run time");
-                assert_eq!(args.scale, None, "scale falls back to REPRO_SCALE");
+                assert_eq!(args.scale, None, "medium, resolved at run time");
                 assert!(!args.quick);
                 assert!(args.compare.is_none());
                 assert!((args.threshold - 1.5).abs() < 1e-12);
@@ -2582,11 +2311,50 @@ mod tests {
         assert!(parse(&["bench", "--threshold", "1.0"]).is_err());
         assert!(parse(&["bench", "--threshold", "nan"]).is_err());
         assert!(parse(&["bench", "--compare", "only-one.json"]).is_err());
-        // serve is a valid bench target even though it lives outside the
-        // bench crate's TARGETS table.
-        match parse(&["bench", "--target", "serve", "--quick"]).unwrap() {
-            Command::Bench(args) => assert_eq!(args.target, "serve"),
-            other => panic!("expected bench, got {other:?}"),
+    }
+
+    #[test]
+    fn the_target_table_is_the_only_list_of_experiments() {
+        let names: Vec<&str> = targets().map(|t| t.name).collect();
+        let mut unique = names.clone();
+        unique.sort_unstable();
+        unique.dedup();
+        assert_eq!(unique.len(), names.len(), "duplicate target name");
+        // The bench crate's rows in their order, then the downstream one.
+        let bench: Vec<&str> = TARGETS.iter().map(|t| t.name).collect();
+        assert_eq!(names[..bench.len()], bench[..]);
+        assert_eq!(names[bench.len()..], ["serve"]);
+        // Every name parses as a target and selects its own row; `all`
+        // selects the whole table in order; nothing else parses.
+        for name in &names {
+            match parse(&["bench", "--target", name]).unwrap() {
+                Command::Bench(args) => assert_eq!(args.target, *name),
+                other => panic!("expected bench, got {other:?}"),
+            }
+            assert_eq!(selected(name).map(|t| t.name).collect::<Vec<_>>(), [*name]);
+        }
+        assert_eq!(selected("all").map(|t| t.name).collect::<Vec<_>>(), names);
+        let err = parse(&["bench", "--target", "fig9"]).unwrap_err();
+        assert!(err.0.contains(&names.join(", ")), "{err:?}");
+        // The usage text lists exactly the table, in order, each row with
+        // its description, and no experiment as a subcommand.
+        let usage = usage();
+        assert!(!usage.contains("{TARGETS}"));
+        let listed: Vec<&str> = usage
+            .lines()
+            .skip_while(|l| !l.starts_with("  --target <name>"))
+            .skip(2)
+            .take_while(|l| l.starts_with("    ") && !l.starts_with("     "))
+            .map(|l| l.split_whitespace().next().expect("a target row"))
+            .collect();
+        assert_eq!(listed, names);
+        for t in targets() {
+            assert!(
+                usage.contains(t.about),
+                "{} row lost its description",
+                t.name
+            );
+            assert!(!usage.contains(&format!("numagap {} ", t.name)) || t.name == "serve");
         }
     }
 
@@ -2958,7 +2726,7 @@ mod tests {
             Command::Predict(args) => {
                 assert!(args.apps.is_empty(), "all apps by default");
                 assert_eq!(args.variant, None, "both variants by default");
-                assert_eq!(args.scale, None, "scale falls back to REPRO_SCALE");
+                assert_eq!(args.scale, None, "medium, resolved at run time");
                 assert!(!args.quick);
                 assert_eq!(args.jobs, None, "worker count resolved at run time");
                 assert_eq!(args.out, None);
@@ -3194,32 +2962,6 @@ mod tests {
     }
 
     #[test]
-    fn parses_hostile_command() {
-        match parse(&["hostile"]).unwrap() {
-            Command::Hostile(args) => {
-                assert_eq!(args.jobs, None, "worker count resolved at run time");
-                assert_eq!(args.scale, None, "scale falls back to REPRO_SCALE");
-                assert!(!args.quick);
-                assert_eq!(args.out, None);
-            }
-            other => panic!("expected hostile, got {other:?}"),
-        }
-        match parse(&[
-            "hostile", "--scale", "small", "--jobs", "2", "--out", "/tmp/h",
-        ])
-        .unwrap()
-        {
-            Command::Hostile(args) => {
-                assert_eq!(args.scale, Some(Scale::Small));
-                assert_eq!(args.jobs, Some(2));
-                assert_eq!(args.out.as_deref(), Some("/tmp/h"));
-            }
-            other => panic!("expected hostile, got {other:?}"),
-        }
-        assert!(parse(&["hostile", "--jobs", "0"]).is_err());
-    }
-
-    #[test]
     fn hostile_soak_passes_on_tiny_sweep() {
         // The full hostile matrix on the smallest machine: asymmetric
         // heterogeneous clusters, cross-traffic, a step schedule, faults,
@@ -3301,10 +3043,6 @@ mod tests {
             }
             other => panic!("expected bench, got {other:?}"),
         }
-        match parse(&["hostile", "--topology", "ring"]).unwrap() {
-            Command::Hostile(args) => assert_eq!(args.topology, Some(WanTopology::Ring)),
-            other => panic!("expected hostile, got {other:?}"),
-        }
         match parse(&["predict", "--topology", "torus:2x2"]).unwrap() {
             Command::Predict(args) => {
                 assert_eq!(args.topology, Some(WanTopology::Torus2d { x: 2, y: 2 }));
@@ -3341,10 +3079,10 @@ mod tests {
             vec!["check", "--clusters", "5", "--topology", "dragonfly:2"],
             vec!["soak", "--clusters", "2,2,2", "--topology", "torus:2x2"],
             vec!["info", "--clusters", "2", "--topology", "fattree:3"],
-            // bench/hostile/predict validate against their fixed 4-cluster
-            // machine no matter what --clusters says.
+            // bench/predict validate against their fixed 4-cluster machine
+            // no matter what --clusters says.
             vec!["bench", "--target", "topo", "--topology", "torus:3x3"],
-            vec!["hostile", "--topology", "dragonfly:3"],
+            vec!["bench", "--target", "hostile", "--topology", "dragonfly:3"],
             vec!["predict", "--topology", "star:7"],
         ] {
             assert!(parse(&argv).is_err(), "{argv:?} should be rejected");

@@ -7,7 +7,7 @@ fn main() {
         Ok(cmd) => std::process::exit(numagap_cli::execute(cmd)),
         Err(e) => {
             eprintln!("error: {e}\n");
-            eprintln!("{}", numagap_cli::USAGE);
+            eprintln!("{}", numagap_cli::usage());
             std::process::exit(numagap_cli::EXIT_ERROR);
         }
     }

@@ -1,7 +1,5 @@
 //! Link parameterization and FIFO occupancy state.
 
-use serde::{Deserialize, Serialize};
-
 use numagap_sim::{SimDuration, SimTime};
 
 /// Latency/bandwidth parameters of one link class.
@@ -20,7 +18,7 @@ use numagap_sim::{SimDuration, SimTime};
 /// // 50 MByte/s => 20 ns per byte
 /// assert_eq!(myrinet.tx_time(1_000_000), SimDuration::from_millis(20));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkParams {
     /// One-way link latency.
     pub latency: SimDuration,
@@ -86,7 +84,7 @@ impl LinkParams {
 /// ready-order FIFO regardless of booking order — which is what lets the
 /// kernel book in canonical `(sent_at, rank, index)` order and makes
 /// virtual time invariant under event-tiebreak perturbation.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct LinkState {
     /// Disjoint, coalesced busy intervals `[start, end)`, sorted by start.
     intervals: Vec<(SimTime, SimTime)>,

@@ -30,10 +30,8 @@
 //! No topology ever revisits a node, so routes are cycle-free by
 //! construction (asserted in tests across every shape and pair).
 
-use serde::{Deserialize, Serialize};
-
 /// How the clusters' gateways are wired together.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum WanTopology {
     /// Every cluster pair has a dedicated link (the DAS; the default).
     #[default]

@@ -53,9 +53,8 @@ impl Machine {
     /// Selects what the simulator runs ranks on (see [`SchedMode`]): fibers
     /// resumed inline on the thread that calls [`Machine::run`], or the
     /// legacy 1 rank = 1 OS thread mode kept as fallback and oracle. Virtual
-    /// time is bit-identical across the two. Defaults to the simulator's
-    /// process-global mode (the CLI's `--sim-workers` flag), which itself
-    /// defaults to fibers wherever the host supports them.
+    /// time is bit-identical across the two. Defaults to fibers wherever
+    /// the host supports them.
     pub fn with_sched_mode(mut self, mode: SchedMode) -> Self {
         self.sched_mode = Some(mode);
         self

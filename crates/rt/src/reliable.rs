@@ -30,8 +30,6 @@ use std::collections::BTreeMap;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 use numagap_net::{Topology, TwoLayerSpec};
 use numagap_sim::{Filter, Message, Payload, ProcCtx, ProcId, SimDuration, SimTime, Tag};
 
@@ -39,7 +37,7 @@ use crate::lint::{self, LintRecord};
 use crate::tags::ACK_TAG;
 
 /// Tuning knobs of the reliable transport.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TransportConfig {
     /// How long to wait for an acknowledgement before retransmitting.
     pub retransmit_timeout: SimDuration,
@@ -91,7 +89,7 @@ impl TransportConfig {
 
 /// Per-rank counters of the reliable transport, reported in
 /// [`crate::RunReport`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TransportStats {
     /// Distinct data messages sent under an envelope (first transmissions).
     pub data_sent: u64,

@@ -66,7 +66,7 @@ impl Default for ServeOpts {
     fn default() -> Self {
         ServeOpts {
             port: 7999,
-            workers: numagap_bench::engine::jobs_from_env(),
+            workers: numagap_bench::engine::default_jobs(),
             cache_capacity: DEFAULT_CACHE_CAPACITY,
             deadline_ms: 30_000,
         }

@@ -40,7 +40,7 @@ use crate::ProcId;
 /// virtual time or results move under them depends on scheduler tiebreak
 /// choice — accidental, not structural, determinism. `numagap check
 /// --perturb` sweeps these policies over the application suite.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TieBreak {
     /// Creation order among equal timestamps (the kernel's native order).
     #[default]

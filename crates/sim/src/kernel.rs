@@ -19,12 +19,10 @@
 //!   heap absorbs the push-then-immediately-pop pattern of rendezvous
 //!   traffic.
 //!
-//! The kernel self-profiles into [`HotProfile`]; `numagap selfperf`
+//! The kernel self-profiles into [`HotProfile`]; `numagap bench --target selfperf`
 //! surfaces those counters as a benchmark artifact.
 
 use std::any::Any;
-
-use serde::{Deserialize, Serialize};
 
 use crate::equeue::{EventEntry, EventKind, EventQueue, TieBreak};
 use crate::error::{PendingMessage, ProcFailure, SimError, WaitState};
@@ -39,7 +37,7 @@ use crate::trace::TraceLog;
 use crate::ProcId;
 
 /// Per-process accounting collected by the kernel.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct ProcStats {
     /// Virtual time spent in `compute`.
     pub compute: SimDuration,
@@ -64,7 +62,7 @@ pub struct ProcStats {
 /// Deterministic for a given program and spec: the benchmark pipeline
 /// records these per experiment cell and compares them exactly across
 /// runs, so the struct is `Copy + Eq` on purpose.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct KernelStats {
     /// Total events processed.
     pub events: u64,
@@ -81,14 +79,14 @@ pub struct KernelStats {
 }
 
 /// Cheap self-profiling counters of the kernel's own real-time hot path,
-/// surfaced by the `numagap selfperf` bench target.
+/// surfaced by the `selfperf` bench target.
 ///
 /// Every field except [`HotProfile::park_wakes`] is a pure function of the
 /// simulated program and spec — deterministic across runs, machines and
 /// scheduler modes, and safe to compare exactly. `park_wakes` measures real
 /// thread wakes and legitimately varies with host timing; benchmark
 /// comparison treats it like wall-clock time.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct HotProfile {
     /// Virtual context switches: grants a process was resumed with.
     pub switches: u64,
@@ -242,9 +240,8 @@ impl<N: Network> Sim<N> {
         }
     }
 
-    /// Selects what ranks run on (default: the process-global mode from
-    /// [`crate::set_default_sched_mode`], which itself defaults to
-    /// [`SchedMode::Fibers`] where fibers are supported). Virtual time is
+    /// Selects what ranks run on (default: [`SchedMode::Fibers`] where
+    /// fibers are supported). Virtual time is
     /// bit-identical across modes; only real time and thread count differ.
     /// On targets without fiber support a requested `Fibers` silently falls
     /// back to [`SchedMode::LegacyThreads`].

@@ -59,17 +59,14 @@ pub use message::{Filter, Message, Payload, Tag, TagFilter};
 pub use network::{FaultDisposition, FaultEvent, FaultKind, IdealNetwork, Network, Transfer};
 pub use observe::Observer;
 pub use process::{current_rank, ProcCtx};
-pub use sched::{set_default_sched_mode, SchedMode};
+pub use sched::SchedMode;
 pub use time::{SimDuration, SimTime};
 pub use trace::{TraceEvent, TraceLog};
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of a simulated processor (its rank, `0..nprocs`).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct ProcId(pub usize);
 
 impl fmt::Display for ProcId {

@@ -19,7 +19,7 @@ pub struct Transfer {
 }
 
 /// What kind of fault the network injected into a message.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultKind {
     /// The message was silently discarded and never delivered.
     Drop,

@@ -14,8 +14,6 @@
 //!   on a mutex/condvar slot ([`crate::handoff`]); the portable fallback and
 //!   the differential oracle for the fiber mode.
 
-use std::sync::atomic::{AtomicU8, Ordering};
-
 use crate::handoff::ThreadCtx;
 use crate::process::{Entry, Grant, Request};
 use crate::ProcId;
@@ -32,32 +30,11 @@ pub enum SchedMode {
     LegacyThreads,
 }
 
-/// Process-global default [`SchedMode`]: `0` = unset, else the mode below.
-static DEFAULT_MODE: AtomicU8 = AtomicU8::new(0);
-const MODE_FIBERS: u8 = 1;
-const MODE_LEGACY: u8 = 2;
-
-/// Sets the process-global default scheduler mode used by every
-/// subsequently started [`crate::Sim`] that does not override it. Last
-/// write wins; typically called once by the CLI from `--sim-workers`.
-pub fn set_default_sched_mode(mode: SchedMode) {
-    let enc = match mode {
-        SchedMode::Fibers => MODE_FIBERS,
-        SchedMode::LegacyThreads => MODE_LEGACY,
-    };
-    DEFAULT_MODE.store(enc, Ordering::Relaxed);
-}
-
-/// Resolves the mode a run uses: the run's own choice, else the last value
-/// passed to [`set_default_sched_mode`], else fibers — and threads
-/// regardless on a target that cannot run fibers.
+/// Resolves the mode a run uses: the run's own choice, else fibers — and
+/// threads regardless on a target that cannot run fibers.
 pub(crate) fn resolve(requested: Option<SchedMode>) -> SchedMode {
-    let mode = requested.unwrap_or(match DEFAULT_MODE.load(Ordering::Relaxed) {
-        MODE_LEGACY => SchedMode::LegacyThreads,
-        _ => SchedMode::Fibers,
-    });
     if crate::fiber::SUPPORTED {
-        mode
+        requested.unwrap_or(SchedMode::Fibers)
     } else {
         SchedMode::LegacyThreads
     }

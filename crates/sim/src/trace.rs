@@ -4,14 +4,12 @@
 //! Tracing is off by default (zero cost); enable it per run with
 //! [`crate::Sim::enable_tracing`].
 
-use serde::{Deserialize, Serialize};
-
 use crate::message::Tag;
 use crate::time::SimTime;
 use crate::ProcId;
 
 /// One recorded event.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum TraceEvent {
     /// A process spent `[start, end)` computing.
     Compute {
@@ -49,7 +47,7 @@ pub enum TraceEvent {
 }
 
 /// A complete execution trace.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TraceLog {
     /// Events in recording order.
     pub events: Vec<TraceEvent>,

@@ -1,7 +1,7 @@
 //! Calibration guards: the bench-scale (medium) configurations must keep the
 //! Table 1 regime — healthy single-cluster speedups and the paper's traffic
 //! ordering. These run whole medium-size simulations (~10 s total), so they
-//! are few and targeted; the full table comes from `cargo bench`.
+//! are few and targeted; the full table comes from `numagap bench`.
 
 use twolayer::apps::{run_app, AppId, Scale, SuiteConfig, Variant};
 use twolayer::net::uniform_spec;

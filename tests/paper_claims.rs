@@ -1,6 +1,6 @@
 //! Coarse assertions of the paper's headline findings, checked on every run
 //! of the test suite (small problem sizes, so thresholds are generous —
-//! the full-resolution curves come from `cargo bench`).
+//! the full-resolution curves come from `numagap bench`).
 
 use twolayer::apps::{run_app, AppId, Scale, SuiteConfig, Variant};
 use twolayer::net::{das_spec, uniform_spec};
