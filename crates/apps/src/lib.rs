@@ -36,6 +36,6 @@ pub mod water;
 
 pub use common::{total_checksum, total_work, RankOutput, Variant};
 pub use suite::{
-    checksum_tolerance, run_app, run_app_observed, run_app_report, serial_checksum, AppId, AppRun,
-    Scale, SuiteConfig,
+    checksum_ok, checksum_tolerance, run_app, run_app_observed, run_app_report, serial_checksum,
+    AppId, AppRun, Scale, SuiteConfig,
 };

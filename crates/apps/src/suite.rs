@@ -10,7 +10,7 @@ use numagap_sim::{KernelStats, Observer, SimDuration, SimError};
 use crate::asp::{asp_rank, matrix_checksum, serial_asp, AspConfig};
 use crate::awari::{awari_rank, serial_awari, AwariConfig};
 use crate::barnes::{barnes_rank, serial_barnes, BarnesConfig};
-use crate::common::{total_checksum, total_work, RankOutput, Variant};
+use crate::common::{rel_err, total_checksum, total_work, RankOutput, Variant};
 use crate::fft::{fft_rank, serial_fft, spectrum_checksum, FftConfig};
 use crate::tsp::{serial_tsp, tsp_rank, TspConfig};
 use crate::water::{serial_water, water_rank, WaterConfig};
@@ -297,6 +297,12 @@ pub fn checksum_tolerance(app: AppId) -> f64 {
     }
 }
 
+/// Whether a parallel run's checksum `got` matches the serial reference
+/// `want`: their relative difference is within the app's tolerance.
+pub fn checksum_ok(app: AppId, got: f64, want: f64) -> bool {
+    rel_err(got, want) <= checksum_tolerance(app).max(1e-15)
+}
+
 // The benchmark engine fans independent (app, variant, latency, bandwidth)
 // cells across OS threads sharing one `SuiteConfig`; keep the shared run
 // inputs and outputs thread-safe by construction.
@@ -309,7 +315,6 @@ const _: () = {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::common::rel_err;
     use numagap_net::das_spec;
 
     #[test]
@@ -320,9 +325,8 @@ mod tests {
             let expected = serial_checksum(app, &cfg);
             for variant in [Variant::Unoptimized, Variant::Optimized] {
                 let run = run_app(app, &cfg, variant, &machine).unwrap();
-                let tol = checksum_tolerance(app).max(1e-15);
                 assert!(
-                    rel_err(run.checksum, expected) <= tol,
+                    checksum_ok(app, run.checksum, expected),
                     "{app}/{variant}: {} vs {expected}",
                     run.checksum
                 );

@@ -6,8 +6,11 @@ fn main() {
     match numagap_cli::parse(&arg_refs) {
         Ok(cmd) => std::process::exit(numagap_cli::execute(cmd)),
         Err(e) => {
+            // Under the error, the section of the command that was named;
+            // the whole usage text when none was.
+            let section = arg_refs.first().and_then(|cmd| numagap_cli::section(cmd));
             eprintln!("error: {e}\n");
-            eprintln!("{}", numagap_cli::usage());
+            eprintln!("{}", section.unwrap_or_else(numagap_cli::usage));
             std::process::exit(numagap_cli::EXIT_ERROR);
         }
     }

@@ -6,9 +6,7 @@
 //! cargo run --release --example suite_tour
 //! ```
 
-use twolayer::apps::{
-    checksum_tolerance, run_app, serial_checksum, AppId, Scale, SuiteConfig, Variant,
-};
+use twolayer::apps::{checksum_ok, run_app, serial_checksum, AppId, Scale, SuiteConfig, Variant};
 use twolayer::net::das_spec;
 use twolayer::rt::Machine;
 
@@ -24,10 +22,7 @@ fn main() {
         let expected = serial_checksum(app, &cfg);
         for variant in [Variant::Unoptimized, Variant::Optimized] {
             let run = run_app(app, &cfg, variant, &machine).expect("run failed");
-            let tol = checksum_tolerance(app).max(1e-15);
-            let err =
-                (run.checksum - expected).abs() / expected.abs().max(run.checksum.abs()).max(1e-30);
-            let ok = err <= tol;
+            let ok = checksum_ok(app, run.checksum, expected);
             println!(
                 "{:<12} {:<12} {:>10} {:>12} {:>10}",
                 app.to_string(),

@@ -4,16 +4,13 @@
 
 use twolayer::apps::asp::{asp_rank, matrix_checksum, serial_asp, AspConfig};
 use twolayer::apps::awari::{awari_rank, serial_awari, AwariConfig};
+use twolayer::apps::common::rel_err;
 use twolayer::apps::fft::{fft_rank, serial_fft, spectrum_checksum, FftConfig};
 use twolayer::apps::tsp::{serial_tsp, tsp_rank, TspConfig};
 use twolayer::apps::water::{serial_water, water_rank, WaterConfig};
 use twolayer::apps::{total_checksum, Variant};
 use twolayer::net::das_spec;
 use twolayer::rt::Machine;
-
-fn rel_err(a: f64, b: f64) -> f64 {
-    (a - b).abs() / a.abs().max(b.abs()).max(1e-30)
-}
 
 #[test]
 fn water_with_fewer_molecules_than_processors() {
@@ -120,15 +117,12 @@ fn fft_with_exactly_one_row_per_processor() {
 
 #[test]
 fn two_rank_machines_work_for_every_app() {
-    use twolayer::apps::{checksum_tolerance, run_app, serial_checksum, AppId, Scale, SuiteConfig};
+    use twolayer::apps::{checksum_ok, run_app, serial_checksum, AppId, Scale, SuiteConfig};
     let cfg = SuiteConfig::at(Scale::Small);
     let machine = Machine::new(das_spec(2, 1, 5.0, 1.0));
     for app in AppId::ALL {
         let expected = serial_checksum(app, &cfg);
         let run = run_app(app, &cfg, Variant::Optimized, &machine).unwrap();
-        assert!(
-            rel_err(run.checksum, expected) <= checksum_tolerance(app).max(1e-15),
-            "{app} on 2x1"
-        );
+        assert!(checksum_ok(app, run.checksum, expected), "{app} on 2x1");
     }
 }

@@ -12,9 +12,7 @@
 //! row broadcasts still in flight on other streams — a protocol bug no
 //! fault-free run could reach.
 
-use twolayer::apps::{
-    checksum_tolerance, run_app, serial_checksum, AppId, Scale, SuiteConfig, Variant,
-};
+use twolayer::apps::{checksum_ok, run_app, serial_checksum, AppId, Scale, SuiteConfig, Variant};
 use twolayer::net::{das_spec, FaultPlan};
 use twolayer::rt::{Machine, TransportConfig};
 use twolayer::sim::{SimDuration, SimTime};
@@ -46,9 +44,8 @@ fn soak_app(app: AppId, variant: Variant) {
         .unwrap_or_else(|e| panic!("{app}/{variant}: faulty run failed (seed 42): {e}"));
 
     let expected = serial_checksum(app, &cfg);
-    let tol = checksum_tolerance(app).max(1e-15);
     assert!(
-        (faulty.checksum - expected).abs() <= tol * expected.abs().max(1.0),
+        checksum_ok(app, faulty.checksum, expected),
         "{app}/{variant}: checksum {} drifted from serial {} under faults",
         faulty.checksum,
         expected

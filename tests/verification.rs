@@ -1,24 +1,17 @@
 //! End-to-end answer verification: every application, on several machine
 //! shapes and both variants, must reproduce its serial reference checksum.
 
-use twolayer::apps::{
-    checksum_tolerance, run_app, serial_checksum, AppId, Scale, SuiteConfig, Variant,
-};
+use twolayer::apps::{checksum_ok, run_app, serial_checksum, AppId, Scale, SuiteConfig, Variant};
 use twolayer::net::{das_spec, uniform_spec, Topology, TwoLayerSpec};
 use twolayer::rt::Machine;
-
-fn rel_err(a: f64, b: f64) -> f64 {
-    (a - b).abs() / a.abs().max(b.abs()).max(1e-30)
-}
 
 fn verify_on(machine: &Machine, cfg: &SuiteConfig) {
     for app in AppId::ALL {
         let expected = serial_checksum(app, cfg);
         for variant in [Variant::Unoptimized, Variant::Optimized] {
             let run = run_app(app, cfg, variant, machine).unwrap();
-            let tol = checksum_tolerance(app).max(1e-15);
             assert!(
-                rel_err(run.checksum, expected) <= tol,
+                checksum_ok(app, run.checksum, expected),
                 "{app}/{variant} on {}: {} vs {expected}",
                 machine.spec().topology.label(),
                 run.checksum
@@ -59,7 +52,7 @@ fn suite_verifies_at_extreme_gap() {
         let expected = serial_checksum(app, &cfg);
         let run = run_app(app, &cfg, Variant::Optimized, &machine).unwrap();
         assert!(
-            rel_err(run.checksum, expected) <= checksum_tolerance(app).max(1e-15),
+            checksum_ok(app, run.checksum, expected),
             "{app} at extreme gap"
         );
     }
