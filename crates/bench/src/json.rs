@@ -138,6 +138,7 @@ impl std::error::Error for JsonError {}
 /// including trailing garbage after an otherwise valid document.
 pub fn parse(input: &str) -> Result<Json, JsonError> {
     let mut p = Parser {
+        src: input,
         b: input.as_bytes(),
         i: 0,
         depth: 0,
@@ -152,6 +153,8 @@ pub fn parse(input: &str) -> Result<Json, JsonError> {
 }
 
 struct Parser<'a> {
+    /// The input; `b` is the same bytes, for scanning.
+    src: &'a str,
     b: &'a [u8],
     i: usize,
     /// Current container nesting depth, bounded by [`MAX_DEPTH`].
@@ -321,15 +324,16 @@ impl Parser<'_> {
                     self.i += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 character (input is a valid &str).
-                    let rest = std::str::from_utf8(&self.b[self.i..])
-                        .map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = rest
-                        .chars()
-                        .next()
-                        .expect("non-empty input: a byte was just peeked");
-                    out.push(c);
-                    self.i += c.len_utf8();
+                    // Consume the whole run of plain bytes in one step.
+                    // `i` sits on a char boundary (everything consumed so
+                    // far ended on one) and both delimiters are ASCII, so
+                    // the run is a whole number of characters of `src`.
+                    let run = self.b[self.i..]
+                        .iter()
+                        .position(|&c| c == b'"' || c == b'\\')
+                        .unwrap_or(self.b.len() - self.i);
+                    out.push_str(&self.src[self.i..self.i + run]);
+                    self.i += run;
                 }
             }
         }
@@ -445,6 +449,38 @@ mod tests {
             let doc = format!("\"{}\"", escape(s));
             assert_eq!(parse(&doc).unwrap().as_str(), Some(s), "{s:?}");
         }
+    }
+
+    #[test]
+    fn plain_runs_and_escapes_interleave() {
+        // Multi-byte runs with an escape directly before and after them,
+        // and back-to-back escapes with no run between.
+        for (doc, want) in [
+            (r#""\n帯域幅\t""#, "\n帯域幅\t"),
+            (r#""é\\é\"é""#, "é\\é\"é"),
+            (r#""é🚀\ud83d\ude00✓✓""#, "é🚀\u{1F600}✓✓"),
+            (r#""\\\\""#, "\\\\"),
+            (r#""a\/b""#, "a/b"),
+        ] {
+            assert_eq!(parse(doc).unwrap().as_str(), Some(want), "{doc}");
+        }
+        // An escape error after a multi-byte run reports the byte after
+        // the backslash.
+        let err = parse(r#""é\x""#).unwrap_err();
+        assert_eq!((err.at, err.msg.as_str()), (4, "invalid escape sequence"));
+    }
+
+    #[test]
+    fn unterminated_strings_report_the_end_of_input() {
+        for doc in ["\"ab✓", "\"帯域幅", "{\"k\": \"v🚀"] {
+            let err = parse(doc).unwrap_err();
+            assert_eq!(
+                (err.at, err.msg.as_str()),
+                (doc.len(), "unterminated string"),
+                "{doc:?}"
+            );
+        }
+        assert_eq!(parse("\"abc").unwrap_err().at, 4);
     }
 
     #[test]

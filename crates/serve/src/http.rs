@@ -299,7 +299,7 @@ fn read_request(
 
     let mut head = String::new();
     let mut request_line = String::new();
-    let mut content_length: usize = 0;
+    let mut content_length: Option<usize> = None;
     loop {
         let mut line = String::new();
         match reader.read_line(&mut line) {
@@ -324,10 +324,17 @@ fn read_request(
             request_line = trimmed.to_string();
         } else if let Some((name, value)) = trimmed.split_once(':') {
             if name.eq_ignore_ascii_case("content-length") {
-                content_length = value
-                    .trim()
+                // Digits only (`parse` alone takes `+5`), and two headers
+                // must agree: which of two lengths frames the body is not
+                // ours to pick.
+                let value = value.trim();
+                let length = value
                     .parse()
-                    .map_err(|_| Reply::error(400, "malformed Content-Length"))?;
+                    .ok()
+                    .filter(|_| value.bytes().all(|b| b.is_ascii_digit()))
+                    .filter(|length| content_length.is_none_or(|first| first == *length))
+                    .ok_or_else(|| Reply::error(400, "malformed Content-Length"))?;
+                content_length = Some(length);
             }
         }
     }
@@ -340,6 +347,7 @@ fn read_request(
         return Err(Reply::error(400, "malformed request line"));
     }
 
+    let content_length = content_length.unwrap_or(0);
     if content_length > MAX_BODY_BYTES {
         return Err(Reply::error(
             413,
@@ -397,6 +405,15 @@ fn write_reply(
 mod tests {
     use super::*;
 
+    /// Sends `request` as written and returns the raw reply.
+    fn send_raw(addr: SocketAddr, request: &str) -> String {
+        let mut stream = TcpStream::connect(addr).unwrap();
+        stream.write_all(request.as_bytes()).unwrap();
+        let mut raw = String::new();
+        stream.read_to_string(&mut raw).unwrap();
+        raw
+    }
+
     /// Minimal in-test HTTP client: one request, reads to EOF.
     pub(crate) fn http(
         addr: SocketAddr,
@@ -404,14 +421,13 @@ mod tests {
         path: &str,
         body: &str,
     ) -> (u16, String, String) {
-        let mut stream = TcpStream::connect(addr).unwrap();
-        let req = format!(
-            "{method} {path} HTTP/1.1\r\nHost: localhost\r\nContent-Length: {}\r\n\r\n{body}",
-            body.len()
+        let raw = send_raw(
+            addr,
+            &format!(
+                "{method} {path} HTTP/1.1\r\nHost: localhost\r\nContent-Length: {}\r\n\r\n{body}",
+                body.len()
+            ),
         );
-        stream.write_all(req.as_bytes()).unwrap();
-        let mut raw = String::new();
-        stream.read_to_string(&mut raw).unwrap();
         let (head, body) = raw.split_once("\r\n\r\n").unwrap();
         let status: u16 = head
             .lines()
@@ -499,15 +515,71 @@ mod tests {
     fn oversized_bodies_are_rejected_with_413() {
         let mut server = test_server();
         let addr = server.addr();
-        let mut stream = TcpStream::connect(addr).unwrap();
         let req = format!(
             "POST /v1/whatif HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
             MAX_BODY_BYTES + 1
         );
-        stream.write_all(req.as_bytes()).unwrap();
-        let mut raw = String::new();
-        stream.read_to_string(&mut raw).unwrap();
+        let raw = send_raw(addr, &req);
         assert!(raw.starts_with("HTTP/1.1 413"), "{raw}");
+        server.shutdown();
+    }
+
+    #[test]
+    fn conflicting_content_lengths_are_rejected_with_400() {
+        let mut server = test_server();
+        let addr = server.addr();
+        let raw = send_raw(
+            addr,
+            "POST /v1/whatif HTTP/1.1\r\nContent-Length: 2\r\nContent-Length: 3\r\n\r\n{} ",
+        );
+        assert!(raw.starts_with("HTTP/1.1 400"), "{raw}");
+        assert!(raw.contains("malformed Content-Length"), "{raw}");
+        // The same length twice frames one body: it is read and routed.
+        let raw = send_raw(
+            addr,
+            "POST /v1/whatif HTTP/1.1\r\nContent-Length: 2\r\ncontent-length: 2\r\n\r\n{}",
+        );
+        assert!(raw.contains("missing string field 'app'"), "{raw}");
+        server.shutdown();
+    }
+
+    #[test]
+    fn signed_content_length_is_rejected_with_400() {
+        let mut server = test_server();
+        let addr = server.addr();
+        for length in ["+2", "-2"] {
+            let raw = send_raw(
+                addr,
+                &format!("POST /v1/whatif HTTP/1.1\r\nContent-Length: {length}\r\n\r\n{{}}"),
+            );
+            assert!(raw.starts_with("HTTP/1.1 400"), "{length}: {raw}");
+            assert!(raw.contains("malformed Content-Length"), "{length}: {raw}");
+        }
+        server.shutdown();
+    }
+
+    #[test]
+    fn a_body_that_is_one_long_string_cannot_pin_a_worker() {
+        let mut server = test_server();
+        let addr = server.addr();
+        let (open, close) = ("{\"app\": \"", "\"}");
+        let body = format!(
+            "{open}{}{close}",
+            "a".repeat(MAX_BODY_BYTES - open.len() - close.len())
+        );
+        assert_eq!(body.len(), MAX_BODY_BYTES);
+        // No deadline covers the parse (they bound socket waits), so the
+        // largest admissible string has to cost what its bytes cost.
+        let started = Instant::now();
+        let (status, _, reply) = http(addr, "POST", "/v1/whatif", &body);
+        let elapsed = started.elapsed();
+        assert_eq!(status, 400);
+        assert!(
+            reply.starts_with("{\"error\": \"unknown app 'aaa"),
+            "{:.80}",
+            reply
+        );
+        assert!(elapsed < Duration::from_secs(2), "answered in {elapsed:?}");
         server.shutdown();
     }
 }

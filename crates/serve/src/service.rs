@@ -38,6 +38,10 @@ pub const MAX_POINTS: usize = 10_000;
 const CLUSTERS: usize = numagap_bench::CLUSTERS;
 const PROCS: usize = numagap_bench::PROCS_PER_CLUSTER;
 
+/// Response bytes reserved per point. A line with 4-digit coordinates, a
+/// 10-digit makespan and a 17-digit speedup is ~110 bytes.
+const POINT_LINE_BYTES: usize = 115;
+
 /// A client-visible request error (HTTP 400 + JSON body).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BadRequest(pub String);
@@ -196,7 +200,9 @@ fn answer(req: &WhatIfRequest, entry: &CacheEntry, workers: usize) -> String {
         .collect();
     let thresholds = grid_thresholds(&req.points, &pct);
 
-    let mut out = String::new();
+    // One allocation for the usual body (head and tail are ~300 bytes); a
+    // longer one still grows as needed.
+    let mut out = String::with_capacity(512 + req.points.len() * POINT_LINE_BYTES);
     let _ = write!(
         out,
         "{{\n  \"schema\": {},\n  \"key\": \"{}\",\n  \"digest\": \"{:016x}\",\n  \
@@ -227,16 +233,11 @@ fn answer(req: &WhatIfRequest, entry: &CacheEntry, workers: usize) -> String {
     out.push_str("\n  ],\n  \"thresholds\": ");
     match thresholds {
         Some(t) => {
-            let fmt_opt = |v: Option<f64>| match v {
-                Some(v) => format!("{v}"),
-                None => "null".to_string(),
-            };
-            let _ = write!(
-                out,
-                "{{\"latency_ms\": {}, \"bandwidth_mbs\": {}}}",
-                fmt_opt(t.latency_ms),
-                fmt_opt(t.bandwidth_mbs)
-            );
+            out.push_str("{\"latency_ms\": ");
+            push_opt(&mut out, t.latency_ms);
+            out.push_str(", \"bandwidth_mbs\": ");
+            push_opt(&mut out, t.bandwidth_mbs);
+            out.push('}');
         }
         None => out.push_str("null"),
     }
@@ -244,26 +245,33 @@ fn answer(req: &WhatIfRequest, entry: &CacheEntry, workers: usize) -> String {
     out
 }
 
+/// Appends `v` as a JSON number, or `null`.
+fn push_opt(out: &mut String, v: Option<f64>) {
+    match v {
+        Some(v) => {
+            let _ = write!(out, "{v}");
+        }
+        None => out.push_str("null"),
+    }
+}
+
 /// Computes tolerable-gap thresholds when the submitted points form a
 /// complete latency × bandwidth grid; `None` for free-form batches.
 fn grid_thresholds(points: &[(f64, f64)], pct: &[f64]) -> Option<GapThresholds> {
-    let mut lats: Vec<f64> = Vec::new();
-    let mut bws: Vec<f64> = Vec::new();
-    for &(lat, bw) in points {
-        if !lats.iter().any(|&v| v.to_bits() == lat.to_bits()) {
-            lats.push(lat);
-        }
-        if !bws.iter().any(|&v| v.to_bits() == bw.to_bits()) {
-            bws.push(bw);
-        }
+    // A 10 000-point free-form batch costs a sort or two to turn away, not
+    // a scan of both axes per point.
+    let lats = axis_bits(points.iter().map(|p| p.0));
+    if lats.is_empty() || !points.len().is_multiple_of(lats.len()) {
+        return None;
     }
-    if lats.is_empty() || points.len() != lats.len() * bws.len() {
+    let bws = axis_bits(points.iter().map(|p| p.1));
+    if points.len() != lats.len() * bws.len() {
         return None;
     }
     let mut grid = vec![vec![f64::NAN; bws.len()]; lats.len()];
     for (&(lat, bw), &p) in points.iter().zip(pct) {
-        let i = lats.iter().position(|&v| v.to_bits() == lat.to_bits())?;
-        let j = bws.iter().position(|&v| v.to_bits() == bw.to_bits())?;
+        let i = lats.binary_search(&lat.to_bits()).ok()?;
+        let j = bws.binary_search(&bw.to_bits()).ok()?;
         if !grid[i][j].is_nan() {
             return None; // duplicate point: not a grid
         }
@@ -272,7 +280,20 @@ fn grid_thresholds(points: &[(f64, f64)], pct: &[f64]) -> Option<GapThresholds> 
     if grid.iter().flatten().any(|v| v.is_nan()) {
         return None;
     }
-    Some(gap_thresholds(&lats, &bws, &grid))
+    // `gap_thresholds` orders the axes itself, with `total_cmp`, under which
+    // values distinct by bits are distinct: its answer does not depend on
+    // the order they are handed over in.
+    let values = |bits: &[u64]| -> Vec<f64> { bits.iter().map(|&b| f64::from_bits(b)).collect() };
+    Some(gap_thresholds(&values(&lats), &values(&bws), &grid))
+}
+
+/// The distinct values of one grid axis as sorted bit patterns, so that a
+/// point finds its row and column by binary search.
+fn axis_bits(values: impl Iterator<Item = f64>) -> Vec<u64> {
+    let mut bits: Vec<u64> = values.map(f64::to_bits).collect();
+    bits.sort_unstable();
+    bits.dedup();
+    bits
 }
 
 /// Parses the request body into a [`WhatIfRequest`].
@@ -472,6 +493,143 @@ mod tests {
                         [[0.5, 6.3], [10.0, 0.3]]}";
         let doc = json::parse(&service.whatif(freeform).unwrap().body).unwrap();
         assert_eq!(doc.get("thresholds"), Some(&Json::Null));
+    }
+
+    /// The scan `grid_thresholds` replaced, kept as its reference: each
+    /// axis in first-seen order, found by a linear search per point.
+    fn grid_thresholds_reference(points: &[(f64, f64)], pct: &[f64]) -> Option<GapThresholds> {
+        let mut lats: Vec<f64> = Vec::new();
+        let mut bws: Vec<f64> = Vec::new();
+        for &(lat, bw) in points {
+            if !lats.iter().any(|&v| v.to_bits() == lat.to_bits()) {
+                lats.push(lat);
+            }
+            if !bws.iter().any(|&v| v.to_bits() == bw.to_bits()) {
+                bws.push(bw);
+            }
+        }
+        if lats.is_empty() || points.len() != lats.len() * bws.len() {
+            return None;
+        }
+        let mut grid = vec![vec![f64::NAN; bws.len()]; lats.len()];
+        for (&(lat, bw), &p) in points.iter().zip(pct) {
+            let i = lats.iter().position(|&v| v.to_bits() == lat.to_bits())?;
+            let j = bws.iter().position(|&v| v.to_bits() == bw.to_bits())?;
+            if !grid[i][j].is_nan() {
+                return None; // duplicate point: not a grid
+            }
+            grid[i][j] = p;
+        }
+        if grid.iter().flatten().any(|v| v.is_nan()) {
+            return None;
+        }
+        Some(gap_thresholds(&lats, &bws, &grid))
+    }
+
+    /// Deterministic xorshift, as in the JSON parser's tests.
+    fn xorshift(state: &mut u64) -> u64 {
+        *state ^= *state << 13;
+        *state ^= *state >> 7;
+        *state ^= *state << 17;
+        *state
+    }
+
+    /// Log-uniform in `[lo, hi)`, rounded to 4 significant digits through
+    /// its decimal spelling: the shape of the benchmark's generated points.
+    fn log_uniform_sig4(state: &mut u64, lo: f64, hi: f64) -> f64 {
+        let unit = (xorshift(state) >> 11) as f64 / (1u64 << 53) as f64;
+        let x = (lo.ln() + unit * (hi.ln() - lo.ln())).exp();
+        format!("{x:.3e}").parse().unwrap()
+    }
+
+    /// Speedups that cross the tolerable bar somewhere inside most grids:
+    /// falling with latency, rising with bandwidth, plus seeded noise.
+    fn synthetic_pct(points: &[(f64, f64)], state: &mut u64) -> Vec<f64> {
+        points
+            .iter()
+            .map(|&(lat, bw)| {
+                let noise = (xorshift(state) % 2000) as f64 / 100.0;
+                90.0 - 12.0 * (1.0 + lat).ln() + 6.0 * bw.ln() + noise
+            })
+            .collect()
+    }
+
+    fn shuffle<T>(items: &mut [T], state: &mut u64) {
+        for i in (1..items.len()).rev() {
+            items.swap(i, (xorshift(state) % (i as u64 + 1)) as usize);
+        }
+    }
+
+    /// `n` distinct axis values of the generated shape.
+    fn distinct_values(state: &mut u64, n: usize, lo: f64, hi: f64) -> Vec<f64> {
+        let mut values = Vec::new();
+        while values.len() < n {
+            let v = log_uniform_sig4(state, lo, hi);
+            if !values.contains(&v) {
+                values.push(v);
+            }
+        }
+        values
+    }
+
+    /// Both detectors on `points` with seeded speedups: the reference says
+    /// `is_grid`, and `grid_thresholds` says what the reference says.
+    fn assert_matches_reference(name: &str, points: &[(f64, f64)], is_grid: bool, state: &mut u64) {
+        let pct = synthetic_pct(points, state);
+        let want = grid_thresholds_reference(points, &pct);
+        assert_eq!(want.is_some(), is_grid, "{name}");
+        assert_eq!(grid_thresholds(points, &pct), want, "{name}");
+    }
+
+    #[test]
+    fn grid_detection_matches_the_reference_scan() {
+        let mut state = 0x1234_5678_9ABC_DEF1u64;
+        for (nl, nb) in [(1, 1), (1, 7), (7, 1), (2, 2), (5, 3), (12, 9), (40, 30)] {
+            let mut lats = distinct_values(&mut state, nl, 0.1, 300.0);
+            let bws = distinct_values(&mut state, nb, 0.03, 10.0);
+            if nl >= 5 {
+                // Both zeros are legal latencies, distinct by bits.
+                lats[0] = 0.0;
+                lats[nl - 1] = -0.0;
+            }
+            let row_major: Vec<(f64, f64)> = lats
+                .iter()
+                .flat_map(|&l| bws.iter().map(move |&b| (l, b)))
+                .collect();
+            let column_major: Vec<(f64, f64)> = bws
+                .iter()
+                .flat_map(|&b| lats.iter().map(move |&l| (l, b)))
+                .collect();
+            let mut shuffled = row_major.clone();
+            shuffle(&mut shuffled, &mut state);
+            let n = shuffled.len();
+            let mut minus_one = shuffled.clone();
+            minus_one.remove((xorshift(&mut state) % n as u64) as usize);
+            let mut repeated = shuffled.clone();
+            repeated[n / 2] = repeated[(n / 2 + 1) % n];
+            for (name, points, is_grid) in [
+                ("row-major", row_major, true),
+                ("column-major", column_major, true),
+                ("shuffled", shuffled, true),
+                // One point short, a single row or column is a shorter one.
+                ("minus one point", minus_one, (nl == 1) != (nb == 1)),
+                // 1x1 can only repeat its point in place of itself.
+                ("one point repeated", repeated, n == 1),
+            ] {
+                let name = format!("{nl}x{nb} {name}");
+                assert_matches_reference(&name, &points, is_grid, &mut state);
+            }
+        }
+        let freeform: Vec<(f64, f64)> = (0..MAX_POINTS)
+            .map(|_| {
+                (
+                    log_uniform_sig4(&mut state, 0.1, 300.0),
+                    log_uniform_sig4(&mut state, 0.03, 10.0),
+                )
+            })
+            .collect();
+        assert_matches_reference("10000 free-form", &freeform, false, &mut state);
+        assert_matches_reference("empty", &[], false, &mut state);
     }
 
     #[test]
