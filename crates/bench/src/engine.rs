@@ -38,6 +38,36 @@ where
     R: Send,
     F: Fn(usize, &C) -> R + Sync,
 {
+    run_cells_with(cells, jobs, progress, || (), |(), i, cell| f(i, cell))
+}
+
+/// [`run_cells`] with state per worker: each worker thread builds one `S`
+/// with `init` and hands it to `f` for every cell it claims — a network to
+/// reset rather than rebuild, a buffer to refill rather than allocate.
+///
+/// The state is a local of the worker's loop, so it is dropped when the
+/// worker finishes *or unwinds*: a cell that panics cannot leave
+/// half-updated state behind for a later batch. Which cells share a state
+/// depends on how the workers raced, so `f`'s result must not depend on
+/// what earlier cells left in it.
+///
+/// # Panics
+///
+/// A panic inside `init` or `f` is re-raised on the calling thread after
+/// the remaining workers drain.
+pub fn run_cells_with<C, R, S, I, F>(
+    cells: &[C],
+    jobs: usize,
+    progress: Option<&str>,
+    init: I,
+    f: F,
+) -> Vec<R>
+where
+    C: Sync,
+    R: Send,
+    I: Fn() -> S + Sync,
+    F: Fn(&mut S, usize, &C) -> R + Sync,
+{
     let total = cells.len();
     let jobs = jobs.max(1).min(total.max(1));
     let next = AtomicUsize::new(0);
@@ -47,15 +77,16 @@ where
     thread::scope(|s| {
         let handles: Vec<_> = (0..jobs)
             .map(|_| {
-                let (next, done, f) = (&next, &done, &f);
+                let (next, done, init, f) = (&next, &done, &init, &f);
                 s.spawn(move || {
+                    let mut state = init();
                     let mut out: Vec<(usize, R)> = Vec::new();
                     loop {
                         let i = next.fetch_add(1, Ordering::Relaxed);
                         if i >= total {
                             break;
                         }
-                        out.push((i, f(i, &cells[i])));
+                        out.push((i, f(&mut state, i, &cells[i])));
                         let d = done.fetch_add(1, Ordering::Relaxed) + 1;
                         if let Some(label) = progress {
                             // One atomic eprint per cell; `\r` keeps it a
@@ -139,6 +170,57 @@ mod tests {
             })
         });
         assert!(res.is_err());
+    }
+
+    #[test]
+    fn each_worker_builds_one_state_and_keeps_it_across_its_cells() {
+        let cells: Vec<usize> = (0..40).collect();
+        for jobs in [1, 3] {
+            let built = AtomicUsize::new(0);
+            // A state is its worker's number and how many cells it has seen.
+            let out = run_cells_with(
+                &cells,
+                jobs,
+                None,
+                || (built.fetch_add(1, Ordering::Relaxed), 0usize),
+                |(worker, seen), _, &c| {
+                    *seen += 1;
+                    (c, *worker, *seen)
+                },
+            );
+            assert_eq!(built.load(Ordering::Relaxed), jobs);
+            // Cell order, and each worker's count runs 1, 2, 3, ... over
+            // the cells it claimed.
+            let mut seen_by = vec![0usize; jobs];
+            for (i, &(c, worker, seen)) in out.iter().enumerate() {
+                assert_eq!(c, i);
+                seen_by[worker] += 1;
+                assert_eq!(seen, seen_by[worker]);
+            }
+        }
+    }
+
+    #[test]
+    fn a_panicking_cell_drops_its_workers_state() {
+        struct CountsDrops<'a>(&'a AtomicUsize);
+        impl Drop for CountsDrops<'_> {
+            fn drop(&mut self) {
+                self.0.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+        let dropped = AtomicUsize::new(0);
+        let cells: Vec<u32> = (0..8).collect();
+        let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            run_cells_with(
+                &cells,
+                2,
+                None,
+                || CountsDrops(&dropped),
+                |_, _, &c| assert!(c != 5, "cell 5 exploded"),
+            )
+        }));
+        assert!(res.is_err());
+        assert_eq!(dropped.load(Ordering::Relaxed), 2);
     }
 
     #[test]

@@ -11,9 +11,10 @@
 //!    edges with message sizes and link classes (intra-Myrinet vs
 //!    inter-ATM), all in exact virtual nanoseconds.
 //! 2. **Replay** ([`replay`]): a miniature event loop re-costs the recorded
-//!    DAG under an arbitrary `(latency, bandwidth)` pair using a fresh
-//!    instance of the real network cost model, so contention and gateway
-//!    occupancy are re-derived, not scaled.
+//!    DAG under an arbitrary `(latency, bandwidth)` pair using the real
+//!    network cost model, so contention and gateway occupancy are
+//!    re-derived, not scaled. A sweep keeps one [`Replayer`] per worker and
+//!    resets its network per point rather than building one.
 //! 3. **Explain & sweep** ([`critical`], [`whatif`]): the critical path is
 //!    decomposed into compute / overhead / intra / inter-latency /
 //!    inter-bandwidth / gateway / queueing terms that sum exactly to the
@@ -36,7 +37,7 @@ pub mod whatif;
 
 pub use critical::{critical_path, PathBreakdown};
 pub use dag::{record_app, CommDag, DagRecorder, MsgMeta, Op};
-pub use replay::{predict_elapsed, replay, Replay};
+pub use replay::{predict_elapsed, replay, Replay, Replayer};
 pub use whatif::{
     gap_thresholds, run_predict, AppOutcome, CellOutcome, GapThresholds, PredictOpts,
     PredictReport, PREDICT_SCHEMA_VERSION, TOLERABLE_SPEEDUP_PCT,

@@ -16,14 +16,13 @@ use numagap_bench::record::{BenchSummary, RunRecord};
 use numagap_bench::targets::{paper_grid, variants};
 use numagap_bench::{
     baseline_machine, engine, relative_speedup_pct, wan_machine_with, BenchError, CLUSTERS,
-    PROCS_PER_CLUSTER,
 };
-use numagap_net::{das_spec, WanTopology};
+use numagap_net::{LinkParams, WanTopology};
 use numagap_sim::SimDuration;
 
 use crate::critical::{critical_path, PathBreakdown};
 use crate::dag::{record_app, CommDag};
-use crate::replay::replay;
+use crate::replay::{replay, Replayer};
 
 /// The paper's "tolerable gap" bar: an application tolerates a WAN setting
 /// when the 4-cluster machine still reaches this percentage of the
@@ -262,7 +261,9 @@ pub fn run_predict(opts: &PredictOpts) -> Result<PredictReport, BenchError> {
         |app: AppId| baseline_of[apps.iter().position(|&a| a == app).expect("app present")];
 
     // 2. Replay every grid point analytically (cheap, but embarrassingly
-    //    parallel all the same).
+    //    parallel all the same). Every recording was made on the reference
+    //    machine, so each worker keeps one replayer for that machine and
+    //    asks it for whichever recording and point its next cell names.
     let mut grid_cells: Vec<(usize, f64, f64)> = Vec::new();
     for pi in 0..pairs.len() {
         for &lat in &lats {
@@ -271,17 +272,12 @@ pub fn run_predict(opts: &PredictOpts) -> Result<PredictReport, BenchError> {
             }
         }
     }
-    let predicted = engine::run_cells(
+    let predicted = engine::run_cells_with(
         &grid_cells,
         opts.jobs,
         progress("predict"),
-        |_, &(pi, lat, bw)| {
-            let mut spec = das_spec(CLUSTERS, PROCS_PER_CLUSTER, lat, bw);
-            if let Some(t) = opts.wan_topology {
-                spec = spec.wan_topology(t);
-            }
-            replay(&dags[pi], &spec).elapsed
-        },
+        || Replayer::new(ref_machine.spec()),
+        |replayer, _, &(pi, lat, bw)| replayer.makespan(&dags[pi], LinkParams::wide_area(lat, bw)),
     );
 
     // 3. Identity replay + critical path at the reference point.

@@ -57,6 +57,7 @@ impl LinkParams {
     }
 
     /// Serialization time of `bytes` on this link.
+    #[inline]
     pub fn tx_time(&self, bytes: u64) -> SimDuration {
         SimDuration::from_nanos((bytes as f64 * self.ns_per_byte).round() as u64)
     }
@@ -100,6 +101,7 @@ impl LinkState {
     /// Occupies the resource for `tx` starting no earlier than `ready`;
     /// returns the time at which serialization starts — the beginning of
     /// the earliest idle gap at or after `ready` wide enough for `tx`.
+    #[inline]
     pub fn acquire(&mut self, ready: SimTime, tx: SimDuration, bytes: u64) -> SimTime {
         self.busy += tx;
         self.bytes += bytes;
@@ -124,6 +126,23 @@ impl LinkState {
         }
         self.insert_at(idx, start, start + tx);
         start
+    }
+
+    /// Back to the state of `LinkState::default()`, keeping the interval
+    /// list's allocation.
+    pub fn clear(&mut self) {
+        // Exhaustive: a field added later does not compile until it is
+        // restored here.
+        let LinkState {
+            intervals,
+            busy,
+            bytes,
+            msgs,
+        } = self;
+        intervals.clear();
+        *busy = SimDuration::ZERO;
+        *bytes = 0;
+        *msgs = 0;
     }
 
     /// Inserts busy interval `[s, e)` at position `idx`, coalescing with

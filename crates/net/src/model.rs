@@ -12,7 +12,7 @@ use crate::fault::FaultPlan;
 use crate::hostile::{CrossTrafficPlan, LinkSchedule};
 use crate::link::{LinkParams, LinkState};
 use crate::topology::Topology;
-use crate::wan::{RouteCursor, WanTopology};
+use crate::wan::{RouteCursor, RouteTable, WanTopology};
 
 /// Full parameterization of a two-layer machine.
 ///
@@ -208,9 +208,24 @@ impl NetStats {
 }
 
 /// Stateful two-layer network; implements [`Network`].
+///
+/// The spec, the routing-node count and the route table describe the
+/// machine; everything a run books or counts is in one [`RunState`], which
+/// [`TwoLayerNetwork::reset`] puts back as [`TwoLayerNetwork::new`] left it.
 #[derive(Debug)]
 pub struct TwoLayerNetwork {
     spec: TwoLayerSpec,
+    /// Routing nodes, `spec.wan_topology.nnodes(nclusters)`: the stride of
+    /// every vector indexed by ordered node pair.
+    nnodes: usize,
+    routes: RouteTable,
+    run: RunState,
+}
+
+/// What a run mutates: link occupancy, ordering floors, decision-stream
+/// counters and traffic statistics.
+#[derive(Debug, Default)]
+struct RunState {
     out_nic: Vec<LinkState>,
     in_nic: Vec<LinkState>,
     gw_lan_in: Vec<LinkState>,
@@ -219,9 +234,9 @@ pub struct TwoLayerNetwork {
     /// crossing it, both ways). Nodes `0..nclusters` are the cluster
     /// gateways; a fat tree appends its virtual switches.
     gw_cpu: Vec<LinkState>,
-    /// `wan[from_node][to_node]`; diagonal unused. One independent FIFO
-    /// link per directed node pair the topology can route over.
-    wan: Vec<Vec<LinkState>>,
+    /// One independent FIFO link per directed node pair the topology can
+    /// route over, indexed `from_node * nnodes + to_node`; diagonal unused.
+    wan: Vec<LinkState>,
     /// Last fault-free arrival per ordered `(src, dst)` pair, indexed
     /// `src * nprocs + dst`. Gap-filling link occupancy lets a small late
     /// message slip into an idle gap a larger earlier message of the same
@@ -232,17 +247,133 @@ pub struct TwoLayerNetwork {
     pair_floor: Vec<SimTime>,
     /// Counter feeding the deterministic latency-jitter hash.
     jitter_seq: u64,
-    /// Per ordered cluster pair: how many fault decisions this link has
-    /// drawn. Feeds the fault plan's split per-link decision streams.
-    fault_seq: Vec<Vec<u64>>,
+    /// Per ordered cluster pair, indexed `src * nclusters + dst`: how many
+    /// fault decisions this link has drawn. Feeds the fault plan's split
+    /// per-link decision streams.
+    fault_seq: Vec<u64>,
     /// Next background cross-traffic departure per ordered node pair,
-    /// indexed `a * nnodes + b`. `SimTime::ZERO` means the stream has
-    /// not drawn its first gap yet (no gap draw is ever zero).
+    /// indexed like `wan`. `SimTime::ZERO` means the stream has not drawn
+    /// its first gap yet (no gap draw is ever zero).
     xt_next: Vec<SimTime>,
     /// Background messages already injected per ordered node pair.
     /// Indexes the cross-traffic plan's split per-link decision streams.
     xt_seq: Vec<u64>,
     stats: NetStats,
+}
+
+/// `v` as `len` copies of `zero`, in the allocation it already has.
+fn refill<T: Clone>(v: &mut Vec<T>, len: usize, zero: T) {
+    v.clear();
+    v.resize(len, zero);
+}
+
+impl RunState {
+    /// The state of a machine of `nprocs` ranks, `nclusters` clusters and
+    /// `nnodes` routing nodes on which nothing has happened yet, written
+    /// into whatever allocations `self` holds. Building a network runs this
+    /// on an empty state and resetting one runs it on a used state, so the
+    /// two cannot come to disagree.
+    fn clear(&mut self, nprocs: usize, nclusters: usize, nnodes: usize) {
+        // Exhaustive: a field added later does not compile until it is
+        // given its initial value here.
+        let RunState {
+            out_nic,
+            in_nic,
+            gw_lan_in,
+            gw_lan_out,
+            gw_cpu,
+            wan,
+            pair_floor,
+            jitter_seq,
+            fault_seq,
+            xt_next,
+            xt_seq,
+            stats,
+        } = self;
+        // Each link keeps its interval list's capacity, which `refill`
+        // would drop along with the link.
+        for (links, len) in [
+            (out_nic, nprocs),
+            (in_nic, nprocs),
+            (gw_lan_in, nclusters),
+            (gw_lan_out, nclusters),
+            (gw_cpu, nnodes),
+            (wan, nnodes * nnodes),
+        ] {
+            links.iter_mut().for_each(LinkState::clear);
+            links.resize_with(len, LinkState::default);
+        }
+        refill(pair_floor, nprocs * nprocs, SimTime::ZERO);
+        *jitter_seq = 0;
+        refill(fault_seq, nclusters * nclusters, 0);
+        refill(xt_next, nnodes * nnodes, SimTime::ZERO);
+        refill(xt_seq, nnodes * nnodes, 0);
+        // Every counter back to zero; the two per-cluster vectors keep
+        // their allocations.
+        *stats = NetStats {
+            inter_msgs_out: std::mem::take(&mut stats.inter_msgs_out),
+            inter_bytes_out: std::mem::take(&mut stats.inter_bytes_out),
+            ..NetStats::default()
+        };
+        refill(&mut stats.inter_msgs_out, nclusters, 0);
+        refill(&mut stats.inter_bytes_out, nclusters, 0);
+    }
+
+    /// Advances the ordered link `(a, b)`'s background traffic stream up to
+    /// `upto`, booking every background message departing at or before that
+    /// instant into the link's gap-filling interval list (`link` is the
+    /// pair's index into `wan`). Application messages with later ready
+    /// points then contend with the background load exactly as the interval
+    /// list dictates.
+    ///
+    /// The kernel's canonical transfer booking makes the sequence of
+    /// `transfer` calls — and therefore the set of advance points — a pure
+    /// function of application behavior, so the injected background load
+    /// replays bit-identically from the plan seed.
+    fn inject_cross_traffic(
+        &mut self,
+        spec: &TwoLayerSpec,
+        (a, b): (usize, usize),
+        link: usize,
+        upto: SimTime,
+    ) {
+        let Some(plan) = spec.cross_traffic else {
+            return;
+        };
+        if plan.intensity <= 0.0 {
+            return;
+        }
+        // Mean interarrival gap that makes background serialization consume
+        // `intensity` of the link: tx(mean size) / intensity.
+        let mean_tx = spec.inter.tx_time(plan.mean_bytes);
+        let mean_gap_ns = (mean_tx.as_nanos() as f64 / plan.intensity).round() as u64;
+        // Gap for background message `k` uses draw `2k`, its size draw
+        // `2k + 1`; gaps are uniform in [0.5, 1.5) x mean (never zero).
+        let gap = |k: u64| {
+            let u = plan.draw(a, b, 2 * k);
+            SimDuration::from_nanos(((0.5 + u) * mean_gap_ns as f64).round() as u64)
+        };
+        if self.xt_next[link] == SimTime::ZERO {
+            self.xt_next[link] = SimTime::ZERO + gap(0);
+        }
+        while self.xt_next[link] <= upto {
+            let k = self.xt_seq[link];
+            let u = plan.draw(a, b, 2 * k + 1);
+            // Sizes uniform in [0.5, 1.5) x mean.
+            let bytes = plan.mean_bytes / 2 + (u * plan.mean_bytes as f64).round() as u64;
+            let dep = self.xt_next[link];
+            let mut tx = spec.inter.tx_time(bytes);
+            if let Some(schedule) = spec.link_schedule {
+                let (_, bw_pm) = schedule.factors_permille(a, b, dep);
+                tx = permille_scale(tx, 1000, bw_pm);
+            }
+            self.wan[link].acquire(dep, tx, bytes);
+            self.stats.cross_msgs += 1;
+            self.stats.cross_bytes += bytes;
+            self.xt_seq[link] = k + 1;
+            self.xt_next[link] = dep + gap(k + 1);
+        }
+    }
 }
 
 /// splitmix64 finalizer — the deterministic jitter/fault hash.
@@ -259,18 +390,18 @@ fn permille_scale(d: SimDuration, num: u64, den: u64) -> SimDuration {
     SimDuration::from_nanos((d.as_nanos() as u128 * num as u128 / den as u128) as u64)
 }
 
-/// One LAN hop: serialize out of `out`, traverse latency, then occupy `in_`.
-/// Returns delivery completion time. Uncontended cost: `tx + latency`.
+/// One LAN hop: serialize out of `out` for `tx` (the intra-cluster link's
+/// serialization time of `size` bytes), traverse `latency`, then occupy
+/// `in_`. Returns delivery completion time. Uncontended cost: `tx + latency`.
 fn lan_hop(
     out: &mut LinkState,
     in_: &mut LinkState,
-    params: &LinkParams,
+    (latency, tx): (SimDuration, SimDuration),
     size: u64,
     ready: SimTime,
 ) -> SimTime {
-    let tx = params.tx_time(size);
     let start = out.acquire(ready, tx, size);
-    let rcv_start = in_.acquire(start + params.latency, tx, size);
+    let rcv_start = in_.acquire(start + latency, tx, size);
     rcv_start + tx
 }
 
@@ -300,24 +431,13 @@ impl TwoLayerNetwork {
         // Routing nodes: the cluster gateways plus any virtual switches the
         // topology introduces. On the default full mesh nn == c, so every
         // resource vector is sized exactly as before.
-        let nn = spec.wan_topology.nnodes(c);
+        let nnodes = spec.wan_topology.nnodes(c);
+        let mut run = RunState::default();
+        run.clear(n, c, nnodes);
         TwoLayerNetwork {
-            out_nic: vec![LinkState::default(); n],
-            in_nic: vec![LinkState::default(); n],
-            gw_lan_in: vec![LinkState::default(); c],
-            gw_lan_out: vec![LinkState::default(); c],
-            gw_cpu: vec![LinkState::default(); nn],
-            wan: vec![vec![LinkState::default(); nn]; nn],
-            pair_floor: vec![SimTime::ZERO; n * n],
-            jitter_seq: 0,
-            fault_seq: vec![vec![0; c]; c],
-            xt_next: vec![SimTime::ZERO; nn * nn],
-            xt_seq: vec![0; nn * nn],
-            stats: NetStats {
-                inter_msgs_out: vec![0; c],
-                inter_bytes_out: vec![0; c],
-                ..NetStats::default()
-            },
+            routes: RouteTable::new(spec.wan_topology, c),
+            nnodes,
+            run,
             spec,
         }
     }
@@ -327,71 +447,39 @@ impl TwoLayerNetwork {
         &self.spec
     }
 
-    /// Advances the ordered link `(a, b)`'s background traffic stream up to
-    /// `upto`, booking every background message departing at or before that
-    /// instant into the link's gap-filling interval list. Application
-    /// messages with later ready points then contend with the background
-    /// load exactly as the interval list dictates.
+    /// Makes this the network `TwoLayerNetwork::new` would build from the
+    /// same spec with `inter` as its inter-cluster link class, without
+    /// building it: every booking, floor, decision-stream counter and
+    /// statistic is back at its initial value, in the allocations already
+    /// held (interval lists keep their capacity). Routes stay resolved — the
+    /// wiring and the cluster count, which are all a route depends on, do
+    /// not change.
     ///
-    /// The kernel's canonical transfer booking makes the sequence of
-    /// `transfer` calls — and therefore the set of advance points — a pure
-    /// function of application behavior, so the injected background load
-    /// replays bit-identically from the plan seed.
-    fn inject_cross_traffic(&mut self, a: usize, b: usize, upto: SimTime) {
-        let Some(plan) = self.spec.cross_traffic else {
-            return;
-        };
-        if plan.intensity <= 0.0 {
-            return;
-        }
-        // Mean interarrival gap that makes background serialization consume
-        // `intensity` of the link: tx(mean size) / intensity.
-        let mean_tx = self.spec.inter.tx_time(plan.mean_bytes);
-        let mean_gap_ns = (mean_tx.as_nanos() as f64 / plan.intensity).round() as u64;
-        // Gap for background message `k` uses draw `2k`, its size draw
-        // `2k + 1`; gaps are uniform in [0.5, 1.5) x mean (never zero).
-        let gap = |k: u64| {
-            let u = plan.draw(a, b, 2 * k);
-            SimDuration::from_nanos(((0.5 + u) * mean_gap_ns as f64).round() as u64)
-        };
-        let nn = self
-            .spec
-            .wan_topology
-            .nnodes(self.spec.topology.nclusters());
-        let idx = a * nn + b;
-        if self.xt_next[idx] == SimTime::ZERO {
-            self.xt_next[idx] = SimTime::ZERO + gap(0);
-        }
-        while self.xt_next[idx] <= upto {
-            let k = self.xt_seq[idx];
-            let u = plan.draw(a, b, 2 * k + 1);
-            // Sizes uniform in [0.5, 1.5) x mean.
-            let bytes = plan.mean_bytes / 2 + (u * plan.mean_bytes as f64).round() as u64;
-            let dep = self.xt_next[idx];
-            let mut tx = self.spec.inter.tx_time(bytes);
-            if let Some(schedule) = self.spec.link_schedule {
-                let (_, bw_pm) = schedule.factors_permille(a, b, dep);
-                tx = permille_scale(tx, 1000, bw_pm);
-            }
-            self.wan[a][b].acquire(dep, tx, bytes);
-            self.stats.cross_msgs += 1;
-            self.stats.cross_bytes += bytes;
-            self.xt_seq[idx] = k + 1;
-            self.xt_next[idx] = dep + gap(k + 1);
-        }
+    /// This is how a what-if sweep re-costs one machine at many
+    /// `(latency, bandwidth)` points: only the wide-area link class varies
+    /// from point to point, so only it is a parameter.
+    pub fn reset(&mut self, inter: LinkParams) {
+        // Exhaustive: a field added later has to be sorted into "describes
+        // the machine" or "restored by `RunState::clear`" to compile.
+        let TwoLayerNetwork {
+            spec,
+            nnodes,
+            routes: _,
+            run,
+        } = self;
+        spec.inter = inter;
+        run.clear(spec.topology.nprocs(), spec.topology.nclusters(), *nnodes);
     }
 
     /// A snapshot of the traffic statistics (WAN busy times included).
     pub fn stats(&self) -> NetStats {
-        let mut s = self.stats.clone();
-        let nn = self
-            .spec
-            .wan_topology
-            .nnodes(self.spec.topology.nclusters());
+        let mut s = self.run.stats.clone();
+        let nn = self.nnodes;
         for a in 0..nn {
             for b in 0..nn {
-                if a != b && self.wan[a][b].msgs > 0 {
-                    s.wan_busy.push((a, b, self.wan[a][b].busy));
+                let link = &self.run.wan[a * nn + b];
+                if a != b && link.msgs > 0 {
+                    s.wan_busy.push((a, b, link.busy));
                 }
             }
         }
@@ -400,42 +488,48 @@ impl TwoLayerNetwork {
 }
 
 impl Network for TwoLayerNetwork {
+    #[inline]
     fn sender_free(&self, _wire_bytes: u64, now: SimTime) -> SimTime {
         now + self.spec.send_overhead
     }
 
     fn transfer(&mut self, src: ProcId, dst: ProcId, wire_bytes: u64, now: SimTime) -> Transfer {
-        let size = wire_bytes + self.spec.header_bytes;
-        let sender_free = now + self.spec.send_overhead;
+        let spec = &self.spec;
+        let run = &mut self.run;
+        let size = wire_bytes + spec.header_bytes;
+        let sender_free = now + spec.send_overhead;
         let ready = sender_free;
-        let cs = self.spec.topology.cluster_of(src);
-        let cd = self.spec.topology.cluster_of(dst);
+        let cs = spec.topology.cluster_of(src);
+        let cd = spec.topology.cluster_of(dst);
         let arrival = if cs == cd {
-            self.stats.intra_msgs += 1;
-            self.stats.intra_payload_bytes += wire_bytes;
+            run.stats.intra_msgs += 1;
+            run.stats.intra_payload_bytes += wire_bytes;
             if src == dst {
                 // Loopback: no NIC traversal, just the software overheads.
                 ready
             } else {
+                let lan = (spec.intra.latency, spec.intra.tx_time(size));
                 lan_hop(
-                    &mut self.out_nic[src.0],
-                    &mut self.in_nic[dst.0],
-                    &self.spec.intra,
+                    &mut run.out_nic[src.0],
+                    &mut run.in_nic[dst.0],
+                    lan,
                     size,
                     ready,
                 )
             }
         } else {
-            self.stats.inter_msgs += 1;
-            self.stats.inter_payload_bytes += wire_bytes;
-            self.stats.inter_wire_bytes += size;
-            self.stats.inter_msgs_out[cs] += 1;
-            self.stats.inter_bytes_out[cs] += wire_bytes;
+            run.stats.inter_msgs += 1;
+            run.stats.inter_payload_bytes += wire_bytes;
+            run.stats.inter_wire_bytes += size;
+            run.stats.inter_msgs_out[cs] += 1;
+            run.stats.inter_bytes_out[cs] += wire_bytes;
+            // Both LAN hops serialize the same bytes on the same link class.
+            let lan = (spec.intra.latency, spec.intra.tx_time(size));
             // Hop 1: sender to local gateway over the LAN.
             let mut at = lan_hop(
-                &mut self.out_nic[src.0],
-                &mut self.gw_lan_in[cs],
-                &self.spec.intra,
+                &mut run.out_nic[src.0],
+                &mut run.gw_lan_in[cs],
+                lan,
                 size,
                 ready,
             );
@@ -447,18 +541,15 @@ impl Network for TwoLayerNetwork {
             // message rate), and every hop pays the link's serialization
             // and latency. Because the kernel flushes same-instant sends in
             // canonical order, each hop's booking is schedule-invariant.
-            let occ = self.spec.gateway_overhead;
-            let tx_wan = self.spec.inter.tx_time(size);
-            let mut cursor = RouteCursor::new(self.spec.wan_topology.route(
-                cs,
-                cd,
-                self.spec.topology.nclusters(),
-            ));
+            let occ = spec.gateway_overhead;
+            let tx_wan = spec.inter.tx_time(size);
+            let mut cursor = RouteCursor::new(self.routes.resolve(cs, cd));
             while let Some((a, b)) = cursor.advance() {
-                let wan_ready = self.gw_cpu[a].acquire(at, occ, size) + occ;
+                let link = a * self.nnodes + b;
+                let wan_ready = run.gw_cpu[a].acquire(at, occ, size) + occ;
                 // Time-varying link quality: sample the schedule at the
                 // instant the message is ready to enter the link.
-                let (lat_pm, bw_pm) = match self.spec.link_schedule {
+                let (lat_pm, bw_pm) = match spec.link_schedule {
                     Some(schedule) => schedule.factors_permille(a, b, wan_ready),
                     None => (1000, 1000),
                 };
@@ -469,17 +560,17 @@ impl Network for TwoLayerNetwork {
                 };
                 // Book any background traffic departing up to this point so
                 // the application message contends with it for the link.
-                self.inject_cross_traffic(a, b, wan_ready);
-                let wan_start = self.wan[a][b].acquire(wan_ready, tx_link, size);
-                let mut latency = if self.spec.wan_latency_jitter > 0.0 {
-                    self.jitter_seq += 1;
-                    let u = mix64(self.jitter_seq) as f64 / u64::MAX as f64; // [0, 1]
-                    let factor = 1.0 + self.spec.wan_latency_jitter * (2.0 * u - 1.0);
+                run.inject_cross_traffic(spec, (a, b), link, wan_ready);
+                let wan_start = run.wan[link].acquire(wan_ready, tx_link, size);
+                let mut latency = if spec.wan_latency_jitter > 0.0 {
+                    run.jitter_seq += 1;
+                    let u = mix64(run.jitter_seq) as f64 / u64::MAX as f64; // [0, 1]
+                    let factor = 1.0 + spec.wan_latency_jitter * (2.0 * u - 1.0);
                     SimDuration::from_nanos(
-                        (self.spec.inter.latency.as_nanos() as f64 * factor).round() as u64,
+                        (spec.inter.latency.as_nanos() as f64 * factor).round() as u64
                     )
                 } else {
-                    self.spec.inter.latency
+                    spec.inter.latency
                 };
                 if lat_pm != 1000 {
                     latency = permille_scale(latency, lat_pm, 1000);
@@ -487,18 +578,18 @@ impl Network for TwoLayerNetwork {
                 at = wan_start + tx_link + latency;
             }
             // The destination gateway's CPU, then the receiver's LAN.
-            let ready3 = self.gw_cpu[cd].acquire(at, occ, size) + occ;
+            let ready3 = run.gw_cpu[cd].acquire(at, occ, size) + occ;
             lan_hop(
-                &mut self.gw_lan_out[cd],
-                &mut self.in_nic[dst.0],
-                &self.spec.intra,
+                &mut run.gw_lan_out[cd],
+                &mut run.in_nic[dst.0],
+                lan,
                 size,
                 ready3,
             )
         };
         // Per-pair FIFO: never deliver before (or at the same instant as) an
         // earlier message of the same ordered pair.
-        let floor = &mut self.pair_floor[src.0 * self.spec.topology.nprocs() + dst.0];
+        let floor = &mut run.pair_floor[src.0 * spec.topology.nprocs() + dst.0];
         let arrival = if arrival <= *floor {
             *floor + SimDuration::from_nanos(1)
         } else {
@@ -511,10 +602,12 @@ impl Network for TwoLayerNetwork {
         }
     }
 
+    #[inline]
     fn num_procs(&self) -> usize {
         self.spec.topology.nprocs()
     }
 
+    #[inline]
     fn recv_overhead(&self, _wire_bytes: u64) -> SimDuration {
         self.spec.recv_overhead
     }
@@ -545,15 +638,13 @@ impl Network for TwoLayerNetwork {
         if plan.exempt_tag_min.is_some_and(|min| tag.raw() >= min) {
             return FaultDisposition::on_time(transfer);
         }
-        let route = self
-            .spec
-            .wan_topology
-            .route(cs, cd, self.spec.topology.nclusters());
-        if let Some(cause) = plan.outage_cause(&route, now) {
+        let route = self.routes.resolve(cs, cd);
+        if let Some(cause) = plan.outage_cause(route, now) {
             return FaultDisposition::dropped(cause);
         }
-        let n = self.fault_seq[cs][cd];
-        self.fault_seq[cs][cd] += 1;
+        let draws = &mut self.run.fault_seq[cs * self.spec.topology.nclusters() + cd];
+        let n = *draws;
+        *draws += 1;
         let u = plan.draw(cs, cd, n);
         let delay = SimDuration::from_nanos(
             (self.spec.inter.latency.as_nanos() as f64 * plan.reorder_delay_factor).round() as u64,
@@ -825,6 +916,52 @@ mod tests {
             run(zero),
             "zero-intensity cross traffic must not change any arrival"
         );
+    }
+
+    #[test]
+    fn a_reset_network_is_the_network_new_would_build() {
+        use crate::fault::FaultPlan;
+        use crate::hostile::{CrossTrafficPlan, LinkSchedule};
+        // Between them the specs move every piece of state a run mutates:
+        // multi-hop routes through real and virtual nodes, the jitter
+        // counter, the background streams under a schedule, and the
+        // per-link fault draws.
+        let specs = [
+            spec_4x8(),
+            spec_4x8()
+                .wan_topology(WanTopology::Ring)
+                .wan_latency_jitter(0.3),
+            spec_4x8()
+                .wan_topology(WanTopology::FatTree { pod: 2 })
+                .cross_traffic(CrossTrafficPlan::new(7).intensity(0.5))
+                .link_schedule(LinkSchedule::step(3, SimTime::from_nanos(40_000_000))),
+            spec_4x8().fault_plan(FaultPlan::new(11).drop_prob(0.2).reorder_prob(0.2)),
+        ];
+        // Sixty messages, most of them inter-cluster, several per pair, each
+        // put to the fault plan. The outcome is every arrival and verdict
+        // plus the network's whole state afterwards, as `Debug` prints it.
+        let drive = |net: &mut TwoLayerNetwork| {
+            let mut seen = String::new();
+            for i in 0..60u64 {
+                let (src, dst) = (
+                    ProcId((i * 5 % 32) as usize),
+                    ProcId((i * 11 % 32) as usize),
+                );
+                let now = SimTime::from_nanos(i * 1_500_000);
+                let t = net.transfer(src, dst, 200 + i * 997, now);
+                let fate = net.fault_disposition(src, dst, Tag::app(1), 0, now, &t);
+                seen.push_str(&format!("{t:?} {fate:?}\n"));
+            }
+            format!("{seen}{net:?}")
+        };
+        for spec in specs {
+            let elsewhere = LinkParams::wide_area(3.0, 0.7);
+            let mut fresh = TwoLayerNetwork::new(spec.clone().inter(elsewhere));
+            let mut reused = TwoLayerNetwork::new(spec);
+            drive(&mut reused);
+            reused.reset(elsewhere);
+            assert_eq!(drive(&mut reused), drive(&mut fresh));
+        }
     }
 
     #[test]

@@ -131,11 +131,13 @@ impl Topology {
     }
 
     /// Total number of processors.
+    #[inline]
     pub fn nprocs(&self) -> usize {
         self.cluster_of.len()
     }
 
     /// Number of clusters.
+    #[inline]
     pub fn nclusters(&self) -> usize {
         self.cluster_sizes.len()
     }
@@ -145,11 +147,13 @@ impl Topology {
     /// # Panics
     ///
     /// Panics if `rank` is out of range.
+    #[inline]
     pub fn cluster_of_rank(&self, rank: usize) -> usize {
         self.cluster_of[rank]
     }
 
     /// Cluster index of a process.
+    #[inline]
     pub fn cluster_of(&self, p: ProcId) -> usize {
         self.cluster_of_rank(p.0)
     }

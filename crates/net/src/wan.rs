@@ -423,7 +423,8 @@ impl WanTopology {
 /// ```
 /// use numagap_net::{RouteCursor, WanTopology};
 ///
-/// let mut cursor = RouteCursor::new(WanTopology::Ring.route(0, 2, 4));
+/// let route = WanTopology::Ring.route(0, 2, 4);
+/// let mut cursor = RouteCursor::new(&route);
 /// assert_eq!(cursor.hops_remaining(), 2);
 /// assert_eq!(cursor.advance(), Some((0, 1)));
 /// assert_eq!(cursor.at(), 1);
@@ -431,18 +432,20 @@ impl WanTopology {
 /// assert_eq!(cursor.advance(), None);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RouteCursor {
-    route: Vec<usize>,
+pub struct RouteCursor<'a> {
+    route: &'a [usize],
     pos: usize,
 }
 
-impl RouteCursor {
-    /// Wraps a route (as produced by [`WanTopology::route`]).
+impl<'a> RouteCursor<'a> {
+    /// Wraps a route (as produced by [`WanTopology::route`]). The cursor
+    /// borrows it: the network resolves each cluster pair's route once and
+    /// every message of the pair walks that same slice.
     ///
     /// # Panics
     ///
     /// Panics on an empty route.
-    pub fn new(route: Vec<usize>) -> Self {
+    pub fn new(route: &'a [usize]) -> Self {
         assert!(!route.is_empty(), "a route visits at least one node");
         RouteCursor { route, pos: 0 }
     }
@@ -469,8 +472,54 @@ impl RouteCursor {
     }
 
     /// The full route the cursor walks.
-    pub fn route(&self) -> &[usize] {
-        &self.route
+    pub fn route(&self) -> &'a [usize] {
+        self.route
+    }
+}
+
+/// Every route a network has needed so far, resolved once per ordered
+/// cluster pair into one flat arena.
+///
+/// Filled on first use, not up front: a 64-cluster machine has 4 032
+/// ordered pairs and a short run touches few of them, so building the
+/// network stays O(pairs) in zeroed memory and O(1) in allocations. A
+/// route is a pure function of `(shape, src, dst, nclusters)`; the table is
+/// bound to one shape and cluster count, neither of which a
+/// [`reset`](crate::TwoLayerNetwork::reset) changes, so it outlives every
+/// run on the machine.
+#[derive(Debug)]
+pub(crate) struct RouteTable {
+    shape: WanTopology,
+    nclusters: usize,
+    /// `(offset, len)` into `nodes`, indexed `src * nclusters + dst`;
+    /// `len == 0` until the pair is first routed.
+    spans: Vec<(u32, u32)>,
+    nodes: Vec<usize>,
+}
+
+impl RouteTable {
+    pub(crate) fn new(shape: WanTopology, nclusters: usize) -> Self {
+        RouteTable {
+            shape,
+            nclusters,
+            spans: vec![(0, 0); nclusters * nclusters],
+            nodes: Vec::new(),
+        }
+    }
+
+    /// The route from cluster `src` to cluster `dst`, as
+    /// [`WanTopology::route`] computes it (and with its panics, on the
+    /// pair's first use).
+    pub(crate) fn resolve(&mut self, src: usize, dst: usize) -> &[usize] {
+        let span = &mut self.spans[src * self.nclusters + dst];
+        if span.1 == 0 {
+            let route = self.shape.route(src, dst, self.nclusters);
+            let at = |n: usize| u32::try_from(n).expect("route arena fits u32 offsets");
+            *span = (at(self.nodes.len()), at(route.len()));
+            self.nodes.extend_from_slice(&route);
+        }
+        let (offset, len) = *span;
+        &self.nodes[offset as usize..][..len as usize]
     }
 }
 
@@ -716,7 +765,7 @@ mod tests {
 
     #[test]
     fn cursor_walks_the_route() {
-        let mut c = RouteCursor::new(vec![2, 5, 0, 3]);
+        let mut c = RouteCursor::new(&[2, 5, 0, 3]);
         assert_eq!(c.at(), 2);
         assert_eq!(c.hops_remaining(), 3);
         assert_eq!(c.advance(), Some((2, 5)));
@@ -729,8 +778,31 @@ mod tests {
     }
 
     #[test]
+    fn route_table_resolves_each_pair_once_to_the_computed_route() {
+        for (shape, n) in [
+            (WanTopology::FullMesh, 4),
+            (WanTopology::Ring, 6),
+            (WanTopology::FatTree { pod: 2 }, 4),
+            (WanTopology::Dragonfly { groups: 2 }, 6),
+        ] {
+            let mut table = RouteTable::new(shape, n);
+            // Twice over, in an order that interleaves the pairs' arena
+            // spans: the second pass must read, not append.
+            for pass in 0..2 {
+                for a in (0..n).rev() {
+                    for b in (0..n).filter(|&b| b != a) {
+                        assert_eq!(table.resolve(a, b), shape.route(a, b, n));
+                    }
+                }
+                let filled: usize = table.spans.iter().map(|s| s.1 as usize).sum();
+                assert_eq!(table.nodes.len(), filled, "{shape:?} pass {pass}");
+            }
+        }
+    }
+
+    #[test]
     fn single_node_cursor_is_immediately_done() {
-        let mut c = RouteCursor::new(vec![7]);
+        let mut c = RouteCursor::new(&[7]);
         assert_eq!(c.at(), 7);
         assert_eq!(c.hops_remaining(), 0);
         assert_eq!(c.advance(), None);

@@ -33,6 +33,7 @@
 
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
@@ -241,10 +242,22 @@ fn handle_connection(
 ) {
     let started = Instant::now();
     let reply = match read_request(&stream, started, deadline) {
-        Ok(req) => route(&req, service, stop),
+        Ok(req) => guarded(|| route(&req, service, stop)),
         Err(e) => e,
     };
     let _ = write_reply(stream, &reply, started, deadline);
+}
+
+/// Runs one request's handler; a panic inside it becomes a `500` for that
+/// client instead of unwinding the pool thread (which the client would see
+/// as EOF, and the pool as one worker fewer for good).
+///
+/// Nothing the handler can reach is left half-updated by an unwind: a
+/// batch's replayers are locals of the fan-out workers and die with it, the
+/// stop flag is one atomic store, and the DAG cache is locked only around
+/// its own lookups and inserts (see `Service::cache`).
+fn guarded(handler: impl FnOnce() -> Reply) -> Reply {
+    catch_unwind(AssertUnwindSafe(handler)).unwrap_or_else(|_| Reply::error(500, "internal error"))
 }
 
 /// Routes one request to its handler.
@@ -475,6 +488,31 @@ mod tests {
         assert_eq!(status, 400);
         assert!(body.contains("error"), "{body}");
         server.shutdown();
+    }
+
+    #[test]
+    fn a_panicking_handler_costs_a_reply_not_the_thread() {
+        let service = Arc::new(Service::new(1, 2));
+        let stop = Arc::new(AtomicBool::new(false));
+        // One thread stands in for a pool worker: it has to outlive the
+        // panic and then answer a real request.
+        let replies = thread::spawn(move || {
+            let broken = guarded(|| panic!("handler bug"));
+            let health = Request {
+                method: "GET".to_string(),
+                path: "/v1/health".to_string(),
+                body: String::new(),
+            };
+            let next = guarded(|| route(&health, &service, &stop));
+            [(broken.status, broken.body), (next.status, next.body)]
+        })
+        .join()
+        .expect("the panic stays inside guarded()");
+        assert_eq!(
+            replies[0],
+            (500, "{\"error\": \"internal error\"}\n".to_string())
+        );
+        assert_eq!(replies[1], (200, "{\"status\": \"ok\"}\n".to_string()));
     }
 
     #[test]

@@ -14,13 +14,13 @@
 //! cold and cached paths.
 
 use std::fmt::Write as _;
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use numagap_apps::{run_app, AppId, Scale, SuiteConfig, Variant};
 use numagap_bench::json::{self, Json};
 use numagap_bench::{baseline_machine, engine, relative_speedup_pct, wan_machine_with};
-use numagap_model::{gap_thresholds, record_app, replay, GapThresholds, TOLERABLE_SPEEDUP_PCT};
-use numagap_net::{das_spec, WanTopology};
+use numagap_model::{gap_thresholds, record_app, GapThresholds, Replayer, TOLERABLE_SPEEDUP_PCT};
+use numagap_net::{LinkParams, WanTopology};
 use numagap_sim::SimDuration;
 
 use crate::analytic::AnalyticModel;
@@ -33,10 +33,9 @@ pub const SERVE_SCHEMA_VERSION: u64 = 1;
 /// points" design target while bounding per-request memory and replay time.
 pub const MAX_POINTS: usize = 10_000;
 
-/// The recorded machine shape every query runs on (the paper's fig3
+/// Clusters of the machine every query is recorded on (the paper's fig3
 /// machine, like `numagap predict`).
 const CLUSTERS: usize = numagap_bench::CLUSTERS;
-const PROCS: usize = numagap_bench::PROCS_PER_CLUSTER;
 
 /// Response bytes reserved per point. A line with 4-digit coordinates, a
 /// 10-digit makespan and a 17-digit speedup is ~110 bytes.
@@ -116,7 +115,17 @@ impl Service {
 
     /// Current cache counters (for `/v1/stats`).
     pub fn cache_stats(&self) -> crate::cache::CacheStats {
-        self.cache.lock().expect("cache lock poisoned").stats()
+        self.cache().stats()
+    }
+
+    /// The cache, locked. The lock is never held across user work — a
+    /// recording or a replay runs outside it — so only a bug in `DagCache`'s
+    /// own few lines could panic under it. Even then the guard is recovered
+    /// rather than the poison passed on to every later request: each step
+    /// of a lookup or insert leaves the entry list and counters valid (at
+    /// worst an entry keeps a stale LRU position or goes unevicted).
+    fn cache(&self) -> MutexGuard<'_, DagCache> {
+        self.cache.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Parses and answers one what-if request body.
@@ -144,15 +153,11 @@ impl Service {
         &self,
         key: &CacheKey,
     ) -> Result<(std::sync::Arc<CacheEntry>, bool), BadRequest> {
-        if let Some(entry) = self.cache.lock().expect("cache lock poisoned").lookup(key) {
+        if let Some(entry) = self.cache().lookup(key) {
             return Ok((entry, true));
         }
         let entry = record_entry(key)?;
-        let stored = self
-            .cache
-            .lock()
-            .expect("cache lock poisoned")
-            .insert(key, entry);
+        let stored = self.cache().insert(key, entry);
         Ok((stored, false))
     }
 }
@@ -178,13 +183,16 @@ fn record_entry(key: &CacheKey) -> Result<CacheEntry, BadRequest> {
 /// Evaluates the batch and serializes the response body.
 fn answer(req: &WhatIfRequest, entry: &CacheEntry, workers: usize) -> String {
     let makespans: Vec<SimDuration> = match req.mode {
-        Mode::Replay => engine::run_cells(&req.points, workers, None, |_, &(lat, bw)| {
-            let mut spec = das_spec(CLUSTERS, PROCS, lat, bw);
-            if let Some(t) = req.key.topology {
-                spec = spec.wan_topology(t);
-            }
-            replay(&entry.dag, &spec).elapsed
-        }),
+        // One replayer per worker for this batch: the recording's own
+        // machine, reset to each point's WAN link class. It lives on the
+        // worker's stack, so a panicking point takes it down with it.
+        Mode::Replay => engine::run_cells_with(
+            &req.points,
+            workers,
+            None,
+            || Replayer::new(&entry.dag.base_spec),
+            |replayer, _, &(lat, bw)| replayer.makespan(&entry.dag, LinkParams::wide_area(lat, bw)),
+        ),
         // Analytic evaluation is microseconds per point; the engine fan-out
         // would cost more in thread handoff than it saves, and the slot
         // discipline makes the order identical either way.
@@ -477,6 +485,26 @@ mod tests {
         assert_eq!(points.len(), 2);
         assert_eq!(points[0].get("latency_ms").unwrap().as_f64(), Some(10.0));
         assert_eq!(points[1].get("latency_ms").unwrap().as_f64(), Some(0.5));
+    }
+
+    #[test]
+    fn a_panic_under_the_cache_lock_does_not_take_the_cache_down() {
+        let service = Service::new(1, 4);
+        service.whatif(&small_batch("analytic")).unwrap();
+        std::thread::scope(|s| {
+            let holder = s.spawn(|| {
+                let _guard = service.cache.lock().unwrap();
+                panic!("bug while holding the cache lock");
+            });
+            assert!(holder.join().is_err());
+        });
+        assert!(service.cache.is_poisoned());
+        // Counters, a hit and a miss-then-insert all still work.
+        assert_eq!(service.cache_stats().entries, 1);
+        assert!(service.whatif(&small_batch("analytic")).unwrap().cache_hit);
+        let other = small_batch("analytic").replace("\"opt\"", "\"unopt\"");
+        assert!(!service.whatif(&other).unwrap().cache_hit);
+        assert_eq!(service.cache_stats().entries, 2);
     }
 
     #[test]

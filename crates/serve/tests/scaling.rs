@@ -2,7 +2,10 @@
 //! socket waits only, so every CPU stage of a request has to stay at most
 //! O(n log n) in its points and O(bytes) in its body. Each guard times a
 //! small and a large input and bounds the ratio at twice what linear work
-//! would measure.
+//! would measure. The constant behind a replay request's O(n) — a point
+//! costs its link bookings and event-loop steps, and not one allocation once
+//! its worker's replayer is warm — is counted rather than timed, in
+//! `crates/model/tests/alloc.rs`.
 //!
 //! A test binary of their own, and one guard at a time: the timings need a
 //! core to themselves, which `cargo test` gives a binary but not a test

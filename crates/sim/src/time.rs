@@ -42,16 +42,19 @@ impl SimTime {
     pub const MAX: SimTime = SimTime(u64::MAX);
 
     /// Constructs an instant from nanoseconds since simulation start.
+    #[inline]
     pub const fn from_nanos(ns: u64) -> Self {
         SimTime(ns)
     }
 
     /// Nanoseconds since simulation start.
+    #[inline]
     pub const fn as_nanos(self) -> u64 {
         self.0
     }
 
     /// Seconds since simulation start, as a float (for reporting only).
+    #[inline]
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e9
     }
@@ -61,6 +64,7 @@ impl SimTime {
     /// # Panics
     ///
     /// Panics if `earlier` is later than `self`.
+    #[inline]
     pub fn since(self, earlier: SimTime) -> SimDuration {
         SimDuration(
             self.0
@@ -70,16 +74,19 @@ impl SimTime {
     }
 
     /// Saturating duration since `earlier`; zero if `earlier` is later.
+    #[inline]
     pub fn saturating_since(self, earlier: SimTime) -> SimDuration {
         SimDuration(self.0.saturating_sub(earlier.0))
     }
 
     /// The later of two instants.
+    #[inline]
     pub fn max(self, other: SimTime) -> SimTime {
         SimTime(self.0.max(other.0))
     }
 
     /// The earlier of two instants.
+    #[inline]
     pub fn min(self, other: SimTime) -> SimTime {
         SimTime(self.0.min(other.0))
     }
@@ -92,21 +99,25 @@ impl SimDuration {
     pub const MAX: SimDuration = SimDuration(u64::MAX);
 
     /// Constructs a duration from nanoseconds.
+    #[inline]
     pub const fn from_nanos(ns: u64) -> Self {
         SimDuration(ns)
     }
 
     /// Constructs a duration from microseconds.
+    #[inline]
     pub const fn from_micros(us: u64) -> Self {
         SimDuration(us * 1_000)
     }
 
     /// Constructs a duration from milliseconds.
+    #[inline]
     pub const fn from_millis(ms: u64) -> Self {
         SimDuration(ms * 1_000_000)
     }
 
     /// Constructs a duration from whole seconds.
+    #[inline]
     pub const fn from_secs(s: u64) -> Self {
         SimDuration(s * 1_000_000_000)
     }
@@ -140,36 +151,43 @@ impl SimDuration {
     }
 
     /// Nanoseconds in this duration.
+    #[inline]
     pub const fn as_nanos(self) -> u64 {
         self.0
     }
 
     /// Seconds in this duration, as a float (for reporting only).
+    #[inline]
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e9
     }
 
     /// Milliseconds in this duration, as a float (for reporting only).
+    #[inline]
     pub fn as_millis_f64(self) -> f64 {
         self.0 as f64 / 1e6
     }
 
     /// Saturating subtraction; zero if `other` is longer.
+    #[inline]
     pub fn saturating_sub(self, other: SimDuration) -> SimDuration {
         SimDuration(self.0.saturating_sub(other.0))
     }
 
     /// The longer of two durations.
+    #[inline]
     pub fn max(self, other: SimDuration) -> SimDuration {
         SimDuration(self.0.max(other.0))
     }
 
     /// The shorter of two durations.
+    #[inline]
     pub fn min(self, other: SimDuration) -> SimDuration {
         SimDuration(self.0.min(other.0))
     }
 
     /// True if this duration is zero.
+    #[inline]
     pub const fn is_zero(self) -> bool {
         self.0 == 0
     }
@@ -177,6 +195,7 @@ impl SimDuration {
 
 impl Add<SimDuration> for SimTime {
     type Output = SimTime;
+    #[inline]
     fn add(self, rhs: SimDuration) -> SimTime {
         SimTime(
             self.0
@@ -187,6 +206,7 @@ impl Add<SimDuration> for SimTime {
 }
 
 impl AddAssign<SimDuration> for SimTime {
+    #[inline]
     fn add_assign(&mut self, rhs: SimDuration) {
         *self = *self + rhs;
     }
@@ -194,6 +214,7 @@ impl AddAssign<SimDuration> for SimTime {
 
 impl Sub<SimDuration> for SimTime {
     type Output = SimTime;
+    #[inline]
     fn sub(self, rhs: SimDuration) -> SimTime {
         SimTime(
             self.0
@@ -205,6 +226,7 @@ impl Sub<SimDuration> for SimTime {
 
 impl Sub<SimTime> for SimTime {
     type Output = SimDuration;
+    #[inline]
     fn sub(self, rhs: SimTime) -> SimDuration {
         self.since(rhs)
     }
@@ -212,6 +234,7 @@ impl Sub<SimTime> for SimTime {
 
 impl Add for SimDuration {
     type Output = SimDuration;
+    #[inline]
     fn add(self, rhs: SimDuration) -> SimDuration {
         SimDuration(
             self.0
@@ -222,6 +245,7 @@ impl Add for SimDuration {
 }
 
 impl AddAssign for SimDuration {
+    #[inline]
     fn add_assign(&mut self, rhs: SimDuration) {
         *self = *self + rhs;
     }
@@ -229,6 +253,7 @@ impl AddAssign for SimDuration {
 
 impl Sub for SimDuration {
     type Output = SimDuration;
+    #[inline]
     fn sub(self, rhs: SimDuration) -> SimDuration {
         SimDuration(
             self.0
@@ -239,6 +264,7 @@ impl Sub for SimDuration {
 }
 
 impl SubAssign for SimDuration {
+    #[inline]
     fn sub_assign(&mut self, rhs: SimDuration) {
         *self = *self - rhs;
     }
@@ -246,6 +272,7 @@ impl SubAssign for SimDuration {
 
 impl Mul<u64> for SimDuration {
     type Output = SimDuration;
+    #[inline]
     fn mul(self, rhs: u64) -> SimDuration {
         SimDuration(
             self.0
@@ -257,6 +284,7 @@ impl Mul<u64> for SimDuration {
 
 impl Div<u64> for SimDuration {
     type Output = SimDuration;
+    #[inline]
     fn div(self, rhs: u64) -> SimDuration {
         SimDuration(self.0 / rhs)
     }
