@@ -129,7 +129,9 @@ impl BarnesConfig {
                 mass: rng.gen_range(0.5..2.0),
             })
             .collect();
-        bodies.sort_by_key(|b| morton_key(&b.pos, &[0.0; 3], 100.0));
+        // Stable like `sort_by_key`, one key per body instead of one per
+        // comparison: bodies that share a key keep generation order.
+        bodies.sort_by_cached_key(|b| morton_key(&b.pos, &[0.0; 3], 100.0));
         bodies
     }
 }
@@ -138,9 +140,8 @@ impl BarnesConfig {
 pub fn morton_key(pos: &[f64; 3], origin: &[f64; 3], side: f64) -> u64 {
     let mut key = 0u64;
     let scale = 1024.0 / side;
-    let q: Vec<u64> = (0..3)
-        .map(|k| (((pos[k] - origin[k]) * scale) as i64).clamp(0, 1023) as u64)
-        .collect();
+    let q: [u64; 3] =
+        std::array::from_fn(|k| (((pos[k] - origin[k]) * scale) as i64).clamp(0, 1023) as u64);
     for bit in 0..10 {
         for (k, qk) in q.iter().enumerate() {
             key |= ((qk >> bit) & 1) << (3 * bit + k);
@@ -210,22 +211,37 @@ impl Bbox {
     }
 }
 
-enum NodeKind {
-    Leaf(PseudoBody),
-    Internal(Box<[Option<OctNode>; 8]>),
-}
+/// Marks an empty octant in [`OctNode::children`]. Index 0 is the root,
+/// which is no node's child.
+const NO_CHILD: u32 = 0;
 
+/// One tree node. A tree's nodes live in one `Vec` and name their children
+/// by index, so a tree is one allocation however many bodies it holds.
 struct OctNode {
     center: [f64; 3],
     half: f64,
+    /// A leaf's body; on an internal node the subtree's total mass and
+    /// center of mass, valid once the tree is finalized.
     mass: f64,
     com: [f64; 3],
-    kind: NodeKind,
+    /// `None` on a leaf; otherwise the arena index of the child in each
+    /// octant, or [`NO_CHILD`].
+    children: Option<[u32; 8]>,
 }
 
 const MAX_DEPTH: usize = 48;
 
 impl OctNode {
+    fn leaf(center: [f64; 3], half: f64, b: PseudoBody) -> OctNode {
+        OctNode {
+            center,
+            half,
+            mass: b.mass,
+            com: b.pos,
+            children: None,
+        }
+    }
+
     fn octant(&self, p: &[f64; 3]) -> usize {
         usize::from(p[0] > self.center[0])
             | usize::from(p[1] > self.center[1]) << 1
@@ -240,82 +256,21 @@ impl OctNode {
             self.center[2] + if oct & 4 != 0 { h } else { -h },
         ]
     }
+}
 
-    fn insert(&mut self, b: PseudoBody, depth: usize) {
-        match &mut self.kind {
-            NodeKind::Leaf(existing) => {
-                if depth >= MAX_DEPTH {
-                    // Coincident points: merge masses (mass-weighted COM).
-                    let total = existing.mass + b.mass;
-                    for k in 0..3 {
-                        existing.pos[k] =
-                            (existing.pos[k] * existing.mass + b.pos[k] * b.mass) / total;
-                    }
-                    existing.mass = total;
-                    return;
-                }
-                let old = *existing;
-                self.kind = NodeKind::Internal(Box::new(std::array::from_fn(|_| None)));
-                self.insert_into_child(old, depth);
-                self.insert_into_child(b, depth);
-            }
-            NodeKind::Internal(_) => self.insert_into_child(b, depth),
-        }
-    }
-
-    fn insert_into_child(&mut self, b: PseudoBody, depth: usize) {
-        let oct = self.octant(&b.pos);
-        let center = self.child_center(oct);
-        let half = self.half / 2.0;
-        let NodeKind::Internal(children) = &mut self.kind else {
-            unreachable!("insert_into_child on a leaf");
-        };
-        match &mut children[oct] {
-            Some(child) => child.insert(b, depth + 1),
-            None => {
-                children[oct] = Some(OctNode {
-                    center,
-                    half,
-                    mass: b.mass,
-                    com: b.pos,
-                    kind: NodeKind::Leaf(b),
-                });
-            }
-        }
-    }
-
-    fn finalize(&mut self) -> usize {
-        match &mut self.kind {
-            NodeKind::Leaf(b) => {
-                self.mass = b.mass;
-                self.com = b.pos;
-                1
-            }
-            NodeKind::Internal(children) => {
-                let mut mass = 0.0;
-                let mut com = [0.0; 3];
-                let mut nodes = 1;
-                for child in children.iter_mut().flatten() {
-                    nodes += child.finalize();
-                    mass += child.mass;
-                    for k in 0..3 {
-                        com[k] += child.com[k] * child.mass;
-                    }
-                }
-                for c in &mut com {
-                    *c /= mass;
-                }
-                self.mass = mass;
-                self.com = com;
-                nodes
-            }
-        }
-    }
+/// The children of an internal node that exist, in octant order.
+fn present(children: [u32; 8]) -> impl Iterator<Item = usize> {
+    children
+        .into_iter()
+        .filter(|&c| c != NO_CHILD)
+        .map(|c| c as usize)
 }
 
 /// A Barnes-Hut octree over a set of point masses.
 pub struct Octree {
-    root: Option<OctNode>,
+    /// The root at index 0, every child after its parent; empty for a tree
+    /// over no points.
+    arena: Vec<OctNode>,
     /// Number of tree nodes (for cost accounting).
     pub nodes: usize,
 }
@@ -337,28 +292,102 @@ impl Octree {
             center[k] = (bounds.min[k] + bounds.max[k]) / 2.0;
             half = half.max((bounds.max[k] - bounds.min[k]) / 2.0 + 1e-9);
         }
-        let mut root: Option<OctNode> = None;
+        let mut tree = Octree {
+            arena: Vec::with_capacity(2 * points.len()),
+            nodes: 0,
+        };
         for &b in points {
-            match &mut root {
-                None => {
-                    root = Some(OctNode {
-                        center,
-                        half,
-                        mass: b.mass,
-                        com: b.pos,
-                        kind: NodeKind::Leaf(b),
-                    })
-                }
-                Some(r) => r.insert(b, 0),
+            if tree.arena.is_empty() {
+                tree.arena.push(OctNode::leaf(center, half, b));
+            } else {
+                tree.insert(b);
             }
         }
-        let nodes = root.as_mut().map_or(0, |r| r.finalize());
-        Octree { root, nodes }
+        tree.finalize();
+        tree.nodes = tree.arena.len();
+        tree
+    }
+
+    /// Descends from the root to the octant `b` falls in, splitting the
+    /// leaf it meets there.
+    fn insert(&mut self, b: PseudoBody) {
+        let mut at = 0;
+        let mut depth = 0;
+        loop {
+            let node = &mut self.arena[at];
+            let Some(children) = node.children else {
+                if depth >= MAX_DEPTH {
+                    // Coincident points: merge masses (mass-weighted COM).
+                    let total = node.mass + b.mass;
+                    for k in 0..3 {
+                        node.com[k] = (node.com[k] * node.mass + b.pos[k] * b.mass) / total;
+                    }
+                    node.mass = total;
+                    return;
+                }
+                // Split: the resident body moves down one level, then `b`
+                // meets this node again as an internal one.
+                let resident = PseudoBody {
+                    pos: node.com,
+                    mass: node.mass,
+                };
+                node.children = Some([NO_CHILD; 8]);
+                self.add_leaf(at, resident);
+                continue;
+            };
+            match children[node.octant(&b.pos)] {
+                NO_CHILD => return self.add_leaf(at, b),
+                child => {
+                    at = child as usize;
+                    depth += 1;
+                }
+            }
+        }
+    }
+
+    /// Hangs a new leaf holding `b` under the internal node `parent`, in
+    /// the octant `b` falls in (which must be empty).
+    fn add_leaf(&mut self, parent: usize, b: PseudoBody) {
+        let node = &self.arena[parent];
+        let oct = node.octant(&b.pos);
+        let leaf = OctNode::leaf(node.child_center(oct), node.half / 2.0, b);
+        let index = u32::try_from(self.arena.len()).expect("octree node count fits u32");
+        self.arena.push(leaf);
+        let children = self.arena[parent]
+            .children
+            .as_mut()
+            .expect("add_leaf on a leaf");
+        children[oct] = index;
+    }
+
+    /// Sums every internal node's mass and center of mass over its
+    /// children in octant order. Children sit after their parent in the
+    /// arena, so one backward sweep sees each child before its parent.
+    fn finalize(&mut self) {
+        for at in (0..self.arena.len()).rev() {
+            let Some(children) = self.arena[at].children else {
+                continue;
+            };
+            let mut mass = 0.0;
+            let mut com = [0.0; 3];
+            for c in present(children) {
+                let child = &self.arena[c];
+                mass += child.mass;
+                for k in 0..3 {
+                    com[k] += child.com[k] * child.mass;
+                }
+            }
+            for c in &mut com {
+                *c /= mass;
+            }
+            self.arena[at].mass = mass;
+            self.arena[at].com = com;
+        }
     }
 
     /// Total mass in the tree.
     pub fn total_mass(&self) -> f64 {
-        self.root.as_ref().map_or(0.0, |r| r.mass)
+        self.arena.first().map_or(0.0, |r| r.mass)
     }
 
     /// Gravitational force on a unit test point at `pos` (multiplied by the
@@ -367,40 +396,40 @@ impl Octree {
     pub fn force_at(&self, pos: &[f64; 3], theta: f64) -> ([f64; 3], u64) {
         let mut f = [0.0; 3];
         let mut count = 0;
-        if let Some(root) = &self.root {
-            Self::force_rec(root, pos, theta, &mut f, &mut count);
+        if !self.arena.is_empty() {
+            self.force_rec(0, pos, theta, &mut f, &mut count);
         }
         (f, count)
     }
 
-    fn force_rec(node: &OctNode, pos: &[f64; 3], theta: f64, f: &mut [f64; 3], count: &mut u64) {
+    fn force_rec(&self, at: usize, pos: &[f64; 3], theta: f64, f: &mut [f64; 3], count: &mut u64) {
+        let node = &self.arena[at];
         let dx = node.com[0] - pos[0];
         let dy = node.com[1] - pos[1];
         let dz = node.com[2] - pos[2];
         let d2 = dx * dx + dy * dy + dz * dz;
-        let use_node = match &node.kind {
-            NodeKind::Leaf(_) => true,
-            NodeKind::Internal(_) => {
-                let s = 2.0 * node.half;
-                s * s < theta * theta * d2
-            }
+        // A leaf is a body; an internal node stands in for its subtree once
+        // it is far enough away for its size.
+        let far_enough = || {
+            let s = 2.0 * node.half;
+            s * s < theta * theta * d2
         };
-        if use_node {
-            if d2 < 1e-18 {
-                // The test point itself.
-                return;
+        match node.children {
+            Some(children) if !far_enough() => {
+                for c in present(children) {
+                    self.force_rec(c, pos, theta, f, count);
+                }
             }
-            *count += 1;
-            let inv = 1.0 / (d2 + SOFTENING_SQ).powf(1.5);
-            f[0] += node.mass * dx * inv;
-            f[1] += node.mass * dy * inv;
-            f[2] += node.mass * dz * inv;
-        } else {
-            let NodeKind::Internal(children) = &node.kind else {
-                unreachable!();
-            };
-            for child in children.iter().flatten() {
-                Self::force_rec(child, pos, theta, f, count);
+            _ => {
+                if d2 < 1e-18 {
+                    // The test point itself.
+                    return;
+                }
+                *count += 1;
+                let inv = 1.0 / (d2 + SOFTENING_SQ).powf(1.5);
+                f[0] += node.mass * dx * inv;
+                f[1] += node.mass * dy * inv;
+                f[2] += node.mass * dz * inv;
             }
         }
     }
@@ -412,35 +441,36 @@ impl Octree {
     /// real bodies. Returns the visited-node count for cost accounting.
     pub fn essential_for(&self, region: &Bbox, theta: f64, out: &mut Vec<PseudoBody>) -> u64 {
         let mut visited = 0;
-        if let Some(root) = &self.root {
-            Self::essential_rec(root, region, theta, out, &mut visited);
+        if !self.arena.is_empty() {
+            self.essential_rec(0, region, theta, out, &mut visited);
         }
         visited
     }
 
     fn essential_rec(
-        node: &OctNode,
+        &self,
+        at: usize,
         region: &Bbox,
         theta: f64,
         out: &mut Vec<PseudoBody>,
         visited: &mut u64,
     ) {
         *visited += 1;
-        match &node.kind {
-            NodeKind::Leaf(b) => out.push(*b),
-            NodeKind::Internal(children) => {
-                let d = region.min_dist_to_cell(&node.center, node.half);
-                let s = 2.0 * node.half;
-                if d > 0.0 && s < theta * d {
-                    out.push(PseudoBody {
-                        pos: node.com,
-                        mass: node.mass,
-                    });
-                } else {
-                    for child in children.iter().flatten() {
-                        Self::essential_rec(child, region, theta, out, visited);
-                    }
-                }
+        let node = &self.arena[at];
+        let summary = PseudoBody {
+            pos: node.com,
+            mass: node.mass,
+        };
+        let Some(children) = node.children else {
+            return out.push(summary);
+        };
+        let d = region.min_dist_to_cell(&node.center, node.half);
+        let s = 2.0 * node.half;
+        if d > 0.0 && s < theta * d {
+            out.push(summary);
+        } else {
+            for c in present(children) {
+                self.essential_rec(c, region, theta, out, visited);
             }
         }
     }
@@ -538,9 +568,9 @@ type RelayBundle = Vec<(u32, u32, Vec<PseudoBody>)>;
 pub fn barnes_rank(ctx: &mut Ctx<'_>, cfg: &BarnesConfig, variant: Variant) -> RankOutput {
     let p = ctx.nprocs();
     let me = ctx.rank();
-    let all = cfg.generate();
     let (lo, hi) = block_range(cfg.n, p, me);
-    let mut mine: Vec<Body> = all[lo..hi].to_vec();
+    // Every rank generates the whole input and keeps only its block.
+    let mut mine: Vec<Body> = cfg.generate()[lo..hi].to_vec();
     let mut barrier = Barrier::new(7);
     let mut interactions: u64 = 0;
 
@@ -575,8 +605,11 @@ pub fn barnes_rank(ctx: &mut Ctx<'_>, cfg: &BarnesConfig, variant: Variant) -> R
                 mass: b.mass,
             })
             .collect();
+        // A rank suspended in a charge, send or receive holds no tree: 32
+        // of them are live at once, and a tree is the largest thing a rank
+        // owns. So walk before charging and keep only the node count.
         let tree = Octree::build(&points, &global);
-        ctx.compute_ns(tree.nodes as f64 * cfg.node_ns);
+        let tree_nodes = tree.nodes;
 
         // ---- Part 3: precompute and ship essential sets ----
         let mut exports: Vec<(usize, Vec<PseudoBody>)> = Vec::new();
@@ -593,25 +626,27 @@ pub fn barnes_rank(ctx: &mut Ctx<'_>, cfg: &BarnesConfig, variant: Variant) -> R
             );
             exports.push((q, out));
         }
+        drop(tree);
+        ctx.compute_ns(tree_nodes as f64 * cfg.node_ns);
         ctx.compute_ns(walk_nodes as f64 * cfg.node_ns);
         match variant {
             Variant::Unoptimized => {
-                for (q, bodies) in &exports {
+                for (q, bodies) in exports {
                     let bytes = bodies.len() as u64 * PSEUDO_BODY_BYTES;
-                    ctx.send(*q, data_tag(step), (me as u32, bodies.clone()), bytes);
+                    ctx.send(q, data_tag(step), (me as u32, bodies), bytes);
                 }
             }
             Variant::Optimized => {
                 let my_cluster = ctx.cluster();
                 let nclusters = ctx.nclusters();
                 let mut bundles: Vec<RelayBundle> = vec![Vec::new(); nclusters];
-                for (q, bodies) in &exports {
-                    let qc = ctx.topology().cluster_of_rank(*q);
+                for (q, bodies) in exports {
+                    let qc = ctx.topology().cluster_of_rank(q);
                     if qc == my_cluster {
                         let bytes = bodies.len() as u64 * PSEUDO_BODY_BYTES;
-                        ctx.send(*q, data_tag(step), (me as u32, bodies.clone()), bytes);
+                        ctx.send(q, data_tag(step), (me as u32, bodies), bytes);
                     } else {
-                        bundles[qc].push((*q as u32, me as u32, bodies.clone()));
+                        bundles[qc].push((q as u32, me as u32, bodies));
                     }
                 }
                 for (c, bundle) in bundles.into_iter().enumerate() {
@@ -676,12 +711,13 @@ pub fn barnes_rank(ctx: &mut Ctx<'_>, cfg: &BarnesConfig, variant: Variant) -> R
         imports.sort_by_key(|(sender, _)| *sender);
 
         // ---- Part 5: build the locally essential tree and compute forces ----
-        let mut let_points = points.clone();
-        for (_, bodies) in &imports {
-            let_points.extend_from_slice(bodies);
+        let mut let_points = points;
+        for (_, bodies) in imports {
+            let_points.extend_from_slice(&bodies);
         }
         let let_tree = Octree::build(&let_points, &global);
-        ctx.compute_ns((let_tree.nodes.saturating_sub(tree.nodes)) as f64 * cfg.node_ns);
+        drop(let_points);
+        let let_nodes = let_tree.nodes;
         let mut forces = Vec::with_capacity(mine.len());
         let mut step_interactions = 0u64;
         for b in &mine {
@@ -689,7 +725,10 @@ pub fn barnes_rank(ctx: &mut Ctx<'_>, cfg: &BarnesConfig, variant: Variant) -> R
             step_interactions += c;
             forces.push(f);
         }
+        // Gone before the charges, like the local tree.
+        drop(let_tree);
         interactions += step_interactions;
+        ctx.compute_ns((let_nodes.saturating_sub(tree_nodes)) as f64 * cfg.node_ns);
         ctx.compute_ns(step_interactions as f64 * cfg.interact_ns);
 
         // ---- Part 6: integrate; synchronize supersteps ----

@@ -187,21 +187,28 @@ impl<'d> Searcher<'d> {
         for &c in &job.path {
             visited |= 1 << c;
         }
+        let rest = (0..n)
+            .filter(|&c| visited & (1 << c) == 0)
+            .map(|c| self.min_edge[c])
+            .sum();
         let mut path = job.path.clone();
-        self.dfs(ctx, &mut path, visited, job.len, n, poll);
+        self.dfs(ctx, &mut path, visited, job.len, rest, poll);
         self.flush_charge(ctx);
     }
 
+    /// `rest` is the sum of `min_edge` over the cities not yet visited,
+    /// carried down the recursion instead of re-summed at every node.
     fn dfs(
         &mut self,
         ctx: &mut Ctx<'_>,
         path: &mut Vec<u8>,
         visited: u32,
         len: u32,
-        n: usize,
+        rest: u32,
         poll: &mut dyn FnMut(&mut Ctx<'_>),
     ) {
         self.charge_node(ctx, poll);
+        let n = self.dist.len();
         let at = *path.last().expect("path never empty") as usize;
         if path.len() == n {
             let total = len + self.dist[at][0];
@@ -212,13 +219,7 @@ impl<'d> Searcher<'d> {
         }
         // Lower bound: every remaining city (and the current one) must be
         // left over at least its cheapest edge.
-        let mut bound = len + self.min_edge[at];
-        for c in 0..n {
-            if visited & (1 << c) == 0 {
-                bound += self.min_edge[c];
-            }
-        }
-        if bound >= self.cutoff {
+        if len + self.min_edge[at] + rest >= self.cutoff {
             return;
         }
         for c in 0..n as u8 {
@@ -227,8 +228,9 @@ impl<'d> Searcher<'d> {
                 if len + step >= self.cutoff {
                     continue;
                 }
+                let rest = rest - self.min_edge[c as usize];
                 path.push(c);
-                self.dfs(ctx, path, visited | (1 << c), len + step, n, poll);
+                self.dfs(ctx, path, visited | (1 << c), len + step, rest, poll);
                 path.pop();
             }
         }
@@ -324,6 +326,8 @@ impl SerialSearcher<'_> {
             }
             return;
         }
+        // Summed afresh at every node on purpose: this is the reference the
+        // parallel searcher's carried `rest` is checked against.
         let mut bound = len + self.min_edge[at];
         for c in 0..n {
             if visited & (1 << c) == 0 {
@@ -649,6 +653,33 @@ mod tests {
                 total_nodes, serial_nodes,
                 "fixed cutoff => schedule-independent tree"
             );
+        }
+    }
+
+    #[test]
+    fn both_variants_search_the_serial_tree_node_for_node() {
+        // The parallel searcher carries its bound's sum down the recursion;
+        // the serial one re-sums it at every node. Same prune decisions
+        // means the same node count, whoever ran which job.
+        for seed in [5u64, 13, 99] {
+            for n_cities in [8usize, 10, 12] {
+                let cfg = TspConfig {
+                    n_cities,
+                    seed,
+                    ..TspConfig::small()
+                };
+                let (expected, serial_nodes) = serial_tsp(&cfg);
+                for variant in [Variant::Unoptimized, Variant::Optimized] {
+                    let cfg2 = cfg.clone();
+                    let report = Machine::new(das_spec(2, 2, 5.0, 1.0))
+                        .run(move |ctx| tsp_rank(ctx, &cfg2, variant))
+                        .unwrap();
+                    let what = format!("seed {seed}, {n_cities} cities, {variant}");
+                    assert_eq!(report.results[0].checksum, expected as f64, "{what}");
+                    let nodes: u64 = report.results.iter().map(|r| r.work).sum();
+                    assert_eq!(nodes, serial_nodes, "{what}");
+                }
+            }
         }
     }
 

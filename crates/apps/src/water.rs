@@ -135,9 +135,27 @@ pub fn needs(i: usize, p: usize) -> Vec<usize> {
     out
 }
 
+/// Whether `needs(q, p)` contains `t`, without building the set: `t` is
+/// fetched by `q` when it lies `d` places ahead of it around the ring of
+/// `p` processors, for the same `d` that [`needs`] enumerates.
+pub fn needs_has(q: usize, p: usize, t: usize) -> bool {
+    if p <= 1 || q >= p || t >= p {
+        return false;
+    }
+    let d = (t + p - q) % p;
+    let half = p / 2;
+    if p.is_multiple_of(2) {
+        (1..half).contains(&d) || (d == half && q < half)
+    } else {
+        (1..=half).contains(&d)
+    }
+}
+
 /// Inverse of [`needs`]: who fetches `i`'s block.
 pub fn needed_by(i: usize, p: usize) -> Vec<usize> {
-    (0..p).filter(|&q| needs(q, p).contains(&i)).collect()
+    let mut out = Vec::with_capacity(p / 2);
+    out.extend((0..p).filter(|&q| needs_has(q, p, i)));
+    out
 }
 
 /// One full force evaluation + integration step on an arbitrary molecule
@@ -376,7 +394,8 @@ pub fn water_rank(ctx: &mut Ctx<'_>, cfg: &WaterConfig, variant: Variant) -> Ran
                 if ctx.topology().cluster_of_rank(target) != my_cluster
                     && coordinator(ctx, my_cluster, target) == me
                 {
-                    let contributors = needs_contributors(target, p, ctx, my_cluster);
+                    let contributors =
+                        needs_contributors(target, p, ctx.topology().members(my_cluster));
                     if contributors > 0 {
                         acc_duty.push((target, contributors));
                     }
@@ -460,13 +479,9 @@ fn block_len(n: usize, p: usize, i: usize) -> usize {
     hi - lo
 }
 
-/// Number of procs in `cluster` whose `needs` set contains `target`.
-fn needs_contributors(target: usize, p: usize, ctx: &Ctx<'_>, cluster: usize) -> usize {
-    ctx.topology()
-        .members(cluster)
-        .iter()
-        .filter(|&&q| needs(q, p).contains(&target))
-        .count()
+/// Number of procs among `members` whose `needs` set contains `target`.
+pub fn needs_contributors(target: usize, p: usize, members: &[usize]) -> usize {
+    members.iter().filter(|&&q| needs_has(q, p, target)).count()
 }
 
 /// Pairs computed this step (for the compute-cost charge).
@@ -508,6 +523,23 @@ mod tests {
             for i in 0..p {
                 for j in needs(i, p) {
                     assert!(needed_by(j, p).contains(&i));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn needs_has_is_membership_in_needs() {
+        for p in 0..=33usize {
+            for q in 0..p {
+                let set = needs(q, p);
+                // One past the last rank too: never a member.
+                for t in 0..=p {
+                    assert_eq!(
+                        needs_has(q, p, t),
+                        set.contains(&t),
+                        "needs({q}, {p}) = {set:?}, t = {t}"
+                    );
                 }
             }
         }

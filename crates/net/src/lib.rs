@@ -25,6 +25,7 @@
 #![warn(missing_debug_implementations)]
 
 mod fault;
+mod floor;
 mod hostile;
 mod link;
 mod model;
@@ -33,6 +34,7 @@ mod topology;
 mod wan;
 
 pub use fault::{FaultPlan, GatewayOutage, LinkOutage};
+pub use floor::PairFloors;
 pub use hostile::{CrossTrafficPlan, LinkSchedule, ScheduleShape};
 pub use link::{LinkParams, LinkState};
 pub use model::{NetStats, TwoLayerNetwork, TwoLayerSpec};

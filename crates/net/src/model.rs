@@ -9,6 +9,7 @@
 use numagap_sim::{FaultDisposition, Network, ProcId, SimDuration, SimTime, Tag, Transfer};
 
 use crate::fault::FaultPlan;
+use crate::floor::PairFloors;
 use crate::hostile::{CrossTrafficPlan, LinkSchedule};
 use crate::link::{LinkParams, LinkState};
 use crate::topology::Topology;
@@ -237,14 +238,9 @@ struct RunState {
     /// One independent FIFO link per directed node pair the topology can
     /// route over, indexed `from_node * nnodes + to_node`; diagonal unused.
     wan: Vec<LinkState>,
-    /// Last fault-free arrival per ordered `(src, dst)` pair, indexed
-    /// `src * nprocs + dst`. Gap-filling link occupancy lets a small late
-    /// message slip into an idle gap a larger earlier message of the same
-    /// pair skipped; this floor restores the per-pair FIFO delivery the
-    /// applications and the module-level ordering contract rely on (the
-    /// overtaking message is held and delivered just after its
-    /// predecessor, as an in-order transport would).
-    pair_floor: Vec<SimTime>,
+    /// Last fault-free arrival per ordered `(src, dst)` pair that has
+    /// communicated: the per-pair FIFO delivery rule.
+    pair_floor: PairFloors,
     /// Counter feeding the deterministic latency-jitter hash.
     jitter_seq: u64,
     /// Per ordered cluster pair, indexed `src * nclusters + dst`: how many
@@ -303,7 +299,7 @@ impl RunState {
             links.iter_mut().for_each(LinkState::clear);
             links.resize_with(len, LinkState::default);
         }
-        refill(pair_floor, nprocs * nprocs, SimTime::ZERO);
+        pair_floor.reset(nprocs);
         *jitter_seq = 0;
         refill(fault_seq, nclusters * nclusters, 0);
         refill(xt_next, nnodes * nnodes, SimTime::ZERO);
@@ -589,16 +585,9 @@ impl Network for TwoLayerNetwork {
         };
         // Per-pair FIFO: never deliver before (or at the same instant as) an
         // earlier message of the same ordered pair.
-        let floor = &mut run.pair_floor[src.0 * spec.topology.nprocs() + dst.0];
-        let arrival = if arrival <= *floor {
-            *floor + SimDuration::from_nanos(1)
-        } else {
-            arrival
-        };
-        *floor = arrival;
         Transfer {
             sender_free,
-            arrival,
+            arrival: run.pair_floor.admit(src.0, dst.0, arrival),
         }
     }
 
