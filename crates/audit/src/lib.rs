@@ -20,7 +20,7 @@
 //!   reason the pattern is benign at that site.
 //!
 //! Comments, string literals, `tests/` trees, and `#[cfg(test)]` /
-//! `#[cfg(all(loom, test))]` blocks are excluded before any rule runs, so a
+//! `#[cfg(all(test, …))]` blocks are excluded before any rule runs, so a
 //! doc sentence mentioning `HashMap` or a test that sleeps cannot trip the
 //! gate.
 //!
@@ -238,17 +238,19 @@ pub const WAIVERS: &[Waiver] = &[
         rule: "ND008",
         path_suffix: "sim/src/handoff.rs",
         token: "JoinHandle",
-        reason: "the thread-backed rank context holds its rank's join handle and joins \
-                 it when the rank exits, dies or is aborted; it is the legacy 1:1 \
-                 scheduler mode, not a bypass of the scheduler",
+        reason: "the thread-backed rank context joins its rank's thread when the rank \
+                 exits, dies or is aborted, and the handle returns what the thread \
+                 cloned and the panic it caught; it is the legacy 1:1 scheduler mode, \
+                 not a bypass of the scheduler",
     },
     Waiver {
         rule: "ND008",
         path_suffix: "sim/src/handoff.rs",
         token: "thread::Builder",
-        reason: "legacy 1:1 mode spawns one named, stack-sized thread per rank here — \
-                 the portable fallback and the differential oracle the fiber mode is \
-                 checked against",
+        reason: "legacy 1:1 mode spawns one named, stack-sized thread per rank here, \
+                 blocked on a channel of grants whenever the kernel is not inside its \
+                 resume — the portable fallback and the differential oracle the fiber \
+                 mode is checked against",
     },
 ];
 

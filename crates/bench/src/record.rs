@@ -54,14 +54,15 @@ pub struct RunRecord {
     pub seed: Option<u64>,
     /// Kernel hot-path self-profile; recorded only by the `selfperf` target
     /// (`None` keeps the figure/table artifacts byte-identical to their
-    /// pre-profile baselines). All fields but `park_wakes` are deterministic
-    /// and compared exactly; `park_wakes` varies with host timing like
-    /// `wall_s`.
+    /// pre-profile baselines). Every field is deterministic and compared
+    /// exactly, except `park_wakes`: constant 0 from this build (nothing
+    /// measures it), non-zero in two cells of the committed baseline, so
+    /// [`compare`] still skips it rather than have the baseline rewritten.
     pub profile: Option<HotProfile>,
-    /// Peak simulator thread count the cell ran with (deterministic for a
-    /// fixed scheduler mode: the pool's worker count, or the rank count in
-    /// legacy 1:1 mode). Recorded only by the `scale` target; `None` keeps
-    /// the other targets' artifacts byte-identical to their baselines.
+    /// OS threads rank code ran on (deterministic for a fixed scheduler
+    /// mode: 1 with ranks as fibers, the rank count in legacy 1:1 mode).
+    /// Recorded only by the `scale` target; `None` keeps the other
+    /// targets' artifacts byte-identical to their baselines.
     pub sim_threads: Option<usize>,
 }
 
@@ -107,8 +108,9 @@ impl RunRecord {
     }
 }
 
-/// `profile` with every host-timing-dependent field (`park_wakes`) zeroed:
-/// the subset [`compare`] may check exactly.
+/// `profile` with `park_wakes` zeroed — the subset [`compare`] checks: the
+/// field is constant 0 now, but baselines recorded while thread wakes were
+/// counted carry host-timing-dependent values there.
 fn deterministic_profile(p: &HotProfile) -> HotProfile {
     HotProfile {
         park_wakes: 0,
@@ -451,9 +453,9 @@ pub fn compare(old: &BenchSummary, new: &BenchSummary, opts: &CompareOpts) -> Co
                 n.inter_msgs
             ));
         }
-        // Profile counters: deterministic except `park_wakes`, which is
-        // host-timing-dependent and judged like wall clock (not at all in
-        // exact mode). A baseline without a profile ignores the candidate's.
+        // Profile counters: compared exactly, except `park_wakes` (see
+        // `deterministic_profile`). A baseline without a profile ignores
+        // the candidate's.
         if let (Some(po), Some(pn)) = (&o.profile, &n.profile) {
             if deterministic_profile(pn) != deterministic_profile(po) {
                 rep.findings.push(format!(
@@ -603,7 +605,7 @@ mod tests {
     #[test]
     fn profile_drift_is_a_finding_but_park_wakes_is_exempt() {
         let old = summary(vec![profiled("p")]);
-        // Host-timing noise: park_wakes may move freely.
+        // An old baseline's counted wakes against today's constant 0.
         let mut new = old.clone();
         new.records[0].profile.as_mut().unwrap().park_wakes = 9999;
         let rep = compare(&old, &new, &CompareOpts::default());

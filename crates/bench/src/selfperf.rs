@@ -2,8 +2,8 @@
 //! hot path, reported through the kernel's [`HotProfile`] counters.
 //!
 //! Unlike the paper targets (which measure the *simulated* machine), these
-//! cells measure the *simulator*: how many context switches, thread wakes,
-//! event-queue operations, mailbox scans and payload-clone bytes it spends
+//! cells measure the *simulator*: how many context switches, event-queue
+//! operations, mailbox scans and payload-clone bytes it spends
 //! per simulated workload. Each cell is a small adversarial program
 //! aimed at one hot path:
 //!
@@ -15,11 +15,13 @@
 //! | `mailbox/tagged` | tag-indexed receive against a deeply parked mailbox |
 //! | `events/fanout` | the event-queue heap under all-to-all bursts |
 //!
-//! Every counter except `park_wakes` is deterministic, so the committed
-//! `BENCH_selfperf.json` baseline is compared exactly in CI (`numagap bench
-//! --compare ... --virtual-only`); `park_wakes` is 0 when ranks run as
-//! fibers and depends on host timing on hosts without fiber support, so it is
-//! exempt, like wall clock.
+//! Every counter is deterministic, so the committed `BENCH_selfperf.json`
+//! baseline is compared exactly in CI (`numagap bench --compare ...
+//! --virtual-only`). The `park_wakes` column is constant 0 — nothing counts
+//! thread wakes since thread-backed ranks meet the kernel in std channels —
+//! and stays in the CSV, the JSON and the printed table only so their shape
+//! does not change; the comparison skips it because the committed baseline
+//! still holds two values from when it was counted.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -257,8 +259,7 @@ pub fn run_selfperf(opts: &SweepOpts) -> Result<BenchSummary, BenchError> {
         // A rank on an OS thread of its own costs up to two thread wakes per
         // scheduler transition (the rank for its grant, the kernel for the
         // next request) — `switches + requests` in total, the
-        // `legacy_wakes` column. Ranks resumed inline as fibers wake nobody:
-        // `park_wakes` is 0 unless the host has no fiber support.
+        // `legacy_wakes` column. `park_wakes` is constant 0 (module docs).
         let legacy_wakes = p.switches + p.requests;
         let per_switch = p.park_wakes as f64 / (p.switches.max(1)) as f64;
         println!(
@@ -356,7 +357,7 @@ mod tests {
             assert!(r.virtual_s > 0.0, "{}: no virtual time", r.key);
         }
         // Back-to-back runs must agree on every deterministic field
-        // (park_wakes and wall clock are exempt by design).
+        // (wall clock is exempt by design).
         let rep = compare(
             &a,
             &b,

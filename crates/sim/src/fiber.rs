@@ -311,7 +311,7 @@ mod imp {
     }
 }
 
-#[cfg(all(test, not(loom), target_arch = "x86_64"))]
+#[cfg(all(test, target_arch = "x86_64"))]
 mod tests {
     use super::*;
     use std::cell::{Cell, RefCell};

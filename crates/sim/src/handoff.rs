@@ -3,192 +3,100 @@
 //!
 //! This is the portable fallback (the only mode on hosts without fiber
 //! support) and the differential oracle the fiber mode is checked against.
-//! The rank body runs on a dedicated `simproc-{rank}` thread; each
-//! [`ThreadCtx::resume`] publishes the grant into a one-slot
-//! `Mutex`/`Condvar` rendezvous ([`Handoff`]) and sleeps until the rank
-//! publishes its next [`Request`] or its thread ends. Because the protocol
-//! alternates strictly (there is never more than one outstanding request
-//! *or* grant), a one-deep slot is enough; a publisher notifies only when
-//! the peer has recorded itself as parked, and
-//! [`crate::HotProfile::park_wakes`] counts those notifies.
+//! The rank body runs on a dedicated `simproc-{rank}` thread, joined to its
+//! [`ThreadCtx`] by two `std::sync::mpsc` channels: grants one way, requests
+//! the other. The protocol alternates strictly, so neither channel ever
+//! holds more than one message. The rank's thread catches its own unwind and
+//! returns what it has to hand over (payload bytes cloned, panic message)
+//! through its `JoinHandle`; its request sender dropping *is* the hang-up.
 //!
-//! Determinism note: when a side parks depends on host timing, but that can
-//! never change *what* is handed off or in what order — virtual time is
-//! bit-identical to the fiber mode's.
+//! What keeps a kernel from blocking forever on a dead rank is channel
+//! semantics, documented by std rather than proved here. The hand-rolled
+//! slot this replaced had four model-checked tests; each property they
+//! stated is now one of those semantics, pinned by a test below:
+//!
+//! * two rendezvous rounds deliver each grant exactly once (every sent
+//!   value is received once, in order) —
+//!   `two_resume_rounds_return_the_ranks_requests_in_order`;
+//! * a hang-up always wakes a waiting kernel (dropping the sender wakes a
+//!   blocked receiver) — the panicking rank of
+//!   `a_rank_that_ends_hands_resume_its_exit_or_its_panic`;
+//! * a pending request wins over the hang-up (a buffered message is
+//!   received before the disconnect is reported) — the returning rank of
+//!   the same test, whose thread ends right after publishing `Exit`;
+//! * a grant racing the hang-up is delivered or reported (a send reaches a
+//!   live receiver, and to a dropped one is an `Err`) —
+//!   `dropping_a_context_reaps_its_thread_and_runs_the_bodys_destructors`,
+//!   where `Grant::Abort` must reach a rank blocked mid-body, and the
+//!   panicking rank again, which takes its grant before it dies.
+//!
+//! Determinism note: how long either side blocks depends on host timing,
+//! but that can never change *what* is handed off or in what order —
+//! virtual time is bit-identical to the fiber mode's.
 
-use std::sync::Arc;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::thread::JoinHandle;
 
 use crate::message;
 use crate::process::{self, Entry, Grant, Port, Request};
 use crate::sched::Context;
-use crate::sync::{Condvar, Mutex};
 use crate::ProcId;
 
-/// The rank's thread ended: normally after publishing `Exit`, or by a panic
-/// unwinding the entry function.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Hangup;
-
-#[derive(Default)]
-struct Slot {
-    grant: Option<Grant>,
-    request: Option<Request>,
-    /// The rank's thread is parked on `to_proc`.
-    proc_parked: bool,
-    /// The kernel is parked on `to_kernel` waiting for this rank.
-    kernel_parked: bool,
-    /// The rank's thread ended; no request will ever arrive again.
-    proc_gone: bool,
-    /// Payload bytes the rank's thread had cloned when it ended.
-    cloned: u64,
-    /// Condvar notifies issued while the peer was recorded as parked.
-    park_wakes: u64,
+struct ThreadPort {
+    requests: Sender<Request>,
+    grants: Receiver<Grant>,
 }
-
-/// One rank's rendezvous slot, shared between the kernel's [`ThreadCtx`]
-/// and the rank's thread.
-struct Handoff {
-    slot: Mutex<Slot>,
-    to_proc: Condvar,
-    to_kernel: Condvar,
-}
-
-impl Handoff {
-    fn new() -> Self {
-        Handoff {
-            slot: Mutex::new(Slot::default()),
-            to_proc: Condvar::new(),
-            to_kernel: Condvar::new(),
-        }
-    }
-
-    /// Kernel side: publishes a grant, waking the rank if it is parked.
-    /// Returns `Err(Hangup)` if the rank's thread already ended.
-    fn grant(&self, grant: Grant) -> Result<(), Hangup> {
-        let mut s = self.slot.lock().expect("handoff mutex poisoned");
-        if s.proc_gone {
-            return Err(Hangup);
-        }
-        debug_assert!(s.grant.is_none(), "grant published over a pending grant");
-        s.grant = Some(grant);
-        if s.proc_parked {
-            s.park_wakes += 1;
-            self.to_proc.notify_one();
-        }
-        Ok(())
-    }
-
-    /// Kernel side: takes the next request, parking until there is one.
-    /// Returns `Err(Hangup)` if the rank's thread ended instead.
-    fn recv_request(&self) -> Result<Request, Hangup> {
-        let mut s = self.slot.lock().expect("handoff mutex poisoned");
-        loop {
-            if let Some(req) = s.request.take() {
-                return Ok(req);
-            }
-            if s.proc_gone {
-                return Err(Hangup);
-            }
-            s.kernel_parked = true;
-            s = self.to_kernel.wait(s).expect("handoff mutex poisoned");
-            s.kernel_parked = false;
-        }
-    }
-
-    /// Rank side: publishes a request, waking the kernel if it is parked.
-    /// Infallible: the kernel outlives every rank thread's use of the slot.
-    fn send_request(&self, request: Request) {
-        let mut s = self.slot.lock().expect("handoff mutex poisoned");
-        debug_assert!(
-            s.request.is_none(),
-            "request published over a pending request"
-        );
-        s.request = Some(request);
-        if s.kernel_parked {
-            s.park_wakes += 1;
-            self.to_kernel.notify_one();
-        }
-    }
-
-    /// Rank side: takes the next grant, parking until there is one.
-    fn wait_grant(&self) -> Grant {
-        let mut s = self.slot.lock().expect("handoff mutex poisoned");
-        loop {
-            if let Some(grant) = s.grant.take() {
-                return grant;
-            }
-            s.proc_parked = true;
-            s = self.to_proc.wait(s).expect("handoff mutex poisoned");
-            s.proc_parked = false;
-        }
-    }
-
-    /// Rank side: marks the slot dead as the thread ends (normally or by a
-    /// panic), leaves the thread's payload-clone count for the kernel, and
-    /// wakes a kernel waiting for a request that will never come.
-    fn hangup(&self, cloned: u64) {
-        // Runs from a `Drop` during unwinding: never panic here, and the
-        // slot's fields are valid after every single store.
-        let mut s = self.slot.lock().unwrap_or_else(|e| e.into_inner());
-        s.proc_gone = true;
-        s.cloned = cloned;
-        if s.kernel_parked {
-            s.park_wakes += 1;
-            self.to_kernel.notify_one();
-        }
-    }
-}
-
-/// Hangs up the rank side of the handoff when dropped. Created first on the
-/// rank's thread, so it fires last on every way that thread can end: normal
-/// return (after `Exit` is published), a user panic unwinding the entry
-/// function, or an abort unwind — waking a kernel that would otherwise park
-/// forever waiting for the next request.
-struct HangupGuard(Arc<Handoff>);
-
-impl Drop for HangupGuard {
-    fn drop(&mut self) {
-        self.0.hangup(message::clone_bytes());
-    }
-}
-
-struct ThreadPort(Arc<Handoff>);
 
 impl Port for ThreadPort {
     fn exchange(&mut self, req: Request) -> Grant {
-        self.0.send_request(req);
-        self.0.wait_grant()
+        // A kernel that dropped its ends (both at once, so a failed send
+        // means a failed `recv`) is tearing the run down.
+        let _ = self.requests.send(req);
+        self.grants.recv().unwrap_or(Grant::Abort)
     }
 }
 
 /// A rank running on a dedicated OS thread.
 pub(crate) struct ThreadCtx {
-    handoff: Arc<Handoff>,
-    /// `Some` until the rank's thread has been joined.
-    join: Option<JoinHandle<()>>,
+    grants: Sender<Grant>,
+    requests: Receiver<Request>,
+    /// `Some` until the rank's thread has been joined; yields the payload
+    /// bytes the thread cloned and the panic message it ended with, if any.
+    join: Option<JoinHandle<(u64, Option<String>)>>,
 }
 
 impl ThreadCtx {
-    /// Spawns the rank's thread; it parks at once, waiting for the first
+    /// Spawns the rank's thread; it blocks at once, waiting for the first
     /// grant.
     pub(crate) fn spawn(id: ProcId, nprocs: usize, stack_size: usize, entry: Entry) -> Self {
-        let handoff = Arc::new(Handoff::new());
-        let rank_side = Arc::clone(&handoff);
+        let (grants, rank_grants) = channel();
+        let (rank_requests, requests) = channel();
         let join = std::thread::Builder::new()
             .name(format!("simproc-{}", id.0))
             .stack_size(stack_size)
             .spawn(move || {
-                let _hangup = HangupGuard(Arc::clone(&rank_side));
                 process::set_current_rank(Some(id.0));
-                let first = rank_side.wait_grant();
-                let port = Box::new(ThreadPort(Arc::clone(&rank_side)));
-                let exit = process::run_rank(id, nprocs, port, first, entry);
-                rank_side.send_request(exit);
+                // Both channel ends move into the caught closure, so every
+                // way it can end — `Exit` published, a user panic, an abort
+                // unwind — drops them and the kernel sees the hang-up.
+                let failure = catch_unwind(AssertUnwindSafe(move || {
+                    let first = rank_grants.recv().unwrap_or(Grant::Abort);
+                    let port = Box::new(ThreadPort {
+                        requests: rank_requests.clone(),
+                        grants: rank_grants,
+                    });
+                    let exit = process::run_rank(id, nprocs, port, first, entry);
+                    let _ = rank_requests.send(exit);
+                }))
+                .err()
+                .map(|payload| process::panic_message(&*payload));
+                (message::clone_bytes(), failure)
             })
             .expect("failed to spawn simulated process thread");
         ThreadCtx {
-            handoff,
+            grants,
+            requests,
             join: Some(join),
         }
     }
@@ -197,207 +105,150 @@ impl ThreadCtx {
     /// calling (kernel) thread's, and returns its panic message if it
     /// panicked.
     fn join(&mut self) -> Option<String> {
-        let failure = self
+        let (cloned, failure) = self
             .join
             .take()?
             .join()
-            .err()
-            .map(|payload| process::panic_message(&*payload));
-        // Also reached from `Drop`: tolerate poison (every store to the slot
-        // leaves it valid) rather than panic.
-        let slot = self.handoff.slot.lock().unwrap_or_else(|e| e.into_inner());
-        message::add_clone_bytes(slot.cloned);
+            .expect("a rank thread catches its own panics");
+        message::add_clone_bytes(cloned);
         failure
     }
 }
 
 impl Context for ThreadCtx {
     fn resume(&mut self, grant: Grant) -> Result<Request, String> {
-        let request = self
-            .handoff
-            .grant(grant)
-            .and_then(|()| self.handoff.recv_request());
-        match request {
+        // A grant the rank is no longer there to take fails to send, and
+        // the `recv` below then reports the same hang-up.
+        let _ = self.grants.send(grant);
+        match self.requests.recv() {
             Ok(exit @ Request::Exit(_)) => {
                 self.join();
                 Ok(exit)
             }
             Ok(request) => Ok(request),
-            Err(Hangup) => Err(self
+            Err(_) => Err(self
                 .join()
                 .unwrap_or_else(|| "<process hung up without panicking>".to_string())),
         }
-    }
-
-    fn park_wakes(&self) -> u64 {
-        self.handoff
-            .slot
-            .lock()
-            .expect("handoff mutex poisoned")
-            .park_wakes
     }
 }
 
 impl Drop for ThreadCtx {
     fn drop(&mut self) {
-        // Still joinable means the rank is parked waiting for a grant (the
+        // Still joinable means the rank is blocked waiting for a grant (the
         // run is being torn down around it): unwind it, then reap it.
         if self.join.is_some() {
-            let _ = self.handoff.grant(Grant::Abort);
+            let _ = self.grants.send(Grant::Abort);
             self.join();
         }
-    }
-}
-
-/// Exhaustive model checking of the handoff slot (vendored loom shim).
-///
-/// Run with `RUSTFLAGS='--cfg loom' cargo test -p numagap-sim --lib loom_`.
-/// Each test explores **every** interleaving of lock/condvar operations
-/// between the kernel side, the process side, and shutdown; the model's
-/// condvars never wake spuriously, so any reliance on a racy notify shows
-/// up as a deadlock with the offending schedule attached.
-#[cfg(all(loom, test))]
-mod loom_tests {
-    use super::*;
-    use crate::time::SimTime;
-    use crate::SimDuration;
-    use loom::sync::Arc;
-    use loom::thread;
-
-    /// No lost wakeup on the grant path, and each grant is delivered
-    /// exactly once: two grant/request rounds must complete under every
-    /// interleaving (a lost or doubled grant deadlocks or trips the
-    /// strict-alternation debug asserts).
-    #[test]
-    fn loom_two_rendezvous_rounds_deliver_each_grant_once() {
-        loom::model(|| {
-            let h = Arc::new(Handoff::new());
-            let h2 = Arc::clone(&h);
-            let proc_side = thread::spawn(move || {
-                let g = h2.wait_grant();
-                assert!(matches!(g, Grant::Proceed(t) if t == SimTime::from_nanos(7)));
-                h2.send_request(Request::Compute(SimDuration::from_nanos(3)));
-                let g = h2.wait_grant();
-                assert!(matches!(g, Grant::Proceed(t) if t == SimTime::from_nanos(9)));
-                h2.hangup(0);
-            });
-            h.grant(Grant::Proceed(SimTime::from_nanos(7)))
-                .expect("process alive for first grant");
-            match h.recv_request() {
-                Ok(Request::Compute(d)) => assert_eq!(d, SimDuration::from_nanos(3)),
-                other => panic!("wrong request, ok={}", other.is_ok()),
-            }
-            h.grant(Grant::Proceed(SimTime::from_nanos(9)))
-                .expect("process alive for second grant");
-            assert!(matches!(h.recv_request(), Err(Hangup)));
-            proc_side.join().expect("process side");
-        });
-    }
-
-    /// Shutdown racing a parked (or parking) kernel: `hangup` must wake a
-    /// kernel waiting in `recv_request` under every interleaving — the
-    /// schedule where the kernel checks `proc_gone`, then the hangup lands,
-    /// then the kernel parks, is the classic lost-wakeup window.
-    #[test]
-    fn loom_hangup_always_wakes_a_waiting_kernel() {
-        loom::model(|| {
-            let h = Arc::new(Handoff::new());
-            let h2 = Arc::clone(&h);
-            let proc_side = thread::spawn(move || h2.hangup(0));
-            assert!(matches!(h.recv_request(), Err(Hangup)));
-            proc_side.join().expect("process side");
-        });
-    }
-
-    /// A request published right before shutdown must never be lost to the
-    /// concurrent hangup: the kernel drains the pending request first and
-    /// only then observes `Hangup`, whatever the interleaving.
-    #[test]
-    fn loom_pending_request_wins_over_hangup() {
-        loom::model(|| {
-            let h = Arc::new(Handoff::new());
-            let h2 = Arc::clone(&h);
-            let proc_side = thread::spawn(move || {
-                h2.send_request(Request::Compute(SimDuration::from_nanos(1)));
-                h2.hangup(0);
-            });
-            match h.recv_request() {
-                Ok(Request::Compute(d)) => assert_eq!(d, SimDuration::from_nanos(1)),
-                other => panic!("request lost to hangup, ok={}", other.is_ok()),
-            }
-            assert!(matches!(h.recv_request(), Err(Hangup)));
-            proc_side.join().expect("process side");
-        });
-    }
-
-    /// Grant racing shutdown: under every interleaving the kernel either
-    /// delivers the grant to a still-live process (which then consumes it
-    /// and hangs up) or observes the hangup — never a silent drop on a live
-    /// receiver, never a wake for a dead one.
-    #[test]
-    fn loom_grant_vs_hangup_is_delivered_or_reported() {
-        loom::model(|| {
-            let h = Arc::new(Handoff::new());
-            let h2 = Arc::clone(&h);
-            let proc_side = thread::spawn(move || {
-                let g = h2.wait_grant();
-                assert!(matches!(g, Grant::Proceed(t) if t == SimTime::from_nanos(5)));
-                h2.hangup(0);
-            });
-            // The process only hangs up after consuming the grant, so the
-            // kernel's publish must always succeed — Err(Hangup) here would
-            // mean the slot died with a waiter still parked in wait_grant.
-            h.grant(Grant::Proceed(SimTime::from_nanos(5)))
-                .expect("grant must reach the waiting process");
-            assert!(matches!(h.recv_request(), Err(Hangup)));
-            proc_side.join().expect("process side");
-        });
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::time::SimTime;
+    use crate::time::{SimDuration, SimTime};
+    use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Arc;
 
-    #[test]
-    fn request_and_grant_round_trip_across_threads() {
-        let h = Arc::new(Handoff::new());
-        let h2 = Arc::clone(&h);
-        let worker = std::thread::spawn(move || {
-            // Process side: wait for a grant, answer with a request.
-            let g = h2.wait_grant();
-            assert!(matches!(g, Grant::Proceed(t) if t == SimTime::from_nanos(7)));
-            h2.send_request(Request::Compute(crate::SimDuration::from_nanos(3)));
-            h2.hangup(0);
-        });
-        h.grant(Grant::Proceed(SimTime::from_nanos(7))).unwrap();
-        match h.recv_request() {
-            Ok(Request::Compute(d)) => assert_eq!(d, crate::SimDuration::from_nanos(3)),
-            other => panic!("unexpected: {:?}", other.is_ok()),
+    fn spawn(body: impl FnOnce(&mut process::ProcCtx) -> u64 + Send + 'static) -> ThreadCtx {
+        ThreadCtx::spawn(
+            ProcId(0),
+            1,
+            64 * 1024,
+            Box::new(move |ctx| Box::new(body(ctx))),
+        )
+    }
+
+    fn at(ns: u64) -> Grant {
+        Grant::Proceed(SimTime::from_nanos(ns))
+    }
+
+    fn compute_ns(request: Result<Request, String>) -> u64 {
+        match request {
+            Ok(Request::Compute(d)) => d.as_nanos(),
+            Ok(_) => panic!("not a compute request"),
+            Err(message) => panic!("rank ended: {message}"),
         }
-        assert!(matches!(h.recv_request(), Err(Hangup)));
-        worker.join().unwrap();
+    }
+
+    fn exit_value(request: Result<Request, String>) -> u64 {
+        match request {
+            Ok(Request::Exit(result)) => *result.downcast_ref().expect("a u64 result"),
+            Ok(_) => panic!("not an exit"),
+            Err(message) => panic!("rank ended: {message}"),
+        }
+    }
+
+    struct SetOnDrop(Arc<AtomicBool>);
+
+    impl Drop for SetOnDrop {
+        fn drop(&mut self) {
+            self.0.store(true, Ordering::SeqCst);
+        }
     }
 
     #[test]
-    fn hangup_wakes_a_parked_kernel() {
-        let h = Arc::new(Handoff::new());
-        let h2 = Arc::clone(&h);
-        let worker = std::thread::spawn(move || {
-            // Give the kernel time to park.
-            std::thread::sleep(std::time::Duration::from_millis(20));
-            h2.hangup(0);
+    fn two_resume_rounds_return_the_ranks_requests_in_order() {
+        let mut rank = spawn(|ctx| {
+            assert_eq!(ctx.now(), SimTime::from_nanos(7));
+            ctx.compute(SimDuration::from_nanos(3));
+            assert_eq!(ctx.now(), SimTime::from_nanos(9));
+            ctx.compute(SimDuration::from_nanos(4));
+            ctx.now().as_nanos()
         });
-        assert!(matches!(h.recv_request(), Err(Hangup)));
-        worker.join().unwrap();
+        assert_eq!(compute_ns(rank.resume(at(7))), 3);
+        assert_eq!(compute_ns(rank.resume(at(9))), 4);
+        assert_eq!(exit_value(rank.resume(at(11))), 11);
     }
 
     #[test]
-    fn grant_after_hangup_reports_it() {
-        let h = Handoff::new();
-        h.hangup(0);
-        assert!(matches!(h.grant(Grant::Abort), Err(Hangup)));
+    fn a_rank_that_ends_hands_resume_its_exit_or_its_panic() {
+        // Returns at once: the thread ends right after publishing `Exit`,
+        // and the pending request must win over the hang-up.
+        let mut returns = spawn(|_| 42);
+        assert_eq!(exit_value(returns.resume(at(0))), 42);
+        assert!(returns.join.is_none(), "an exited rank's thread is reaped");
+
+        // Panics after taking its second grant: the grant is delivered, and
+        // the hang-up wakes the kernel with the message.
+        let mut panics = spawn(|ctx| {
+            ctx.compute(SimDuration::from_nanos(1));
+            panic!("rank exploded");
+        });
+        assert_eq!(compute_ns(panics.resume(at(0))), 1);
+        match panics.resume(at(1)) {
+            Err(message) => assert!(message.contains("rank exploded"), "{message}"),
+            Ok(_) => panic!("a panicked rank made a request"),
+        }
+        assert!(panics.join.is_none(), "a dead rank's thread is reaped");
+    }
+
+    #[test]
+    fn dropping_a_context_reaps_its_thread_and_runs_the_bodys_destructors() {
+        // Before its first resume: the body never runs, its captures drop.
+        let ran = Arc::new(AtomicBool::new(false));
+        let dropped = Arc::new(AtomicBool::new(false));
+        let (ran2, captured) = (Arc::clone(&ran), SetOnDrop(Arc::clone(&dropped)));
+        drop(spawn(move |_| {
+            let _captured = captured;
+            ran2.store(true, Ordering::SeqCst);
+            0
+        }));
+        assert!(dropped.load(Ordering::SeqCst));
+        assert!(!ran.load(Ordering::SeqCst));
+
+        // Blocked mid-body: `Grant::Abort` reaches it and unwinds its frame.
+        let dropped = Arc::new(AtomicBool::new(false));
+        let local = SetOnDrop(Arc::clone(&dropped));
+        let mut blocked = spawn(move |ctx| {
+            let _local = local;
+            ctx.compute(SimDuration::from_nanos(5));
+            unreachable!("resumed after the abort");
+        });
+        assert_eq!(compute_ns(blocked.resume(at(0))), 5);
+        assert!(!dropped.load(Ordering::SeqCst));
+        drop(blocked);
+        assert!(dropped.load(Ordering::SeqCst));
     }
 }

@@ -81,22 +81,20 @@ pub struct KernelStats {
 /// Cheap self-profiling counters of the kernel's own real-time hot path,
 /// surfaced by the `selfperf` bench target.
 ///
-/// Every field except [`HotProfile::park_wakes`] is a pure function of the
-/// simulated program and spec — deterministic across runs, machines and
-/// scheduler modes, and safe to compare exactly. `park_wakes` measures real
-/// thread wakes and legitimately varies with host timing; benchmark
-/// comparison treats it like wall-clock time.
+/// Every field is a pure function of the simulated program and spec —
+/// deterministic across runs, machines and scheduler modes, and safe to
+/// compare exactly.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct HotProfile {
     /// Virtual context switches: grants a process was resumed with.
     pub switches: u64,
     /// Requests serviced from processes.
     pub requests: u64,
-    /// OS-thread wakes the kernel↔process rendezvous cost. Always 0 under
-    /// [`SchedMode::Fibers`], where no rank has a thread to wake. Under
-    /// [`SchedMode::LegacyThreads`] it counts condvar notifies that woke an
-    /// actually-parked peer (either direction) — up to `switches +
-    /// requests`, **host-timing dependent**, excluded from exact compare.
+    /// Constant 0: nothing measures it. It counted wakes of a parked peer
+    /// when thread-backed ranks met the kernel in a hand-rolled slot; they
+    /// meet in std channels now, and a fiber never had a thread to wake.
+    /// Still a field only because `benchmark/src/probes.rs` reads it and
+    /// `RunRecord`'s JSON and `selfperf.csv` carry its column.
     pub park_wakes: u64,
     /// Event-queue entries that entered the binary heap proper.
     pub heap_pushes: u64,
@@ -705,7 +703,6 @@ impl<N: Network> Kernel<N> {
         profile.queue_peak = self.queue.counters.peak_len;
         profile.mailbox_scanned = self.mcounters.scanned;
         profile.mailbox_indexed = self.mcounters.indexed_takes;
-        profile.park_wakes = self.slots.iter().map(|s| s.ctx.park_wakes()).sum();
         // Everything the run's ranks cloned was counted on this thread
         // (`Sim::run` zeroed the counter on entry).
         profile.bytes_cloned = message::clone_bytes();

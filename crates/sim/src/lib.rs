@@ -48,7 +48,6 @@ mod network;
 mod observe;
 mod process;
 mod sched;
-pub mod sync;
 mod time;
 mod trace;
 

@@ -10,9 +10,9 @@
 //! * [`SchedMode::Fibers`] — each rank is a [`crate::fiber`] resumed and suspended
 //!   on the thread that called `Sim::run`; a virtual context switch is two
 //!   stack switches and no OS thread is created.
-//! * [`SchedMode::LegacyThreads`] — each rank is a dedicated OS thread parked
-//!   on a mutex/condvar slot ([`crate::handoff`]); the portable fallback and
-//!   the differential oracle for the fiber mode.
+//! * [`SchedMode::LegacyThreads`] — each rank is a dedicated OS thread blocked
+//!   on a channel between resumes ([`crate::handoff`]); the portable fallback
+//!   and the differential oracle for the fiber mode.
 
 use crate::handoff::ThreadCtx;
 use crate::process::{Entry, Grant, Request};
@@ -47,12 +47,6 @@ pub(crate) trait Context {
     /// its entry function panicked, or it unwound after a [`Grant::Abort`].
     /// A context must not be resumed again after an `Exit` or an `Err`.
     fn resume(&mut self, grant: Grant) -> Result<Request, String>;
-
-    /// Condvar notifies this context issued to a peer that was actually
-    /// parked (host-timing dependent; a fiber never parks anything).
-    fn park_wakes(&self) -> u64 {
-        0
-    }
 }
 
 /// Creates rank `id`'s execution context. The rank body starts running on
