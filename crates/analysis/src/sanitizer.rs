@@ -445,14 +445,14 @@ impl Observer for Sanitizer {
 
     fn on_recv_posted(&mut self, p: ProcId, filter: &Filter, _blocking: bool, _now: SimTime) {
         let mut st = self.state.lock().expect("sanitizer state poisoned");
-        st.pending[p.0] = Some(filter.clone());
+        st.pending[p.0] = Some(*filter);
     }
 
     fn on_recv_matched(&mut self, p: ProcId, msg: &Message, now: SimTime) {
         let mut st = self.state.lock().expect("sanitizer state poisoned");
         let st = &mut *st;
         let recvr = p.0;
-        let filter = st.pending[recvr].clone();
+        let filter = st.pending[recvr];
         let entry = st.inflight.remove(&msg.seq);
         let msg_clock = entry.as_ref().map(|e| e.clock.clone());
 

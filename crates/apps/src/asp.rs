@@ -247,14 +247,22 @@ impl SeqState {
     }
 }
 
-/// Runs parallel ASP on one rank. Returns this rank's partial checksum over
-/// its owned rows.
-pub fn asp_rank(ctx: &mut Ctx<'_>, cfg: &AspConfig, variant: Variant) -> RankOutput {
+/// Runs parallel ASP on one rank. `matrix` is the run's one
+/// [`AspConfig::generate`]d input; a rank copies only its block of rows, the
+/// only ones it ever reads or relaxes (row `k` reaches the others by
+/// broadcast). Returns this rank's partial checksum over its owned rows.
+pub fn asp_rank(
+    ctx: &mut Ctx<'_>,
+    cfg: &AspConfig,
+    matrix: &[Vec<u32>],
+    variant: Variant,
+) -> RankOutput {
     let n = cfg.n;
     let p = ctx.nprocs();
     let me = ctx.rank();
-    let mut d = cfg.generate();
     let (my_lo, my_hi) = block_range(n, p, me);
+    // My rows `my_lo..my_hi`, indexed from zero.
+    let mut d = matrix[my_lo..my_hi].to_vec();
     let row_bytes = (n * 4) as u64;
 
     let uses_sequencer = !(cfg.skip_sequencer && variant == Variant::Optimized);
@@ -316,7 +324,7 @@ pub fn asp_rank(ctx: &mut Ctx<'_>, cfg: &AspConfig, variant: Variant) -> RankOut
             } else {
                 let _seq_no: u64 = ctx.rpc(host, SEQ_TAG, (), 8);
             }
-            d[k].clone()
+            d[k - my_lo].clone()
         } else {
             // Wait for row k from my tree parent while serving sequencer
             // traffic addressed to me.
@@ -346,18 +354,18 @@ pub fn asp_rank(ctx: &mut Ctx<'_>, cfg: &AspConfig, variant: Variant) -> RankOut
         }
         // Relax my rows against row k.
         let mut cells = 0u64;
-        for i in my_lo..my_hi {
+        for (i, mine) in (my_lo..my_hi).zip(d.iter_mut()) {
             if i == k {
                 continue;
             }
-            let dik = d[i][k];
+            let dik = mine[k];
             if dik >= INF {
                 continue;
             }
             for j in 0..n {
                 let via = dik + row[j];
-                if via < d[i][j] {
-                    d[i][j] = via;
+                if via < mine[j] {
+                    mine[j] = via;
                 }
             }
             cells += n as u64;
@@ -372,7 +380,7 @@ pub fn asp_rank(ctx: &mut Ctx<'_>, cfg: &AspConfig, variant: Variant) -> RankOut
 
     let mut checksum = 0.0;
     let mut unreachable = 0u64;
-    for row in d.iter().take(my_hi).skip(my_lo) {
+    for row in &d {
         for &v in row {
             if v >= INF {
                 unreachable += 1;
@@ -392,8 +400,9 @@ mod tests {
     use numagap_rt::Machine;
 
     fn run(cfg: AspConfig, variant: Variant, machine: Machine) -> (f64, u64) {
+        let matrix = cfg.generate();
         let report = machine
-            .run(move |ctx| asp_rank(ctx, &cfg, variant))
+            .run(move |ctx| asp_rank(ctx, &cfg, &matrix, variant))
             .unwrap();
         (
             total_checksum(&report.results),
@@ -460,8 +469,9 @@ mod tests {
         let cfg = AspConfig::small();
         let t = |variant| {
             let cfg = cfg.clone();
+            let matrix = cfg.generate();
             Machine::new(das_spec(4, 2, 30.0, 1.0))
-                .run(move |ctx| asp_rank(ctx, &cfg, variant))
+                .run(move |ctx| asp_rank(ctx, &cfg, &matrix, variant))
                 .unwrap()
                 .elapsed
         };
@@ -487,8 +497,9 @@ mod tests {
         let cfg = AspConfig::small();
         let msgs = |variant| {
             let cfg = cfg.clone();
+            let matrix = cfg.generate();
             Machine::new(das_spec(4, 2, 5.0, 1.0))
-                .run(move |ctx| asp_rank(ctx, &cfg, variant))
+                .run(move |ctx| asp_rank(ctx, &cfg, &matrix, variant))
                 .unwrap()
                 .net_stats
                 .inter_msgs
@@ -511,8 +522,9 @@ mod extension_tests {
         let mut cfg = AspConfig::small();
         let expected = matrix_checksum(&serial_asp(&cfg));
         cfg.skip_sequencer = true;
+        let matrix = cfg.generate();
         let report = Machine::new(das_spec(4, 2, 10.0, 1.0))
-            .run(move |ctx| asp_rank(ctx, &cfg, Variant::Optimized))
+            .run(move |ctx| asp_rank(ctx, &cfg, &matrix, Variant::Optimized))
             .unwrap();
         assert!((total_checksum(&report.results) - expected).abs() < 1e-6);
     }
@@ -524,8 +536,9 @@ mod extension_tests {
                 skip_sequencer: skip,
                 ..AspConfig::small()
             };
+            let matrix = cfg.generate();
             Machine::new(das_spec(4, 2, 30.0, 1.0))
-                .run(move |ctx| asp_rank(ctx, &cfg, Variant::Optimized))
+                .run(move |ctx| asp_rank(ctx, &cfg, &matrix, Variant::Optimized))
                 .unwrap()
         };
         let with_seq = run(false);

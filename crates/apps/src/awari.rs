@@ -221,7 +221,7 @@ pub fn awari_rank(ctx: &mut Ctx<'_>, cfg: &AwariConfig, variant: Variant) -> Ran
 
     for stage in 1..=cfg.levels {
         let [edge_tag, edge_relay, value_tag, value_relay] = tags(stage);
-        let topo = ctx.topology().clone();
+        let topo = ctx.topology();
 
         // ---- Deterministic per-stage expectations ----
         // Real retrograde analysis knows its move structure analytically (the
@@ -331,7 +331,7 @@ pub fn awari_rank(ctx: &mut Ctx<'_>, cfg: &AwariConfig, variant: Variant) -> Ran
                 break;
             }
 
-            let msg = ctx.recv(filter.clone());
+            let msg = ctx.recv(filter);
             match msg.tag {
                 t if t == edge_tag => {
                     let items = msg.expect_ref::<Vec<EdgeItem>>().clone();

@@ -269,7 +269,7 @@ pub fn awari_real_rank(ctx: &mut Ctx<'_>, cfg: &AwariRealConfig) -> RankOutput {
             || replies_received < my_replies_expected
         {
             // Once every incoming request is answered, push the stragglers.
-            let msg = ctx.recv(filter.clone());
+            let msg = ctx.recv(filter);
             if msg.tag == req_tag {
                 let items = msg.expect_ref::<Vec<ValueRequest>>().clone();
                 reqs_served += items.len() as u64;

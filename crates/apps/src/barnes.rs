@@ -564,13 +564,18 @@ fn relay_tag(step: usize) -> Tag {
 /// original sender and its pseudo-body batch.
 type RelayBundle = Vec<(u32, u32, Vec<PseudoBody>)>;
 
-/// Runs Barnes-Hut on one rank.
-pub fn barnes_rank(ctx: &mut Ctx<'_>, cfg: &BarnesConfig, variant: Variant) -> RankOutput {
+/// Runs Barnes-Hut on one rank. `bodies` is the run's one
+/// [`BarnesConfig::generate`]d input; a rank copies only its block of it.
+pub fn barnes_rank(
+    ctx: &mut Ctx<'_>,
+    cfg: &BarnesConfig,
+    bodies: &[Body],
+    variant: Variant,
+) -> RankOutput {
     let p = ctx.nprocs();
     let me = ctx.rank();
     let (lo, hi) = block_range(cfg.n, p, me);
-    // Every rank generates the whole input and keeps only its block.
-    let mut mine: Vec<Body> = cfg.generate()[lo..hi].to_vec();
+    let mut mine: Vec<Body> = bodies[lo..hi].to_vec();
     let mut barrier = Barrier::new(7);
     let mut interactions: u64 = 0;
 
@@ -851,8 +856,9 @@ mod tests {
         let cfg = BarnesConfig::small();
         let expected = serial_barnes(&cfg);
         let cfg2 = cfg.clone();
+        let bodies = cfg2.generate();
         let report = Machine::new(uniform_spec(1))
-            .run(move |ctx| barnes_rank(ctx, &cfg2, Variant::Unoptimized))
+            .run(move |ctx| barnes_rank(ctx, &cfg2, &bodies, Variant::Unoptimized))
             .unwrap();
         assert_eq!(report.results[0].checksum, expected);
     }
@@ -862,8 +868,9 @@ mod tests {
         let cfg = BarnesConfig::small();
         let oracle = serial_direct(&cfg);
         let cfg2 = cfg.clone();
+        let bodies = cfg2.generate();
         let report = Machine::new(das_spec(4, 2, 5.0, 1.0))
-            .run(move |ctx| barnes_rank(ctx, &cfg2, Variant::Unoptimized))
+            .run(move |ctx| barnes_rank(ctx, &cfg2, &bodies, Variant::Unoptimized))
             .unwrap();
         let got = total_checksum(&report.results);
         assert!(
@@ -877,8 +884,9 @@ mod tests {
         let cfg = BarnesConfig::small();
         let run = |variant| {
             let cfg = cfg.clone();
+            let bodies = cfg.generate();
             Machine::new(das_spec(4, 2, 5.0, 1.0))
-                .run(move |ctx| barnes_rank(ctx, &cfg, variant))
+                .run(move |ctx| barnes_rank(ctx, &cfg, &bodies, variant))
                 .unwrap()
         };
         let unopt = run(Variant::Unoptimized);
@@ -913,8 +921,9 @@ mod ablation_tests {
                 force_barrier,
                 ..BarnesConfig::small()
             };
+            let bodies = cfg.generate();
             Machine::new(das_spec(4, 2, 10.0, 1.0))
-                .run(move |ctx| barnes_rank(ctx, &cfg, Variant::Optimized))
+                .run(move |ctx| barnes_rank(ctx, &cfg, &bodies, Variant::Optimized))
                 .unwrap()
         };
         let strict = run(true);

@@ -268,9 +268,11 @@ fn dist_transpose(
 }
 
 /// Runs the distributed FFT on one rank, returning the checksum over this
-/// rank's slice of the spectrum. `variant` is accepted for suite uniformity
-/// but ignored — the paper found no optimization for FFT.
-pub fn fft_rank(ctx: &mut Ctx<'_>, cfg: &FftConfig, _variant: Variant) -> RankOutput {
+/// rank's slice of the spectrum. `x` is the run's one
+/// [`FftConfig::generate`]d signal; a rank copies only its rows of it.
+/// `variant` is accepted for suite uniformity but ignored — the paper found
+/// no optimization for FFT.
+pub fn fft_rank(ctx: &mut Ctx<'_>, cfg: &FftConfig, x: &[Cpx], _variant: Variant) -> RankOutput {
     let s = cfg.side();
     let p = ctx.nprocs();
     assert!(
@@ -279,7 +281,6 @@ pub fn fft_rank(ctx: &mut Ctx<'_>, cfg: &FftConfig, _variant: Variant) -> RankOu
     );
     let me = ctx.rank();
     let (lo, hi) = block_range(s, p, me);
-    let x = cfg.generate();
     // Initial layout: row-major S×S matrix, my rows are lo..hi.
     let mut rows: Vec<Vec<Cpx>> = (lo..hi).map(|r| x[r * s..(r + 1) * s].to_vec()).collect();
     let n = cfg.n();
@@ -362,8 +363,9 @@ mod tests {
         let expected = spectrum_checksum(&serial_fft(&cfg));
         for p in [1usize, 2, 4, 8] {
             let cfg2 = cfg.clone();
+            let signal = cfg2.generate();
             let report = Machine::new(uniform_spec(p))
-                .run(move |ctx| fft_rank(ctx, &cfg2, Variant::Unoptimized))
+                .run(move |ctx| fft_rank(ctx, &cfg2, &signal, Variant::Unoptimized))
                 .unwrap();
             let got = total_checksum(&report.results);
             assert!(rel_err(got, expected) < 1e-9, "p={p}: {got} vs {expected}");
@@ -375,8 +377,9 @@ mod tests {
         let cfg = FftConfig::small();
         let expected = spectrum_checksum(&serial_fft(&cfg));
         // 3 clusters of 3: blocks of the 64 rows are uneven (22/21/21...).
+        let signal = cfg.generate();
         let report = Machine::new(das_spec(3, 3, 2.0, 1.0))
-            .run(move |ctx| fft_rank(ctx, &cfg, Variant::Optimized))
+            .run(move |ctx| fft_rank(ctx, &cfg, &signal, Variant::Optimized))
             .unwrap();
         let got = total_checksum(&report.results);
         assert!(rel_err(got, expected) < 1e-9);
@@ -385,8 +388,9 @@ mod tests {
     #[test]
     fn transpose_volume_is_all_to_all() {
         let cfg = FftConfig::small();
+        let signal = cfg.generate();
         let report = Machine::new(das_spec(4, 2, 1.0, 6.0))
-            .run(move |ctx| fft_rank(ctx, &cfg, Variant::Unoptimized))
+            .run(move |ctx| fft_rank(ctx, &cfg, &signal, Variant::Unoptimized))
             .unwrap();
         let p = 8u64;
         // 3 transposes x p(p-1) messages.

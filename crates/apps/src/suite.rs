@@ -217,22 +217,27 @@ pub fn run_app_report(
     machine: &Machine,
     observer: Option<Box<dyn Observer>>,
 ) -> Result<RunReport<RankOutput>, SimError> {
+    // An application's input (Awari has none) is generated here, once, and
+    // every rank reads the one copy the entry closure owns.
     macro_rules! launch {
-        ($field:ident, $rank:path) => {{
+        ($field:ident, $rank:path $(, $input:ident)?) => {{
             let c = cfg.$field.clone();
+            $(let $input = c.generate();)?
             match observer {
-                Some(obs) => machine.run_observed(move |ctx| $rank(ctx, &c, variant), obs),
-                None => machine.run(move |ctx| $rank(ctx, &c, variant)),
+                Some(obs) => {
+                    machine.run_observed(move |ctx| $rank(ctx, &c, $(&$input,)? variant), obs)
+                }
+                None => machine.run(move |ctx| $rank(ctx, &c, $(&$input,)? variant)),
             }
         }};
     }
     match app {
-        AppId::Water => launch!(water, water_rank),
-        AppId::Barnes => launch!(barnes, barnes_rank),
-        AppId::Tsp => launch!(tsp, tsp_rank),
-        AppId::Asp => launch!(asp, asp_rank),
+        AppId::Water => launch!(water, water_rank, molecules),
+        AppId::Barnes => launch!(barnes, barnes_rank, bodies),
+        AppId::Tsp => launch!(tsp, tsp_rank, dist),
+        AppId::Asp => launch!(asp, asp_rank, matrix),
         AppId::Awari => launch!(awari, awari_rank),
-        AppId::Fft => launch!(fft, fft_rank),
+        AppId::Fft => launch!(fft, fft_rank, signal),
     }
 }
 

@@ -127,11 +127,15 @@ pub fn nn_tour_length(dist: &[Vec<u32>]) -> u32 {
 
 /// The deterministic search kernel: explores the subtree under a partial
 /// tour, pruning with the fixed `cutoff`. Calls `poll` every `poll_chunk`
-/// nodes so queue owners can serve requests mid-job. Returns the best
-/// complete tour found (if any beat `best_in`) and the node count.
-struct Searcher<'d> {
-    dist: &'d [Vec<u32>],
+/// nodes so queue owners can serve requests mid-job. Accumulates the best
+/// complete tour found and the node count across jobs.
+#[derive(Debug)]
+pub struct Searcher {
+    /// The distance matrix, row-major in one `n * n` block.
+    dist: Vec<u32>,
     min_edge: Vec<u32>,
+    /// The visited set with every city in it.
+    all: u32,
     cutoff: u32,
     node_ns: f64,
     poll_chunk: u64,
@@ -140,9 +144,11 @@ struct Searcher<'d> {
     best: u32,
 }
 
-impl<'d> Searcher<'d> {
-    fn new(dist: &'d [Vec<u32>], cutoff: u32, node_ns: f64, poll_chunk: u64) -> Self {
+impl Searcher {
+    /// A searcher over `dist` that has explored nothing yet.
+    pub fn new(dist: &[Vec<u32>], cutoff: u32, node_ns: f64, poll_chunk: u64) -> Self {
         let n = dist.len();
+        assert!((1..=32).contains(&n), "the visited set is one u32");
         let min_edge = (0..n)
             .map(|i| {
                 (0..n)
@@ -153,8 +159,9 @@ impl<'d> Searcher<'d> {
             })
             .collect();
         Searcher {
-            dist,
+            dist: dist.iter().flatten().copied().collect(),
             min_edge,
+            all: u32::MAX >> (32 - n),
             cutoff,
             node_ns,
             poll_chunk,
@@ -162,6 +169,17 @@ impl<'d> Searcher<'d> {
             nodes: 0,
             best: u32::MAX,
         }
+    }
+
+    /// Search-tree nodes explored so far.
+    pub fn nodes(&self) -> u64 {
+        self.nodes
+    }
+
+    /// Length of the shortest complete tour found so far (`u32::MAX` if
+    /// none beat the cutoff).
+    pub fn best(&self) -> u32 {
+        self.best
     }
 
     fn charge_node(&mut self, ctx: &mut Ctx<'_>, poll: &mut dyn FnMut(&mut Ctx<'_>)) {
@@ -181,37 +199,38 @@ impl<'d> Searcher<'d> {
         }
     }
 
-    fn run_job(&mut self, ctx: &mut Ctx<'_>, job: &Job, poll: &mut dyn FnMut(&mut Ctx<'_>)) {
-        let n = self.dist.len();
+    /// Searches the subtree under `job`'s partial tour.
+    pub fn run_job(&mut self, ctx: &mut Ctx<'_>, job: &Job, poll: &mut dyn FnMut(&mut Ctx<'_>)) {
         let mut visited = 0u32;
         for &c in &job.path {
             visited |= 1 << c;
         }
-        let rest = (0..n)
+        let rest = (0..self.min_edge.len())
             .filter(|&c| visited & (1 << c) == 0)
             .map(|c| self.min_edge[c])
             .sum();
-        let mut path = job.path.clone();
-        self.dfs(ctx, &mut path, visited, job.len, rest, poll);
+        let at = *job.path.last().expect("a job's tour starts at city 0") as usize;
+        self.dfs(ctx, at, visited, job.len, rest, poll);
         self.flush_charge(ctx);
     }
 
-    /// `rest` is the sum of `min_edge` over the cities not yet visited,
-    /// carried down the recursion instead of re-summed at every node.
+    /// One node: the tour so far ends at city `at`, has been through
+    /// `visited` and is `len` long. `rest` is the sum of `min_edge` over the
+    /// cities not yet visited, carried down the recursion instead of
+    /// re-summed at every node.
     fn dfs(
         &mut self,
         ctx: &mut Ctx<'_>,
-        path: &mut Vec<u8>,
+        at: usize,
         visited: u32,
         len: u32,
         rest: u32,
         poll: &mut dyn FnMut(&mut Ctx<'_>),
     ) {
         self.charge_node(ctx, poll);
-        let n = self.dist.len();
-        let at = *path.last().expect("path never empty") as usize;
-        if path.len() == n {
-            let total = len + self.dist[at][0];
+        let row = at * self.min_edge.len();
+        if visited == self.all {
+            let total = len + self.dist[row];
             if total < self.best {
                 self.best = total;
             }
@@ -222,17 +241,17 @@ impl<'d> Searcher<'d> {
         if len + self.min_edge[at] + rest >= self.cutoff {
             return;
         }
-        for c in 0..n as u8 {
-            if visited & (1 << c) == 0 {
-                let step = self.dist[at][c as usize];
-                if len + step >= self.cutoff {
-                    continue;
-                }
-                let rest = rest - self.min_edge[c as usize];
-                path.push(c);
-                self.dfs(ctx, path, visited | (1 << c), len + step, rest, poll);
-                path.pop();
+        // Unvisited cities, lowest first.
+        let mut todo = self.all & !visited;
+        while todo != 0 {
+            let c = todo.trailing_zeros() as usize;
+            todo &= todo - 1;
+            let step = self.dist[row + c];
+            if len + step >= self.cutoff {
+                continue;
             }
+            let rest = rest - self.min_edge[c];
+            self.dfs(ctx, c, visited | (1 << c), len + step, rest, poll);
         }
     }
 }
@@ -448,11 +467,16 @@ impl QueueOwner {
     }
 }
 
-/// Runs TSP on one rank. The checksum is the optimal tour length (identical
-/// on every rank after the final reduction).
-pub fn tsp_rank(ctx: &mut Ctx<'_>, cfg: &TspConfig, variant: Variant) -> RankOutput {
-    let dist = cfg.generate();
-    let cutoff = nn_tour_length(&dist) + 1;
+/// Runs TSP on one rank over `dist`, the run's one [`TspConfig::generate`]d
+/// matrix. The checksum is the optimal tour length (identical on every rank
+/// after the final reduction).
+pub fn tsp_rank(
+    ctx: &mut Ctx<'_>,
+    cfg: &TspConfig,
+    dist: &[Vec<u32>],
+    variant: Variant,
+) -> RankOutput {
+    let cutoff = nn_tour_length(dist) + 1;
     let me = ctx.rank();
     let p = ctx.nprocs();
     // Everybody derives the cutoff and (owners) the job list deterministically.
@@ -464,7 +488,7 @@ pub fn tsp_rank(ctx: &mut Ctx<'_>, cfg: &TspConfig, variant: Variant) -> RankOut
     };
     let i_own_queue = me == my_queue_owner;
     let mut owner_state = if i_own_queue {
-        let all_jobs = generate_jobs(&dist, cfg.prefix_depth);
+        let all_jobs = generate_jobs(dist, cfg.prefix_depth);
         ctx.compute_ns(all_jobs.len() as f64 * 200.0);
         let (my_jobs, peer_roots): (Vec<Job>, Vec<usize>) = match variant {
             Variant::Unoptimized => (all_jobs, Vec::new()),
@@ -496,7 +520,7 @@ pub fn tsp_rank(ctx: &mut Ctx<'_>, cfg: &TspConfig, variant: Variant) -> RankOut
         None
     };
 
-    let mut searcher = Searcher::new(&dist, cutoff, cfg.node_ns, cfg.poll_chunk);
+    let mut searcher = Searcher::new(dist, cutoff, cfg.node_ns, cfg.poll_chunk);
 
     if let Some(owner) = owner_state.as_mut() {
         // Owner loop: work own queue, steal when empty, serve throughout.
@@ -625,8 +649,9 @@ mod tests {
         let (expected, _) = serial_tsp(&cfg);
         for p in [1usize, 2, 4, 8] {
             let cfg2 = cfg.clone();
+            let dist = cfg2.generate();
             let report = Machine::new(uniform_spec(p))
-                .run(move |ctx| tsp_rank(ctx, &cfg2, Variant::Unoptimized))
+                .run(move |ctx| tsp_rank(ctx, &cfg2, &dist, Variant::Unoptimized))
                 .unwrap();
             assert_eq!(report.results[0].checksum, expected as f64, "p={p}");
             for r in &report.results[1..] {
@@ -641,8 +666,9 @@ mod tests {
         let (expected, serial_nodes) = serial_tsp(&cfg);
         for clusters in [2usize, 4] {
             let cfg2 = cfg.clone();
+            let dist = cfg2.generate();
             let report = Machine::new(das_spec(clusters, 2, 5.0, 1.0))
-                .run(move |ctx| tsp_rank(ctx, &cfg2, Variant::Optimized))
+                .run(move |ctx| tsp_rank(ctx, &cfg2, &dist, Variant::Optimized))
                 .unwrap();
             assert_eq!(
                 report.results[0].checksum, expected as f64,
@@ -671,8 +697,9 @@ mod tests {
                 let (expected, serial_nodes) = serial_tsp(&cfg);
                 for variant in [Variant::Unoptimized, Variant::Optimized] {
                     let cfg2 = cfg.clone();
+                    let dist = cfg2.generate();
                     let report = Machine::new(das_spec(2, 2, 5.0, 1.0))
-                        .run(move |ctx| tsp_rank(ctx, &cfg2, variant))
+                        .run(move |ctx| tsp_rank(ctx, &cfg2, &dist, variant))
                         .unwrap();
                     let what = format!("seed {seed}, {n_cities} cities, {variant}");
                     assert_eq!(report.results[0].checksum, expected as f64, "{what}");
@@ -691,8 +718,9 @@ mod tests {
         let cfg = TspConfig::medium();
         let run = |variant| {
             let cfg = cfg.clone();
+            let dist = cfg.generate();
             Machine::new(das_spec(4, 2, 30.0, 1.0))
-                .run(move |ctx| tsp_rank(ctx, &cfg, variant))
+                .run(move |ctx| tsp_rank(ctx, &cfg, &dist, variant))
                 .unwrap()
         };
         let unopt = run(Variant::Unoptimized);

@@ -219,13 +219,18 @@ fn coordinator(ctx: &Ctx<'_>, cluster: usize, s: usize) -> usize {
     members[s % members.len()]
 }
 
-/// Runs Water on one rank.
-pub fn water_rank(ctx: &mut Ctx<'_>, cfg: &WaterConfig, variant: Variant) -> RankOutput {
+/// Runs Water on one rank. `molecules` is the run's one
+/// [`WaterConfig::generate`]d input; a rank copies only its block of it.
+pub fn water_rank(
+    ctx: &mut Ctx<'_>,
+    cfg: &WaterConfig,
+    molecules: &[Molecule],
+    variant: Variant,
+) -> RankOutput {
     let p = ctx.nprocs();
     let me = ctx.rank();
-    let all = cfg.generate();
     let (lo, hi) = block_range(cfg.n, p, me);
-    let mut mine: Vec<Molecule> = all[lo..hi].to_vec();
+    let mut mine: Vec<Molecule> = molecules[lo..hi].to_vec();
     let b = mine.len();
     let my_needs = needs(me, p);
     let my_needed_by = needed_by(me, p);
@@ -561,8 +566,9 @@ mod tests {
     }
 
     fn parallel_checksum(cfg: WaterConfig, variant: Variant, machine: Machine) -> f64 {
+        let molecules = cfg.generate();
         let report = machine
-            .run(move |ctx| water_rank(ctx, &cfg, variant))
+            .run(move |ctx| water_rank(ctx, &cfg, &molecules, variant))
             .unwrap();
         total_checksum(&report.results)
     }
@@ -603,8 +609,9 @@ mod tests {
         let cfg = WaterConfig::small();
         let stats = |variant| {
             let cfg = cfg.clone();
+            let molecules = cfg.generate();
             Machine::new(das_spec(4, 2, 10.0, 0.05))
-                .run(move |ctx| water_rank(ctx, &cfg, variant))
+                .run(move |ctx| water_rank(ctx, &cfg, &molecules, variant))
                 .unwrap()
         };
         let unopt = stats(Variant::Unoptimized);

@@ -4,14 +4,20 @@
 //! without moving a virtual nanosecond: the Morton key builds an array
 //! where it collected a `Vec`, the input sort caches its keys, and the
 //! octree keeps its nodes in one arena where every internal node boxed
-//! eight optional children. The goldens hash what these produce, so each
-//! has to be *the same function* as before, not a close one. The versions
-//! they replaced are kept here verbatim as the references.
+//! eight optional children. A fourth halved what a TSP search node costs:
+//! the distance matrix is one flat block where it was a vector of rows, and
+//! a node is `(city, visited set)` where it was a path vector. The goldens
+//! hash what these produce, so each has to be *the same function* as
+//! before, not a close one. The versions they replaced are kept here
+//! verbatim as the references.
 
 #![allow(clippy::needless_range_loop)] // the references stay as they were written
 
 use numagap_apps::barnes::{morton_key, BarnesConfig, Bbox, Body, Octree, PseudoBody};
 use numagap_apps::common::{block_range, seeded_rng};
+use numagap_apps::tsp::{generate_jobs, nn_tour_length, Job, Searcher, TspConfig};
+use numagap_net::uniform_spec;
+use numagap_rt::{Ctx, Machine};
 use rand::Rng;
 
 // ---------------------------------------------------------------------
@@ -283,6 +289,114 @@ impl BoxedOctree {
     }
 }
 
+/// The parent's TSP searcher: rows behind a `Vec<Vec<u32>>`, the tour so
+/// far in a `path` vector, one bit test per city.
+struct PathSearcher<'d> {
+    dist: &'d [Vec<u32>],
+    min_edge: Vec<u32>,
+    cutoff: u32,
+    node_ns: f64,
+    poll_chunk: u64,
+    pending_nodes: u64,
+    nodes: u64,
+    best: u32,
+}
+
+impl<'d> PathSearcher<'d> {
+    fn new(dist: &'d [Vec<u32>], cutoff: u32, node_ns: f64, poll_chunk: u64) -> Self {
+        let n = dist.len();
+        let min_edge = (0..n)
+            .map(|i| {
+                (0..n)
+                    .filter(|&j| j != i)
+                    .map(|j| dist[i][j])
+                    .min()
+                    .unwrap_or(0)
+            })
+            .collect();
+        PathSearcher {
+            dist,
+            min_edge,
+            cutoff,
+            node_ns,
+            poll_chunk,
+            pending_nodes: 0,
+            nodes: 0,
+            best: u32::MAX,
+        }
+    }
+
+    fn charge_node(&mut self, ctx: &mut Ctx<'_>, poll: &mut dyn FnMut(&mut Ctx<'_>)) {
+        self.nodes += 1;
+        self.pending_nodes += 1;
+        if self.pending_nodes >= self.poll_chunk {
+            ctx.compute_ns(self.pending_nodes as f64 * self.node_ns);
+            self.pending_nodes = 0;
+            poll(ctx);
+        }
+    }
+
+    fn flush_charge(&mut self, ctx: &mut Ctx<'_>) {
+        if self.pending_nodes > 0 {
+            ctx.compute_ns(self.pending_nodes as f64 * self.node_ns);
+            self.pending_nodes = 0;
+        }
+    }
+
+    fn run_job(&mut self, ctx: &mut Ctx<'_>, job: &Job, poll: &mut dyn FnMut(&mut Ctx<'_>)) {
+        let n = self.dist.len();
+        let mut visited = 0u32;
+        for &c in &job.path {
+            visited |= 1 << c;
+        }
+        let rest = (0..n)
+            .filter(|&c| visited & (1 << c) == 0)
+            .map(|c| self.min_edge[c])
+            .sum();
+        let mut path = job.path.clone();
+        self.dfs(ctx, &mut path, visited, job.len, rest, poll);
+        self.flush_charge(ctx);
+    }
+
+    fn dfs(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        path: &mut Vec<u8>,
+        visited: u32,
+        len: u32,
+        rest: u32,
+        poll: &mut dyn FnMut(&mut Ctx<'_>),
+    ) {
+        self.charge_node(ctx, poll);
+        let n = self.dist.len();
+        let at = *path.last().expect("path never empty") as usize;
+        if path.len() == n {
+            let total = len + self.dist[at][0];
+            if total < self.best {
+                self.best = total;
+            }
+            return;
+        }
+        // Lower bound: every remaining city (and the current one) must be
+        // left over at least its cheapest edge.
+        if len + self.min_edge[at] + rest >= self.cutoff {
+            return;
+        }
+        for c in 0..n as u8 {
+            if visited & (1 << c) == 0 {
+                let step = self.dist[at][c as usize];
+                if len + step >= self.cutoff {
+                    continue;
+                }
+                let rest = rest - self.min_edge[c as usize];
+                path.push(c);
+                self.dfs(ctx, path, visited | (1 << c), len + step, rest, poll);
+                path.pop();
+            }
+        }
+    }
+}
+
 // ---------------------------------------------------------------------
 // The checks.
 // ---------------------------------------------------------------------
@@ -445,6 +559,89 @@ fn the_arena_tree_is_the_boxed_tree() {
                     assert_eq!(a.mass.to_bits(), b.mass.to_bits());
                 }
             }
+        }
+    }
+}
+
+/// What a searcher did with a job list: nodes explored, best tour, and the
+/// index of the node at which each `poll` fired, in order.
+#[derive(Debug, PartialEq)]
+struct SearchLog {
+    nodes: u64,
+    best: u32,
+    polled_at: Vec<u64>,
+}
+
+/// Runs `search` on the one rank of a one-rank machine, logging its polls.
+/// Callers charge one virtual nanosecond a node and nothing else advances
+/// the clock, so the time of a poll *is* the index of the node that fired
+/// it (a poll is handed the context, not the searcher).
+fn logged(
+    search: impl Fn(&mut Ctx<'_>, &mut dyn FnMut(&mut Ctx<'_>)) -> (u64, u32) + Send + Sync + 'static,
+) -> SearchLog {
+    let report = Machine::new(uniform_spec(1))
+        .run(move |ctx| {
+            let mut polled_at = Vec::new();
+            let (nodes, best) = search(ctx, &mut |c| polled_at.push(c.now().as_nanos()));
+            assert_eq!(ctx.now().as_nanos(), nodes, "every node charged once");
+            SearchLog {
+                nodes,
+                best,
+                polled_at,
+            }
+        })
+        .expect("a one-rank run cannot fail");
+    report.results.into_iter().next().expect("one rank")
+}
+
+#[test]
+fn the_flat_search_is_the_path_search() {
+    let mut cfgs = vec![TspConfig::small(), TspConfig::medium()];
+    for seed in [5u64, 13, 99] {
+        for n_cities in [8usize, 10, 12] {
+            cfgs.push(TspConfig {
+                n_cities,
+                seed,
+                ..TspConfig::small()
+            });
+        }
+    }
+    for cfg in cfgs {
+        let dist = cfg.generate();
+        let cutoff = nn_tour_length(&dist) + 1;
+        let jobs = generate_jobs(&dist, cfg.prefix_depth);
+        // The queues the two variants start from: the unoptimized one holds
+        // every job, the optimized one deals them round-robin over the four
+        // clusters. A searcher carries its pending charge and its best tour
+        // from job to job, so each list puts the polls somewhere else.
+        let mut queues = vec![jobs.clone()];
+        for cluster in 0..4 {
+            queues.push(jobs.iter().skip(cluster).step_by(4).cloned().collect());
+        }
+        for (q, queue) in queues.into_iter().enumerate() {
+            let what = format!(
+                "seed {}, {} cities, poll every {}, queue {q}",
+                cfg.seed, cfg.n_cities, cfg.poll_chunk
+            );
+            let poll_chunk = cfg.poll_chunk;
+            let (d, jobs) = (dist.clone(), queue.clone());
+            let flat = logged(move |ctx, poll| {
+                let mut s = Searcher::new(&d, cutoff, 1.0, poll_chunk);
+                for job in &jobs {
+                    s.run_job(ctx, job, poll);
+                }
+                (s.nodes(), s.best())
+            });
+            let (d, jobs) = (dist.clone(), queue);
+            let path = logged(move |ctx, poll| {
+                let mut s = PathSearcher::new(&d, cutoff, 1.0, poll_chunk);
+                for job in &jobs {
+                    s.run_job(ctx, job, poll);
+                }
+                (s.nodes, s.best)
+            });
+            assert!(path.nodes > 0 && !path.polled_at.is_empty(), "{what}");
+            assert_eq!(flat, path, "{what}");
         }
     }
 }

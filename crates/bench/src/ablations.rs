@@ -222,16 +222,25 @@ pub fn run_ablations(opts: &SweepOpts) -> Result<BenchSummary, BenchError> {
         cells.len()
     );
     let (outs, wall_s) = sweep(&cells, opts, "ablations", |(key, cell)| {
-        let job = cell.job.clone();
-        let run = Machine::new(cell.spec.clone())
-            .run(move |ctx| match &job {
-                Job::Awari(cfg, variant) => awari_rank(ctx, cfg, *variant),
-                Job::Barnes(cfg, variant) => barnes_rank(ctx, cfg, *variant),
-                Job::Asp(cfg, variant) => asp_rank(ctx, cfg, *variant),
-                Job::Water(cfg, variant) => water_rank(ctx, cfg, *variant),
-                Job::RealAwari(cfg) => awari_real_rank(ctx, cfg),
-            })
-            .map_err(|e| e.to_string());
+        let machine = Machine::new(cell.spec.clone());
+        // An input is generated once a cell, outside the ranks.
+        let run = match cell.job.clone() {
+            Job::Awari(cfg, variant) => machine.run(move |ctx| awari_rank(ctx, &cfg, variant)),
+            Job::Barnes(cfg, variant) => {
+                let bodies = cfg.generate();
+                machine.run(move |ctx| barnes_rank(ctx, &cfg, &bodies, variant))
+            }
+            Job::Asp(cfg, variant) => {
+                let matrix = cfg.generate();
+                machine.run(move |ctx| asp_rank(ctx, &cfg, &matrix, variant))
+            }
+            Job::Water(cfg, variant) => {
+                let molecules = cfg.generate();
+                machine.run(move |ctx| water_rank(ctx, &cfg, &molecules, variant))
+            }
+            Job::RealAwari(cfg) => machine.run(move |ctx| awari_real_rank(ctx, &cfg)),
+        }
+        .map_err(|e| e.to_string());
         (format!("ablations/{key}"), run)
     })?;
     let mut summary = BenchSummary::new("ablations", opts.scale_name(), opts.quick, opts.jobs);

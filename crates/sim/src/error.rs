@@ -40,7 +40,8 @@ pub fn format_filter(filter: &Filter) -> String {
         TagFilter::One(t) => format!("tag={t}"),
         TagFilter::Set(ts) => format!(
             "tag in {{{}}}",
-            ts.iter()
+            ts.as_slice()
+                .iter()
                 .map(|t| t.to_string())
                 .collect::<Vec<_>>()
                 .join(", ")

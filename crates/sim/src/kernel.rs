@@ -516,7 +516,9 @@ impl<N: Network> Kernel<N> {
     fn flush_sends(&mut self) {
         self.pending_sends
             .sort_unstable_by_key(|s| (s.sent_at, s.src.0, s.send_idx));
-        for ps in std::mem::take(&mut self.pending_sends) {
+        // Drained and put back, so the next batch reuses the buffer.
+        let mut sends = std::mem::take(&mut self.pending_sends);
+        for ps in sends.drain(..) {
             let PendingSend {
                 src,
                 dst,
@@ -585,6 +587,7 @@ impl<N: Network> Kernel<N> {
                 self.schedule(transfer.arrival, EventKind::Deliver(dst, msg));
             }
         }
+        self.pending_sends = sends;
     }
 
     /// The event loop. Every early `return Err` below drops the kernel with
@@ -665,7 +668,7 @@ impl<N: Network> Kernel<N> {
                 .map(|(rank, s)| {
                     let state = match &s.state {
                         ProcState::Blocked(f) => WaitState::BlockedInRecv {
-                            filter: f.clone(),
+                            filter: *f,
                             mailbox: s
                                 .mailbox
                                 .iter()

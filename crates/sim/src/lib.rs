@@ -54,7 +54,7 @@ mod trace;
 pub use equeue::TieBreak;
 pub use error::{format_filter, PendingMessage, ProcFailure, SimError, WaitState};
 pub use kernel::{HotProfile, KernelStats, ProcStats, RunOutcome, Sim};
-pub use message::{Filter, Message, Payload, Tag, TagFilter};
+pub use message::{Filter, Message, Payload, Tag, TagFilter, TagSet};
 pub use network::{FaultDisposition, FaultEvent, FaultKind, IdealNetwork, Network, Transfer};
 pub use observe::Observer;
 pub use process::{current_rank, ProcCtx};

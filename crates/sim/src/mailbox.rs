@@ -79,7 +79,7 @@ impl Mailbox {
                 // tag's oldest match. Tags are examined in the filter's own
                 // (deterministic) order.
                 let mut best: Option<u64> = None;
-                for t in ts {
+                for t in ts.as_slice() {
                     if let Some(slot) = self.peek_tag(t.raw(), filter, counters) {
                         best = Some(best.map_or(slot, |b| b.min(slot)));
                     }
@@ -168,7 +168,7 @@ impl Mailbox {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::message::Tag;
+    use crate::message::{Tag, TagSet};
     use crate::time::SimTime;
     use crate::ProcId;
     use std::sync::Arc;
@@ -217,7 +217,7 @@ mod tests {
             _ => {
                 let a = tags[(rng.next() as usize) % tags.len()];
                 let b = tags[(rng.next() as usize) % tags.len()];
-                TagFilter::Set(vec![a, b])
+                TagFilter::Set(TagSet::new(&[a, b]))
             }
         };
         let src = rng

@@ -212,8 +212,55 @@ impl fmt::Debug for Message {
     }
 }
 
+/// A few tags in a fixed order, held inline: a receive builds one per call,
+/// and building or copying it costs no allocation.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub struct TagSet {
+    /// The first `len` entries are the set; the rest stay `Tag(0)` so that
+    /// equal sets compare equal.
+    tags: [Tag; TagSet::MAX],
+    len: u8,
+}
+
+impl TagSet {
+    /// The most tags a set holds (the busiest receive in the suite, a TSP
+    /// queue owner mid-steal, names four).
+    pub const MAX: usize = 4;
+
+    /// The set of `tags`, in the order given.
+    ///
+    /// # Panics
+    ///
+    /// Panics if there are more than [`TagSet::MAX`] of them.
+    pub fn new(tags: &[Tag]) -> TagSet {
+        assert!(
+            tags.len() <= Self::MAX,
+            "a tag set holds at most {} tags, got {}",
+            Self::MAX,
+            tags.len()
+        );
+        let mut set = TagSet {
+            tags: [Tag(0); Self::MAX],
+            len: tags.len() as u8,
+        };
+        set.tags[..tags.len()].copy_from_slice(tags);
+        set
+    }
+
+    /// The tags, in the order they were given.
+    pub fn as_slice(&self) -> &[Tag] {
+        &self.tags[..usize::from(self.len)]
+    }
+}
+
+impl fmt::Debug for TagSet {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.as_slice()).finish()
+    }
+}
+
 /// Which tags a [`Filter`] accepts.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TagFilter {
     /// Any tag.
     #[default]
@@ -222,7 +269,7 @@ pub enum TagFilter {
     One(Tag),
     /// Any tag in the set (used by processes that serve several protocols
     /// at once, e.g. a sequencer owner that is also waiting for data).
-    Set(Vec<Tag>),
+    Set(TagSet),
 }
 
 impl TagFilter {
@@ -231,7 +278,7 @@ impl TagFilter {
         match self {
             TagFilter::Any => true,
             TagFilter::One(t) => *t == tag,
-            TagFilter::Set(ts) => ts.contains(&tag),
+            TagFilter::Set(ts) => ts.as_slice().contains(&tag),
         }
     }
 }
@@ -250,7 +297,7 @@ impl TagFilter {
 /// assert!(f.src.is_some());
 /// assert!(g.tag.accepts(Tag::app(2)));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Filter {
     /// Accept only messages from this rank, if set.
     pub src: Option<ProcId>,
@@ -273,10 +320,14 @@ impl Filter {
     }
 
     /// Accepts messages with any of the given tags (any sender).
+    ///
+    /// # Panics
+    ///
+    /// Panics if there are more than [`TagSet::MAX`] tags.
     pub fn one_of(tags: &[Tag]) -> Filter {
         Filter {
             src: None,
-            tag: TagFilter::Set(tags.to_vec()),
+            tag: TagFilter::Set(TagSet::new(tags)),
         }
     }
 
@@ -331,6 +382,28 @@ mod tests {
         assert!(Filter::tag(Tag::app(7)).from(ProcId(3)).matches(&m));
         assert!(!Filter::tag(Tag::app(7)).from(ProcId(4)).matches(&m));
         assert!(Filter::any().from(ProcId(3)).matches(&m));
+    }
+
+    #[test]
+    fn tag_sets_are_inline_and_keep_their_order() {
+        let tags = [Tag::app(9), Tag::app(2), Tag::app(5), Tag::app(7)];
+        let f = Filter::one_of(&tags);
+        let TagFilter::Set(set) = f.tag else {
+            panic!("one_of builds a set");
+        };
+        assert_eq!(set.as_slice(), &tags);
+        assert!(tags.iter().all(|&t| f.matches(&msg(0, t))));
+        assert!(!f.matches(&msg(0, Tag::app(0))), "padding is not a member");
+        assert_eq!(f, Filter::one_of(&tags));
+        assert_ne!(f, Filter::one_of(&tags[..3]));
+        assert!(!Filter::one_of(&[]).matches(&msg(0, Tag::app(0))));
+        assert_eq!(format!("{set:?}"), format!("{tags:?}"));
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 4 tags")]
+    fn tag_sets_refuse_a_fifth_tag() {
+        let _ = Filter::one_of(&[Tag::app(1); 5]);
     }
 
     #[test]

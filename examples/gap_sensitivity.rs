@@ -17,8 +17,9 @@ fn main() {
     // Baseline: the same 8 processors on a uniform all-Myrinet cluster.
     let baseline = {
         let cfg = cfg.clone();
+        let matrix = cfg.generate();
         Machine::new(uniform_spec(8))
-            .run(move |ctx| asp_rank(ctx, &cfg, Variant::Unoptimized))
+            .run(move |ctx| asp_rank(ctx, &cfg, &matrix, Variant::Unoptimized))
             .expect("baseline failed")
             .elapsed
     };
@@ -37,8 +38,9 @@ fn main() {
         let mut cells = Vec::new();
         for variant in [Variant::Unoptimized, Variant::Optimized] {
             let cfg = cfg.clone();
+            let matrix = cfg.generate();
             let elapsed = machine
-                .run(move |ctx| asp_rank(ctx, &cfg, variant))
+                .run(move |ctx| asp_rank(ctx, &cfg, &matrix, variant))
                 .expect("run failed")
                 .elapsed;
             let rel = 100.0 * baseline.as_secs_f64() / elapsed.as_secs_f64();

@@ -15,8 +15,9 @@ use twolayer::rt::Machine;
 fn main() {
     let cfg = AspConfig::small();
     let machine = Machine::new(das_spec(2, 4, 5.0, 1.0)).with_tracing();
+    let matrix = cfg.generate();
     let report = machine
-        .run(move |ctx| asp_rank(ctx, &cfg, Variant::Optimized))
+        .run(move |ctx| asp_rank(ctx, &cfg, &matrix, Variant::Optimized))
         .expect("simulation failed");
     let trace = report.trace.expect("tracing was enabled");
 

@@ -26,8 +26,9 @@ fn water_with_fewer_molecules_than_processors() {
     let expected = serial_water(&cfg);
     for variant in [Variant::Unoptimized, Variant::Optimized] {
         let cfg = cfg.clone();
+        let molecules = cfg.generate();
         let report = Machine::new(das_spec(4, 2, 1.0, 1.0))
-            .run(move |ctx| water_rank(ctx, &cfg, variant))
+            .run(move |ctx| water_rank(ctx, &cfg, &molecules, variant))
             .unwrap();
         assert!(rel_err(total_checksum(&report.results), expected) < 1e-9);
     }
@@ -45,8 +46,9 @@ fn asp_with_fewer_rows_than_processors() {
     let expected = matrix_checksum(&serial_asp(&cfg));
     for variant in [Variant::Unoptimized, Variant::Optimized] {
         let cfg = cfg.clone();
+        let matrix = cfg.generate();
         let report = Machine::new(das_spec(4, 2, 1.0, 1.0))
-            .run(move |ctx| asp_rank(ctx, &cfg, variant))
+            .run(move |ctx| asp_rank(ctx, &cfg, &matrix, variant))
             .unwrap();
         assert!(
             rel_err(total_checksum(&report.results), expected) < 1e-9,
@@ -92,8 +94,9 @@ fn tsp_with_fewer_jobs_than_workers() {
     let (expected, _) = serial_tsp(&cfg);
     for variant in [Variant::Unoptimized, Variant::Optimized] {
         let cfg = cfg.clone();
+        let dist = cfg.generate();
         let report = Machine::new(das_spec(4, 2, 1.0, 1.0))
-            .run(move |ctx| tsp_rank(ctx, &cfg, variant))
+            .run(move |ctx| tsp_rank(ctx, &cfg, &dist, variant))
             .unwrap();
         assert_eq!(report.results[0].checksum, expected as f64, "{variant}");
     }
@@ -109,8 +112,9 @@ fn fft_with_exactly_one_row_per_processor() {
         element_ns: 5.0,
     };
     let expected = spectrum_checksum(&serial_fft(&cfg));
+    let signal = cfg.generate();
     let report = Machine::new(das_spec(4, 2, 1.0, 1.0))
-        .run(move |ctx| fft_rank(ctx, &cfg, Variant::Unoptimized))
+        .run(move |ctx| fft_rank(ctx, &cfg, &signal, Variant::Unoptimized))
         .unwrap();
     assert!(rel_err(total_checksum(&report.results), expected) < 1e-9);
 }
