@@ -63,10 +63,14 @@ impl Json {
         }
     }
 
-    /// The number as an unsigned integer, if it is one.
+    /// The number as an unsigned integer, if it is one no larger than 2^53:
+    /// past that an `f64` no longer holds every integer (and `as u64`
+    /// would saturate `1e300` to `u64::MAX`), so it is not one this type
+    /// can vouch for.
     pub fn as_u64(&self) -> Option<u64> {
+        const MAX_EXACT: f64 = (1u64 << 53) as f64;
         match self {
-            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 => Some(*n as u64),
+            Json::Num(n) if (0.0..=MAX_EXACT).contains(n) && n.fract() == 0.0 => Some(*n as u64),
             _ => None,
         }
     }
@@ -137,22 +141,21 @@ impl std::error::Error for JsonError {}
 /// Returns a [`JsonError`] with the byte offset of the first violation —
 /// including trailing garbage after an otherwise valid document.
 pub fn parse(input: &str) -> Result<Json, JsonError> {
-    let mut p = Parser {
-        src: input,
-        b: input.as_bytes(),
-        i: 0,
-        depth: 0,
-    };
-    p.skip_ws();
+    let mut p = Parser::new(input);
     let v = p.value()?;
-    p.skip_ws();
-    if p.i != p.b.len() {
-        return Err(p.err("trailing characters after document"));
-    }
+    p.finish()?;
     Ok(v)
 }
 
-struct Parser<'a> {
+/// The pull parser [`parse`] is made of, for a caller that wants part of a
+/// document as something other than a [`Json`] tree (the what-if service
+/// reads 10 000 points straight into a vector). Between steps it rests on
+/// the first byte of a value, which the caller consumes with exactly one of
+/// [`Parser::value`], [`Parser::number`], [`Parser::members`] or
+/// [`Parser::elements`]; every error is the one `parse` reports for the
+/// same document.
+#[derive(Debug)]
+pub struct Parser<'a> {
     /// The input; `b` is the same bytes, for scanning.
     src: &'a str,
     b: &'a [u8],
@@ -161,7 +164,38 @@ struct Parser<'a> {
     depth: usize,
 }
 
-impl Parser<'_> {
+impl<'a> Parser<'a> {
+    /// A parser resting on the document's first value.
+    pub fn new(input: &'a str) -> Self {
+        let mut p = Parser {
+            src: input,
+            b: input.as_bytes(),
+            i: 0,
+            depth: 0,
+        };
+        p.skip_ws();
+        p
+    }
+
+    /// The byte at the parser's position (`None` at the end of the input).
+    pub fn peek(&self) -> Option<u8> {
+        self.b.get(self.i).copied()
+    }
+
+    /// The parser's position, in bytes of the input.
+    pub fn offset(&self) -> usize {
+        self.i
+    }
+
+    /// Ends the document: only whitespace may follow what was consumed.
+    pub fn finish(&mut self) -> Result<(), JsonError> {
+        self.skip_ws();
+        if self.i != self.b.len() {
+            return Err(self.err("trailing characters after document"));
+        }
+        Ok(())
+    }
+
     fn err(&self, msg: &str) -> JsonError {
         JsonError {
             at: self.i,
@@ -205,16 +239,25 @@ impl Parser<'_> {
         }
     }
 
-    fn value(&mut self) -> Result<Json, JsonError> {
+    /// Consumes the value the parser rests on, as a tree.
+    pub fn value(&mut self) -> Result<Json, JsonError> {
         match self.b.get(self.i) {
             None => Err(self.err("unexpected end of input")),
             Some(b'n') => self.literal("null", Json::Null),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
-            Some(c) if c.is_ascii_digit() || *c == b'-' => self.number(),
+            Some(b'[') => {
+                let mut items = Vec::new();
+                self.elements(|p| p.value().map(|item| items.push(item)))?;
+                Ok(Json::Arr(items))
+            }
+            Some(b'{') => {
+                let mut members = Vec::new();
+                self.members(|p, key| p.value().map(|value| members.push((key, value))))?;
+                Ok(Json::Obj(members))
+            }
+            Some(c) if c.is_ascii_digit() || *c == b'-' => Ok(Json::Num(self.number()?.1)),
             Some(&c) => Err(self.err(&format!("unexpected character '{}'", c as char))),
         }
     }
@@ -227,51 +270,53 @@ impl Parser<'_> {
         Ok(())
     }
 
-    fn array(&mut self) -> Result<Json, JsonError> {
-        self.expect(b'[')?;
+    /// `open`, `each` resting on every comma-separated item in turn, `close`.
+    fn items(
+        &mut self,
+        (open, close): (u8, u8),
+        mut each: impl FnMut(&mut Self) -> Result<(), JsonError>,
+    ) -> Result<(), JsonError> {
+        self.expect(open)?;
         self.enter()?;
-        let mut items = Vec::new();
         self.skip_ws();
-        if self.eat(b']') {
-            self.depth -= 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            if self.eat(b']') {
-                self.depth -= 1;
-                return Ok(Json::Arr(items));
+        if !self.eat(close) {
+            loop {
+                self.skip_ws();
+                each(self)?;
+                self.skip_ws();
+                if self.eat(close) {
+                    break;
+                }
+                self.expect(b',')?;
             }
-            self.expect(b',')?;
         }
+        self.depth -= 1;
+        Ok(())
     }
 
-    fn object(&mut self) -> Result<Json, JsonError> {
-        self.expect(b'{')?;
-        self.enter()?;
-        let mut members = Vec::new();
-        self.skip_ws();
-        if self.eat(b'}') {
-            self.depth -= 1;
-            return Ok(Json::Obj(members));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let value = self.value()?;
-            members.push((key, value));
-            self.skip_ws();
-            if self.eat(b'}') {
-                self.depth -= 1;
-                return Ok(Json::Obj(members));
-            }
-            self.expect(b',')?;
-        }
+    /// Consumes the array the parser rests on: `each` is called resting on
+    /// every element in turn and must consume it.
+    pub fn elements(
+        &mut self,
+        each: impl FnMut(&mut Self) -> Result<(), JsonError>,
+    ) -> Result<(), JsonError> {
+        self.items((b'[', b']'), each)
+    }
+
+    /// Consumes the object the parser rests on: `each` is called with every
+    /// key in turn (duplicates too, in document order), resting on the key's
+    /// value, and must consume it.
+    pub fn members(
+        &mut self,
+        mut each: impl FnMut(&mut Self, String) -> Result<(), JsonError>,
+    ) -> Result<(), JsonError> {
+        self.items((b'{', b'}'), |p| {
+            let key = p.string()?;
+            p.skip_ws();
+            p.expect(b':')?;
+            p.skip_ws();
+            each(p, key)
+        })
     }
 
     fn string(&mut self) -> Result<String, JsonError> {
@@ -351,30 +396,39 @@ impl Parser<'_> {
         Ok(v)
     }
 
-    fn number(&mut self) -> Result<Json, JsonError> {
+    /// Consumes the number the parser rests on: its token as written, and
+    /// its value.
+    pub fn number(&mut self) -> Result<(&'a str, f64), JsonError> {
         let start = self.i;
         self.eat(b'-');
-        while self
-            .b
-            .get(self.i)
-            .is_some_and(|c| c.is_ascii_digit() || matches!(c, b'.' | b'e' | b'E' | b'+' | b'-'))
-        {
-            if self.i - start >= MAX_NUMBER_LEN {
-                return Err(self.err(&format!("number longer than {MAX_NUMBER_LEN} bytes")));
-            }
-            self.i += 1;
+        // The integer part, then whatever else a number can be made of.
+        let rest = &self.b[self.i..];
+        let int = rest.iter().take_while(|c| c.is_ascii_digit()).count();
+        let tail = &rest[int..];
+        let others = |c: &u8| c.is_ascii_digit() || matches!(c, b'.' | b'e' | b'E' | b'+' | b'-');
+        self.i += int + tail.iter().take_while(|c| others(c)).count();
+        if self.i - start > MAX_NUMBER_LEN {
+            self.i = start + MAX_NUMBER_LEN;
+            return Err(self.err(&format!("number longer than {MAX_NUMBER_LEN} bytes")));
         }
-        let text = std::str::from_utf8(&self.b[start..self.i]).expect("ascii number");
-        let n: f64 = text
-            .parse()
-            .map_err(|_| self.err(&format!("invalid number '{text}'")))?;
+        // The run is ASCII, so it is whole characters of `src`.
+        let text = &self.src[start..self.i];
+        // RFC 8259 where `str::parse` is laxer: an integer part (`-.5`) with
+        // no leading zero (`01`), and a digit after the point (`1.`, `1.e3`).
+        let rfc = int > 0
+            && (int == 1 || rest[0] != b'0')
+            && (tail.first() != Some(&b'.') || tail.get(1).is_some_and(u8::is_ascii_digit));
+        let n: f64 = rfc
+            .then(|| text.parse().ok())
+            .flatten()
+            .ok_or_else(|| self.err(&format!("invalid number '{text}'")))?;
         // `str::parse` saturates huge exponents to infinity; JSON has no
         // non-finite numbers, so an overflowing token is a parse error,
         // not a silent `inf` handed to downstream arithmetic.
         if !n.is_finite() {
             return Err(self.err(&format!("number '{text}' does not fit a finite f64")));
         }
-        Ok(Json::Num(n))
+        Ok((text, n))
     }
 }
 
@@ -506,6 +560,115 @@ mod tests {
         // Negative or fractional numbers are not integers.
         assert_eq!(parse("-1").unwrap().as_u64(), None);
         assert_eq!(parse("1.5").unwrap().as_u64(), None);
+    }
+
+    #[test]
+    fn integers_an_f64_cannot_vouch_for_are_not_u64s() {
+        let exact: u64 = 1 << 53;
+        assert_eq!(parse("9007199254740992").unwrap().as_u64(), Some(exact));
+        // `as u64` would turn each of these into 2^53 + 2, 2^64 - 1 (twice).
+        for doc in ["9007199254740994", "18446744073709551616", "1e300"] {
+            assert_eq!(parse(doc).unwrap().as_u64(), None, "{doc}");
+        }
+    }
+
+    #[test]
+    fn numbers_follow_the_rfc_8259_grammar() {
+        for (doc, want) in [
+            ("0", 0.0f64),
+            ("-0", -0.0),
+            ("10", 10.0),
+            ("0.30", 0.3),
+            ("-0.5", -0.5),
+            ("1e1", 10.0),
+            ("1E-2", 0.01),
+            ("0e0", 0.0),
+            ("1.25e+2", 125.0),
+            ("123456789012345678901234567890", 1.2345678901234568e29),
+        ] {
+            let got = parse(doc).unwrap().as_f64().unwrap();
+            assert_eq!(got.to_bits(), want.to_bits(), "{doc}");
+        }
+        // `str::parse` takes the first six.
+        for doc in [
+            "01", "-01", "00", "1.", "-.5", "1.e3", "1e", "1e+", "-", "1.5.2", "1e2e3", "1-2",
+            "--1",
+        ] {
+            let err = parse(doc).unwrap_err();
+            assert_eq!(err.msg, format!("invalid number '{doc}'"));
+            assert_eq!(err.at, doc.len(), "{doc}");
+        }
+        // And a leading `+`, which never reaches the number scanner.
+        assert_eq!(parse("+1").unwrap_err().msg, "unexpected character '+'");
+    }
+
+    #[test]
+    fn committed_documents_are_rfc_8259() {
+        // Every JSON file in the repository that is not a bench baseline
+        // (`record.rs` loads those): the benchmark's declaration and the
+        // what-if fixtures, requests and expected responses.
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let mut files = vec![root.join("BENCHMARK.json")];
+        for entry in std::fs::read_dir(root.join("crates/serve/fixtures")).unwrap() {
+            files.push(entry.unwrap().path());
+        }
+        assert!(files.len() >= 7, "{files:?}");
+        for path in files {
+            let text = std::fs::read_to_string(&path).unwrap();
+            parse(&text).unwrap_or_else(|e| panic!("{path:?}: {e}"));
+        }
+    }
+
+    #[test]
+    fn pull_steps_see_what_the_tree_holds() {
+        let doc = r#" {"a": [1, 2.50, {"b": null}], "n": -3e2, "a": "again"} "#;
+        let mut p = Parser::new(doc);
+        assert_eq!(p.peek(), Some(b'{'));
+        let (mut keys, mut tokens) = (Vec::new(), Vec::new());
+        p.members(|p, key| {
+            match (key.as_str(), p.peek()) {
+                ("a", Some(b'[')) => p.elements(|p| {
+                    if p.peek() == Some(b'{') {
+                        assert_eq!(p.value()?, parse(r#"{"b": null}"#).unwrap());
+                    } else {
+                        let (token, value) = p.number()?;
+                        assert_eq!(&doc[p.offset() - token.len()..p.offset()], token);
+                        tokens.push((token, value));
+                    }
+                    Ok(())
+                })?,
+                ("n", _) => assert_eq!(p.number()?, ("-3e2", -300.0)),
+                _ => assert_eq!(p.value()?, Json::Str("again".into())),
+            }
+            keys.push(key);
+            Ok(())
+        })
+        .unwrap();
+        p.finish().unwrap();
+        assert_eq!(keys, ["a", "n", "a"]);
+        assert_eq!(tokens, [("1", 1.0), ("2.50", 2.5)]);
+        // The steps report what `parse` reports, where it reports it.
+        for bad in [
+            "[1, x]",
+            "[1 2]",
+            "[1,",
+            "[",
+            "{\"a\" 1}",
+            "{\"a\": 1,}",
+            "[1]]",
+        ] {
+            let mut p = Parser::new(bad);
+            let walked = if bad.starts_with('[') {
+                p.elements(|p| p.value().map(drop))
+            } else {
+                p.members(|p, _| p.value().map(drop))
+            };
+            assert_eq!(
+                walked.and_then(|()| p.finish()).unwrap_err(),
+                parse(bad).unwrap_err(),
+                "{bad}"
+            );
+        }
     }
 
     #[test]

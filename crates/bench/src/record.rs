@@ -527,6 +527,22 @@ pub fn compare(old: &BenchSummary, new: &BenchSummary, opts: &CompareOpts) -> Co
 mod tests {
     use super::*;
 
+    #[test]
+    fn committed_baselines_load_and_print_back_unchanged() {
+        // The reader's numbers are RFC 8259's and its integers stop at 2^53:
+        // neither may cost a committed file a counter or a digit.
+        let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("baselines");
+        let mut loaded = 0;
+        for entry in std::fs::read_dir(&dir).unwrap() {
+            let path = entry.unwrap().path();
+            let text = std::fs::read_to_string(&path).unwrap();
+            let summary = BenchSummary::load(&path).unwrap_or_else(|e| panic!("{path:?}: {e}"));
+            assert_eq!(summary.to_json(), text, "{path:?}");
+            loaded += 1;
+        }
+        assert_eq!(loaded, 12);
+    }
+
     fn record(key: &str, wall: f64, virt: f64) -> RunRecord {
         RunRecord {
             key: key.to_string(),

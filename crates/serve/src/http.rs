@@ -474,6 +474,10 @@ mod tests {
         let (status, _, body) = http(addr, "GET", "/v1/stats", "");
         assert_eq!(status, 200);
         assert!(body.contains("\"capacity\": 4"), "{body}");
+        assert!(
+            body.contains("\"analytic\": {\"requests\": 0, \"parse_ns\": 0,"),
+            "{body}"
+        );
 
         let (status, _, _) = http(addr, "GET", "/v1/nope", "");
         assert_eq!(status, 404);
@@ -487,6 +491,16 @@ mod tests {
         let (status, _, body) = http(addr, "POST", "/v1/whatif", "{not json");
         assert_eq!(status, 400);
         assert!(body.contains("error"), "{body}");
+        // A seed no `u64` holds is refused, not saturated to `u64::MAX`.
+        for seed in ["1e300", "18446744073709551616", "-1", "0.5"] {
+            let req = format!("{{\"app\": \"asp\", \"seed\": {seed}, \"points\": [[10, 0.3]]}}");
+            let (status, _, body) = http(addr, "POST", "/v1/whatif", &req);
+            assert_eq!(status, 400, "{seed}");
+            assert_eq!(
+                body, "{\"error\": \"seed must be a non-negative integer\"}\n",
+                "{seed}"
+            );
+        }
         server.shutdown();
     }
 

@@ -14,10 +14,12 @@
 //! cold and cached paths.
 
 use std::fmt::Write as _;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::time::Instant;
 
 use numagap_apps::{run_app, AppId, Scale, SuiteConfig, Variant};
-use numagap_bench::json::{self, Json};
+use numagap_bench::json::{self, Json, JsonError, Parser};
 use numagap_bench::{baseline_machine, engine, relative_speedup_pct, wan_machine_with};
 use numagap_model::{gap_thresholds, record_app, GapThresholds, Replayer, TOLERABLE_SPEEDUP_PCT};
 use numagap_net::{LinkParams, WanTopology};
@@ -80,6 +82,10 @@ pub struct WhatIfRequest {
     pub mode: Mode,
     /// `(latency ms, bandwidth MByte/s)` points, in request order.
     pub points: Vec<(f64, f64)>,
+    /// Beside each point, where the body spells its coordinates the way `{}`
+    /// would print them, as `(offset, len)`: the response copies those bytes
+    /// and prints nothing (see [`echo_len`]). `len` 0 when it has to print.
+    pub echo: Vec<[(u32, u32); 2]>,
 }
 
 /// The outcome of one handled query: the response body plus whether the
@@ -97,7 +103,14 @@ pub struct WhatIfResponse {
 pub struct Service {
     cache: Mutex<DagCache>,
     workers: usize,
+    /// Per [`Mode`]: requests answered, then the nanoseconds they spent in
+    /// each of [`STAGES`]. Statistics only, hence `Relaxed`.
+    stages: [[AtomicU64; 1 + STAGES.len()]; 2],
 }
+
+/// The stages of a request that `/v1/stats` accounts for, in the order
+/// [`Service::whatif`] goes through them.
+const STAGES: [&str; 5] = ["parse", "recording", "evaluate", "thresholds", "serialise"];
 
 impl Service {
     /// A service with the given compute worker count and cache capacity.
@@ -105,6 +118,7 @@ impl Service {
         Service {
             cache: Mutex::new(DagCache::new(cache_capacity)),
             workers: workers.max(1),
+            stages: Default::default(),
         }
     }
 
@@ -137,9 +151,17 @@ impl Service {
     /// recording also surface as [`BadRequest`] (the query named an
     /// unrunnable configuration).
     pub fn whatif(&self, body: &str) -> Result<WhatIfResponse, BadRequest> {
+        let mut at = [Instant::now(); 1 + STAGES.len()];
         let req = parse_request(body)?;
+        at[1] = Instant::now();
         let (entry, cache_hit) = self.recording_for(&req.key)?;
-        let body = answer(&req, &entry, self.workers);
+        at[2] = Instant::now();
+        let body = answer(&req, body, &entry, self.workers, &mut at[3..]);
+        let totals = &self.stages[req.mode as usize];
+        totals[0].fetch_add(1, Ordering::Relaxed);
+        for (total, lap) in totals[1..].iter().zip(at.windows(2)) {
+            total.fetch_add((lap[1] - lap[0]).as_nanos() as u64, Ordering::Relaxed);
+        }
         Ok(WhatIfResponse { body, cache_hit })
     }
 
@@ -180,8 +202,15 @@ fn record_entry(key: &CacheKey) -> Result<CacheEntry, BadRequest> {
     })
 }
 
-/// Evaluates the batch and serializes the response body.
-fn answer(req: &WhatIfRequest, entry: &CacheEntry, workers: usize) -> String {
+/// Evaluates the batch and serializes the response body; `req` was parsed
+/// from `body`. `done` is when evaluation, thresholds and the body were.
+fn answer(
+    req: &WhatIfRequest,
+    body: &str,
+    entry: &CacheEntry,
+    workers: usize,
+    done: &mut [Instant],
+) -> String {
     let makespans: Vec<SimDuration> = match req.mode {
         // One replayer per worker for this batch: the recording's own
         // machine, reset to each point's WAN link class. It lives on the
@@ -202,11 +231,13 @@ fn answer(req: &WhatIfRequest, entry: &CacheEntry, workers: usize) -> String {
             .map(|&(lat, bw)| entry.analytic.bound(lat, bw))
             .collect(),
     };
+    done[0] = Instant::now();
     let pct: Vec<f64> = makespans
         .iter()
         .map(|&m| relative_speedup_pct(entry.baseline, m))
         .collect();
     let thresholds = grid_thresholds(&req.points, &pct);
+    done[1] = Instant::now();
 
     // One allocation for the usual body (head and tail are ~300 bytes); a
     // longer one still grows as needed.
@@ -224,19 +255,27 @@ fn answer(req: &WhatIfRequest, entry: &CacheEntry, workers: usize) -> String {
         entry.recorded.as_nanos(),
         entry.baseline.as_nanos(),
     );
-    for (i, (&(lat, bw), (&m, &p))) in req
+    // Per point only the speedup goes through `fmt`: 17 digits that have to
+    // be worked out, where a coordinate is usually the client's own token.
+    let coordinate = |out: &mut String, value: f64, (at, len): (u32, u32)| match len {
+        0 => drop(write!(out, "{value}")),
+        _ => out.push_str(&body[at as usize..][..len as usize]),
+    };
+    let mut open = "\n    {\"latency_ms\": ";
+    let rows = req
         .points
         .iter()
-        .zip(makespans.iter().zip(pct.iter()))
-        .enumerate()
-    {
-        let sep = if i + 1 < req.points.len() { "," } else { "" };
-        let _ = write!(
-            out,
-            "\n    {{\"latency_ms\": {lat}, \"bandwidth_mbs\": {bw}, \
-             \"makespan_ns\": {}, \"speedup_pct\": {p}}}{sep}",
-            m.as_nanos(),
-        );
+        .zip(&req.echo)
+        .zip(makespans.iter().zip(&pct));
+    for ((&(lat, bw), &[lat_at, bw_at]), (&m, &p)) in rows {
+        out.push_str(open);
+        coordinate(&mut out, lat, lat_at);
+        out.push_str(", \"bandwidth_mbs\": ");
+        coordinate(&mut out, bw, bw_at);
+        out.push_str(", \"makespan_ns\": ");
+        push_u64(&mut out, m.as_nanos());
+        let _ = write!(out, ", \"speedup_pct\": {p}}}");
+        open = ",\n    {\"latency_ms\": ";
     }
     out.push_str("\n  ],\n  \"thresholds\": ");
     match thresholds {
@@ -250,7 +289,51 @@ fn answer(req: &WhatIfRequest, entry: &CacheEntry, workers: usize) -> String {
         None => out.push_str("null"),
     }
     out.push_str("\n}\n");
+    done[2] = Instant::now();
     out
+}
+
+/// Appends `v` in decimal.
+fn push_u64(out: &mut String, mut v: u64) {
+    let mut digits = [b'0'; 20];
+    let mut at = digits.len();
+    while v > 0 || at == digits.len() {
+        at -= 1;
+        digits[at] += (v % 10) as u8;
+        v /= 10;
+    }
+    out.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
+}
+
+/// How many leading bytes of number token `t` are what `{}` prints for its
+/// value, 0 when it prints something else. They are when `t` is *canonical*
+/// — `0` or `[1-9][0-9]*`, then optionally `.` and digits; no sign, no
+/// exponent — and has at most 15 digits before its fraction's trailing
+/// zeros, which are not echoed (docs/ARCHITECTURE.md has the proof).
+fn echo_len(t: &str) -> usize {
+    let t = t.as_bytes();
+    let digits = |t: &[u8]| t.iter().take_while(|c| c.is_ascii_digit()).count();
+    let int = digits(t);
+    if int == 0 || (int > 1 && t[0] == b'0') {
+        return 0;
+    }
+    let mut end = int;
+    if int < t.len() {
+        let fraction = &t[int + 1..];
+        if t[int] != b'.' || fraction.is_empty() || digits(fraction) != fraction.len() {
+            return 0;
+        }
+        // Through the last digit that is not padding, the point included.
+        end += fraction
+            .iter()
+            .rposition(|&c| c != b'0')
+            .map_or(0, |last| last + 2);
+    }
+    if end - usize::from(end > int) <= 15 {
+        end
+    } else {
+        0
+    }
 }
 
 /// Appends `v` as a JSON number, or `null`.
@@ -304,12 +387,33 @@ fn axis_bits(values: impl Iterator<Item = f64>) -> Vec<u64> {
     bits
 }
 
-/// Parses the request body into a [`WhatIfRequest`].
+/// Parses the request body into a [`WhatIfRequest`]. `"points"` and `"ref"`
+/// never become a tree; what is wrong with them is still reported where it
+/// was when they did, after every other field's complaint.
 fn parse_request(body: &str) -> Result<WhatIfRequest, BadRequest> {
-    let doc = json::parse(body).map_err(|e| BadRequest(format!("request body: {e}")))?;
-    if !matches!(doc, Json::Obj(_)) {
+    let mut p = Parser::new(body);
+    let (mut members, mut points, mut reference) = (Vec::new(), None, None);
+    let is_object = p.peek() == Some(b'{');
+    let scanned = if is_object {
+        // A repeated key is answered by its first value, like `Json::get`.
+        p.members(|p, key| {
+            match key.as_str() {
+                "points" if points.is_none() => points = Some(scan_points(p, body.len())?),
+                "ref" if reference.is_none() => reference = Some(scan_point(p)?),
+                _ => members.push((key, p.value()?)),
+            }
+            Ok(())
+        })
+    } else {
+        p.value().map(drop)
+    };
+    scanned
+        .and_then(|()| p.finish())
+        .map_err(|e| BadRequest(format!("request body: {e}")))?;
+    if !is_object {
         return Err(BadRequest("request body must be a JSON object".into()));
     }
+    let doc = Json::Obj(members);
     let app = match required_str(&doc, "app")? {
         "water" => AppId::Water,
         "barnes" => AppId::Barnes,
@@ -361,30 +465,12 @@ fn parse_request(body: &str) -> Result<WhatIfRequest, BadRequest> {
             .as_u64()
             .ok_or_else(|| BadRequest("seed must be a non-negative integer".into()))?,
     };
-    let (ref_latency_ms, ref_bandwidth_mbs) = match doc.get("ref") {
-        None => (10.0, 0.3),
-        Some(v) => parse_point(v).map_err(|e| BadRequest(format!("ref: {e}")))?,
-    };
-    check_point(ref_latency_ms, ref_bandwidth_mbs).map_err(|e| BadRequest(format!("ref: {e}")))?;
-    let points_doc = doc
-        .get("points")
-        .and_then(Json::as_array)
-        .ok_or_else(|| BadRequest("missing 'points' array".into()))?;
-    if points_doc.is_empty() {
-        return Err(BadRequest("'points' must not be empty".into()));
-    }
-    if points_doc.len() > MAX_POINTS {
-        return Err(BadRequest(format!(
-            "batch of {} points exceeds the {MAX_POINTS}-point cap",
-            points_doc.len()
-        )));
-    }
-    let mut points = Vec::with_capacity(points_doc.len());
-    for (i, v) in points_doc.iter().enumerate() {
-        let (lat, bw) = parse_point(v).map_err(|e| BadRequest(format!("points[{i}]: {e}")))?;
-        check_point(lat, bw).map_err(|e| BadRequest(format!("points[{i}]: {e}")))?;
-        points.push((lat, bw));
-    }
+    let ((ref_latency_ms, ref_bandwidth_mbs), _) = reference
+        .unwrap_or(Ok(((10.0, 0.3), [(0, 0); 2])))
+        .map_err(|e| BadRequest(format!("ref: {e}")))?;
+    let (points, echo) = points
+        .unwrap_or_else(|| Err("missing 'points' array".into()))
+        .map_err(BadRequest)?;
     Ok(WhatIfRequest {
         key: CacheKey {
             app,
@@ -397,19 +483,78 @@ fn parse_request(body: &str) -> Result<WhatIfRequest, BadRequest> {
         },
         mode,
         points,
+        echo,
     })
 }
 
-fn parse_point(v: &Json) -> Result<(f64, f64), String> {
-    let pair = v
-        .as_array()
-        .ok_or("expected a [latency_ms, bandwidth_mbs] pair")?;
-    if pair.len() != 2 {
-        return Err(format!("expected 2 elements, got {}", pair.len()));
+/// A point and where its coordinates are spelled, or what is wrong with it.
+type Point = Result<((f64, f64), [(u32, u32); 2]), String>;
+/// The same for all of `"points"`: the complaint is the first one, in the
+/// order they were made in when the member was a tree.
+type Points = Result<(Vec<(f64, f64)>, Vec<[(u32, u32); 2]>), String>;
+
+/// Consumes the `"points"` member.
+fn scan_points(p: &mut Parser<'_>, body_len: usize) -> Result<Points, JsonError> {
+    if p.peek() != Some(b'[') {
+        p.value()?;
+        return Ok(Err("missing 'points' array".into()));
     }
-    let lat = pair[0].as_f64().ok_or("latency must be a number")?;
-    let bw = pair[1].as_f64().ok_or("bandwidth must be a number")?;
-    Ok((lat, bw))
+    // No pair is shorter than `[1,1],`: room for all of them, at once.
+    let room = ((body_len - p.offset()) / 6).min(MAX_POINTS);
+    let (mut points, mut echo) = (Vec::with_capacity(room), Vec::with_capacity(room));
+    let (mut count, mut complaint) = (0, None);
+    p.elements(|p| {
+        match scan_point(p)? {
+            Ok((point, spelled)) if count < MAX_POINTS => {
+                points.push(point);
+                echo.push(spelled);
+            }
+            Ok(_) => {}
+            Err(e) => drop(complaint.get_or_insert_with(|| format!("points[{count}]: {e}"))),
+        }
+        count += 1;
+        Ok(())
+    })?;
+    Ok(match complaint {
+        _ if count == 0 => Err("'points' must not be empty".into()),
+        _ if count > MAX_POINTS => Err(format!(
+            "batch of {count} points exceeds the {MAX_POINTS}-point cap"
+        )),
+        Some(complaint) => Err(complaint),
+        None => Ok((points, echo)),
+    })
+}
+
+/// Consumes one `[latency_ms, bandwidth_mbs]` pair.
+fn scan_point(p: &mut Parser<'_>) -> Result<Point, JsonError> {
+    if p.peek() != Some(b'[') {
+        p.value()?;
+        return Ok(Err("expected a [latency_ms, bandwidth_mbs] pair".into()));
+    }
+    let (mut n, mut pair) = (0, [None; 2]);
+    p.elements(|p| {
+        if matches!(p.peek(), Some(b'-' | b'0'..=b'9')) {
+            let (token, value) = p.number()?;
+            // A token past the first 4 GiB of a body is printed, not echoed.
+            let at = u32::try_from(p.offset() - token.len()).ok();
+            let spelled = at.map_or((0, 0), |at| (at, echo_len(token) as u32));
+            if let Some(slot) = pair.get_mut(n) {
+                *slot = Some((value, spelled));
+            }
+        } else {
+            p.value()?;
+        }
+        n += 1;
+        Ok(())
+    })?;
+    Ok(match (n, pair) {
+        (2, [Some((lat, lat_at)), Some((bw, bw_at))]) => {
+            check_point(lat, bw).map(|()| ((lat, bw), [lat_at, bw_at]))
+        }
+        (2, [None, _]) => Err("latency must be a number".into()),
+        (2, _) => Err("bandwidth must be a number".into()),
+        _ => Err(format!("expected 2 elements, got {n}")),
+    })
 }
 
 fn check_point(lat: f64, bw: f64) -> Result<(), String> {
@@ -442,17 +587,35 @@ fn optional_str<'a>(doc: &'a Json, field: &str) -> Result<Option<&'a str>, BadRe
 /// it reports live counters; determinism guarantees apply to query bodies.
 pub fn stats_body(service: &Service) -> String {
     let s = service.cache_stats();
-    format!(
+    let mut out = format!(
         "{{\n  \"schema\": {SERVE_SCHEMA_VERSION},\n  \"workers\": {},\n  \"cache\": \
          {{\"hits\": {}, \"misses\": {}, \"evictions\": {}, \"entries\": {}, \
-         \"capacity\": {}}}\n}}\n",
+         \"capacity\": {}}},\n  \"stages\": {{",
         service.workers(),
         s.hits,
         s.misses,
         s.evictions,
         s.entries,
         s.capacity
-    )
+    );
+    for mode in [Mode::Replay, Mode::Analytic] {
+        let (sep, totals) = (
+            if mode == Mode::Replay { "" } else { "," },
+            &service.stages[mode as usize],
+        );
+        let requests = totals[0].load(Ordering::Relaxed);
+        let _ = write!(
+            out,
+            "{sep}\n    \"{}\": {{\"requests\": {requests}",
+            mode.name()
+        );
+        for (stage, ns) in STAGES.iter().zip(&totals[1..]) {
+            let _ = write!(out, ", \"{stage}_ns\": {}", ns.load(Ordering::Relaxed));
+        }
+        out.push('}');
+    }
+    out.push_str("\n  }\n}\n");
+    out
 }
 
 #[cfg(test)]
@@ -658,6 +821,511 @@ mod tests {
             .collect();
         assert_matches_reference("10000 free-form", &freeform, false, &mut state);
         assert_matches_reference("empty", &[], false, &mut state);
+    }
+
+    /// `parse_request` as it was when the whole body became a tree, kept
+    /// verbatim (but for the `echo` it never had) as its reference.
+    fn parse_request_reference(body: &str) -> Result<WhatIfRequest, BadRequest> {
+        let doc = json::parse(body).map_err(|e| BadRequest(format!("request body: {e}")))?;
+        if !matches!(doc, Json::Obj(_)) {
+            return Err(BadRequest("request body must be a JSON object".into()));
+        }
+        let app = match required_str(&doc, "app")? {
+            "water" => AppId::Water,
+            "barnes" => AppId::Barnes,
+            "tsp" => AppId::Tsp,
+            "asp" => AppId::Asp,
+            "awari" => AppId::Awari,
+            "fft" => AppId::Fft,
+            other => {
+                return Err(BadRequest(format!(
+                    "unknown app '{other}' (expected water, barnes, tsp, asp, awari, fft)"
+                )))
+            }
+        };
+        let variant = match optional_str(&doc, "variant")?.unwrap_or("opt") {
+            "opt" | "optimized" => Variant::Optimized,
+            "unopt" | "unoptimized" => Variant::Unoptimized,
+            other => return Err(BadRequest(format!("unknown variant '{other}'"))),
+        };
+        let scale = match optional_str(&doc, "scale")?.unwrap_or("small") {
+            "small" => Scale::Small,
+            "medium" => Scale::Medium,
+            "paper" => Scale::Paper,
+            other => return Err(BadRequest(format!("unknown scale '{other}'"))),
+        };
+        let topology = match optional_str(&doc, "topology")? {
+            None => None,
+            Some(text) => {
+                let t =
+                    WanTopology::parse(text).map_err(|e| BadRequest(format!("topology: {e}")))?;
+                t.validate(CLUSTERS)
+                    .map_err(|e| BadRequest(format!("topology: {e}")))?;
+                // A full mesh is the default wiring; normalizing it to `None`
+                // keeps the cache key and response identical to an omitted
+                // field, like the CLI's --topology handling.
+                (t != WanTopology::FullMesh).then_some(t)
+            }
+        };
+        let mode = match optional_str(&doc, "mode")?.unwrap_or("replay") {
+            "replay" => Mode::Replay,
+            "analytic" => Mode::Analytic,
+            other => {
+                return Err(BadRequest(format!(
+                    "unknown mode '{other}' (expected replay, analytic)"
+                )))
+            }
+        };
+        let seed = match doc.get("seed") {
+            None => 0,
+            Some(v) => v
+                .as_u64()
+                .ok_or_else(|| BadRequest("seed must be a non-negative integer".into()))?,
+        };
+        let (ref_latency_ms, ref_bandwidth_mbs) = match doc.get("ref") {
+            None => (10.0, 0.3),
+            Some(v) => parse_point_reference(v).map_err(|e| BadRequest(format!("ref: {e}")))?,
+        };
+        check_point(ref_latency_ms, ref_bandwidth_mbs)
+            .map_err(|e| BadRequest(format!("ref: {e}")))?;
+        let points_doc = doc
+            .get("points")
+            .and_then(Json::as_array)
+            .ok_or_else(|| BadRequest("missing 'points' array".into()))?;
+        if points_doc.is_empty() {
+            return Err(BadRequest("'points' must not be empty".into()));
+        }
+        if points_doc.len() > MAX_POINTS {
+            return Err(BadRequest(format!(
+                "batch of {} points exceeds the {MAX_POINTS}-point cap",
+                points_doc.len()
+            )));
+        }
+        let mut points = Vec::with_capacity(points_doc.len());
+        for (i, v) in points_doc.iter().enumerate() {
+            let (lat, bw) =
+                parse_point_reference(v).map_err(|e| BadRequest(format!("points[{i}]: {e}")))?;
+            check_point(lat, bw).map_err(|e| BadRequest(format!("points[{i}]: {e}")))?;
+            points.push((lat, bw));
+        }
+        Ok(WhatIfRequest {
+            key: CacheKey {
+                app,
+                variant,
+                scale,
+                topology,
+                seed,
+                ref_latency_ms,
+                ref_bandwidth_mbs,
+            },
+            mode,
+            points,
+            echo: Vec::new(),
+        })
+    }
+
+    fn parse_point_reference(v: &Json) -> Result<(f64, f64), String> {
+        let pair = v
+            .as_array()
+            .ok_or("expected a [latency_ms, bandwidth_mbs] pair")?;
+        if pair.len() != 2 {
+            return Err(format!("expected 2 elements, got {}", pair.len()));
+        }
+        let lat = pair[0].as_f64().ok_or("latency must be a number")?;
+        let bw = pair[1].as_f64().ok_or("bandwidth must be a number")?;
+        Ok((lat, bw))
+    }
+
+    /// `evaluate`, the thresholds and `serialise` as the one function they were
+    /// before coordinates were echoed, kept verbatim as their reference.
+    fn answer_reference(req: &WhatIfRequest, entry: &CacheEntry, workers: usize) -> String {
+        let makespans: Vec<SimDuration> = match req.mode {
+            // One replayer per worker for this batch: the recording's own
+            // machine, reset to each point's WAN link class. It lives on the
+            // worker's stack, so a panicking point takes it down with it.
+            Mode::Replay => engine::run_cells_with(
+                &req.points,
+                workers,
+                None,
+                || Replayer::new(&entry.dag.base_spec),
+                |replayer, _, &(lat, bw)| {
+                    replayer.makespan(&entry.dag, LinkParams::wide_area(lat, bw))
+                },
+            ),
+            // Analytic evaluation is microseconds per point; the engine fan-out
+            // would cost more in thread handoff than it saves, and the slot
+            // discipline makes the order identical either way.
+            Mode::Analytic => req
+                .points
+                .iter()
+                .map(|&(lat, bw)| entry.analytic.bound(lat, bw))
+                .collect(),
+        };
+        let pct: Vec<f64> = makespans
+            .iter()
+            .map(|&m| relative_speedup_pct(entry.baseline, m))
+            .collect();
+        let thresholds = grid_thresholds(&req.points, &pct);
+
+        // One allocation for the usual body (head and tail are ~300 bytes); a
+        // longer one still grows as needed.
+        let mut out = String::with_capacity(512 + req.points.len() * POINT_LINE_BYTES);
+        let _ = write!(
+            out,
+            "{{\n  \"schema\": {},\n  \"key\": \"{}\",\n  \"digest\": \"{:016x}\",\n  \
+             \"mode\": \"{}\",\n  \"tolerable_pct\": {},\n  \"recorded_ns\": {},\n  \
+             \"baseline_ns\": {},\n  \"points\": [",
+            SERVE_SCHEMA_VERSION,
+            json::escape(&req.key.canonical()),
+            req.key.digest(),
+            req.mode.name(),
+            TOLERABLE_SPEEDUP_PCT,
+            entry.recorded.as_nanos(),
+            entry.baseline.as_nanos(),
+        );
+        for (i, (&(lat, bw), (&m, &p))) in req
+            .points
+            .iter()
+            .zip(makespans.iter().zip(pct.iter()))
+            .enumerate()
+        {
+            let sep = if i + 1 < req.points.len() { "," } else { "" };
+            let _ = write!(
+                out,
+                "\n    {{\"latency_ms\": {lat}, \"bandwidth_mbs\": {bw}, \
+                 \"makespan_ns\": {}, \"speedup_pct\": {p}}}{sep}",
+                m.as_nanos(),
+            );
+        }
+        out.push_str("\n  ],\n  \"thresholds\": ");
+        match thresholds {
+            Some(t) => {
+                out.push_str("{\"latency_ms\": ");
+                push_opt(&mut out, t.latency_ms);
+                out.push_str(", \"bandwidth_mbs\": ");
+                push_opt(&mut out, t.bandwidth_mbs);
+                out.push('}');
+            }
+            None => out.push_str("null"),
+        }
+        out.push_str("\n}\n");
+        out
+    }
+
+    /// A coordinate near the benchmark's ranges, spelled one of the ways a
+    /// client might spell it, a few of them not JSON or not a coordinate.
+    fn spelled(state: &mut u64, bandwidth: bool) -> String {
+        let (lo, hi) = if bandwidth {
+            (0.03, 10.0)
+        } else {
+            (0.1, 300.0)
+        };
+        let v = log_uniform_sig4(state, lo, hi);
+        let pick = |state: &mut u64, of: &[&str]| {
+            of[(xorshift(state) % of.len() as u64) as usize].to_string()
+        };
+        match xorshift(state) % 64 {
+            0..=7 => format!("{v:e}"),
+            8..=15 => format!("{v:.6}"),
+            16..=19 => format!("{}", v.trunc() + 1.0),
+            20..=23 => format!("{:.1}", v.trunc() + 1.0),
+            // Zero is a latency, not a bandwidth.
+            24..=27 if bandwidth => pick(state, &["0.5", "1", "1.0", "1e0"]),
+            24..=27 => pick(state, &["0", "-0", "0.0", "-0.0", "0e0"]),
+            28..=33 => {
+                // 15, 16 or 17 digits, the last one not a zero.
+                let mut text = format!("{}.", xorshift(state) % if bandwidth { 10 } else { 300 });
+                let digits = 15 + (xorshift(state) % 3) as usize;
+                while text.len() < digits {
+                    text.push(char::from(b'0' + (xorshift(state) % 10) as u8));
+                }
+                text.push(char::from(b'1' + (xorshift(state) % 9) as u8));
+                text
+            }
+            34..=36 if format!("{v}").contains('.') => format!("{v}{}", "0".repeat(300)),
+            34..=36 => format!("{v}.{}", "0".repeat(300)),
+            37 => format!("0{v}"),
+            38 => pick(
+                state,
+                &[
+                    "-1", "0", "100000.1", "1e400", "1e-400", "1.", "-.5", "1.e3", "+1", "1e",
+                    "--1",
+                ],
+            ),
+            39 => pick(state, &["null", "\"10\"", "true", "[1]", "{}", "x"]),
+            _ => format!("{v}"),
+        }
+    }
+
+    /// A request body from the seed: mostly well-formed, every field now and
+    /// then missing, repeated, misspelled or of the wrong type; the members
+    /// in any order, whitespace wherever JSON allows it.
+    fn seeded_body(state: &mut u64) -> String {
+        const WS: [&str; 6] = ["", "", " ", "\n  ", "\t", " \r\n"];
+        fn ws(state: &mut u64) -> &'static str {
+            WS[(xorshift(state) % WS.len() as u64) as usize]
+        }
+        fn list(state: &mut u64, (open, close): (char, char), items: &[String]) -> String {
+            let mut text = format!("{open}{}", ws(state));
+            for (i, item) in items.iter().enumerate() {
+                let sep = if i > 0 { "," } else { "" };
+                text += &format!("{sep}{}{item}{}", ws(state), ws(state));
+            }
+            text.push(close);
+            text
+        }
+        fn array(state: &mut u64, items: &[String]) -> String {
+            list(state, ('[', ']'), items)
+        }
+        fn point(state: &mut u64) -> String {
+            let mut pair = vec![spelled(state, false), spelled(state, true)];
+            match xorshift(state) % 40 {
+                0 => {
+                    return ["7", "\"p\"", "null", "{\"latency_ms\": 1}"]
+                        [(xorshift(state) % 4) as usize]
+                        .to_string()
+                }
+                1 => pair.truncate((xorshift(state) % 2) as usize),
+                2 => pair.push(spelled(state, true)),
+                _ => {}
+            }
+            array(state, &pair)
+        }
+        fn points(state: &mut u64) -> String {
+            if xorshift(state).is_multiple_of(4) {
+                // A grid: every occurrence of an axis value spelled its own
+                // way, all of them the same `f64`.
+                let respell = |state: &mut u64, v: f64| match xorshift(state) % 3 {
+                    0 => format!("{v:e}"),
+                    1 => format!("{v:.6}"),
+                    _ => format!("{v}"),
+                };
+                let (nl, nb) = (xorshift(state) % 3, xorshift(state) % 3);
+                let lats = distinct_values(state, 1 + nl as usize, 0.1, 300.0);
+                let bws = distinct_values(state, 1 + nb as usize, 0.03, 10.0);
+                let mut cells = Vec::new();
+                for &lat in &lats {
+                    for &bw in &bws {
+                        let pair = [respell(state, lat), respell(state, bw)];
+                        cells.push(array(state, &pair));
+                    }
+                }
+                shuffle(&mut cells, state);
+                return array(state, &cells);
+            }
+            match xorshift(state) % 30 {
+                0 => "{}".to_string(),
+                1 => "3".to_string(),
+                _ => {
+                    let cells: Vec<String> =
+                        (0..xorshift(state) % 9).map(|_| point(state)).collect();
+                    array(state, &cells)
+                }
+            }
+        }
+        // Each field: how many of its values are good ones, and the values.
+        let fields: [(&str, usize, &[&str]); 8] = [
+            ("app", 1, &["\"asp\"", "\"nope\"", "7"]),
+            (
+                "variant",
+                3,
+                &["\"opt\"", "\"unopt\"", "\"optimized\"", "\"fast\"", "null"],
+            ),
+            ("scale", 1, &["\"small\"", "\"huge\"", "[]"]),
+            ("mode", 2, &["\"analytic\"", "\"replay\"", "\"magic\"", "1"]),
+            (
+                "seed",
+                3,
+                &["0", "1", "1e0", "1.5", "-1", "1e300", "\"x\"", "01"],
+            ),
+            (
+                "topology",
+                2,
+                &["\"mesh\"", "\"ring\"", "\"torus:9x9\"", "5"],
+            ),
+            (
+                "ref",
+                3,
+                &[
+                    "[10, 0.3]",
+                    "[1e1, 0.30]",
+                    "[5, 1]",
+                    "[1]",
+                    "[0, 0]",
+                    "[\"a\", 1]",
+                    "[1, null]",
+                    "\"x\"",
+                    "[1, 2, 3]",
+                ],
+            ),
+            (
+                "extra",
+                3,
+                &["null", "[[1, 2], {\"points\": [[1]]}]", "\"\\u00e9\\n\""],
+            ),
+        ];
+        let mut members: Vec<String> = Vec::new();
+        let mut member = |state: &mut u64, key: &str, value: String| {
+            members.push(format!("\"{key}\"{}:{}{value}", ws(state), ws(state)));
+        };
+        for (key, good, values) in fields {
+            // `app` is required; the others are there half of the time.
+            let copies = match xorshift(state) % 32 {
+                0 => 2,
+                1 => 0,
+                n if key == "app" || n % 2 == 0 => 1,
+                _ => 0,
+            };
+            for _ in 0..copies {
+                let among = if xorshift(state).is_multiple_of(32) {
+                    values.len()
+                } else {
+                    good
+                };
+                let value = values[(xorshift(state) % among as u64) as usize];
+                member(state, key, value.to_string());
+            }
+        }
+        let copies = match xorshift(state) % 16 {
+            0 => 0,
+            1 | 2 => 2,
+            _ => 1,
+        };
+        for _ in 0..copies {
+            let value = points(state);
+            member(state, "points", value);
+        }
+        shuffle(&mut members, state);
+        format!("{}{}", ws(state), list(state, ('{', '}'), &members)) + ws(state)
+    }
+
+    /// `body` through the service and through the reference functions: the
+    /// same bytes, or the same complaint. Says whether it was answered.
+    fn assert_answers_as_before(service: &Service, body: &str) -> bool {
+        let want = parse_request_reference(body).and_then(|req| {
+            let (entry, _) = service.recording_for(&req.key)?;
+            Ok(answer_reference(&req, &entry, service.workers))
+        });
+        let got = service.whatif(body).map(|answer| answer.body);
+        assert_eq!(got, want, "{body}");
+        got.is_ok()
+    }
+
+    #[test]
+    fn requests_are_answered_as_they_were_when_the_body_became_a_tree() {
+        let service = Service::new(2, 64);
+        let mut state = 0x0DD_B1A5_ED5E_ED01u64;
+        let (mut answered, mut refused) = (0, 0);
+        let mut bodies: Vec<String> = (0..2000).map(|_| seeded_body(&mut state)).collect();
+        // Every truncation of three bodies, and a stray byte at every
+        // position of them.
+        for base in [
+            small_batch("analytic"),
+            "{\"points\": [[1e1, 0.30], [ 10.0 ,6.3]], \"ref\": [10, 0.3], \"app\": \"asp\", \
+             \"mode\": \"analytic\", \"seed\": 0}"
+                .to_string(),
+            "\n{\"app\":\"asp\",\"mode\":\"analytic\",\"points\":[[0.5,6.3]],\"points\":[[7,7]]}"
+                .to_string(),
+        ] {
+            for at in 0..=base.len() {
+                bodies.push(base[..at].to_string());
+                const STRAY: &[u8] = b"x\"[]{},:-.e0 ";
+                let stray = STRAY[(xorshift(&mut state) % STRAY.len() as u64) as usize];
+                bodies.push(format!(
+                    "{}{}{}",
+                    &base[..at],
+                    char::from(stray),
+                    &base[at..]
+                ));
+            }
+        }
+        // Past the cap, with and without a bad point and a syntax error
+        // behind it; nesting past the parser's limit inside a point.
+        let many = "[1,1],".repeat(MAX_POINTS);
+        for tail in ["[1,1]", "[1]", "[1,1],[1,x]"] {
+            bodies.push(format!("{{\"app\": \"asp\", \"points\": [{many}{tail}]}}"));
+        }
+        bodies.push(format!(
+            "{{\"app\": \"asp\", \"points\": [[1, {}1",
+            "[".repeat(200)
+        ));
+        for body in &bodies {
+            if assert_answers_as_before(&service, body) {
+                answered += 1;
+            } else {
+                refused += 1;
+            }
+        }
+        // Both sides of the comparison are real: neither outcome is rare.
+        assert!(
+            answered >= 500 && refused >= 500,
+            "{answered} answered, {refused} refused"
+        );
+    }
+
+    #[test]
+    fn an_echoed_prefix_is_what_the_value_prints_as() {
+        for (token, echoed) in [
+            ("0", "0"),
+            ("10", "10"),
+            ("0.3", "0.3"),
+            ("300", "300"),
+            ("0.001", "0.001"),
+            ("123456789.012345", "123456789.012345"),
+            // A fraction's padding is not echoed, nor a point it leaves bare.
+            ("10.0", "10"),
+            ("0.30", "0.3"),
+            ("0.000", "0"),
+            ("1234567890.12345000", "1234567890.12345"),
+            // Printed, not echoed: an exponent, a sign, 16 digits, and what
+            // is not a JSON number at all.
+            ("1e1", ""),
+            ("-0", ""),
+            ("-1.5", ""),
+            ("1234567890.123456", ""),
+            ("0.123456789012345", ""),
+            ("01", ""),
+            ("00.5", ""),
+            ("1.", ""),
+            (".5", ""),
+            ("", ""),
+            ("1.2.3", ""),
+        ] {
+            assert_eq!(&token[..echo_len(token)], echoed, "{token:?}");
+        }
+        let mut state = 0xCA90_91CA_1D16_1750u64;
+        let mut echoed = 0;
+        for _ in 0..200_000 {
+            // Up to 17 digits, a point anywhere or nowhere, now and then a
+            // sign or an exponent, leading and trailing zeros as they fall.
+            let digits = 1 + (xorshift(&mut state) % 17) as usize;
+            let point = (xorshift(&mut state) % (2 * digits as u64 + 2)) as usize;
+            let mut token = String::new();
+            for i in 0..digits {
+                if i == point {
+                    token.push('.');
+                }
+                // Zeros as often as all other digits, so that padding is common.
+                let digit = if xorshift(&mut state).is_multiple_of(4) {
+                    0
+                } else {
+                    xorshift(&mut state) % 10
+                };
+                token.push(char::from(b'0' + digit as u8));
+            }
+            match xorshift(&mut state) % 24 {
+                0 => token.insert(0, '-'),
+                1 => token += "e2",
+                _ => {}
+            }
+            let len = echo_len(&token);
+            if len > 0 {
+                echoed += 1;
+                let value: f64 = token.parse().unwrap();
+                assert_eq!(format!("{value}"), token[..len], "{token}");
+            }
+        }
+        assert!(echoed >= 50_000, "{echoed}");
     }
 
     #[test]

@@ -40,7 +40,7 @@ fn committed_fixtures_match_the_live_service() {
         checked += 1;
     }
     assert_eq!(
-        checked, 2,
-        "expected the replay and analytic smoke fixtures"
+        checked, 3,
+        "expected the replay, analytic and spellings smoke fixtures"
     );
 }
