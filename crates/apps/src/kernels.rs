@@ -11,7 +11,7 @@
 
 use rand::Rng;
 
-use numagap_collectives::{Algo, Coll};
+use numagap_rt::coll::{Algo, Coll};
 use numagap_rt::Ctx;
 
 use crate::common::{block_range, seeded_rng, RankOutput};

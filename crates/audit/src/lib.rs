@@ -54,7 +54,7 @@ pub struct Rule {
 /// Crates whose runtime state feeds virtual time, message contents, or
 /// checksums — where an ordering hazard is a correctness bug, not a style
 /// nit. Scoped rules ([`Rule::sim_state_only`]) fire only here.
-pub const SIM_STATE_CRATES: &[&str] = &["sim", "net", "rt", "collectives", "apps", "dsm", "model"];
+pub const SIM_STATE_CRATES: &[&str] = &["sim", "net", "rt", "apps", "model"];
 
 /// The rule catalog, ordered by ID.
 pub const RULES: &[Rule] = &[
@@ -465,6 +465,27 @@ fn test_block_lines(sanitized: &str) -> Vec<bool> {
     skip
 }
 
+/// Counts a Rust file's lines for the line ledger (`LINES.md`): the
+/// non-blank lines left once comments and string contents are blanked, as
+/// `(code, test)`, where test lines are those of `#[cfg(test)]` items. A line
+/// wholly inside a comment or a string literal counts as blank.
+pub fn code_lines(text: &str) -> (usize, usize) {
+    let sanitized = sanitize(text);
+    let skip = test_block_lines(&sanitized);
+    let (mut code, mut test) = (0, 0);
+    for (line, &in_test) in sanitized.lines().zip(&skip) {
+        if line.trim().is_empty() {
+            continue;
+        }
+        if in_test {
+            test += 1;
+        } else {
+            code += 1;
+        }
+    }
+    (code, test)
+}
+
 const NARROWING_CASTS: &[&str] = &[
     " as u32", " as i32", " as f32", " as u16", " as i16", " as u8", " as i8",
 ];
@@ -687,6 +708,33 @@ mod tests {
         let f = scan_source("crates/sim/src/x.rs", "sim", src);
         assert_eq!(f.len(), 1);
         assert_eq!((f[0].rule, f[0].line), ("ND007", 3), "{f:?}");
+    }
+
+    #[test]
+    fn code_lines_skips_blanks_comments_and_splits_off_tests() {
+        let src = "\
+//! Crate docs.
+fn real() {
+    // note
+
+    let s = \"one
+two\";
+}
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn t() {}
+}
+";
+        assert_eq!(code_lines(src), (4, 5));
+    }
+
+    #[test]
+    fn sim_state_crates_all_exist() {
+        let crates = Path::new(env!("CARGO_MANIFEST_DIR")).join("..");
+        for name in SIM_STATE_CRATES {
+            assert!(crates.join(name).is_dir(), "crates/{name} does not exist");
+        }
     }
 
     #[test]

@@ -13,7 +13,7 @@
 
 use numagap_apps::kernels::{power_rank, PowerConfig};
 use numagap_apps::Scale;
-use numagap_collectives::{Algo, Coll};
+use numagap_rt::coll::{Algo, Coll};
 use numagap_rt::{Ctx, Machine};
 use numagap_sim::SimDuration;
 

@@ -14,7 +14,7 @@ pub const BLOCK: u32 = 1 << 24;
 pub const BARRIER_BLOCK: u32 = 0;
 /// RPC reply tags (one per caller rank).
 pub const RPC_BLOCK: u32 = BLOCK;
-/// Collective-operation tags (managed by `numagap-collectives`).
+/// Collective-operation tags (managed by `coll::Coll`).
 pub const COLL_BLOCK: u32 = 2 * BLOCK;
 /// Cluster-relay tags used by two-level message combining.
 pub const RELAY_BLOCK: u32 = 3 * BLOCK;

@@ -6,8 +6,8 @@
 //! cargo run --release --example collectives_magpie
 //! ```
 
-use twolayer::collectives::{Algo, Coll};
 use twolayer::net::das_spec;
+use twolayer::rt::coll::{Algo, Coll};
 use twolayer::rt::Machine;
 
 fn main() {

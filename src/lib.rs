@@ -5,9 +5,8 @@
 //!
 //! * [`sim`] — deterministic discrete-event kernel
 //! * [`net`] — two-layer (Myrinet/ATM-like) interconnect cost model
-//! * [`rt`] — message-passing runtime (typed messages, RPC, barriers, ...)
-//! * [`collectives`] — flat vs cluster-aware (MagPIe-like) MPI collectives
-//! * [`dsm`] — a miniature release-consistent distributed shared memory
+//! * [`rt`] — message-passing runtime (typed messages, RPC, barriers, ...),
+//!   with flat vs cluster-aware (MagPIe-like) MPI collectives in [`rt::coll`]
 //! * [`apps`] — the six paper applications, unoptimized and optimized
 //! * [`analysis`] — the communication sanitizer (races, lost messages,
 //!   deadlock wait-for diagnosis, protocol lints)
@@ -18,8 +17,6 @@
 
 pub use numagap_analysis as analysis;
 pub use numagap_apps as apps;
-pub use numagap_collectives as collectives;
-pub use numagap_dsm as dsm;
 pub use numagap_model as model;
 pub use numagap_net as net;
 pub use numagap_rt as rt;

@@ -4,8 +4,8 @@
 
 use proptest::prelude::*;
 
-use twolayer::collectives::{Algo, Coll};
 use twolayer::net::{Topology, TwoLayerSpec};
+use twolayer::rt::coll::{Algo, Coll};
 use twolayer::rt::Machine;
 
 fn machine(sizes: &[usize]) -> Machine {

@@ -181,7 +181,7 @@ fn single_cluster_speedups_are_healthy() {
 
 #[test]
 fn cluster_aware_collectives_beat_flat_at_wide_area() {
-    use twolayer::collectives::{Algo, Coll};
+    use twolayer::rt::coll::{Algo, Coll};
     let run = |algo| {
         Machine::new(das_spec(4, 7, 10.0, 1.0))
             .run(move |ctx| {

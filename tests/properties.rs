@@ -304,3 +304,39 @@ proptest! {
         prop_assert_eq!(u, FaultPlan::new(seed).draw(a, b, n));
     }
 }
+
+/// Exhaustive companion to `wan_routes_are_sound` on small machines: every
+/// mesh, star and ring route from 2 to 7 clusters is anchored at its
+/// endpoints, revisits no cluster, and a ring takes the shorter way round.
+#[test]
+fn wan_routes_are_well_formed() {
+    use twolayer::net::WanTopology;
+    for n in 2..8usize {
+        for topology in [
+            WanTopology::FullMesh,
+            WanTopology::Star { hub: n / 2 },
+            WanTopology::Ring,
+        ] {
+            for a in 0..n {
+                for b in 0..n {
+                    if a == b {
+                        continue;
+                    }
+                    let route = topology.route(a, b, n);
+                    assert_eq!(route.first(), Some(&a));
+                    assert_eq!(route.last(), Some(&b));
+                    assert!(route.len() >= 2);
+                    // No repeated clusters on the path.
+                    let mut dedup = route.clone();
+                    dedup.sort_unstable();
+                    dedup.dedup();
+                    assert_eq!(dedup.len(), route.len(), "{topology:?} {a}->{b}");
+                    // Ring routes take the shorter way: at most n/2 hops.
+                    if topology == WanTopology::Ring {
+                        assert!(route.len() - 1 <= n / 2 + n % 2);
+                    }
+                }
+            }
+        }
+    }
+}
