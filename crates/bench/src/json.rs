@@ -6,6 +6,12 @@
 //! implemented is full JSON minus non-finite numbers (which never occur in
 //! bench records).
 //!
+//! The module owns number text in both directions. [`Parser::number`] reads
+//! a token's value during its digit scan when that is exact (Clinger's fast
+//! path) and asks `str::parse` otherwise; [`push_f64`] and [`push_u64`]
+//! print numbers with the bytes `{}` would, without `fmt` (the what-if
+//! service prints 10 000 floats per response through them).
+//!
 //! Since `numagap serve` feeds this parser raw network bytes, it is
 //! hardened for untrusted input: nesting is capped at [`MAX_DEPTH`] (the
 //! recursive-descent parser would otherwise overflow the stack), number
@@ -13,20 +19,62 @@
 //! fit a finite `f64` (e.g. `1e400`) are rejected. Every violation is a
 //! typed [`JsonError`] with a byte offset — never a panic.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
+
+mod shortest;
 
 /// Maximum container nesting depth accepted by [`parse`]. Hand-written
 /// bench artifacts nest 3 deep; 128 leaves generous headroom while keeping
 /// adversarial documents (`[[[[…`) from exhausting the parser's stack.
 pub const MAX_DEPTH: usize = 128;
 
-/// Maximum accepted length of one number token, in bytes. The bench
-/// writers print floats with `{}` (plain decimal, never scientific), so a
-/// legitimate token can be long: `f64::MAX` is 309 digits and the smallest
-/// denormal about 342 characters. 512 covers every finite `f64` spelling
-/// the workspace emits while bounding what an adversarial document can
-/// make the scanner chew on.
+/// Maximum accepted length of one number token, in bytes. The workspace's
+/// writers print floats the way `{}` does ([`push_f64`] or `{}` itself:
+/// plain decimal, never scientific), so a legitimate token can be long:
+/// `f64::MAX` is 309 digits and the smallest denormal about 342
+/// characters. 512 covers every finite `f64` spelling the workspace emits
+/// while bounding what an adversarial document can make the scanner chew
+/// on.
 pub const MAX_NUMBER_LEN: usize = 512;
+
+/// 10^0 ..= 10^22: every power of ten an `f64` holds exactly.
+const EXACT_POW10: [f64; 23] = [
+    1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16,
+    1e17, 1e18, 1e19, 1e20, 1e21, 1e22,
+];
+
+/// "00" to "99", for printing two digits a step.
+const DIGIT_PAIRS: [u8; 200] = {
+    let mut t = [0; 200];
+    let mut i = 0;
+    while i < 200 {
+        t[i] = b'0' + (i / 20) as u8;
+        t[i + 1] = b'0' + (i / 2 % 10) as u8;
+        i += 2;
+    }
+    t
+};
+
+/// `v` in decimal, written at the end of `buf`.
+fn decimal(mut v: u64, buf: &mut [u8; 20]) -> &str {
+    let mut at = buf.len();
+    while v >= 100 {
+        let pair = 2 * (v % 100) as usize;
+        v /= 100;
+        at -= 2;
+        buf[at..at + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    }
+    if v >= 10 {
+        at -= 2;
+        buf[at..at + 2].copy_from_slice(&DIGIT_PAIRS[2 * v as usize..][..2]);
+    } else {
+        at -= 1;
+        buf[at] = b'0' + v as u8;
+    }
+    // SAFETY: `buf[at..]` holds only the ASCII digits written above, and
+    // ASCII is UTF-8. (Checking them again was a tenth of `push_f64`.)
+    unsafe { std::str::from_utf8_unchecked(&buf[at..]) }
+}
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -115,6 +163,53 @@ pub fn escape(s: &str) -> String {
         }
     }
     out
+}
+
+/// Appends `v` in decimal.
+pub fn push_u64(out: &mut String, v: u64) {
+    out.push_str(decimal(v, &mut [0; 20]));
+}
+
+/// Appends `v` as `write!(out, "{v}")` would: the fewest digits that read
+/// back as `v` (of those, the closest to it), in positional notation, with
+/// no `.0` on an integer and `-0` for negative zero. A finite `v` is all a
+/// JSON document can hold; a non-finite one is printed by `fmt`.
+pub fn push_f64(out: &mut String, v: f64) {
+    if !v.is_finite() {
+        debug_assert!(false, "{v} is not a JSON number");
+        let _ = write!(out, "{v}");
+        return;
+    }
+    if v.is_sign_negative() {
+        out.push('-');
+    }
+    if v == 0.0 {
+        out.push('0');
+        return;
+    }
+    let (digits, exp) = shortest::shortest(v.abs());
+    let mut buf = [0; 20];
+    let digits = decimal(digits, &mut buf);
+    let n = digits.len() as i32;
+    let zeros = |out: &mut String, n: i32| (0..n).for_each(|_| out.push('0'));
+    // How many of the digits stand before the point.
+    match n + exp {
+        int @ 1.. if int < n => {
+            let (whole, fraction) = digits.split_at(int as usize);
+            out.push_str(whole);
+            out.push('.');
+            out.push_str(fraction);
+        }
+        int @ ..=0 => {
+            out.push_str("0.");
+            zeros(out, -int);
+            out.push_str(digits);
+        }
+        _ => {
+            out.push_str(digits);
+            zeros(out, exp);
+        }
+    }
 }
 
 /// A parse failure: byte offset and message.
@@ -400,13 +495,26 @@ impl<'a> Parser<'a> {
     /// its value.
     pub fn number(&mut self) -> Result<(&'a str, f64), JsonError> {
         let start = self.i;
-        self.eat(b'-');
-        // The integer part, then whatever else a number can be made of.
+        let negative = self.eat(b'-');
+        // The integer part and a fraction, their digits read into `m` on the
+        // way, then whatever else a number can be made of.
         let rest = &self.b[self.i..];
-        let int = rest.iter().take_while(|c| c.is_ascii_digit()).count();
-        let tail = &rest[int..];
+        let mut m = 0u64;
+        let mut digits = |run: &[u8]| {
+            let mut n = 0;
+            while let Some(c) = run.get(n).filter(|c| c.is_ascii_digit()) {
+                m = m.saturating_mul(10).saturating_add(u64::from(c - b'0'));
+                n += 1;
+            }
+            n
+        };
+        let int = digits(rest);
+        let point = rest.get(int) == Some(&b'.');
+        let fraction = if point { digits(&rest[int + 1..]) } else { 0 };
+        let plain = int + usize::from(point) + fraction;
         let others = |c: &u8| c.is_ascii_digit() || matches!(c, b'.' | b'e' | b'E' | b'+' | b'-');
-        self.i += int + tail.iter().take_while(|c| others(c)).count();
+        let more = rest[plain..].iter().take_while(|c| others(c)).count();
+        self.i += plain + more;
         if self.i - start > MAX_NUMBER_LEN {
             self.i = start + MAX_NUMBER_LEN;
             return Err(self.err(&format!("number longer than {MAX_NUMBER_LEN} bytes")));
@@ -415,13 +523,24 @@ impl<'a> Parser<'a> {
         let text = &self.src[start..self.i];
         // RFC 8259 where `str::parse` is laxer: an integer part (`-.5`) with
         // no leading zero (`01`), and a digit after the point (`1.`, `1.e3`).
-        let rfc = int > 0
-            && (int == 1 || rest[0] != b'0')
-            && (tail.first() != Some(&b'.') || tail.get(1).is_some_and(u8::is_ascii_digit));
-        let n: f64 = rfc
-            .then(|| text.parse().ok())
-            .flatten()
-            .ok_or_else(|| self.err(&format!("invalid number '{text}'")))?;
+        let rfc = int > 0 && (int == 1 || rest[0] != b'0') && (!point || fraction > 0);
+        // Clinger's fast path: with no exponent, digits worth at most 2^53
+        // (so `m` never saturated) and at most 22 of them after the point,
+        // `m` and 10^fraction are exact `f64`s and one correctly rounded
+        // division is the token's value.
+        let exact = more == 0 && m <= 1 << 53 && fraction <= 22;
+        let n: f64 = if rfc && exact {
+            let v = m as f64 / EXACT_POW10[fraction];
+            if negative {
+                -v
+            } else {
+                v
+            }
+        } else {
+            rfc.then(|| text.parse().ok())
+                .flatten()
+                .ok_or_else(|| self.err(&format!("invalid number '{text}'")))?
+        };
         // `str::parse` saturates huge exponents to infinity; JSON has no
         // non-finite numbers, so an overflowing token is a parse error,
         // not a silent `inf` handed to downstream arithmetic.

@@ -13,7 +13,7 @@ use std::fmt::{self, Display, Write as _};
 use std::str::FromStr;
 
 use numagap_apps::{AppId, Scale, Variant};
-use numagap_net::{HeteroPreset, WanTopology};
+use numagap_net::{HeteroPreset, LinkParams, WanTopology};
 
 use crate::bench::{selected, targets};
 use crate::{
@@ -152,6 +152,15 @@ fn above(floor: f64, or_equal: bool) -> impl Fn(&str) -> Result<f64, String> {
         _ if or_equal => Err(format!("expected a number of at least {floor}")),
         _ => Err(format!("expected a number greater than {floor}")),
     }
+}
+
+/// A WAN latency, and a WAN bandwidth, inside the limits of `LinkParams`.
+fn wan_latency() -> impl Fn(&str) -> Result<f64, String> {
+    within(0.0, LinkParams::MAX_WAN_LATENCY_MS)
+}
+
+fn wan_bandwidth() -> impl Fn(&str) -> Result<f64, String> {
+    above(LinkParams::MIN_WAN_BANDWIDTH_MBS, true)
 }
 
 /// A fraction below 1.
@@ -427,14 +436,11 @@ static TABLE: &[Group] = &[
                 .show(|v| one(v.machine.procs)),
             flag("--latency", "<ms>", "10", MACHINE)
                 .help("one-way WAN latency")
-                .set(|v, a| a.with(above(0.0, true)).map(|x| v.machine.latency_ms = x))
+                .set(|v, a| a.with(wan_latency()).map(|x| v.machine.latency_ms = x))
                 .show(|v| one(v.machine.latency_ms)),
             flag("--bandwidth", "<MB/s>", "1", MACHINE)
                 .help("WAN bandwidth per link")
-                .set(|v, a| {
-                    a.with(above(0.0, false))
-                        .map(|x| v.machine.bandwidth_mbs = x)
-                })
+                .set(|v, a| a.with(wan_bandwidth()).map(|x| v.machine.bandwidth_mbs = x))
                 .show(|v| one(v.machine.bandwidth_mbs)),
             flag("--jitter", "<0..1>", "0", MACHINE)
                 .help("WAN latency variation, a fraction below 1")
@@ -603,10 +609,10 @@ static TABLE: &[Group] = &[
                 .on(|v| v.virtual_only = true),
             flag("--ref-latency", "<ms>", "10", &["predict"])
                 .help("WAN latency of the one recorded run")
-                .set(|v, a| a.with(above(0.0, true)).map(|x| v.ref_latency = x)),
+                .set(|v, a| a.with(wan_latency()).map(|x| v.ref_latency = x)),
             flag("--ref-bandwidth", "<MB/s>", "0.3", &["predict"])
                 .help("WAN bandwidth of that run")
-                .set(|v, a| a.with(above(0.0, false)).map(|x| v.ref_bandwidth = x)),
+                .set(|v, a| a.with(wan_bandwidth()).map(|x| v.ref_bandwidth = x)),
             switch("--validate", &["predict"])
                 .help("re-simulate every grid point; report model error")
                 .on(|v| v.validate = true),

@@ -1089,10 +1089,10 @@ mod tests {
             "--scale" => &["huge"],
             "--clusters" => &["0", "8,0,4", "8,x"],
             "--procs" | "--jobs" | "--workers" | "--cache-capacity" | "--deadline" => &["0", "x"],
-            "--latency" | "--ref-latency" => &["-1", "abc", "inf"],
-            "--bandwidth" | "--ref-bandwidth" | "--schedule-period" | "--max-error" => {
-                &["0", "-2", "nan"]
-            }
+            // Past `LinkParams`' WAN limits, where virtual time overflows.
+            "--latency" | "--ref-latency" => &["-1", "abc", "inf", "100000.5", "1e300"],
+            "--bandwidth" | "--ref-bandwidth" => &["0", "-2", "nan", "0.0009", "1e-12"],
+            "--schedule-period" | "--max-error" => &["0", "-2", "nan"],
             "--jitter" => &["1", "1.5", "-0.1"],
             "--topology" => &["moebius", "torus:2x", "ring:3"],
             "--hetero" => &["bogus"],
@@ -1394,11 +1394,15 @@ mod tests {
         );
         let ci = std::fs::read_to_string(path).expect("ci.yml");
         let found = invocations(&ci);
+        let lines: Vec<&str> = ci.lines().collect();
         for (cmd, line, args) in &found {
             let mut argv = vec![*cmd];
             argv.extend(args.iter().map(String::as_str));
-            assert!(
-                parse(&argv).is_ok(),
+            // A line that keeps its exit status checks for a usage error.
+            let refused = lines[line - 1].contains("|| status=$?");
+            assert_eq!(
+                parse(&argv).is_err(),
+                refused,
                 "ci.yml:{line}: {argv:?}: {:?}",
                 parse(&argv)
             );

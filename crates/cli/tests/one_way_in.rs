@@ -169,6 +169,33 @@ fn a_flag_the_command_does_not_read_is_a_usage_error() {
 }
 
 #[test]
+fn a_wan_link_class_past_the_limits_is_a_usage_error() {
+    // Each of these panicked once (exit 101) on virtual time overflowing.
+    for (argv, message) in [
+        (
+            &["run", "--app", "water", "--bandwidth", "1e-12"][..],
+            "invalid value '1e-12' for --bandwidth: expected a number of at least 0.001",
+        ),
+        (
+            &["run", "--app", "water", "--latency", "1e300"],
+            "invalid value '1e300' for --latency: expected a number in [0, 100000]",
+        ),
+        (
+            &["predict", "--ref-bandwidth", "1e-12"],
+            "invalid value '1e-12' for --ref-bandwidth: expected a number of at least 0.001",
+        ),
+    ] {
+        let out = numagap(argv).output().expect("spawn numagap");
+        assert_eq!(out.status.code(), Some(2), "{argv:?}");
+        let err = stderr_of(&out);
+        assert!(
+            err.starts_with(&format!("error: {message}\n")),
+            "{argv:?}: {err}"
+        );
+    }
+}
+
+#[test]
 fn repro_variables_do_not_change_what_bench_runs() {
     let base = std::env::temp_dir().join(format!("numagap_one_way_in_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&base);

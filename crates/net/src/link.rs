@@ -50,6 +50,14 @@ impl LinkParams {
         LinkParams::new(SimDuration::from_micros(20), 50.0)
     }
 
+    /// The slowest WAN link class the command line and the what-if service
+    /// accept: at most this latency, in ms (the paper's top setting is 300)…
+    pub const MAX_WAN_LATENCY_MS: f64 = 100_000.0;
+    /// …and at least this bandwidth, in MByte/s (30× below the paper's
+    /// 0.03). Past them a run's virtual time can overflow its `u64`
+    /// nanoseconds.
+    pub const MIN_WAN_BANDWIDTH_MBS: f64 = 0.001;
+
     /// A WAN/ATM-like link with latency in milliseconds and bandwidth in
     /// MByte/s — the two quantities the paper sweeps.
     pub fn wide_area(latency_ms: f64, mbytes_per_sec: f64) -> Self {

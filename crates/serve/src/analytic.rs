@@ -274,6 +274,9 @@ impl AnalyticModel {
             .iter()
             .map(|c| c.eval_ns(lat_ns, p.ns_per_byte))
             .fold(0.0f64, f64::max);
+        // Inside `LinkParams`' WAN limits a bound is far below 2^64 ns; a
+        // saturated `u64::MAX` would be an answer no run can give.
+        assert!(best < u64::MAX as f64, "a bound of {best} ns overflows");
         SimDuration::from_nanos(best as u64)
     }
 

@@ -19,7 +19,7 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 use numagap_apps::{run_app, AppId, Scale, SuiteConfig, Variant};
-use numagap_bench::json::{self, Json, JsonError, Parser};
+use numagap_bench::json::{self, push_f64, push_u64, Json, JsonError, Parser};
 use numagap_bench::{baseline_machine, engine, relative_speedup_pct, wan_machine_with};
 use numagap_model::{gap_thresholds, record_app, GapThresholds, Replayer, TOLERABLE_SPEEDUP_PCT};
 use numagap_net::{LinkParams, WanTopology};
@@ -255,10 +255,10 @@ fn answer(
         entry.recorded.as_nanos(),
         entry.baseline.as_nanos(),
     );
-    // Per point only the speedup goes through `fmt`: 17 digits that have to
-    // be worked out, where a coordinate is usually the client's own token.
+    // A coordinate is usually the client's own token, copied; the speedup
+    // is 17 digits that have to be worked out.
     let coordinate = |out: &mut String, value: f64, (at, len): (u32, u32)| match len {
-        0 => drop(write!(out, "{value}")),
+        0 => push_f64(out, value),
         _ => out.push_str(&body[at as usize..][..len as usize]),
     };
     let mut open = "\n    {\"latency_ms\": ";
@@ -274,7 +274,9 @@ fn answer(
         coordinate(&mut out, bw, bw_at);
         out.push_str(", \"makespan_ns\": ");
         push_u64(&mut out, m.as_nanos());
-        let _ = write!(out, ", \"speedup_pct\": {p}}}");
+        out.push_str(", \"speedup_pct\": ");
+        push_f64(&mut out, p);
+        out.push('}');
         open = ",\n    {\"latency_ms\": ";
     }
     out.push_str("\n  ],\n  \"thresholds\": ");
@@ -291,18 +293,6 @@ fn answer(
     out.push_str("\n}\n");
     done[2] = Instant::now();
     out
-}
-
-/// Appends `v` in decimal.
-fn push_u64(out: &mut String, mut v: u64) {
-    let mut digits = [b'0'; 20];
-    let mut at = digits.len();
-    while v > 0 || at == digits.len() {
-        at -= 1;
-        digits[at] += (v % 10) as u8;
-        v /= 10;
-    }
-    out.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
 }
 
 /// How many leading bytes of number token `t` are what `{}` prints for its
@@ -339,9 +329,7 @@ fn echo_len(t: &str) -> usize {
 /// Appends `v` as a JSON number, or `null`.
 fn push_opt(out: &mut String, v: Option<f64>) {
     match v {
-        Some(v) => {
-            let _ = write!(out, "{v}");
-        }
+        Some(v) => push_f64(out, v),
         None => out.push_str("null"),
     }
 }
@@ -558,11 +546,15 @@ fn scan_point(p: &mut Parser<'_>) -> Result<Point, JsonError> {
 }
 
 fn check_point(lat: f64, bw: f64) -> Result<(), String> {
-    if !lat.is_finite() || !(0.0..=100_000.0).contains(&lat) {
-        return Err(format!("latency {lat} ms out of range [0, 100000]"));
+    let max_lat = LinkParams::MAX_WAN_LATENCY_MS;
+    if !(0.0..=max_lat).contains(&lat) {
+        return Err(format!("latency {lat} ms out of range [0, {max_lat}]"));
     }
-    if !bw.is_finite() || bw <= 0.0 || bw > 100_000.0 {
-        return Err(format!("bandwidth {bw} MB/s out of range (0, 100000]"));
+    let min_bw = LinkParams::MIN_WAN_BANDWIDTH_MBS;
+    if !(min_bw..=100_000.0).contains(&bw) {
+        return Err(format!(
+            "bandwidth {bw} MB/s out of range [{min_bw}, 100000]"
+        ));
     }
     Ok(())
 }
@@ -1344,6 +1336,28 @@ mod tests {
             ),
             ("{\"app\": \"asp\", \"points\": [[-1, 1]]}", "out of range"),
             ("{\"app\": \"asp\", \"points\": [[1, 0]]}", "out of range"),
+            // Past the WAN limits virtual time overflows: a replay used to
+            // panic, and an analytic bound to saturate to `u64::MAX` ns.
+            (
+                "{\"app\": \"asp\", \"points\": [[10, 1e-12]]}",
+                "points[0]: bandwidth 0.000000000001 MB/s out of range [0.001, 100000]",
+            ),
+            (
+                "{\"app\": \"asp\", \"mode\": \"analytic\", \"points\": [[10, 1e-12]]}",
+                "out of range [0.001, 100000]",
+            ),
+            (
+                "{\"app\": \"asp\", \"mode\": \"analytic\", \"points\": [[10, 1e-14]]}",
+                "out of range [0.001, 100000]",
+            ),
+            (
+                "{\"app\": \"asp\", \"mode\": \"analytic\", \"points\": [[1e300, 1]]}",
+                "ms out of range [0, 100000]",
+            ),
+            (
+                "{\"app\": \"asp\", \"ref\": [10, 0.0009], \"points\": [[1, 1]]}",
+                "ref: bandwidth 0.0009 MB/s out of range",
+            ),
             (
                 "{\"app\": \"asp\", \"mode\": \"magic\", \"points\": [[1, 1]]}",
                 "unknown mode",

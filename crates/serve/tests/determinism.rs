@@ -9,12 +9,12 @@
 use std::io::{Read as _, Write as _};
 use std::net::{SocketAddr, TcpStream};
 
-use numagap_apps::{AppId, Scale, SuiteConfig};
-use numagap_bench::json::{self, Json};
+use numagap_apps::{AppId, Scale, SuiteConfig, Variant};
+use numagap_bench::json::{self, push_f64, Json};
 use numagap_bench::targets::{paper_grid, variants};
 use numagap_bench::wan_machine;
 use numagap_model::{record_app, replay};
-use numagap_net::das_spec;
+use numagap_net::{das_spec, LinkParams};
 use numagap_serve::{AnalyticModel, ServeOpts, Server, Service};
 
 /// One blocking request against a test server; reads to EOF (the server
@@ -163,6 +163,88 @@ fn analytic_bound_never_exceeds_replay_across_the_suite() {
         }
     }
     assert_eq!(pairs, 11, "the suite has 11 app/variant pairs");
+}
+
+#[test]
+fn every_pair_records_replays_and_bounds_at_the_wan_limits() {
+    let (lat, bw) = (
+        LinkParams::MAX_WAN_LATENCY_MS,
+        LinkParams::MIN_WAN_BANDWIDTH_MBS,
+    );
+    let cfg = SuiteConfig::at(Scale::Small);
+    let machine = wan_machine(lat, bw);
+    for app in AppId::ALL {
+        for variant in [Variant::Unoptimized, Variant::Optimized] {
+            // Virtual time panics on overflow, so getting through is the test.
+            let (_, dag) = record_app(app, &cfg, variant, &machine)
+                .unwrap_or_else(|e| panic!("{app}/{variant}: recording failed: {e}"));
+            let exact = replay(&dag, &das_spec(4, 8, lat, bw)).elapsed;
+            let bound = AnalyticModel::compile(&dag).bound(lat, bw);
+            assert!(
+                bound <= exact,
+                "{app}/{variant}: bound {bound}, replay {exact}"
+            );
+        }
+    }
+}
+
+/// The body `benchmark/src/inputs.rs` POSTs for `whatif_analytic_10k`:
+/// 10 000 log-uniform points over Figure 3's box, 4 significant digits.
+fn benchmark_analytic_body(seed: u64) -> String {
+    let mut state = seed ^ 0x9e37_79b9_7f4a_7c15;
+    let mut unit = || {
+        state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        ((z ^ (z >> 31)) >> 11) as f64 / (1u64 << 53) as f64
+    };
+    let mut sig4 = |(lo, hi): (f64, f64)| {
+        let x: f64 = (lo.ln() + unit() * (hi.ln() - lo.ln())).exp();
+        let decimals = (3 - x.log10().floor() as i32).max(0) as usize;
+        format!("{x:.decimals$}")
+    };
+    let points: Vec<String> = (0..10_000)
+        .map(|_| {
+            let lat = sig4((0.1, 300.0));
+            format!("[{lat}, {}]", sig4((0.03, 10.0)))
+        })
+        .collect();
+    format!(
+        "{{\"app\": \"asp\", \"variant\": \"opt\", \"scale\": \"small\", \
+         \"mode\": \"analytic\", \"points\": [{}]}}",
+        points.join(", ")
+    )
+}
+
+#[test]
+fn the_benchmarks_speedups_print_as_fmt_prints_them() {
+    let body = Service::new(2, 4)
+        .whatif(&benchmark_analytic_body(0))
+        .unwrap()
+        .body;
+    // The benchmark pins the response's FNV-1a digest at seed 0.
+    let pinned = std::fs::read_to_string(
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("../../benchmark/expected/whatif_seed0.txt"),
+    )
+    .unwrap();
+    let digest = body.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    });
+    assert!(
+        pinned.contains(&format!("whatif_analytic_10k {digest:016x}")),
+        "{digest:016x}"
+    );
+    let doc = json::parse(&body).unwrap();
+    let points = doc.get("points").and_then(Json::as_array).unwrap();
+    assert_eq!(points.len(), 10_000);
+    for point in points {
+        let v = point.get("speedup_pct").and_then(Json::as_f64).unwrap();
+        let mut printed = String::new();
+        push_f64(&mut printed, v);
+        assert_eq!(printed, format!("{v}"));
+    }
 }
 
 #[test]

@@ -40,7 +40,7 @@ fn committed_fixtures_match_the_live_service() {
         checked += 1;
     }
     assert_eq!(
-        checked, 3,
-        "expected the replay, analytic and spellings smoke fixtures"
+        checked, 4,
+        "expected the replay, analytic, spellings and printed smoke fixtures"
     );
 }
