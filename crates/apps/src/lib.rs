@@ -23,6 +23,8 @@
 #![warn(missing_debug_implementations)]
 
 pub mod asp;
+// Two Awaris: the synthetic `awari` is the one fig3 runs; `awari_real` and
+// `awari_board` build a real endgame database for ablation 6 and `awari-db`.
 pub mod awari;
 pub mod awari_board;
 pub mod awari_real;

@@ -171,6 +171,15 @@ fn fraction(s: &str) -> Result<f64, String> {
     }
 }
 
+/// An endgame database's stone count. A level holds C(s + 11, 11) boards,
+/// so each stone multiplies the work: 12 already takes tens of seconds.
+fn stones(s: &str) -> Result<u32, String> {
+    match s.parse::<u32>() {
+        Ok(n) if n <= 12 => Ok(n),
+        _ => Err("expected a whole number in [0, 12]".to_string()),
+    }
+}
+
 /// A count of at least one.
 fn count<T: FromStr + PartialOrd + From<u8>>(s: &str) -> Result<T, String> {
     match s.parse::<T>() {
@@ -405,9 +414,9 @@ static TABLE: &[Group] = &[
             flag("--trace", "<file.json>", "", &["run"])
                 .help("write a Chrome trace (chrome://tracing)")
                 .set(|v, a| a.value().map(|x| v.trace = Some(x.to_string()))),
-            flag("--stones", "<N>", "4", &["awari-db"])
+            flag("--stones", "<0..12>", "4", &["awari-db"])
                 .help("largest stone count of the endgame database")
-                .set(|v, a| a.with(number).map(|x| v.stones = x)),
+                .set(|v, a| a.with(stones).map(|x| v.stones = x)),
             switch("--perturb", &["check"])
                 .help(
                     "additionally re-run each selected app/variant under adversarial \

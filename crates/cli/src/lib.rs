@@ -402,6 +402,12 @@ mod tests {
             .unwrap(),
         );
         assert_eq!(code, 0);
+        // From 6 stones the parallel and serial sums differ in their last
+        // bits; that is a match, not a MISMATCH.
+        let argv: Vec<&str> = "awari-db --stones 6 --clusters 2 --procs 2"
+            .split(' ')
+            .collect();
+        assert_eq!(execute(parse(&argv).unwrap()), 0);
     }
 
     #[test]
@@ -1103,7 +1109,8 @@ mod tests {
             "--drop" | "--duplicate" | "--reorder" => &["1.5", "-0.1"],
             "--outage" => &["1:20:10", "nope", "1:2"],
             "--intensities" => &["0.7", "0.05,nan"],
-            "--stones" | "--seed" | "--seeds" | "--timeout" => &["x", "-1"],
+            "--stones" => &["x", "-1", "13", "300"],
+            "--seed" | "--seeds" | "--timeout" => &["x", "-1"],
             "--target" => &["fig9"],
             "--threshold" => &["1.0", "nan"],
             "--port" => &["notaport", "70000"],

@@ -59,7 +59,9 @@ pub(crate) fn execute_awari_db(stones: u32, machine: &MachineArgs) -> i32 {
     let parallel: f64 = report.results.iter().map(|r| r.checksum).sum();
     println!("\nparallel build:  {} virtual", report.elapsed);
     println!("wide-area load:  {} messages", report.net_stats.inter_msgs);
-    if (parallel - serial).abs() < 1e-9 {
+    // The two sums add the same terms in different orders, so they agree to
+    // rounding, not bit for bit.
+    if numagap_apps::common::rel_err(parallel, serial) < 1e-12 {
         println!("verification:    parallel database matches the serial solver");
         0
     } else {

@@ -5,10 +5,11 @@
 //! [`Op`]s on its virtual-time line — compute segments, message hand-offs,
 //! and message consumptions — plus one [`MsgMeta`] per kernel message
 //! sequence number. Together with the spec the run executed under, that is
-//! exactly the information the replay engine needs to re-cost the run under
-//! a different interconnect: control flow (who sends what to whom, in what
-//! order) is frozen at the recording point, while every timing quantity is
-//! re-derived.
+//! exactly the information the replay engine — the kernel's event core
+//! driven by the op lists instead of by rank code — needs to re-cost the run
+//! under a different interconnect: control flow (who sends what to whom, in
+//! what order) is frozen at the recording point, while every timing quantity
+//! is re-derived.
 
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -21,9 +22,9 @@ use numagap_sim::{Message, Observer, ProcId, SimDuration, SimError, SimTime};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Op {
     /// One `compute` call of the given duration. Independent of the
-    /// interconnect. Zero-duration computes are kept: each call consumes a
-    /// kernel scheduling slot, and the replay engine mirrors the kernel's
-    /// event sequencing slot for slot so same-instant network contention
+    /// interconnect. Zero-duration computes are kept: each call schedules
+    /// one wake in the kernel's event core, and the replay engine schedules
+    /// the same wake in the same core, so same-instant network contention
     /// resolves identically.
     Compute(SimDuration),
     /// Handed message `seq` to the network. Costs the sender the send

@@ -10,11 +10,12 @@
 //!    into a communication dependency DAG — compute segments, send/recv
 //!    edges with message sizes and link classes (intra-Myrinet vs
 //!    inter-ATM), all in exact virtual nanoseconds.
-//! 2. **Replay** ([`replay`]): a miniature event loop re-costs the recorded
-//!    DAG under an arbitrary `(latency, bandwidth)` pair using the real
-//!    network cost model, so contention and gateway occupancy are
-//!    re-derived, not scaled. A sweep keeps one [`Replayer`] per worker and
-//!    resets its network per point rather than building one.
+//! 2. **Replay** ([`mod@replay`]): a second driver of the kernel's own
+//!    [`numagap_sim::EventCore`] re-costs the recorded DAG under an
+//!    arbitrary `(latency, bandwidth)` pair using the real network cost
+//!    model, so contention and gateway occupancy are re-derived, not
+//!    scaled. A sweep keeps one [`Replayer`] per worker and resets its
+//!    network and core per point rather than building them.
 //! 3. **Explain & sweep** ([`critical`], [`whatif`]): the critical path is
 //!    decomposed into compute / overhead / intra / inter-latency /
 //!    inter-bandwidth / gateway / queueing terms that sum exactly to the

@@ -1,47 +1,44 @@
 //! Re-costs a recorded [`CommDag`] under an arbitrary interconnect spec.
 //!
-//! The replay is a miniature deterministic event loop that mirrors the
-//! kernel's scheduling rules *exactly*: one rank runs at a time, a rank
-//! keeps running through sends and already-arrived receives, and it yields
-//! only on `compute` and on receives whose message is still in flight.
-//! Like the kernel, link bookings are deferred: a send frees the sender
-//! immediately (software overhead only) and the actual network transfer is
-//! booked at the end of the timestamp, with all pending sends replayed in
-//! canonical `(departure, rank, send index)` order. Event-queue sequence
-//! numbers are consumed in the same pattern as the kernel (one per compute
-//! wake, one per message delivery at flush time), so same-instant ties
-//! resolve identically and a replay at the recording spec reproduces the
-//! recorded run bit for bit. The real [`TwoLayerNetwork`] serves as the cost
-//! oracle, so link serialization, gateway occupancy, and WAN contention are
-//! all re-derived under the new parameters rather than scaled from the
-//! recording.
+//! The replay is the second driver of the kernel's [`EventCore`]: the core
+//! orders events, holds each send's link booking to the end of its
+//! timestamp and hands the held sends back in canonical order, and numbers
+//! every event — the same core, with the same rules, as a live run. The
+//! driver does what a recorded rank does instead of resuming code: one rank
+//! runs at a time, it keeps running through sends and already-arrived
+//! receives, and it yields only on `compute` (one scheduled wake, as the
+//! kernel's) and on receives whose message is still in flight. A recorded
+//! message takes the sequence number the kernel gave its delivery, but
+//! only a rank waiting for it needs the delivery as an event; the rest are
+//! compared against the current slot where a rank receives them. A replay at
+//! the recording spec therefore reproduces the recorded run bit for bit.
+//! The real [`TwoLayerNetwork`] serves as the cost oracle, so link
+//! serialization, gateway occupancy, and WAN contention are all re-derived
+//! under the new parameters rather than scaled from the recording.
 //!
 //! # One loop, two callers; one network, many points
 //!
-//! There is one statement of those rules, [`Replayer::run`], generic over a
-//! [`Sink`] for the per-op and per-message instants. [`replay`] runs it
-//! with the sink that keeps them (the full [`Replay`] the critical-path
-//! walk reads); a sweep that wants only the makespan runs it with the sink
-//! that drops them, through [`Replayer::makespan`].
+//! The driver is written once, `Replayer::run`, generic over a sink for the
+//! per-op and per-message instants. [`replay`] runs it with the sink that
+//! keeps them (the full [`Replay`] the critical-path walk reads); a sweep
+//! that wants only the makespan runs it with the sink that drops them,
+//! through [`Replayer::makespan`].
 //!
 //! A sweep also re-costs *one machine* at many points. A [`Replayer`] owns
 //! what belongs to the machine rather than to the point — the network built
-//! from the recording's spec, and the loop's scratch vectors — and puts it
-//! back in its initial state per point instead of building it again:
-//! [`TwoLayerNetwork::reset`] restores every booking, floor, counter and
-//! statistic (and says why nothing else needs restoring), the scratch is
-//! cleared to the DAG's sizes with its capacity kept, and the route of each
-//! cluster pair stays resolved. Only the inter-cluster link class differs
-//! between the points of a what-if sweep, so it is the only per-point
-//! parameter; the machine's shape cannot disagree with the recording's,
-//! because it is the recording's. After the first point a replayed point
+//! from the recording's spec, the event core and the loop's scratch vectors
+//! — and puts it back in its initial state per point instead of building it
+//! again: [`TwoLayerNetwork::reset`] restores every booking, floor, counter
+//! and statistic (and says why nothing else needs restoring), the core and
+//! the scratch are cleared to the DAG's sizes with their capacity kept, and
+//! the route of each cluster pair stays resolved. Only the inter-cluster
+//! link class differs between the points of a what-if sweep, so it is the
+//! only per-point parameter; the machine's shape cannot disagree with the
+//! recording's, because it is the recording's. After the first point a replayed point
 //! allocates nothing (`tests/alloc.rs` counts).
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-
 use numagap_net::{LinkParams, TwoLayerNetwork, TwoLayerSpec};
-use numagap_sim::{Network, SimDuration, SimTime};
+use numagap_sim::{EventCore, Network, SimDuration, SimTime, TieBreak};
 
 use crate::dag::{CommDag, Op};
 
@@ -133,16 +130,9 @@ pub struct Replayer {
     /// A rank blocked on a not-yet-sent message parks here (at most one rank
     /// per message: the kernel matched each message to exactly one receive).
     parked: Vec<Option<usize>>,
-    sends_by_rank: Vec<u64>,
-    /// Event heap keyed by (time, sequence). The sequence counter advances in
-    /// the same pattern as the kernel's — initial wakes, one per compute
-    /// wake, and one per message delivery scheduled at flush time — so ties
-    /// at equal times break identically and the stateful network model sees
-    /// transfers in the same order.
-    heap: BinaryHeap<Reverse<(SimTime, u64, usize)>>,
-    /// Sends executed in the current timestamp, booked against the network
-    /// at the next timestamp boundary in the kernel's canonical order.
-    pending: Vec<(SimTime, usize, u64, usize)>,
+    /// The kernel's event core, in its native order: an event wakes the
+    /// rank it names, and a held send is the index of its message.
+    core: EventCore<usize, usize>,
 }
 
 impl Replayer {
@@ -161,9 +151,7 @@ impl Replayer {
             arrival: Vec::new(),
             deliver_seq: Vec::new(),
             parked: Vec::new(),
-            sends_by_rank: Vec::new(),
-            heap: BinaryHeap::new(),
-            pending: Vec::new(),
+            core: EventCore::new(TieBreak::Fifo),
         }
     }
 
@@ -219,9 +207,7 @@ impl Replayer {
             arrival,
             deliver_seq,
             parked,
-            sends_by_rank,
-            heap,
-            pending,
+            core,
         } = self;
         let n = dag.nprocs();
         assert_eq!(
@@ -236,39 +222,25 @@ impl Replayer {
         refill(arrival, nmsgs, None);
         refill(deliver_seq, nmsgs, 0);
         refill(parked, nmsgs, None);
-        refill(sends_by_rank, n, 0);
-        // A run that panicked (a malformed DAG) leaves these two behind.
-        heap.clear();
-        pending.clear();
-
-        let mut evseq = 0u64;
-        for p in 0..n {
-            heap.push(Reverse((SimTime::ZERO, evseq, p)));
-            evseq += 1;
-        }
-        let mut now = SimTime::ZERO;
+        core.reset(n, |p| p);
 
         loop {
-            let at_boundary = heap.peek().is_none_or(|&Reverse((t, _, _))| t > now);
-            if at_boundary && !pending.is_empty() {
-                pending.sort_unstable_by_key(|&(at, src, idx, _)| (at, src, idx));
-                for (at, _, _, seq) in pending.drain(..) {
-                    let m = dag.msgs[seq];
-                    let t = net.transfer(m.src, m.dst, m.wire_bytes, at);
-                    debug_assert_eq!(t.sender_free, net.sender_free(m.wire_bytes, at));
-                    arrival[seq] = Some(t.arrival);
-                    deliver_seq[seq] = evseq;
-                    evseq += 1;
-                    if let Some(w) = parked[seq].take() {
-                        heap.push(Reverse((t.arrival, deliver_seq[seq], w)));
-                    }
+            // A held send, booked: the kernel schedules its delivery, so the
+            // message takes that event's number, but only a rank parked on it
+            // needs the delivery as an event here.
+            let next = core.pop(|core, at, _src, seq| {
+                let m = dag.msgs[seq];
+                let t = net.transfer(m.src, m.dst, m.wire_bytes, at);
+                debug_assert_eq!(t.sender_free, net.sender_free(m.wire_bytes, at));
+                arrival[seq] = Some(t.arrival);
+                deliver_seq[seq] = core.reserve();
+                if let Some(w) = parked[seq].take() {
+                    core.schedule_reserved(t.arrival, deliver_seq[seq], w);
                 }
-                continue;
-            }
-            let Some(Reverse((slot_time, slot_seq, p))) = heap.pop() else {
+            });
+            let Some(p) = next else {
                 break;
             };
-            now = slot_time;
             // Service rank `p` until it suspends (compute, undelivered recv)
             // or finishes — the same one-runner-at-a-time discipline as the
             // kernel.
@@ -279,15 +251,13 @@ impl Replayer {
                         clock[p] += d;
                         sink.op_end(p, clock[p]);
                         pc[p] += 1;
-                        heap.push(Reverse((clock[p], evseq, p)));
-                        evseq += 1;
+                        core.schedule(clock[p], p);
                         break;
                     }
                     Op::Send { seq } => {
                         let m = dag.msgs[seq as usize];
                         sink.sent(seq as usize, clock[p]);
-                        pending.push((clock[p], p, sends_by_rank[p], seq as usize));
-                        sends_by_rank[p] += 1;
+                        core.defer(clock[p], p, seq as usize);
                         clock[p] = net.sender_free(m.wire_bytes, clock[p]);
                         sink.op_end(p, clock[p]);
                         pc[p] += 1;
@@ -295,7 +265,7 @@ impl Replayer {
                     Op::Recv { seq } => match arrival[seq as usize] {
                         Some(a) => {
                             let dseq = deliver_seq[seq as usize];
-                            if (a, dseq) > (slot_time, slot_seq) {
+                            if !core.has_run(a, dseq) {
                                 // The message is in the kernel's mailbox only
                                 // once its delivery event has fired — which is
                                 // ordered by (arrival, delivery seq), not by
@@ -305,7 +275,7 @@ impl Replayer {
                                 // kernel blocks here and resumes inside the
                                 // delivery event, so every earlier event — and
                                 // its network transfer — happens first.
-                                heap.push(Reverse((a, dseq, p)));
+                                core.schedule_reserved(a, dseq, p);
                                 break;
                             }
                             let o = net.recv_overhead(dag.msgs[seq as usize].wire_bytes);

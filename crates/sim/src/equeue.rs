@@ -1,33 +1,46 @@
-//! The kernel's event queue: a binary heap fronted by a one-slot buffer.
+//! The event core: the one statement of the scheduling rules that both
+//! event loops of the workspace drive — the kernel's ([`crate::Sim`]) and
+//! the what-if replayer's (`numagap_model::Replayer`). The drivers keep
+//! only their per-event work; the core owns three rules:
 //!
-//! Events pop in strict `(time, tie, seq)` order. Under the default
-//! [`TieBreak::Fifo`] policy `tie == seq`, so this is the kernel's native
-//! `(time, creation order)` total order. The adversarial policies remap
-//! `tie` to reorder *only* events that share a timestamp — the detector
-//! behind `numagap check --perturb` uses them to prove that observed
-//! determinism is structural (invariant under scheduler choice), not an
-//! accident of creation order.
+//! 1. **Event order.** Events run in strict `(time, tie, seq)` order, and
+//!    the ranks' initial wakes take seq `0..n`. Under the default
+//!    [`TieBreak::Fifo`] policy `tie == seq`, so this is the native
+//!    `(time, creation order)` total order. The adversarial policies remap
+//!    `tie` to reorder *only* events that share a timestamp — the detector
+//!    behind `numagap check --perturb` uses them to prove that observed
+//!    determinism is structural (invariant under scheduler choice), not an
+//!    accident of creation order.
+//! 2. **Deferred sends.** A send's network booking is held until its
+//!    timestamp ends — the next event is later than `now`, or none is left —
+//!    and the held sends are then handed back in canonical `(departure,
+//!    rank, per-rank send index)` order, a pure function of application
+//!    behaviour. Booking immediately would serialize same-instant transfers
+//!    through the network's FIFO resources in *event* order, letting the
+//!    tiebreak policy leak into arrival times.
+//! 3. **Sequence numbers.** Every scheduled event takes one, in the order
+//!    events are scheduled. [`EventCore::reserve`] and
+//!    [`EventCore::schedule_reserved`] split that in two, so a driver can
+//!    give an event its number and enqueue it later, or never.
 //!
-//! Most of the time the event a kernel step schedules is also the next one
-//! to run (a compute wake at the current instant, the only in-flight
-//! delivery of a rendezvous), so pushing it through the heap just to pop it
-//! right back costs two rounds of sift-up/sift-down and moves the
-//! `EventEntry` (which carries a whole [`Message`] on delivery events)
-//! around the heap array for nothing.
-//!
-//! The `front` slot holds the current minimum outside the heap: a push
-//! either lands there (displacing a later entry into the heap at most once)
-//! and a pop takes the smaller of `front` and the heap top. Pop order is
-//! exactly the total `(time, tie, seq)` order either way — the slot is a
-//! transparent buffer, not a scheduling heuristic — which the in-module
-//! property test checks against randomized insertions.
+//! The queue itself is a binary heap fronted by a one-slot buffer. Most of
+//! the time the event a step schedules is also the next one to run (a
+//! compute wake at the current instant, the only in-flight delivery of a
+//! rendezvous), so pushing it through the heap just to pop it right back
+//! costs two rounds of sift-up/sift-down and moves the entry (which carries
+//! a whole message on the kernel's delivery events) around the heap array
+//! for nothing. The `front` slot holds the current minimum outside the
+//! heap: a push either lands there (displacing a later entry into the heap
+//! at most once) or goes to the heap, and a pop takes the smaller of
+//! `front` and the heap top. Pop order is exactly the total `(time, tie,
+//! seq)` order either way — the slot is a transparent buffer, not a
+//! scheduling heuristic — which the in-module property test checks against
+//! randomized insertions.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-use crate::message::Message;
 use crate::time::SimTime;
-use crate::ProcId;
 
 /// Policy for ordering kernel events that share a timestamp.
 ///
@@ -58,7 +71,7 @@ impl TieBreak {
     /// Maps an event's creation sequence number to its tiebreak key. The
     /// map is injective for `Fifo`/`Reversed`; `Shuffled` collisions are
     /// broken by `seq` in the full `(time, tie, seq)` key.
-    pub(crate) fn tie(self, seq: u64) -> u64 {
+    fn tie(self, seq: u64) -> u64 {
         match self {
             TieBreak::Fifo => seq,
             TieBreak::Reversed => !seq,
@@ -85,40 +98,38 @@ fn splitmix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-pub(crate) enum EventKind {
-    Wake(ProcId),
-    Deliver(ProcId, Message),
-}
+/// An event's position in the total order: `(time, tie, seq)`.
+type Key = (SimTime, u64, u64);
 
-pub(crate) struct EventEntry {
-    pub(crate) time: SimTime,
-    pub(crate) seq: u64,
+#[derive(Debug)]
+struct Entry<E> {
+    time: SimTime,
     /// Tiebreak key among equal timestamps; `seq` under [`TieBreak::Fifo`].
-    pub(crate) tie: u64,
-    pub(crate) kind: EventKind,
+    tie: u64,
+    seq: u64,
+    kind: E,
 }
 
-impl EventEntry {
-    fn key(&self) -> (SimTime, u64, u64) {
+impl<E> Entry<E> {
+    fn key(&self) -> Key {
         (self.time, self.tie, self.seq)
     }
 }
 
-impl PartialEq for EventEntry {
+impl<E> PartialEq for Entry<E> {
     fn eq(&self, other: &Self) -> bool {
         self.key() == other.key()
     }
 }
-impl Eq for EventEntry {}
-impl PartialOrd for EventEntry {
+impl<E> Eq for Entry<E> {}
+impl<E> PartialOrd for Entry<E> {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
-impl Ord for EventEntry {
+impl<E> Ord for Entry<E> {
     fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert so the earliest (time, seq) pops
-        // first.
+        // BinaryHeap is a max-heap; invert so the earliest key pops first.
         other.key().cmp(&self.key())
     }
 }
@@ -136,17 +147,158 @@ pub(crate) struct QueueCounters {
     pub peak_len: u64,
 }
 
-#[derive(Default)]
-pub(crate) struct EventQueue {
+/// The event order, the deferred-send rule and the sequence rule of a
+/// deterministic event loop, over events of kind `E` and held sends of
+/// kind `S` (see the module docs for the three rules).
+///
+/// A driver pops events with [`EventCore::pop`], which hands every held
+/// send back to its `book` callback first whenever the timestamp has ended;
+/// the callback books the send and schedules what it causes through the
+/// core it is given.
+///
+/// # Examples
+///
+/// Rank 0 sends at time 0 to rank 1, which wakes when the message arrives
+/// 5 ns later; the booking happens once the timestamp of the send is over.
+///
+/// ```
+/// use numagap_sim::{EventCore, SimDuration, SimTime, TieBreak};
+///
+/// let mut core: EventCore<usize, usize> = EventCore::new(TieBreak::Fifo);
+/// core.reset(2, |rank| rank);
+/// let mut woken = Vec::new();
+/// let book = |core: &mut EventCore<usize, usize>, at: SimTime, _src: usize, dst: usize| {
+///     core.schedule(at + SimDuration::from_nanos(5), dst);
+/// };
+/// while let Some(rank) = core.pop(book) {
+///     woken.push((rank, core.now().as_nanos()));
+///     if rank == 0 && core.now() == SimTime::ZERO {
+///         core.defer(SimTime::ZERO, 0, 1);
+///     }
+/// }
+/// assert_eq!(woken, [(0, 0), (1, 0), (1, 5)]);
+/// ```
+#[derive(Debug)]
+pub struct EventCore<E, S> {
     /// The queue minimum, held outside the heap. Invariant: when `front` is
     /// `Some`, its key is strictly smaller than every key in `heap`.
-    front: Option<EventEntry>,
-    heap: BinaryHeap<EventEntry>,
+    front: Option<Entry<E>>,
+    heap: BinaryHeap<Entry<E>>,
     pub(crate) counters: QueueCounters,
+    tie_break: TieBreak,
+    /// The next sequence number.
+    seq: u64,
+    /// Key of the event popped last; its time is `now`.
+    current: Key,
+    /// Sends held to the end of the timestamp, as `(departure, rank,
+    /// position, send)`. A batch holds each rank's sends in the order the
+    /// rank issued them, so the position orders them as the per-rank send
+    /// index would.
+    held: Vec<(SimTime, usize, usize, S)>,
 }
 
-impl EventQueue {
-    pub(crate) fn push(&mut self, entry: EventEntry) {
+impl<E, S> EventCore<E, S> {
+    /// An empty core ordering same-instant events by `tie_break`.
+    pub fn new(tie_break: TieBreak) -> Self {
+        EventCore {
+            front: None,
+            heap: BinaryHeap::new(),
+            counters: QueueCounters::default(),
+            tie_break,
+            seq: 0,
+            current: (SimTime::ZERO, 0, 0),
+            held: Vec::new(),
+        }
+    }
+
+    /// Empties the core, keeping its allocations, and schedules the initial
+    /// wake `wake(rank)` of each of `ranks` ranks at time zero, with
+    /// sequence numbers `0..ranks`.
+    pub fn reset(&mut self, ranks: usize, mut wake: impl FnMut(usize) -> E) {
+        self.front = None;
+        self.heap.clear();
+        self.counters = QueueCounters::default();
+        self.held.clear();
+        self.seq = 0;
+        self.current = (SimTime::ZERO, 0, 0);
+        for rank in 0..ranks {
+            self.schedule(SimTime::ZERO, wake(rank));
+        }
+    }
+
+    /// The time of the event popped last (zero before the first).
+    pub fn now(&self) -> SimTime {
+        self.current.0
+    }
+
+    /// Takes the next sequence number without scheduling anything.
+    pub fn reserve(&mut self) -> u64 {
+        self.seq += 1;
+        self.seq - 1
+    }
+
+    /// Schedules `event` at `time` under a number [`EventCore::reserve`]
+    /// handed out.
+    #[inline]
+    pub fn schedule_reserved(&mut self, time: SimTime, seq: u64, event: E) {
+        let tie = self.tie_break.tie(seq);
+        self.push(Entry {
+            time,
+            tie,
+            seq,
+            kind: event,
+        });
+    }
+
+    /// Schedules `event` at `time` under the next sequence number.
+    #[inline]
+    pub fn schedule(&mut self, time: SimTime, event: E) {
+        let seq = self.reserve();
+        self.schedule_reserved(time, seq, event);
+    }
+
+    /// Whether an event at `time` with sequence number `seq` is ordered no
+    /// later than the event popped last: it has run, or it is that event.
+    pub fn has_run(&self, time: SimTime, seq: u64) -> bool {
+        (time, self.tie_break.tie(seq), seq) <= self.current
+    }
+
+    /// Holds `send`, issued by `rank` at `at`, until the timestamp ends.
+    pub fn defer(&mut self, at: SimTime, rank: usize, send: S) {
+        self.held.push((at, rank, self.held.len(), send));
+    }
+
+    /// Pops the next event, making its time `now`. If the timestamp has
+    /// ended — no event is left, or the next one is later than `now` — the
+    /// held sends are flushed through `book` first, so the events their
+    /// bookings schedule take part in the choice. `None` once the queue and
+    /// the held sends are both empty.
+    #[inline]
+    pub fn pop(&mut self, book: impl FnMut(&mut Self, SimTime, usize, S)) -> Option<E> {
+        if !self.held.is_empty() && self.next_time().is_none_or(|t| t > self.current.0) {
+            self.flush(book);
+        }
+        let entry = self.pop_entry()?;
+        self.current = entry.key();
+        Some(entry.kind)
+    }
+
+    /// Hands every held send to `book` as `(core, departure, rank, send)`,
+    /// in canonical `(departure, rank, per-rank send index)` order, without
+    /// popping anything. [`EventCore::pop`] calls it at each timestamp
+    /// boundary; a driver that stops early calls it to book what is left.
+    pub fn flush(&mut self, mut book: impl FnMut(&mut Self, SimTime, usize, S)) {
+        // Taken and put back, so the next batch reuses the buffer.
+        let mut held = std::mem::take(&mut self.held);
+        held.sort_unstable_by_key(|h| (h.0, h.1, h.2));
+        for (at, rank, _, send) in held.drain(..) {
+            book(self, at, rank, send);
+        }
+        debug_assert!(self.held.is_empty(), "a booking deferred a send");
+        self.held = held;
+    }
+
+    fn push(&mut self, entry: Entry<E>) {
         match &self.front {
             None => {
                 // The front slot may be empty while the heap is not (a pop
@@ -175,7 +327,7 @@ impl EventQueue {
         }
     }
 
-    pub(crate) fn pop(&mut self) -> Option<EventEntry> {
+    fn pop_entry(&mut self) -> Option<Entry<E>> {
         match (&self.front, self.heap.peek()) {
             (Some(f), Some(top)) if top.key() < f.key() => {
                 // Unreachable under the invariant, but harmless to honor.
@@ -195,14 +347,12 @@ impl EventQueue {
         }
     }
 
-    pub(crate) fn len(&self) -> usize {
+    fn len(&self) -> usize {
         self.heap.len() + usize::from(self.front.is_some())
     }
 
-    /// Virtual time of the earliest queued event, without popping it. The
-    /// kernel uses this to detect timestamp boundaries (the point where it
-    /// must flush deferred transfer bookings before time advances).
-    pub(crate) fn next_time(&self) -> Option<SimTime> {
+    /// Virtual time of the earliest queued event, without popping it.
+    fn next_time(&self) -> Option<SimTime> {
         match (&self.front, self.heap.peek()) {
             (Some(f), Some(top)) => Some(f.time.min(top.time)),
             (Some(f), None) => Some(f.time),
@@ -216,13 +366,14 @@ impl EventQueue {
 mod tests {
     use super::*;
 
-    fn entry(time: u64, seq: u64) -> EventEntry {
-        EventEntry {
-            time: SimTime::from_nanos(time),
-            seq,
-            tie: TieBreak::Fifo.tie(seq),
-            kind: EventKind::Wake(ProcId(0)),
-        }
+    /// A FIFO core whose events and held sends carry nothing: the queue
+    /// tests push `(time, seq)` keys straight in.
+    fn queue() -> EventCore<(), ()> {
+        EventCore::new(TieBreak::Fifo)
+    }
+
+    fn push(q: &mut EventCore<(), ()>, time: u64, seq: u64) {
+        q.schedule_reserved(SimTime::from_nanos(time), seq, ());
     }
 
     /// Deterministic xorshift generator — no wall-clock nondeterminism.
@@ -242,7 +393,7 @@ mod tests {
     fn random_insertions_pop_in_total_order() {
         for seed in 1..=5u64 {
             let mut rng = Rng(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-            let mut q = EventQueue::default();
+            let mut q = queue();
             let mut reference = Vec::new();
             let mut seq = 0u64;
             // Interleave pushes and pops so the front slot sees every
@@ -252,14 +403,14 @@ mod tests {
                 if !rng.next().is_multiple_of(3) || q.len() == 0 {
                     let t = rng.next() % 64;
                     reference.push((SimTime::from_nanos(t), seq, seq));
-                    q.push(entry(t, seq));
+                    push(&mut q, t, seq);
                     seq += 1;
                 } else {
-                    let e = q.pop().expect("non-empty");
+                    let e = q.pop_entry().expect("non-empty");
                     popped.push(e.key());
                 }
             }
-            while let Some(e) = q.pop() {
+            while let Some(e) = q.pop_entry() {
                 popped.push(e.key());
             }
             assert_eq!(popped.len(), reference.len(), "seed {seed}");
@@ -280,18 +431,18 @@ mod tests {
         // Stronger per-step check on a smaller run: track the pending set
         // and assert each pop is its exact minimum (time, seq).
         let mut rng = Rng(0xDEAD_BEEF_CAFE_F00D);
-        let mut q = EventQueue::default();
-        let mut pending: Vec<(SimTime, u64, u64)> = Vec::new();
+        let mut q = queue();
+        let mut pending: Vec<Key> = Vec::new();
         let mut seq = 0u64;
         for _ in 0..1_000 {
             if rng.next().is_multiple_of(2) || pending.is_empty() {
                 let t = rng.next() % 16;
                 pending.push((SimTime::from_nanos(t), seq, seq));
-                q.push(entry(t, seq));
+                push(&mut q, t, seq);
                 seq += 1;
             } else {
                 let min = *pending.iter().min().unwrap();
-                let got = q.pop().expect("non-empty").key();
+                let got = q.pop_entry().expect("non-empty").key();
                 assert_eq!(got, min);
                 pending.retain(|&k| k != min);
             }
@@ -302,10 +453,10 @@ mod tests {
     fn rendezvous_pattern_stays_out_of_the_heap() {
         // push→pop→push→pop (the ping-pong shape) must be served entirely
         // by the front slot.
-        let mut q = EventQueue::default();
+        let mut q = queue();
         for i in 0..100u64 {
-            q.push(entry(i, i));
-            assert_eq!(q.pop().unwrap().key(), (SimTime::from_nanos(i), i, i));
+            push(&mut q, i, i);
+            assert_eq!(q.pop_entry().unwrap().key(), (SimTime::from_nanos(i), i, i));
         }
         assert_eq!(q.counters.front_pops, 100);
         assert_eq!(q.counters.heap_pushes, 0);
@@ -313,18 +464,15 @@ mod tests {
         assert_eq!(q.counters.peak_len, 1);
     }
 
-    /// Drains a queue loaded with `(time, seq)` pairs under one policy.
+    /// Drains a core loaded with `(time, seq)` pairs under one policy.
     fn drain_under(policy: TieBreak, events: &[(u64, u64)]) -> Vec<(u64, u64)> {
-        let mut q = EventQueue::default();
+        let mut core: EventCore<u64, ()> = EventCore::new(policy);
         for &(t, seq) in events {
-            q.push(EventEntry {
-                time: SimTime::from_nanos(t),
-                seq,
-                tie: policy.tie(seq),
-                kind: EventKind::Wake(ProcId(0)),
-            });
+            assert_eq!(core.reserve(), seq);
+            core.schedule_reserved(SimTime::from_nanos(t), seq, seq);
         }
-        std::iter::from_fn(|| q.pop().map(|e| (e.time.as_nanos(), e.seq))).collect()
+        let no_sends = |_: &mut EventCore<u64, ()>, _, _, _| unreachable!();
+        std::iter::from_fn(|| core.pop(no_sends).map(|seq| (core.now().as_nanos(), seq))).collect()
     }
 
     #[test]
@@ -367,5 +515,78 @@ mod tests {
         assert_eq!(a, b, "same seed, same order");
         assert_ne!(a, fifo, "16 equal-time events must not shuffle to FIFO");
         assert_ne!(a, c, "different seeds give different adversarial orders");
+    }
+
+    /// Books a held send by scheduling a delivery of its payload `10 +
+    /// send` ns after departure, and logs the booking order.
+    fn book_into(
+        log: &mut Vec<(u64, usize, u32)>,
+    ) -> impl FnMut(&mut EventCore<u32, u32>, SimTime, usize, u32) + '_ {
+        |core, at, rank, send| {
+            log.push((at.as_nanos(), rank, send));
+            let flight = crate::SimDuration::from_nanos(10 + u64::from(send));
+            core.schedule(at + flight, 100 + send);
+        }
+    }
+
+    #[test]
+    fn held_sends_wait_for_the_boundary_and_book_in_canonical_order() {
+        for policy in [TieBreak::Fifo, TieBreak::Reversed, TieBreak::Shuffled(3)] {
+            let mut core: EventCore<u32, u32> = EventCore::new(policy);
+            core.reset(3, |rank| rank as u32);
+            let mut log = Vec::new();
+            // The first wake at time 0 defers sends out of rank order and
+            // two from one rank at one instant; none is booked while the
+            // other wakes at time 0 are still queued.
+            let first = core.pop(book_into(&mut log)).unwrap();
+            core.defer(SimTime::from_nanos(2), 2, 20);
+            core.defer(SimTime::from_nanos(1), 1, 10);
+            core.defer(SimTime::from_nanos(1), 1, 11);
+            core.defer(SimTime::from_nanos(1), 0, 0);
+            let mut popped = vec![first];
+            for _ in 0..2 {
+                popped.push(core.pop(book_into(&mut log)).unwrap());
+                assert!(log.is_empty(), "{policy}: booked inside the timestamp");
+            }
+            popped.sort_unstable();
+            assert_eq!(popped, [0, 1, 2], "{policy}");
+            // Popping past time 0 books all four, in canonical order.
+            assert_eq!(core.pop(book_into(&mut log)), Some(100), "{policy}");
+            assert_eq!(log, [(1, 0, 0), (1, 1, 10), (1, 1, 11), (2, 2, 20)]);
+            // The deliveries took seq 3.. in booking order.
+            assert!(core.has_run(SimTime::from_nanos(11), 3), "{policy}");
+            assert!(!core.has_run(SimTime::from_nanos(21), 4), "{policy}");
+        }
+    }
+
+    #[test]
+    fn flush_books_without_popping() {
+        let mut core: EventCore<u32, u32> = EventCore::new(TieBreak::Fifo);
+        core.reset(1, |_| 0);
+        let mut log = Vec::new();
+        assert_eq!(core.pop(book_into(&mut log)), Some(0));
+        core.defer(SimTime::ZERO, 0, 7);
+        core.flush(book_into(&mut log));
+        assert_eq!(log, [(0, 0, 7)]);
+        assert_eq!(core.now(), SimTime::ZERO, "flush pops nothing");
+        assert_eq!(core.len(), 1, "the delivery stays queued");
+    }
+
+    #[test]
+    fn a_reserved_number_orders_its_event_when_it_is_finally_scheduled() {
+        let mut core: EventCore<u32, ()> = EventCore::new(TieBreak::Fifo);
+        core.reset(0, |_| 0);
+        let early = core.reserve();
+        core.schedule(SimTime::from_nanos(4), 1);
+        core.schedule_reserved(SimTime::from_nanos(4), early, 0);
+        let no_sends = |_: &mut EventCore<u32, ()>, _, _, _| unreachable!();
+        assert_eq!(core.pop(no_sends), Some(0));
+        assert_eq!(core.pop(no_sends), Some(1));
+        assert_eq!(core.pop(no_sends), None);
+        // A reset starts the numbering over and keeps nothing queued.
+        core.schedule(SimTime::from_nanos(1), 9);
+        core.reset(2, |rank| rank as u32);
+        assert_eq!(core.reserve(), 2);
+        assert_eq!(core.pop(no_sends), Some(0));
     }
 }

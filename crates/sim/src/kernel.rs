@@ -1,10 +1,13 @@
-//! The discrete-event kernel: event queue, process scheduling, delivery.
+//! The discrete-event kernel: one driver of the [`EventCore`], doing the
+//! per-event work of a live run — resuming ranks, mailboxes, link
+//! booking and faults, trace and observers.
 //!
-//! Determinism: the kernel processes events in strict `(time, sequence)`
-//! order and runs exactly one process at a time, so a run's outcome depends
-//! only on its inputs — never on host thread scheduling. This is verified by
-//! integration tests that compare repeated runs bit-for-bit, and pinned by
-//! the golden makespan suite (`tests/golden_makespan.rs`).
+//! Determinism: the core orders every event and every deferred booking
+//! (see [`crate::equeue`]) and the kernel runs exactly one process at a
+//! time, so a run's outcome depends only on its inputs — never on host
+//! thread scheduling. This is verified by integration tests that compare
+//! repeated runs bit-for-bit, and pinned by the golden makespan suite
+//! (`tests/golden_makespan.rs`).
 //!
 //! The hot path is built from three pieces, each chosen for the strict
 //! alternation the rendezvous protocol guarantees:
@@ -24,7 +27,7 @@
 
 use std::any::Any;
 
-use crate::equeue::{EventEntry, EventKind, EventQueue, TieBreak};
+use crate::equeue::{EventCore, TieBreak};
 use crate::error::{PendingMessage, ProcFailure, SimError, WaitState};
 use crate::mailbox::{Mailbox, MailboxCounters};
 use crate::message::{self, Filter, Message, Payload, Tag};
@@ -341,7 +344,13 @@ impl<N: Network> Sim<N> {
     /// function halted the rest of the run.
     pub fn run(self) -> Result<RunOutcome<N>, SimError> {
         let _host = HostLocals::borrow();
-        Kernel::start(self).run()
+        let (ranks, mut core) = (self.entries.len(), EventCore::new(self.tie_break));
+        let kernel = Kernel::start(self);
+        // The queue is allocated after the ranks' stacks and freed before
+        // them (in `Kernel::run`): in another order the allocator places a
+        // sweep's runs differently, and its peak RSS moves by up to a sixth.
+        core.reset(ranks, |rank| EventKind::Wake(ProcId(rank)));
+        kernel.run(core)
     }
 }
 
@@ -371,40 +380,32 @@ impl Drop for HostLocals {
     }
 }
 
-/// A send whose stateful network booking is deferred to the end of the
-/// timestamp it was issued in.
-///
-/// The sender already resumed (its clock advanced by the sender-side
-/// overhead from [`Network::sender_free`]); what remains — link
+/// What the kernel's events do: resume a rank, or hand it a message.
+enum EventKind {
+    Wake(ProcId),
+    Deliver(ProcId, Message),
+}
+
+/// A send whose stateful network booking the core holds until the end of
+/// the timestamp it was issued in (its departure and sender are the core's
+/// sort key). The sender already resumed, its clock advanced by the
+/// sender-side overhead from [`Network::sender_free`]; what remains — link
 /// acquisition, fault disposition, and scheduling the delivery — is
-/// replayed at the timestamp boundary in canonical `(sent_at, src,
-/// send_idx)` order, a pure function of application behavior. Booking
-/// immediately instead would serialize same-instant transfers through the
-/// network's FIFO resources in *event* order, letting the tiebreak policy
-/// leak into arrival times.
+/// [`Kernel::book`]'s.
 struct PendingSend {
-    src: ProcId,
     dst: ProcId,
     tag: Tag,
     wire_bytes: u64,
-    sent_at: SimTime,
     sender_free: SimTime,
-    /// Ordinal of this send among `src`'s sends (0-based), breaking ties
-    /// between same-instant sends from one rank (possible when the network
-    /// charges no sender-side overhead).
-    send_idx: u64,
     payload: Payload,
 }
 
+type Core = EventCore<EventKind, PendingSend>;
+
 struct Kernel<N: Network> {
     net: N,
-    queue: EventQueue,
     slots: Vec<ProcSlot>,
-    seq: u64,
     msg_seq: u64,
-    tie_break: TieBreak,
-    pending_sends: Vec<PendingSend>,
-    now: SimTime,
     live: usize,
     time_limit: Option<SimTime>,
     kstats: KernelStats,
@@ -444,15 +445,10 @@ impl<N: Network> Kernel<N> {
             SchedMode::Fibers => 1,
             SchedMode::LegacyThreads => nprocs,
         };
-        let mut kernel = Kernel {
+        Kernel {
             net: sim.net,
-            queue: EventQueue::default(),
             slots,
-            seq: 0,
             msg_seq: 0,
-            tie_break: sim.tie_break,
-            pending_sends: Vec::new(),
-            now: SimTime::ZERO,
             live: nprocs,
             time_limit: sim.time_limit,
             kstats: KernelStats::default(),
@@ -463,23 +459,7 @@ impl<N: Network> Kernel<N> {
             observer: sim.observer,
             sim_threads,
             dispatch_log: sim.record_dispatch.then(Vec::new),
-        };
-        for rank in 0..nprocs {
-            kernel.schedule(SimTime::ZERO, EventKind::Wake(ProcId(rank)));
         }
-        kernel
-    }
-
-    fn schedule(&mut self, time: SimTime, kind: EventKind) {
-        let seq = self.seq;
-        self.seq += 1;
-        let tie = self.tie_break.tie(seq);
-        self.queue.push(EventEntry {
-            time,
-            seq,
-            tie,
-            kind,
-        });
     }
 
     /// Runs process `p` with `grant` until it suspends with its next
@@ -504,7 +484,7 @@ impl<N: Network> Kernel<N> {
         }
     }
 
-    /// Books every deferred send against the network in canonical
+    /// Books one deferred send, handed back by the core in canonical
     /// `(departure time, sender rank, per-rank send index)` order — a pure
     /// function of application behavior, independent of the event tiebreak
     /// policy. This is what makes virtual time invariant under schedule
@@ -513,113 +493,86 @@ impl<N: Network> Kernel<N> {
     /// which order the kernel happened to run their senders in. Verified
     /// end to end by the tiebreak-invariance suite and `numagap check
     /// --perturb`.
-    fn flush_sends(&mut self) {
-        self.pending_sends
-            .sort_unstable_by_key(|s| (s.sent_at, s.src.0, s.send_idx));
-        // Drained and put back, so the next batch reuses the buffer.
-        let mut sends = std::mem::take(&mut self.pending_sends);
-        for ps in sends.drain(..) {
-            let PendingSend {
-                src,
-                dst,
-                tag,
-                wire_bytes,
-                sent_at,
-                sender_free,
-                send_idx: _,
-                payload,
-            } = ps;
-            let transfer = self.net.transfer(src, dst, wire_bytes, sent_at);
-            debug_assert_eq!(
-                transfer.sender_free, sender_free,
-                "Network::sender_free must agree with Network::transfer"
-            );
-            debug_assert!(transfer.arrival >= sent_at);
-            if let Some(trace) = self.trace.as_mut() {
-                trace.message(src, dst, tag, wire_bytes, sent_at, transfer.arrival);
-            }
-            let msg_seq = self.msg_seq;
-            self.msg_seq += 1;
-            let msg = Message {
-                seq: msg_seq,
-                src,
-                tag,
-                wire_bytes,
-                sent_at,
-                arrived_at: transfer.arrival,
-                payload,
-            };
-            if let Some(obs) = self.observer.as_mut() {
-                obs.on_send(dst, &msg);
-                obs.on_sender_free(src, msg_seq, transfer.sender_free);
-            }
-            if self.net.faults_enabled() {
-                let disposition = self
-                    .net
-                    .fault_disposition(src, dst, tag, wire_bytes, sent_at, &transfer);
-                if let Some(kind) = disposition.kind {
-                    match kind {
-                        FaultKind::Drop => self.kstats.faults_dropped += 1,
-                        FaultKind::Duplicate => self.kstats.faults_duplicated += 1,
-                        FaultKind::Delay => self.kstats.faults_delayed += 1,
-                    }
-                    if let Some(obs) = self.observer.as_mut() {
-                        obs.on_fault(&FaultEvent {
-                            kind,
-                            src,
-                            dst,
-                            seq: msg_seq,
-                            tag,
-                            at: sent_at,
-                            cause: disposition.cause,
-                        });
-                    }
-                }
-                // Fault copies share the payload `Arc`; only the
-                // message header is duplicated per arrival.
-                for &arrival in &disposition.arrivals {
-                    debug_assert!(arrival >= sent_at);
-                    let mut copy = msg.clone();
-                    copy.arrived_at = arrival;
-                    self.schedule(arrival, EventKind::Deliver(dst, copy));
-                }
-            } else {
-                self.schedule(transfer.arrival, EventKind::Deliver(dst, msg));
-            }
+    fn book(&mut self, core: &mut Core, sent_at: SimTime, src: usize, send: PendingSend) {
+        let (src, dst, tag, wire_bytes) = (ProcId(src), send.dst, send.tag, send.wire_bytes);
+        let transfer = self.net.transfer(src, dst, wire_bytes, sent_at);
+        debug_assert_eq!(
+            transfer.sender_free, send.sender_free,
+            "Network::sender_free must agree with Network::transfer"
+        );
+        debug_assert!(transfer.arrival >= sent_at);
+        if let Some(trace) = self.trace.as_mut() {
+            trace.message(src, dst, tag, wire_bytes, sent_at, transfer.arrival);
         }
-        self.pending_sends = sends;
+        let msg_seq = self.msg_seq;
+        self.msg_seq += 1;
+        let msg = Message {
+            seq: msg_seq,
+            src,
+            tag,
+            wire_bytes,
+            sent_at,
+            arrived_at: transfer.arrival,
+            payload: send.payload,
+        };
+        if let Some(obs) = self.observer.as_mut() {
+            obs.on_send(dst, &msg);
+            obs.on_sender_free(src, msg_seq, transfer.sender_free);
+        }
+        if self.net.faults_enabled() {
+            let disposition = self
+                .net
+                .fault_disposition(src, dst, tag, wire_bytes, sent_at, &transfer);
+            if let Some(kind) = disposition.kind {
+                match kind {
+                    FaultKind::Drop => self.kstats.faults_dropped += 1,
+                    FaultKind::Duplicate => self.kstats.faults_duplicated += 1,
+                    FaultKind::Delay => self.kstats.faults_delayed += 1,
+                }
+                if let Some(obs) = self.observer.as_mut() {
+                    obs.on_fault(&FaultEvent {
+                        kind,
+                        src,
+                        dst,
+                        seq: msg_seq,
+                        tag,
+                        at: sent_at,
+                        cause: disposition.cause,
+                    });
+                }
+            }
+            // Fault copies share the payload `Arc`; only the
+            // message header is duplicated per arrival.
+            for &arrival in &disposition.arrivals {
+                debug_assert!(arrival >= sent_at);
+                let mut copy = msg.clone();
+                copy.arrived_at = arrival;
+                core.schedule(arrival, EventKind::Deliver(dst, copy));
+            }
+        } else {
+            core.schedule(transfer.arrival, EventKind::Deliver(dst, msg));
+        }
     }
 
     /// The event loop. Every early `return Err` below drops the kernel with
     /// ranks still suspended mid-body; dropping a live rank's context
     /// unwinds it (see [`sched::spawn`]), so an aborted run still runs every
     /// destructor on every rank's stack before `Sim::run` returns.
-    fn run(mut self) -> Result<RunOutcome<N>, SimError> {
-        loop {
-            // Flush deferred bookings at every timestamp boundary, and
-            // before concluding the machine is idle: booking may schedule a
-            // delivery at or before the next queued event's time (or
-            // unblock an otherwise "deadlocked" receiver), so re-peek
-            // rather than holding a popped event across the flush.
-            let at_boundary = self.queue.next_time().is_none_or(|next| next > self.now);
-            if at_boundary && !self.pending_sends.is_empty() {
-                self.flush_sends();
-                continue;
-            }
-            let Some(entry) = self.queue.pop() else {
-                break;
-            };
+    fn run(mut self, mut core: Core) -> Result<RunOutcome<N>, SimError> {
+        // The core books held sends before it pops past their timestamp,
+        // and before it reports the machine idle: a booking may schedule a
+        // delivery that unblocks an otherwise "deadlocked" receiver.
+        while let Some(event) = core.pop(|core, at, src, send| self.book(core, at, src, send)) {
             if let Some(limit) = self.time_limit {
-                if entry.time > limit {
+                if core.now() > limit {
                     if let Some(err) = self.failure_error() {
                         return Err(err);
                     }
                     return Err(SimError::TimeLimit { limit });
                 }
             }
-            self.now = entry.time;
             self.kstats.events += 1;
-            match entry.kind {
+            match event {
                 EventKind::Wake(p) => {
                     if matches!(self.slots[p.0].state, ProcState::Done) {
                         // A panicked process cannot leave a wake behind (it
@@ -627,22 +580,21 @@ impl<N: Network> Kernel<N> {
                         debug_assert!(false, "wake for an exited process");
                         continue;
                     }
-                    let clock = self.slots[p.0].clock.max(self.now);
+                    let clock = self.slots[p.0].clock.max(core.now());
                     self.slots[p.0].clock = clock;
-                    self.service(p, Grant::Proceed(clock));
+                    self.service(&mut core, p, Grant::Proceed(clock));
                 }
-                EventKind::Deliver(p, msg) => self.deliver(p, msg),
+                EventKind::Deliver(p, msg) => self.deliver(&mut core, p, msg),
             }
             if self.live == 0 {
                 break;
             }
         }
-        if !self.pending_sends.is_empty() {
-            // Reachable only via the `live == 0` break: the last process
-            // exited inside the current timestamp with sends still pending.
-            // Book them anyway so traffic statistics account every send.
-            self.flush_sends();
-        }
+        // After the `live == 0` break the last process may have exited
+        // inside the current timestamp with sends still held. Book them
+        // anyway so traffic statistics account every send; the deliveries
+        // they schedule are never popped, so they count as no event.
+        core.flush(|core, at, src, send| self.book(core, at, src, send));
         if self.live > 0 {
             // The machine halted with live processes. If a panic was
             // harvested, it is the root cause — the stranded peers are
@@ -650,7 +602,7 @@ impl<N: Network> Kernel<N> {
             if let Some(err) = self.failure_error() {
                 return Err(err);
             }
-            let at = self.now;
+            let at = core.now();
             // Close the open blocked intervals so the trace accounts the
             // full wait that led into the deadlock.
             for rank in 0..self.slots.len() {
@@ -690,7 +642,7 @@ impl<N: Network> Kernel<N> {
             return Err(SimError::Deadlock { at, procs, cycle });
         }
         if let Some(obs) = self.observer.as_mut() {
-            obs.on_finish(self.now);
+            obs.on_finish(core.now());
         }
         let elapsed = self
             .slots
@@ -700,10 +652,12 @@ impl<N: Network> Kernel<N> {
             .unwrap_or(SimTime::ZERO)
             .since(SimTime::ZERO);
         let mut profile = self.profile;
-        profile.heap_pushes = self.queue.counters.heap_pushes;
-        profile.heap_pops = self.queue.counters.heap_pops;
-        profile.front_pops = self.queue.counters.front_pops;
-        profile.queue_peak = self.queue.counters.peak_len;
+        let queue = core.counters;
+        drop(core);
+        profile.heap_pushes = queue.heap_pushes;
+        profile.heap_pops = queue.heap_pops;
+        profile.front_pops = queue.front_pops;
+        profile.queue_peak = queue.peak_len;
         profile.mailbox_scanned = self.mcounters.scanned;
         profile.mailbox_indexed = self.mcounters.indexed_takes;
         // Everything the run's ranks cloned was counted on this thread
@@ -737,7 +691,7 @@ impl<N: Network> Kernel<N> {
 
     /// Resumes process `p` with `grant` and services its requests until it
     /// waits on virtual time (compute, blocked recv), exits, or dies.
-    fn service(&mut self, p: ProcId, mut grant: Grant) {
+    fn service(&mut self, core: &mut Core, p: ProcId, mut grant: Grant) {
         loop {
             let Some(req) = self.resume(p, grant) else {
                 return;
@@ -756,7 +710,7 @@ impl<N: Network> Kernel<N> {
                     if let Some(obs) = self.observer.as_mut() {
                         obs.on_compute(p, start, wake_at);
                     }
-                    self.schedule(wake_at, EventKind::Wake(p));
+                    core.schedule(wake_at, EventKind::Wake(p));
                     return;
                 }
                 Request::Send {
@@ -771,32 +725,26 @@ impl<N: Network> Kernel<N> {
                     }
                     let sender_free = self.net.sender_free(wire_bytes, sent_at);
                     debug_assert!(sender_free >= sent_at);
-                    let send_idx = {
-                        let slot = &mut self.slots[p.0];
-                        let idx = slot.stats.msgs_sent;
-                        slot.stats.msgs_sent += 1;
-                        slot.stats.bytes_sent += wire_bytes;
-                        slot.stats.send_overhead += sender_free.since(sent_at);
-                        slot.clock = sender_free;
-                        idx
-                    };
+                    let slot = &mut self.slots[p.0];
+                    slot.stats.msgs_sent += 1;
+                    slot.stats.bytes_sent += wire_bytes;
+                    slot.stats.send_overhead += sender_free.since(sent_at);
+                    slot.clock = sender_free;
                     self.kstats.messages += 1;
                     self.kstats.bytes += wire_bytes;
                     // The stateful part (link booking, faults, delivery) is
                     // deferred to the timestamp boundary — see
-                    // [`Kernel::flush_sends`] — so the sender resumes now
-                    // knowing only its own overhead.
-                    self.pending_sends.push(PendingSend {
-                        src: p,
+                    // [`Kernel::book`] — so the sender resumes now knowing
+                    // only its own overhead.
+                    let send = PendingSend {
                         dst,
                         tag,
                         wire_bytes,
-                        sent_at,
                         sender_free,
-                        send_idx,
                         payload,
-                    });
-                    grant = Grant::Proceed(self.slots[p.0].clock);
+                    };
+                    core.defer(sent_at, p.0, send);
+                    grant = Grant::Proceed(sender_free);
                 }
                 Request::Recv(filter) => {
                     if let Some(obs) = self.observer.as_mut() {
@@ -804,7 +752,7 @@ impl<N: Network> Kernel<N> {
                         obs.on_recv_posted(p, &filter, true, now);
                     }
                     if let Some(msg) = self.slots[p.0].mailbox.take(&filter, &mut self.mcounters) {
-                        let o = self.net_recv_overhead(msg.wire_bytes);
+                        let o = self.net.recv_overhead(msg.wire_bytes);
                         let slot = &mut self.slots[p.0];
                         slot.clock += o;
                         slot.stats.recv_overhead += o;
@@ -830,7 +778,7 @@ impl<N: Network> Kernel<N> {
                     let clock = {
                         let o = found
                             .as_ref()
-                            .map(|m| self.net_recv_overhead(m.wire_bytes))
+                            .map(|m| self.net.recv_overhead(m.wire_bytes))
                             .unwrap_or(SimDuration::ZERO);
                         let slot = &mut self.slots[p.0];
                         slot.clock += o;
@@ -861,11 +809,7 @@ impl<N: Network> Kernel<N> {
         }
     }
 
-    fn net_recv_overhead(&self, wire_bytes: u64) -> SimDuration {
-        self.net.recv_overhead(wire_bytes)
-    }
-
-    fn deliver(&mut self, p: ProcId, msg: Message) {
+    fn deliver(&mut self, core: &mut Core, p: ProcId, msg: Message) {
         let slot = &mut self.slots[p.0];
         if matches!(slot.state, ProcState::Done) {
             // Late message to an exited process: dropped, like a packet to a
@@ -880,9 +824,9 @@ impl<N: Network> Kernel<N> {
             // traffic needed.
             if filter.matches(&msg) {
                 self.profile.mailbox_fast += 1;
-                let o = self.net_recv_overhead(msg.wire_bytes);
+                let o = self.net.recv_overhead(msg.wire_bytes);
                 let slot = &mut self.slots[p.0];
-                let resumed = slot.clock.max(self.now);
+                let resumed = slot.clock.max(core.now());
                 slot.stats.blocked += resumed.since(slot.block_start);
                 let block_start = slot.block_start;
                 if let Some(trace) = self.trace.as_mut() {
@@ -897,7 +841,7 @@ impl<N: Network> Kernel<N> {
                 if let Some(obs) = self.observer.as_mut() {
                     obs.on_recv_matched(p, &msg, clock);
                 }
-                self.service(p, Grant::Msg(clock, msg));
+                self.service(core, p, Grant::Msg(clock, msg));
                 return;
             }
         }

@@ -12,7 +12,8 @@
 //! model.
 //!
 //! Determinism is a core guarantee: the kernel runs exactly one process at a
-//! time and orders all events by `(virtual time, sequence number)`, so runs
+//! time and orders all events by `(virtual time, sequence number)` through
+//! an [`EventCore`] — the same core the what-if replayer drives — so runs
 //! are bit-for-bit reproducible.
 //!
 //! ## Quick start
@@ -51,7 +52,7 @@ mod sched;
 mod time;
 mod trace;
 
-pub use equeue::TieBreak;
+pub use equeue::{EventCore, TieBreak};
 pub use error::{format_filter, PendingMessage, ProcFailure, SimError, WaitState};
 pub use kernel::{HotProfile, KernelStats, ProcStats, RunOutcome, Sim};
 pub use message::{Filter, Message, Payload, Tag, TagFilter, TagSet};
