@@ -205,8 +205,10 @@ pub fn run_scale(opts: &SweepOpts) -> Result<BenchSummary, BenchError> {
         };
         // The headline claim of running ranks as fibers: the thread count
         // does not grow with the rank count. Only enforced where fibers
-        // actually run (non-x86_64 hosts silently fall back to legacy).
-        if cfg!(target_arch = "x86_64") && report.sim_threads != cell.expected_threads() {
+        // actually run (other hosts silently fall back to legacy).
+        if cfg!(all(target_arch = "x86_64", target_os = "linux"))
+            && report.sim_threads != cell.expected_threads()
+        {
             return Err(BenchError::Sim(format!(
                 "cell {}: expected {} simulator thread(s), kernel reports {}",
                 cell.key(),

@@ -60,9 +60,11 @@ impl Machine {
         self
     }
 
-    /// Sets the per-rank stack size in bytes (default 8 MiB). Large rank
-    /// counts shrink this so a 4096-rank machine does not reserve tens of
-    /// gigabytes of stacks.
+    /// Sets the per-rank stack size in bytes (default 8 MiB). A rank that
+    /// overflows its stack runs into a guard page and kills the process,
+    /// fiber or thread alike. Large rank counts shrink this so a
+    /// 4096-rank machine does not reserve tens of gigabytes of address
+    /// space.
     pub fn with_stack_size(mut self, bytes: usize) -> Self {
         self.stack_size = Some(bytes);
         self

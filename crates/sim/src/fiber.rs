@@ -1,6 +1,6 @@
 //! Minimal stackful coroutines ("fibers"): how the kernel runs ranks inline.
 //!
-//! Each simulated rank owns a [`Fiber`]: a heap-allocated stack plus a saved
+//! Each simulated rank owns a [`Fiber`]: a stack mapping plus a saved
 //! machine context. The kernel's event loop *resumes* a fiber with an input
 //! value; the rank body runs on its own stack until it hands an output value
 //! to [`Suspender::suspend`], at which point control returns to the resumer.
@@ -10,23 +10,122 @@
 //!
 //! The implementation is deliberately tiny: a hand-rolled x86-64 System V
 //! context switch (callee-saved registers + `mxcsr`/x87 control word) written
-//! with `global_asm!`. No guard pages are installed; stack overflow in a
-//! fiber is undefined behaviour, which is why the default per-rank stack
-//! matches the 8 MiB the thread-per-rank mode uses. On non-x86-64 hosts
-//! [`SUPPORTED`] is `false`, nothing below it is compiled, and the simulator
-//! runs every rank on a thread of its own.
+//! with `global_asm!`.
+//!
+//! Every stack is an anonymous mapping of its own whose lowest page is
+//! `PROT_NONE`, so a rank that overflows its stack faults (the process dies
+//! by `SIGSEGV`) instead of writing over whatever lies below. A dropped
+//! fiber's mapping goes to a cache of its thread and is handed to the next
+//! fiber of the same size there: repeated runs on one thread reuse stacks
+//! whose pages are already resident and make no system call. The cache
+//! never holds more than the thread has had live at once, and the thread's
+//! exit unmaps it. The flag values are Linux's: on other hosts, as on
+//! non-x86-64 ones, [`SUPPORTED`] is `false`, nothing below it is compiled,
+//! and the simulator runs every rank on a thread of its own.
 
 /// Whether this build can run fibers at all.
-pub(crate) const SUPPORTED: bool = cfg!(target_arch = "x86_64");
+pub(crate) const SUPPORTED: bool = cfg!(all(target_arch = "x86_64", target_os = "linux"));
 
-#[cfg(target_arch = "x86_64")]
+#[cfg(all(target_arch = "x86_64", target_os = "linux"))]
 pub(crate) use imp::{Fiber, Suspender};
 
-#[cfg(target_arch = "x86_64")]
+#[cfg(all(target_arch = "x86_64", target_os = "linux"))]
 mod imp {
-    use std::alloc::{alloc, dealloc, handle_alloc_error, Layout};
+    use std::cell::RefCell;
+    use std::ffi::{c_int, c_void};
     use std::panic::{catch_unwind, AssertUnwindSafe};
     use std::ptr;
+
+    // std links libc; these are its declarations on x86-64 Linux.
+    extern "C" {
+        fn mmap(
+            addr: *mut c_void,
+            len: usize,
+            prot: c_int,
+            flags: c_int,
+            fd: c_int,
+            offset: i64,
+        ) -> *mut c_void;
+        fn mprotect(addr: *mut c_void, len: usize, prot: c_int) -> c_int;
+        fn munmap(addr: *mut c_void, len: usize) -> c_int;
+    }
+
+    const PROT_NONE: c_int = 0;
+    const PROT_READ: c_int = 1;
+    const PROT_WRITE: c_int = 2;
+    const MAP_PRIVATE: c_int = 0x02;
+    const MAP_ANONYMOUS: c_int = 0x20;
+    const MAP_NORESERVE: c_int = 0x4000;
+    /// Also keeps transparent huge pages off the mapping.
+    const MAP_STACK: c_int = 0x20000;
+    const MAP_FAILED: *mut c_void = !0 as *mut c_void;
+    /// The base page size of x86-64; the guard is one page.
+    const PAGE: usize = 4096;
+
+    /// Maps `len` bytes (whole pages, more than one) with the lowest page
+    /// `PROT_NONE`.
+    fn map_stack(len: usize) -> *mut u8 {
+        let fail = |call: &str| -> ! {
+            panic!(
+                "fiber stack: {call} of {len} bytes failed: {}; a guarded stack \
+                 is two mappings, so a process fits about vm.max_map_count / 2 \
+                 ranks (about 32 000 at the default)",
+                std::io::Error::last_os_error()
+            )
+        };
+        // SAFETY: an anonymous private mapping at an address of the kernel's
+        // choosing aliases nothing; the result is checked before use.
+        let base = unsafe {
+            mmap(
+                ptr::null_mut(),
+                len,
+                PROT_READ | PROT_WRITE,
+                MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE | MAP_STACK,
+                -1,
+                0,
+            )
+        };
+        if base == MAP_FAILED {
+            fail("mmap");
+        }
+        // SAFETY: the lowest page lies inside the mapping just made, which
+        // nothing else knows of yet.
+        if unsafe { mprotect(base, PAGE, PROT_NONE) } != 0 {
+            fail("mprotect");
+        }
+        base.cast()
+    }
+
+    /// Unmaps a mapping of `map_stack`. Ignores failure: it runs in `Drop`,
+    /// and `munmap` of a whole live mapping cannot fail.
+    fn unmap_stack(base: *mut u8, len: usize) {
+        // SAFETY: the caller owns the mapping and nothing refers into it.
+        unsafe { munmap(base.cast(), len) };
+    }
+
+    /// The stack mappings released on this thread as `(base, len)`, most
+    /// recent last. A dropped fiber's stack is never in use, so it may be
+    /// handed to the next fiber of the same length as is.
+    struct StackCache(Vec<(*mut u8, usize)>);
+
+    impl StackCache {
+        fn take(&mut self, len: usize) -> Option<*mut u8> {
+            let i = self.0.iter().rposition(|&(_, l)| l == len)?;
+            Some(self.0.remove(i).0)
+        }
+    }
+
+    impl Drop for StackCache {
+        fn drop(&mut self) {
+            for &(base, len) in &self.0 {
+                unmap_stack(base, len);
+            }
+        }
+    }
+
+    thread_local! {
+        static STACKS: RefCell<StackCache> = const { RefCell::new(StackCache(Vec::new())) };
+    }
 
     // The context switch saves the System V callee-saved integer registers
     // plus the SSE and x87 control words (their callee-saved portions), then
@@ -88,7 +187,7 @@ mod imp {
     type Entry<I, O> = Box<dyn FnOnce(Suspender<I, O>, I) -> O>;
 
     /// Per-fiber control block, carved out of the top of the fiber's own
-    /// stack allocation so a `Fiber` is a single allocation. Only ever
+    /// stack mapping so a `Fiber` needs nothing else. Only ever
     /// touched through raw pointers: both sides of a switch hold one.
     struct Control<I, O> {
         /// Saved stack pointer of the fiber while it is suspended.
@@ -109,8 +208,9 @@ mod imp {
     /// that created it (`!Send`): it is resumed where it was suspended.
     pub(crate) struct Fiber<I, O> {
         ctl: *mut Control<I, O>,
-        stack: *mut u8,
-        layout: Layout,
+        /// The stack mapping: `len` bytes from `base`, guard page included.
+        base: *mut u8,
+        len: usize,
     }
 
     /// The running fiber's way back to its resumer; handed to the fiber body.
@@ -121,7 +221,7 @@ mod imp {
     impl<I, O> std::fmt::Debug for Fiber<I, O> {
         fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
             f.debug_struct("Fiber")
-                .field("stack_bytes", &self.layout.size())
+                .field("stack_bytes", &(self.len - PAGE))
                 .finish_non_exhaustive()
         }
     }
@@ -170,9 +270,13 @@ mod imp {
 
     impl<I, O> Fiber<I, O> {
         /// Creates a fiber that will run `entry` on its own `stack_size`-byte
-        /// stack when first resumed, passing it the first resume's input. The
-        /// closure must not unwind (the simulator wraps rank bodies in
-        /// `catch_unwind`).
+        /// stack (rounded up to whole pages, above a guard page) when first
+        /// resumed, passing it the first resume's input. The closure must not
+        /// unwind (the simulator wraps rank bodies in `catch_unwind`).
+        ///
+        /// # Panics
+        ///
+        /// Panics if the stack cannot be mapped.
         pub(crate) fn new<F>(stack_size: usize, entry: F) -> Self
         where
             F: FnOnce(Suspender<I, O>, I) -> O + 'static,
@@ -182,19 +286,22 @@ mod imp {
                 "fiber control block needs more than the stack's 16-byte alignment"
             );
             let ctl_space = round_up16(std::mem::size_of::<Control<I, O>>());
-            let size = round_up16(stack_size.max(ctl_space + 4096));
-            let layout = Layout::from_size_align(size, 16).expect("fiber stack layout overflowed");
-            // SAFETY: `layout` has non-zero size.
-            let stack = unsafe { alloc(layout) };
-            if stack.is_null() {
-                handle_alloc_error(layout);
-            }
-            // The control block sits at the very top of the allocation; the
-            // usable stack grows down from just below it.
-            let sp0 = stack as usize + size - ctl_space;
+            let len = stack_size
+                .max(ctl_space + PAGE)
+                .checked_next_multiple_of(PAGE)
+                .and_then(|size| size.checked_add(PAGE))
+                .expect("fiber stack size overflows the address space");
+            let base = STACKS
+                .try_with(|cache| cache.borrow_mut().take(len))
+                .ok()
+                .flatten()
+                .unwrap_or_else(|| map_stack(len));
+            // The control block sits at the very top of the mapping; the
+            // usable stack grows down from just below it to the guard page.
+            let sp0 = base as usize + len - ctl_space;
             let ctl = sp0 as *mut Control<I, O>;
-            // SAFETY: `ctl` is 16-aligned, in-bounds, and has `ctl_space`
-            // bytes of room.
+            // SAFETY: `ctl` is 16-aligned, inside the writable part of a
+            // mapping this fiber alone owns, and has `ctl_space` bytes of room.
             unsafe {
                 ptr::write(
                     ctl,
@@ -214,7 +321,8 @@ mod imp {
             // leaves the entry shim with the ABI-required alignment.
             let seed = |offset: usize, value: u64| {
                 // SAFETY: all seeded slots lie in `[sp0 - 64, sp0)`, inside
-                // the allocation and below the control block.
+                // the writable part of the mapping and below the control
+                // block.
                 unsafe { ptr::write((sp0 - offset) as *mut u64, value) };
             };
             seed(8, numagap_fiber_trampoline as *const () as usize as u64);
@@ -228,7 +336,7 @@ mod imp {
             seed(48, 0); // r14
             seed(56, 0); // r15
             seed(64, MXCSR_INIT | (FPCW_INIT << 32));
-            Fiber { ctl, stack, layout }
+            Fiber { ctl, base, len }
         }
 
         /// Runs the fiber with `input` until it suspends or its entry
@@ -298,24 +406,87 @@ mod imp {
         fn drop(&mut self) {
             // A never-started fiber still owns its entry closure, which is
             // dropped with the control block. A suspended fiber's stack is
-            // deallocated without being resumed, so values living on it leak
+            // released without being resumed, so values living on it leak
             // — safe (the fiber can never run again); the simulator unwinds
             // suspended ranks before dropping them.
-            // SAFETY: we own the allocation and nothing can resume the
-            // fiber concurrently.
-            unsafe {
-                ptr::drop_in_place(self.ctl);
-                dealloc(self.stack, self.layout);
+            // SAFETY: we own the mapping and nothing can resume the fiber
+            // concurrently.
+            unsafe { ptr::drop_in_place(self.ctl) };
+            let (base, len) = (self.base, self.len);
+            // Once the thread's cache is gone (a fiber dropped by another
+            // thread-local's destructor), the stack is unmapped instead.
+            if STACKS
+                .try_with(|cache| cache.borrow_mut().0.push((base, len)))
+                .is_err()
+            {
+                unmap_stack(base, len);
             }
         }
     }
 }
 
-#[cfg(all(test, target_arch = "x86_64"))]
+#[cfg(all(test, target_arch = "x86_64", target_os = "linux"))]
 mod tests {
     use super::*;
     use std::cell::{Cell, RefCell};
+    use std::hint::black_box;
     use std::rc::Rc;
+
+    /// Where a local of a fresh fiber of `stack_size` bytes lives: the same
+    /// address means the same stack mapping.
+    fn local_address(stack_size: usize) -> usize {
+        let mut f = Fiber::new(stack_size, |_s: Suspender<(), usize>, ()| {
+            let local = 0u64;
+            black_box(&local) as *const u64 as usize
+        });
+        f.resume(())
+    }
+
+    #[test]
+    fn a_dropped_stack_goes_to_the_next_fiber_of_its_size() {
+        let first = local_address(64 * 1024);
+        assert_eq!(local_address(64 * 1024), first);
+        // A fiber of another size gets a mapping of its own (the released
+        // one is still mapped, in the cache, so the addresses differ), and
+        // the released one stays there for its size.
+        assert_ne!(local_address(128 * 1024), first);
+        assert_eq!(local_address(64 * 1024), first);
+    }
+
+    /// Readable and writable mappings of exactly `len` bytes: the stacks of
+    /// `len` requested bytes (whole pages), kept apart by their guard pages.
+    fn writable_mappings_of(len: usize) -> usize {
+        let maps = std::fs::read_to_string("/proc/self/maps").expect("procfs is mounted");
+        maps.lines()
+            .filter(|line| {
+                let mut fields = line.split_whitespace();
+                let (range, perms) = (fields.next().unwrap(), fields.next().unwrap());
+                let (lo, hi) = range.split_once('-').unwrap();
+                let size =
+                    usize::from_str_radix(hi, 16).unwrap() - usize::from_str_radix(lo, 16).unwrap();
+                perms.starts_with("rw") && size == len
+            })
+            .count()
+    }
+
+    #[test]
+    fn a_thread_that_exits_unmaps_the_stacks_it_cached() {
+        // A size no other test uses, since tests run beside each other.
+        const SIZE: usize = 100 * 4096;
+        let before = writable_mappings_of(SIZE);
+        std::thread::spawn(move || {
+            let fibers: Vec<_> = (0..64)
+                .map(|i| Fiber::new(SIZE, move |_s: Suspender<(), usize>, ()| i))
+                .collect();
+            assert!(writable_mappings_of(SIZE) >= before + 63);
+            drop(fibers);
+            // Released, the 64 stacks stay mapped in the thread's cache.
+            assert!(writable_mappings_of(SIZE) >= before + 63);
+        })
+        .join()
+        .expect("the fiber thread runs");
+        assert_eq!(writable_mappings_of(SIZE), before);
+    }
 
     #[test]
     fn fiber_runs_to_completion_with_its_first_input() {

@@ -297,9 +297,10 @@ impl<N: Network> Sim<N> {
 
     /// Sets the host stack size of every rank (default 8 MiB): the rank's
     /// fiber stack, or its thread's stack under [`SchedMode::LegacyThreads`].
-    /// Fiber stacks are plain heap allocations with **no guard page**, so
-    /// overflowing one is undefined behaviour rather than a fault — size
-    /// them for the deepest call chain a rank body makes.
+    /// A fiber stack is a mapping of its own with a guard page below it: a
+    /// rank that overflows it kills the process with `SIGSEGV`, so size it
+    /// for the deepest call chain a rank body makes. Pages a rank never
+    /// touches cost address space, not memory.
     pub fn stack_size(&mut self, bytes: usize) -> &mut Self {
         self.stack_size = bytes;
         self

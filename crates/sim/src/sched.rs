@@ -61,7 +61,7 @@ pub(crate) fn spawn(
     entry: Entry,
 ) -> Box<dyn Context> {
     match mode {
-        #[cfg(target_arch = "x86_64")]
+        #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
         SchedMode::Fibers => Box::new(fiber_ctx::FiberCtx::spawn(id, nprocs, stack_size, entry)),
         // Threads, also for the fibers `resolve` never picks where they
         // cannot run.
@@ -69,7 +69,7 @@ pub(crate) fn spawn(
     }
 }
 
-#[cfg(target_arch = "x86_64")]
+#[cfg(all(target_arch = "x86_64", target_os = "linux"))]
 mod fiber_ctx {
     use std::panic::{catch_unwind, AssertUnwindSafe};
 

@@ -404,7 +404,7 @@ fn concurrent_host_threads_each_get_the_single_thread_results() {
 #[test]
 fn the_default_mode_runs_every_rank_on_the_callers_thread() {
     let out = default_ring_sim(false).run().expect("ring runs");
-    if cfg!(target_arch = "x86_64") {
+    if cfg!(all(target_arch = "x86_64", target_os = "linux")) {
         assert_eq!(out.sim_threads, 1);
         assert_eq!(out.profile.park_wakes, 0);
     } else {
