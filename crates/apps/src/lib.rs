@@ -39,5 +39,5 @@ pub mod water;
 pub use common::{total_checksum, total_work, RankOutput, Variant};
 pub use suite::{
     checksum_ok, checksum_tolerance, run_app, run_app_observed, run_app_report, serial_checksum,
-    AppId, AppRun, Scale, SuiteConfig,
+    variants, AppId, AppRun, Scale, SuiteConfig,
 };

@@ -88,6 +88,15 @@ impl fmt::Display for AppId {
     }
 }
 
+/// The variants the paper reports for an app (FFT has no optimized one).
+pub fn variants(app: AppId) -> &'static [Variant] {
+    if app.has_optimized() {
+        &[Variant::Unoptimized, Variant::Optimized]
+    } else {
+        &[Variant::Unoptimized]
+    }
+}
+
 /// Problem-size scale.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Scale {
@@ -97,6 +106,25 @@ pub enum Scale {
     Medium,
     /// The paper's own problem sizes (slow on a laptop).
     Paper,
+}
+
+impl Scale {
+    /// Every scale, smallest first.
+    const ALL: [Scale; 3] = [Scale::Small, Scale::Medium, Scale::Paper];
+
+    /// The scale's name in flags, requests and artifacts.
+    pub fn name(self) -> &'static str {
+        match self {
+            Scale::Small => "small",
+            Scale::Medium => "medium",
+            Scale::Paper => "paper",
+        }
+    }
+
+    /// The scale [`Scale::name`] gives `name`, if any (case-sensitive).
+    pub fn from_name(name: &str) -> Option<Scale> {
+        Scale::ALL.into_iter().find(|s| s.name() == name)
+    }
 }
 
 /// Per-app configurations at a given scale.
@@ -347,6 +375,25 @@ mod tests {
         }
         assert!(!AppId::Fft.has_optimized());
         assert!(AppId::Water.has_optimized());
+    }
+
+    #[test]
+    fn scale_names_round_trip() {
+        for scale in Scale::ALL {
+            assert_eq!(Scale::from_name(scale.name()), Some(scale));
+        }
+        assert_eq!(
+            Scale::ALL.map(Scale::name),
+            ["small", "medium", "paper"],
+            "the names artifacts and requests carry"
+        );
+    }
+
+    #[test]
+    fn unknown_scale_names_are_none() {
+        for name in ["", "tiny", "Small", "PAPER", " small"] {
+            assert_eq!(Scale::from_name(name), None, "{name:?}");
+        }
     }
 
     #[test]

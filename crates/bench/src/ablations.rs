@@ -243,7 +243,7 @@ pub fn run_ablations(opts: &SweepOpts) -> Result<BenchSummary, BenchError> {
         .map_err(|e| e.to_string());
         (format!("ablations/{key}"), run)
     })?;
-    let mut summary = BenchSummary::new("ablations", opts.scale_name(), opts.quick, opts.jobs);
+    let mut summary = BenchSummary::new("ablations", opts.scale.name(), opts.quick, opts.jobs);
     summary.wall_s = wall_s;
     for ((key, _), (report, wall)) in cells.iter().zip(&outs) {
         let checksum = total_checksum(&report.results);

@@ -165,7 +165,7 @@ pub fn run_hostile(opts: &SweepOpts) -> Result<BenchSummary, BenchError> {
         let what = format!("{app}/{variant} under '{}'", SCENARIOS[si].name);
         (what, result)
     })?;
-    let mut summary = BenchSummary::new("hostile", opts.scale_name(), opts.quick, opts.jobs);
+    let mut summary = BenchSummary::new("hostile", opts.scale.name(), opts.quick, opts.jobs);
     summary.wall_s = wall_s;
     let mut rows = Vec::new();
     // (scenario index, app, variant) -> makespan seconds, canonical order.

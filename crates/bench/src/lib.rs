@@ -9,6 +9,10 @@
 //! directory. `numagap bench --compare` diffs two such summaries for
 //! determinism drift and wall-clock regressions; the committed baselines
 //! live in `crates/bench/baselines/`.
+//!
+//! [`predict`] is the pipeline behind `numagap predict`: it records each
+//! pair once, sweeps `numagap_model`'s replay over the fig3 grid, and with
+//! `--validate` simulates the same grid through [`engine`] and [`record`].
 
 #![warn(missing_docs)]
 
@@ -26,6 +30,7 @@ pub mod engine;
 pub mod hostile;
 pub mod json;
 pub mod magpie;
+pub mod predict;
 pub mod record;
 pub mod scale;
 pub mod selfperf;

@@ -186,7 +186,7 @@ fn run_on(
             .map_err(|e| e.to_string());
         (format!("magpie/{}", key(&cell)), run)
     })?;
-    let mut summary = BenchSummary::new("magpie", opts.scale_name(), opts.quick, opts.jobs);
+    let mut summary = BenchSummary::new("magpie", opts.scale.name(), opts.quick, opts.jobs);
     summary.wall_s = wall_s;
     for (cell, (report, wall)) in cells.iter().zip(&outs) {
         let checksum: f64 = report.results.iter().map(|r| r.1).sum();

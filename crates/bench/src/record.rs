@@ -139,11 +139,11 @@ pub struct BenchSummary {
 
 impl BenchSummary {
     /// Creates an empty summary for a target.
-    pub fn new(target: &str, scale: String, quick: bool, jobs: usize) -> Self {
+    pub fn new(target: &str, scale: impl Into<String>, quick: bool, jobs: usize) -> Self {
         BenchSummary {
             schema: BENCH_SCHEMA_VERSION,
             target: target.to_string(),
-            scale,
+            scale: scale.into(),
             quick,
             jobs,
             wall_s: 0.0,

@@ -189,7 +189,7 @@ pub fn run_scale(opts: &SweepOpts) -> Result<BenchSummary, BenchError> {
         let result = machine.run(scale_rank).map_err(|e| e.to_string());
         (start.elapsed().as_secs_f64(), result)
     });
-    let mut summary = BenchSummary::new("scale", "synthetic".to_string(), opts.quick, opts.jobs);
+    let mut summary = BenchSummary::new("scale", "synthetic", opts.quick, opts.jobs);
     summary.wall_s = t0.elapsed().as_secs_f64();
     println!(
         "{:>8} {:>6} {:>9} {:>12} {:>12} {:>10} {:>11}",

@@ -1,5 +1,5 @@
 //! The `selfperf` target: synthetic micro-benchmarks of the simulator's own
-//! hot path, reported through the kernel's [`HotProfile`] counters.
+//! hot path, reported through the kernel's [`numagap_sim::HotProfile`] counters.
 //!
 //! Unlike the paper targets (which measure the *simulated* machine), these
 //! cells measure the *simulator*: how many context switches, event-queue
@@ -234,7 +234,7 @@ pub fn run_selfperf(opts: &SweepOpts) -> Result<BenchSummary, BenchError> {
     let outs = engine::run_cells(&CELLS, opts.jobs, opts.label("selfperf"), |_, &cell| {
         run_cell(cell, opts.quick)
     });
-    let mut summary = BenchSummary::new("selfperf", "synthetic".to_string(), opts.quick, opts.jobs);
+    let mut summary = BenchSummary::new("selfperf", "synthetic", opts.quick, opts.jobs);
     summary.wall_s = t0.elapsed().as_secs_f64();
 
     println!(

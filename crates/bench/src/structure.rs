@@ -95,7 +95,7 @@ pub fn run_structure(opts: &SweepOpts) -> Result<BenchSummary, BenchError> {
         let run = run_app(*app, &cfg, surviving_variant(*app), &machine);
         (format!("structure/{key}"), run.map_err(|e| e.to_string()))
     })?;
-    let mut summary = BenchSummary::new("structure", opts.scale_name(), opts.quick, opts.jobs);
+    let mut summary = BenchSummary::new("structure", opts.scale.name(), opts.quick, opts.jobs);
     summary.wall_s = wall_s;
     for ((key, ..), (run, wall)) in cells.iter().zip(&outs) {
         summary

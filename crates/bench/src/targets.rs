@@ -11,6 +11,7 @@
 use std::path::PathBuf;
 use std::time::Instant;
 
+pub use numagap_apps::variants;
 use numagap_apps::{run_app, AppId, AppRun, Scale, SuiteConfig, Variant};
 use numagap_net::{
     uniform_spec, WanTopology, FIG1_BANDWIDTH_MBS, FIG1_LATENCY_MS, FIG4_FIXED_BANDWIDTH_MBS,
@@ -133,25 +134,12 @@ impl SweepOpts {
         Ok(self.topology)
     }
 
-    pub(crate) fn scale_name(&self) -> String {
-        format!("{:?}", self.scale).to_ascii_lowercase()
-    }
-
     pub(crate) fn label<'a>(&self, name: &'a str) -> Option<&'a str> {
         if self.progress {
             Some(name)
         } else {
             None
         }
-    }
-}
-
-/// The variants the paper reports for an app (FFT has no optimized one).
-pub fn variants(app: AppId) -> &'static [Variant] {
-    if app.has_optimized() {
-        &[Variant::Unoptimized, Variant::Optimized]
-    } else {
-        &[Variant::Unoptimized]
     }
 }
 
@@ -165,8 +153,8 @@ pub(crate) fn surviving_variant(app: AppId) -> Variant {
 }
 
 /// The Figure 3/4 grid: the paper's full 7x6, or the coarse quick one.
-/// Shared with `numagap-model`'s predict sweep so predicted and simulated
-/// curves cover identical (latency, bandwidth) points.
+/// Shared with the predict pipeline ([`crate::predict`]) so predicted and
+/// simulated curves cover identical (latency, bandwidth) points.
 pub fn paper_grid(quick: bool) -> (Vec<f64>, Vec<f64>) {
     if quick {
         (vec![0.5, 10.0, 300.0], vec![6.3, 0.3, 0.03])
@@ -254,7 +242,7 @@ pub fn run_fig3(opts: &SweepOpts) -> Result<BenchSummary, BenchError> {
             app_cell(app, &cfg, variant, &wan_machine_with(lat, bw, topology))
         }
     })?;
-    let mut summary = BenchSummary::new("fig3", opts.scale_name(), opts.quick, opts.jobs);
+    let mut summary = BenchSummary::new("fig3", opts.scale.name(), opts.quick, opts.jobs);
     summary.wall_s = wall_s;
 
     // Baselines land first (enumeration order).
@@ -369,7 +357,7 @@ pub fn run_fig4(opts: &SweepOpts) -> Result<BenchSummary, BenchError> {
             &wan_machine_with(lat, FIG4_FIXED_BANDWIDTH_MBS, topology),
         ),
     })?;
-    let mut summary = BenchSummary::new("fig4", opts.scale_name(), opts.quick, opts.jobs);
+    let mut summary = BenchSummary::new("fig4", opts.scale.name(), opts.quick, opts.jobs);
     summary.wall_s = wall_s;
     let mut base = Vec::new();
     for (cell, (run, wall)) in cells.iter().zip(&outs) {
@@ -469,7 +457,7 @@ pub fn run_table1(opts: &SweepOpts) -> Result<BenchSummary, BenchError> {
             &Machine::new(uniform_spec(p)),
         )
     })?;
-    let mut summary = BenchSummary::new("table1", opts.scale_name(), opts.quick, opts.jobs);
+    let mut summary = BenchSummary::new("table1", opts.scale.name(), opts.quick, opts.jobs);
     summary.wall_s = wall_s;
     for (&(app, p), (run, wall)) in cells.iter().zip(&outs) {
         summary
@@ -551,7 +539,7 @@ pub fn run_fig1(opts: &SweepOpts) -> Result<BenchSummary, BenchError> {
             &wan_machine_with(FIG1_LATENCY_MS, FIG1_BANDWIDTH_MBS, topology),
         )
     })?;
-    let mut summary = BenchSummary::new("fig1", opts.scale_name(), opts.quick, opts.jobs);
+    let mut summary = BenchSummary::new("fig1", opts.scale.name(), opts.quick, opts.jobs);
     summary.wall_s = wall_s;
     println!(
         "{:<12} {:>16} {:>16} {:>12}",

@@ -108,7 +108,7 @@ pub fn run_topo(opts: &SweepOpts) -> Result<BenchSummary, BenchError> {
             (format!("{}/{what}", shapes[ti].flag()), run)
         }
     })?;
-    let mut summary = BenchSummary::new("topo", opts.scale_name(), opts.quick, opts.jobs);
+    let mut summary = BenchSummary::new("topo", opts.scale.name(), opts.quick, opts.jobs);
     summary.wall_s = wall_s;
 
     // Baselines land first (enumeration order).

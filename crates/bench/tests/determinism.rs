@@ -4,13 +4,15 @@
 //! in canonical cell order, so every artifact a sweep produces must be
 //! independent of the worker count: CSV files byte-identical, and the
 //! `BENCH_*.json` summaries identical modulo wall-clock timings (and the
-//! recorded `jobs` value itself).
+//! recorded `jobs` value itself). The predict pipeline is held to more:
+//! its report is a pure function of its inputs, byte for byte.
 
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use numagap_apps::Scale;
+use numagap_apps::{AppId, Scale, Variant};
 use numagap_bench::json::{parse, Json};
+use numagap_bench::predict::{run_predict, PredictOpts};
 use numagap_bench::record::{compare, CompareOpts};
 use numagap_bench::targets::{SweepOpts, TARGETS};
 
@@ -127,4 +129,47 @@ fn structure_serial_and_parallel_runs_are_equivalent() {
 #[test]
 fn ablations_serial_and_parallel_runs_are_equivalent() {
     serial_and_parallel_runs_are_equivalent("ablations");
+}
+
+fn predict_opts(jobs: usize, validate: bool) -> PredictOpts {
+    PredictOpts {
+        apps: vec![AppId::Fft, AppId::Asp],
+        variant: Some(Variant::Unoptimized),
+        scale: Scale::Small,
+        quick: true,
+        jobs,
+        ref_latency_ms: 10.0,
+        ref_bandwidth_mbs: 0.3,
+        validate,
+        max_error_pct: 10.0,
+        progress: false,
+        wan_topology: None,
+    }
+}
+
+#[test]
+fn predict_report_is_byte_identical_across_job_counts() {
+    let a = run_predict(&predict_opts(1, false))
+        .expect("predict runs")
+        .to_json();
+    let b = run_predict(&predict_opts(4, false))
+        .expect("predict runs")
+        .to_json();
+    assert_eq!(a, b, "report must not depend on worker count");
+}
+
+#[test]
+fn validated_report_is_byte_identical_across_repeat_runs() {
+    let a = run_predict(&predict_opts(2, true)).expect("predict runs");
+    let b = run_predict(&predict_opts(2, true)).expect("predict runs");
+    assert_eq!(
+        a.to_json(),
+        b.to_json(),
+        "repeat runs must agree byte for byte"
+    );
+    assert_eq!(
+        a.sim_summary().map(|s| s.to_json()),
+        b.sim_summary().map(|s| s.to_json()),
+        "validation records must agree byte for byte"
+    );
 }

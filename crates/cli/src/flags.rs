@@ -209,12 +209,7 @@ fn parse_variant(s: &str) -> Result<Variant, String> {
 }
 
 fn parse_scale(s: &str) -> Result<Scale, String> {
-    Ok(match s.to_ascii_lowercase().as_str() {
-        "small" => Scale::Small,
-        "medium" => Scale::Medium,
-        "paper" => Scale::Paper,
-        _ => return Err("unknown scale".to_string()),
-    })
+    Scale::from_name(&s.to_ascii_lowercase()).ok_or_else(|| "unknown scale".to_string())
 }
 
 /// `N` clusters, or explicit per-cluster sizes `a,b,..`.

@@ -2,7 +2,7 @@
 
 use numagap_apps::{AppId, Scale, Variant};
 use numagap_bench::engine;
-use numagap_model::{run_predict, PredictOpts};
+use numagap_bench::predict::{run_predict, PredictOpts};
 use numagap_net::WanTopology;
 
 use crate::bench::out_dir;

@@ -41,12 +41,12 @@
 //! The error model is one-sided by construction: `bound ≤ replay`, with the
 //! gap equal to whatever contention and serialization queueing the relaxed
 //! pass ignored (plus sub-ns rounding slack). Tests cross-check the
-//! inequality against [`numagap_model::replay`] across the fig3 grid for
+//! inequality against [`crate::replay()`] across the fig3 grid for
 //! every app/variant.
 //!
 //! [`acquire`]: numagap_net::LinkParams
 
-use numagap_model::{CommDag, Op};
+use crate::dag::{CommDag, Op};
 use numagap_net::LinkParams;
 use numagap_sim::SimDuration;
 
@@ -289,14 +289,14 @@ impl AnalyticModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{record_app, replay};
     use numagap_apps::{AppId, SuiteConfig, Variant};
-    use numagap_bench::{wan_machine, wan_machine_with};
-    use numagap_model::{record_app, replay};
     use numagap_net::{das_spec, WanTopology};
+    use numagap_rt::Machine;
 
     fn record(app: AppId, variant: Variant) -> CommDag {
         let cfg = SuiteConfig::at(numagap_apps::Scale::Small);
-        let machine = wan_machine(10.0, 0.3);
+        let machine = Machine::new(das_spec(4, 8, 10.0, 0.3));
         record_app(app, &cfg, variant, &machine).expect("record").1
     }
 
@@ -324,7 +324,7 @@ mod tests {
     #[test]
     fn bound_holds_on_multi_hop_topologies() {
         let cfg = SuiteConfig::at(numagap_apps::Scale::Small);
-        let machine = wan_machine_with(10.0, 0.3, Some(WanTopology::Ring));
+        let machine = Machine::new(das_spec(4, 8, 10.0, 0.3).wan_topology(WanTopology::Ring));
         let dag = record_app(AppId::Fft, &cfg, Variant::Unoptimized, &machine)
             .expect("record")
             .1;

@@ -4,7 +4,7 @@
 //! inter-cluster latency and bandwidth degrade before an application's
 //! speedup collapses — without simulating every grid point.
 //!
-//! The pipeline has three stages:
+//! One recording, then queries on it:
 //!
 //! 1. **Record** ([`dag`]): one observed run freezes each rank's behaviour
 //!    into a communication dependency DAG — compute segments, send/recv
@@ -16,13 +16,19 @@
 //!    model, so contention and gateway occupancy are re-derived, not
 //!    scaled. A sweep keeps one [`Replayer`] per worker and resets its
 //!    network and core per point rather than building them.
-//! 3. **Explain & sweep** ([`critical`], [`whatif`]): the critical path is
-//!    decomposed into compute / overhead / intra / inter-latency /
+//! 3. **Bound** ([`analytic`]): the DAG compiled once into an envelope of
+//!    affine candidates whose maximum is a sound lower bound on the replayed
+//!    makespan at any `(latency, bandwidth)` — microseconds per point.
+//! 4. **Explain & threshold** ([`critical`], [`whatif`]): the critical path
+//!    is decomposed into compute / overhead / intra / inter-latency /
 //!    inter-bandwidth / gateway / queueing terms that sum exactly to the
-//!    makespan, and the what-if engine turns grids of replays into
-//!    predicted fig3-style curves, tolerable-gap thresholds (the paper's
-//!    60 %-of-Myrinet bar), and — in `--validate` mode — model-error reports
-//!    against the real simulator.
+//!    makespan, and a grid of predicted speedups yields the tolerable-gap
+//!    thresholds (the paper's 60 %-of-Myrinet bar).
+//!
+//! Sweeping these queries over the fig3 grid and validating them against
+//! the simulator is the experiment pipeline's job (`numagap_bench::predict`);
+//! serving them over HTTP is `numagap-serve`'s. This crate depends on
+//! neither.
 //!
 //! Control flow is frozen at the recording point: apps whose *decisions*
 //! depend on timing (TSP work stealing, Awari polling) replay the recorded
@@ -31,18 +37,17 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+pub mod analytic;
 pub mod critical;
 pub mod dag;
 pub mod replay;
 pub mod whatif;
 
+pub use analytic::{AnalyticModel, MAX_CANDIDATES};
 pub use critical::{critical_path, PathBreakdown};
 pub use dag::{record_app, CommDag, DagRecorder, MsgMeta, Op};
 pub use replay::{predict_elapsed, replay, Replay, Replayer};
-pub use whatif::{
-    gap_thresholds, run_predict, AppOutcome, CellOutcome, GapThresholds, PredictOpts,
-    PredictReport, PREDICT_SCHEMA_VERSION, TOLERABLE_SPEEDUP_PCT,
-};
+pub use whatif::{gap_thresholds, GapThresholds, TOLERABLE_SPEEDUP_PCT};
 
 #[cfg(test)]
 mod tests {

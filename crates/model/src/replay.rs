@@ -106,9 +106,10 @@ fn refill<T: Clone>(v: &mut Vec<T>, len: usize, zero: T) {
 /// ```
 /// use numagap_apps::{AppId, Scale, SuiteConfig, Variant};
 /// use numagap_model::{record_app, replay, Replayer};
-/// use numagap_net::LinkParams;
+/// use numagap_net::{das_spec, LinkParams};
+/// use numagap_rt::Machine;
 ///
-/// let machine = numagap_bench::wan_machine(10.0, 0.3);
+/// let machine = Machine::new(das_spec(4, 8, 10.0, 0.3));
 /// let cfg = SuiteConfig::at(Scale::Small);
 /// let (_, dag) = record_app(AppId::Asp, &cfg, Variant::Optimized, &machine).unwrap();
 /// let mut replayer = Replayer::new(&dag.base_spec);

@@ -11,7 +11,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use numagap_apps::{AppId, Scale, SuiteConfig, Variant};
 use numagap_model::{record_app, replay, Replayer};
-use numagap_net::LinkParams;
+use numagap_net::{das_spec, LinkParams};
+use numagap_rt::Machine;
 
 /// The system allocator, counting every block it hands out or regrows.
 struct Counting;
@@ -53,7 +54,7 @@ fn allocations_during(work: impl FnOnce()) -> usize {
 #[test]
 fn a_replayed_point_allocates_nothing_once_warm() {
     let cfg = SuiteConfig::at(Scale::Small);
-    let machine = numagap_bench::wan_machine(10.0, 0.3);
+    let machine = Machine::new(das_spec(4, 8, 10.0, 0.3));
     let (_, dag) =
         record_app(AppId::Water, &cfg, Variant::Unoptimized, &machine).expect("water records");
     // Ten points across the fig3 ranges, slow and fast links mixed.

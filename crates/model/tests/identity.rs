@@ -5,10 +5,10 @@
 //! replayer's per-event work no longer matches the kernel's, and
 //! cross-spec predictions inherit the drift.
 
-use numagap_apps::{AppId, Scale, SuiteConfig, Variant};
-use numagap_bench::{targets::variants, wan_machine_with};
+use numagap_apps::{variants, AppId, Scale, SuiteConfig, Variant};
 use numagap_model::{record_app, replay};
-use numagap_net::WanTopology;
+use numagap_net::{das_spec, uniform_spec, WanTopology};
+use numagap_rt::Machine;
 
 #[test]
 fn identity_replay_is_exact_for_real_apps() {
@@ -20,8 +20,12 @@ fn identity_replay_is_exact_for_real_apps() {
     // time and must still block, yielding to earlier events whose transfers
     // claim WAN FIFO slots first. The ring routes inter-cluster messages
     // over several hops, so relayed traffic contends too.
-    for (wiring, topology) in [("mesh", None), ("ring", Some(WanTopology::Ring))] {
-        let machine = wan_machine_with(10.0, 0.3, topology);
+    let mesh = das_spec(4, 8, 10.0, 0.3);
+    for (wiring, spec) in [
+        ("mesh", mesh.clone()),
+        ("ring", mesh.wan_topology(WanTopology::Ring)),
+    ] {
+        let machine = Machine::new(spec);
         let mut pairs = 0;
         for app in AppId::ALL {
             for &variant in variants(app) {
@@ -41,7 +45,7 @@ fn identity_replay_is_exact_for_real_apps() {
 #[test]
 fn identity_replay_is_exact_on_the_uniform_baseline() {
     let cfg = SuiteConfig::at(Scale::Small);
-    let machine = numagap_bench::baseline_machine();
+    let machine = Machine::new(uniform_spec(32));
     let (run, dag) =
         record_app(AppId::Water, &cfg, Variant::Unoptimized, &machine).expect("app runs");
     assert_eq!(replay(&dag, &dag.base_spec).elapsed, run.elapsed);

@@ -7,8 +7,7 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use numagap_apps::{AppId, Scale, SuiteConfig, Variant};
-use numagap_bench::targets::variants;
+use numagap_apps::{variants, AppId, Scale, SuiteConfig, Variant};
 use numagap_model::{record_app, replay, CommDag, Op, Replay, Replayer};
 use numagap_net::{
     das_spec, CrossTrafficPlan, LinkParams, LinkSchedule, TwoLayerNetwork, TwoLayerSpec,

@@ -211,7 +211,7 @@ impl NetStats {
 /// Stateful two-layer network; implements [`Network`].
 ///
 /// The spec, the routing-node count and the route table describe the
-/// machine; everything a run books or counts is in one [`RunState`], which
+/// machine; everything a run books or counts is in one `RunState`, which
 /// [`TwoLayerNetwork::reset`] puts back as [`TwoLayerNetwork::new`] left it.
 #[derive(Debug)]
 pub struct TwoLayerNetwork {

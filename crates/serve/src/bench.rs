@@ -156,11 +156,7 @@ fn body_checksum(body: &str) -> f64 {
 /// Server boot/transport failures, non-200 responses, a warm body that
 /// differs from its cold body, and artifact I/O.
 pub fn run_serve_bench(opts: &SweepOpts) -> Result<BenchSummary, BenchError> {
-    let scale = match opts.scale {
-        numagap_apps::Scale::Small => "small",
-        numagap_apps::Scale::Medium => "medium",
-        numagap_apps::Scale::Paper => "paper",
-    };
+    let scale = opts.scale.name();
     let (batches, worker_grid): (&[usize], &[usize]) = if opts.quick {
         (&[32, 256], &[1, 4])
     } else {
@@ -171,7 +167,7 @@ pub fn run_serve_bench(opts: &SweepOpts) -> Result<BenchSummary, BenchError> {
         opts.quick
     );
     let t0 = Instant::now();
-    let mut summary = BenchSummary::new("serve", scale.to_string(), opts.quick, opts.jobs);
+    let mut summary = BenchSummary::new("serve", scale, opts.quick, opts.jobs);
     let mut rows = Vec::new();
     let mut timing_rows = Vec::new();
     // (mode, warm) -> accumulated (points, wall_s) for the headline ratio.

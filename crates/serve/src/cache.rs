@@ -17,11 +17,9 @@
 use std::sync::Arc;
 
 use numagap_apps::{AppId, Scale, Variant};
-use numagap_model::CommDag;
+use numagap_model::{AnalyticModel, CommDag};
 use numagap_net::WanTopology;
 use numagap_sim::SimDuration;
-
-use crate::analytic::AnalyticModel;
 
 /// Default cache capacity (entries): all 11 app/variant pairs at one
 /// reference point, with headroom for a few alternate topologies or scales.
@@ -51,11 +49,6 @@ impl CacheKey {
     /// The canonical content address, used for identity, LRU bookkeeping
     /// and the `key` field of every response.
     pub fn canonical(&self) -> String {
-        let scale = match self.scale {
-            Scale::Small => "small",
-            Scale::Medium => "medium",
-            Scale::Paper => "paper",
-        };
         let topology = match self.topology {
             Some(t) => t.label(),
             None => "mesh".to_string(),
@@ -64,7 +57,7 @@ impl CacheKey {
             "{}/{}/{}/{}/seed{}/ref{}x{}",
             self.app,
             self.variant,
-            scale,
+            self.scale.name(),
             topology,
             self.seed,
             self.ref_latency_ms,

@@ -21,11 +21,12 @@ use std::time::Instant;
 use numagap_apps::{run_app, AppId, Scale, SuiteConfig, Variant};
 use numagap_bench::json::{self, push_f64, push_u64, Json, JsonError, Parser};
 use numagap_bench::{baseline_machine, engine, relative_speedup_pct, wan_machine_with};
-use numagap_model::{gap_thresholds, record_app, GapThresholds, Replayer, TOLERABLE_SPEEDUP_PCT};
+use numagap_model::{
+    gap_thresholds, record_app, AnalyticModel, GapThresholds, Replayer, TOLERABLE_SPEEDUP_PCT,
+};
 use numagap_net::{LinkParams, WanTopology};
 use numagap_sim::SimDuration;
 
-use crate::analytic::AnalyticModel;
 use crate::cache::{CacheEntry, CacheKey, DagCache};
 
 /// Response/request schema version.
@@ -84,7 +85,7 @@ pub struct WhatIfRequest {
     pub points: Vec<(f64, f64)>,
     /// Beside each point, where the body spells its coordinates the way `{}`
     /// would print them, as `(offset, len)`: the response copies those bytes
-    /// and prints nothing (see [`echo_len`]). `len` 0 when it has to print.
+    /// and prints nothing (see `echo_len`). `len` 0 when it has to print.
     pub echo: Vec<[(u32, u32); 2]>,
 }
 
@@ -420,12 +421,9 @@ fn parse_request(body: &str) -> Result<WhatIfRequest, BadRequest> {
         "unopt" | "unoptimized" => Variant::Unoptimized,
         other => return Err(BadRequest(format!("unknown variant '{other}'"))),
     };
-    let scale = match optional_str(&doc, "scale")?.unwrap_or("small") {
-        "small" => Scale::Small,
-        "medium" => Scale::Medium,
-        "paper" => Scale::Paper,
-        other => return Err(BadRequest(format!("unknown scale '{other}'"))),
-    };
+    let scale = optional_str(&doc, "scale")?.unwrap_or("small");
+    let scale =
+        Scale::from_name(scale).ok_or_else(|| BadRequest(format!("unknown scale '{scale}'")))?;
     let topology = match optional_str(&doc, "topology")? {
         None => None,
         Some(text) => {

@@ -10,8 +10,9 @@
 //! * [`apps`] — the six paper applications, unoptimized and optimized
 //! * [`analysis`] — the communication sanitizer (races, lost messages,
 //!   deadlock wait-for diagnosis, protocol lints)
-//! * [`model`] — critical-path performance model (recorded communication
-//!   DAG, what-if re-costing, fig3-style sensitivity prediction)
+//! * [`model`] — the queries on one recorded communication DAG: what-if
+//!   replay, the analytic lower bound, the critical-path tiling and the
+//!   tolerable-gap thresholds
 
 #![warn(missing_docs)]
 
