@@ -176,14 +176,7 @@ pub const WAIVERS: &[Waiver] = &[
         reason: "open/solved tables are keyed lookups; resolved keys are collected and \
                  sorted (newly_resolved/leftovers.sort_unstable) before any send",
     },
-    // ── ND002: self-profiling wall clocks, excluded from comparisons ──
-    Waiver {
-        rule: "ND002",
-        path_suffix: "bench/src/selfperf.rs",
-        token: "Instant::now",
-        reason: "measures the simulator's own hot-path wall time; recorded as wall_s, \
-                 which bench --compare ignores under --virtual-only",
-    },
+    // ── ND002: wall-clock stopwatches, excluded from comparisons ──
     Waiver {
         rule: "ND002",
         path_suffix: "bench/src/targets.rs",

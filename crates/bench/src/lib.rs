@@ -33,7 +33,6 @@ pub mod magpie;
 pub mod predict;
 pub mod record;
 pub mod scale;
-pub mod selfperf;
 pub mod structure;
 pub mod targets;
 pub mod topo;

@@ -52,12 +52,10 @@ pub struct RunRecord {
     pub inter_bytes: u64,
     /// Fault-plan seed the cell ran under, if any.
     pub seed: Option<u64>,
-    /// Kernel hot-path self-profile; recorded only by the `selfperf` target
-    /// (`None` keeps the figure/table artifacts byte-identical to their
-    /// pre-profile baselines). Every field is deterministic and compared
-    /// exactly, except `park_wakes`: constant 0 from this build (nothing
-    /// measures it), non-zero in two cells of the committed baseline, so
-    /// [`compare`] still skips it rather than have the baseline rewritten.
+    /// No longer written, read or compared: always `None`. The kernel's
+    /// exact hot-path counters are pinned per golden cell by
+    /// `crates/sim/tests/golden/counts.txt` instead. The field stays only
+    /// because `benchmark/` builds `RunRecord` by struct literal.
     pub profile: Option<HotProfile>,
     /// OS threads rank code ran on (deterministic for a fixed scheduler
     /// mode: 1 with ranks as fibers, the rank count in legacy 1:1 mode).
@@ -88,8 +86,8 @@ impl RunRecord {
     /// Builds a record from a raw [`numagap_rt::Machine::run`] report — the
     /// cells that drive rank functions directly instead of going through
     /// [`numagap_apps::run_app`]. The caller says what the cell's checksum
-    /// is; `profile` and `sim_threads` stay `None` (the two targets that
-    /// record them set them from the same report).
+    /// is; `sim_threads` stays `None` (the `scale` target sets it from the
+    /// same report).
     pub fn from_report<T>(key: String, wall_s: f64, checksum: f64, report: &RunReport<T>) -> Self {
         RunRecord {
             key,
@@ -105,16 +103,6 @@ impl RunRecord {
             profile: None,
             sim_threads: None,
         }
-    }
-}
-
-/// `profile` with `park_wakes` zeroed — the subset [`compare`] checks: the
-/// field is constant 0 now, but baselines recorded while thread wakes were
-/// counted carry host-timing-dependent values there.
-fn deterministic_profile(p: &HotProfile) -> HotProfile {
-    HotProfile {
-        park_wakes: 0,
-        ..*p
     }
 }
 
@@ -171,30 +159,9 @@ impl BenchSummary {
                 Some(s) => s.to_string(),
                 None => "null".to_string(),
             };
-            // The profile block is additive: records without one serialize
-            // exactly as they did before the field existed, so committed
-            // figure/table baselines remain byte-identical.
-            let profile = match &r.profile {
-                None => String::new(),
-                Some(p) => format!(
-                    ", \"switches\": {}, \"requests\": {}, \"park_wakes\": {}, \
-                     \"heap_pushes\": {}, \"heap_pops\": {}, \"front_pops\": {}, \
-                     \"queue_peak\": {}, \"mailbox_scanned\": {}, \"mailbox_indexed\": {}, \
-                     \"mailbox_fast\": {}, \"bytes_cloned\": {}",
-                    p.switches,
-                    p.requests,
-                    p.park_wakes,
-                    p.heap_pushes,
-                    p.heap_pops,
-                    p.front_pops,
-                    p.queue_peak,
-                    p.mailbox_scanned,
-                    p.mailbox_indexed,
-                    p.mailbox_fast,
-                    p.bytes_cloned,
-                ),
-            };
-            // Also additive, for the same baseline-stability reason.
+            // Additive: records without it serialize exactly as they did
+            // before the field existed, so committed baselines stay
+            // byte-identical.
             let sim_threads = match r.sim_threads {
                 None => String::new(),
                 Some(n) => format!(", \"sim_threads\": {n}"),
@@ -205,7 +172,7 @@ impl BenchSummary {
                  \"checksum\": {}, \"events\": {}, \"messages\": {}, \"bytes\": {}, \
                  \"intra_msgs\": {}, \"intra_bytes\": {}, \"inter_msgs\": {}, \
                  \"inter_bytes\": {}, \"faults_dropped\": {}, \"faults_duplicated\": {}, \
-                 \"faults_delayed\": {}, \"seed\": {}{}{}}}{}",
+                 \"faults_delayed\": {}, \"seed\": {}{}}}{}",
                 json::escape(&r.key),
                 r.wall_s,
                 r.virtual_s,
@@ -221,7 +188,6 @@ impl BenchSummary {
                 r.kernel.faults_duplicated,
                 r.kernel.faults_delayed,
                 seed,
-                profile,
                 sim_threads,
                 sep,
             );
@@ -330,23 +296,7 @@ fn record_from_json(r: &Json) -> Result<RunRecord, String> {
             None | Some(Json::Null) => None,
             Some(v) => Some(v.as_u64().ok_or("non-integer 'seed'")?),
         },
-        // Pre-profile records simply lack these keys.
-        profile: match r.get("switches") {
-            None => None,
-            Some(_) => Some(HotProfile {
-                switches: field_u64(r, "switches")?,
-                requests: field_u64(r, "requests")?,
-                park_wakes: field_u64(r, "park_wakes")?,
-                heap_pushes: field_u64(r, "heap_pushes")?,
-                heap_pops: field_u64(r, "heap_pops")?,
-                front_pops: field_u64(r, "front_pops")?,
-                queue_peak: field_u64(r, "queue_peak")?,
-                mailbox_scanned: field_u64(r, "mailbox_scanned")?,
-                mailbox_indexed: field_u64(r, "mailbox_indexed")?,
-                mailbox_fast: field_u64(r, "mailbox_fast")?,
-                bytes_cloned: field_u64(r, "bytes_cloned")?,
-            }),
-        },
+        profile: None,
         sim_threads: match r.get("sim_threads") {
             None => None,
             Some(v) => Some(v.as_u64().ok_or("non-integer 'sim_threads'")? as usize),
@@ -453,27 +403,6 @@ pub fn compare(old: &BenchSummary, new: &BenchSummary, opts: &CompareOpts) -> Co
                 n.inter_msgs
             ));
         }
-        // Profile counters: compared exactly, except `park_wakes` (see
-        // `deterministic_profile`). A baseline without a profile ignores
-        // the candidate's.
-        if let (Some(po), Some(pn)) = (&o.profile, &n.profile) {
-            if deterministic_profile(pn) != deterministic_profile(po) {
-                rep.findings.push(format!(
-                    "cell '{}': hot-path profile drifted (switches {} -> {}, \
-                     heap_pushes {} -> {}, mailbox_scanned {} -> {}, \
-                     bytes_cloned {} -> {})",
-                    o.key,
-                    po.switches,
-                    pn.switches,
-                    po.heap_pushes,
-                    pn.heap_pushes,
-                    po.mailbox_scanned,
-                    pn.mailbox_scanned,
-                    po.bytes_cloned,
-                    pn.bytes_cloned
-                ));
-            }
-        }
         // Thread-count ceiling: deterministic for a fixed scheduler mode.
         // A baseline without the field ignores the candidate's.
         if let (Some(to), Some(tn)) = (o.sim_threads, n.sim_threads) {
@@ -540,7 +469,7 @@ mod tests {
             assert_eq!(summary.to_json(), text, "{path:?}");
             loaded += 1;
         }
-        assert_eq!(loaded, 12);
+        assert_eq!(loaded, 11);
     }
 
     fn record(key: &str, wall: f64, virt: f64) -> RunRecord {
@@ -565,25 +494,6 @@ mod tests {
         }
     }
 
-    fn profiled(key: &str) -> RunRecord {
-        RunRecord {
-            profile: Some(HotProfile {
-                switches: 500,
-                requests: 510,
-                park_wakes: 7,
-                heap_pushes: 120,
-                heap_pops: 120,
-                front_pops: 380,
-                queue_peak: 9,
-                mailbox_scanned: 44,
-                mailbox_indexed: 33,
-                mailbox_fast: 200,
-                bytes_cloned: 8192,
-            }),
-            ..record(key, 0.1, 2.0)
-        }
-    }
-
     fn summary(records: Vec<RunRecord>) -> BenchSummary {
         BenchSummary {
             schema: BENCH_SCHEMA_VERSION,
@@ -603,39 +513,6 @@ mod tests {
         s.records[1].kernel.faults_dropped = 3;
         let parsed = BenchSummary::from_json(&s.to_json()).unwrap();
         assert_eq!(parsed, s);
-    }
-
-    #[test]
-    fn profile_round_trips_and_absence_keeps_old_shape() {
-        let s = summary(vec![profiled("p"), record("q", 0.1, 2.0)]);
-        let text = s.to_json();
-        assert!(text.contains("\"bytes_cloned\": 8192"), "{text}");
-        let parsed = BenchSummary::from_json(&text).unwrap();
-        assert_eq!(parsed, s);
-        // A record without a profile serializes without any profile keys, so
-        // pre-profile baselines stay byte-identical.
-        let plain = summary(vec![record("q", 0.1, 2.0)]).to_json();
-        assert!(!plain.contains("switches"), "{plain}");
-    }
-
-    #[test]
-    fn profile_drift_is_a_finding_but_park_wakes_is_exempt() {
-        let old = summary(vec![profiled("p")]);
-        // An old baseline's counted wakes against today's constant 0.
-        let mut new = old.clone();
-        new.records[0].profile.as_mut().unwrap().park_wakes = 9999;
-        let rep = compare(&old, &new, &CompareOpts::default());
-        assert!(rep.is_clean(), "{:?}", rep.findings);
-        // A deterministic counter moving is a finding.
-        new.records[0].profile.as_mut().unwrap().mailbox_scanned += 1;
-        let rep = compare(&old, &new, &CompareOpts::default());
-        assert_eq!(rep.findings.len(), 1, "{:?}", rep.findings);
-        assert!(rep.findings[0].contains("hot-path profile drifted"));
-        // A baseline recorded before profiles existed ignores them.
-        let mut unprofiled = old.clone();
-        unprofiled.records[0].profile = None;
-        let rep = compare(&unprofiled, &new, &CompareOpts::default());
-        assert!(rep.is_clean(), "{:?}", rep.findings);
     }
 
     #[test]

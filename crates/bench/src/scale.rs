@@ -15,8 +15,7 @@
 //! the communication skeleton the paper's applications share — so cells
 //! stress the kernel's resume/suspend path (every rendezvous suspends a
 //! rank) without dragging application problem-size knobs into the grid. The
-//! summary's `scale` is always `"synthetic"` for that reason, like
-//! `selfperf`.
+//! summary's `scale` is always `"synthetic"` for that reason.
 
 use std::time::Instant;
 

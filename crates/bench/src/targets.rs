@@ -39,7 +39,7 @@ pub struct Target {
 
 /// Every experiment this crate can name, in the order `--target all` runs
 /// them. (The CLI appends `serve`, which lives downstream of this crate.)
-pub static TARGETS: [Target; 11] = [
+pub static TARGETS: [Target; 10] = [
     Target {
         name: "table1",
         about: "Table 1 single-cluster speedups, traffic and runtime (+ Table 2)",
@@ -89,11 +89,6 @@ pub static TARGETS: [Target; 11] = [
         name: "ablations",
         about: "six design-choice studies (combining, gateway cost, sequencer, ...)",
         run: crate::ablations::run_ablations,
-    },
-    Target {
-        name: "selfperf",
-        about: "simulator hot-path profile (HotProfile counters per synthetic cell)",
-        run: crate::selfperf::run_selfperf,
     },
 ];
 

@@ -321,6 +321,18 @@ mod tests {
             );
             assert!(!usage.contains(&format!("numagap {} ", t.name)) || t.name == "serve");
         }
+        // One committed baseline per target, and none for anything else.
+        let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../bench/baselines");
+        let mut baselines: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap_or_else(|e| panic!("{}: {e}", dir.display()))
+            .filter_map(|entry| {
+                let file = entry.unwrap().file_name().into_string().unwrap();
+                let target = file.strip_prefix("BENCH_")?.strip_suffix(".json")?;
+                Some(target.to_string())
+            })
+            .collect();
+        baselines.sort_unstable();
+        assert_eq!(baselines, unique, "baselines vs the target table");
     }
 
     #[test]

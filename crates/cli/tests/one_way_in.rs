@@ -21,8 +21,8 @@ fn stderr_of(out: &Output) -> String {
 
 #[test]
 fn experiment_names_are_not_subcommands() {
-    // The two alias commands that existed, and one that never did.
-    for name in ["hostile", "selfperf", "fig3"] {
+    // An alias command that existed, and two that never did.
+    for name in ["hostile", "scale", "fig3"] {
         let out = numagap(&[name, "--quick"]).output().expect("spawn numagap");
         assert_eq!(out.status.code(), Some(2), "{name}");
         let err = stderr_of(&out);
@@ -34,7 +34,14 @@ fn experiment_names_are_not_subcommands() {
     }
     let help = numagap(&["help"]).output().expect("spawn numagap");
     let usage = String::from_utf8_lossy(&help.stdout).into_owned();
-    assert!(!usage.contains("numagap hostile") && !usage.contains("numagap selfperf"));
+    assert!(!usage.contains("numagap hostile") && !usage.contains("numagap scale"));
+    // Nor is a deleted experiment a target.
+    let out = numagap(&["bench", "--target", "selfperf"])
+        .output()
+        .expect("spawn numagap");
+    assert_eq!(out.status.code(), Some(2));
+    let err = stderr_of(&out);
+    assert!(err.contains("unknown bench target"), "{err}");
 }
 
 #[test]

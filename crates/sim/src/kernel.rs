@@ -22,8 +22,8 @@
 //!   heap absorbs the push-then-immediately-pop pattern of rendezvous
 //!   traffic.
 //!
-//! The kernel self-profiles into [`HotProfile`]; `numagap bench --target selfperf`
-//! surfaces those counters as a benchmark artifact.
+//! The kernel self-profiles into [`HotProfile`]; the golden suite pins
+//! those counters exactly per app cell (`tests/golden/counts.txt`).
 
 use std::any::Any;
 
@@ -82,7 +82,7 @@ pub struct KernelStats {
 }
 
 /// Cheap self-profiling counters of the kernel's own real-time hot path,
-/// surfaced by the `selfperf` bench target.
+/// pinned per app cell by the golden suite (`tests/golden/counts.txt`).
 ///
 /// Every field is a pure function of the simulated program and spec —
 /// deterministic across runs, machines and scheduler modes, and safe to
@@ -96,8 +96,7 @@ pub struct HotProfile {
     /// Constant 0: nothing measures it. It counted wakes of a parked peer
     /// when thread-backed ranks met the kernel in a hand-rolled slot; they
     /// meet in std channels now, and a fiber never had a thread to wake.
-    /// Still a field only because `benchmark/src/probes.rs` reads it and
-    /// `RunRecord`'s JSON and `selfperf.csv` carry its column.
+    /// Still a field only because `benchmark/src/probes.rs` reads it.
     pub park_wakes: u64,
     /// Event-queue entries that entered the binary heap proper.
     pub heap_pushes: u64,
@@ -345,13 +344,9 @@ impl<N: Network> Sim<N> {
     /// function halted the rest of the run.
     pub fn run(self) -> Result<RunOutcome<N>, SimError> {
         let _host = HostLocals::borrow();
-        let (ranks, mut core) = (self.entries.len(), EventCore::new(self.tie_break));
-        let kernel = Kernel::start(self);
-        // The queue is allocated after the ranks' stacks and freed before
-        // them (in `Kernel::run`): in another order the allocator places a
-        // sweep's runs differently, and its peak RSS moves by up to a sixth.
-        core.reset(ranks, |rank| EventKind::Wake(ProcId(rank)));
-        kernel.run(core)
+        let mut core = EventCore::new(self.tie_break);
+        core.reset(self.entries.len(), |rank| EventKind::Wake(ProcId(rank)));
+        Kernel::start(self).run(core)
     }
 }
 
@@ -933,6 +928,8 @@ fn find_wait_cycle(procs: &[(usize, WaitState)]) -> Vec<usize> {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
     use crate::message::Tag;
     use crate::network::IdealNetwork;
@@ -1373,6 +1370,69 @@ mod tests {
         });
         let out = sim.run().unwrap();
         assert_eq!(out.profile.bytes_cloned, 0);
+    }
+
+    /// Rank 0 fans one shared 64 KiB block to 7 peers, `REPS` times; each
+    /// peer reads it deep-copied (`expect_clone`) or zero-copy
+    /// (`expect_shared`) and acks with the block's first byte.
+    fn multicast(shared: bool) -> RunOutcome<IdealNetwork> {
+        const BLOCK: usize = 64 * 1024;
+        const REPS: u64 = 24;
+        let n = 8;
+        let mut sim = Sim::new(IdealNetwork::new(n, SimDuration::from_micros(2)));
+        sim.spawn(move |ctx| {
+            let mut acc = 0u64;
+            for r in 0..REPS {
+                let block: Payload = Arc::new(vec![(r & 0xff) as u8; BLOCK]);
+                for dst in 1..n {
+                    ctx.send_payload(ProcId(dst), Tag::app(0), block.clone(), BLOCK as u64);
+                }
+                // Acks are read by reference so they stay out of the clone
+                // counter this test contrasts.
+                for _ in 1..n {
+                    let m = ctx.recv(Filter::tag(Tag::app(1)));
+                    acc = acc.wrapping_add(*m.expect_ref::<u64>());
+                }
+            }
+            acc
+        });
+        for _ in 1..n {
+            sim.spawn(move |ctx| {
+                let mut acc = 0u64;
+                for _ in 0..REPS {
+                    let m = ctx.recv(Filter::tag(Tag::app(0)));
+                    let first = if shared {
+                        m.expect_shared::<Vec<u8>>()[0]
+                    } else {
+                        m.expect_clone::<Vec<u8>>()[0]
+                    };
+                    ctx.send(ProcId(0), Tag::app(1), u64::from(first) + 1, 8);
+                    acc = acc.wrapping_add(u64::from(first));
+                }
+                acc
+            });
+        }
+        sim.run().unwrap()
+    }
+
+    #[test]
+    fn shared_multicast_clones_nothing_and_matches_cloned_timing() {
+        let cloned = multicast(false);
+        let shared = multicast(true);
+        // Zero-copy changes only the clone counter: virtual time, events and
+        // results are identical between the two receive styles.
+        assert_eq!(cloned.elapsed, shared.elapsed);
+        assert_eq!(cloned.kernel_stats, shared.kernel_stats);
+        let sums = |out: &RunOutcome<IdealNetwork>| -> Vec<u64> {
+            out.results
+                .iter()
+                .map(|r| *r.as_ref().unwrap().downcast_ref::<u64>().unwrap())
+                .collect()
+        };
+        assert_eq!(sums(&cloned), sums(&shared));
+        assert_eq!(shared.profile.bytes_cloned, 0);
+        // 7 receivers x 24 reps x 64 KiB deep-copied on the clone path.
+        assert_eq!(cloned.profile.bytes_cloned, 7 * 24 * 64 * 1024);
     }
 
     #[test]

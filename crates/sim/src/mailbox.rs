@@ -287,6 +287,29 @@ mod tests {
     }
 
     #[test]
+    fn tagged_takes_cost_constant_scan_work_against_a_deep_mailbox() {
+        // Draining 64 distinct tags in reverse keeps up to 63 messages
+        // parked ahead of each take; a linear scan would examine ~32 per
+        // take, the tag index only the taken tag's queue front.
+        let mut mb = Mailbox::default();
+        let mut c = MailboxCounters::default();
+        for t in 0..64u32 {
+            mb.push(msg(u64::from(t), 0, Tag::app(t)));
+        }
+        for t in (0..64u32).rev() {
+            let got = mb.take(&Filter::tag(Tag::app(t)), &mut c).unwrap();
+            assert_eq!(got.seq, u64::from(t));
+        }
+        assert!(mb.is_empty());
+        assert_eq!(c.indexed_takes, 64);
+        assert!(
+            c.scanned <= 2 * c.indexed_takes,
+            "scan work {} not O(1) per take",
+            c.scanned
+        );
+    }
+
+    #[test]
     fn reserved_internal_tags_do_not_collide_with_app_tags() {
         let mut mb = Mailbox::default();
         let mut c = MailboxCounters::default();
