@@ -211,7 +211,9 @@ pub struct AppRun {
     pub seed: Option<u64>,
 }
 
-fn summarize(app: AppId, variant: Variant, report: RunReport<RankOutput>) -> AppRun {
+/// The [`AppRun`] of one run's report, for a caller that needs the report
+/// too: take what it keeps (its trace, say) out first.
+pub fn summarize(app: AppId, variant: Variant, report: RunReport<RankOutput>) -> AppRun {
     let k = &report.kernel_stats;
     AppRun {
         app,

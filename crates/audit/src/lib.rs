@@ -19,10 +19,10 @@
 //!   the application-level waiver table of `numagap check` — each with the
 //!   reason the pattern is benign at that site.
 //!
-//! Comments, string literals, `tests/` trees, and `#[cfg(test)]` /
-//! `#[cfg(all(test, …))]` blocks are excluded before any rule runs, so a
-//! doc sentence mentioning `HashMap` or a test that sleeps cannot trip the
-//! gate.
+//! Comments, string literals, `tests/` trees, `#[cfg(test)]` /
+//! `#[cfg(all(test, …))]` blocks and the files such a `mod name;` declares
+//! are excluded before any rule runs, so a doc sentence mentioning
+//! `HashMap` or a test that sleeps cannot trip the gate.
 //!
 //! Diagnostic IDs (`ND001`…) are stable: scripts and waivers may key on
 //! them. New rules append; retired rules leave a tombstone in [`RULES`]'s
@@ -412,16 +412,18 @@ fn sanitize(text: &str) -> String {
     String::from_utf8_lossy(&out).into_owned()
 }
 
+/// Whether a sanitized line opens with a `#[cfg(test)]`-style attribute.
+fn is_test_cfg(line: &str) -> bool {
+    let line = line.trim_start();
+    line.starts_with("#[cfg(") && line.contains("test")
+}
+
 /// Marks lines belonging to `#[cfg(test)]`-style items (the attribute line,
 /// any stacked attributes, and the brace-balanced item that follows) so the
 /// scanner skips them. Operates on sanitized text.
 fn test_block_lines(sanitized: &str) -> Vec<bool> {
     let lines: Vec<&str> = sanitized.lines().collect();
     let mut skip = vec![false; lines.len()];
-    let is_test_cfg = |l: &str| {
-        let l = l.trim_start();
-        l.starts_with("#[cfg(") && l.contains("test")
-    };
     let mut i = 0;
     while i < lines.len() {
         if is_test_cfg(lines[i]) {
@@ -477,6 +479,34 @@ pub fn code_lines(text: &str) -> (usize, usize) {
         }
     }
     (code, test)
+}
+
+/// The files that `#[cfg(test)] mod name;` declarations in the module at
+/// `path` (whose text is `text`) load: `name.rs` or `name/mod.rs` in the
+/// directory of the module's children. They are test code by declaration,
+/// so the scanner skips them and the line ledger counts them as test.
+pub fn test_module_files(path: &Path, text: &str) -> Vec<PathBuf> {
+    // A crate root or a `mod.rs` keeps its children beside it; `foo.rs`
+    // keeps them in `foo/`.
+    let dir = match path.file_stem().and_then(|s| s.to_str()) {
+        Some("lib" | "main" | "mod") => path.parent().unwrap_or(Path::new("")).to_path_buf(),
+        _ => path.with_extension(""),
+    };
+    let sanitized = sanitize(text);
+    let lines: Vec<&str> = sanitized.lines().map(str::trim).collect();
+    let mut files = Vec::new();
+    for (i, &line) in lines.iter().enumerate().filter(|(_, l)| is_test_cfg(l)) {
+        // The item follows the attribute on its own line or on the next.
+        let item = match line.split_once(']').map(|(_, rest)| rest.trim()) {
+            Some("") | None => lines.get(i + 1).copied().unwrap_or_default(),
+            Some(rest) => rest,
+        };
+        if let Some(name) = item.strip_prefix("mod ").and_then(|m| m.strip_suffix(';')) {
+            files.push(dir.join(format!("{}.rs", name.trim())));
+            files.push(dir.join(name.trim()).join("mod.rs"));
+        }
+    }
+    files
 }
 
 const NARROWING_CASTS: &[&str] = &[
@@ -608,8 +638,9 @@ impl AuditReport {
 /// Walks `root/crates/*/src` and audits every `.rs` file, applying waivers.
 ///
 /// `tests/`, `benches/`, `examples/`, `target/`, and `shims/` trees never
-/// enter the walk; `#[cfg(test)]` blocks inside library files are skipped by
-/// the scanner itself.
+/// enter the walk, nor do the files of [`test_module_files`];
+/// `#[cfg(test)]` blocks inside library files are skipped by the scanner
+/// itself.
 ///
 /// # Errors
 ///
@@ -641,6 +672,7 @@ pub fn audit_root(root: &Path) -> io::Result<AuditReport> {
         if !src.is_dir() {
             continue;
         }
+        let mut files: Vec<(PathBuf, String)> = Vec::new();
         let mut stack = vec![src];
         while let Some(dir) = stack.pop() {
             let mut entries: Vec<PathBuf> = fs::read_dir(&dir)?
@@ -652,17 +684,22 @@ pub fn audit_root(root: &Path) -> io::Result<AuditReport> {
                     stack.push(path);
                 } else if path.extension().is_some_and(|e| e == "rs") {
                     let text = fs::read_to_string(&path)?;
-                    let rel = path
-                        .strip_prefix(root)
-                        .unwrap_or(&path)
-                        .to_string_lossy()
-                        .replace('\\', "/");
-                    report.files += 1;
-                    report
-                        .findings
-                        .extend(scan_source(&rel, &crate_name, &text));
+                    files.push((path, text));
                 }
             }
+        }
+        let tests: Vec<PathBuf> = files
+            .iter()
+            .flat_map(|(path, text)| test_module_files(path, text))
+            .collect();
+        for (path, text) in files.iter().filter(|(path, _)| !tests.contains(path)) {
+            let rel = path
+                .strip_prefix(root)
+                .unwrap_or(path)
+                .to_string_lossy()
+                .replace('\\', "/");
+            report.files += 1;
+            report.findings.extend(scan_source(&rel, &crate_name, text));
         }
     }
     report
@@ -720,6 +757,29 @@ mod tests {
 }
 ";
         assert_eq!(code_lines(src), (4, 5));
+    }
+
+    #[test]
+    fn a_file_declared_under_cfg_test_is_test_code() {
+        let root = Path::new("crates/x/src/lib.rs");
+        let text = "\
+mod real;
+#[cfg(test)]
+mod tests;
+#[cfg(test)] mod helpers;
+// #[cfg(test)]
+// mod commented;
+#[cfg(test)]
+mod inline {}
+";
+        let files = test_module_files(root, text);
+        let beside = |name: &str| Path::new("crates/x/src").join(name);
+        let expected = ["tests.rs", "tests/mod.rs", "helpers.rs", "helpers/mod.rs"].map(beside);
+        assert_eq!(files, expected);
+        // A module that is not a crate root or a `mod.rs` keeps its children
+        // in its own directory.
+        let files = test_module_files(&beside("soak.rs"), "#[cfg(test)]\nmod tests;\n");
+        assert_eq!(files, ["soak/tests.rs", "soak/tests/mod.rs"].map(beside));
     }
 
     #[test]

@@ -12,14 +12,15 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use numagap_audit::code_lines;
+use numagap_audit::{code_lines, test_module_files};
 
 const HEADER: &str = "\
 # Line ledger
 
 Code and test lines per crate and tree: non-blank lines once comments and
 string contents are blanked, split at `#[cfg(test)]` items, with every file
-under a `tests/` directory counted as test (`numagap_audit::code_lines`).
+such an item declares (`#[cfg(test)] mod name;`) or under a `tests/`
+directory counted as test (`numagap_audit::code_lines`).
 Docs count non-blank lines. `crates/audit/tests/ledger.rs` fails when this
 file is stale; regenerate it with
 `UPDATE_GOLDEN=1 cargo test -p numagap-audit --test ledger`.
@@ -38,15 +39,34 @@ fn add((code, test): (usize, usize), (c, t): (usize, usize)) -> (usize, usize) {
     (code + c, test + t)
 }
 
-/// (code, test) lines of every `.rs` file under `dir`, recursively.
+/// Every `.rs` file under `dir`, recursively, with its text.
+fn sources(dir: &Path) -> Vec<(PathBuf, String)> {
+    entries(dir)
+        .into_iter()
+        .flat_map(|path| match path.is_dir() {
+            true => sources(&path),
+            false if path.extension().is_some_and(|e| e == "rs") => {
+                let text = fs::read_to_string(&path).unwrap();
+                vec![(path, text)]
+            }
+            false => Vec::new(),
+        })
+        .collect()
+}
+
+/// (code, test) lines of every `.rs` file under `dir`, recursively; a file
+/// that a `#[cfg(test)] mod name;` declares is test throughout.
 fn tree(dir: &Path) -> (usize, usize) {
-    entries(dir).iter().fold((0, 0), |sum, path| {
-        if path.is_dir() {
-            add(sum, tree(path))
-        } else if path.extension().is_some_and(|e| e == "rs") {
-            add(sum, code_lines(&fs::read_to_string(path).unwrap()))
-        } else {
-            sum
+    let files = sources(dir);
+    let tests: Vec<PathBuf> = files
+        .iter()
+        .flat_map(|(path, text)| test_module_files(path, text))
+        .collect();
+    files.iter().fold((0, 0), |sum, (path, text)| {
+        let (code, test) = code_lines(text);
+        match tests.contains(path) {
+            true => add(sum, (0, code + test)),
+            false => add(sum, (code, test)),
         }
     })
 }

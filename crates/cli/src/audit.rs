@@ -1,19 +1,11 @@
 //! The `audit` command: the determinism static-analysis pass.
 
+use crate::flags::Values;
 use crate::{EXIT_ERROR, EXIT_FINDINGS};
-
-/// Flags of the `audit` command.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AuditArgs {
-    /// Workspace root to scan (the current directory when unset).
-    pub root: Option<String>,
-    /// Print the rule catalog instead of scanning.
-    pub rules: bool,
-}
 
 /// Executes the `audit` command: scans `root/crates/*/src` with the
 /// determinism rules and reports findings, waived sites, and stale waivers.
-pub fn execute_audit(args: &AuditArgs) -> i32 {
+pub(crate) fn execute_audit(args: &Values) -> i32 {
     if args.rules {
         for r in numagap_audit::RULES {
             println!(

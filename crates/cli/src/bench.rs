@@ -5,36 +5,9 @@ use numagap_apps::Scale;
 use numagap_bench::engine;
 use numagap_bench::record::{compare, BenchSummary, CompareOpts};
 use numagap_bench::targets::{SweepOpts, Target, TARGETS};
-use numagap_net::WanTopology;
 
+use crate::flags::Values;
 use crate::{EXIT_ERROR, EXIT_FINDINGS};
-
-/// Flags of the `bench` command.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BenchArgs {
-    /// Which experiment to run: a name from the target table, or `all`.
-    pub target: String,
-    /// Worker threads (available parallelism when unset).
-    pub jobs: Option<usize>,
-    /// Problem scale (medium when unset).
-    pub scale: Option<Scale>,
-    /// Use the coarse quick grids.
-    pub quick: bool,
-    /// Output directory (`bench_results` when unset).
-    pub out: Option<String>,
-    /// Compare two `BENCH_*.json` files instead of running a sweep.
-    pub compare: Option<(String, String)>,
-    /// Wall-clock regression threshold for `--compare`.
-    pub threshold: f64,
-    /// In `--compare`, check only deterministic fields (for baselines
-    /// recorded on different hardware).
-    pub virtual_only: bool,
-    /// Wide-area wiring override (`--topology`): re-wires the paper
-    /// targets' WAN machines and restricts `--target topo` to one shape.
-    /// `None` (the default) keeps every target bit-identical to the
-    /// committed baselines.
-    pub topology: Option<WanTopology>,
-}
 
 /// The experiment table: the bench crate's rows, then `serve`, whose sweep
 /// lives downstream of that crate.
@@ -55,8 +28,10 @@ pub(crate) fn selected(target: &str) -> impl Iterator<Item = &'static Target> + 
 
 /// Executes the `bench` command: either fans the selected targets across
 /// the worker pool, or (with `--compare`) diffs two `BENCH_*.json` files.
-pub fn execute_bench(args: &BenchArgs) -> i32 {
-    if let Some((old_path, new_path)) = &args.compare {
+/// Without `--topology` every target stays bit-identical to the committed
+/// baselines.
+pub(crate) fn execute_bench(args: &Values) -> i32 {
+    if let [old_path, new_path] = &args.compare[..] {
         let load = |p: &str| BenchSummary::load(std::path::Path::new(p));
         let (old, new) = match (load(old_path), load(new_path)) {
             (Ok(o), Ok(n)) => (o, n),

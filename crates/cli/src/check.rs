@@ -6,32 +6,19 @@ use numagap_apps::{run_app, run_app_report, AppId, Scale, SuiteConfig, Variant};
 use numagap_rt::Machine;
 use numagap_sim::TieBreak;
 
-use crate::machine::{print_fault_seed, MachineArgs};
+use crate::flags::Values;
+use crate::machine::print_fault_seed;
 use crate::EXIT_FINDINGS;
 
-/// Flags of the `check` command.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CheckArgs {
-    /// Check only this application (all six when unset).
-    pub app: Option<AppId>,
-    /// Check only this variant (both when unset).
-    pub variant: Option<Variant>,
-    /// Problem scale.
-    pub scale: Scale,
-    /// Machine shape.
-    pub machine: MachineArgs,
-    /// Re-run every selected app/variant under adversarial event-tiebreak
-    /// orders and report any cell whose makespan or checksum moves.
-    pub perturb: bool,
-}
-
-/// Executes the `check` command.
-pub(crate) fn execute_check(args: &CheckArgs) -> i32 {
-    let cfg = SuiteConfig::at(args.scale);
+/// Executes the `check` command: the one application `--app` names, or all
+/// six. The sweep defaults to the small scale: it visits every app/variant
+/// pair, and findings do not depend on problem size.
+pub(crate) fn execute_check(args: &Values) -> i32 {
+    let cfg = SuiteConfig::at(args.scale.unwrap_or(Scale::Small));
     let machine = args.machine.machine();
     print_fault_seed(&machine);
-    let apps: Vec<AppId> = match args.app {
-        Some(app) => vec![app],
+    let apps: Vec<AppId> = match args.apps.first() {
+        Some(&app) => vec![app],
         None => AppId::ALL.to_vec(),
     };
     let variants: Vec<Variant> = match args.variant {

@@ -1,13 +1,14 @@
 //! The flag table: every `--flag` of every command is one row of [`TABLE`]
 //! — its name, value syntax, range check, default, help line, whether it
 //! may carry several values, and the commands that read it. [`parse`],
-//! [`usage`], the per-command [`section`] and every printed `reproduce:`
-//! line ([`render`]) walk these rows; no other module knows a flag's name.
+//! [`usage`], the per-command [`section`] and the rewriting of soak's
+//! `reproduce:` lines ([`pin`]) walk these rows.
 //!
-//! Adding a flag is adding a row (plus the field of [`Values`] it lands
-//! in and the `*Args` field [`build`] copies it to): the row makes it
-//! parse on exactly the commands it names, appear in `numagap help` and in
-//! those commands' sections, and be a usage error everywhere else.
+//! Adding a flag is adding a row and the [`Values`] field it sets: the row
+//! makes it parse on exactly the commands it names, appear in `numagap
+//! help` and in those commands' sections, and be a usage error everywhere
+//! else. Adding a command is adding a [`COMMANDS`] row and the function
+//! that runs it, which reads the [`Values`] it needs.
 
 use std::fmt::{self, Display, Write as _};
 use std::str::FromStr;
@@ -16,10 +17,8 @@ use numagap_apps::{AppId, Scale, Variant};
 use numagap_net::{HeteroPreset, LinkParams, WanTopology};
 
 use crate::bench::{selected, targets};
-use crate::{
-    AuditArgs, BenchArgs, CheckArgs, Command, MachineArgs, PredictArgs, RunArgs, ScheduleArg,
-    ServeCmdArgs, SoakArgs,
-};
+use crate::{audit, bench, check, machine, predict, run, serve, soak};
+use crate::{Command, MachineArgs, ScheduleArg};
 
 /// A parse failure with a user-facing message.
 #[derive(Debug, Clone, PartialEq)]
@@ -33,11 +32,13 @@ impl Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-/// Everything the flags can set; [`build`] copies the fields the command
-/// reads into its `*Args` value. `Values::default()` is only the blank the
-/// table's defaults are applied to: start from [`defaults`].
+/// Everything the flags set, for the command to read: a row's value from
+/// the command line, or its default when the line does not give it.
+/// `Values::default()` is only the blank [`parse`] fills in.
 #[derive(Debug, Clone, PartialEq, Default)]
-pub(crate) struct Values {
+pub struct Values {
+    /// The command line after the command's name, as given.
+    pub(crate) line: Vec<String>,
     pub(crate) apps: Vec<AppId>,
     pub(crate) variant: Option<Variant>,
     pub(crate) scale: Option<Scale>,
@@ -61,7 +62,8 @@ pub(crate) struct Values {
     pub(crate) target: String,
     pub(crate) quick: bool,
     pub(crate) out: Option<String>,
-    pub(crate) compare: Option<(String, String)>,
+    /// `--compare`'s files, old then new; empty without the flag.
+    pub(crate) compare: Vec<String>,
     pub(crate) threshold: f64,
     pub(crate) virtual_only: bool,
     pub(crate) ref_latency: f64,
@@ -76,61 +78,14 @@ pub(crate) struct Values {
     pub(crate) rules: bool,
 }
 
-/// The values of a command line without flags: every row's default, read
-/// through the row's own setter.
-pub(crate) fn defaults() -> Values {
-    let mut values = Values::default();
-    for row in rows() {
-        if let (Set::Value(set), false) = (&row.set, row.default.is_empty()) {
-            let (default, cmd) = ([row.default], row.cmds[0]);
-            let args = &mut default.iter();
-            set(&mut values, &mut Cursor { args, row, cmd })
-                .expect("a row's default passes its own check");
-        }
-    }
-    values
+/// A switch's setting: it is given.
+fn given(_: &str) -> Result<bool, String> {
+    Ok(true)
 }
 
-/// The argument walk as a row's setter sees it: the arguments after the
-/// flag, and the row and command for the error messages.
-struct Cursor<'a, 'b> {
-    args: &'b mut std::slice::Iter<'a, &'a str>,
-    row: &'static Flag,
-    cmd: &'a str,
-}
-
-impl<'a> Cursor<'a, '_> {
-    fn value(&mut self) -> Result<&'a str, ParseError> {
-        let next = self.args.next().copied();
-        next.ok_or_else(|| ParseError(format!("flag {} needs a value", self.row.name)))
-    }
-
-    fn invalid(&self, v: &str, why: &str) -> ParseError {
-        ParseError(format!("invalid value '{v}' for {}: {why}", self.row.name))
-    }
-
-    /// The next argument through `check`, the row's syntax and range check.
-    fn with<T>(&mut self, check: impl Fn(&str) -> Result<T, String>) -> Result<T, ParseError> {
-        let v = self.value()?;
-        check(v).map_err(|why| self.invalid(v, &why))
-    }
-
-    /// The next argument as a comma list, each element through `check`; more
-    /// than one element is an error unless the row lists this command.
-    fn list<T>(&mut self, check: impl Fn(&str) -> Result<T, String>) -> Result<Vec<T>, ParseError> {
-        let v = self.value()?;
-        if v.contains(',') && !self.row.list.contains(&self.cmd) {
-            return Err(ParseError(format!(
-                "flag {} takes a comma list only on {}, not on '{}'",
-                self.row.name,
-                self.row.list.join(", "),
-                self.cmd
-            )));
-        }
-        v.split(',')
-            .map(|piece| check(piece).map_err(|why| self.invalid(piece, &why)))
-            .collect()
-    }
+/// Any text: a path.
+fn text(s: &str) -> Result<String, String> {
+    Ok(s.to_string())
 }
 
 fn number<T: FromStr>(s: &str) -> Result<T, String> {
@@ -138,16 +93,16 @@ fn number<T: FromStr>(s: &str) -> Result<T, String> {
 }
 
 /// A number in `[lo, hi]`.
-fn within(lo: f64, hi: f64) -> impl Fn(&str) -> Result<f64, String> {
-    move |s| match s.parse::<f64>() {
+fn within(s: &str, lo: f64, hi: f64) -> Result<f64, String> {
+    match s.parse::<f64>() {
         Ok(x) if (lo..=hi).contains(&x) => Ok(x),
         _ => Err(format!("expected a number in [{lo}, {hi}]")),
     }
 }
 
 /// A finite number above `floor`, or with `or_equal`, from it.
-fn above(floor: f64, or_equal: bool) -> impl Fn(&str) -> Result<f64, String> {
-    move |s| match s.parse::<f64>() {
+fn above(s: &str, floor: f64, or_equal: bool) -> Result<f64, String> {
+    match s.parse::<f64>() {
         Ok(x) if x.is_finite() && (x > floor || (or_equal && x == floor)) => Ok(x),
         _ if or_equal => Err(format!("expected a number of at least {floor}")),
         _ => Err(format!("expected a number greater than {floor}")),
@@ -155,12 +110,12 @@ fn above(floor: f64, or_equal: bool) -> impl Fn(&str) -> Result<f64, String> {
 }
 
 /// A WAN latency, and a WAN bandwidth, inside the limits of `LinkParams`.
-fn wan_latency() -> impl Fn(&str) -> Result<f64, String> {
-    within(0.0, LinkParams::MAX_WAN_LATENCY_MS)
+fn wan_latency(s: &str) -> Result<f64, String> {
+    within(s, 0.0, LinkParams::MAX_WAN_LATENCY_MS)
 }
 
-fn wan_bandwidth() -> impl Fn(&str) -> Result<f64, String> {
-    above(LinkParams::MIN_WAN_BANDWIDTH_MBS, true)
+fn wan_bandwidth(s: &str) -> Result<f64, String> {
+    above(s, LinkParams::MIN_WAN_BANDWIDTH_MBS, true)
 }
 
 /// A fraction below 1.
@@ -247,25 +202,20 @@ fn parse_target(s: &str) -> Result<String, String> {
     ))
 }
 
-type ValueFn = fn(&mut Values, &mut Cursor<'_, '_>) -> Result<(), ParseError>;
-type ShowFn = fn(&Values) -> Vec<String>;
-
-/// How a row stores what it read.
-enum Set {
-    /// A flag without a value.
-    Switch(fn(&mut Values)),
-    /// A flag whose setter takes its value(s) off the cursor, through the
-    /// row's syntax and range check.
-    Value(ValueFn),
-}
+/// A row's setter: one value's text through the row's syntax and range
+/// check into [`Values`], or why it does not pass. A switch's gets `""`.
+/// Rows that take several values push each one: [`parse`] sets a default
+/// only when the flag is absent, so nothing lands on top of it.
+type SetFn = fn(&mut Values, &str) -> Result<(), String>;
 
 /// One row of the flag table.
 pub(crate) struct Flag {
     pub(crate) name: &'static str,
-    /// Value syntax as help shows it; empty for a switch.
+    /// Value syntax as help shows it, one `<..>` per argument the flag
+    /// takes; empty for a switch.
     pub(crate) value: &'static str,
-    /// The default, read by the row's own setter ([`defaults`]); empty when
-    /// an absent flag leaves nothing set.
+    /// The default, read by the row's own setter when the flag is absent;
+    /// empty when an absent flag leaves nothing set.
     pub(crate) default: &'static str,
     /// In words, what an absent flag means when there is no `default`.
     pub(crate) unset: &'static str,
@@ -276,10 +226,7 @@ pub(crate) struct Flag {
     repeat: &'static [&'static str],
     /// The commands (of `cmds`) on which its value may be a comma list.
     list: &'static [&'static str],
-    set: Set,
-    /// The flag's value(s) in `Values`, as the command line spells them;
-    /// set on the rows a printed `reproduce:` line can need.
-    show: Option<ShowFn>,
+    set: SetFn,
 }
 
 /// A row that takes a value.
@@ -298,8 +245,7 @@ const fn flag(
         cmds,
         repeat: &[],
         list: &[],
-        set: Set::Switch(|_| ()),
-        show: None,
+        set: |_, _| Ok(()),
     }
 }
 
@@ -325,34 +271,9 @@ impl Flag {
         Flag { list, ..self }
     }
 
-    const fn set(self, set: ValueFn) -> Flag {
-        Flag {
-            set: Set::Value(set),
-            ..self
-        }
+    const fn set(self, set: SetFn) -> Flag {
+        Flag { set, ..self }
     }
-
-    const fn on(self, set: fn(&mut Values)) -> Flag {
-        Flag {
-            set: Set::Switch(set),
-            ..self
-        }
-    }
-
-    const fn show(self, show: ShowFn) -> Flag {
-        Flag {
-            show: Some(show),
-            ..self
-        }
-    }
-}
-
-fn one(x: impl Display) -> Vec<String> {
-    vec![x.to_string()]
-}
-
-fn each<T: Display>(xs: impl IntoIterator<Item = T>) -> Vec<String> {
-    xs.into_iter().map(|x| x.to_string()).collect()
 }
 
 /// The commands that build a machine, and so read the machine-shape,
@@ -391,27 +312,24 @@ static TABLE: &[Group] = &[
                 )
                 .unset("all six")
                 .repeat(&["soak", "predict"])
-                .set(|v, a| a.with(parse_app).map(|app| v.apps.push(app)))
-                .show(|v| each(v.apps.iter().map(|a| a.to_string().to_ascii_lowercase()))),
+                .set(|v, s| parse_app(s).map(|app| v.apps.push(app))),
             flag("--variant", "<unopt|opt>", "", CHOOSERS)
                 .help("program variant")
                 .unset("run: opt; check, soak: both; predict: the paper's per app")
-                .set(|v, a| a.with(parse_variant).map(|x| v.variant = Some(x)))
-                .show(|v| each(v.variant)),
+                .set(|v, s| parse_variant(s).map(|x| v.variant = Some(x))),
             flag("--scale", "<small|medium|paper>", "", SCALED)
                 .help("problem size")
                 .unset("medium; check, soak: small")
-                .set(|v, a| a.with(parse_scale).map(|x| v.scale = Some(x)))
-                .show(|v| each(v.scale.map(|s| format!("{s:?}").to_ascii_lowercase()))),
+                .set(|v, s| parse_scale(s).map(|x| v.scale = Some(x))),
             switch("--verify", &["run"])
                 .help("check the result against the serial reference")
-                .on(|v| v.verify = true),
+                .set(|v, s| given(s).map(|x| v.verify = x)),
             flag("--trace", "<file.json>", "", &["run"])
                 .help("write a Chrome trace (chrome://tracing)")
-                .set(|v, a| a.value().map(|x| v.trace = Some(x.to_string()))),
+                .set(|v, s| text(s).map(|x| v.trace = Some(x))),
             flag("--stones", "<0..12>", "4", &["awari-db"])
                 .help("largest stone count of the endgame database")
-                .set(|v, a| a.with(stones).map(|x| v.stones = x)),
+                .set(|v, s| stones(s).map(|x| v.stones = x)),
             switch("--perturb", &["check"])
                 .help(
                     "additionally re-run each selected app/variant under adversarial \
@@ -419,7 +337,7 @@ static TABLE: &[Group] = &[
                      same-instant transfers in canonical order, so makespan and checksum must \
                      be bit-identical; any cell that moves is a finding (exit 1)",
                 )
-                .on(|v| v.perturb = true),
+                .set(|v, s| given(s).map(|x| v.perturb = x)),
         ],
     },
     Group {
@@ -428,28 +346,21 @@ static TABLE: &[Group] = &[
         rows: &[
             flag("--clusters", "<N | a,b,..>", "4", MACHINE)
                 .help("number of clusters, or explicit per-cluster sizes like 8,8,4,2 (asymmetric)")
-                .set(|v, a| {
-                    let (n, sizes) = a.with(parse_clusters)?;
-                    (v.machine.clusters, v.machine.cluster_sizes) = (n, sizes);
-                    Ok(())
-                })
-                .show(|v| one(v.machine.clusters_flag())),
+                .set(|v, s| {
+                    parse_clusters(s).map(|c| (v.machine.clusters, v.machine.cluster_sizes) = c)
+                }),
             flag("--procs", "<N>", "8", MACHINE)
                 .help("processors per cluster (ignored when the cluster sizes are listed)")
-                .set(|v, a| a.with(count).map(|x| v.machine.procs = x))
-                .show(|v| one(v.machine.procs)),
+                .set(|v, s| count(s).map(|x| v.machine.procs = x)),
             flag("--latency", "<ms>", "10", MACHINE)
                 .help("one-way WAN latency")
-                .set(|v, a| a.with(wan_latency()).map(|x| v.machine.latency_ms = x))
-                .show(|v| one(v.machine.latency_ms)),
+                .set(|v, s| wan_latency(s).map(|x| v.machine.latency_ms = x)),
             flag("--bandwidth", "<MB/s>", "1", MACHINE)
                 .help("WAN bandwidth per link")
-                .set(|v, a| a.with(wan_bandwidth()).map(|x| v.machine.bandwidth_mbs = x))
-                .show(|v| one(v.machine.bandwidth_mbs)),
+                .set(|v, s| wan_bandwidth(s).map(|x| v.machine.bandwidth_mbs = x)),
             flag("--jitter", "<0..1>", "0", MACHINE)
                 .help("WAN latency variation, a fraction below 1")
-                .set(|v, a| a.with(fraction).map(|x| v.machine.jitter = x))
-                .show(|v| one(v.machine.jitter)),
+                .set(|v, s| fraction(s).map(|x| v.machine.jitter = x)),
             flag("--topology", "<shape>", "", WIRED)
                 .help(
                     "wide-area wiring between cluster gateways: mesh (fully connected) | \
@@ -463,8 +374,7 @@ static TABLE: &[Group] = &[
                      canonical shapes)",
                 )
                 .unset("mesh")
-                .set(|v, a| a.with(WanTopology::parse).map(|t| v.topology = Some(t)))
-                .show(|v| one(v.machine.wan_topology.flag())),
+                .set(|v, s| WanTopology::parse(s).map(|t| v.topology = Some(t))),
         ],
     },
     Group {
@@ -478,45 +388,32 @@ static TABLE: &[Group] = &[
                      tiered (descending to 0.4x)",
                 )
                 .list(&["soak"])
-                .set(|v, a| {
-                    let preset = |s: &str| HeteroPreset::parse(s).ok_or("unknown preset".into());
-                    a.list(preset).map(|l| v.hetero = l)
-                })
-                .show(|v| one(v.machine.hetero)),
+                .set(|v, s| {
+                    HeteroPreset::parse(s)
+                        .ok_or("unknown preset".into())
+                        .map(|x| v.hetero.push(x))
+                }),
             flag("--cross-traffic", "<0..0.9>", "0", MACHINE)
                 .help("seeded background flows occupying this fraction of each WAN link")
                 .list(&["soak"])
-                .set(|v, a| a.list(within(0.0, 0.9)).map(|l| v.cross_traffic = l))
-                .show(|v| one(v.machine.cross_traffic)),
+                .set(|v, s| within(s, 0.0, 0.9).map(|x| v.cross_traffic.push(x))),
             flag("--schedule", "<shape>", "none", MACHINE)
                 .help("time-varying WAN quality: none | diurnal | step | drift")
                 .list(&["soak"])
-                .set(|v, a| {
-                    let shape = |s: &str| ScheduleArg::parse(s).ok_or("unknown shape".into());
-                    a.list(shape).map(|l| v.schedules = l)
-                })
-                .show(|v| one(v.machine.schedule)),
+                .set(|v, s| {
+                    ScheduleArg::parse(s)
+                        .ok_or("unknown shape".into())
+                        .map(|x| v.schedules.push(x))
+                }),
             flag("--schedule-period", "<ms>", "500", MACHINE)
                 .help("diurnal period / step onset / drift horizon")
-                .set(|v, a| {
-                    a.with(above(0.0, false))
-                        .map(|x| v.machine.schedule_period_ms = x)
-                })
-                .show(|v| one(v.machine.schedule_period_ms)),
+                .set(|v, s| above(s, 0.0, false).map(|x| v.machine.schedule_period_ms = x)),
             flag("--degrade-latency", "<1..100>", "2", MACHINE)
                 .help("latency multiplier at full degradation")
-                .set(|v, a| {
-                    a.with(within(1.0, 100.0))
-                        .map(|x| v.machine.degrade_latency = x)
-                })
-                .show(|v| one(v.machine.degrade_latency)),
+                .set(|v, s| within(s, 1.0, 100.0).map(|x| v.machine.degrade_latency = x)),
             flag("--degrade-bandwidth", "<0.01..1>", "0.5", MACHINE)
                 .help("bandwidth multiplier at full degradation")
-                .set(|v, a| {
-                    a.with(within(0.01, 1.0))
-                        .map(|x| v.machine.degrade_bandwidth = x)
-                })
-                .show(|v| one(v.machine.degrade_bandwidth)),
+                .set(|v, s| within(s, 0.01, 1.0).map(|x| v.machine.degrade_bandwidth = x)),
         ],
     },
     Group {
@@ -530,28 +427,20 @@ static TABLE: &[Group] = &[
                      reports; soak counts its cells' seeds up from it",
                 )
                 .unset("0; soak: 1")
-                .set(|v, a| a.with(number).map(|x| v.machine.seed = Some(x)))
-                .show(|v| each(v.machine.seed)),
+                .set(|v, s| number(s).map(|x| v.machine.seed = Some(x))),
             flag("--drop", "<0..1>", "0", FAULTS)
                 .help("WAN message drop probability")
-                .set(|v, a| a.with(within(0.0, 1.0)).map(|x| v.machine.drop = x))
-                .show(|v| one(v.machine.drop)),
+                .set(|v, s| within(s, 0.0, 1.0).map(|x| v.machine.drop = x)),
             flag("--duplicate", "<0..1>", "0", FAULTS)
                 .help("WAN message duplication probability")
-                .set(|v, a| a.with(within(0.0, 1.0)).map(|x| v.machine.duplicate = x))
-                .show(|v| one(v.machine.duplicate)),
+                .set(|v, s| within(s, 0.0, 1.0).map(|x| v.machine.duplicate = x)),
             flag("--reorder", "<0..1>", "0", FAULTS)
                 .help("WAN message reorder probability")
-                .set(|v, a| a.with(within(0.0, 1.0)).map(|x| v.machine.reorder = x))
-                .show(|v| one(v.machine.reorder)),
+                .set(|v, s| within(s, 0.0, 1.0).map(|x| v.machine.reorder = x)),
             flag("--outage", "<c:from:until>", "", FAULTS)
                 .help("gateway crash window of cluster c, in ms")
                 .repeat(FAULTS)
-                .set(|v, a| a.with(parse_outage).map(|o| v.machine.outages.push(o)))
-                .show(|v| {
-                    let window = |(c, from, until): &(_, f64, f64)| format!("{c}:{from}:{until}");
-                    each(v.machine.outages.iter().map(window))
-                }),
+                .set(|v, s| parse_outage(s).map(|o| v.machine.outages.push(o))),
         ],
     },
     Group {
@@ -564,65 +453,57 @@ static TABLE: &[Group] = &[
                      must stay within 1)",
                 )
                 .list(&["soak"])
-                .set(|v, a| a.list(within(0.0, 0.5)).map(|l| v.intensities = l))
-                .show(|v| one(each(&v.intensities).join(","))),
+                .set(|v, s| within(s, 0.0, 0.5).map(|x| v.intensities.push(x))),
             flag("--seeds", "<N>", "3", &["soak"])
                 .help("seeds per cell")
-                .set(|v, a| a.with(number).map(|x| v.seeds = x))
-                .show(|v| one(v.seeds)),
+                .set(|v, s| count(s).map(|x| v.seeds = x)),
             switch("--repro", &["soak"])
                 .help("replay each cell; require an identical schedule, virtual time and traffic")
-                .on(|v| v.repro = true)
-                .show(|v| each(v.repro.then_some(""))),
+                .set(|v, s| given(s).map(|x| v.repro = x)),
             flag("--timeout", "<secs>", "3600", &["soak"])
                 .help("virtual-time limit per cell; a cell beyond it is a hang")
-                .set(|v, a| a.with(number).map(|x| v.timeout_s = x))
-                .show(|v| one(v.timeout_s)),
+                .set(|v, s| number(s).map(|x| v.timeout_s = x)),
             switch("--no-outage", &["soak"])
                 .help("skip the planted mid-run gateway outage")
-                .on(|v| v.no_outage = true)
-                .show(|v| each(v.no_outage.then_some(""))),
+                .set(|v, s| given(s).map(|x| v.no_outage = x)),
             flag("--jobs", "<N>", "", &["soak", "bench", "predict"])
                 .help("worker threads for the sweep's cells")
                 .unset("available cores")
-                .set(|v, a| a.with(count).map(|x| v.jobs = Some(x))),
+                .set(|v, s| count(s).map(|x| v.jobs = Some(x))),
             flag("--target", "<name>", "all", &["bench"])
                 .help("one experiment of the targets listed with bench, or `all` of them")
-                .set(|v, a| a.with(parse_target).map(|x| v.target = x)),
+                .set(|v, s| parse_target(s).map(|x| v.target = x)),
             switch("--quick", EXPERIMENTS)
                 .help("coarse grids")
-                .on(|v| v.quick = true),
+                .set(|v, s| given(s).map(|x| v.quick = x)),
             flag("--out", "<dir>", "", EXPERIMENTS)
                 .help("artifact directory")
                 .unset("bench_results/")
-                .set(|v, a| a.value().map(|x| v.out = Some(x.to_string()))),
+                .set(|v, s| text(s).map(|x| v.out = Some(x))),
             flag("--compare", "<OLD.json> <NEW.json>", "", &["bench"])
                 .help(
                     "diff two BENCH_*.json files instead of running; determinism drift and \
                      wall-clock regressions beyond the threshold are findings",
                 )
-                .set(|v, a| {
-                    v.compare = Some((a.value()?.to_string(), a.value()?.to_string()));
-                    Ok(())
-                }),
+                .set(|v, s| text(s).map(|x| v.compare.push(x))),
             flag("--threshold", "<F>", "1.5", &["bench"])
                 .help("wall-clock regression factor of a comparison")
-                .set(|v, a| a.with(above(1.0, false)).map(|x| v.threshold = x)),
+                .set(|v, s| above(s, 1.0, false).map(|x| v.threshold = x)),
             switch("--virtual-only", &["bench"])
                 .help("compare deterministic fields only (baselines from different hardware)")
-                .on(|v| v.virtual_only = true),
+                .set(|v, s| given(s).map(|x| v.virtual_only = x)),
             flag("--ref-latency", "<ms>", "10", &["predict"])
                 .help("WAN latency of the one recorded run")
-                .set(|v, a| a.with(wan_latency()).map(|x| v.ref_latency = x)),
+                .set(|v, s| wan_latency(s).map(|x| v.ref_latency = x)),
             flag("--ref-bandwidth", "<MB/s>", "0.3", &["predict"])
                 .help("WAN bandwidth of that run")
-                .set(|v, a| a.with(wan_bandwidth()).map(|x| v.ref_bandwidth = x)),
+                .set(|v, s| wan_bandwidth(s).map(|x| v.ref_bandwidth = x)),
             switch("--validate", &["predict"])
                 .help("re-simulate every grid point; report model error")
-                .on(|v| v.validate = true),
+                .set(|v, s| given(s).map(|x| v.validate = x)),
             flag("--max-error", "<pct>", "10", &["predict"])
                 .help("mean relative error bar per app/variant of a validated prediction")
-                .set(|v, a| a.with(above(0.0, false)).map(|x| v.max_error = x)),
+                .set(|v, s| above(s, 0.0, false).map(|x| v.max_error = x)),
         ],
     },
     Group {
@@ -631,33 +512,37 @@ static TABLE: &[Group] = &[
         rows: &[
             flag("--port", "<P>", "7999", &["serve"])
                 .help("TCP port on 127.0.0.1 (0 = ephemeral)")
-                .set(|v, a| a.with(number).map(|x| v.port = x)),
+                .set(|v, s| number(s).map(|x| v.port = x)),
             flag("--workers", "<N>", "", &["serve"])
                 .help("connection/compute worker threads")
                 .unset("available cores")
-                .set(|v, a| a.with(count).map(|x| v.workers = Some(x))),
+                .set(|v, s| count(s).map(|x| v.workers = Some(x))),
             flag("--cache-capacity", "<N>", "32", &["serve"])
                 .help("DAG cache entries")
-                .set(|v, a| a.with(count).map(|x| v.cache_capacity = x)),
+                .set(|v, s| count(s).map(|x| v.cache_capacity = x)),
             flag("--deadline", "<ms>", "30000", &["serve"])
                 .help("per-request wall-clock budget")
-                .set(|v, a| a.with(count).map(|x| v.deadline_ms = x)),
+                .set(|v, s| count(s).map(|x| v.deadline_ms = x)),
             flag("--root", "<dir>", "", &["audit"])
                 .help("workspace root to scan")
                 .unset(".")
-                .set(|v, a| a.value().map(|x| v.root = Some(x.to_string()))),
+                .set(|v, s| text(s).map(|x| v.root = Some(x))),
             switch("--rules", &["audit"])
                 .help("print the rule catalog, with rationale, and exit")
-                .on(|v| v.rules = true),
+                .set(|v, s| given(s).map(|x| v.rules = x)),
         ],
     },
 ];
 
-/// A command's name and the prose of its part of the help.
-pub(crate) struct CmdSpec {
+/// A command: its name, the prose of its part of the help, and what runs
+/// it.
+#[derive(Debug)]
+pub struct CmdSpec {
     pub(crate) name: &'static str,
     about: &'static str,
     notes: &'static str,
+    /// Runs the command on what its flags set; returns the exit code.
+    pub(crate) execute: fn(&Values) -> i32,
 }
 
 /// The commands, in help order.
@@ -667,18 +552,21 @@ pub(crate) static COMMANDS: &[CmdSpec] = &[
         about: "run one application on one simulated machine",
         notes: "Prints runtime, traffic, checksum and work units of the one application it \
                 requires.",
+        execute: run::execute_run,
     },
     CmdSpec {
         name: "awari-db",
         about: "build a real Awari endgame database",
         notes: "Solves the last-capture-wins variant serially and on the machine, and \
                 compares the two.",
+        execute: run::execute_awari_db,
     },
     CmdSpec {
         name: "suite",
         about: "all six apps, both variants, verified",
         notes: "Runs at the small scale by definition, so it takes no problem size; use run \
                 for one application at another.",
+        execute: run::execute_suite,
     },
     CmdSpec {
         name: "check",
@@ -686,6 +574,7 @@ pub(crate) static COMMANDS: &[CmdSpec] = &[
         notes: "Runs each selected app under the communication sanitizer and reports message \
                 races, lost messages, deadlock cycles and protocol lints. Defaults to all six \
                 apps, both variants, small scale.",
+        execute: check::execute_check,
     },
     CmdSpec {
         name: "audit",
@@ -697,6 +586,7 @@ pub(crate) static COMMANDS: &[CmdSpec] = &[
                 scheduler (rules ND001..ND008). Comments, strings, and #[cfg(test)] blocks \
                 never fire. Accepted sites carry an entry in the built-in waiver table; \
                 unwaived findings and stale waivers exit 1.",
+        execute: audit::execute_audit,
     },
     CmdSpec {
         name: "soak",
@@ -708,6 +598,7 @@ pub(crate) static COMMANDS: &[CmdSpec] = &[
                 the first three hostile-network flags multiply the matrix with \
                 hostile-network dimensions. Failing cells print the seed and the full \
                 command line that reproduces the one cell.",
+        execute: soak::execute_soak,
     },
     CmdSpec {
         name: "bench",
@@ -720,6 +611,7 @@ pub(crate) static COMMANDS: &[CmdSpec] = &[
                 deterministic fields only. DESIGN.md section 6 maps each paper claim to its \
                 target. The targets run the paper's fixed machines, so of the machine flags \
                 bench reads only the wide-area wiring.",
+        execute: bench::execute_bench,
     },
     CmdSpec {
         name: "serve",
@@ -736,6 +628,7 @@ pub(crate) static COMMANDS: &[CmdSpec] = &[
                 forming a complete latency x bandwidth grid also report tolerable-gap \
                 thresholds (the paper's 60% bar). GET /v1/health and /v1/stats probe liveness \
                 and cache counters; POST /v1/shutdown exits gracefully.",
+        execute: serve::execute_serve,
     },
     CmdSpec {
         name: "predict",
@@ -747,11 +640,13 @@ pub(crate) static COMMANDS: &[CmdSpec] = &[
                 for any worker count. Exceeding the error bar or a tolerable-gap disagreement \
                 is a finding (exit 1). Like bench, it reads only the wide-area wiring of the \
                 machine flags.",
+        execute: predict::execute_predict,
     },
     CmdSpec {
         name: "info",
         about: "print the machine and its NUMA gap",
         notes: "Prints the machine the flags describe; nothing is run.",
+        execute: machine::execute_info,
     },
 ];
 
@@ -763,24 +658,32 @@ fn rows_of(cmd: &str) -> impl Iterator<Item = &'static Flag> + '_ {
     rows().filter(move |r| r.cmds.contains(&cmd))
 }
 
+/// How many arguments follow the flag: one per `<..>` of its value syntax.
+fn arity(row: &Flag) -> usize {
+    row.value.matches('<').count()
+}
+
 /// Parses a full command line (excluding the binary name).
 pub fn parse(args: &[&str]) -> Result<Command, ParseError> {
     let (cmd, rest) = match args.split_first() {
         None | Some((&("help" | "--help" | "-h"), _)) => return Ok(Command::Help),
         Some((&cmd, rest)) => (cmd, rest),
     };
-    if !COMMANDS.iter().any(|c| c.name == cmd) {
+    let Some(spec) = COMMANDS.iter().find(|c| c.name == cmd) else {
         // An experiment's name is not a subcommand of its own.
         let hint = match targets().any(|t| t.name == cmd) {
             true => format!("; experiments run as `numagap bench --target {cmd}`"),
             false => String::new(),
         };
         return Err(ParseError(format!("unknown command '{cmd}'{hint}")));
-    }
-    let mut values = defaults();
-    let mut args = rest.iter();
+    };
+    let mut values = Values {
+        line: rest.iter().map(|a| a.to_string()).collect(),
+        ..Values::default()
+    };
+    let mut args = rest.iter().copied();
     let mut seen: Vec<&str> = Vec::new();
-    while let Some(&arg) = args.next() {
+    while let Some(arg) = args.next() {
         let row = rows()
             .find(|r| r.name == arg)
             .ok_or_else(|| ParseError(format!("unknown flag '{arg}'")))?;
@@ -800,21 +703,50 @@ pub fn parse(args: &[&str]) -> Result<Command, ParseError> {
             )));
         }
         seen.push(arg);
-        match row.set {
-            Set::Switch(set) => set(&mut values),
-            Set::Value(set) => {
-                let args = &mut args;
-                set(&mut values, &mut Cursor { args, row, cmd })?
+        let texts: Vec<&str> = match arity(row) {
+            0 => vec![""],
+            n => args.by_ref().take(n).collect(),
+        };
+        if texts.len() < arity(row) {
+            return Err(ParseError(format!("flag {arg} needs a value")));
+        }
+        for text in texts {
+            if text.contains(',') && !row.list.is_empty() && !row.list.contains(&cmd) {
+                return Err(ParseError(format!(
+                    "flag {arg} takes a comma list only on {}, not on '{cmd}'",
+                    row.list.join(", ")
+                )));
             }
+            set(&mut values, row, text)?;
         }
     }
+    // An absent flag has its default, read through the row's own setter.
+    for row in rows().filter(|r| !(r.default.is_empty() || seen.contains(&r.name))) {
+        set(&mut values, row, row.default).expect("a row's default passes its own check");
+    }
     settle(cmd, &mut values)?;
-    Ok(build(cmd, values))
+    Ok(Command::Execute(spec, Box::new(values)))
+}
+
+/// One value's text through `row`'s setter, element by element on the rows
+/// that take a comma list.
+fn set(values: &mut Values, row: &Flag, text: &str) -> Result<(), ParseError> {
+    let pieces = match row.list {
+        [] => vec![text],
+        _ => text.split(',').collect(),
+    };
+    for piece in pieces {
+        (row.set)(values, piece).map_err(|why| {
+            ParseError(format!("invalid value '{piece}' for {}: {why}", row.name))
+        })?;
+    }
+    Ok(())
 }
 
 /// What spans flags: the machine takes its wiring and the last element of
 /// each hostile dimension (the whole lists are soak's); run needs its
-/// application; and the fault plan, the outages and the wiring must fit.
+/// application; the fault plan, the outages and the wiring must fit; and
+/// soak's seeds, counted up from `--seed`, must not run past the last one.
 fn settle(cmd: &str, v: &mut Values) -> Result<(), ParseError> {
     let m = &mut v.machine;
     m.wan_topology = v.topology.unwrap_or_default();
@@ -829,6 +761,14 @@ fn settle(cmd: &str, v: &mut Values) -> Result<(), ParseError> {
         return Err(ParseError(format!(
             "the drop, duplicate and reorder probabilities must stay within 1 together, \
              got {faults}"
+        )));
+    }
+    let first_seed = m.seed.unwrap_or(soak::FIRST_SEED);
+    if cmd == "soak" && first_seed.checked_add(v.seeds - 1).is_none() {
+        return Err(ParseError(format!(
+            "--seed {first_seed} and --seeds {} run past the largest seed, {}",
+            v.seeds,
+            u64::MAX
         )));
     }
     if let Some((cluster, _, _)) = m.outages.iter().find(|o| o.0 >= m.clusters) {
@@ -848,102 +788,22 @@ fn settle(cmd: &str, v: &mut Values) -> Result<(), ParseError> {
         .map_err(|e| ParseError(format!("the --topology shape does not fit: {e}")))
 }
 
-/// The command's `*Args` value from what the flags set.
-fn build(cmd: &str, v: Values) -> Command {
-    match cmd {
-        "run" => Command::Run(RunArgs {
-            app: v.apps[0],
-            variant: v.variant.unwrap_or(Variant::Optimized),
-            scale: v.scale.unwrap_or(Scale::Medium),
-            machine: v.machine,
-            verify: v.verify,
-            trace: v.trace,
-        }),
-        "awari-db" => Command::AwariDb {
-            stones: v.stones,
-            machine: v.machine,
-        },
-        "suite" => Command::Suite(v.machine),
-        // The sanitizer sweep defaults to the small scale: it visits every
-        // app/variant pair, and findings do not depend on problem size.
-        "check" => Command::Check(CheckArgs {
-            app: v.apps.first().copied(),
-            variant: v.variant,
-            scale: v.scale.unwrap_or(Scale::Small),
-            machine: v.machine,
-            perturb: v.perturb,
-        }),
-        "audit" => Command::Audit(AuditArgs {
-            root: v.root,
-            rules: v.rules,
-        }),
-        "soak" => Command::Soak(SoakArgs {
-            apps: v.apps,
-            variant: v.variant,
-            scale: v.scale.unwrap_or(Scale::Small),
-            machine: v.machine,
-            intensities: v.intensities,
-            cross_traffic: v.cross_traffic,
-            schedules: v.schedules,
-            hetero: v.hetero,
-            seeds: v.seeds,
-            repro: v.repro,
-            timeout_s: v.timeout_s,
-            no_outage: v.no_outage,
-            jobs: v.jobs,
-        }),
-        "bench" => Command::Bench(BenchArgs {
-            target: v.target,
-            jobs: v.jobs,
-            scale: v.scale,
-            quick: v.quick,
-            out: v.out,
-            compare: v.compare,
-            threshold: v.threshold,
-            virtual_only: v.virtual_only,
-            topology: v.topology,
-        }),
-        "serve" => Command::Serve(ServeCmdArgs {
-            port: v.port,
-            workers: v.workers,
-            cache_capacity: v.cache_capacity,
-            deadline_ms: v.deadline_ms,
-        }),
-        "predict" => Command::Predict(PredictArgs {
-            apps: v.apps,
-            variant: v.variant,
-            scale: v.scale,
-            quick: v.quick,
-            jobs: v.jobs,
-            out: v.out,
-            ref_latency: v.ref_latency,
-            ref_bandwidth: v.ref_bandwidth,
-            validate: v.validate,
-            max_error: v.max_error,
-            topology: v.topology,
-        }),
-        "info" => Command::Info(v.machine),
-        _ => unreachable!("parse checked the command against COMMANDS"),
-    }
-}
-
-/// The flags of `cmd` that spell `v` where it differs from the defaults:
-/// `parse` of the command plus these flags sets the same values again. Only
-/// rows with a `show` take part.
-pub(crate) fn render(cmd: &str, v: &Values) -> Vec<String> {
-    let defaults = defaults();
+/// `args`, a command line after its command's name, with each flag of
+/// `pins` set to the pinned value alone: the flag's own arguments are
+/// dropped wherever it appears, and the pins appended in order.
+pub(crate) fn pin(args: &[String], pins: &[(&str, String)]) -> Vec<String> {
     let mut out = Vec::new();
-    for row in rows_of(cmd) {
-        let Some(show) = row.show else { continue };
-        let values = show(v);
-        if values != show(&defaults) {
-            for value in values {
-                out.push(row.name.to_string());
-                if !row.value.is_empty() {
-                    out.push(value);
-                }
-            }
+    let mut rest = args.iter();
+    while let Some(arg) = rest.next() {
+        let arity = rows().find(|r| r.name == arg).map_or(0, arity);
+        let taken: Vec<&String> = rest.by_ref().take(arity).collect();
+        if pins.iter().all(|(name, _)| name != arg) {
+            out.push(arg.clone());
+            out.extend(taken.into_iter().cloned());
         }
+    }
+    for (name, value) in pins {
+        out.extend([name.to_string(), value.clone()]);
     }
     out
 }

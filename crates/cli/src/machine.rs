@@ -10,7 +10,7 @@ use numagap_net::{
 use numagap_rt::{Machine, TransportConfig};
 use numagap_sim::{SimDuration, SimTime};
 
-use crate::flags::{self, Values};
+use crate::flags::Values;
 
 /// The time-varying WAN quality shape selected by `--schedule`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -160,19 +160,6 @@ impl MachineArgs {
         self.hetero.apply(topo)
     }
 
-    /// The `--clusters` value reproducing this layout (a plain count, or
-    /// the comma-joined explicit sizes).
-    pub fn clusters_flag(&self) -> String {
-        match &self.cluster_sizes {
-            Some(sizes) => sizes
-                .iter()
-                .map(|s| s.to_string())
-                .collect::<Vec<_>>()
-                .join(","),
-            None => self.clusters.to_string(),
-        }
-    }
-
     /// The link schedule for an explicit shape and seed, using this
     /// machine's period and degradation factors. `None` for
     /// [`ScheduleArg::None`].
@@ -234,17 +221,6 @@ impl MachineArgs {
             machine
         }
     }
-
-    /// The flags that spell this machine where it differs from the
-    /// default one: `parse` of a machine command plus these flags builds a
-    /// machine equal to `self`.
-    pub fn to_flags(&self) -> Vec<String> {
-        let values = Values {
-            machine: self.clone(),
-            ..flags::defaults()
-        };
-        flags::render("run", &values)
-    }
 }
 
 /// Echoes the seed a faulty machine runs under, so the run can be repeated.
@@ -258,8 +234,8 @@ pub(crate) fn print_fault_seed(machine: &Machine) {
 }
 
 /// Executes the `info` command.
-pub(crate) fn execute_info(machine: &MachineArgs) -> i32 {
-    let spec = machine.spec();
+pub(crate) fn execute_info(args: &Values) -> i32 {
+    let spec = args.machine.spec();
     let (lat_gap, bw_gap) = numa_gap(&spec);
     println!(
         "machine: {} ({} processors, {} clusters)",

@@ -1,41 +1,12 @@
 //! The `predict` command: fig3 sensitivity from one recorded run per app.
 
-use numagap_apps::{AppId, Scale, Variant};
+use numagap_apps::Scale;
 use numagap_bench::engine;
 use numagap_bench::predict::{run_predict, PredictOpts};
-use numagap_net::WanTopology;
 
 use crate::bench::out_dir;
+use crate::flags::Values;
 use crate::{EXIT_ERROR, EXIT_FINDINGS};
-
-/// Flags of the `predict` command.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PredictArgs {
-    /// Applications to model (the full suite when empty).
-    pub apps: Vec<AppId>,
-    /// Restrict to one variant (the paper's variants per app when unset).
-    pub variant: Option<Variant>,
-    /// Problem scale (medium when unset).
-    pub scale: Option<Scale>,
-    /// Use the coarse quick grid.
-    pub quick: bool,
-    /// Worker threads (available parallelism when unset).
-    pub jobs: Option<usize>,
-    /// Output directory (`bench_results` when unset).
-    pub out: Option<String>,
-    /// WAN latency (ms) of the reference recording point.
-    pub ref_latency: f64,
-    /// WAN bandwidth (MByte/s) of the reference recording point.
-    pub ref_bandwidth: f64,
-    /// Re-simulate every grid point and report model error.
-    pub validate: bool,
-    /// Mean relative error bar (percent, per app/variant) for `--validate`
-    /// findings.
-    pub max_error: f64,
-    /// Wide-area wiring override (`--topology`) for both the recording
-    /// machine and every replayed grid point; `None` keeps the full mesh.
-    pub topology: Option<WanTopology>,
-}
 
 /// Formats an optional tolerable-gap threshold for the summary table.
 fn show_gap(v: Option<f64>) -> String {
@@ -46,7 +17,7 @@ fn show_gap(v: Option<f64>) -> String {
 /// at the reference point, re-costs the recorded DAG across the fig3 grid,
 /// and writes `PREDICT_fig3.json` (plus the simulated summary under
 /// `--validate`).
-pub fn execute_predict(args: &PredictArgs) -> i32 {
+pub(crate) fn execute_predict(args: &Values) -> i32 {
     let out = match out_dir("predict", args.out.as_deref()) {
         Ok(path) => path,
         Err(code) => return code,

@@ -2,34 +2,19 @@
 //! `awari-db`.
 
 use numagap_apps::{
-    checksum_ok, run_app, run_app_report, serial_checksum, AppId, Scale, SuiteConfig, Variant,
+    checksum_ok, run_app, run_app_report, serial_checksum, summarize, AppId, Scale, SuiteConfig,
+    Variant,
 };
-use numagap_rt::Machine;
 
-use crate::machine::{print_fault_seed, MachineArgs};
+use crate::flags::Values;
+use crate::machine::print_fault_seed;
 use crate::{EXIT_ERROR, EXIT_FINDINGS};
 
-/// Flags of the `run` command.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RunArgs {
-    /// Which application.
-    pub app: AppId,
-    /// Which variant.
-    pub variant: Variant,
-    /// Problem scale.
-    pub scale: Scale,
-    /// Machine shape.
-    pub machine: MachineArgs,
-    /// Verify the checksum against the serial reference.
-    pub verify: bool,
-    /// Write a Chrome trace JSON to this path.
-    pub trace: Option<String>,
-}
-
 /// Executes the `awari-db` command.
-pub(crate) fn execute_awari_db(stones: u32, machine: &MachineArgs) -> i32 {
+pub(crate) fn execute_awari_db(args: &Values) -> i32 {
     use numagap_apps::awari_board::{level_size, solve};
     use numagap_apps::awari_real::{awari_real_rank, serial_awari_real, AwariRealConfig};
+    let stones = args.stones;
     let cfg = AwariRealConfig {
         max_stones: stones,
         ..AwariRealConfig::small()
@@ -46,7 +31,8 @@ pub(crate) fn execute_awari_db(stones: u32, machine: &MachineArgs) -> i32 {
     }
     let serial = serial_awari_real(&cfg);
     let cfg2 = cfg.clone();
-    let report = match machine
+    let report = match args
+        .machine
         .machine()
         .run(move |ctx| awari_real_rank(ctx, &cfg2))
     {
@@ -71,9 +57,9 @@ pub(crate) fn execute_awari_db(stones: u32, machine: &MachineArgs) -> i32 {
 }
 
 /// Executes the `suite` command.
-pub(crate) fn execute_suite(machine: &MachineArgs) -> i32 {
+pub(crate) fn execute_suite(args: &Values) -> i32 {
     let cfg = SuiteConfig::at(Scale::Small);
-    let m = machine.machine();
+    let m = args.machine.machine();
     print_fault_seed(&m);
     println!(
         "{:<12} {:<12} {:>12} {:>12} {:>9}",
@@ -112,15 +98,21 @@ pub(crate) fn execute_suite(machine: &MachineArgs) -> i32 {
     }
 }
 
-/// Executes the `run` command.
-pub(crate) fn execute_run(args: RunArgs) -> i32 {
-    let cfg = SuiteConfig::at(args.scale);
+/// Executes the `run` command: the one application `--app` names, the
+/// optimized variant and the medium scale unless the flags say otherwise.
+pub(crate) fn execute_run(args: &Values) -> i32 {
+    let app = args.apps[0];
+    let variant = args.variant.unwrap_or(Variant::Optimized);
+    let cfg = SuiteConfig::at(args.scale.unwrap_or(Scale::Medium));
     let mut machine = args.machine.machine();
     if args.trace.is_some() {
         machine = machine.with_tracing();
     }
-    let run = match run_app(args.app, &cfg, args.variant, &machine) {
-        Ok(run) => run,
+    let (run, trace) = match run_app_report(app, &cfg, variant, &machine, None) {
+        Ok(mut report) => {
+            let trace = report.trace.take();
+            (summarize(app, variant, report), trace)
+        }
         Err(e) => {
             eprintln!("simulation failed: {e}");
             return EXIT_ERROR;
@@ -163,43 +155,21 @@ pub(crate) fn execute_run(args: RunArgs) -> i32 {
     }
     let mut code = 0;
     if args.verify {
-        let expected = serial_checksum(args.app, &cfg);
-        if checksum_ok(args.app, run.checksum, expected) {
+        let expected = serial_checksum(app, &cfg);
+        if checksum_ok(app, run.checksum, expected) {
             println!("verify:     ok (serial reference {expected:.6})");
         } else {
             println!("verify:     FAILED (serial reference {expected:.6})");
             code = EXIT_FINDINGS;
         }
     }
-    // A trace needs a dedicated traced run through Machine::run —
-    // run_app does not thread traces — so rerun the app under
-    // tracing when requested.
-    if let Some(path) = args.trace {
-        match trace_run(args.app, &cfg, args.variant, &machine) {
-            Ok(json) => {
-                if let Err(e) = std::fs::write(&path, json) {
-                    eprintln!("failed to write trace {path}: {e}");
-                    code = EXIT_ERROR;
-                } else {
-                    println!("trace:      {path}");
-                }
-            }
-            Err(e) => {
-                eprintln!("trace run failed: {e}");
-                code = EXIT_ERROR;
-            }
+    if let (Some(path), Some(trace)) = (&args.trace, trace) {
+        if let Err(e) = std::fs::write(path, trace.to_chrome_json()) {
+            eprintln!("failed to write trace {path}: {e}");
+            code = EXIT_ERROR;
+        } else {
+            println!("trace:      {path}");
         }
     }
     code
-}
-
-fn trace_run(
-    app: AppId,
-    cfg: &SuiteConfig,
-    variant: Variant,
-    machine: &Machine,
-) -> Result<String, numagap_sim::SimError> {
-    let machine = machine.clone().with_tracing();
-    let report = run_app_report(app, cfg, variant, &machine, None)?;
-    Ok(report.trace.expect("tracing was enabled").to_chrome_json())
 }

@@ -2,25 +2,12 @@
 
 use numagap_bench::engine;
 
+use crate::flags::Values;
 use crate::EXIT_ERROR;
-
-/// Flags of the `serve` command.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ServeCmdArgs {
-    /// TCP port to bind on 127.0.0.1 (0 picks an ephemeral port).
-    pub port: u16,
-    /// Connection/compute worker threads (available parallelism when
-    /// unset).
-    pub workers: Option<usize>,
-    /// DAG cache capacity, entries.
-    pub cache_capacity: usize,
-    /// Per-request wall-clock budget, milliseconds.
-    pub deadline_ms: u64,
-}
 
 /// Executes the `serve` command: binds the what-if prediction server and
 /// blocks until a client POSTs `/v1/shutdown` (see [`numagap_serve`]).
-pub fn execute_serve(args: &ServeCmdArgs) -> i32 {
+pub(crate) fn execute_serve(args: &Values) -> i32 {
     let opts = numagap_serve::ServeOpts {
         port: args.port,
         workers: args.workers.unwrap_or_else(engine::default_jobs),

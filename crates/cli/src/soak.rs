@@ -10,43 +10,8 @@ use crate::flags::{self, Values};
 use crate::machine::{MachineArgs, ScheduleArg};
 use crate::EXIT_FINDINGS;
 
-/// Flags of the `soak` command.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SoakArgs {
-    /// Applications to soak (all six when empty).
-    pub apps: Vec<AppId>,
-    /// Soak only this variant (both when unset).
-    pub variant: Option<Variant>,
-    /// Problem scale.
-    pub scale: Scale,
-    /// Machine shape; its `--seed` is the sweep's base seed and its
-    /// drop/duplicate/reorder flags are superseded by `--intensities`.
-    pub machine: MachineArgs,
-    /// Fault intensities to sweep: each cell runs with `drop = i`,
-    /// `duplicate = i/2`, `reorder = i/2`.
-    pub intensities: Vec<f64>,
-    /// Cross-traffic intensities to sweep (`--cross-traffic 0,0.4`);
-    /// `[0.0]` keeps the classic fault-only matrix.
-    pub cross_traffic: Vec<f64>,
-    /// WAN-quality schedule shapes to sweep (`--schedule none,step`).
-    pub schedules: Vec<ScheduleArg>,
-    /// Heterogeneity presets to sweep (`--hetero uniform,slow-home`).
-    pub hetero: Vec<HeteroPreset>,
-    /// Seeds per (app, intensity) cell, counting up from the base seed.
-    pub seeds: u64,
-    /// Re-run every cell with the same seed and require a bit-identical
-    /// replay (schedule, virtual time, transport traffic).
-    pub repro: bool,
-    /// Virtual-time limit per cell in seconds; a cell that exceeds it is a
-    /// hang and fails the soak.
-    pub timeout_s: u64,
-    /// Skip the mid-run gateway outage that is otherwise planted from each
-    /// app's fault-free timing probe.
-    pub no_outage: bool,
-    /// Worker threads for the sweep's cells (available parallelism when
-    /// unset). Cell outputs stay in canonical order.
-    pub jobs: Option<usize>,
-}
+/// The seed a sweep counts up from when `--seed` does not say.
+pub(crate) const FIRST_SEED: u64 = 1;
 
 /// One (app, variant, hetero, schedule, cross-traffic, intensity, seed)
 /// soak cell, with the fault-free makespan its outage window is derived
@@ -63,53 +28,49 @@ struct SoakCell {
 }
 
 impl SoakCell {
-    /// The sweep narrowed to this one cell, as the flag values of the
-    /// `soak` command that runs it alone; `base` is the sweep's machine
-    /// without any plan. The cell's hostile plans share the cell seed, so
-    /// the one seed of the printed command reproduces faults,
+    /// The machine the cell runs on: the sweep's `base` with the cell's
+    /// hostile dimensions and seed, plus the fault plan `soak` generates
+    /// from the intensity and — on more than one cluster, unless
+    /// `no_outage` — an outage of gateway 1 parked mid-run. The cell's
+    /// plans share the cell seed, so one `--seed` reproduces faults,
     /// cross-traffic and schedule alike.
-    fn narrowed(&self, args: &SoakArgs, base: &MachineArgs) -> Values {
-        Values {
-            apps: vec![self.app],
-            variant: Some(self.variant),
-            scale: Some(args.scale),
-            machine: MachineArgs {
-                hetero: self.hetero,
-                schedule: self.shape,
-                cross_traffic: self.cross,
-                seed: Some(self.seed),
-                ..base.clone()
-            },
-            intensities: vec![self.intensity],
-            seeds: 1,
-            repro: args.repro,
-            timeout_s: args.timeout_s,
-            no_outage: args.no_outage,
-            ..flags::defaults()
-        }
-    }
-
-    /// The machine the cell runs on: the narrowed sweep's, plus the fault
-    /// plan `soak` generates from the intensity and — on more than one
-    /// cluster — an outage of gateway 1 parked mid-run.
-    fn machine(&self, narrowed: &Values) -> MachineArgs {
+    fn machine(&self, base: &MachineArgs, no_outage: bool) -> MachineArgs {
         let ms = |ns: u64| ns as f64 / 1e6;
         let t = self.clean.as_nanos();
-        let planted = !narrowed.no_outage && narrowed.machine.clusters > 1;
+        let planted = !no_outage && base.clusters > 1;
         MachineArgs {
+            hetero: self.hetero,
+            schedule: self.shape,
+            cross_traffic: self.cross,
+            seed: Some(self.seed),
             drop: self.intensity,
             duplicate: self.intensity / 2.0,
             reorder: self.intensity / 2.0,
             outages: Vec::from_iter(planted.then(|| (1, ms(t * 3 / 10), ms(t / 2)))),
-            ..narrowed.machine.clone()
+            ..base.clone()
         }
+    }
+
+    /// The sweep's command line `line` narrowed to this one cell.
+    fn command_line(&self, line: &[String]) -> String {
+        let pins = [
+            ("--app", self.app.to_string().to_ascii_lowercase()),
+            ("--variant", self.variant.to_string()),
+            ("--hetero", self.hetero.to_string()),
+            ("--schedule", self.shape.to_string()),
+            ("--cross-traffic", self.cross.to_string()),
+            ("--seed", self.seed.to_string()),
+            ("--intensities", self.intensity.to_string()),
+            ("--seeds", "1".to_string()),
+        ];
+        flags::pin(line, &pins).join(" ")
     }
 }
 
 /// The sweep's machine without any plan: the sweep owns the fault,
 /// cross-traffic and schedule plans, so its base machine carries none. The
 /// interference-free probes run on it.
-fn base_machine(args: &SoakArgs) -> MachineArgs {
+fn base_machine(machine: &MachineArgs) -> MachineArgs {
     MachineArgs {
         seed: None,
         drop: 0.0,
@@ -118,14 +79,14 @@ fn base_machine(args: &SoakArgs) -> MachineArgs {
         outages: Vec::new(),
         cross_traffic: 0.0,
         schedule: ScheduleArg::None,
-        ..args.machine.clone()
+        ..machine.clone()
     }
 }
 
 /// Runs one soak cell; returns the table line plus any failure records
 /// (already formatted with their reproduction command line).
 fn run_soak_cell(
-    args: &SoakArgs,
+    args: &Values,
     cfg: &SuiteConfig,
     base: &MachineArgs,
     expected: f64,
@@ -141,16 +102,15 @@ fn run_soak_cell(
         seed,
         ..
     } = *cell;
-    let narrowed = cell.narrowed(args, base);
     let machine = cell
-        .machine(&narrowed)
+        .machine(base, args.no_outage)
         .machine()
         .time_limit(SimDuration::from_secs(args.timeout_s));
     let failure = |problem: String| {
         format!(
             "{app}/{variant} hetero={hetero} schedule={shape} cross={cross} \
              intensity={intensity} seed={seed}: {problem}\n    reproduce: numagap soak {}",
-            flags::render("soak", &narrowed).join(" ")
+            cell.command_line(&args.line)
         )
     };
     let (app_s, var_s) = (app.to_string(), variant.to_string());
@@ -212,16 +172,17 @@ fn run_soak_cell(
 /// Cells are independent deterministic simulations, so they fan across the
 /// experiment engine's worker pool (`--jobs`); the table and the failure
 /// list are rendered in canonical cell order regardless of worker count.
-pub fn execute_soak(args: &SoakArgs) -> i32 {
+/// The problem size defaults to small.
+pub(crate) fn execute_soak(args: &Values) -> i32 {
     let jobs = args.jobs.unwrap_or_else(engine::default_jobs);
-    let cfg = SuiteConfig::at(args.scale);
+    let cfg = SuiteConfig::at(args.scale.unwrap_or(Scale::Small));
     let apps: Vec<AppId> = if args.apps.is_empty() {
         AppId::ALL.to_vec()
     } else {
         args.apps.clone()
     };
-    let base_seed = args.machine.seed.unwrap_or(1);
-    let base = base_machine(args);
+    let base_seed = args.machine.seed.unwrap_or(FIRST_SEED);
+    let base = base_machine(&args.machine);
     let variants: Vec<Variant> = match args.variant {
         Some(v) => vec![v],
         None => vec![Variant::Unoptimized, Variant::Optimized],
@@ -358,39 +319,39 @@ mod tests {
     use super::*;
     use crate::{parse, Command};
 
-    fn soak_args(argv: &[&str]) -> SoakArgs {
-        match parse(argv).unwrap() {
-            Command::Soak(args) => args,
+    fn soak_values(argv: &[&str]) -> Values {
+        match parse(argv).unwrap_or_else(|e| panic!("{argv:?}: {e}")) {
+            Command::Execute(spec, v) if spec.name == "soak" => *v,
             other => panic!("expected soak, got {other:?}"),
         }
     }
 
     #[test]
     fn a_failing_cell_prints_a_line_that_rebuilds_its_machine() {
-        // A zero-second limit fails the cell; the jitter is the flag the
-        // hand-written line used to forget (with the limit itself).
-        let args = soak_args(&[
+        // A zero-second limit fails every cell. The sweep lists two values
+        // on the dimensions a cell pins; the cell is the second of each.
+        let sweep = soak_values(&[
             "soak",
             "--app",
             "fft",
-            "--variant",
-            "opt",
+            "--app",
+            "asp",
             "--scale",
             "small",
             "--clusters",
             "2,1",
             "--intensities",
-            "0.1",
+            "0.05,0.1",
             "--seeds",
-            "1",
+            "2",
             "--seed",
             "5",
             "--hetero",
-            "slow-home",
+            "uniform,slow-home",
             "--cross-traffic",
-            "0.3",
+            "0,0.3",
             "--schedule",
-            "step",
+            "none,step",
             "--jitter",
             "0.2",
             "--timeout",
@@ -399,22 +360,19 @@ mod tests {
             "--jobs",
             "3",
         ]);
-        let cell = |a: &SoakArgs| SoakCell {
-            app: a.apps[0],
-            variant: a.variant.expect("given"),
-            hetero: a.hetero[0],
-            shape: a.schedules[0],
-            cross: a.cross_traffic[0],
-            intensity: a.intensities[0],
-            seed: a.machine.seed.expect("given"),
+        let cell = SoakCell {
+            app: AppId::Fft,
+            variant: Variant::Optimized,
+            hetero: HeteroPreset::SlowHome,
+            shape: ScheduleArg::Step,
+            cross: 0.3,
+            intensity: 0.1,
+            seed: 6,
             clean: SimDuration::from_millis(40),
         };
-        let ran = |a: &SoakArgs| {
-            let c = cell(a);
-            c.machine(&c.narrowed(a, &base_machine(a)))
-        };
-        let cfg = SuiteConfig::at(args.scale);
-        let (line, failures) = run_soak_cell(&args, &cfg, &base_machine(&args), 0.0, &cell(&args));
+        let cfg = SuiteConfig::at(Scale::Small);
+        let base = base_machine(&sweep.machine);
+        let (line, failures) = run_soak_cell(&sweep, &cfg, &base, 0.0, &cell);
         assert!(line.contains("FAILED"), "{line}");
         let printed = failures[0]
             .split_once("reproduce: numagap ")
@@ -424,20 +382,21 @@ mod tests {
         for flag in ["--jitter", "--timeout", "--repro", "--seed"] {
             assert!(argv.contains(&flag), "{flag} missing from: {printed}");
         }
-        let again = soak_args(&argv);
-        assert_eq!(ran(&again), ran(&args), "{printed}");
-        assert_eq!(ran(&again).spec(), ran(&args).spec());
-        assert_eq!(again.timeout_s, args.timeout_s);
-        assert_eq!(again.seeds, 1);
-        assert!(again.repro);
-        assert!(
-            ran(&args)
-                .spec()
-                .fault_plan
-                .expect("planned")
-                .gateway_outages
-                .len()
-                == 1
-        );
+        // Pasted back, the line is a sweep of exactly this cell.
+        let again = soak_values(&argv);
+        assert_eq!(again.apps, [cell.app], "{printed}");
+        assert_eq!(again.variant, Some(cell.variant));
+        assert_eq!(again.hetero, [cell.hetero]);
+        assert_eq!(again.schedules, [cell.shape]);
+        assert_eq!(again.cross_traffic, [cell.cross]);
+        assert_eq!(again.intensities, [cell.intensity]);
+        assert_eq!((again.machine.seed, again.seeds), (Some(cell.seed), 1));
+        let rebuilt = base_machine(&again.machine);
+        let ran = cell.machine(&base, sweep.no_outage);
+        assert_eq!(cell.machine(&rebuilt, again.no_outage), ran, "{printed}");
+        assert_eq!(cell.machine(&rebuilt, again.no_outage).spec(), ran.spec());
+        assert_eq!((again.timeout_s, again.repro), (sweep.timeout_s, true));
+        let plan = ran.spec().fault_plan.expect("planned");
+        assert_eq!(plan.gateway_outages.len(), 1);
     }
 }

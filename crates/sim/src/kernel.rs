@@ -599,16 +599,6 @@ impl<N: Network> Kernel<N> {
                 return Err(err);
             }
             let at = core.now();
-            // Close the open blocked intervals so the trace accounts the
-            // full wait that led into the deadlock.
-            for rank in 0..self.slots.len() {
-                if matches!(self.slots[rank].state, ProcState::Blocked(_)) {
-                    let block_start = self.slots[rank].block_start;
-                    if let Some(trace) = self.trace.as_mut() {
-                        trace.blocked(ProcId(rank), block_start, at);
-                    }
-                }
-            }
             let procs: Vec<(usize, WaitState)> = self
                 .slots
                 .iter()
