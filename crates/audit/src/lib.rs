@@ -205,13 +205,6 @@ pub const WAIVERS: &[Waiver] = &[
         reason: "stopwatch between the stages of a what-if request, summed into the \
                  /v1/stats stage counters only; what-if bodies never read it",
     },
-    Waiver {
-        rule: "ND002",
-        path_suffix: "serve/src/bench.rs",
-        token: "Instant::now",
-        reason: "wall-clock stopwatch around serve bench cells, recorded as wall_s \
-                 and serve_timing.csv only; serve.csv and compare read virtual fields",
-    },
     // ── ND005: reductions over index-ordered slices ──
     Waiver {
         rule: "ND005",

@@ -76,7 +76,7 @@ impl From<io::Error> for BenchError {
 ///
 /// Propagates file-creation and write failures (disk full, read-only
 /// output directory) instead of panicking mid-sweep.
-pub fn write_csv(dir: &Path, name: &str, header: &str, rows: &[String]) -> io::Result<()> {
+pub(crate) fn write_csv(dir: &Path, name: &str, header: &str, rows: &[String]) -> io::Result<()> {
     let path = dir.join(name);
     let mut f = fs::File::create(&path)?;
     writeln!(f, "{header}")?;

@@ -469,7 +469,7 @@ mod tests {
             assert_eq!(summary.to_json(), text, "{path:?}");
             loaded += 1;
         }
-        assert_eq!(loaded, 11);
+        assert_eq!(loaded, crate::targets::TARGETS.len());
     }
 
     fn record(key: &str, wall: f64, virt: f64) -> RunRecord {

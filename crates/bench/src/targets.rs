@@ -37,8 +37,7 @@ pub struct Target {
     pub run: fn(&SweepOpts) -> Result<BenchSummary, BenchError>,
 }
 
-/// Every experiment this crate can name, in the order `--target all` runs
-/// them. (The CLI appends `serve`, which lives downstream of this crate.)
+/// Every experiment, in the order `--target all` runs them.
 pub static TARGETS: [Target; 10] = [
     Target {
         name: "table1",

@@ -9,21 +9,12 @@ use numagap_bench::targets::{SweepOpts, Target, TARGETS};
 use crate::flags::Values;
 use crate::{EXIT_ERROR, EXIT_FINDINGS};
 
-/// The experiment table: the bench crate's rows, then `serve`, whose sweep
-/// lives downstream of that crate.
-pub(crate) fn targets() -> impl Iterator<Item = &'static Target> {
-    static SERVE: Target = Target {
-        name: "serve",
-        about: "what-if service: batch x worker grid, cold/warm, analytic vs replay",
-        run: numagap_serve::run_serve_bench,
-    };
-    TARGETS.iter().chain(std::iter::once(&SERVE))
-}
-
 /// The rows `--target <target>` runs, in table order: the named one, or
 /// every row for `all`.
 pub(crate) fn selected(target: &str) -> impl Iterator<Item = &'static Target> + '_ {
-    targets().filter(move |t| target == "all" || t.name == target)
+    TARGETS
+        .iter()
+        .filter(move |t| target == "all" || t.name == target)
 }
 
 /// Executes the `bench` command: either fans the selected targets across

@@ -14,9 +14,10 @@ use std::fmt::{self, Display, Write as _};
 use std::str::FromStr;
 
 use numagap_apps::{AppId, Scale, Variant};
+use numagap_bench::targets::TARGETS;
 use numagap_net::{HeteroPreset, LinkParams, WanTopology};
 
-use crate::bench::{selected, targets};
+use crate::bench::selected;
 use crate::{audit, bench, check, machine, predict, run, serve, soak};
 use crate::{Command, MachineArgs, ScheduleArg};
 
@@ -167,6 +168,13 @@ fn parse_scale(s: &str) -> Result<Scale, String> {
     Scale::from_name(&s.to_ascii_lowercase()).ok_or_else(|| "unknown scale".to_string())
 }
 
+/// The most ranks a machine may have. Each rank runs on a guarded stack,
+/// which is two memory mappings (the stack and its guard page), and Linux
+/// lets a process hold `vm.max_map_count` mappings (65 530 by default), so
+/// about half that many ranks fit: 32 700 run on a default host, 32 760
+/// do not.
+const MAX_RANKS: usize = 32_700;
+
 /// `N` clusters, or explicit per-cluster sizes `a,b,..`.
 fn parse_clusters(s: &str) -> Result<(usize, Option<Vec<usize>>), String> {
     if s.contains(',') {
@@ -195,7 +203,7 @@ fn parse_target(s: &str) -> Result<String, String> {
     if selected(&target).next().is_some() {
         return Ok(target);
     }
-    let names: Vec<&str> = targets().map(|t| t.name).collect();
+    let names: Vec<&str> = TARGETS.iter().map(|t| t.name).collect();
     Err(format!(
         "unknown bench target (expected all, {})",
         names.join(", ")
@@ -671,7 +679,7 @@ pub fn parse(args: &[&str]) -> Result<Command, ParseError> {
     };
     let Some(spec) = COMMANDS.iter().find(|c| c.name == cmd) else {
         // An experiment's name is not a subcommand of its own.
-        let hint = match targets().any(|t| t.name == cmd) {
+        let hint = match TARGETS.iter().any(|t| t.name == cmd) {
             true => format!("; experiments run as `numagap bench --target {cmd}`"),
             false => String::new(),
         };
@@ -745,8 +753,9 @@ fn set(values: &mut Values, row: &Flag, text: &str) -> Result<(), ParseError> {
 
 /// What spans flags: the machine takes its wiring and the last element of
 /// each hostile dimension (the whole lists are soak's); run needs its
-/// application; the fault plan, the outages and the wiring must fit; and
-/// soak's seeds, counted up from `--seed`, must not run past the last one.
+/// application; the rank count, the fault plan, the outages and the wiring
+/// must fit; and soak's seeds, counted up from `--seed`, must not run past
+/// the last one.
 fn settle(cmd: &str, v: &mut Values) -> Result<(), ParseError> {
     let m = &mut v.machine;
     m.wan_topology = v.topology.unwrap_or_default();
@@ -755,6 +764,28 @@ fn settle(cmd: &str, v: &mut Values) -> Result<(), ParseError> {
     m.schedule = *v.schedules.last().expect("a list has an element");
     if cmd == "run" && v.apps.is_empty() {
         return Err(ParseError("run requires --app".into()));
+    }
+    let (ranks, given, flag) = match &m.cluster_sizes {
+        Some(sizes) => (
+            sizes.iter().fold(0, |sum: usize, &n| sum.saturating_add(n)),
+            sizes
+                .iter()
+                .map(usize::to_string)
+                .collect::<Vec<_>>()
+                .join(","),
+            "--clusters",
+        ),
+        None => (
+            m.clusters.saturating_mul(m.procs),
+            m.procs.to_string(),
+            "--procs",
+        ),
+    };
+    if ranks > MAX_RANKS {
+        return Err(ParseError(format!(
+            "invalid value '{given}' for {flag}: the machine would have {ranks} ranks, \
+             and a process runs at most {MAX_RANKS}"
+        )));
     }
     let faults = m.drop + m.duplicate + m.reorder;
     if faults > 1.0 {
@@ -853,7 +884,7 @@ fn command_part(out: &mut String, spec: &CmdSpec, full: bool) {
     wrap(out, "", 2, spec.notes);
     if spec.name == "bench" {
         out.push_str("  targets, in the order `all` runs them:\n");
-        for t in targets() {
+        for t in &TARGETS {
             let _ = writeln!(out, "    {:<10} {}", t.name, t.about);
         }
     }

@@ -4,7 +4,7 @@ use numagap_bench::targets::TARGETS;
 use numagap_net::{HeteroPreset, WanTopology};
 
 use super::*;
-use crate::bench::{selected, targets};
+use crate::bench::selected;
 use crate::flags::{parse_app, rows, Flag, COMMANDS};
 
 /// What `argv` sets, as the command it names reads it; the command line
@@ -137,15 +137,11 @@ fn parses_bench() {
 
 #[test]
 fn the_target_table_is_the_only_list_of_experiments() {
-    let names: Vec<&str> = targets().map(|t| t.name).collect();
+    let names: Vec<&str> = TARGETS.iter().map(|t| t.name).collect();
     let mut unique = names.clone();
     unique.sort_unstable();
     unique.dedup();
     assert_eq!(unique.len(), names.len(), "duplicate target name");
-    // The bench crate's rows in their order, then the downstream one.
-    let bench: Vec<&str> = TARGETS.iter().map(|t| t.name).collect();
-    assert_eq!(names[..bench.len()], bench[..]);
-    assert_eq!(names[bench.len()..], ["serve"]);
     // Every name parses as a target and selects its own row; `all`
     // selects the whole table in order; nothing else parses.
     for name in &names {
@@ -166,13 +162,13 @@ fn the_target_table_is_the_only_list_of_experiments() {
         .map(|l| l.split_whitespace().next().expect("a target row"))
         .collect();
     assert_eq!(listed, names);
-    for t in targets() {
+    for t in &TARGETS {
         assert!(
             usage.contains(t.about),
             "{} row lost its description",
             t.name
         );
-        assert!(!usage.contains(&format!("numagap {} ", t.name)) || t.name == "serve");
+        assert!(!usage.contains(&format!("numagap {} ", t.name)));
     }
     // One committed baseline per target, and none for anything else.
     let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../bench/baselines");
@@ -856,8 +852,9 @@ fn bad_values(row: &Flag) -> &'static [&'static str] {
         "--app" => &["chess"],
         "--variant" => &["fast"],
         "--scale" => &["huge"],
-        "--clusters" => &["0", "8,0,4", "8,x"],
-        "--procs" | "--jobs" | "--workers" | "--cache-capacity" | "--deadline" => &["0", "x"],
+        "--clusters" => &["0", "8,0,4", "8,x", "20000,20000"],
+        "--procs" => &["0", "x", "100000"],
+        "--jobs" | "--workers" | "--cache-capacity" | "--deadline" => &["0", "x"],
         // Past `LinkParams`' WAN limits, where virtual time overflows.
         "--latency" | "--ref-latency" => &["-1", "abc", "inf", "100000.5", "1e300"],
         "--bandwidth" | "--ref-bandwidth" => &["0", "-2", "nan", "0.0009", "1e-12"],

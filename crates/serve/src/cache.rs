@@ -68,18 +68,9 @@ impl CacheKey {
     /// FNV-1a digest of the canonical address, printed as the short content
     /// hash in responses and logs.
     pub fn digest(&self) -> u64 {
-        fnv1a(self.canonical().as_bytes())
+        let step = |h: u64, b: u8| (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        self.canonical().bytes().fold(0xcbf2_9ce4_8422_2325, step)
     }
-}
-
-/// 64-bit FNV-1a over a byte string.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 /// One cached recording: the frozen DAG, its compiled analytic envelope,

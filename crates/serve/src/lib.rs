@@ -21,19 +21,14 @@
 //!   (`bench::json` with depth/number/garbage caps), and batch fan-out
 //!   through the bench engine's work-index loop so response bytes are
 //!   identical at any worker count.
-//!
-//! The [`mod@bench`] module is the `numagap bench --target serve` throughput
-//! sweep over batch size × worker count × mode × cache temperature.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod bench;
 pub mod cache;
 pub mod http;
 pub mod service;
 
-pub use bench::run_serve_bench;
 pub use cache::{CacheEntry, CacheKey, CacheStats, DagCache, DEFAULT_CACHE_CAPACITY};
 pub use http::{ServeOpts, Server, MAX_BODY_BYTES, MAX_HEAD_BYTES};
 pub use numagap_model::AnalyticModel;

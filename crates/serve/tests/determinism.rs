@@ -63,32 +63,36 @@ fn thousand_point_request(mode: &str) -> String {
     body
 }
 
-#[test]
-fn thousand_point_batch_is_byte_identical_across_worker_counts_and_cache_paths() {
-    let req = thousand_point_request("analytic");
+/// POSTs `req` twice to a fresh server at 1 and at 8 workers: the first
+/// answer must be a cache miss, the second a hit, and all four bodies the
+/// same bytes, which are returned.
+fn one_body_cold_and_warm_at_1_and_8_workers(req: &str) -> String {
     let mut bodies = Vec::new();
     for workers in [1usize, 8] {
         let mut server = server_with_workers(workers);
-        let addr = server.addr();
-        let (status, head, cold) = http(addr, "POST", "/v1/whatif", &req);
-        assert_eq!(status, 200, "workers={workers}: {cold}");
-        assert!(head.contains("X-Numagap-Cache: miss"), "{head}");
-        let (status, head, warm) = http(addr, "POST", "/v1/whatif", &req);
-        assert_eq!(status, 200);
-        assert!(head.contains("X-Numagap-Cache: hit"), "{head}");
-        assert_eq!(
-            cold, warm,
-            "workers={workers}: cold and cached bodies differ"
-        );
-        bodies.push(cold);
+        for cache in ["miss", "hit"] {
+            let (status, head, body) = http(server.addr(), "POST", "/v1/whatif", req);
+            assert_eq!(status, 200, "workers={workers}: {body}");
+            assert!(
+                head.contains(&format!("X-Numagap-Cache: {cache}")),
+                "{head}"
+            );
+            assert!(
+                bodies.first().is_none_or(|first| *first == body),
+                "workers={workers}, cache {cache}: the body differs"
+            );
+            bodies.push(body);
+        }
         server.shutdown();
     }
-    assert_eq!(
-        bodies[0], bodies[1],
-        "1000-point bodies differ between 1 and 8 workers"
-    );
+    bodies.swap_remove(0)
+}
+
+#[test]
+fn thousand_point_batch_is_byte_identical_across_worker_counts_and_cache_paths() {
+    let body = one_body_cold_and_warm_at_1_and_8_workers(&thousand_point_request("analytic"));
     // Sanity: the body really carries all 1000 points.
-    let doc = json::parse(&bodies[0]).unwrap();
+    let doc = json::parse(&body).unwrap();
     assert_eq!(doc.get("points").unwrap().as_array().unwrap().len(), 1000);
 }
 
@@ -113,16 +117,8 @@ fn replay_grid_batch_is_byte_identical_across_worker_counts() {
     }
     req.push_str("]}");
 
-    let mut bodies = Vec::new();
-    for workers in [1usize, 8] {
-        let mut server = server_with_workers(workers);
-        let (status, _, body) = http(server.addr(), "POST", "/v1/whatif", &req);
-        assert_eq!(status, 200, "workers={workers}: {body}");
-        bodies.push(body);
-        server.shutdown();
-    }
-    assert_eq!(bodies[0], bodies[1]);
-    let doc = json::parse(&bodies[0]).unwrap();
+    let body = one_body_cold_and_warm_at_1_and_8_workers(&req);
+    let doc = json::parse(&body).unwrap();
     assert_ne!(
         doc.get("thresholds"),
         Some(&Json::Null),
@@ -191,8 +187,8 @@ fn the_benchmarks_speedups_print_as_fmt_prints_them() {
 
 #[test]
 fn in_process_service_agrees_with_the_wire() {
-    // The Service API (used by the bench target and unit tests) and the
-    // HTTP path must serve the same bytes for the same request.
+    // The Service API (what unit tests and the benchmark's probes call)
+    // and the HTTP path must serve the same bytes for the same request.
     let req = "{\"app\": \"fft\", \"variant\": \"unopt\", \"scale\": \"small\", \
                \"mode\": \"analytic\", \"points\": [[10.0, 0.3], [300.0, 0.03]]}";
     let service = Service::new(2, 4);
