@@ -23,11 +23,7 @@
 #![warn(missing_debug_implementations)]
 
 pub mod asp;
-// Two Awaris: the synthetic `awari` is the one fig3 runs; `awari_real` and
-// `awari_board` build a real endgame database for ablation 6 and `awari-db`.
 pub mod awari;
-pub mod awari_board;
-pub mod awari_real;
 pub mod barnes;
 pub mod common;
 pub mod fft;
@@ -38,6 +34,6 @@ pub mod water;
 
 pub use common::{total_checksum, total_work, RankOutput, Variant};
 pub use suite::{
-    checksum_ok, checksum_tolerance, run_app, run_app_observed, run_app_report, serial_checksum,
-    summarize, variants, AppId, AppRun, Scale, SuiteConfig,
+    checksum_ok, checksum_tolerance, pairs, run_app, run_app_observed, run_app_report,
+    serial_checksum, summarize, variants, AppId, AppRun, Scale, SuiteConfig,
 };

@@ -97,6 +97,24 @@ pub fn variants(app: AppId) -> &'static [Variant] {
     }
 }
 
+/// The (app, variant) pairs the paper reports for `apps` (every app when
+/// it is empty), keeping only `variant` when one is given.
+pub fn pairs(apps: &[AppId], variant: Option<Variant>) -> Vec<(AppId, Variant)> {
+    let apps = if apps.is_empty() {
+        &AppId::ALL[..]
+    } else {
+        apps
+    };
+    apps.iter()
+        .flat_map(|&app| {
+            variants(app)
+                .iter()
+                .filter(move |&&v| variant.is_none_or(|want| want == v))
+                .map(move |&v| (app, v))
+        })
+        .collect()
+}
+
 /// Problem-size scale.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Scale {
@@ -377,6 +395,14 @@ mod tests {
         }
         assert!(!AppId::Fft.has_optimized());
         assert!(AppId::Water.has_optimized());
+        // Eleven pairs: FFT has no optimized variant to select.
+        assert_eq!(pairs(&[], None).len(), 11);
+        assert_eq!(pairs(&[], Some(Variant::Optimized)).len(), 5);
+        assert_eq!(
+            pairs(&[AppId::Fft], None),
+            [(AppId::Fft, Variant::Unoptimized)]
+        );
+        assert!(pairs(&[AppId::Fft], Some(Variant::Optimized)).is_empty());
     }
 
     #[test]

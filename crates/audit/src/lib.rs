@@ -169,13 +169,6 @@ pub const WAIVERS: &[Waiver] = &[
         reason: "pending/per-dst maps are keyed lookups; every iteration first collects \
                  keys and sorts them (dsts.sort_unstable) before building messages",
     },
-    Waiver {
-        rule: "ND001",
-        path_suffix: "apps/src/awari_real.rs",
-        token: "HashMap",
-        reason: "open/solved tables are keyed lookups; resolved keys are collected and \
-                 sorted (newly_resolved/leftovers.sort_unstable) before any send",
-    },
     // ── ND002: wall-clock stopwatches, excluded from comparisons ──
     Waiver {
         rule: "ND002",

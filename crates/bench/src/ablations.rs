@@ -9,9 +9,6 @@
 //! 4. ASP: fixed sequencer vs migrating sequencer vs no sequencer (the
 //!    paper's "drop the sequencer altogether" suggestion).
 //! 5. Wide-area latency *variation* (the paper's further-work question).
-//! 6. A real Awari endgame-database build vs wide-area latency: its
-//!    round-synchronous structure makes it the most latency-sensitive
-//!    workload in the repository.
 //!
 //! Problem sizes follow `--scale`; the grids are fixed (`--quick` is
 //! recorded only). One CSV per study, one `BENCH_ablations.json` for all.
@@ -20,7 +17,6 @@ use std::fmt::Write as _;
 
 use numagap_apps::asp::{asp_rank, AspConfig};
 use numagap_apps::awari::{awari_rank, AwariConfig};
-use numagap_apps::awari_real::{awari_real_rank, AwariRealConfig};
 use numagap_apps::barnes::{barnes_rank, BarnesConfig};
 use numagap_apps::water::{water_rank, WaterConfig};
 use numagap_apps::{total_checksum, Scale, SuiteConfig, Variant};
@@ -39,7 +35,6 @@ enum Job {
     Barnes(BarnesConfig, Variant),
     Asp(AspConfig, Variant),
     Water(WaterConfig, Variant),
-    RealAwari(AwariRealConfig),
 }
 
 /// One simulation: a column of one study row.
@@ -101,14 +96,6 @@ fn studies(scale: Scale) -> Vec<Study> {
             ..cfg.asp.clone()
         };
         cell(col, paper_spec(lat, 1.0), Job::Asp(asp, variant))
-    };
-    let real_awari = AwariRealConfig {
-        max_stones: match scale {
-            Scale::Small => 4,
-            Scale::Medium => 5,
-            Scale::Paper => 6,
-        },
-        ..AwariRealConfig::small()
     };
     vec![
         Study {
@@ -180,19 +167,6 @@ fn studies(scale: Scale) -> Vec<Study> {
                 })
                 .collect(),
         },
-        Study {
-            title: "real Awari database build (1 MB/s)",
-            stem: "real_awari",
-            header: "latency_ms,elapsed_s,inter_msgs",
-            msgs: true,
-            gain: false,
-            rows: ([0.5, 3.3, 10.0, 30.0].into_iter())
-                .map(|lat: f64| {
-                    let job = Job::RealAwari(real_awari.clone());
-                    (lat.to_string(), vec![cell("", paper_spec(lat, 1.0), job)])
-                })
-                .collect(),
-        },
     ]
 }
 
@@ -238,7 +212,6 @@ pub fn run_ablations(opts: &SweepOpts) -> Result<BenchSummary, BenchError> {
                 let molecules = cfg.generate();
                 machine.run(move |ctx| water_rank(ctx, &cfg, &molecules, variant))
             }
-            Job::RealAwari(cfg) => machine.run(move |ctx| awari_real_rank(ctx, &cfg)),
         }
         .map_err(|e| e.to_string());
         (format!("ablations/{key}"), run)

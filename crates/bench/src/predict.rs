@@ -11,7 +11,7 @@
 use std::fmt::Write as _;
 use std::path::Path;
 
-use numagap_apps::{variants, AppId, SuiteConfig, Variant};
+use numagap_apps::{pairs, AppId, SuiteConfig, Variant};
 use numagap_model::{
     critical_path, gap_thresholds, record_app, replay, CommDag, GapThresholds, PathBreakdown,
     Replayer,
@@ -155,15 +155,7 @@ pub fn run_predict(opts: &PredictOpts) -> Result<PredictReport, BenchError> {
     } else {
         opts.apps.clone()
     };
-    let pairs: Vec<(AppId, Variant)> = apps
-        .iter()
-        .flat_map(|&app| {
-            variants(app)
-                .iter()
-                .filter(|&&v| opts.variant.is_none_or(|want| want == v))
-                .map(move |&v| (app, v))
-        })
-        .collect();
+    let pairs = pairs(&apps, opts.variant);
     if pairs.is_empty() {
         return Err(BenchError::Sim(
             "no (app, variant) pair matches the selection".to_string(),

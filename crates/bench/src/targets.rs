@@ -86,7 +86,7 @@ pub static TARGETS: [Target; 10] = [
     },
     Target {
         name: "ablations",
-        about: "six design-choice studies (combining, gateway cost, sequencer, ...)",
+        about: "five design-choice studies (combining, gateway cost, sequencer, ...)",
         run: crate::ablations::run_ablations,
     },
 ];

@@ -2,7 +2,7 @@
 //! the schedule-perturbation detector.
 
 use numagap_analysis::{check_rank_lints, Analysis, Diagnostic, DiagnosticKind};
-use numagap_apps::{run_app, run_app_report, AppId, Scale, SuiteConfig, Variant};
+use numagap_apps::{pairs, run_app, run_app_report, AppId, Scale, SuiteConfig, Variant};
 use numagap_rt::Machine;
 use numagap_sim::TieBreak;
 
@@ -11,26 +11,18 @@ use crate::machine::print_fault_seed;
 use crate::EXIT_FINDINGS;
 
 /// Executes the `check` command: the one application `--app` names, or all
-/// six. The sweep defaults to the small scale: it visits every app/variant
-/// pair, and findings do not depend on problem size.
+/// six, in the variants the paper reports for each. The sweep defaults to
+/// the small scale: it visits every app/variant pair, and findings do not
+/// depend on problem size.
 pub(crate) fn execute_check(args: &Values) -> i32 {
     let cfg = SuiteConfig::at(args.scale.unwrap_or(Scale::Small));
     let machine = args.machine.machine();
     print_fault_seed(&machine);
-    let apps: Vec<AppId> = match args.apps.first() {
-        Some(&app) => vec![app],
-        None => AppId::ALL.to_vec(),
-    };
-    let variants: Vec<Variant> = match args.variant {
-        Some(v) => vec![v],
-        None => vec![Variant::Unoptimized, Variant::Optimized],
-    };
     println!(
         "sanitizing {} on {}",
-        if apps.len() == 1 {
-            apps[0].to_string()
-        } else {
-            format!("{} apps", apps.len())
+        match args.apps.first() {
+            Some(app) => app.to_string(),
+            None => format!("{} apps", AppId::ALL.len()),
         },
         machine.spec().topology.label()
     );
@@ -44,42 +36,40 @@ pub(crate) fn execute_check(args: &Values) -> i32 {
     ];
     let mut unwaived_total = 0usize;
     let mut moved_total = 0usize;
-    for &app in &apps {
-        for &variant in &variants {
-            let (diags, run_error) = check_app(app, &cfg, variant, &machine);
-            let mut unwaived = 0usize;
-            let mut waived_count = 0usize;
-            let mut lines = Vec::new();
-            for d in &diags {
-                match waived(app, variant, d.kind) {
-                    Some(reason) => {
-                        waived_count += 1;
-                        lines.push(format!("    {d} (waived: {reason})"));
-                    }
-                    None => {
-                        unwaived += 1;
-                        lines.push(format!("    {d}"));
-                    }
+    for (app, variant) in pairs(&args.apps, args.variant) {
+        let (diags, run_error) = check_app(app, &cfg, variant, &machine);
+        let mut unwaived = 0usize;
+        let mut waived_count = 0usize;
+        let mut lines = Vec::new();
+        for d in &diags {
+            match waived(app, variant, d.kind) {
+                Some(reason) => {
+                    waived_count += 1;
+                    lines.push(format!("    {d} (waived: {reason})"));
+                }
+                None => {
+                    unwaived += 1;
+                    lines.push(format!("    {d}"));
                 }
             }
-            let verdict = if unwaived > 0 {
-                format!("{unwaived} finding(s), {waived_count} waived")
-            } else if waived_count > 0 {
-                format!("clean ({waived_count} waived)")
-            } else {
-                "clean".to_string()
-            };
-            println!("  {app:<7} {variant:<12} {verdict}");
-            for line in lines {
-                println!("{line}");
-            }
-            if let Some(e) = &run_error {
-                println!("    run aborted: {e}");
-            }
-            unwaived_total += unwaived;
-            if args.perturb && run_error.is_none() {
-                moved_total += perturb_cell(app, &cfg, variant, &machine, &adversarial);
-            }
+        }
+        let verdict = if unwaived > 0 {
+            format!("{unwaived} finding(s), {waived_count} waived")
+        } else if waived_count > 0 {
+            format!("clean ({waived_count} waived)")
+        } else {
+            "clean".to_string()
+        };
+        println!("  {app:<7} {variant:<12} {verdict}");
+        for line in lines {
+            println!("{line}");
+        }
+        if let Some(e) = &run_error {
+            println!("    run aborted: {e}");
+        }
+        unwaived_total += unwaived;
+        if args.perturb && run_error.is_none() {
+            moved_total += perturb_cell(app, &cfg, variant, &machine, &adversarial);
         }
     }
     if unwaived_total > 0 || moved_total > 0 {

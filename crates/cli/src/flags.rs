@@ -13,7 +13,7 @@
 use std::fmt::{self, Display, Write as _};
 use std::str::FromStr;
 
-use numagap_apps::{AppId, Scale, Variant};
+use numagap_apps::{pairs, AppId, Scale, Variant};
 use numagap_bench::targets::TARGETS;
 use numagap_net::{HeteroPreset, LinkParams, WanTopology};
 
@@ -49,7 +49,6 @@ pub struct Values {
     pub(crate) topology: Option<WanTopology>,
     pub(crate) verify: bool,
     pub(crate) trace: Option<String>,
-    pub(crate) stones: u32,
     pub(crate) perturb: bool,
     pub(crate) intensities: Vec<f64>,
     pub(crate) cross_traffic: Vec<f64>,
@@ -124,15 +123,6 @@ fn fraction(s: &str) -> Result<f64, String> {
     match s.parse::<f64>() {
         Ok(x) if (0.0..1.0).contains(&x) => Ok(x),
         _ => Err("expected a number in [0, 1)".to_string()),
-    }
-}
-
-/// An endgame database's stone count. A level holds C(s + 11, 11) boards,
-/// so each stone multiplies the work: 12 already takes tens of seconds.
-fn stones(s: &str) -> Result<u32, String> {
-    match s.parse::<u32>() {
-        Ok(n) if n <= 12 => Ok(n),
-        _ => Err("expected a whole number in [0, 12]".to_string()),
     }
 }
 
@@ -286,16 +276,14 @@ impl Flag {
 
 /// The commands that build a machine, and so read the machine-shape,
 /// hostile-network and seed rows.
-const MACHINE: &[&str] = &["run", "awari-db", "suite", "check", "soak", "info"];
+const MACHINE: &[&str] = &["run", "suite", "check", "soak", "info"];
 /// The machine commands whose fault plan comes from the command line; soak
 /// generates its own from the intensities and the planted outage.
-const FAULTS: &[&str] = &["run", "awari-db", "suite", "check", "info"];
+const FAULTS: &[&str] = &["run", "suite", "check", "info"];
 /// These run the paper's fixed machines, of which only the wiring is open.
 const EXPERIMENTS: &[&str] = &["bench", "predict"];
 /// Every command that simulates can be re-wired.
-const WIRED: &[&str] = &[
-    "run", "awari-db", "suite", "check", "soak", "info", "bench", "predict",
-];
+const WIRED: &[&str] = &["run", "suite", "check", "soak", "info", "bench", "predict"];
 /// The commands that choose among the applications and their variants.
 const CHOOSERS: &[&str] = &["run", "check", "soak", "predict"];
 const SCALED: &[&str] = &["run", "check", "soak", "bench", "predict"];
@@ -323,7 +311,7 @@ static TABLE: &[Group] = &[
                 .set(|v, s| parse_app(s).map(|app| v.apps.push(app))),
             flag("--variant", "<unopt|opt>", "", CHOOSERS)
                 .help("program variant")
-                .unset("run: opt; check, soak: both; predict: the paper's per app")
+                .unset("run: opt; check, soak, predict: the paper's per app")
                 .set(|v, s| parse_variant(s).map(|x| v.variant = Some(x))),
             flag("--scale", "<small|medium|paper>", "", SCALED)
                 .help("problem size")
@@ -335,9 +323,6 @@ static TABLE: &[Group] = &[
             flag("--trace", "<file.json>", "", &["run"])
                 .help("write a Chrome trace (chrome://tracing)")
                 .set(|v, s| text(s).map(|x| v.trace = Some(x))),
-            flag("--stones", "<0..12>", "4", &["awari-db"])
-                .help("largest stone count of the endgame database")
-                .set(|v, s| stones(s).map(|x| v.stones = x)),
             switch("--perturb", &["check"])
                 .help(
                     "additionally re-run each selected app/variant under adversarial \
@@ -563,13 +548,6 @@ pub(crate) static COMMANDS: &[CmdSpec] = &[
         execute: run::execute_run,
     },
     CmdSpec {
-        name: "awari-db",
-        about: "build a real Awari endgame database",
-        notes: "Solves the last-capture-wins variant serially and on the machine, and \
-                compares the two.",
-        execute: run::execute_awari_db,
-    },
-    CmdSpec {
         name: "suite",
         about: "all six apps, both variants, verified",
         notes: "Runs at the small scale by definition, so it takes no problem size; use run \
@@ -581,7 +559,7 @@ pub(crate) static COMMANDS: &[CmdSpec] = &[
         about: "communication sanitizer",
         notes: "Runs each selected app under the communication sanitizer and reports message \
                 races, lost messages, deadlock cycles and protocol lints. Defaults to all six \
-                apps, both variants, small scale.",
+                apps in the paper's variants (eleven pairs), small scale.",
         execute: check::execute_check,
     },
     CmdSpec {
@@ -753,9 +731,10 @@ fn set(values: &mut Values, row: &Flag, text: &str) -> Result<(), ParseError> {
 
 /// What spans flags: the machine takes its wiring and the last element of
 /// each hostile dimension (the whole lists are soak's); run needs its
-/// application; the rank count, the fault plan, the outages and the wiring
-/// must fit; and soak's seeds, counted up from `--seed`, must not run past
-/// the last one.
+/// application; an application is named once, and the variant must select
+/// one of the paper's pairs; the rank count, the fault plan, the outages
+/// and the wiring must fit; and soak's seeds, counted up from `--seed`,
+/// must not run past the last one.
 fn settle(cmd: &str, v: &mut Values) -> Result<(), ParseError> {
     let m = &mut v.machine;
     m.wan_topology = v.topology.unwrap_or_default();
@@ -764,6 +743,18 @@ fn settle(cmd: &str, v: &mut Values) -> Result<(), ParseError> {
     m.schedule = *v.schedules.last().expect("a list has an element");
     if cmd == "run" && v.apps.is_empty() {
         return Err(ParseError("run requires --app".into()));
+    }
+    if let Some(i) = (1..v.apps.len()).find(|&i| v.apps[..i].contains(&v.apps[i])) {
+        let app = v.apps[i].to_string().to_ascii_lowercase();
+        return Err(ParseError(format!("--app {app} is given more than once")));
+    }
+    if cmd != "run" && pairs(&v.apps, v.variant).is_empty() {
+        let variant = v
+            .variant
+            .expect("every application has an unoptimized variant");
+        return Err(ParseError(format!(
+            "--variant {variant} selects nothing: no named application has an {variant} variant"
+        )));
     }
     let (ranks, given, flag) = match &m.cluster_sizes {
         Some(sizes) => (

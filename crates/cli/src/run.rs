@@ -1,5 +1,4 @@
-//! The commands that run applications on one machine: `run`, `suite` and
-//! `awari-db`.
+//! The commands that run applications on one machine: `run` and `suite`.
 
 use numagap_apps::{
     checksum_ok, run_app, run_app_report, serial_checksum, summarize, AppId, Scale, SuiteConfig,
@@ -9,52 +8,6 @@ use numagap_apps::{
 use crate::flags::Values;
 use crate::machine::print_fault_seed;
 use crate::{EXIT_ERROR, EXIT_FINDINGS};
-
-/// Executes the `awari-db` command.
-pub(crate) fn execute_awari_db(args: &Values) -> i32 {
-    use numagap_apps::awari_board::{level_size, solve};
-    use numagap_apps::awari_real::{awari_real_rank, serial_awari_real, AwariRealConfig};
-    let stones = args.stones;
-    let cfg = AwariRealConfig {
-        max_stones: stones,
-        ..AwariRealConfig::small()
-    };
-    let db = solve(stones);
-    println!("Awari endgame database (last-capture-wins variant), <= {stones} stones");
-    println!(
-        "{:>7} {:>10} {:>8} {:>8} {:>8}",
-        "stones", "positions", "wins", "losses", "draws"
-    );
-    for s in 0..=stones {
-        let (w, l, d) = db.level_counts(s);
-        println!("{s:>7} {:>10} {w:>8} {l:>8} {d:>8}", level_size(s));
-    }
-    let serial = serial_awari_real(&cfg);
-    let cfg2 = cfg.clone();
-    let report = match args
-        .machine
-        .machine()
-        .run(move |ctx| awari_real_rank(ctx, &cfg2))
-    {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("simulation failed: {e}");
-            return EXIT_ERROR;
-        }
-    };
-    let parallel: f64 = report.results.iter().map(|r| r.checksum).sum();
-    println!("\nparallel build:  {} virtual", report.elapsed);
-    println!("wide-area load:  {} messages", report.net_stats.inter_msgs);
-    // The two sums add the same terms in different orders, so they agree to
-    // rounding, not bit for bit.
-    if numagap_apps::common::rel_err(parallel, serial) < 1e-12 {
-        println!("verification:    parallel database matches the serial solver");
-        0
-    } else {
-        println!("verification:    MISMATCH ({parallel} vs {serial})");
-        EXIT_FINDINGS
-    }
-}
 
 /// Executes the `suite` command.
 pub(crate) fn execute_suite(args: &Values) -> i32 {

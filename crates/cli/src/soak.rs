@@ -1,7 +1,9 @@
 //! The `soak` command: the suite swept across the fault/hostile scenario
 //! matrix, every cell verified and reproducible from its printed command.
 
-use numagap_apps::{checksum_ok, run_app, serial_checksum, AppId, Scale, SuiteConfig, Variant};
+use numagap_apps::{
+    checksum_ok, pairs, run_app, serial_checksum, AppId, Scale, SuiteConfig, Variant,
+};
 use numagap_bench::engine;
 use numagap_net::HeteroPreset;
 use numagap_sim::SimDuration;
@@ -164,7 +166,16 @@ fn run_soak_cell(
     (line, problems.into_iter().map(failure).collect())
 }
 
-/// Executes the `soak` command: apps x variants x hetero presets x
+/// The sweep's (app, variant, hetero) triples, in canonical order: the
+/// paper's variants of each selected app, times the hetero presets.
+pub(crate) fn triples(args: &Values) -> Vec<(AppId, Variant, HeteroPreset)> {
+    pairs(&args.apps, args.variant)
+        .into_iter()
+        .flat_map(|(app, variant)| args.hetero.iter().map(move |&h| (app, variant, h)))
+        .collect()
+}
+
+/// Executes the `soak` command: (app, variant) pairs x hetero presets x
 /// schedule shapes x cross-traffic levels x fault intensities x seeds,
 /// each cell verified against the serial reference and (with `--repro`)
 /// replayed to prove the seed reproduces the exact hostile schedule.
@@ -183,27 +194,15 @@ pub(crate) fn execute_soak(args: &Values) -> i32 {
     };
     let base_seed = args.machine.seed.unwrap_or(FIRST_SEED);
     let base = base_machine(&args.machine);
-    let variants: Vec<Variant> = match args.variant {
-        Some(v) => vec![v],
-        None => vec![Variant::Unoptimized, Variant::Optimized],
-    };
-    let mut triples: Vec<(AppId, Variant, HeteroPreset)> = Vec::new();
-    for &app in &apps {
-        for &variant in &variants {
-            for &hetero in &args.hetero {
-                triples.push((app, variant, hetero));
-            }
-        }
-    }
+    let triples = triples(args);
     let scenarios_per_triple = args.schedules.len() as u64
         * args.cross_traffic.len() as u64
         * args.intensities.len() as u64;
     let total = triples.len() as u64 * scenarios_per_triple * args.seeds;
     println!(
-        "soak: {} app(s) x {} variant(s) x {} hetero x {} schedule(s) x {} cross level(s) \
+        "soak: {} app/variant pair(s) x {} hetero x {} schedule(s) x {} cross level(s) \
          x {:?} x {} seed(s) from {} = {} cell(s) on {}, {jobs} worker(s)",
-        apps.len(),
-        variants.len(),
+        triples.len() / args.hetero.len(),
         args.hetero.len(),
         args.schedules.len(),
         args.cross_traffic.len(),
@@ -362,7 +361,7 @@ mod tests {
         ]);
         let cell = SoakCell {
             app: AppId::Fft,
-            variant: Variant::Optimized,
+            variant: Variant::Unoptimized,
             hetero: HeteroPreset::SlowHome,
             shape: ScheduleArg::Step,
             cross: 0.3,

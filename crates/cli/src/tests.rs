@@ -222,40 +222,6 @@ fn help_variants() {
 }
 
 #[test]
-fn awari_db_parses_and_runs() {
-    let v = values(&[
-        "awari-db",
-        "--stones",
-        "3",
-        "--clusters",
-        "2",
-        "--procs",
-        "2",
-    ]);
-    assert_eq!(v.stones, 3);
-    assert_eq!(v.machine.clusters, 2);
-    let code = execute(
-        parse(&[
-            "awari-db",
-            "--stones",
-            "2",
-            "--clusters",
-            "2",
-            "--procs",
-            "2",
-        ])
-        .unwrap(),
-    );
-    assert_eq!(code, 0);
-    // From 6 stones the parallel and serial sums differ in their last
-    // bits; that is a match, not a MISMATCH.
-    let argv: Vec<&str> = "awari-db --stones 6 --clusters 2 --procs 2"
-        .split(' ')
-        .collect();
-    assert_eq!(execute(parse(&argv).unwrap()), 0);
-}
-
-#[test]
 fn info_and_suite_parse_machine_flags() {
     let m = values(&["info", "--clusters", "8", "--procs", "2", "--jitter", "0.3"]).machine;
     assert_eq!(m.clusters, 8);
@@ -274,7 +240,7 @@ fn app_name_aliases() {
 fn parses_check_with_defaults() {
     let v = values(&["check"]);
     assert!(v.apps.is_empty(), "all apps by default");
-    assert_eq!(v.variant, None, "both variants by default");
+    assert_eq!(v.variant, None, "the paper's variants by default");
     assert_eq!(v.scale, None, "small, resolved at run time");
     let v = values(&[
         "check",
@@ -288,6 +254,11 @@ fn parses_check_with_defaults() {
     assert_eq!(v.apps, [AppId::Tsp]);
     assert_eq!(v.variant, Some(Variant::Optimized));
     assert_eq!(v.machine.clusters, 2);
+    let err = parse(&["check", "--app", "fft", "--variant", "opt"]).unwrap_err();
+    assert!(
+        err.0.starts_with("--variant optimized selects nothing"),
+        "{err}"
+    );
 }
 
 #[test]
@@ -416,11 +387,25 @@ fn parses_soak_flags() {
     assert!(v.no_outage);
     let v = values(&["soak"]);
     assert!(v.apps.is_empty(), "all apps by default");
-    assert_eq!(v.variant, None, "both variants by default");
+    assert_eq!(v.variant, None, "the paper's variants by default");
     assert_eq!(v.intensities, vec![0.05, 0.15]);
     assert_eq!(v.seeds, 3);
     assert!(!v.repro);
     assert_eq!(v.timeout_s, 3600);
+    assert_selection_is_checked("soak");
+}
+
+/// `cmd` rejects an application named twice, and a variant that selects
+/// none of the paper's pairs.
+fn assert_selection_is_checked(cmd: &str) {
+    let err = parse(&[cmd, "--app", "water", "--app", "fft", "--app", "water"]).unwrap_err();
+    assert_eq!(err.0, "--app water is given more than once");
+    let err = parse(&[cmd, "--app", "fft", "--variant", "opt"]).unwrap_err();
+    assert!(
+        err.0.starts_with("--variant optimized selects nothing"),
+        "{err}"
+    );
+    assert!(parse(&[cmd, "--app", "fft", "--variant", "unopt"]).is_ok());
 }
 
 #[test]
@@ -459,6 +444,12 @@ fn soak_passes_on_tiny_sweep() {
         "--repro",
     ])
     .unwrap();
+    // FFT has one variant, so one cell per scenario.
+    let Command::Execute(_, v) = &cmd else {
+        panic!("soak parses to a command")
+    };
+    let fft = [(AppId::Fft, Variant::Unoptimized, HeteroPreset::Uniform)];
+    assert_eq!(crate::soak::triples(v), fft);
     assert_eq!(execute(cmd), 0);
 }
 
@@ -510,7 +501,7 @@ fn unwritable_trace_path_is_an_error() {
 fn parses_predict() {
     let v = values(&["predict"]);
     assert!(v.apps.is_empty(), "all apps by default");
-    assert_eq!(v.variant, None, "both variants by default");
+    assert_eq!(v.variant, None, "the paper's variants by default");
     assert_eq!(v.scale, None, "medium, resolved at run time");
     assert!(!v.quick);
     assert_eq!(v.jobs, None, "worker count resolved at run time");
@@ -549,6 +540,7 @@ fn parses_predict() {
     assert!((v.max_error - 5.0).abs() < 1e-12);
     assert_eq!(v.jobs, Some(2));
     assert_eq!(v.out.as_deref(), Some("/tmp/p"));
+    assert_selection_is_checked("predict");
 }
 
 #[test]
@@ -765,7 +757,6 @@ fn topology_parses_on_every_subcommand() {
         vec!["check", "--topology", "line"],
         vec!["soak", "--topology", "ring"],
         vec!["info", "--topology", "fattree:2"],
-        vec!["awari-db", "--topology", "ring"],
     ] {
         assert!(parse(&argv).is_ok(), "{argv:?}");
     }
@@ -869,7 +860,6 @@ fn bad_values(row: &Flag) -> &'static [&'static str] {
         "--drop" | "--duplicate" | "--reorder" => &["1.5", "-0.1"],
         "--outage" => &["1:20:10", "nope", "1:2"],
         "--intensities" => &["0.7", "0.05,nan"],
-        "--stones" => &["x", "-1", "13", "300"],
         "--seed" | "--timeout" => &["x", "-1"],
         "--seeds" => &["0", "x", "-1"],
         "--target" => &["fig9"],

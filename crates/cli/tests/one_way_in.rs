@@ -42,6 +42,11 @@ fn experiment_names_are_not_subcommands() {
     assert_eq!(out.status.code(), Some(2));
     let err = stderr_of(&out);
     assert!(err.contains("unknown bench target"), "{err}");
+    // Nor is the deleted endgame-database builder a command.
+    let out = numagap(&["awari-db"]).output().expect("spawn numagap");
+    assert_eq!(out.status.code(), Some(2));
+    let err = stderr_of(&out);
+    assert!(err.contains("unknown command 'awari-db'"), "{err}");
 }
 
 #[test]
@@ -64,8 +69,8 @@ fn the_scheduler_flag_is_unknown_on_every_command() {
 
 #[test]
 fn a_flag_the_command_does_not_read_is_a_usage_error() {
-    const MACHINE: &str = "run, awari-db, suite, check, soak, info";
-    const FAULTS: &str = "run, awari-db, suite, check, info";
+    const MACHINE: &str = "run, suite, check, soak, info";
+    const FAULTS: &str = "run, suite, check, info";
     // Each of these exited 0 once, with the flag silently dropped.
     for (argv, message) in [
         // suite runs small by definition.
