@@ -34,6 +34,6 @@ pub mod water;
 
 pub use common::{total_checksum, total_work, RankOutput, Variant};
 pub use suite::{
-    checksum_ok, checksum_tolerance, pairs, run_app, run_app_observed, run_app_report,
-    serial_checksum, summarize, variants, AppId, AppRun, Scale, SuiteConfig,
+    checksum_ok, checksum_tolerance, pairs, run_app, run_app_report, serial_checksum, summarize,
+    variants, AppId, AppRun, Scale, SuiteConfig,
 };

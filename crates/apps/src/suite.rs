@@ -304,23 +304,6 @@ pub fn run_app(
     Ok(summarize(app, variant, report))
 }
 
-/// Like [`run_app`], but with a kernel [`Observer`] attached for the whole
-/// run. The observer sees every communication event in deterministic order.
-///
-/// # Errors
-///
-/// Propagates simulator failures (deadlock, time limit, process panic).
-pub fn run_app_observed(
-    app: AppId,
-    cfg: &SuiteConfig,
-    variant: Variant,
-    machine: &Machine,
-    observer: Box<dyn Observer>,
-) -> Result<AppRun, SimError> {
-    let report = run_app_report(app, cfg, variant, machine, Some(observer))?;
-    Ok(summarize(app, variant, report))
-}
-
 /// The serial-reference checksum for an application (exact expectation for
 /// ASP/TSP/Awari; FFT/Water/Barnes need a floating-point tolerance).
 pub fn serial_checksum(app: AppId, cfg: &SuiteConfig) -> f64 {

@@ -17,7 +17,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use numagap_apps::barnes::BarnesConfig;
 use numagap_apps::water::{needed_by, needs_contributors};
-use numagap_apps::{run_app, run_app_observed, AppId, Scale, SuiteConfig, Variant};
+use numagap_apps::{run_app, run_app_report, AppId, Scale, SuiteConfig, Variant};
 use numagap_net::das_spec;
 use numagap_rt::Machine;
 use numagap_sim::{Filter, Observer, ProcId, SimTime, TagFilter};
@@ -220,8 +220,14 @@ fn host_costs_stay_what_the_algorithms_need() {
         (AppId::Awari, Variant::Optimized),
     ] {
         let posted = SET_FILTERS.load(Ordering::Relaxed);
-        run_app_observed(app, &cfg, variant, &machine, Box::new(RebuildSetFilters))
-            .expect("the cell runs");
+        run_app_report(
+            app,
+            &cfg,
+            variant,
+            &machine,
+            Some(Box::new(RebuildSetFilters)),
+        )
+        .expect("the cell runs");
         let posted = SET_FILTERS.load(Ordering::Relaxed) - posted;
         assert!(
             posted > 100,

@@ -549,7 +549,7 @@ pub(crate) static COMMANDS: &[CmdSpec] = &[
     },
     CmdSpec {
         name: "suite",
-        about: "all six apps, both variants, verified",
+        about: "all six apps in the paper's variants (eleven pairs), verified",
         notes: "Runs at the small scale by definition, so it takes no problem size; use run \
                 for one application at another.",
         execute: run::execute_suite,

@@ -4,7 +4,7 @@
 //! numagap run --app asp --variant opt --clusters 4 --procs 8 \
 //!             --latency 10 --bandwidth 1.0 [--scale medium] [--verify] \
 //!             [--jitter 0.2] [--trace out.json]
-//! numagap suite [machine flags]          # all six apps, both variants
+//! numagap suite [machine flags]          # all six apps, the paper's variants
 //! numagap check [--app X] [--perturb] [machine flags]  # communication sanitizer
 //! numagap audit [--root DIR] [--rules]   # determinism static analysis
 //! numagap soak [--app X ...] [machine flags]  # fault/hostile scenario matrix

@@ -1,9 +1,10 @@
 //! The commands that run applications on one machine: `run` and `suite`.
 
 use numagap_apps::{
-    checksum_ok, run_app, run_app_report, serial_checksum, summarize, AppId, Scale, SuiteConfig,
+    checksum_ok, pairs, run_app, run_app_report, serial_checksum, summarize, Scale, SuiteConfig,
     Variant,
 };
+use numagap_sim::Tracer;
 
 use crate::flags::Values;
 use crate::machine::print_fault_seed;
@@ -19,28 +20,25 @@ pub(crate) fn execute_suite(args: &Values) -> i32 {
         "Program", "variant", "runtime", "WAN msgs", "verified"
     );
     let mut failures = 0;
-    for app in AppId::ALL {
-        let expected = serial_checksum(app, &cfg);
-        for variant in [Variant::Unoptimized, Variant::Optimized] {
-            match run_app(app, &cfg, variant, &m) {
-                Ok(run) => {
-                    let ok = checksum_ok(app, run.checksum, expected);
-                    if !ok {
-                        failures += 1;
-                    }
-                    println!(
-                        "{:<12} {:<12} {:>12} {:>12} {:>9}",
-                        app.to_string(),
-                        variant.to_string(),
-                        run.elapsed.to_string(),
-                        run.net.inter_msgs,
-                        if ok { "yes" } else { "NO" }
-                    );
-                }
-                Err(e) => {
+    for (app, variant) in pairs(&[], None) {
+        match run_app(app, &cfg, variant, &m) {
+            Ok(run) => {
+                let ok = checksum_ok(app, run.checksum, serial_checksum(app, &cfg));
+                if !ok {
                     failures += 1;
-                    println!("{app}/{variant} failed: {e}");
                 }
+                println!(
+                    "{:<12} {:<12} {:>12} {:>12} {:>9}",
+                    app.to_string(),
+                    variant.to_string(),
+                    run.elapsed.to_string(),
+                    run.net.inter_msgs,
+                    if ok { "yes" } else { "NO" }
+                );
+            }
+            Err(e) => {
+                failures += 1;
+                println!("{app}/{variant} failed: {e}");
             }
         }
     }
@@ -57,15 +55,14 @@ pub(crate) fn execute_run(args: &Values) -> i32 {
     let app = args.apps[0];
     let variant = args.variant.unwrap_or(Variant::Optimized);
     let cfg = SuiteConfig::at(args.scale.unwrap_or(Scale::Medium));
-    let mut machine = args.machine.machine();
-    if args.trace.is_some() {
-        machine = machine.with_tracing();
-    }
-    let (run, trace) = match run_app_report(app, &cfg, variant, &machine, None) {
-        Ok(mut report) => {
-            let trace = report.trace.take();
-            (summarize(app, variant, report), trace)
-        }
+    let machine = args.machine.machine();
+    let tracer = args
+        .trace
+        .as_ref()
+        .map(|_| Tracer::new(machine.spec().topology.nprocs()));
+    let observer = tracer.as_ref().map(Tracer::observer);
+    let run = match run_app_report(app, &cfg, variant, &machine, observer) {
+        Ok(report) => summarize(app, variant, report),
         Err(e) => {
             eprintln!("simulation failed: {e}");
             return EXIT_ERROR;
@@ -116,8 +113,8 @@ pub(crate) fn execute_run(args: &Values) -> i32 {
             code = EXIT_FINDINGS;
         }
     }
-    if let (Some(path), Some(trace)) = (&args.trace, trace) {
-        if let Err(e) = std::fs::write(path, trace.to_chrome_json()) {
+    if let (Some(path), Some(tracer)) = (&args.trace, tracer) {
+        if let Err(e) = std::fs::write(path, tracer.finish().to_chrome_json()) {
             eprintln!("failed to write trace {path}: {e}");
             code = EXIT_ERROR;
         } else {

@@ -178,6 +178,17 @@ fn a_flag_the_command_does_not_read_is_a_usage_error() {
             "{argv:?}: {err}"
         );
     }
+    // And the machine flags suite does read run it: one row per pair of
+    // the paper's variants, FFT once.
+    let out = numagap(&["suite", "--clusters", "2", "--procs", "2"])
+        .output()
+        .expect("spawn numagap");
+    assert_eq!(out.status.code(), Some(0), "{}", stderr_of(&out));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let rows: Vec<&str> = stdout.lines().skip(1).collect();
+    assert_eq!(rows.len(), 11, "{stdout}");
+    assert!(rows.iter().all(|row| row.ends_with(" yes")), "{stdout}");
+    assert_eq!(rows.iter().filter(|row| row.starts_with("FFT ")).count(), 1);
 }
 
 #[test]

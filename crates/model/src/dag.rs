@@ -13,7 +13,7 @@
 
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use numagap_apps::{run_app_observed, AppId, AppRun, SuiteConfig, Variant};
+use numagap_apps::{run_app_report, summarize, AppId, AppRun, SuiteConfig, Variant};
 use numagap_net::TwoLayerSpec;
 use numagap_rt::Machine;
 use numagap_sim::{Message, Observer, ProcId, SimDuration, SimError, SimTime};
@@ -125,7 +125,7 @@ impl DagRecorder {
     }
 
     /// The kernel-side observer half. Install it with
-    /// `Machine::run_observed` (or `run_app_observed`).
+    /// `Machine::run_observed` (or `run_app_report`'s observer slot).
     pub fn observer(&self) -> Box<dyn Observer> {
         Box::new(DagObserver {
             state: Arc::clone(&self.state),
@@ -229,7 +229,8 @@ pub fn record_app(
     machine: &Machine,
 ) -> Result<(AppRun, CommDag), SimError> {
     let recorder = DagRecorder::new(machine.spec().topology.nprocs());
-    let run = run_app_observed(app, cfg, variant, machine, recorder.observer())?;
+    let report = run_app_report(app, cfg, variant, machine, Some(recorder.observer()))?;
+    let run = summarize(app, variant, report);
     let dag = recorder.finish(machine.spec().clone(), run.elapsed);
     Ok((run, dag))
 }

@@ -180,12 +180,6 @@ impl FaultPlan {
         self
     }
 
-    /// Exempts raw tags at or above `raw` from fault injection.
-    pub fn exempt_raw_tags_at_or_above(mut self, raw: u32) -> Self {
-        self.exempt_tag_min = Some(raw);
-        self
-    }
-
     /// Whether any fault can ever fire under this plan.
     pub fn any_faults(&self) -> bool {
         self.drop_prob > 0.0

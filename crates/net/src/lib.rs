@@ -39,9 +39,9 @@ pub use hostile::{CrossTrafficPlan, LinkSchedule, ScheduleShape};
 pub use link::{LinkParams, LinkState};
 pub use model::{NetStats, TwoLayerNetwork, TwoLayerSpec};
 pub use presets::{
-    asymmetric_spec, atm_ceiling, das_spec, numa_gap, real_wan_spec, uniform_spec, HeteroPreset,
-    FIG1_BANDWIDTH_MBS, FIG1_LATENCY_MS, FIG4_FIXED_BANDWIDTH_MBS, FIG4_FIXED_LATENCY_MS,
-    PAPER_BANDWIDTHS_MBS, PAPER_LATENCIES_MS,
+    asymmetric_spec, das_spec, numa_gap, uniform_spec, HeteroPreset, FIG1_BANDWIDTH_MBS,
+    FIG1_LATENCY_MS, FIG4_FIXED_BANDWIDTH_MBS, FIG4_FIXED_LATENCY_MS, PAPER_BANDWIDTHS_MBS,
+    PAPER_LATENCIES_MS,
 };
 pub use topology::Topology;
 pub use wan::{RouteCursor, WanTopology};

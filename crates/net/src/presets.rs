@@ -1,7 +1,5 @@
 //! Paper-calibrated presets: the DAS machine and the HPCA'99 parameter grid.
 
-use numagap_sim::SimDuration;
-
 use crate::link::LinkParams;
 use crate::model::TwoLayerSpec;
 use crate::topology::Topology;
@@ -142,23 +140,12 @@ impl std::fmt::Display for HeteroPreset {
     }
 }
 
-/// The real wide-area DAS operating point (6 Mbit/s ATM PVCs over TCP):
-/// about 0.55 MByte/s and 1.35 ms one-way.
-pub fn real_wan_spec(clusters: usize, procs_per_cluster: usize) -> TwoLayerSpec {
-    das_spec(clusters, procs_per_cluster, 1.35, 0.55)
-}
-
 /// The intra-cluster gap reference: how many times slower each WAN setting is
 /// than Myrinet, `(latency_gap, bandwidth_gap)`.
 pub fn numa_gap(spec: &TwoLayerSpec) -> (f64, f64) {
     let lat_gap = spec.inter.latency.as_secs_f64() / spec.intra.latency.as_secs_f64();
     let bw_gap = spec.intra.mbytes_per_sec() / spec.inter.mbytes_per_sec();
     (lat_gap, bw_gap)
-}
-
-/// A WAN link parameterization guard: the paper's local OC3 ATM ceiling.
-pub fn atm_ceiling() -> LinkParams {
-    LinkParams::new(SimDuration::from_micros(280), 14.0)
 }
 
 #[cfg(test)]

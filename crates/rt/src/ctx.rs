@@ -50,11 +50,6 @@ impl<'a> Ctx<'a> {
         self.transport = Some(TransportState::new(cfg, nprocs));
     }
 
-    /// Whether this rank runs over the reliable transport.
-    pub fn reliable_transport_enabled(&self) -> bool {
-        self.transport.is_some()
-    }
-
     /// Flushes the reliable transport (retransmitting until every sent
     /// message is acknowledged or its peer is known to have exited) and
     /// returns its counters. Called by [`crate::Machine`] when the rank's

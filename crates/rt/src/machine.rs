@@ -5,7 +5,7 @@ use std::sync::Arc;
 use numagap_net::{NetStats, TwoLayerNetwork, TwoLayerSpec};
 use numagap_sim::{
     HotProfile, KernelStats, Observer, ProcStats, SchedMode, Sim, SimDuration, SimError, SimTime,
-    TieBreak, TraceLog,
+    TieBreak,
 };
 
 use crate::ctx::Ctx;
@@ -29,7 +29,6 @@ use crate::tags;
 pub struct Machine {
     spec: TwoLayerSpec,
     time_limit: Option<SimDuration>,
-    tracing: bool,
     transport: Option<TransportConfig>,
     tie_break: TieBreak,
     sched_mode: Option<SchedMode>,
@@ -42,7 +41,6 @@ impl Machine {
         Machine {
             spec,
             time_limit: None,
-            tracing: false,
             transport: None,
             tie_break: TieBreak::Fifo,
             sched_mode: None,
@@ -91,14 +89,6 @@ impl Machine {
     /// deadlock runs until the [`Machine::time_limit`] — set one.
     pub fn with_reliable_transport(mut self, cfg: TransportConfig) -> Self {
         self.transport = Some(cfg);
-        self
-    }
-
-    /// Records an execution trace during runs; retrieve it from
-    /// [`RunReport::trace`] and render with
-    /// [`TraceLog::to_chrome_json`].
-    pub fn with_tracing(mut self) -> Self {
-        self.tracing = true;
         self
     }
 
@@ -181,9 +171,6 @@ impl Machine {
         if let Some(limit) = self.time_limit {
             sim.time_limit(SimTime::ZERO + limit);
         }
-        if self.tracing {
-            sim.enable_tracing();
-        }
         if let Some(observer) = observer {
             sim.set_observer(observer);
         }
@@ -236,7 +223,6 @@ impl Machine {
             kernel_stats: out.kernel_stats,
             profile: out.profile,
             net_stats,
-            trace: out.trace,
             rank_lints,
             transport_stats,
             spec,
@@ -260,9 +246,6 @@ pub struct RunReport<T> {
     pub profile: HotProfile,
     /// Traffic statistics from the network model.
     pub net_stats: NetStats,
-    /// The execution trace, when the machine was built
-    /// [`Machine::with_tracing`].
-    pub trace: Option<TraceLog>,
     /// Runtime lint records collected on each rank (see [`crate::lint`]).
     pub rank_lints: Vec<Vec<LintRecord>>,
     /// Per-rank reliable-transport counters; empty unless the machine was
@@ -372,7 +355,7 @@ const _: () = {
 mod tests {
     use super::*;
     use numagap_net::{das_spec, uniform_spec};
-    use numagap_sim::Tag;
+    use numagap_sim::{Tag, TraceEvent, Tracer};
 
     #[test]
     fn spmd_results_in_rank_order() {
@@ -428,30 +411,41 @@ mod tests {
 
     #[test]
     fn tracing_records_activity() {
-        let machine = Machine::new(das_spec(2, 2, 1.0, 1.0)).with_tracing();
+        let machine = Machine::new(das_spec(2, 2, 1.0, 1.0));
+        let tracer = Tracer::new(4);
         let report = machine
-            .run(|ctx| {
-                if ctx.rank() == 0 {
-                    ctx.compute(SimDuration::from_millis(2));
-                    ctx.send(3, Tag::app(0), 7u8, 1);
-                }
-                if ctx.rank() == 3 {
-                    ctx.recv_tag(Tag::app(0));
-                }
-            })
+            .run_observed(
+                |ctx| {
+                    if ctx.rank() == 0 {
+                        ctx.compute(SimDuration::from_millis(2));
+                        ctx.send(3, Tag::app(0), 7u8, 1);
+                    }
+                    if ctx.rank() == 3 {
+                        ctx.recv_tag(Tag::app(0));
+                    }
+                },
+                tracer.observer(),
+            )
             .unwrap();
-        let trace = report.trace.expect("trace enabled");
+        let trace = tracer.finish();
         assert_eq!(trace.message_count(), 1);
         assert_eq!(
             trace.compute_time_of(0),
             SimDuration::from_millis(2),
             "trace must reconcile with accounting"
         );
+        // Rank 3 blocked from its post until the message arrived.
+        let blocked = trace.events.iter().find_map(|e| match e {
+            TraceEvent::Blocked {
+                rank: 3,
+                start,
+                end,
+            } => Some(end.since(*start)),
+            _ => None,
+        });
+        assert_eq!(blocked, Some(report.proc_stats[3].blocked));
         let json = trace.to_chrome_json();
         assert!(json.contains("\"ph\":\"s\""));
-        // Untracked runs carry no trace.
-        let untraced = Machine::new(das_spec(2, 2, 1.0, 1.0)).run(|_| ()).unwrap();
-        assert!(untraced.trace.is_none());
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The discrete-event kernel: one driver of the [`EventCore`], doing the
 //! per-event work of a live run — resuming ranks, mailboxes, link
-//! booking and faults, trace and observers.
+//! booking and faults, and the observer.
 //!
 //! Determinism: the core orders every event and every deferred booking
 //! (see [`crate::equeue`]) and the kernel runs exactly one process at a
@@ -36,7 +36,6 @@ use crate::observe::Observer;
 use crate::process::{self, Entry, Grant, ProcCtx, Request};
 use crate::sched::{self, Context, SchedMode};
 use crate::time::{SimDuration, SimTime};
-use crate::trace::TraceLog;
 use crate::ProcId;
 
 /// Per-process accounting collected by the kernel.
@@ -136,19 +135,11 @@ pub struct RunOutcome<N> {
     pub profile: HotProfile,
     /// The network model, returned so callers can read its statistics.
     pub network: N,
-    /// The execution trace, if tracing was enabled.
-    pub trace: Option<TraceLog>,
     /// Number of OS threads rank code executed on: 1 under
     /// [`SchedMode::Fibers`] (the thread that called [`Sim::run`]; the run
     /// created none), the rank count under [`SchedMode::LegacyThreads`]
     /// (one spawned per rank, with the kernel's own thread on top).
     pub sim_threads: usize,
-    /// Rank dispatch order: the sequence of grants the kernel issued, one
-    /// entry per context switch into a rank. Recorded only when
-    /// [`Sim::record_dispatch`] was enabled; `None` otherwise. A pure
-    /// function of the canonical event order — identical across scheduler
-    /// modes and reruns.
-    pub dispatch: Option<Vec<u32>>,
 }
 
 impl<N: std::fmt::Debug> std::fmt::Debug for RunOutcome<N> {
@@ -207,11 +198,9 @@ pub struct Sim<N: Network> {
     entries: Vec<Entry>,
     time_limit: Option<SimTime>,
     stack_size: usize,
-    tracing: bool,
     observer: Option<Box<dyn Observer>>,
     tie_break: TieBreak,
     sched_mode: Option<SchedMode>,
-    record_dispatch: bool,
 }
 
 impl<N: Network + std::fmt::Debug> std::fmt::Debug for Sim<N> {
@@ -232,11 +221,9 @@ impl<N: Network> Sim<N> {
             entries: Vec::new(),
             time_limit: None,
             stack_size: 8 << 20,
-            tracing: false,
             observer: None,
             tie_break: TieBreak::Fifo,
             sched_mode: None,
-            record_dispatch: false,
         }
     }
 
@@ -247,14 +234,6 @@ impl<N: Network> Sim<N> {
     /// back to [`SchedMode::LegacyThreads`].
     pub fn sched_mode(&mut self, mode: SchedMode) -> &mut Self {
         self.sched_mode = Some(mode);
-        self
-    }
-
-    /// Records the kernel's grant sequence into [`RunOutcome::dispatch`]
-    /// (test instrumentation; off by default, works in either scheduler
-    /// mode).
-    pub fn record_dispatch(&mut self) -> &mut Self {
-        self.record_dispatch = true;
         self
     }
 
@@ -277,13 +256,6 @@ impl<N: Network> Sim<N> {
     /// without an observer pay only a per-event `Option` check.
     pub fn set_observer(&mut self, observer: Box<dyn Observer>) -> &mut Self {
         self.observer = Some(observer);
-        self
-    }
-
-    /// Records an execution trace ([`TraceLog`]) during the run; retrieve it
-    /// from [`RunOutcome::trace`]. Off by default.
-    pub fn enable_tracing(&mut self) -> &mut Self {
-        self.tracing = true;
         self
     }
 
@@ -409,13 +381,9 @@ struct Kernel<N: Network> {
     mcounters: MailboxCounters,
     /// First rank whose panic was harvested, in detection order.
     first_failure: Option<usize>,
-    trace: Option<TraceLog>,
     observer: Option<Box<dyn Observer>>,
     /// OS threads rank code runs on (see [`RunOutcome::sim_threads`]).
     sim_threads: usize,
-    /// Grant sequence for [`RunOutcome::dispatch`], recorded at the grant
-    /// site (single-threaded, canonical order) when enabled.
-    dispatch_log: Option<Vec<u32>>,
 }
 
 impl<N: Network> Kernel<N> {
@@ -451,10 +419,8 @@ impl<N: Network> Kernel<N> {
             profile: HotProfile::default(),
             mcounters: MailboxCounters::default(),
             first_failure: None,
-            trace: sim.tracing.then(TraceLog::default),
             observer: sim.observer,
             sim_threads,
-            dispatch_log: sim.record_dispatch.then(Vec::new),
         }
     }
 
@@ -464,10 +430,6 @@ impl<N: Network> Kernel<N> {
     /// function panicked) is harvested as failed and yields `None`.
     fn resume(&mut self, p: ProcId, grant: Grant) -> Option<Request> {
         self.profile.switches += 1;
-        // Logged per grant, in canonical event order, before the rank runs.
-        if let Some(log) = self.dispatch_log.as_mut() {
-            log.push(p.0 as u32);
-        }
         match self.slots[p.0].ctx.resume(grant) {
             Ok(request) => {
                 self.profile.requests += 1;
@@ -497,9 +459,6 @@ impl<N: Network> Kernel<N> {
             "Network::sender_free must agree with Network::transfer"
         );
         debug_assert!(transfer.arrival >= sent_at);
-        if let Some(trace) = self.trace.as_mut() {
-            trace.message(src, dst, tag, wire_bytes, sent_at, transfer.arrival);
-        }
         let msg_seq = self.msg_seq;
         self.msg_seq += 1;
         let msg = Message {
@@ -649,7 +608,6 @@ impl<N: Network> Kernel<N> {
         // Everything the run's ranks cloned was counted on this thread
         // (`Sim::run` zeroed the counter on entry).
         profile.bytes_cloned = message::clone_bytes();
-        let dispatch = self.dispatch_log.take();
         Ok(RunOutcome {
             elapsed,
             results: self
@@ -669,9 +627,7 @@ impl<N: Network> Kernel<N> {
             kernel_stats: self.kstats,
             profile,
             network: self.net,
-            trace: self.trace,
             sim_threads: self.sim_threads,
-            dispatch,
         })
     }
 
@@ -690,9 +646,6 @@ impl<N: Network> Kernel<N> {
                     slot.clock += d;
                     slot.state = ProcState::Idle;
                     let wake_at = slot.clock;
-                    if let Some(trace) = self.trace.as_mut() {
-                        trace.compute(p, start, wake_at);
-                    }
                     if let Some(obs) = self.observer.as_mut() {
                         obs.on_compute(p, start, wake_at);
                     }
@@ -814,11 +767,6 @@ impl<N: Network> Kernel<N> {
                 let slot = &mut self.slots[p.0];
                 let resumed = slot.clock.max(core.now());
                 slot.stats.blocked += resumed.since(slot.block_start);
-                let block_start = slot.block_start;
-                if let Some(trace) = self.trace.as_mut() {
-                    trace.blocked(p, block_start, resumed);
-                }
-                let slot = &mut self.slots[p.0];
                 slot.clock = resumed + o;
                 slot.stats.recv_overhead += o;
                 slot.stats.msgs_received += 1;

@@ -61,7 +61,7 @@ pub use observe::Observer;
 pub use process::{current_rank, ProcCtx};
 pub use sched::SchedMode;
 pub use time::{SimDuration, SimTime};
-pub use trace::{TraceEvent, TraceLog};
+pub use trace::{TraceEvent, TraceLog, Tracer};
 
 use std::fmt;
 

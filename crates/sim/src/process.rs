@@ -260,17 +260,4 @@ impl ProcCtx {
         let v = m.expect_clone::<T>();
         (m.src, v)
     }
-
-    /// Convenience: receives a message with `tag` from anyone and takes the
-    /// payload as a shared handle without copying it (the zero-copy path;
-    /// see [`Message::expect_shared`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the payload type does not match `T` (a protocol bug).
-    pub fn recv_shared<T: Any + Send + Sync>(&mut self, tag: Tag) -> (ProcId, Arc<T>) {
-        let m = self.recv(Filter::tag(tag));
-        let src = m.src;
-        (src, m.expect_shared::<T>())
-    }
 }

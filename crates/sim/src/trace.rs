@@ -1,10 +1,14 @@
 //! Execution tracing: records per-process activity intervals and message
 //! flows, exportable as Chrome trace JSON (`chrome://tracing`, Perfetto).
 //!
-//! Tracing is off by default (zero cost); enable it per run with
-//! [`crate::Sim::enable_tracing`].
+//! The kernel keeps no trace of its own. A [`Tracer`] builds the
+//! [`TraceLog`] from the [`Observer`] callbacks every run already makes, so
+//! a run without one pays nothing for tracing.
 
-use crate::message::Tag;
+use std::sync::{Arc, Mutex};
+
+use crate::message::{Filter, Message, Tag};
+use crate::observe::Observer;
 use crate::time::SimTime;
 use crate::ProcId;
 
@@ -211,6 +215,92 @@ impl TraceLog {
             .iter()
             .filter(|e| matches!(e, TraceEvent::Message { .. }))
             .count()
+    }
+}
+
+/// Records a [`TraceLog`] from one observed run.
+///
+/// Install [`Tracer::observer`] (with `Sim::set_observer`, or the observer
+/// slot of a machine run), run, then take the log with [`Tracer::finish`].
+#[derive(Debug)]
+pub struct Tracer {
+    state: Arc<Mutex<TracerState>>,
+}
+
+#[derive(Debug)]
+struct TracerState {
+    log: TraceLog,
+    /// Per rank, when its pending blocking receive was posted.
+    posted: Vec<Option<SimTime>>,
+}
+
+impl Tracer {
+    /// A tracer for a run of `nprocs` ranks.
+    pub fn new(nprocs: usize) -> Self {
+        Tracer {
+            state: Arc::new(Mutex::new(TracerState {
+                log: TraceLog::default(),
+                posted: vec![None; nprocs],
+            })),
+        }
+    }
+
+    /// The kernel-side observer half.
+    pub fn observer(&self) -> Box<dyn Observer> {
+        Box::new(TraceObserver {
+            state: Arc::clone(&self.state),
+        })
+    }
+
+    /// The recorded trace: everything observed so far, for an aborted run
+    /// too.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the shared state is poisoned (an observer callback
+    /// panicked mid-run).
+    pub fn finish(self) -> TraceLog {
+        let mut state = self.state.lock().expect("tracer state poisoned");
+        std::mem::take(&mut state.log)
+    }
+}
+
+struct TraceObserver {
+    state: Arc<Mutex<TracerState>>,
+}
+
+impl Observer for TraceObserver {
+    fn on_send(&mut self, dst: ProcId, msg: &Message) {
+        let mut s = self.state.lock().expect("tracer state poisoned");
+        s.log.message(
+            msg.src,
+            dst,
+            msg.tag,
+            msg.wire_bytes,
+            msg.sent_at,
+            msg.arrived_at,
+        );
+    }
+
+    fn on_compute(&mut self, p: ProcId, start: SimTime, end: SimTime) {
+        let mut s = self.state.lock().expect("tracer state poisoned");
+        s.log.compute(p, start, end);
+    }
+
+    fn on_recv_posted(&mut self, p: ProcId, _filter: &Filter, blocking: bool, now: SimTime) {
+        let mut s = self.state.lock().expect("tracer state poisoned");
+        s.posted[p.0] = blocking.then_some(now);
+    }
+
+    fn on_recv_matched(&mut self, p: ProcId, msg: &Message, _now: SimTime) {
+        // A rank blocks from its post until the message's delivery event,
+        // which fires at `arrived_at`. A message already in the mailbox
+        // arrived no later than the post (a rank's clock never trails the
+        // event time), so it yields an empty interval, which the log drops.
+        let mut s = self.state.lock().expect("tracer state poisoned");
+        if let Some(posted) = s.posted[p.0].take() {
+            s.log.blocked(p, posted, posted.max(msg.arrived_at));
+        }
     }
 }
 

@@ -3,7 +3,7 @@
 //! A trace is what a user loads into `chrome://tracing` or Perfetto to see
 //! where a run's time went, so its bytes are pinned like the makespans:
 //! for each cell, the length, the event count and a 64-bit FNV-1a digest
-//! of [`TraceLog::to_chrome_json`] go to `tests/golden/traces.txt`. The
+//! of `TraceLog::to_chrome_json` go to `tests/golden/traces.txt`. The
 //! cells cover a clean full mesh, a routed ring, a hostile schedule with
 //! cross-traffic, and drop, duplicate and reorder faults under the
 //! reliable transport (its polling receives and duplicate deliveries).
@@ -20,7 +20,7 @@ use std::path::PathBuf;
 use numagap_apps::{run_app_report, AppId, Scale, SuiteConfig, Variant};
 use numagap_net::{das_spec, CrossTrafficPlan, FaultPlan, LinkSchedule, WanTopology};
 use numagap_rt::{Machine, TransportConfig};
-use numagap_sim::{SimDuration, TraceLog};
+use numagap_sim::{SimDuration, Tracer};
 
 const TRACES: &str = "traces.txt";
 
@@ -62,7 +62,12 @@ fn cells() -> Vec<(&'static str, AppId, Variant, Machine)> {
             Variant::Optimized,
             Machine::new(das_spec(4, 8, 0.5, 6.3)),
         ),
-        ("mesh", AppId::Fft, Variant::Unoptimized, Machine::new(slow())),
+        (
+            "mesh",
+            AppId::Fft,
+            Variant::Unoptimized,
+            Machine::new(slow()),
+        ),
         (
             "ring",
             AppId::Asp,
@@ -98,9 +103,10 @@ fn render() -> String {
     let cfg = SuiteConfig::at(Scale::Small);
     let mut out = "# cell app variant bytes events fnv1a64\n".to_string();
     for (cell, app, variant, machine) in cells() {
-        let report = run_app_report(app, &cfg, variant, &machine.with_tracing(), None)
+        let tracer = Tracer::new(machine.spec().topology.nprocs());
+        run_app_report(app, &cfg, variant, &machine, Some(tracer.observer()))
             .unwrap_or_else(|e| panic!("{app}/{variant} on {cell}: {e}"));
-        let trace: TraceLog = report.trace.expect("tracing enabled");
+        let trace = tracer.finish();
         let json = trace.to_chrome_json();
         writeln!(
             out,

@@ -25,10 +25,11 @@ use numagap_net::{
 };
 use numagap_rt::Machine;
 use numagap_sim::{
-    Filter, IdealNetwork, ProcId, SchedMode, Sim, SimDuration, SimError, SimTime, Tag,
+    Filter, IdealNetwork, Observer, ProcId, RunOutcome, SchedMode, Sim, SimDuration, SimError,
+    SimTime, Tag,
 };
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Barrier};
+use std::sync::{Arc, Barrier, Mutex};
 
 const BOTH_MODES: [SchedMode; 2] = [SchedMode::Fibers, SchedMode::LegacyThreads];
 
@@ -110,20 +111,17 @@ fn nm_matches_legacy_under_the_hostile_storm() {
 
 /// A deterministic multi-rank workload on the raw kernel: a token ring
 /// where every hop recomputes, so ranks suspend and resume continually.
-fn ring_sim(mode: SchedMode, record: bool) -> Sim<IdealNetwork> {
-    let mut sim = default_ring_sim(record);
+fn ring_sim(mode: SchedMode) -> Sim<IdealNetwork> {
+    let mut sim = default_ring_sim();
     sim.sched_mode(mode);
     sim
 }
 
 /// [`ring_sim`] in whatever mode the simulator picks when nobody chooses.
-fn default_ring_sim(record: bool) -> Sim<IdealNetwork> {
+fn default_ring_sim() -> Sim<IdealNetwork> {
     const N: usize = 6;
     const ROUNDS: u32 = 5;
     let mut sim = Sim::new(IdealNetwork::new(N, SimDuration::from_micros(20)));
-    if record {
-        sim.record_dispatch();
-    }
     for me in 0..N {
         sim.spawn(move |ctx| {
             let mut token = me as u64;
@@ -139,6 +137,27 @@ fn default_ring_sim(record: bool) -> Sim<IdealNetwork> {
     sim
 }
 
+/// The kernel's grant sequence, one rank per context switch into a rank.
+/// Each resume hands back exactly one request, and each request fires
+/// exactly one of the four callbacks below, so pushing the rank there
+/// records the grants in the order the kernel issued them.
+struct Grants(Arc<Mutex<Vec<u32>>>);
+
+impl Observer for Grants {
+    fn on_compute(&mut self, p: ProcId, _start: SimTime, _end: SimTime) {
+        self.0.lock().unwrap().push(p.0 as u32);
+    }
+    fn on_send_posted(&mut self, src: ProcId, _dst: ProcId, _bytes: u64, _now: SimTime) {
+        self.0.lock().unwrap().push(src.0 as u32);
+    }
+    fn on_recv_posted(&mut self, p: ProcId, _filter: &Filter, _blocking: bool, _now: SimTime) {
+        self.0.lock().unwrap().push(p.0 as u32);
+    }
+    fn on_exit(&mut self, p: ProcId, _now: SimTime) {
+        self.0.lock().unwrap().push(p.0 as u32);
+    }
+}
+
 /// Satellite invariant: runnable-rank dispatch order (the kernel's grant
 /// sequence) is a pure function of the canonical event order — not of the
 /// scheduler mode, and not of host scheduling.
@@ -146,28 +165,16 @@ fn default_ring_sim(record: bool) -> Sim<IdealNetwork> {
 /// the grant sequence *is* the dispatch order.)
 #[test]
 fn dispatch_order_is_a_pure_function_of_the_event_order() {
-    let baseline = ring_sim(SchedMode::LegacyThreads, true)
-        .run()
-        .expect("ring runs");
-    let baseline_log = baseline.dispatch.expect("dispatch recorded");
-    assert!(!baseline_log.is_empty());
+    let baseline = ring_observables(ring_sim(SchedMode::LegacyThreads));
+    assert!(!baseline.1.is_empty());
     for rerun in 0..2 {
-        let out = ring_sim(SchedMode::Fibers, true).run().expect("ring runs");
-        assert_eq!(out.elapsed, baseline.elapsed, "rerun={rerun}");
+        let out = ring_observables(ring_sim(SchedMode::Fibers));
+        assert_eq!(out.0, baseline.0, "rerun={rerun}");
         assert_eq!(
-            out.dispatch.expect("dispatch recorded"),
-            baseline_log,
+            out.1, baseline.1,
             "dispatch order moved under fibers, rerun={rerun}"
         );
     }
-}
-
-/// Dispatch recording is opt-in: the default run leaves the outcome's log
-/// empty so production sweeps pay nothing for it.
-#[test]
-fn dispatch_log_is_absent_unless_requested() {
-    let out = ring_sim(SchedMode::Fibers, false).run().expect("ring runs");
-    assert!(out.dispatch.is_none());
 }
 
 /// Satellite regression: a mid-run panic must fail only the owning rank in
@@ -321,14 +328,19 @@ fn a_time_limited_run_drops_everything_on_every_rank_stack() {
     }
 }
 
-/// Elapsed time, dispatch log and clone count of one ring run.
+/// Runs `sim` to completion, recording its grant sequence.
+fn run_with_grants(mut sim: Sim<IdealNetwork>) -> (RunOutcome<IdealNetwork>, Vec<u32>) {
+    let grants = Arc::new(Mutex::new(Vec::new()));
+    sim.set_observer(Box::new(Grants(Arc::clone(&grants))));
+    let out = sim.run().expect("run completes");
+    let grants = std::mem::take(&mut *grants.lock().unwrap());
+    (out, grants)
+}
+
+/// Elapsed time, grant sequence and clone count of one run.
 fn ring_observables(sim: Sim<IdealNetwork>) -> (SimDuration, Vec<u32>, u64) {
-    let out = sim.run().expect("ring runs");
-    (
-        out.elapsed,
-        out.dispatch.expect("dispatch recorded"),
-        out.profile.bytes_cloned,
-    )
+    let (out, grants) = run_with_grants(sim);
+    (out.elapsed, grants, out.profile.bytes_cloned)
 }
 
 /// A whole `Sim::run` started inside a rank body (on that rank's fiber, in
@@ -336,14 +348,14 @@ fn ring_observables(sim: Sim<IdealNetwork>) -> (SimDuration, Vec<u32>, u64) {
 /// dispatch order, and none of the inner run's payload clones on its bill.
 #[test]
 fn a_run_nested_inside_a_rank_body_leaves_the_outer_run_unchanged() {
-    let alone = ring_observables(ring_sim(SchedMode::Fibers, true));
+    let alone = ring_observables(ring_sim(SchedMode::Fibers));
     for outer_mode in BOTH_MODES {
         let outer = |nested: bool| {
             let mut sim = Sim::new(IdealNetwork::new(2, SimDuration::from_micros(20)));
-            sim.sched_mode(outer_mode).record_dispatch();
+            sim.sched_mode(outer_mode);
             sim.spawn(move |ctx| {
                 ctx.send(ProcId(1), Tag::app(0), vec![1u8; 100], 100);
-                let inner = nested.then(|| ring_observables(ring_sim(SchedMode::Fibers, true)));
+                let inner = nested.then(|| ring_observables(ring_sim(SchedMode::Fibers)));
                 let m = ctx.recv(Filter::tag(Tag::app(1)));
                 (m.expect_clone::<u64>(), inner)
             });
@@ -352,18 +364,14 @@ fn a_run_nested_inside_a_rank_body_leaves_the_outer_run_unchanged() {
                 let len = m.expect_clone::<Vec<u8>>().len() as u64;
                 ctx.send(ProcId(0), Tag::app(1), len, 8);
             });
-            let out = sim.run().expect("outer run completes");
+            let (out, grants) = run_with_grants(sim);
             let (echoed, inner) = out.results[0]
                 .as_ref()
                 .expect("rank 0 finished")
                 .downcast_ref::<(u64, Option<(SimDuration, Vec<u32>, u64)>)>()
                 .expect("rank 0 result type");
             assert_eq!(*echoed, 100);
-            let observed = (
-                out.elapsed,
-                out.dispatch.expect("dispatch recorded"),
-                out.profile.bytes_cloned,
-            );
+            let observed = (out.elapsed, grants, out.profile.bytes_cloned);
             (observed, inner.clone())
         };
         let (plain, _) = outer(false);
@@ -379,7 +387,7 @@ fn a_run_nested_inside_a_rank_body_leaves_the_outer_run_unchanged() {
 /// everything a run shares with its ranks is per-thread or per-run.
 #[test]
 fn concurrent_host_threads_each_get_the_single_thread_results() {
-    let alone = ring_observables(ring_sim(SchedMode::Fibers, true));
+    let alone = ring_observables(ring_sim(SchedMode::Fibers));
     let start = Arc::new(Barrier::new(2));
     let hosts: Vec<_> = (0..2)
         .map(|_| {
@@ -387,7 +395,7 @@ fn concurrent_host_threads_each_get_the_single_thread_results() {
             std::thread::spawn(move || {
                 start.wait();
                 (0..20)
-                    .map(|_| ring_observables(ring_sim(SchedMode::Fibers, true)))
+                    .map(|_| ring_observables(ring_sim(SchedMode::Fibers)))
                     .collect::<Vec<_>>()
             })
         })
@@ -403,7 +411,7 @@ fn concurrent_host_threads_each_get_the_single_thread_results() {
 /// creates no OS thread and wakes none.
 #[test]
 fn the_default_mode_runs_every_rank_on_the_callers_thread() {
-    let out = default_ring_sim(false).run().expect("ring runs");
+    let out = default_ring_sim().run().expect("ring runs");
     if cfg!(all(target_arch = "x86_64", target_os = "linux")) {
         assert_eq!(out.sim_threads, 1);
         assert_eq!(out.profile.park_wakes, 0);

@@ -11,15 +11,20 @@ use twolayer::apps::asp::{asp_rank, AspConfig};
 use twolayer::apps::Variant;
 use twolayer::net::das_spec;
 use twolayer::rt::Machine;
+use twolayer::sim::Tracer;
 
 fn main() {
     let cfg = AspConfig::small();
-    let machine = Machine::new(das_spec(2, 4, 5.0, 1.0)).with_tracing();
+    let machine = Machine::new(das_spec(2, 4, 5.0, 1.0));
+    let tracer = Tracer::new(machine.spec().topology.nprocs());
     let matrix = cfg.generate();
     let report = machine
-        .run(move |ctx| asp_rank(ctx, &cfg, &matrix, Variant::Optimized))
+        .run_observed(
+            move |ctx| asp_rank(ctx, &cfg, &matrix, Variant::Optimized),
+            tracer.observer(),
+        )
         .expect("simulation failed");
-    let trace = report.trace.expect("tracing was enabled");
+    let trace = tracer.finish();
 
     println!("run finished in {} (virtual)", report.elapsed);
     println!(

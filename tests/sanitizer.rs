@@ -8,7 +8,7 @@ use numagap_apps::{AppId, Scale, SuiteConfig, Variant};
 use numagap_cli::{check_app, waived};
 use numagap_net::das_spec;
 use numagap_rt::Machine;
-use numagap_sim::{Filter, SimDuration, Tag};
+use numagap_sim::{Filter, SimDuration, Tag, Tracer};
 use proptest::prelude::*;
 
 /// The six apps, both variants, on a single-cluster machine and on the
@@ -367,19 +367,23 @@ fn chrome_trace_json_survives_hostile_names() {
         "路径\\末端 №1",
     ];
     for name in hostile {
-        let machine = Machine::new(das_spec(2, 2, 1.0, 1.0)).with_tracing();
-        let report = machine
-            .run(|ctx| {
-                if ctx.rank() == 0 {
-                    ctx.send(3, Tag::app(0), 5u8, 1);
-                }
-                if ctx.rank() == 3 {
-                    ctx.recv_tag(Tag::app(0));
-                }
-                ctx.compute(SimDuration::from_micros(10));
-            })
+        let machine = Machine::new(das_spec(2, 2, 1.0, 1.0));
+        let tracer = Tracer::new(4);
+        machine
+            .run_observed(
+                |ctx| {
+                    if ctx.rank() == 0 {
+                        ctx.send(3, Tag::app(0), 5u8, 1);
+                    }
+                    if ctx.rank() == 3 {
+                        ctx.recv_tag(Tag::app(0));
+                    }
+                    ctx.compute(SimDuration::from_micros(10));
+                },
+                tracer.observer(),
+            )
             .unwrap();
-        let mut trace = report.trace.expect("tracing enabled");
+        let mut trace = tracer.finish();
         trace.set_name(name);
         let json = trace.to_chrome_json();
         validate_json(&json).unwrap_or_else(|e| panic!("invalid JSON for {name:?}: {e}\n{json}"));
