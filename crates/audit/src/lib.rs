@@ -125,8 +125,9 @@ pub const RULES: &[Rule] = &[
                     code creates OS threads the kernel cannot see: they break the \
                     at-most-one-runnable-rank invariant and make a run's thread count \
                     scale with rank count again (a fiber run creates none). Ranks must go \
-                    through Sim::spawn; the thread-backed rank context of the legacy 1:1 \
-                    mode is the only sanctioned owner of raw threads (waived).",
+                    through Sim::spawn; the thread-backed rank context, the fallback for \
+                    hosts without fibers, is the only sanctioned owner of raw threads \
+                    (waived).",
         sim_state_only: true,
     },
 ];
@@ -226,17 +227,16 @@ pub const WAIVERS: &[Waiver] = &[
         token: "JoinHandle",
         reason: "the thread-backed rank context joins its rank's thread when the rank \
                  exits, dies or is aborted, and the handle returns what the thread \
-                 cloned and the panic it caught; it is the legacy 1:1 scheduler mode, \
-                 not a bypass of the scheduler",
+                 cloned and the panic it caught; it is how ranks run on hosts without \
+                 fibers, not a bypass of the scheduler",
     },
     Waiver {
         rule: "ND008",
         path_suffix: "sim/src/handoff.rs",
         token: "thread::Builder",
-        reason: "legacy 1:1 mode spawns one named, stack-sized thread per rank here, \
-                 blocked on a channel of grants whenever the kernel is not inside its \
-                 resume — the portable fallback and the differential oracle the fiber \
-                 mode is checked against",
+        reason: "on hosts without fibers one named, stack-sized thread per rank is \
+                 spawned here, blocked on a channel of grants whenever the kernel is \
+                 not inside its resume — the fallback the build picks off x86-64 Linux",
     },
 ];
 

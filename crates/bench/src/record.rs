@@ -57,8 +57,8 @@ pub struct RunRecord {
     /// `crates/sim/tests/golden/counts.txt` instead. The field stays only
     /// because `benchmark/` builds `RunRecord` by struct literal.
     pub profile: Option<HotProfile>,
-    /// OS threads rank code ran on (deterministic for a fixed scheduler
-    /// mode: 1 with ranks as fibers, the rank count in legacy 1:1 mode).
+    /// OS threads rank code ran on (deterministic for a fixed host: 1 where
+    /// ranks are fibers, the rank count on hosts without them).
     /// Recorded only by the `scale` target; `None` keeps the other
     /// targets' artifacts byte-identical to their baselines.
     pub sim_threads: Option<usize>,
@@ -403,7 +403,7 @@ pub fn compare(old: &BenchSummary, new: &BenchSummary, opts: &CompareOpts) -> Co
                 n.inter_msgs
             ));
         }
-        // Thread-count ceiling: deterministic for a fixed scheduler mode.
+        // Thread-count ceiling: deterministic for a fixed host.
         // A baseline without the field ignores the candidate's.
         if let (Some(to), Some(tn)) = (o.sim_threads, n.sim_threads) {
             if to != tn {

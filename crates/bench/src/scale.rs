@@ -4,11 +4,7 @@
 //! the *simulator*, not the paper's applications: it sweeps the cluster
 //! count 4 -> 64 (32 -> 4096 ranks) through a synthetic SPMD workload and
 //! records, per cell, the virtual makespan, message counts, checksum and
-//! the simulator thread count. Every machine size runs with ranks as
-//! fibers and — up to a rank-count ceiling — under the legacy
-//! one-thread-per-rank scheduler, and the target itself asserts their
-//! virtual times are bit-identical: the sweep doubles as a differential
-//! test of the two execution contexts at sizes the unit suites never reach.
+//! the simulator thread count, which must stay 1 wherever ranks are fibers.
 //!
 //! The workload is three nearest-neighbour ring rounds followed by a
 //! binomial-tree reduction to rank 0 and a binomial-tree broadcast back —
@@ -21,7 +17,7 @@ use std::time::Instant;
 
 use numagap_net::das_spec;
 use numagap_rt::{Ctx, Machine};
-use numagap_sim::{SchedMode, SimDuration, Tag};
+use numagap_sim::{SimDuration, Tag};
 
 use crate::record::{BenchSummary, RunRecord};
 use crate::targets::{write_summary, SweepOpts};
@@ -31,11 +27,6 @@ use crate::{engine, write_csv, BenchError};
 /// Rank counts are 32, 128, 512, 2048 and 4096 — all powers of two, which
 /// the binomial workload phases rely on.
 pub const SCALE_SIZES: [(usize, usize); 5] = [(4, 8), (8, 16), (16, 32), (32, 64), (64, 64)];
-
-/// Ranks above this ceiling skip the legacy scheduler cell: one OS thread
-/// per rank is exactly the regime fibers exist to avoid, and spawning 4096
-/// threads is hostile to CI runners.
-pub const LEGACY_MAX_RANKS: usize = 2048;
 
 /// Per-rank execution-context stack for scale cells. The synthetic workload
 /// has a shallow call graph, and 4096 ranks at the default 8 MiB would
@@ -98,12 +89,11 @@ fn scale_rank(ctx: &mut Ctx<'_>) -> f64 {
     total + acc * 1e-3
 }
 
-/// One sweep cell: a machine size under one scheduler mode.
+/// One sweep cell: a machine size.
 #[derive(Debug, Clone, Copy)]
 struct Cell {
     clusters: usize,
     procs: usize,
-    mode: SchedMode,
 }
 
 impl Cell {
@@ -111,64 +101,29 @@ impl Cell {
         self.clusters * self.procs
     }
 
-    /// Canonical record key, e.g. `c4x8/fibers` or `c4x8/legacy`.
+    /// Canonical record key, e.g. `c4x8`.
     fn key(&self) -> String {
-        format!("c{}x{}/{}", self.clusters, self.procs, self.mode_name())
-    }
-
-    fn mode_name(&self) -> &'static str {
-        match self.mode {
-            SchedMode::LegacyThreads => "legacy",
-            SchedMode::Fibers => "fibers",
-        }
-    }
-
-    /// The thread count the kernel must report for this cell: the caller's
-    /// own thread for fibers, one per rank for legacy.
-    fn expected_threads(&self) -> usize {
-        match self.mode {
-            SchedMode::LegacyThreads => self.ranks(),
-            SchedMode::Fibers => 1,
-        }
+        format!("c{}x{}", self.clusters, self.procs)
     }
 }
 
-/// Enumerates the sweep's cells in canonical order: sizes ascending, fibers
-/// before legacy. The quick grid — what the committed `BENCH_scale.json`
-/// baseline and CI run — probes three sizes (still reaching the 4096-rank
-/// machine) and keeps one legacy cell for the differential assert.
+/// Enumerates the sweep's cells in canonical order, sizes ascending. The
+/// quick grid — what the committed `BENCH_scale.json` baseline and CI run —
+/// probes three sizes, still reaching the 4096-rank machine.
 fn cells(quick: bool) -> Vec<Cell> {
-    let mut cells = Vec::new();
-    for &(clusters, procs) in &SCALE_SIZES {
-        let quick_size = matches!((clusters, procs), (4, 8) | (16, 32) | (64, 64));
-        if quick && !quick_size {
-            continue;
-        }
-        cells.push(Cell {
-            clusters,
-            procs,
-            mode: SchedMode::Fibers,
-        });
-        let legacy_in_quick = quick && (clusters, procs) == (4, 8);
-        if (legacy_in_quick || !quick) && clusters * procs <= LEGACY_MAX_RANKS {
-            cells.push(Cell {
-                clusters,
-                procs,
-                mode: SchedMode::LegacyThreads,
-            });
-        }
-    }
-    cells
+    SCALE_SIZES
+        .iter()
+        .filter(|&&size| !quick || matches!(size, (4, 8) | (16, 32) | (64, 64)))
+        .map(|&(clusters, procs)| Cell { clusters, procs })
+        .collect()
 }
 
 /// Runs the scale sweep.
 ///
 /// # Errors
 ///
-/// [`BenchError::Sim`] when a cell fails, reports an unexpected thread
-/// count, or disagrees with another scheduler mode on the same machine
-/// size (virtual time, message counts or checksum) — the scheduler
-/// determinism contract; plus artifact I/O failures.
+/// [`BenchError::Sim`] when a cell fails or reports an unexpected thread
+/// count; plus artifact I/O failures.
 pub fn run_scale(opts: &SweepOpts) -> Result<BenchSummary, BenchError> {
     let cells = cells(opts.quick);
     println!(
@@ -183,7 +138,6 @@ pub fn run_scale(opts: &SweepOpts) -> Result<BenchSummary, BenchError> {
     let outs = engine::run_cells(&cells, opts.jobs, opts.label("scale"), |_, cell| {
         let start = Instant::now();
         let machine = Machine::new(das_spec(cell.clusters, cell.procs, 10.0, 1.0))
-            .with_sched_mode(cell.mode)
             .with_stack_size(STACK_SIZE);
         let result = machine.run(scale_rank).map_err(|e| e.to_string());
         (start.elapsed().as_secs_f64(), result)
@@ -191,8 +145,8 @@ pub fn run_scale(opts: &SweepOpts) -> Result<BenchSummary, BenchError> {
     let mut summary = BenchSummary::new("scale", "synthetic", opts.quick, opts.jobs);
     summary.wall_s = t0.elapsed().as_secs_f64();
     println!(
-        "{:>8} {:>6} {:>9} {:>12} {:>12} {:>10} {:>11}",
-        "machine", "ranks", "mode", "virtual", "messages", "threads", "wall"
+        "{:>8} {:>6} {:>12} {:>12} {:>10} {:>11}",
+        "machine", "ranks", "virtual", "messages", "threads", "wall"
     );
     let mut rows = Vec::new();
     for (cell, (wall, result)) in cells.iter().zip(&outs) {
@@ -204,34 +158,29 @@ pub fn run_scale(opts: &SweepOpts) -> Result<BenchSummary, BenchError> {
         };
         // The headline claim of running ranks as fibers: the thread count
         // does not grow with the rank count. Only enforced where fibers
-        // actually run (other hosts silently fall back to legacy).
-        if cfg!(all(target_arch = "x86_64", target_os = "linux"))
-            && report.sim_threads != cell.expected_threads()
-        {
+        // run (other hosts give every rank a thread).
+        if cfg!(all(target_arch = "x86_64", target_os = "linux")) && report.sim_threads != 1 {
             return Err(BenchError::Sim(format!(
-                "cell {}: expected {} simulator thread(s), kernel reports {}",
+                "cell {}: expected 1 simulator thread, kernel reports {}",
                 cell.key(),
-                cell.expected_threads(),
                 report.sim_threads
             )));
         }
         let checksum: f64 = report.results.iter().sum();
         println!(
-            "{:>8} {:>6} {:>9} {:>12} {:>12} {:>10} {:>10.2}s",
+            "{:>8} {:>6} {:>12} {:>12} {:>10} {:>10.2}s",
             format!("{}x{}", cell.clusters, cell.procs),
             cell.ranks(),
-            cell.mode_name(),
             report.elapsed.to_string(),
             report.kernel_stats.messages,
             report.sim_threads,
             wall
         );
         rows.push(format!(
-            "{},{},{},{},{},{},{},{:.6}",
+            "{},{},{},{},{},{},{:.6}",
             cell.clusters,
             cell.procs,
             cell.ranks(),
-            cell.mode_name(),
             report.sim_threads,
             report.elapsed.as_secs_f64(),
             report.kernel_stats.messages,
@@ -242,42 +191,10 @@ pub fn run_scale(opts: &SweepOpts) -> Result<BenchSummary, BenchError> {
             ..RunRecord::from_report(cell.key(), *wall, checksum, report)
         });
     }
-    // Differential gate: every scheduler mode that ran a given machine size
-    // must agree bit-for-bit on everything virtual.
-    for &(clusters, procs) in &SCALE_SIZES {
-        let group: Vec<(&Cell, &RunRecord)> = cells
-            .iter()
-            .zip(&summary.records)
-            .filter(|(c, _)| (c.clusters, c.procs) == (clusters, procs))
-            .collect();
-        let Some((first_cell, first)) = group.first() else {
-            continue;
-        };
-        for (cell, rec) in &group[1..] {
-            if rec.virtual_s != first.virtual_s
-                || rec.checksum != first.checksum
-                || rec.kernel != first.kernel
-                || rec.inter_msgs != first.inter_msgs
-                || rec.intra_msgs != first.intra_msgs
-            {
-                return Err(BenchError::Sim(format!(
-                    "scheduler modes disagree on {clusters}x{procs}: {} ran {} s \
-                     (checksum {}), {} ran {} s (checksum {})",
-                    first_cell.mode_name(),
-                    first.virtual_s,
-                    first.checksum,
-                    cell.mode_name(),
-                    rec.virtual_s,
-                    rec.checksum
-                )));
-            }
-        }
-    }
-    println!("  all scheduler modes agree on every machine size");
     write_csv(
         &opts.out,
         "scale.csv",
-        "clusters,procs,ranks,mode,sim_threads,virtual_s,messages,checksum",
+        "clusters,procs,ranks,sim_threads,virtual_s,messages,checksum",
         &rows,
     )?;
     write_summary(&summary, opts)?;
@@ -289,16 +206,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn quick_grid_reaches_the_largest_machine_and_keeps_a_legacy_cell() {
+    fn quick_grid_reaches_the_largest_machine() {
         let quick = cells(true);
         assert!(quick.iter().any(|c| c.ranks() == 4096));
-        assert_eq!(
-            quick
-                .iter()
-                .filter(|c| c.mode == SchedMode::LegacyThreads)
-                .count(),
-            1
-        );
         // Quick cells are a subset of the full grid's keys.
         let full: Vec<String> = cells(false).iter().map(Cell::key).collect();
         for c in &quick {
@@ -307,40 +217,8 @@ mod tests {
     }
 
     #[test]
-    fn full_grid_never_spawns_legacy_above_the_ceiling() {
-        for c in cells(false) {
-            if c.mode == SchedMode::LegacyThreads {
-                assert!(c.ranks() <= LEGACY_MAX_RANKS, "{}", c.key());
-            }
-        }
-    }
-
-    #[test]
     fn keys_are_unique_and_stable() {
         let all: Vec<String> = cells(false).iter().map(Cell::key).collect();
-        let mut dedup = all.clone();
-        dedup.sort();
-        dedup.dedup();
-        assert_eq!(dedup.len(), all.len());
-        assert!(all.contains(&"c4x8/fibers".to_string()));
-        assert!(all.contains(&"c4x8/legacy".to_string()));
-    }
-
-    #[test]
-    fn smallest_cell_agrees_across_modes_end_to_end() {
-        let run = |mode| {
-            Machine::new(das_spec(2, 2, 10.0, 1.0))
-                .with_sched_mode(mode)
-                .with_stack_size(STACK_SIZE)
-                .run(scale_rank)
-                .expect("scale workload runs")
-        };
-        let legacy = run(SchedMode::LegacyThreads);
-        let fibers = run(SchedMode::Fibers);
-        assert_eq!(legacy.elapsed, fibers.elapsed);
-        assert_eq!(legacy.kernel_stats, fibers.kernel_stats);
-        let s1: f64 = legacy.results.iter().sum();
-        let s2: f64 = fibers.results.iter().sum();
-        assert_eq!(s1.to_bits(), s2.to_bits());
+        assert_eq!(all, ["c4x8", "c8x16", "c16x32", "c32x64", "c64x64"]);
     }
 }

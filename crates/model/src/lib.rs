@@ -46,7 +46,7 @@ pub mod whatif;
 pub use analytic::{AnalyticModel, MAX_CANDIDATES};
 pub use critical::{critical_path, PathBreakdown};
 pub use dag::{record_app, CommDag, DagRecorder, MsgMeta, Op};
-pub use replay::{predict_elapsed, replay, Replay, Replayer};
+pub use replay::{replay, Replay, Replayer};
 pub use whatif::{gap_thresholds, GapThresholds, TOLERABLE_SPEEDUP_PCT};
 
 #[cfg(test)]
@@ -138,7 +138,8 @@ mod tests {
         let dag = run_recorded(das_spec(2, 2, 1.0, 2.0));
         let mut last = SimDuration::ZERO;
         for lat in [0.1, 1.0, 10.0, 100.0] {
-            let e = predict_elapsed(&dag, &das_spec(2, 2, lat, 2.0));
+            let spec = das_spec(2, 2, lat, 2.0);
+            let e = Replayer::new(&spec).makespan(&dag, spec.inter);
             assert!(e >= last, "elapsed must not shrink as latency grows");
             last = e;
         }
@@ -151,7 +152,7 @@ mod tests {
         // program's control flow is data-independent).
         let slow = run_recorded(das_spec(2, 2, 50.0, 0.1));
         let fast = run_recorded(das_spec(2, 2, 0.5, 6.3));
-        let predicted = predict_elapsed(&slow, &fast.base_spec);
+        let predicted = Replayer::new(&fast.base_spec).makespan(&slow, fast.base_spec.inter);
         assert_eq!(predicted, fast.base_elapsed);
     }
 

@@ -12,6 +12,11 @@
 //! only a rank waiting for it needs the delivery as an event; the rest are
 //! compared against the current slot where a rank receives them. A replay at
 //! the recording spec therefore reproduces the recorded run bit for bit.
+//! At any other spec the reference is the recording run through the kernel
+//! itself, one scripted rank per op list; `tests/identity.rs` holds this
+//! loop to it at every quick Figure 3 point. The loop implements only the
+//! kernel's [`TieBreak::Fifo`] order, and the same test shows a recording's
+//! makespan is the same under every tie-break policy.
 //! The real [`TwoLayerNetwork`] serves as the cost oracle, so link
 //! serialization, gateway occupancy, and WAN contention are all re-derived
 //! under the new parameters rather than scaled from the recording.
@@ -324,9 +329,4 @@ impl Replayer {
 /// what-if spec's topology disagrees with the recorded rank count.
 pub fn replay(dag: &CommDag, spec: &TwoLayerSpec) -> Replay {
     Replayer::new(spec).replay(dag, spec.inter)
-}
-
-/// Convenience: replay and return only the predicted makespan.
-pub fn predict_elapsed(dag: &CommDag, spec: &TwoLayerSpec) -> SimDuration {
-    Replayer::new(spec).makespan(dag, spec.inter)
 }

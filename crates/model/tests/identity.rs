@@ -4,11 +4,185 @@
 //! the replayer drive one event core, and any divergence here means the
 //! replayer's per-event work no longer matches the kernel's, and
 //! cross-spec predictions inherit the drift.
+//!
+//! Away from the recording's spec the reference is the kernel itself: a
+//! *scripted* run spawns one rank per recorded op list, and each rank does
+//! exactly what its list says — no application code, but the kernel's own
+//! mailboxes, event order and network model. That run must equal the live
+//! run it was recorded from, and the replayer at every quick Figure 3 point
+//! (and at the storm machine's two corners), whatever the event-core
+//! tie-break policy.
 
-use numagap_apps::{variants, AppId, Scale, SuiteConfig, Variant};
-use numagap_model::{record_app, replay};
-use numagap_net::{das_spec, uniform_spec, WanTopology};
+use std::sync::{Arc, OnceLock};
+
+use numagap_apps::{pairs, variants, AppId, Scale, SuiteConfig, Variant};
+use numagap_model::{record_app, replay, CommDag, Op, Replayer};
+use numagap_net::{
+    das_spec, uniform_spec, CrossTrafficPlan, HeteroPreset, LinkParams, LinkSchedule, Topology,
+    TwoLayerNetwork, TwoLayerSpec, WanTopology,
+};
 use numagap_rt::Machine;
+use numagap_sim::{Filter, Sim, SimDuration, Tag, TieBreak};
+
+/// Fig3's quick grid, (latency ms, MB/s): every latency at every bandwidth.
+const QUICK_LATENCIES: [f64; 3] = [0.5, 10.0, 300.0];
+const QUICK_BANDWIDTHS: [f64; 3] = [6.3, 0.3, 0.03];
+
+/// The grid's friendliest and most hostile corners, (latency ms, MB/s).
+const CORNERS: [(f64, f64); 2] = [(0.5, 6.3), (300.0, 0.03)];
+
+/// Runs `dag` through the kernel on `spec`: one rank per op list, each
+/// computing, sending and receiving exactly what it recorded. Each message
+/// has a tag of its own (its sequence number), so a receive matches exactly
+/// its recorded message at any spec.
+fn scripted(dag: &CommDag, spec: &TwoLayerSpec, tie_break: TieBreak) -> SimDuration {
+    assert!(
+        dag.msgs.len() < Tag::INTERNAL_BASE as usize,
+        "more recorded messages than application tags"
+    );
+    let msgs = Arc::new(dag.msgs.clone());
+    let mut sim = Sim::new(TwoLayerNetwork::new(spec.clone()));
+    sim.tie_break(tie_break);
+    for ops in &dag.ops {
+        let (ops, msgs) = (ops.clone(), Arc::clone(&msgs));
+        sim.spawn(move |ctx| {
+            for op in ops {
+                match op {
+                    Op::Compute(d) => ctx.compute(d),
+                    Op::Send { seq } => {
+                        let m = msgs[seq as usize];
+                        ctx.send(m.dst, Tag::app(seq as u32), (), m.wire_bytes);
+                    }
+                    Op::Recv { seq } => {
+                        let m = msgs[seq as usize];
+                        let _ = ctx.recv(Filter {
+                            src: Some(m.src),
+                            ..Filter::tag(Tag::app(seq as u32))
+                        });
+                    }
+                }
+            }
+        });
+    }
+    sim.run()
+        .expect("a recording runs through the kernel")
+        .elapsed
+}
+
+/// The hostile-storm machine: slow-home heterogeneous clusters, seeded
+/// cross-traffic and a diurnal WAN schedule — the shape the golden makespan
+/// suite pins.
+fn storm_spec() -> TwoLayerSpec {
+    let topo = HeteroPreset::SlowHome.apply(Topology::symmetric(4, 8));
+    TwoLayerSpec::new(topo)
+        .inter(LinkParams::wide_area(10.0, 1.0))
+        .cross_traffic(CrossTrafficPlan::new(7).intensity(0.5))
+        .link_schedule(
+            LinkSchedule::diurnal(7, SimDuration::from_millis(500))
+                .latency_factor(3.0)
+                .bandwidth_factor(0.33),
+        )
+}
+
+/// Each of the 11 pairs' recording, by name.
+type Recorded = Vec<(String, CommDag)>;
+
+/// Records every pair on `spec` at small scale, checking on the way that
+/// the scripted run of each recording equals the live run it came from.
+fn record_all(spec: &TwoLayerSpec) -> Recorded {
+    let cfg = SuiteConfig::at(Scale::Small);
+    let machine = Machine::new(spec.clone());
+    let recorded: Recorded = pairs(&[], None)
+        .into_iter()
+        .map(|(app, variant)| {
+            let (run, dag) = record_app(app, &cfg, variant, &machine).expect("app runs");
+            let name = format!("{app}/{variant}");
+            assert_eq!(
+                scripted(&dag, spec, TieBreak::Fifo),
+                run.elapsed,
+                "{name}: the scripted run diverged from the live run"
+            );
+            (name, dag)
+        })
+        .collect();
+    assert_eq!(recorded.len(), 11, "the suite's app/variant pairs");
+    recorded
+}
+
+/// The storm's recordings, shared by the tests that read them.
+fn storm() -> &'static Recorded {
+    static STORM: OnceLock<Recorded> = OnceLock::new();
+    STORM.get_or_init(|| record_all(&storm_spec()))
+}
+
+/// At every quick fig3 point, the scripted run of each recording equals
+/// the replayer's makespan.
+fn scripted_matches_the_replayer_on_the_quick_grid(wiring: &str, spec: TwoLayerSpec) {
+    for (name, dag) in record_all(&spec) {
+        let mut replayer = Replayer::new(&dag.base_spec);
+        for lat in QUICK_LATENCIES {
+            for bw in QUICK_BANDWIDTHS {
+                let inter = LinkParams::wide_area(lat, bw);
+                assert_eq!(
+                    scripted(&dag, &dag.base_spec.clone().inter(inter), TieBreak::Fifo),
+                    replayer.makespan(&dag, inter),
+                    "{name} on the {wiring} at ({lat} ms, {bw} MB/s)"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn scripted_ranks_match_the_live_run_and_the_replayer_on_the_paper_mesh() {
+    scripted_matches_the_replayer_on_the_quick_grid("mesh", das_spec(4, 8, 10.0, 1.0));
+}
+
+#[test]
+fn scripted_ranks_match_the_live_run_and_the_replayer_on_a_ring_wan() {
+    let spec = das_spec(4, 8, 10.0, 1.0).wan_topology(WanTopology::Ring);
+    scripted_matches_the_replayer_on_the_quick_grid("ring", spec);
+}
+
+#[test]
+fn scripted_ranks_match_the_live_run_and_the_replayer_under_the_hostile_storm() {
+    for (name, dag) in storm() {
+        let mut replayer = Replayer::new(&dag.base_spec);
+        for (lat, bw) in CORNERS {
+            let inter = LinkParams::wide_area(lat, bw);
+            assert_eq!(
+                scripted(dag, &dag.base_spec.clone().inter(inter), TieBreak::Fifo),
+                replayer.makespan(dag, inter),
+                "{name} under the storm at ({lat} ms, {bw} MB/s)"
+            );
+        }
+    }
+}
+
+/// The replayer implements only the kernel's native `Fifo` order. That is
+/// enough because a recording's makespan does not depend on the order of
+/// equal-timestamp events: under the storm, at both corners, every
+/// adversarial policy gives the `Fifo` run.
+#[test]
+fn replay_does_not_depend_on_the_tie_break_policy() {
+    for (name, dag) in storm() {
+        for (lat, bw) in CORNERS {
+            let spec = dag.base_spec.clone().inter(LinkParams::wide_area(lat, bw));
+            let fifo = scripted(dag, &spec, TieBreak::Fifo);
+            for policy in [
+                TieBreak::Reversed,
+                TieBreak::Shuffled(3),
+                TieBreak::Shuffled(11),
+            ] {
+                assert_eq!(
+                    scripted(dag, &spec, policy),
+                    fifo,
+                    "{name} at ({lat} ms, {bw} MB/s) under {policy:?}"
+                );
+            }
+        }
+    }
+}
 
 #[test]
 fn identity_replay_is_exact_for_real_apps() {

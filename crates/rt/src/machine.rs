@@ -4,8 +4,7 @@ use std::sync::Arc;
 
 use numagap_net::{NetStats, TwoLayerNetwork, TwoLayerSpec};
 use numagap_sim::{
-    HotProfile, KernelStats, Observer, ProcStats, SchedMode, Sim, SimDuration, SimError, SimTime,
-    TieBreak,
+    HotProfile, KernelStats, Observer, ProcStats, Sim, SimDuration, SimError, SimTime, TieBreak,
 };
 
 use crate::ctx::Ctx;
@@ -31,7 +30,6 @@ pub struct Machine {
     time_limit: Option<SimDuration>,
     transport: Option<TransportConfig>,
     tie_break: TieBreak,
-    sched_mode: Option<SchedMode>,
     stack_size: Option<usize>,
 }
 
@@ -43,19 +41,8 @@ impl Machine {
             time_limit: None,
             transport: None,
             tie_break: TieBreak::Fifo,
-            sched_mode: None,
             stack_size: None,
         }
-    }
-
-    /// Selects what the simulator runs ranks on (see [`SchedMode`]): fibers
-    /// resumed inline on the thread that calls [`Machine::run`], or the
-    /// legacy 1 rank = 1 OS thread mode kept as fallback and oracle. Virtual
-    /// time is bit-identical across the two. Defaults to fibers wherever
-    /// the host supports them.
-    pub fn with_sched_mode(mut self, mode: SchedMode) -> Self {
-        self.sched_mode = Some(mode);
-        self
     }
 
     /// Sets the per-rank stack size in bytes (default 8 MiB). A rank that
@@ -162,9 +149,6 @@ impl Machine {
         let net = TwoLayerNetwork::new(spec.clone());
         let mut sim = Sim::new(net);
         sim.tie_break(self.tie_break);
-        if let Some(mode) = self.sched_mode {
-            sim.sched_mode(mode);
-        }
         if let Some(bytes) = self.stack_size {
             sim.stack_size(bytes);
         }
@@ -253,8 +237,9 @@ pub struct RunReport<T> {
     pub transport_stats: Vec<TransportStats>,
     /// The spec the machine ran with.
     pub spec: TwoLayerSpec,
-    /// Number of OS threads rank code executed on (1 with fibers — the
-    /// caller's own thread — or the rank count in legacy mode).
+    /// Number of OS threads rank code executed on (see
+    /// [`numagap_sim::RunOutcome::sim_threads`]): 1 where ranks are fibers,
+    /// the rank count on hosts without them.
     pub sim_threads: usize,
 }
 
@@ -309,37 +294,6 @@ impl<T> RunReport<T> {
         }
         self.net_stats.total_payload_bytes() as f64 / 1e6 / secs
     }
-
-    /// Per-rank CPU utilization: fraction of the makespan spent computing
-    /// (software send/receive overheads count as CPU work).
-    pub fn utilization(&self) -> Vec<f64> {
-        let total = self.elapsed.as_secs_f64();
-        if total == 0.0 {
-            return vec![0.0; self.proc_stats.len()];
-        }
-        self.proc_stats
-            .iter()
-            .map(|s| (s.compute + s.send_overhead + s.recv_overhead).as_secs_f64() / total)
-            .collect()
-    }
-
-    /// Busy fraction of each wide-area link over the makespan:
-    /// `(src_cluster, dst_cluster, utilization)`.
-    pub fn wan_utilization(&self) -> Vec<(usize, usize, f64)> {
-        let total = self.elapsed.as_secs_f64();
-        self.net_stats
-            .wan_busy
-            .iter()
-            .map(|(a, b, busy)| {
-                let u = if total == 0.0 {
-                    0.0
-                } else {
-                    busy.as_secs_f64() / total
-                };
-                (*a, *b, u)
-            })
-            .collect()
-    }
 }
 
 // The benchmark engine (`numagap-bench`) shares one `Machine` across its
@@ -384,29 +338,6 @@ mod tests {
         assert!(report.inter_mbytes_per_sec_per_cluster() > 0.0);
         assert!(report.inter_msgs_per_sec_per_cluster() > 0.0);
         assert!(report.total_mbytes_per_sec() > 0.0);
-    }
-
-    #[test]
-    fn utilization_reports() {
-        let machine = Machine::new(das_spec(2, 1, 1.0, 1.0));
-        let report = machine
-            .run(|ctx| {
-                if ctx.rank() == 0 {
-                    ctx.compute(SimDuration::from_millis(10));
-                    ctx.send(1, Tag::app(0), (), 100);
-                }
-                if ctx.rank() == 1 {
-                    ctx.recv_tag(Tag::app(0));
-                }
-            })
-            .unwrap();
-        let util = report.utilization();
-        assert_eq!(util.len(), 2);
-        assert!(util[0] > 0.5, "rank 0 mostly computes: {util:?}");
-        assert!(util[1] < 0.5, "rank 1 mostly waits: {util:?}");
-        let wan = report.wan_utilization();
-        assert_eq!(wan.len(), 1, "one WAN link carried traffic");
-        assert!(wan[0].2 > 0.0 && wan[0].2 <= 1.0);
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! The thread-backed execution context: one OS thread per rank, behind the
 //! same `resume(grant) -> request` call the kernel makes on a fiber.
 //!
-//! This is the portable fallback (the only mode on hosts without fiber
-//! support) and the differential oracle the fiber mode is checked against.
-//! The rank body runs on a dedicated `simproc-{rank}` thread, joined to its
+//! This is what ranks run on where the build has no fibers (anything but
+//! x86-64 Linux); elsewhere it is compiled for `sched`'s test, which holds it
+//! to the fiber context's requests. The rank body runs on a dedicated `simproc-{rank}` thread, joined to its
 //! [`ThreadCtx`] by two `std::sync::mpsc` channels: grants one way, requests
 //! the other. The protocol alternates strictly, so neither channel ever
 //! holds more than one message. The rank's thread catches its own unwind and
@@ -32,7 +32,7 @@
 //!
 //! Determinism note: how long either side blocks depends on host timing,
 //! but that can never change *what* is handed off or in what order —
-//! virtual time is bit-identical to the fiber mode's.
+//! virtual time is bit-identical to a fiber run's.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{channel, Receiver, Sender};

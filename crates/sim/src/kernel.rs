@@ -34,7 +34,7 @@ use crate::message::{self, Filter, Message, Payload, Tag};
 use crate::network::{FaultEvent, FaultKind, Network};
 use crate::observe::Observer;
 use crate::process::{self, Entry, Grant, ProcCtx, Request};
-use crate::sched::{self, Context, SchedMode};
+use crate::sched::{self, Context};
 use crate::time::{SimDuration, SimTime};
 use crate::ProcId;
 
@@ -84,7 +84,7 @@ pub struct KernelStats {
 /// pinned per app cell by the golden suite (`tests/golden/counts.txt`).
 ///
 /// Every field is a pure function of the simulated program and spec —
-/// deterministic across runs, machines and scheduler modes, and safe to
+/// deterministic across runs, machines and rank contexts, and safe to
 /// compare exactly.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct HotProfile {
@@ -135,10 +135,10 @@ pub struct RunOutcome<N> {
     pub profile: HotProfile,
     /// The network model, returned so callers can read its statistics.
     pub network: N,
-    /// Number of OS threads rank code executed on: 1 under
-    /// [`SchedMode::Fibers`] (the thread that called [`Sim::run`]; the run
-    /// created none), the rank count under [`SchedMode::LegacyThreads`]
-    /// (one spawned per rank, with the kernel's own thread on top).
+    /// Number of OS threads rank code executed on: 1 where ranks are fibers
+    /// (x86-64 Linux: the thread that called [`Sim::run`]; the run created
+    /// none), the rank count elsewhere (one spawned per rank, with the
+    /// kernel's own thread on top).
     pub sim_threads: usize,
 }
 
@@ -200,7 +200,6 @@ pub struct Sim<N: Network> {
     stack_size: usize,
     observer: Option<Box<dyn Observer>>,
     tie_break: TieBreak,
-    sched_mode: Option<SchedMode>,
 }
 
 impl<N: Network + std::fmt::Debug> std::fmt::Debug for Sim<N> {
@@ -223,18 +222,7 @@ impl<N: Network> Sim<N> {
             stack_size: 8 << 20,
             observer: None,
             tie_break: TieBreak::Fifo,
-            sched_mode: None,
         }
-    }
-
-    /// Selects what ranks run on (default: [`SchedMode::Fibers`] where
-    /// fibers are supported). Virtual time is
-    /// bit-identical across modes; only real time and thread count differ.
-    /// On targets without fiber support a requested `Fibers` silently falls
-    /// back to [`SchedMode::LegacyThreads`].
-    pub fn sched_mode(&mut self, mode: SchedMode) -> &mut Self {
-        self.sched_mode = Some(mode);
-        self
     }
 
     /// Sets the tiebreak policy for equal-timestamp events (default
@@ -267,7 +255,7 @@ impl<N: Network> Sim<N> {
     }
 
     /// Sets the host stack size of every rank (default 8 MiB): the rank's
-    /// fiber stack, or its thread's stack under [`SchedMode::LegacyThreads`].
+    /// fiber stack, or its thread's stack on hosts without fibers.
     /// A fiber stack is a mapping of its own with a guard page below it: a
     /// rank that overflows it kills the process with `SIGSEGV`, so size it
     /// for the deepest call chain a rank body makes. Pages a rank never
@@ -382,20 +370,17 @@ struct Kernel<N: Network> {
     /// First rank whose panic was harvested, in detection order.
     first_failure: Option<usize>,
     observer: Option<Box<dyn Observer>>,
-    /// OS threads rank code runs on (see [`RunOutcome::sim_threads`]).
-    sim_threads: usize,
 }
 
 impl<N: Network> Kernel<N> {
     fn start(sim: Sim<N>) -> Self {
         let nprocs = sim.entries.len();
-        let mode = sched::resolve(sim.sched_mode);
         let slots = sim
             .entries
             .into_iter()
             .enumerate()
             .map(|(rank, entry)| ProcSlot {
-                ctx: sched::spawn(mode, ProcId(rank), nprocs, sim.stack_size, entry),
+                ctx: sched::spawn(ProcId(rank), nprocs, sim.stack_size, entry),
                 mailbox: Mailbox::default(),
                 state: ProcState::Idle,
                 clock: SimTime::ZERO,
@@ -405,10 +390,6 @@ impl<N: Network> Kernel<N> {
                 failure: None,
             })
             .collect();
-        let sim_threads = match mode {
-            SchedMode::Fibers => 1,
-            SchedMode::LegacyThreads => nprocs,
-        };
         Kernel {
             net: sim.net,
             slots,
@@ -420,7 +401,6 @@ impl<N: Network> Kernel<N> {
             mcounters: MailboxCounters::default(),
             first_failure: None,
             observer: sim.observer,
-            sim_threads,
         }
     }
 
@@ -627,7 +607,12 @@ impl<N: Network> Kernel<N> {
             kernel_stats: self.kstats,
             profile,
             network: self.net,
-            sim_threads: self.sim_threads,
+            // Fibers all run on this thread; threads are one per rank.
+            sim_threads: if crate::fiber::SUPPORTED {
+                1
+            } else {
+                self.slots.len()
+            },
         })
     }
 

@@ -5,40 +5,20 @@
 //! [`Context::resume`] on the rank it names with the completing [`Grant`],
 //! and gets back the rank's next [`Request`]. The rank dispatch order *is*
 //! the grant order — a pure function of the canonical `(time, seq)` event
-//! order, whatever kind of context runs the rank body:
+//! order, whatever kind of context runs the rank body. The build picks the
+//! kind; nothing at run time does:
 //!
-//! * [`SchedMode::Fibers`] — each rank is a [`crate::fiber`] resumed and suspended
-//!   on the thread that called `Sim::run`; a virtual context switch is two
-//!   stack switches and no OS thread is created.
-//! * [`SchedMode::LegacyThreads`] — each rank is a dedicated OS thread blocked
-//!   on a channel between resumes ([`crate::handoff`]); the portable fallback
-//!   and the differential oracle for the fiber mode.
+//! * on x86-64 Linux each rank is a [`crate::fiber`] resumed and suspended on
+//!   the thread that called `Sim::run`; a virtual context switch is two
+//!   stack switches and no OS thread is created;
+//! * elsewhere each rank is a dedicated OS thread blocked on a channel
+//!   between resumes ([`crate::handoff`]).
+//!
+//! Where both are compiled (x86-64 Linux), a unit test drives them through
+//! [`Context`] with the same grants and requires the same requests back.
 
-use crate::handoff::ThreadCtx;
 use crate::process::{Entry, Grant, Request};
 use crate::ProcId;
-
-/// How simulated ranks are given a stack to run on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SchedMode {
-    /// Ranks are fibers resumed inline on the thread that runs the kernel.
-    /// The default wherever fibers are supported (x86-64).
-    Fibers,
-    /// One dedicated OS thread per rank (the original model). The only mode
-    /// on targets without fiber support, and the differential oracle
-    /// elsewhere: virtual time must be bit-identical to the fiber mode.
-    LegacyThreads,
-}
-
-/// Resolves the mode a run uses: the run's own choice, else fibers — and
-/// threads regardless on a target that cannot run fibers.
-pub(crate) fn resolve(requested: Option<SchedMode>) -> SchedMode {
-    if crate::fiber::SUPPORTED {
-        requested.unwrap_or(SchedMode::Fibers)
-    } else {
-        SchedMode::LegacyThreads
-    }
-}
 
 /// The kernel's handle on one rank's execution context.
 pub(crate) trait Context {
@@ -54,19 +34,16 @@ pub(crate) trait Context {
 /// mid-body resumes it one last time with [`Grant::Abort`], so every value on
 /// the rank's stack is dropped — that is how an aborted run tears down.
 pub(crate) fn spawn(
-    mode: SchedMode,
     id: ProcId,
     nprocs: usize,
     stack_size: usize,
     entry: Entry,
 ) -> Box<dyn Context> {
-    match mode {
-        #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
-        SchedMode::Fibers => Box::new(fiber_ctx::FiberCtx::spawn(id, nprocs, stack_size, entry)),
-        // Threads, also for the fibers `resolve` never picks where they
-        // cannot run.
-        _ => Box::new(ThreadCtx::spawn(id, nprocs, stack_size, entry)),
-    }
+    #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+    let ctx = fiber_ctx::FiberCtx::spawn(id, nprocs, stack_size, entry);
+    #[cfg(not(all(target_arch = "x86_64", target_os = "linux")))]
+    let ctx = crate::handoff::ThreadCtx::spawn(id, nprocs, stack_size, entry);
+    Box::new(ctx)
 }
 
 #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
@@ -136,19 +113,132 @@ mod fiber_ctx {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Arc;
+
+    use super::Context;
+    use crate::handoff::ThreadCtx;
+    use crate::message::{Filter, Tag};
+    use crate::process::{Entry, Grant, ProcCtx, Request};
+    use crate::time::{SimDuration, SimTime};
+    use crate::ProcId;
+
+    type Spawner = fn(ProcId, usize, usize, Entry) -> Box<dyn Context>;
+
+    /// Every context kind this host can run, by name: threads everywhere,
+    /// fibers where they are compiled.
+    fn kinds() -> Vec<(&'static str, Spawner)> {
+        vec![
+            ("threads", |id, n, stack, entry| {
+                Box::new(ThreadCtx::spawn(id, n, stack, entry))
+            }),
+            #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+            ("fibers", |id, n, stack, entry| {
+                Box::new(super::fiber_ctx::FiberCtx::spawn(id, n, stack, entry))
+            }),
+        ]
+    }
+
+    fn spawn(
+        kind: Spawner,
+        body: impl FnOnce(&mut ProcCtx) -> u64 + Send + 'static,
+    ) -> Box<dyn Context> {
+        kind(
+            ProcId(0),
+            1,
+            64 * 1024,
+            Box::new(move |ctx| Box::new(body(ctx))),
+        )
+    }
+
+    fn at(ns: u64) -> Grant {
+        Grant::Proceed(SimTime::from_nanos(ns))
+    }
+
+    /// A request as comparable text.
+    fn describe(request: Result<Request, String>) -> String {
+        match request {
+            Ok(Request::Compute(d)) => format!("compute {}", d.as_nanos()),
+            Ok(Request::Send {
+                dst,
+                tag,
+                wire_bytes,
+                ..
+            }) => format!("send {dst} {tag} {wire_bytes}"),
+            Ok(Request::Recv(filter)) => format!("recv {filter:?}"),
+            Ok(Request::TryRecv(filter)) => format!("try_recv {filter:?}"),
+            Ok(Request::Exit(result)) => {
+                format!(
+                    "exit {}",
+                    result.downcast_ref::<u64>().expect("a u64 result")
+                )
+            }
+            Err(message) => format!("err {message}"),
+        }
+    }
+
+    struct SetOnDrop(Arc<AtomicBool>);
+
+    impl Drop for SetOnDrop {
+        fn drop(&mut self) {
+            self.0.store(true, Ordering::SeqCst);
+        }
+    }
 
     #[test]
-    fn an_explicit_mode_wins_and_fibers_never_leak_onto_a_fiberless_target() {
-        assert_eq!(
-            resolve(Some(SchedMode::LegacyThreads)),
-            SchedMode::LegacyThreads
-        );
-        let fibers = resolve(Some(SchedMode::Fibers));
-        if crate::fiber::SUPPORTED {
-            assert_eq!(fibers, SchedMode::Fibers);
-        } else {
-            assert_eq!(fibers, SchedMode::LegacyThreads);
+    fn threads_and_fibers_answer_the_same_grants_with_the_same_requests() {
+        let mut runs = Vec::new();
+        for (name, kind) in kinds() {
+            // One program, granted the same instants in either context.
+            let mut rank = spawn(kind, |ctx| {
+                ctx.compute(SimDuration::from_nanos(3));
+                ctx.send(ProcId(0), Tag::app(5), 1u64, 8);
+                assert!(ctx.try_recv(Filter::tag(Tag::app(6))).is_none());
+                ctx.now().as_nanos()
+            });
+            let grants = [
+                at(7),
+                at(10),
+                at(10),
+                Grant::TryMsg(SimTime::from_nanos(11), None),
+            ];
+            let requests: Vec<String> = grants
+                .into_iter()
+                .map(|grant| describe(rank.resume(grant)))
+                .collect();
+            assert_eq!(requests[3], "exit 11", "{name}: {requests:?}");
+            runs.push(requests);
+
+            // A panicking body ends in `Err` with its message.
+            let mut panics = spawn(kind, |ctx| {
+                ctx.compute(SimDuration::from_nanos(1));
+                panic!("rank exploded");
+            });
+            assert_eq!(describe(panics.resume(at(0))), "compute 1", "{name}");
+            let ended = describe(panics.resume(at(1)));
+            assert!(
+                ended.starts_with("err ") && ended.contains("rank exploded"),
+                "{name}: {ended}"
+            );
+
+            // Dropping a rank suspended mid-body aborts it: every value on
+            // its stack is dropped before the drop returns.
+            let dropped = Arc::new(AtomicBool::new(false));
+            let local = SetOnDrop(Arc::clone(&dropped));
+            let mut blocked = spawn(kind, move |ctx| {
+                let _local = local;
+                ctx.compute(SimDuration::from_nanos(5));
+                unreachable!("resumed after the abort");
+            });
+            assert_eq!(describe(blocked.resume(at(0))), "compute 5", "{name}");
+            assert!(!dropped.load(Ordering::SeqCst), "{name}");
+            drop(blocked);
+            assert!(
+                dropped.load(Ordering::SeqCst),
+                "{name}: a value outlived the abort"
+            );
         }
+        assert_eq!(runs.len(), if crate::fiber::SUPPORTED { 2 } else { 1 });
+        assert!(runs.windows(2).all(|w| w[0] == w[1]), "{runs:?}");
     }
 }

@@ -33,7 +33,7 @@ use numagap_net::{
     das_spec, CrossTrafficPlan, HeteroPreset, LinkParams, LinkSchedule, Topology, TwoLayerSpec,
 };
 use numagap_rt::Machine;
-use numagap_sim::{HotProfile, SchedMode, SimDuration};
+use numagap_sim::{HotProfile, SimDuration};
 
 /// The two wide-area presets pinned by the suite: the paper's local-ATM
 /// ceiling territory (fast WAN) and a slow long-haul setting. Both exercise
@@ -102,26 +102,21 @@ fn render() -> Rendered {
                  queue_peak mailbox_scanned mailbox_indexed mailbox_fast bytes_cloned\n"
             .to_string(),
     };
-    let mut machines = paper_machines();
-    machines.push(("wan-hostile", Machine::new(hostile_spec())));
-    // The scale regime: a 16x16 (256-rank) machine, an order of magnitude
-    // past the paper presets, pinned exact under the default scheduler mode.
-    // FFT is excluded — its Small matrix has 64 rows, fewer than one per
-    // rank.
-    machines.push(("wan-16x16", Machine::new(das_spec(16, 16, 10.0, 1.0))));
-    render_cells(&mut out, machines);
-    out
-}
-
-/// The paper's 4x8 machine at the two [`PRESETS`].
-fn paper_machines() -> Vec<(&'static str, Machine)> {
-    PRESETS
+    let mut machines: Vec<(&'static str, Machine)> = PRESETS
         .into_iter()
         .map(|(preset, lat_ms, bw_mbs)| {
             let spec = das_spec(CLUSTERS, PROCS_PER_CLUSTER, lat_ms, bw_mbs);
             (preset, Machine::new(spec))
         })
-        .collect()
+        .collect();
+    machines.push(("wan-hostile", Machine::new(hostile_spec())));
+    // The scale regime: a 16x16 (256-rank) machine, an order of magnitude
+    // past the paper presets, pinned exact.
+    // FFT is excluded — its Small matrix has 64 rows, fewer than one per
+    // rank.
+    machines.push(("wan-16x16", Machine::new(das_spec(16, 16, 10.0, 1.0))));
+    render_cells(&mut out, machines);
+    out
 }
 
 /// Appends one line per cell to each file. A makespan line is `preset app
@@ -225,30 +220,6 @@ fn makespans_match_golden() {
          `UPDATE_GOLDEN=1 cargo test -p numagap-sim --test golden_makespan` \
          and commit the diff."
     );
-}
-
-/// The thread-per-rank scheduler is what hosts without fiber support run
-/// everything on, so it is pinned to the same goldens rather than left to a
-/// `cfg` nobody exercises: the two 4x8 presets under
-/// [`SchedMode::LegacyThreads`] must reproduce their committed lines, the
-/// hot-path counts included ([`HotProfile`] does not depend on the mode).
-#[test]
-fn legacy_threads_reproduce_the_paper_machine_goldens() {
-    let mut actual = Rendered::default();
-    let machines = paper_machines()
-        .into_iter()
-        .map(|(preset, m)| (preset, m.with_sched_mode(SchedMode::LegacyThreads)))
-        .collect();
-    render_cells(&mut actual, machines);
-    for (file, text) in [(MAKESPANS, actual.makespans), (COUNTS, actual.counts)] {
-        let golden = std::fs::read_to_string(golden_path(file)).expect("read golden file");
-        let pinned: String = golden
-            .lines()
-            .filter(|l| PRESETS.iter().any(|(preset, ..)| l.starts_with(preset)))
-            .flat_map(|l| [l, "\n"])
-            .collect();
-        assert_eq!(text, pinned, "legacy 1:1 threads drifted from {file}");
-    }
 }
 
 /// The golden run must also be independent of *when* it runs relative to
