@@ -195,7 +195,7 @@ pub fn run_ablations(opts: &SweepOpts) -> Result<BenchSummary, BenchError> {
         opts.jobs,
         cells.len()
     );
-    let (outs, wall_s) = sweep(&cells, opts, "ablations", |(key, cell)| {
+    let (outs, wall_s) = sweep(&cells, opts.jobs, "ablations", |(key, cell)| {
         let machine = Machine::new(cell.spec.clone());
         // An input is generated once a cell, outside the ranks.
         let run = match cell.job.clone() {

@@ -159,7 +159,7 @@ pub fn run_hostile(opts: &SweepOpts) -> Result<BenchSummary, BenchError> {
     for s in &SCENARIOS {
         println!("   {:<10} {}", s.name, s.what);
     }
-    let (outs, wall_s) = sweep(&cells, opts, "hostile", |&(si, app, variant)| {
+    let (outs, wall_s) = sweep(&cells, opts.jobs, "hostile", |&(si, app, variant)| {
         let machine = Machine::new(scenario_spec(&SCENARIOS[si], wan));
         let result = run_app(app, &cfg, variant, &machine).map_err(|e| e.to_string());
         let what = format!("{app}/{variant} under '{}'", SCENARIOS[si].name);
@@ -266,7 +266,6 @@ mod tests {
             quick: false,
             jobs: 4,
             out: dir.to_path_buf(),
-            progress: false,
             topology: None,
         }
     }

@@ -179,7 +179,7 @@ fn run_on(
         opts.jobs,
         cells.len()
     );
-    let (outs, wall_s) = sweep(&cells, opts, "magpie", |cell| {
+    let (outs, wall_s) = sweep(&cells, opts.jobs, "magpie", |cell| {
         let (cell, power) = (*cell, power.clone());
         let run = machine_at(cell.0)
             .run(move |ctx| cell_rank(ctx, &cell, iters, &power))
@@ -275,7 +275,6 @@ mod tests {
             quick: true,
             jobs: 2,
             out: dir.clone(),
-            progress: false,
             topology: None,
         };
         // Every cell outlives a 1 ns budget; the report names the first in

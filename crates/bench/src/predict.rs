@@ -4,9 +4,9 @@
 //! One *recording* run per (app, variant) at a reference WAN point freezes
 //! the communication DAG; every other grid point is then an analytic replay
 //! — milliseconds instead of a full simulation. `--validate` re-simulates
-//! the same grid and reports the model's relative error, wiring the
-//! simulated side through the benchmark pipeline's [`RunRecord`]s so both
-//! curves live in the same machine-readable artifact family.
+//! the same grid through the cell runner the `fig3` target uses, so each
+//! validated cell's simulated time is the one `BENCH_fig3.json` records
+//! under the same key, and reports the model's relative error.
 
 use std::fmt::Write as _;
 use std::path::Path;
@@ -20,11 +20,8 @@ use numagap_net::{LinkParams, WanTopology};
 use numagap_sim::SimDuration;
 
 use crate::json;
-use crate::record::{BenchSummary, RunRecord};
-use crate::targets::paper_grid;
-use crate::{
-    baseline_machine, engine, relative_speedup_pct, wan_machine_with, BenchError, CLUSTERS,
-};
+use crate::targets::{grid_key, paper_grid, run_fig3_cells};
+use crate::{engine, relative_speedup_pct, wan_machine_with, BenchError, CLUSTERS};
 
 /// Version stamped into every `PREDICT_*.json`; bump on schema changes.
 pub const PREDICT_SCHEMA_VERSION: u64 = 1;
@@ -51,8 +48,6 @@ pub struct PredictOpts {
     /// Mean relative error (percent, per app/variant) above which validation
     /// reports a finding.
     pub max_error_pct: f64,
-    /// Emit engine progress lines on stderr.
-    pub progress: bool,
     /// Wide-area wiring override for the recording machine and every
     /// replayed/validated grid point; `None` keeps the full mesh the paper
     /// baselines use. The analytic replay charges each transfer per route
@@ -135,10 +130,6 @@ pub struct PredictReport {
     /// Accuracy findings (error above the bar, threshold disagreements).
     /// Non-empty maps to exit code 1 at the CLI.
     pub findings: Vec<String>,
-    /// The validation runs as benchmark-pipeline records (empty unless
-    /// validated). Wall-clock fields are zeroed so the artifact stays
-    /// byte-deterministic.
-    pub sim_records: Vec<RunRecord>,
 }
 
 /// Runs the full predict pipeline: record, replay the grid, optionally
@@ -150,12 +141,7 @@ pub struct PredictReport {
 /// limit, panic) aborts the run with [`BenchError::Sim`].
 pub fn run_predict(opts: &PredictOpts) -> Result<PredictReport, BenchError> {
     let cfg = SuiteConfig::at(opts.scale);
-    let apps: Vec<AppId> = if opts.apps.is_empty() {
-        AppId::ALL.to_vec()
-    } else {
-        opts.apps.clone()
-    };
-    let pairs = pairs(&apps, opts.variant);
+    let pairs = pairs(&opts.apps, opts.variant);
     if pairs.is_empty() {
         return Err(BenchError::Sim(
             "no (app, variant) pair matches the selection".to_string(),
@@ -166,23 +152,18 @@ pub fn run_predict(opts: &PredictOpts) -> Result<PredictReport, BenchError> {
             .map_err(|e| BenchError::Sim(format!("--topology: {e}")))?;
     }
     let (lats, bws) = paper_grid(opts.quick);
-    let progress = |label: &'static str| opts.progress.then_some(label);
 
-    // 1. One recording run per pair at the reference point, plus one
-    //    single-Myrinet baseline run per app (the speedup denominator).
+    // 1. One recording run per pair at the reference point, then the
+    //    Figure 3 cells: one single-Myrinet baseline run per app (the
+    //    speedup denominator) and, under `--validate`, every pair at every
+    //    grid point on the recording's wiring.
     let ref_machine = wan_machine_with(
         opts.ref_latency_ms,
         opts.ref_bandwidth_mbs,
         opts.wan_topology,
     );
-    let recordings = engine::run_cells(&pairs, opts.jobs, progress("record"), |_, &(app, v)| {
+    let recordings = engine::run_cells(&pairs, opts.jobs, Some("record"), |_, &(app, v)| {
         record_app(app, &cfg, v, &ref_machine).map_err(|e| format!("{app}/{v}: {e}"))
-    });
-    let base_machine = baseline_machine();
-    let baselines = engine::run_cells(&apps, opts.jobs, progress("baseline"), |_, &app| {
-        numagap_apps::run_app(app, &cfg, Variant::Unoptimized, &base_machine)
-            .map(|r| r.elapsed)
-            .map_err(|e| format!("baseline/{app}: {e}"))
     });
     let mut dags: Vec<CommDag> = Vec::with_capacity(pairs.len());
     let mut recorded: Vec<SimDuration> = Vec::with_capacity(pairs.len());
@@ -191,12 +172,12 @@ pub fn run_predict(opts: &PredictOpts) -> Result<PredictReport, BenchError> {
         recorded.push(run.elapsed);
         dags.push(dag);
     }
-    let baseline_of: Vec<SimDuration> = baselines
-        .into_iter()
-        .collect::<Result<_, _>>()
-        .map_err(BenchError::Sim)?;
-    let baseline_for =
-        |app: AppId| baseline_of[apps.iter().position(|&a| a == app).expect("app present")];
+    let wirings: &[Option<WanTopology>] = if opts.validate {
+        &[opts.wan_topology]
+    } else {
+        &[]
+    };
+    let sims = run_fig3_cells(&cfg, &pairs, wirings, opts.quick, opts.jobs, "simulate")?;
 
     // 2. Replay every grid point analytically (cheap, but embarrassingly
     //    parallel all the same). Every recording was made on the reference
@@ -213,7 +194,7 @@ pub fn run_predict(opts: &PredictOpts) -> Result<PredictReport, BenchError> {
     let predicted = engine::run_cells_with(
         &grid_cells,
         opts.jobs,
-        progress("predict"),
+        Some("predict"),
         || Replayer::new(ref_machine.spec()),
         |replayer, _, &(pi, lat, bw)| replayer.makespan(&dags[pi], LinkParams::wide_area(lat, bw)),
     );
@@ -228,36 +209,8 @@ pub fn run_predict(opts: &PredictOpts) -> Result<PredictReport, BenchError> {
         })
         .collect();
 
-    // 4. Optional validation: simulate the same grid for real.
-    let simulated: Option<Vec<(SimDuration, RunRecord)>> = if opts.validate {
-        let outs = engine::run_cells(
-            &grid_cells,
-            opts.jobs,
-            progress("validate"),
-            |_, &(pi, lat, bw)| {
-                let (app, v) = pairs[pi];
-                let machine = wan_machine_with(lat, bw, opts.wan_topology);
-                numagap_apps::run_app(app, &cfg, v, &machine)
-                    .map(|run| {
-                        let key = format!("{app}/{v}/lat{lat}/bw{bw}");
-                        // Wall clock zeroed: the predict artifact must be
-                        // byte-identical across runs and --jobs values.
-                        let rec = RunRecord::from_run(key, 0.0, &run);
-                        (run.elapsed, rec)
-                    })
-                    .map_err(|e| format!("{app}/{v}/lat{lat}/bw{bw}: {e}"))
-            },
-        );
-        Some(
-            outs.into_iter()
-                .collect::<Result<_, _>>()
-                .map_err(BenchError::Sim)?,
-        )
-    } else {
-        None
-    };
-
-    // 5. Aggregate per cell and per pair.
+    // 4. Aggregate per cell and per pair; under `--validate` the grid
+    //    runs line up with the replayed cells one for one.
     let mut report = PredictReport {
         scale: opts.scale.name().to_string(),
         quick: opts.quick,
@@ -270,10 +223,9 @@ pub fn run_predict(opts: &PredictOpts) -> Result<PredictReport, BenchError> {
         apps: Vec::new(),
         cells: Vec::new(),
         findings: Vec::new(),
-        sim_records: Vec::new(),
     };
     for (pi, &(app, v)) in pairs.iter().enumerate() {
-        let baseline = baseline_for(app);
+        let baseline = sims.baseline(app);
         let mut pred_pct: Vec<Vec<f64>> = Vec::new();
         let mut sim_pct: Vec<Vec<f64>> = Vec::new();
         let mut err_sum = 0.0;
@@ -288,7 +240,7 @@ pub fn run_predict(opts: &PredictOpts) -> Result<PredictReport, BenchError> {
                 let predicted_pct = relative_speedup_pct(baseline, predicted_d);
                 pred_row.push(predicted_pct);
                 let mut cell = CellOutcome {
-                    key: format!("{app}/{v}/lat{lat}/bw{bw}"),
+                    key: grid_key(app, v, lat, bw),
                     latency_ms: lat,
                     bandwidth_mbs: bw,
                     predicted: predicted_d,
@@ -297,19 +249,18 @@ pub fn run_predict(opts: &PredictOpts) -> Result<PredictReport, BenchError> {
                     simulated_pct: None,
                     rel_err_pct: None,
                 };
-                if let Some(sim) = &simulated {
-                    let (sim_d, rec) = &sim[idx];
-                    let simulated_pct = relative_speedup_pct(baseline, *sim_d);
+                if let Some(sim) = sims.grid.get(idx) {
+                    let sim_d = sim.run.elapsed;
+                    let simulated_pct = relative_speedup_pct(baseline, sim_d);
                     let err = 100.0 * (predicted_d.as_secs_f64() - sim_d.as_secs_f64()).abs()
                         / sim_d.as_secs_f64();
                     sim_row.push(simulated_pct);
                     err_sum += err;
                     err_max = err_max.max(err);
                     err_n += 1;
-                    cell.simulated = Some(*sim_d);
+                    cell.simulated = Some(sim_d);
                     cell.simulated_pct = Some(simulated_pct);
                     cell.rel_err_pct = Some(err);
-                    report.sim_records.push(rec.clone());
                 }
                 report.cells.push(cell);
             }
@@ -509,19 +460,5 @@ impl PredictReport {
     /// Propagates the underlying I/O failure.
     pub fn write(&self, path: &Path) -> std::io::Result<()> {
         std::fs::write(path, self.to_json())
-    }
-
-    /// The validation runs packaged as a benchmark-pipeline summary
-    /// (`None` unless this report was validated). Wall-clock seconds and the
-    /// worker count are normalized to zero/one so the artifact is
-    /// deterministic like the predict JSON itself.
-    pub fn sim_summary(&self) -> Option<BenchSummary> {
-        if !self.validated {
-            return None;
-        }
-        let mut s = BenchSummary::new("predict-sim", self.scale.clone(), self.quick, 1);
-        s.wall_s = 0.0;
-        s.records = self.sim_records.clone();
-        Some(s)
     }
 }

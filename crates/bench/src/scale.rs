@@ -135,7 +135,7 @@ pub fn run_scale(opts: &SweepOpts) -> Result<BenchSummary, BenchError> {
         cells.len()
     );
     let t0 = Instant::now();
-    let outs = engine::run_cells(&cells, opts.jobs, opts.label("scale"), |_, cell| {
+    let outs = engine::run_cells(&cells, opts.jobs, Some("scale"), |_, cell| {
         let start = Instant::now();
         let machine = Machine::new(das_spec(cell.clusters, cell.procs, 10.0, 1.0))
             .with_stack_size(STACK_SIZE);

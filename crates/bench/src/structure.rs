@@ -90,7 +90,7 @@ pub fn run_structure(opts: &SweepOpts) -> Result<BenchSummary, BenchError> {
         opts.jobs,
         cells.len()
     );
-    let (outs, wall_s) = sweep(&cells, opts, "structure", |(key, app, spec)| {
+    let (outs, wall_s) = sweep(&cells, opts.jobs, "structure", |(key, app, spec)| {
         let machine = Machine::new((*spec).clone());
         let run = run_app(*app, &cfg, surviving_variant(*app), &machine);
         (format!("structure/{key}"), run.map_err(|e| e.to_string()))

@@ -12,12 +12,13 @@ use std::path::PathBuf;
 use std::time::Instant;
 
 pub use numagap_apps::variants;
-use numagap_apps::{run_app, AppId, AppRun, Scale, SuiteConfig, Variant};
+use numagap_apps::{pairs, run_app, AppId, AppRun, Scale, SuiteConfig, Variant};
 use numagap_net::{
     uniform_spec, WanTopology, FIG1_BANDWIDTH_MBS, FIG1_LATENCY_MS, FIG4_FIXED_BANDWIDTH_MBS,
     FIG4_FIXED_LATENCY_MS, PAPER_BANDWIDTHS_MBS, PAPER_LATENCIES_MS,
 };
 use numagap_rt::Machine;
+use numagap_sim::SimDuration;
 
 use crate::record::{BenchSummary, RunRecord};
 use crate::{
@@ -102,8 +103,6 @@ pub struct SweepOpts {
     pub jobs: usize,
     /// Output directory for CSV + JSON artifacts.
     pub out: PathBuf,
-    /// Maintain a progress line on stderr.
-    pub progress: bool,
     /// Wide-area wiring override (`--topology`). `None` keeps each target's
     /// default: the paper targets run the DAS full mesh bit-identically to
     /// builds without this field, and the `topo` target sweeps its whole
@@ -127,14 +126,6 @@ impl SweepOpts {
         }
         Ok(self.topology)
     }
-
-    pub(crate) fn label<'a>(&self, name: &'a str) -> Option<&'a str> {
-        if self.progress {
-            Some(name)
-        } else {
-            None
-        }
-    }
 }
 
 /// The variant Figure 4 measures: the surviving (optimized where found) one.
@@ -157,19 +148,20 @@ pub fn paper_grid(quick: bool) -> (Vec<f64>, Vec<f64>) {
     }
 }
 
-/// Runs every cell through the engine; the first failing cell (in cell
-/// order) aborts the sweep with the name its closure gave it — before the
-/// caller has rendered or written anything. Each result carries its
+/// Runs every cell through the engine on `jobs` workers, keeping a
+/// `[label: done/total cells]` line on stderr; the first failing cell (in
+/// cell order) aborts the sweep with the name its closure gave it — before
+/// the caller has rendered or written anything. Each result carries its
 /// wall-clock seconds, and the whole sweep's come back beside them: the
 /// stopwatch lives here, so a target built on `sweep` never reads the clock.
 pub(crate) fn sweep<C: Sync, R: Send>(
     cells: &[C],
-    opts: &SweepOpts,
+    jobs: usize,
     label: &str,
     run: impl Fn(&C) -> (String, Result<R, String>) + Sync,
 ) -> Result<(Vec<(R, f64)>, f64), BenchError> {
     let t0 = Instant::now();
-    let outs = engine::run_cells(cells, opts.jobs, opts.label(label), |_, cell| {
+    let outs = engine::run_cells(cells, jobs, Some(label), |_, cell| {
         let start = Instant::now();
         let (what, result) = run(cell);
         (what, result, start.elapsed().as_secs_f64())
@@ -197,29 +189,161 @@ pub(crate) fn app_cell(
     )
 }
 
-/// Figure 3: 12 panels of relative speedup across the bandwidth × latency
-/// grid, all (baseline + grid) cells fanned across the worker pool.
-pub fn run_fig3(opts: &SweepOpts) -> Result<BenchSummary, BenchError> {
+/// One simulated Figure 3 grid point.
+pub(crate) struct GridRun {
+    /// Index of the point's wide-area wiring in the list the sweep was given.
+    pub wiring: usize,
+    /// WAN latency, ms.
+    pub latency_ms: f64,
+    /// WAN bandwidth, MByte/s.
+    pub bandwidth_mbs: f64,
+    /// The simulation itself.
+    pub run: AppRun,
+    /// Host seconds the cell took.
+    pub wall_s: f64,
+}
+
+impl GridRun {
+    /// The point's record key, `App/variant/latL/bwB`.
+    pub fn key(&self) -> String {
+        grid_key(
+            self.run.app,
+            self.run.variant,
+            self.latency_ms,
+            self.bandwidth_mbs,
+        )
+    }
+}
+
+/// The record key of a Figure 3 grid point, `App/variant/latL/bwB`.
+pub(crate) fn grid_key(
+    app: AppId,
+    variant: Variant,
+    latency_ms: f64,
+    bandwidth_mbs: f64,
+) -> String {
+    format!("{app}/{variant}/lat{latency_ms}/bw{bandwidth_mbs}")
+}
+
+/// The runs of one Figure 3 sweep, in canonical cell order.
+pub(crate) struct Fig3Runs {
+    /// One all-Myrinet run per app, in the order the pairs first name the
+    /// apps, with its host seconds.
+    pub baselines: Vec<(AppRun, f64)>,
+    /// Each pair at each grid point on each wiring: wiring, then pair, then
+    /// latency, then bandwidth.
+    pub grid: Vec<GridRun>,
+    /// Host seconds of the whole sweep.
+    pub wall_s: f64,
+}
+
+impl Fig3Runs {
+    /// The all-Myrinet makespan of `app`, the relative speedup's numerator.
+    pub fn baseline(&self, app: AppId) -> SimDuration {
+        self.baselines
+            .iter()
+            .find(|(run, _)| run.app == app)
+            .expect("every app of the pairs has a baseline")
+            .0
+            .elapsed
+    }
+
+    /// The baselines as records keyed `baseline/App`.
+    pub fn baseline_records(&self) -> impl Iterator<Item = RunRecord> + '_ {
+        self.baselines
+            .iter()
+            .map(|(run, wall)| RunRecord::from_run(format!("baseline/{}", run.app), *wall, run))
+    }
+}
+
+/// Runs the Figure 3 cells through [`sweep`]: one all-Myrinet baseline per
+/// app of `pairs`, then each pair at each [`paper_grid`] point on each of
+/// `wirings` (`None` is the DAS full mesh). The `fig3` and `topo` targets
+/// and the predict pipeline all get their simulations here, so the same
+/// cell has the same key and the same virtual time in each.
+pub(crate) fn run_fig3_cells(
+    cfg: &SuiteConfig,
+    pairs: &[(AppId, Variant)],
+    wirings: &[Option<WanTopology>],
+    quick: bool,
+    jobs: usize,
+    label: &str,
+) -> Result<Fig3Runs, BenchError> {
     enum Cell {
         Base(AppId),
-        Grid(AppId, Variant, f64, f64),
+        Grid(usize, AppId, Variant, f64, f64),
     }
-    let cfg = SuiteConfig::at(opts.scale);
-    let topology = opts.checked_topology()?;
-    let (lats, bws) = paper_grid(opts.quick);
-    let mut cells = Vec::new();
-    for app in AppId::ALL {
-        cells.push(Cell::Base(app));
+    let (lats, bws) = paper_grid(quick);
+    let mut apps = Vec::new();
+    for &(app, _) in pairs {
+        if !apps.contains(&app) {
+            apps.push(app);
+        }
     }
-    for app in AppId::ALL {
-        for &variant in variants(app) {
+    let mut cells: Vec<Cell> = apps.into_iter().map(Cell::Base).collect();
+    for wiring in 0..wirings.len() {
+        for &(app, variant) in pairs {
             for &lat in &lats {
                 for &bw in &bws {
-                    cells.push(Cell::Grid(app, variant, lat, bw));
+                    cells.push(Cell::Grid(wiring, app, variant, lat, bw));
                 }
             }
         }
     }
+    let (outs, wall_s) = sweep(&cells, jobs, label, |cell| {
+        let (what, app, variant, machine) = match *cell {
+            Cell::Base(app) => (
+                format!("baseline/{app}"),
+                app,
+                Variant::Unoptimized,
+                baseline_machine(),
+            ),
+            Cell::Grid(wiring, app, variant, lat, bw) => {
+                let key = grid_key(app, variant, lat, bw);
+                let what = match wirings[wiring] {
+                    Some(t) => format!("{}/{key}", t.flag()),
+                    None => key,
+                };
+                (
+                    what,
+                    app,
+                    variant,
+                    wan_machine_with(lat, bw, wirings[wiring]),
+                )
+            }
+        };
+        (
+            what,
+            run_app(app, cfg, variant, &machine).map_err(|e| e.to_string()),
+        )
+    })?;
+    let mut runs = Fig3Runs {
+        baselines: Vec::new(),
+        grid: Vec::new(),
+        wall_s,
+    };
+    for (cell, (run, wall)) in cells.iter().zip(outs) {
+        match *cell {
+            Cell::Base(_) => runs.baselines.push((run, wall)),
+            Cell::Grid(wiring, _, _, latency_ms, bandwidth_mbs) => runs.grid.push(GridRun {
+                wiring,
+                latency_ms,
+                bandwidth_mbs,
+                run,
+                wall_s: wall,
+            }),
+        }
+    }
+    Ok(runs)
+}
+
+/// Figure 3: 12 panels of relative speedup across the bandwidth × latency
+/// grid, all (baseline + grid) cells fanned across the worker pool.
+pub fn run_fig3(opts: &SweepOpts) -> Result<BenchSummary, BenchError> {
+    let cfg = SuiteConfig::at(opts.scale);
+    let topology = opts.checked_topology()?;
+    let pairs = pairs(&AppId::ALL, None);
+    let (lats, bws) = paper_grid(opts.quick);
     println!("== Figure 3: speedup relative to an all-Myrinet cluster ==");
     println!(
         "   scale={:?} quick={} jobs={} machine=4x8, grid {}x{}, {} cells",
@@ -228,61 +352,36 @@ pub fn run_fig3(opts: &SweepOpts) -> Result<BenchSummary, BenchError> {
         opts.jobs,
         lats.len(),
         bws.len(),
-        cells.len()
+        AppId::ALL.len() + pairs.len() * lats.len() * bws.len()
     );
-    let (outs, wall_s) = sweep(&cells, opts, "fig3", |cell| match *cell {
-        Cell::Base(app) => app_cell(app, &cfg, Variant::Unoptimized, &baseline_machine()),
-        Cell::Grid(app, variant, lat, bw) => {
-            app_cell(app, &cfg, variant, &wan_machine_with(lat, bw, topology))
-        }
-    })?;
+    let runs = run_fig3_cells(&cfg, &pairs, &[topology], opts.quick, opts.jobs, "fig3")?;
     let mut summary = BenchSummary::new("fig3", opts.scale.name(), opts.quick, opts.jobs);
-    summary.wall_s = wall_s;
-
-    // Baselines land first (enumeration order).
-    let mut base = Vec::new();
-    for (cell, (run, wall)) in cells.iter().zip(&outs) {
-        if let Cell::Base(app) = cell {
-            base.push((*app, run.elapsed));
-            summary
-                .records
-                .push(RunRecord::from_run(format!("baseline/{app}"), *wall, run));
-        }
-    }
-    let baseline_of = |app: AppId| {
-        base.iter()
-            .find(|(a, _)| *a == app)
-            .expect("baseline ran")
-            .1
-    };
+    summary.wall_s = runs.wall_s;
+    summary.records.extend(runs.baseline_records());
 
     // Render panels and rows in canonical cell order.
     let mut rows = Vec::new();
     let mut grid_cells: Vec<Vec<f64>> = Vec::new();
     let mut grid_row: Vec<f64> = Vec::new();
-    for (cell, (run, wall)) in cells.iter().zip(&outs) {
-        let Cell::Grid(app, variant, lat, bw) = cell else {
-            continue;
-        };
-        let tl = baseline_of(*app);
-        if *variant == Variant::Unoptimized
+    for g in &runs.grid {
+        let (app, variant, lat, bw) = (g.run.app, g.run.variant, g.latency_ms, g.bandwidth_mbs);
+        let tl = runs.baseline(app);
+        if variant == Variant::Unoptimized
             && grid_cells.is_empty()
             && grid_row.is_empty()
-            && *lat == lats[0]
-            && *bw == bws[0]
+            && lat == lats[0]
+            && bw == bws[0]
         {
             println!("\n{app}: all-Myrinet 32p runtime {:.3}s", tl.as_secs_f64());
         }
-        let pct = relative_speedup_pct(tl, run.elapsed);
+        let pct = relative_speedup_pct(tl, g.run.elapsed);
         rows.push(format!(
             "{app},{variant},{lat},{bw},{pct:.2},{:.6}",
-            run.elapsed.as_secs_f64()
+            g.run.elapsed.as_secs_f64()
         ));
-        summary.records.push(RunRecord::from_run(
-            format!("{app}/{variant}/lat{lat}/bw{bw}"),
-            *wall,
-            run,
-        ));
+        summary
+            .records
+            .push(RunRecord::from_run(g.key(), g.wall_s, &g.run));
         grid_row.push(pct);
         if grid_row.len() == bws.len() {
             grid_cells.push(std::mem::take(&mut grid_row));
@@ -336,7 +435,7 @@ pub fn run_fig4(opts: &SweepOpts) -> Result<BenchSummary, BenchError> {
         "== Figure 4: inter-cluster communication time (scale={:?}, jobs={}) ==",
         opts.scale, opts.jobs
     );
-    let (outs, wall_s) = sweep(&cells, opts, "fig4", |cell| match *cell {
+    let (outs, wall_s) = sweep(&cells, opts.jobs, "fig4", |cell| match *cell {
         Cell::Base(app) => app_cell(app, &cfg, Variant::Unoptimized, &baseline_machine()),
         Cell::Bw(app, bw) => app_cell(
             app,
@@ -443,7 +542,7 @@ pub fn run_table1(opts: &SweepOpts) -> Result<BenchSummary, BenchError> {
         "== Table 1: single-cluster performance (scale={:?}, jobs={}) ==\n",
         opts.scale, opts.jobs
     );
-    let (outs, wall_s) = sweep(&cells, opts, "table1", |&(app, p)| {
+    let (outs, wall_s) = sweep(&cells, opts.jobs, "table1", |&(app, p)| {
         app_cell(
             app,
             &cfg,
@@ -525,7 +624,7 @@ pub fn run_fig1(opts: &SweepOpts) -> Result<BenchSummary, BenchError> {
          (scale={:?}, jobs={}) ==\n",
         FIG1_LATENCY_MS, FIG1_BANDWIDTH_MBS, opts.scale, opts.jobs
     );
-    let (outs, wall_s) = sweep(&cells, opts, "fig1", |&app| {
+    let (outs, wall_s) = sweep(&cells, opts.jobs, "fig1", |&app| {
         app_cell(
             app,
             &cfg,

@@ -17,12 +17,12 @@
 //! committed quick baseline is compared exactly in CI
 //! (`numagap bench --compare ... --virtual-only`).
 
-use numagap_apps::{AppId, SuiteConfig, Variant};
+use numagap_apps::{pairs, AppId, SuiteConfig, Variant};
 use numagap_net::WanTopology;
 
 use crate::record::{BenchSummary, RunRecord};
-use crate::targets::{app_cell, paper_grid, sweep, variants, write_summary, SweepOpts};
-use crate::{baseline_machine, relative_speedup_pct, wan_machine_with, write_csv, BenchError};
+use crate::targets::{paper_grid, run_fig3_cells, write_summary, SweepOpts};
+use crate::{relative_speedup_pct, write_csv, BenchError};
 
 /// WAN latency (ms) of the scorecard's operating point — present in both
 /// the quick and the full fig3 grid.
@@ -45,13 +45,6 @@ pub fn canonical_shapes() -> Vec<WanTopology> {
     ]
 }
 
-/// One topo sweep cell: an all-Myrinet baseline run, or a grid point under
-/// one wide-area shape.
-enum Cell {
-    Base(AppId),
-    Grid(usize, AppId, Variant, f64, f64),
-}
-
 /// Runs the topo target: baselines plus the shapes × apps × variants ×
 /// grid matrix through the worker pool, a per-topology fig3 table and the
 /// hop-contention scorecard on stdout, `topo.csv`, and `BENCH_topo.json`.
@@ -67,22 +60,8 @@ pub fn run_topo(opts: &SweepOpts) -> Result<BenchSummary, BenchError> {
         Some(t) => vec![t],
         None => canonical_shapes(),
     };
+    let pairs = pairs(&AppId::ALL, None);
     let (lats, bws) = paper_grid(opts.quick);
-    let mut cells = Vec::new();
-    for app in AppId::ALL {
-        cells.push(Cell::Base(app));
-    }
-    for (ti, _) in shapes.iter().enumerate() {
-        for app in AppId::ALL {
-            for &variant in variants(app) {
-                for &lat in &lats {
-                    for &bw in &bws {
-                        cells.push(Cell::Grid(ti, app, variant, lat, bw));
-                    }
-                }
-            }
-        }
-    }
     println!("== topo: fig3 sensitivity per wide-area topology ==");
     println!(
         "   scale={:?} quick={} jobs={} machine=4x8, grid {}x{}, {} shapes, {} cells",
@@ -92,65 +71,40 @@ pub fn run_topo(opts: &SweepOpts) -> Result<BenchSummary, BenchError> {
         lats.len(),
         bws.len(),
         shapes.len(),
-        cells.len()
+        AppId::ALL.len() + shapes.len() * pairs.len() * lats.len() * bws.len()
     );
     for t in &shapes {
         println!("   {}", t.label());
     }
-    let (outs, wall_s) = sweep(&cells, opts, "topo", |cell| match *cell {
-        Cell::Base(app) => {
-            let (_, run) = app_cell(app, &cfg, Variant::Unoptimized, &baseline_machine());
-            (format!("baseline/{app}"), run)
-        }
-        Cell::Grid(ti, app, variant, lat, bw) => {
-            let machine = wan_machine_with(lat, bw, Some(shapes[ti]));
-            let (what, run) = app_cell(app, &cfg, variant, &machine);
-            (format!("{}/{what}", shapes[ti].flag()), run)
-        }
-    })?;
+    let wirings: Vec<_> = shapes.iter().copied().map(Some).collect();
+    let runs = run_fig3_cells(&cfg, &pairs, &wirings, opts.quick, opts.jobs, "topo")?;
     let mut summary = BenchSummary::new("topo", opts.scale.name(), opts.quick, opts.jobs);
-    summary.wall_s = wall_s;
-
-    // Baselines land first (enumeration order).
-    let mut base = Vec::new();
-    for (cell, (run, wall)) in cells.iter().zip(&outs) {
-        if let Cell::Base(app) = cell {
-            base.push((*app, run.elapsed));
-            summary
-                .records
-                .push(RunRecord::from_run(format!("baseline/{app}"), *wall, run));
-        }
-    }
-    let baseline_of = |app: AppId| {
-        base.iter()
-            .find(|(a, _)| *a == app)
-            .expect("baseline ran")
-            .1
-    };
+    summary.wall_s = runs.wall_s;
+    summary.records.extend(runs.baseline_records());
 
     let mut rows = Vec::new();
     // (shape index, app, variant) -> makespan seconds at the scorecard
     // point, canonical order.
     let mut score: Vec<(usize, AppId, Variant, f64)> = Vec::new();
-    for (cell, (run, wall)) in cells.iter().zip(&outs) {
-        let Cell::Grid(ti, app, variant, lat, bw) = cell else {
-            continue;
-        };
-        let shape = shapes[*ti].flag();
-        let pct = relative_speedup_pct(baseline_of(*app), run.elapsed);
+    for g in &runs.grid {
+        let (run, lat, bw) = (&g.run, g.latency_ms, g.bandwidth_mbs);
+        let shape = shapes[g.wiring].flag();
+        let pct = relative_speedup_pct(runs.baseline(run.app), run.elapsed);
         rows.push(format!(
-            "{shape},{app},{variant},{lat},{bw},{pct:.2},{:.6},{:.4},{}",
+            "{shape},{},{},{lat},{bw},{pct:.2},{:.6},{:.4},{}",
+            run.app,
+            run.variant,
             run.elapsed.as_secs_f64(),
             run.inter_mbs_per_cluster,
             run.net.inter_msgs
         ));
         summary.records.push(RunRecord::from_run(
-            format!("{shape}/{app}/{variant}/lat{lat}/bw{bw}"),
-            *wall,
+            format!("{shape}/{}", g.key()),
+            g.wall_s,
             run,
         ));
-        if *lat == TOPO_SCORE_LATENCY_MS && *bw == TOPO_SCORE_BANDWIDTH_MBS {
-            score.push((*ti, *app, *variant, run.elapsed.as_secs_f64()));
+        if lat == TOPO_SCORE_LATENCY_MS && bw == TOPO_SCORE_BANDWIDTH_MBS {
+            score.push((g.wiring, run.app, run.variant, run.elapsed.as_secs_f64()));
         }
     }
     let time_of = |ti: usize, app: AppId, variant: Variant| {
@@ -181,7 +135,7 @@ pub fn run_topo(opts: &SweepOpts) -> Result<BenchSummary, BenchError> {
         };
         print!("{:<12}", app.to_string());
         for ti in 0..shapes.len() {
-            let tl = baseline_of(app).as_secs_f64();
+            let tl = runs.baseline(app).as_secs_f64();
             let pct = 100.0 * tl / time_of(ti, app, variant);
             print!(" {pct:>10.1}%");
         }
@@ -236,7 +190,6 @@ mod tests {
             quick: true,
             jobs: 4,
             out: dir.to_path_buf(),
-            progress: false,
             topology,
         }
     }

@@ -22,7 +22,6 @@ fn opts(jobs: usize, out: &Path) -> SweepOpts {
         quick: true,
         jobs,
         out: out.to_path_buf(),
-        progress: false,
         topology: None,
     }
 }
@@ -142,7 +141,6 @@ fn predict_opts(jobs: usize, validate: bool) -> PredictOpts {
         ref_bandwidth_mbs: 0.3,
         validate,
         max_error_pct: 10.0,
-        progress: false,
         wan_topology: None,
     }
 }
@@ -167,9 +165,34 @@ fn validated_report_is_byte_identical_across_repeat_runs() {
         b.to_json(),
         "repeat runs must agree byte for byte"
     );
-    assert_eq!(
-        a.sim_summary().map(|s| s.to_json()),
-        b.sim_summary().map(|s| s.to_json()),
-        "validation records must agree byte for byte"
-    );
+}
+
+#[test]
+fn validated_cells_are_the_fig3_targets_cells() {
+    // ASP (both variants) and FFT through predict, the whole suite through
+    // the fig3 target: a validated cell must carry the very virtual time
+    // the fig3 summary records under its key.
+    let report = run_predict(&PredictOpts {
+        variant: None,
+        ..predict_opts(2, true)
+    })
+    .expect("predict runs");
+    let dir = fresh_dir("fig3_vs_predict");
+    let fig3 = TARGETS
+        .iter()
+        .find(|t| t.name == "fig3")
+        .expect("fig3 target")
+        .run;
+    let summary = fig3(&opts(2, &dir)).expect("fig3 sweep");
+    assert_eq!(report.cells.len(), 3 * 9, "ASP x 2 + FFT x 1, 3x3 grid");
+    for cell in &report.cells {
+        let rec = summary
+            .records
+            .iter()
+            .find(|r| r.key == cell.key)
+            .unwrap_or_else(|| panic!("fig3 has no record '{}'", cell.key));
+        let simulated = cell.simulated.expect("validated cell");
+        assert_eq!(simulated.as_secs_f64(), rec.virtual_s, "{}", cell.key);
+    }
+    let _ = fs::remove_dir_all(&dir);
 }

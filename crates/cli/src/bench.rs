@@ -68,7 +68,6 @@ pub(crate) fn execute_bench(args: &Values) -> i32 {
             quick: args.quick,
             jobs: args.jobs.unwrap_or_else(engine::default_jobs),
             out,
-            progress: true,
             topology: args.topology,
         };
         for (i, target) in selected(&args.target).enumerate() {

@@ -621,9 +621,9 @@ pub(crate) static COMMANDS: &[CmdSpec] = &[
         about: "fig3 sensitivity from one recorded run per app",
         notes: "Records each app's communication DAG once on the fig3 machine (4x8) at the \
                 reference point, then re-costs it analytically across the fig3 \
-                latency/bandwidth grid. Writes PREDICT_fig3.json (plus, when validating, \
-                BENCH_predict-sim.json in the bench summary schema); both are byte-identical \
-                for any worker count. Exceeding the error bar or a tolerable-gap disagreement \
+                latency/bandwidth grid; --validate also simulates every grid point, as the \
+                fig3 target does. Writes PREDICT_fig3.json, byte-identical for any worker \
+                count. Exceeding the error bar or a tolerable-gap disagreement \
                 is a finding (exit 1). Like bench, it reads only the wide-area wiring of the \
                 machine flags.",
         execute: predict::execute_predict,

@@ -15,8 +15,7 @@ fn show_gap(v: Option<f64>) -> String {
 
 /// Executes the `predict` command: records one observed run per app/variant
 /// at the reference point, re-costs the recorded DAG across the fig3 grid,
-/// and writes `PREDICT_fig3.json` (plus the simulated summary under
-/// `--validate`).
+/// and writes `PREDICT_fig3.json`.
 pub(crate) fn execute_predict(args: &Values) -> i32 {
     let out = match out_dir("predict", args.out.as_deref()) {
         Ok(path) => path,
@@ -32,7 +31,6 @@ pub(crate) fn execute_predict(args: &Values) -> i32 {
         ref_bandwidth_mbs: args.ref_bandwidth,
         validate: args.validate,
         max_error_pct: args.max_error,
-        progress: true,
         wan_topology: args.topology,
     };
     let report = match run_predict(&opts) {
@@ -86,14 +84,6 @@ pub(crate) fn execute_predict(args: &Values) -> i32 {
         return EXIT_ERROR;
     }
     println!("wrote {}", path.display());
-    if let Some(summary) = report.sim_summary() {
-        let sim_path = out.join("BENCH_predict-sim.json");
-        if let Err(e) = summary.write(&sim_path) {
-            eprintln!("predict: cannot write {}: {e}", sim_path.display());
-            return EXIT_ERROR;
-        }
-        println!("wrote {}", sim_path.display());
-    }
     if report.findings.is_empty() {
         println!("predict: clean");
         0

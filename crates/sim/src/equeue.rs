@@ -23,19 +23,7 @@
 //!    [`EventCore::schedule_reserved`] split that in two, so a driver can
 //!    give an event its number and enqueue it later, or never.
 //!
-//! The queue itself is a binary heap fronted by a one-slot buffer. Most of
-//! the time the event a step schedules is also the next one to run (a
-//! compute wake at the current instant, the only in-flight delivery of a
-//! rendezvous), so pushing it through the heap just to pop it right back
-//! costs two rounds of sift-up/sift-down and moves the entry (which carries
-//! a whole message on the kernel's delivery events) around the heap array
-//! for nothing. The `front` slot holds the current minimum outside the
-//! heap: a push either lands there (displacing a later entry into the heap
-//! at most once) or goes to the heap, and a pop takes the smaller of
-//! `front` and the heap top. Pop order is exactly the total `(time, tie,
-//! seq)` order either way — the slot is a transparent buffer, not a
-//! scheduling heuristic — which the in-module property test checks against
-//! randomized insertions.
+//! The queue itself is a plain binary heap over `(time, tie, seq)`.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -137,12 +125,10 @@ impl<E> Ord for Entry<E> {
 /// Counters of event-queue work, folded into [`crate::HotProfile`].
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct QueueCounters {
-    /// Entries that entered the binary heap proper.
+    /// Entries pushed onto the heap.
     pub heap_pushes: u64,
-    /// Entries that left through the binary heap proper.
+    /// Entries popped off the heap.
     pub heap_pops: u64,
-    /// Events that bypassed the heap through the front slot.
-    pub front_pops: u64,
     /// Peak number of queued events.
     pub peak_len: u64,
 }
@@ -180,9 +166,6 @@ pub(crate) struct QueueCounters {
 /// ```
 #[derive(Debug)]
 pub struct EventCore<E, S> {
-    /// The queue minimum, held outside the heap. Invariant: when `front` is
-    /// `Some`, its key is strictly smaller than every key in `heap`.
-    front: Option<Entry<E>>,
     heap: BinaryHeap<Entry<E>>,
     pub(crate) counters: QueueCounters,
     tie_break: TieBreak,
@@ -201,7 +184,6 @@ impl<E, S> EventCore<E, S> {
     /// An empty core ordering same-instant events by `tie_break`.
     pub fn new(tie_break: TieBreak) -> Self {
         EventCore {
-            front: None,
             heap: BinaryHeap::new(),
             counters: QueueCounters::default(),
             tie_break,
@@ -215,7 +197,6 @@ impl<E, S> EventCore<E, S> {
     /// wake `wake(rank)` of each of `ranks` ranks at time zero, with
     /// sequence numbers `0..ranks`.
     pub fn reset(&mut self, ranks: usize, mut wake: impl FnMut(usize) -> E) {
-        self.front = None;
         self.heap.clear();
         self.counters = QueueCounters::default();
         self.held.clear();
@@ -304,28 +285,8 @@ impl<E, S> EventCore<E, S> {
     }
 
     fn push(&mut self, entry: Entry<E>) {
-        match &self.front {
-            None => {
-                // The front slot may be empty while the heap is not (a pop
-                // just consumed it); only entries beating the heap top may
-                // claim it.
-                if self.heap.peek().is_some_and(|top| top.key() < entry.key()) {
-                    self.counters.heap_pushes += 1;
-                    self.heap.push(entry);
-                } else {
-                    self.front = Some(entry);
-                }
-            }
-            Some(f) if entry.key() < f.key() => {
-                let displaced = self.front.replace(entry).expect("front checked Some");
-                self.counters.heap_pushes += 1;
-                self.heap.push(displaced);
-            }
-            Some(_) => {
-                self.counters.heap_pushes += 1;
-                self.heap.push(entry);
-            }
-        }
+        self.counters.heap_pushes += 1;
+        self.heap.push(entry);
         let len = self.len() as u64;
         if len > self.counters.peak_len {
             self.counters.peak_len = len;
@@ -333,37 +294,18 @@ impl<E, S> EventCore<E, S> {
     }
 
     fn pop_entry(&mut self) -> Option<Entry<E>> {
-        match (&self.front, self.heap.peek()) {
-            (Some(f), Some(top)) if top.key() < f.key() => {
-                // Unreachable under the invariant, but harmless to honor.
-                debug_assert!(false, "front slot invariant violated");
-                self.counters.heap_pops += 1;
-                self.heap.pop()
-            }
-            (Some(_), _) => {
-                self.counters.front_pops += 1;
-                self.front.take()
-            }
-            (None, Some(_)) => {
-                self.counters.heap_pops += 1;
-                self.heap.pop()
-            }
-            (None, None) => None,
-        }
+        let entry = self.heap.pop()?;
+        self.counters.heap_pops += 1;
+        Some(entry)
     }
 
     fn len(&self) -> usize {
-        self.heap.len() + usize::from(self.front.is_some())
+        self.heap.len()
     }
 
     /// Virtual time of the earliest queued event, without popping it.
     fn next_time(&self) -> Option<SimTime> {
-        match (&self.front, self.heap.peek()) {
-            (Some(f), Some(top)) => Some(f.time.min(top.time)),
-            (Some(f), None) => Some(f.time),
-            (None, Some(top)) => Some(top.time),
-            (None, None) => None,
-        }
+        self.heap.peek().map(|top| top.time)
     }
 }
 
@@ -401,8 +343,7 @@ mod tests {
             let mut q = queue();
             let mut reference = Vec::new();
             let mut seq = 0u64;
-            // Interleave pushes and pops so the front slot sees every
-            // displacement pattern, not just push-all/pop-all.
+            // Interleave pushes and pops, not just push-all/pop-all.
             let mut popped = Vec::new();
             for _ in 0..2_000 {
                 if !rng.next().is_multiple_of(3) || q.len() == 0 {
@@ -452,21 +393,6 @@ mod tests {
                 pending.retain(|&k| k != min);
             }
         }
-    }
-
-    #[test]
-    fn rendezvous_pattern_stays_out_of_the_heap() {
-        // push→pop→push→pop (the ping-pong shape) must be served entirely
-        // by the front slot.
-        let mut q = queue();
-        for i in 0..100u64 {
-            push(&mut q, i, i);
-            assert_eq!(q.pop_entry().unwrap().key(), (SimTime::from_nanos(i), i, i));
-        }
-        assert_eq!(q.counters.front_pops, 100);
-        assert_eq!(q.counters.heap_pushes, 0);
-        assert_eq!(q.counters.heap_pops, 0);
-        assert_eq!(q.counters.peak_len, 1);
     }
 
     /// Drains a core loaded with `(time, seq)` pairs under one policy.

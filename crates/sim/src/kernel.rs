@@ -18,9 +18,8 @@
 //!   switches and nothing is handed to another thread.
 //! * [`crate::mailbox`] — tag-indexed mailboxes replace the linear
 //!   `VecDeque` scan while returning bit-identical matches.
-//! * [`crate::equeue`] — a one-slot front buffer in front of the event
-//!   heap absorbs the push-then-immediately-pop pattern of rendezvous
-//!   traffic.
+//! * [`crate::equeue`] — one binary heap in `(time, tie, seq)` order, the
+//!   order the what-if replayer's event loop keeps too.
 //!
 //! The kernel self-profiles into [`HotProfile`]; the golden suite pins
 //! those counters exactly per app cell (`tests/golden/counts.txt`).
@@ -97,12 +96,10 @@ pub struct HotProfile {
     /// meet in std channels now, and a fiber never had a thread to wake.
     /// Still a field only because `benchmark/src/probes.rs` reads it.
     pub park_wakes: u64,
-    /// Event-queue entries that entered the binary heap proper.
+    /// Events pushed onto the event heap.
     pub heap_pushes: u64,
-    /// Event-queue entries that left through the binary heap proper.
+    /// Events popped off the event heap.
     pub heap_pops: u64,
-    /// Events that bypassed the heap through the one-slot front buffer.
-    pub front_pops: u64,
     /// Peak number of queued events.
     pub queue_peak: u64,
     /// Candidate messages examined while matching receives.
@@ -581,7 +578,6 @@ impl<N: Network> Kernel<N> {
         drop(core);
         profile.heap_pushes = queue.heap_pushes;
         profile.heap_pops = queue.heap_pops;
-        profile.front_pops = queue.front_pops;
         profile.queue_peak = queue.peak_len;
         profile.mailbox_scanned = self.mcounters.scanned;
         profile.mailbox_indexed = self.mcounters.indexed_takes;

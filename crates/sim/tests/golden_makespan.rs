@@ -9,10 +9,10 @@
 //!
 //! The same runs also pin what the kernel *did* to get there: every
 //! [`HotProfile`] counter except the constant `park_wakes` (context
-//! switches, event-queue traffic, mailbox scan work, bytes cloned) goes to
+//! switches, event-heap traffic, mailbox scan work, bytes cloned) goes to
 //! `tests/golden/counts.txt`. A hot-path change that keeps virtual time but
 //! changes the work behind it (a mailbox walk that bypasses the tag index,
-//! an event queue that stops using its front slot) moves only that file.
+//! an event that is scheduled twice) moves only that file.
 //!
 //! Both files are read at runtime (not `include_str!`), so a regen and a
 //! re-check in the same build agree. To regenerate both after an
@@ -98,8 +98,8 @@ struct Rendered {
 fn render() -> Rendered {
     let mut out = Rendered {
         makespans: "# preset app variant elapsed_ns messages checksum\n".to_string(),
-        counts: "# preset app variant switches requests heap_pushes heap_pops front_pops \
-                 queue_peak mailbox_scanned mailbox_indexed mailbox_fast bytes_cloned\n"
+        counts: "# preset app variant switches requests heap_pushes heap_pops queue_peak \
+                 mailbox_scanned mailbox_indexed mailbox_fast bytes_cloned\n"
             .to_string(),
     };
     let mut machines: Vec<(&'static str, Machine)> = PRESETS
@@ -148,7 +148,6 @@ fn render_cells(out: &mut Rendered, machines: Vec<(&'static str, Machine)>) {
                 park_wakes: _,
                 heap_pushes,
                 heap_pops,
-                front_pops,
                 queue_peak,
                 mailbox_scanned,
                 mailbox_indexed,
@@ -158,8 +157,7 @@ fn render_cells(out: &mut Rendered, machines: Vec<(&'static str, Machine)>) {
             writeln!(
                 out.counts,
                 "{preset} {app} {variant} {switches} {requests} {heap_pushes} {heap_pops} \
-                 {front_pops} {queue_peak} {mailbox_scanned} {mailbox_indexed} {mailbox_fast} \
-                 {bytes_cloned}"
+                 {queue_peak} {mailbox_scanned} {mailbox_indexed} {mailbox_fast} {bytes_cloned}"
             )
             .unwrap();
         }
