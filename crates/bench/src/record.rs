@@ -460,16 +460,25 @@ mod tests {
     fn committed_baselines_load_and_print_back_unchanged() {
         // The reader's numbers are RFC 8259's and its integers stop at 2^53:
         // neither may cost a committed file a counter or a digit.
+        let load_all = |dir: &Path| {
+            let mut loaded = 0;
+            for entry in std::fs::read_dir(dir).unwrap() {
+                let path = entry.unwrap().path();
+                if path.is_dir() {
+                    continue;
+                }
+                let text = std::fs::read_to_string(&path).unwrap();
+                let summary =
+                    BenchSummary::load(&path).unwrap_or_else(|e| panic!("{path:?}: {e}"));
+                assert_eq!(summary.to_json(), text, "{path:?}");
+                loaded += 1;
+            }
+            loaded
+        };
+        // One quick baseline per target, and the full grids at medium scale.
         let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("baselines");
-        let mut loaded = 0;
-        for entry in std::fs::read_dir(&dir).unwrap() {
-            let path = entry.unwrap().path();
-            let text = std::fs::read_to_string(&path).unwrap();
-            let summary = BenchSummary::load(&path).unwrap_or_else(|e| panic!("{path:?}: {e}"));
-            assert_eq!(summary.to_json(), text, "{path:?}");
-            loaded += 1;
-        }
-        assert_eq!(loaded, crate::targets::TARGETS.len());
+        assert_eq!(load_all(&dir), crate::targets::TARGETS.len());
+        assert!(load_all(&dir.join("medium")) > 0);
     }
 
     fn record(key: &str, wall: f64, virt: f64) -> RunRecord {

@@ -172,16 +172,30 @@ fn the_target_table_is_the_only_list_of_experiments() {
     }
     // One committed baseline per target, and none for anything else.
     let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../bench/baselines");
-    let mut baselines: Vec<String> = std::fs::read_dir(&dir)
-        .unwrap_or_else(|e| panic!("{}: {e}", dir.display()))
-        .filter_map(|entry| {
-            let file = entry.unwrap().file_name().into_string().unwrap();
-            let target = file.strip_prefix("BENCH_")?.strip_suffix(".json")?;
-            Some(target.to_string())
-        })
-        .collect();
-    baselines.sort_unstable();
-    assert_eq!(baselines, unique, "baselines vs the target table");
+    let targets_of = |dir: &std::path::Path| -> Vec<String> {
+        let mut targets: Vec<String> = std::fs::read_dir(dir)
+            .unwrap_or_else(|e| panic!("{}: {e}", dir.display()))
+            .map(|entry| entry.unwrap().path())
+            .filter(|path| path.is_file())
+            .map(|path| {
+                let file = path.file_name().unwrap().to_str().unwrap();
+                let target = file.strip_prefix("BENCH_").and_then(|t| t.strip_suffix(".json"));
+                target
+                    .unwrap_or_else(|| panic!("{} is not BENCH_<target>.json", path.display()))
+                    .to_string()
+            })
+            .collect();
+        targets.sort_unstable();
+        targets
+    };
+    assert_eq!(targets_of(&dir), unique, "baselines vs the target table");
+    // Full-grid baselines at medium scale: each one of a target in the
+    // table, and every file named for one.
+    let medium = targets_of(&dir.join("medium"));
+    assert!(!medium.is_empty(), "no medium baseline");
+    for target in &medium {
+        assert!(names.contains(&target.as_str()), "medium baseline of unknown target {target}");
+    }
 }
 
 #[test]
