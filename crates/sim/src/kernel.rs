@@ -16,8 +16,9 @@
 //!   gets its next request back as the return value; by default the rank is
 //!   a fiber on this very thread, so a virtual context switch is two stack
 //!   switches and nothing is handed to another thread.
-//! * [`crate::mailbox`] — tag-indexed mailboxes replace the linear
-//!   `VecDeque` scan while returning bit-identical matches.
+//! * [`crate::mailbox`] — one arrival-ordered queue per rank, scanned
+//!   front to back; a message whose receiver is already blocked on a
+//!   filter that accepts it never enters it.
 //! * [`crate::equeue`] — one binary heap in `(time, tie, seq)` order, the
 //!   order the what-if replayer's event loop keeps too.
 //!
@@ -28,7 +29,7 @@ use std::any::Any;
 
 use crate::equeue::{EventCore, TieBreak};
 use crate::error::{PendingMessage, ProcFailure, SimError, WaitState};
-use crate::mailbox::{Mailbox, MailboxCounters};
+use crate::mailbox::Mailbox;
 use crate::message::{self, Filter, Message, Payload, Tag};
 use crate::network::{FaultEvent, FaultKind, Network};
 use crate::observe::Observer;
@@ -102,10 +103,8 @@ pub struct HotProfile {
     pub heap_pops: u64,
     /// Peak number of queued events.
     pub queue_peak: u64,
-    /// Candidate messages examined while matching receives.
+    /// Parked messages examined while matching receives.
     pub mailbox_scanned: u64,
-    /// Receives served through the tag index (no wildcard walk).
-    pub mailbox_indexed: u64,
     /// Deliveries matched directly against a blocked receiver's filter,
     /// skipping the mailbox entirely.
     pub mailbox_fast: u64,
@@ -363,7 +362,6 @@ struct Kernel<N: Network> {
     time_limit: Option<SimTime>,
     kstats: KernelStats,
     profile: HotProfile,
-    mcounters: MailboxCounters,
     /// First rank whose panic was harvested, in detection order.
     first_failure: Option<usize>,
     observer: Option<Box<dyn Observer>>,
@@ -395,7 +393,6 @@ impl<N: Network> Kernel<N> {
             time_limit: sim.time_limit,
             kstats: KernelStats::default(),
             profile: HotProfile::default(),
-            mcounters: MailboxCounters::default(),
             first_failure: None,
             observer: sim.observer,
         }
@@ -579,8 +576,6 @@ impl<N: Network> Kernel<N> {
         profile.heap_pushes = queue.heap_pushes;
         profile.heap_pops = queue.heap_pops;
         profile.queue_peak = queue.peak_len;
-        profile.mailbox_scanned = self.mcounters.scanned;
-        profile.mailbox_indexed = self.mcounters.indexed_takes;
         // Everything the run's ranks cloned was counted on this thread
         // (`Sim::run` zeroed the counter on entry).
         profile.bytes_cloned = message::clone_bytes();
@@ -667,50 +662,32 @@ impl<N: Network> Kernel<N> {
                     grant = Grant::Proceed(sender_free);
                 }
                 Request::Recv(filter) => {
+                    let now = self.slots[p.0].clock;
                     if let Some(obs) = self.observer.as_mut() {
-                        let now = self.slots[p.0].clock;
                         obs.on_recv_posted(p, &filter, true, now);
                     }
-                    if let Some(msg) = self.slots[p.0].mailbox.take(&filter, &mut self.mcounters) {
-                        let o = self.net.recv_overhead(msg.wire_bytes);
-                        let slot = &mut self.slots[p.0];
-                        slot.clock += o;
-                        slot.stats.recv_overhead += o;
-                        slot.stats.msgs_received += 1;
-                        let clock = slot.clock;
-                        if let Some(obs) = self.observer.as_mut() {
-                            obs.on_recv_matched(p, &msg, clock);
-                        }
+                    let slot = &mut self.slots[p.0];
+                    if let Some(msg) = slot.mailbox.take(&filter, &mut self.profile.mailbox_scanned)
+                    {
+                        let clock = self.receive(p, now, &msg);
                         grant = Grant::Msg(clock, msg);
                     } else {
-                        let slot = &mut self.slots[p.0];
                         slot.state = ProcState::Blocked(filter);
-                        slot.block_start = slot.clock;
+                        slot.block_start = now;
                         return;
                     }
                 }
                 Request::TryRecv(filter) => {
+                    let now = self.slots[p.0].clock;
                     if let Some(obs) = self.observer.as_mut() {
-                        let now = self.slots[p.0].clock;
                         obs.on_recv_posted(p, &filter, false, now);
                     }
-                    let found = self.slots[p.0].mailbox.take(&filter, &mut self.mcounters);
-                    let clock = {
-                        let o = found
-                            .as_ref()
-                            .map(|m| self.net.recv_overhead(m.wire_bytes))
-                            .unwrap_or(SimDuration::ZERO);
-                        let slot = &mut self.slots[p.0];
-                        slot.clock += o;
-                        slot.stats.recv_overhead += o;
-                        if found.is_some() {
-                            slot.stats.msgs_received += 1;
-                        }
-                        slot.clock
+                    let slot = &mut self.slots[p.0];
+                    let found = slot.mailbox.take(&filter, &mut self.profile.mailbox_scanned);
+                    let clock = match &found {
+                        Some(msg) => self.receive(p, now, msg),
+                        None => now,
                     };
-                    if let (Some(obs), Some(msg)) = (self.observer.as_mut(), found.as_ref()) {
-                        obs.on_recv_matched(p, msg, clock);
-                    }
                     grant = Grant::TryMsg(clock, found);
                 }
                 Request::Exit(result) => {
@@ -744,23 +721,31 @@ impl<N: Network> Kernel<N> {
             // traffic needed.
             if filter.matches(&msg) {
                 self.profile.mailbox_fast += 1;
-                let o = self.net.recv_overhead(msg.wire_bytes);
-                let slot = &mut self.slots[p.0];
                 let resumed = slot.clock.max(core.now());
                 slot.stats.blocked += resumed.since(slot.block_start);
-                slot.clock = resumed + o;
-                slot.stats.recv_overhead += o;
-                slot.stats.msgs_received += 1;
                 slot.state = ProcState::Idle;
-                let clock = slot.clock;
-                if let Some(obs) = self.observer.as_mut() {
-                    obs.on_recv_matched(p, &msg, clock);
-                }
+                let clock = self.receive(p, resumed, &msg);
                 self.service(core, p, Grant::Msg(clock, msg));
                 return;
             }
         }
         slot.mailbox.push(msg);
+    }
+
+    /// Charges rank `p` for receiving `msg` at `at`: the receive overhead,
+    /// the count, and the observer's match. Returns the rank's new clock.
+    /// Every matched receive goes through here, whether it came out of the
+    /// mailbox or straight from delivery.
+    fn receive(&mut self, p: ProcId, at: SimTime, msg: &Message) -> SimTime {
+        let o = self.net.recv_overhead(msg.wire_bytes);
+        let slot = &mut self.slots[p.0];
+        slot.clock = at + o;
+        slot.stats.recv_overhead += o;
+        slot.stats.msgs_received += 1;
+        if let Some(obs) = self.observer.as_mut() {
+            obs.on_recv_matched(p, msg, slot.clock);
+        }
+        slot.clock
     }
 
     /// Records a dead rank's panic as its own result slot and lets the rest

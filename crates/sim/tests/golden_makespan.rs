@@ -99,7 +99,7 @@ fn render() -> Rendered {
     let mut out = Rendered {
         makespans: "# preset app variant elapsed_ns messages checksum\n".to_string(),
         counts: "# preset app variant switches requests heap_pushes heap_pops queue_peak \
-                 mailbox_scanned mailbox_indexed mailbox_fast bytes_cloned\n"
+                 mailbox_scanned mailbox_fast bytes_cloned\n"
             .to_string(),
     };
     let mut machines: Vec<(&'static str, Machine)> = PRESETS
@@ -150,14 +150,13 @@ fn render_cells(out: &mut Rendered, machines: Vec<(&'static str, Machine)>) {
                 heap_pops,
                 queue_peak,
                 mailbox_scanned,
-                mailbox_indexed,
                 mailbox_fast,
                 bytes_cloned,
             } = run.profile;
             writeln!(
                 out.counts,
                 "{preset} {app} {variant} {switches} {requests} {heap_pushes} {heap_pops} \
-                 {queue_peak} {mailbox_scanned} {mailbox_indexed} {mailbox_fast} {bytes_cloned}"
+                 {queue_peak} {mailbox_scanned} {mailbox_fast} {bytes_cloned}"
             )
             .unwrap();
         }
