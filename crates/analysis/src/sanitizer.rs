@@ -37,33 +37,18 @@ use crate::deadlock::diagnose_sim_error;
 use crate::diag::{Diagnostic, DiagnosticKind};
 use crate::vclock::VectorClock;
 
-/// Tunables for the sanitizer.
-#[derive(Debug, Clone)]
-pub struct AnalysisConfig {
-    /// How many recent wildcard matches are kept for the late-send race
-    /// direction. Bounded so observation stays O(window) per send.
-    pub wildcard_window: usize,
-    /// Maximum diagnostics *stored* per kind; further findings of the same
-    /// kind are only counted. Deduplication applies before this cap.
-    pub max_stored_per_kind: usize,
-    /// Minimum estimated payload size (bytes) before the wire-size check
-    /// applies; tiny control messages are exempt.
-    pub wire_check_min_payload: u64,
-    /// Undercharge factor: estimated payload larger than
-    /// `wire_bytes * factor` raises [`DiagnosticKind::WireBytesMismatch`].
-    pub wire_undercharge_factor: u64,
-}
-
-impl Default for AnalysisConfig {
-    fn default() -> Self {
-        AnalysisConfig {
-            wildcard_window: 64,
-            max_stored_per_kind: 16,
-            wire_check_min_payload: 64,
-            wire_undercharge_factor: 16,
-        }
-    }
-}
+/// How many recent wildcard matches are kept for the late-send race
+/// direction. Bounded so observation stays O(window) per send.
+const WILDCARD_WINDOW: usize = 64;
+/// Maximum diagnostics *stored* per kind; further findings of the same kind
+/// are only counted. Deduplication applies before this cap.
+const MAX_STORED_PER_KIND: usize = 16;
+/// Minimum estimated payload size (bytes) before the wire-size check
+/// applies; tiny control messages are exempt.
+const WIRE_CHECK_MIN_PAYLOAD: u64 = 64;
+/// Undercharge factor: estimated payload larger than
+/// `wire_bytes * factor` raises [`DiagnosticKind::WireBytesMismatch`].
+const WIRE_UNDERCHARGE_FACTOR: u64 = 16;
 
 /// A message handed to the network and not yet consumed by a receive.
 #[derive(Debug)]
@@ -113,7 +98,6 @@ type DedupKey = (DiagnosticKind, usize, u64, u64);
 
 #[derive(Debug)]
 struct State {
-    cfg: AnalysisConfig,
     clocks: Vec<VectorClock>,
     /// The most recently posted receive filter per rank; a rank blocked in
     /// `recv` cannot post another, so this is current for every match.
@@ -144,7 +128,7 @@ impl State {
         }
         let count = self.counts.entry(kind).or_insert(0);
         *count += 1;
-        if *count <= self.cfg.max_stored_per_kind {
+        if *count <= MAX_STORED_PER_KIND {
             self.diags.push(Diagnostic {
                 kind,
                 rank,
@@ -226,16 +210,10 @@ pub struct Analysis {
 }
 
 impl Analysis {
-    /// A sanitizer for a run over `nprocs` processes, default configuration.
+    /// A sanitizer for a run over `nprocs` processes.
     pub fn new(nprocs: usize) -> Self {
-        Self::with_config(nprocs, AnalysisConfig::default())
-    }
-
-    /// A sanitizer with explicit tunables.
-    pub fn with_config(nprocs: usize, cfg: AnalysisConfig) -> Self {
         Analysis {
             state: Arc::new(Mutex::new(State {
-                cfg,
                 clocks: vec![VectorClock::new(nprocs); nprocs],
                 pending: vec![None; nprocs],
                 inflight: BTreeMap::new(),
@@ -334,10 +312,10 @@ impl Observer for Sanitizer {
         }
 
         if let Some(est) = estimate_payload_bytes(msg) {
-            if est >= st.cfg.wire_check_min_payload
+            if est >= WIRE_CHECK_MIN_PAYLOAD
                 && msg
                     .wire_bytes
-                    .saturating_mul(st.cfg.wire_undercharge_factor)
+                    .saturating_mul(WIRE_UNDERCHARGE_FACTOR)
                     < est
             {
                 st.push(
@@ -517,7 +495,7 @@ impl Observer for Sanitizer {
                 at: now,
                 recv_clock,
             });
-            while st.wildcards.len() > st.cfg.wildcard_window {
+            while st.wildcards.len() > WILDCARD_WINDOW {
                 st.wildcards.pop_front();
             }
         }
@@ -737,25 +715,21 @@ mod tests {
 
     #[test]
     fn dedup_and_caps_bound_storage() {
-        let cfg = AnalysisConfig {
-            max_stored_per_kind: 2,
-            ..AnalysisConfig::default()
-        };
-        let analysis = Analysis::with_config(2, cfg);
+        let analysis = Analysis::new(2);
         let mut sim = Sim::new(IdealNetwork::instantaneous(2));
         sim.set_observer(analysis.observer());
-        // Five distinct lost messages on distinct tags.
+        // Twenty distinct lost messages on distinct tags.
         sim.spawn(|ctx| {
-            for t in 0..5u32 {
+            for t in 0..20u32 {
                 ctx.send(ProcId(1), Tag::app(t), (), 1);
             }
         });
         sim.spawn(|_| ());
         sim.run().unwrap();
-        assert_eq!(analysis.diagnostics().len(), 2, "storage capped");
+        assert_eq!(analysis.diagnostics().len(), 16, "storage capped");
         assert_eq!(
             analysis.counts()[&DiagnosticKind::LostMessage],
-            5,
+            20,
             "counts keep the full total"
         );
     }

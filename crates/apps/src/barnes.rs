@@ -45,6 +45,9 @@ pub struct PseudoBody {
 
 const PSEUDO_BODY_BYTES: u64 = 32;
 /// Gravitational softening (squared) keeping the toy integrator stable.
+/// A force scales by `1 / t^1.5` with `t = d2 + SOFTENING_SQ`, computed as
+/// `t * t.sqrt()`: `sqrt` is correctly rounded on every IEEE 754 host,
+/// where libm's `pow` is neither exact nor fast.
 const SOFTENING_SQ: f64 = 0.0025;
 
 /// Barnes-Hut problem configuration.
@@ -426,7 +429,8 @@ impl Octree {
                     return;
                 }
                 *count += 1;
-                let inv = 1.0 / (d2 + SOFTENING_SQ).powf(1.5);
+                let t = d2 + SOFTENING_SQ;
+                let inv = 1.0 / (t * t.sqrt());
                 f[0] += node.mass * dx * inv;
                 f[1] += node.mass * dy * inv;
                 f[2] += node.mass * dz * inv;
@@ -489,7 +493,8 @@ pub fn direct_forces(bodies: &[Body]) -> Vec<[f64; 3]> {
             let dy = bodies[j].pos[1] - bodies[i].pos[1];
             let dz = bodies[j].pos[2] - bodies[i].pos[2];
             let d2 = dx * dx + dy * dy + dz * dz;
-            let inv = 1.0 / (d2 + SOFTENING_SQ).powf(1.5);
+            let t = d2 + SOFTENING_SQ;
+            let inv = 1.0 / (t * t.sqrt());
             forces[i][0] += bodies[j].mass * dx * inv;
             forces[i][1] += bodies[j].mass * dy * inv;
             forces[i][2] += bodies[j].mass * dz * inv;

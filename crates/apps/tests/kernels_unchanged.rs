@@ -234,7 +234,8 @@ impl BoxedOctree {
                 return;
             }
             *count += 1;
-            let inv = 1.0 / (d2 + SOFTENING_SQ).powf(1.5);
+            let t = d2 + SOFTENING_SQ;
+            let inv = 1.0 / (t * t.sqrt());
             f[0] += node.mass * dx * inv;
             f[1] += node.mass * dy * inv;
             f[2] += node.mass * dz * inv;

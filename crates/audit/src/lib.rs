@@ -130,6 +130,17 @@ pub const RULES: &[Rule] = &[
                     (waived).",
         sim_state_only: true,
     },
+    Rule {
+        id: "ND009",
+        summary: "libm transcendental in application code",
+        rationale: "pow, exp, log and the trigonometric functions come from the host's libm, \
+                    which IEEE 754 does not require to round correctly, so their last bits \
+                    may differ between hosts; an app value that feeds a compute charge or a \
+                    message would carry that difference into virtual time. Fires in \
+                    crates/apps only. Use sqrt and the basic operations, which are \
+                    correctly rounded, or waive a site whose result feeds only a checksum.",
+        sim_state_only: true,
+    },
 ];
 
 /// Looks a rule up by ID.
@@ -219,6 +230,15 @@ pub const WAIVERS: &[Waiver] = &[
         path_suffix: "apps/src/kernels.rs",
         token: "sum::<f64>",
         reason: "vector norm over an index-ordered slice",
+    },
+    // ── ND009: libm results that never reach virtual time ──
+    Waiver {
+        rule: "ND009",
+        path_suffix: "apps/src/fft.rs",
+        token: "angle.cos(), angle.sin()",
+        reason: "twiddle factors scale only the transform's values, which travel in \
+                 messages of a size fixed by the problem size and end in the checksum; \
+                 no compute charge or message size reads them",
     },
     // ── ND008: the one sanctioned owner of raw threads ──
     Waiver {
@@ -495,6 +515,20 @@ pub fn test_module_files(path: &Path, text: &str) -> Vec<PathBuf> {
     files
 }
 
+/// Methods of `f64`/`f32` that call into libm (ND009).
+const LIBM_CALLS: &[&str] = &[
+    "powf", "exp", "exp2", "exp_m1", "ln", "ln_1p", "log", "log2", "log10", "sin", "cos", "tan",
+    "sin_cos", "asin", "acos", "atan", "atan2", "sinh", "cosh", "tanh", "cbrt", "hypot",
+];
+
+/// Whether `line` calls `.name(` for some `name` of [`LIBM_CALLS`].
+fn calls_libm(line: &str) -> bool {
+    LIBM_CALLS.iter().any(|name| {
+        line.match_indices(name)
+            .any(|(i, _)| line[..i].ends_with('.') && line[i + name.len()..].starts_with('('))
+    })
+}
+
 const NARROWING_CASTS: &[&str] = &[
     " as u32", " as i32", " as f32", " as u16", " as i16", " as u8", " as i8",
 ];
@@ -573,6 +607,9 @@ pub fn scan_source(path: &str, crate_name: &str, text: &str) -> Vec<Finding> {
                 || line.contains("JoinHandle"))
         {
             hit("ND008");
+        }
+        if crate_name == "apps" && calls_libm(line) {
+            hit("ND009");
         }
     }
     findings

@@ -13,7 +13,7 @@ fn diagnostic_ids_are_stable_and_well_formed() {
     let ids: Vec<&str> = RULES.iter().map(|r| r.id).collect();
     assert_eq!(
         ids,
-        ["ND001", "ND002", "ND003", "ND004", "ND005", "ND006", "ND007", "ND008"],
+        ["ND001", "ND002", "ND003", "ND004", "ND005", "ND006", "ND007", "ND008", "ND009"],
         "rule IDs are append-only; never renumber or reorder"
     );
     for r in RULES {
@@ -100,6 +100,25 @@ struct S { h: std::thread::JoinHandle<()> }
     // Outside sim-state crates the rule stays quiet (the bench engine's
     // worker threads never touch virtual time).
     assert!(scan_source("crates/bench/src/x.rs", "bench", fixture).is_empty());
+}
+
+/// ND009 fires on a libm call in application code only: the sim-state
+/// crates below the apps compute no transcendental functions, and sqrt,
+/// being correctly rounded, is not one.
+#[test]
+fn nd009_catches_libm_calls_in_apps_only() {
+    let fixture = "\
+fn a(t: f64) -> f64 { t.powf(1.5) }
+fn b(x: f64) -> (f64, f64) { (x.cos(), x.sin()) }
+fn c(t: f64) -> f64 { t * t.sqrt() }
+";
+    let hits = scan_source("crates/apps/src/x.rs", "apps", fixture);
+    assert_eq!(
+        hits.iter().map(|f| (f.rule, f.line)).collect::<Vec<_>>(),
+        [("ND009", 1), ("ND009", 2)],
+        "{hits:#?}"
+    );
+    assert!(scan_source("crates/sim/src/x.rs", "sim", fixture).is_empty());
 }
 
 /// The same hazards hidden in comments, strings, and test blocks must NOT

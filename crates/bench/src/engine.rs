@@ -11,6 +11,7 @@
 //! therefore produces byte-identical CSV and JSON (modulo wall-clock
 //! fields) to a `--jobs 1` sweep; `tests/determinism.rs` pins that.
 
+use std::io::IsTerminal;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::thread;
 
@@ -25,8 +26,9 @@ pub fn default_jobs() -> usize {
 ///
 /// Cells are claimed through a single atomic counter (a shared work queue —
 /// cheap dynamic load balancing, since a 300 ms-latency cell simulates far
-/// longer than a 0.5 ms one). When `progress` carries a label, a one-line
-/// progress counter is maintained on stderr.
+/// longer than a 0.5 ms one). When `progress` carries a label and stderr
+/// is a terminal, a one-line progress counter is maintained there; written
+/// to a file or a pipe, it would only be a write per cell.
 ///
 /// # Panics
 ///
@@ -68,6 +70,7 @@ where
     I: Fn() -> S + Sync,
     F: Fn(&mut S, usize, &C) -> R + Sync,
 {
+    let progress = progress.filter(|_| std::io::stderr().is_terminal());
     let total = cells.len();
     let jobs = jobs.max(1).min(total.max(1));
     let next = AtomicUsize::new(0);

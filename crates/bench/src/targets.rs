@@ -149,11 +149,12 @@ pub fn paper_grid(quick: bool) -> (Vec<f64>, Vec<f64>) {
 }
 
 /// Runs every cell through the engine on `jobs` workers, keeping a
-/// `[label: done/total cells]` line on stderr; the first failing cell (in
-/// cell order) aborts the sweep with the name its closure gave it — before
-/// the caller has rendered or written anything. Each result carries its
-/// wall-clock seconds, and the whole sweep's come back beside them: the
-/// stopwatch lives here, so a target built on `sweep` never reads the clock.
+/// `[label: done/total cells]` line on stderr when it is a terminal; the
+/// first failing cell (in cell order) aborts the sweep with the name its
+/// closure gave it — before the caller has rendered or written anything.
+/// Each result carries its wall-clock seconds, and the whole sweep's come
+/// back beside them: the stopwatch lives here, so a target built on `sweep`
+/// never reads the clock.
 pub(crate) fn sweep<C: Sync, R: Send>(
     cells: &[C],
     jobs: usize,

@@ -16,6 +16,10 @@ use numagap_sim::SimTime;
 
 use crate::model::mix64;
 
+/// Extra delay of a duplicated or reordered copy, as a multiple of the
+/// inter-cluster link latency.
+pub(crate) const REORDER_DELAY_FACTOR: f64 = 4.0;
+
 /// A scheduled outage of one ordered WAN link: messages *departing* while
 /// the window is open are dropped.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -64,9 +68,6 @@ pub struct FaultPlan {
     /// Probability an inter-cluster message is delayed past its fault-free
     /// arrival so later sends on the same pair can overtake it.
     pub reorder_prob: f64,
-    /// Extra delay applied to duplicated/reordered copies, as a multiple of
-    /// the inter-cluster link latency.
-    pub reorder_delay_factor: f64,
     /// Scheduled transient WAN-link outages.
     pub link_outages: Vec<LinkOutage>,
     /// Scheduled gateway crash-restart windows.
@@ -86,7 +87,6 @@ impl FaultPlan {
             drop_prob: 0.0,
             duplicate_prob: 0.0,
             reorder_prob: 0.0,
-            reorder_delay_factor: 4.0,
             link_outages: Vec::new(),
             gateway_outages: Vec::new(),
             exempt_tag_min: None,
@@ -143,17 +143,6 @@ impl FaultPlan {
     pub fn reorder_prob(mut self, p: f64) -> Self {
         self.reorder_prob = p;
         self.validate();
-        self
-    }
-
-    /// Sets the duplicate/reorder delay as a multiple of the WAN latency.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the factor is not positive.
-    pub fn reorder_delay_factor(mut self, factor: f64) -> Self {
-        assert!(factor > 0.0, "reorder delay factor must be positive");
-        self.reorder_delay_factor = factor;
         self
     }
 

@@ -27,14 +27,17 @@ use numagap_sim::{SimDuration, SimTime};
 
 use crate::model::mix64;
 
+/// Mean size of a background message in bytes.
+pub(crate) const CROSS_TRAFFIC_MEAN_BYTES: u64 = 16 * 1024;
+
 /// Seeded deterministic background traffic occupying WAN links.
 ///
 /// Each directed cluster-pair link carries an independent stream of
 /// background messages with mean rate chosen so that, on average,
 /// `intensity` of the link's bandwidth is consumed. Interarrival gaps and
-/// message sizes are drawn uniformly in `[0.5, 1.5) ×` their means from
-/// per-link splitmix64 streams, so the load is bursty but bounded and
-/// replays bit-identically from the seed.
+/// message sizes (16 KiB on average) are drawn uniformly in `[0.5, 1.5) ×`
+/// their means from per-link splitmix64 streams, so the load is bursty but
+/// bounded and replays bit-identically from the seed.
 ///
 /// # Examples
 ///
@@ -52,32 +55,24 @@ pub struct CrossTrafficPlan {
     /// Mean fraction of each directed WAN link's bandwidth consumed by
     /// background traffic, in `[0, 0.9]`. `0.0` injects nothing.
     pub intensity: f64,
-    /// Mean background message size in bytes.
-    pub mean_bytes: u64,
 }
 
 impl CrossTrafficPlan {
-    /// A plan with the given seed, zero intensity, and a 16 KiB mean
-    /// message size.
+    /// A plan with the given seed and zero intensity.
     pub fn new(seed: u64) -> Self {
         CrossTrafficPlan {
             seed,
             intensity: 0.0,
-            mean_bytes: 16 * 1024,
         }
     }
 
-    /// Panics unless the intensity is in `[0, 0.9]` and the mean size is
-    /// positive. Called by the network model when the plan is installed.
+    /// Panics unless the intensity is in `[0, 0.9]`. Called by the network
+    /// model when the plan is installed.
     pub fn validate(&self) {
         assert!(
             (0.0..=0.9).contains(&self.intensity),
             "cross-traffic intensity must be in [0, 0.9], got {}",
             self.intensity
-        );
-        assert!(
-            self.mean_bytes > 0,
-            "cross-traffic mean message size must be positive"
         );
     }
 
@@ -88,17 +83,6 @@ impl CrossTrafficPlan {
     /// Panics unless `0.0 <= intensity <= 0.9`.
     pub fn intensity(mut self, intensity: f64) -> Self {
         self.intensity = intensity;
-        self.validate();
-        self
-    }
-
-    /// Sets the mean background message size in bytes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bytes` is zero.
-    pub fn mean_bytes(mut self, bytes: u64) -> Self {
-        self.mean_bytes = bytes;
         self.validate();
         self
     }
@@ -340,12 +324,6 @@ mod tests {
     #[should_panic(expected = "cross-traffic intensity")]
     fn cross_traffic_intensity_bounds_are_checked() {
         let _ = CrossTrafficPlan::new(0).intensity(0.95);
-    }
-
-    #[test]
-    #[should_panic(expected = "mean message size")]
-    fn cross_traffic_size_bounds_are_checked() {
-        let _ = CrossTrafficPlan::new(0).mean_bytes(0);
     }
 
     #[test]

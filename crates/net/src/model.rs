@@ -8,9 +8,9 @@
 
 use numagap_sim::{FaultDisposition, Network, ProcId, SimDuration, SimTime, Tag, Transfer};
 
-use crate::fault::FaultPlan;
+use crate::fault::{FaultPlan, REORDER_DELAY_FACTOR};
 use crate::floor::PairFloors;
-use crate::hostile::{CrossTrafficPlan, LinkSchedule};
+use crate::hostile::{CrossTrafficPlan, LinkSchedule, CROSS_TRAFFIC_MEAN_BYTES};
 use crate::link::{LinkParams, LinkState};
 use crate::topology::Topology;
 use crate::wan::{RouteCursor, RouteTable, WanTopology};
@@ -114,21 +114,9 @@ impl TwoLayerSpec {
         self
     }
 
-    /// Sets the intra-cluster link class.
-    pub fn intra(mut self, params: LinkParams) -> Self {
-        self.intra = params;
-        self
-    }
-
     /// Sets the inter-cluster link class.
     pub fn inter(mut self, params: LinkParams) -> Self {
         self.inter = params;
-        self
-    }
-
-    /// Sets the per-message header size.
-    pub fn header_bytes(mut self, bytes: u64) -> Self {
-        self.header_bytes = bytes;
         self
     }
 
@@ -341,7 +329,7 @@ impl RunState {
         }
         // Mean interarrival gap that makes background serialization consume
         // `intensity` of the link: tx(mean size) / intensity.
-        let mean_tx = spec.inter.tx_time(plan.mean_bytes);
+        let mean_tx = spec.inter.tx_time(CROSS_TRAFFIC_MEAN_BYTES);
         let mean_gap_ns = (mean_tx.as_nanos() as f64 / plan.intensity).round() as u64;
         // Gap for background message `k` uses draw `2k`, its size draw
         // `2k + 1`; gaps are uniform in [0.5, 1.5) x mean (never zero).
@@ -356,7 +344,8 @@ impl RunState {
             let k = self.xt_seq[link];
             let u = plan.draw(a, b, 2 * k + 1);
             // Sizes uniform in [0.5, 1.5) x mean.
-            let bytes = plan.mean_bytes / 2 + (u * plan.mean_bytes as f64).round() as u64;
+            let bytes = CROSS_TRAFFIC_MEAN_BYTES / 2
+                + (u * CROSS_TRAFFIC_MEAN_BYTES as f64).round() as u64;
             let dep = self.xt_next[link];
             let mut tx = spec.inter.tx_time(bytes);
             if let Some(schedule) = spec.link_schedule {
@@ -636,7 +625,7 @@ impl Network for TwoLayerNetwork {
         *draws += 1;
         let u = plan.draw(cs, cd, n);
         let delay = SimDuration::from_nanos(
-            (self.spec.inter.latency.as_nanos() as f64 * plan.reorder_delay_factor).round() as u64,
+            (self.spec.inter.latency.as_nanos() as f64 * REORDER_DELAY_FACTOR).round() as u64,
         );
         if u < plan.drop_prob {
             FaultDisposition::dropped("wan-drop")
