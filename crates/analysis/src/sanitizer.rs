@@ -313,10 +313,7 @@ impl Observer for Sanitizer {
 
         if let Some(est) = estimate_payload_bytes(msg) {
             if est >= WIRE_CHECK_MIN_PAYLOAD
-                && msg
-                    .wire_bytes
-                    .saturating_mul(WIRE_UNDERCHARGE_FACTOR)
-                    < est
+                && msg.wire_bytes.saturating_mul(WIRE_UNDERCHARGE_FACTOR) < est
             {
                 st.push(
                     DiagnosticKind::WireBytesMismatch,

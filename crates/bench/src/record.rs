@@ -468,8 +468,7 @@ mod tests {
                     continue;
                 }
                 let text = std::fs::read_to_string(&path).unwrap();
-                let summary =
-                    BenchSummary::load(&path).unwrap_or_else(|e| panic!("{path:?}: {e}"));
+                let summary = BenchSummary::load(&path).unwrap_or_else(|e| panic!("{path:?}: {e}"));
                 assert_eq!(summary.to_json(), text, "{path:?}");
                 loaded += 1;
             }

@@ -179,7 +179,9 @@ fn the_target_table_is_the_only_list_of_experiments() {
             .filter(|path| path.is_file())
             .map(|path| {
                 let file = path.file_name().unwrap().to_str().unwrap();
-                let target = file.strip_prefix("BENCH_").and_then(|t| t.strip_suffix(".json"));
+                let target = file
+                    .strip_prefix("BENCH_")
+                    .and_then(|t| t.strip_suffix(".json"));
                 target
                     .unwrap_or_else(|| panic!("{} is not BENCH_<target>.json", path.display()))
                     .to_string()
@@ -194,7 +196,10 @@ fn the_target_table_is_the_only_list_of_experiments() {
     let medium = targets_of(&dir.join("medium"));
     assert!(!medium.is_empty(), "no medium baseline");
     for target in &medium {
-        assert!(names.contains(&target.as_str()), "medium baseline of unknown target {target}");
+        assert!(
+            names.contains(&target.as_str()),
+            "medium baseline of unknown target {target}"
+        );
     }
 }
 

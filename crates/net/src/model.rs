@@ -344,8 +344,8 @@ impl RunState {
             let k = self.xt_seq[link];
             let u = plan.draw(a, b, 2 * k + 1);
             // Sizes uniform in [0.5, 1.5) x mean.
-            let bytes = CROSS_TRAFFIC_MEAN_BYTES / 2
-                + (u * CROSS_TRAFFIC_MEAN_BYTES as f64).round() as u64;
+            let bytes =
+                CROSS_TRAFFIC_MEAN_BYTES / 2 + (u * CROSS_TRAFFIC_MEAN_BYTES as f64).round() as u64;
             let dep = self.xt_next[link];
             let mut tx = spec.inter.tx_time(bytes);
             if let Some(schedule) = spec.link_schedule {

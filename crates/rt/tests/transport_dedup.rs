@@ -1,9 +1,9 @@
 //! End-to-end dedup semantics of the reliable transport over a
 //! duplicate-heavy WAN.
 //!
-//! The kernel mailbox's tag index (see `numagap_sim::mailbox`) is proven
-//! equivalent to a linear scan by unit tests inside the kernel; this suite
-//! closes the loop one layer up: when arrivals flow through the reliable
+//! The kernel's mailbox returns the oldest parked message a filter accepts
+//! (unit tests inside the kernel); this suite closes the loop one layer
+//! up: when arrivals flow through the reliable
 //! transport — which acknowledges, deduplicates, and releases messages in
 //! stream order before the application's tag filters ever see them — a
 //! tag-filtered receive must still deliver every payload exactly once and

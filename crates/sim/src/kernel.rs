@@ -667,7 +667,9 @@ impl<N: Network> Kernel<N> {
                         obs.on_recv_posted(p, &filter, true, now);
                     }
                     let slot = &mut self.slots[p.0];
-                    if let Some(msg) = slot.mailbox.take(&filter, &mut self.profile.mailbox_scanned)
+                    if let Some(msg) = slot
+                        .mailbox
+                        .take(&filter, &mut self.profile.mailbox_scanned)
                     {
                         let clock = self.receive(p, now, &msg);
                         grant = Grant::Msg(clock, msg);
@@ -683,7 +685,9 @@ impl<N: Network> Kernel<N> {
                         obs.on_recv_posted(p, &filter, false, now);
                     }
                     let slot = &mut self.slots[p.0];
-                    let found = slot.mailbox.take(&filter, &mut self.profile.mailbox_scanned);
+                    let found = slot
+                        .mailbox
+                        .take(&filter, &mut self.profile.mailbox_scanned);
                     let clock = match &found {
                         Some(msg) => self.receive(p, now, msg),
                         None => now,
