@@ -460,7 +460,7 @@ mod tests {
     fn committed_baselines_load_and_print_back_unchanged() {
         // The reader's numbers are RFC 8259's and its integers stop at 2^53:
         // neither may cost a committed file a counter or a digit.
-        let load_all = |dir: &Path| {
+        let load_all = |dir: &Path, scale: Option<&str>| {
             let mut loaded = 0;
             for entry in std::fs::read_dir(dir).unwrap() {
                 let path = entry.unwrap().path();
@@ -470,14 +470,21 @@ mod tests {
                 let text = std::fs::read_to_string(&path).unwrap();
                 let summary = BenchSummary::load(&path).unwrap_or_else(|e| panic!("{path:?}: {e}"));
                 assert_eq!(summary.to_json(), text, "{path:?}");
+                if let Some(scale) = scale {
+                    // A full grid at the scale its directory names.
+                    assert_eq!((summary.scale.as_str(), summary.quick), (scale, false));
+                }
                 loaded += 1;
             }
             loaded
         };
-        // One quick baseline per target, and the full grids at medium scale.
+        // One quick baseline per target, and the full grids at medium and
+        // at paper scale.
         let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("baselines");
-        assert_eq!(load_all(&dir), crate::targets::TARGETS.len());
-        assert!(load_all(&dir.join("medium")) > 0);
+        assert_eq!(load_all(&dir, None), crate::targets::TARGETS.len());
+        for scale in ["medium", "paper"] {
+            assert!(load_all(&dir.join(scale), Some(scale)) > 0, "{scale}");
+        }
     }
 
     fn record(key: &str, wall: f64, virt: f64) -> RunRecord {

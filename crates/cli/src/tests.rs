@@ -191,15 +191,17 @@ fn the_target_table_is_the_only_list_of_experiments() {
         targets
     };
     assert_eq!(targets_of(&dir), unique, "baselines vs the target table");
-    // Full-grid baselines at medium scale: each one of a target in the
-    // table, and every file named for one.
-    let medium = targets_of(&dir.join("medium"));
-    assert!(!medium.is_empty(), "no medium baseline");
-    for target in &medium {
-        assert!(
-            names.contains(&target.as_str()),
-            "medium baseline of unknown target {target}"
-        );
+    // Full-grid baselines at medium and at paper scale: each one of a
+    // target in the table, and every file named for one.
+    for scale in ["medium", "paper"] {
+        let full = targets_of(&dir.join(scale));
+        assert!(!full.is_empty(), "no {scale} baseline");
+        for target in &full {
+            assert!(
+                names.contains(&target.as_str()),
+                "{scale} baseline of unknown target {target}"
+            );
+        }
     }
 }
 
