@@ -15,6 +15,8 @@
 //!   receiving cluster's gateway processor; the strict barrier is relaxed
 //!   into per-superstep sequence tags.
 
+use std::sync::Arc;
+
 use rand::Rng;
 
 use numagap_rt::{Barrier, Ctx};
@@ -214,66 +216,67 @@ impl Bbox {
     }
 }
 
-/// Marks an empty octant in [`OctNode::children`]. Index 0 is the root,
-/// which is no node's child.
-const NO_CHILD: u32 = 0;
-
-/// One tree node. A tree's nodes live in one `Vec` and name their children
-/// by index, so a tree is one allocation however many bodies it holds.
+/// One tree node. Nodes sit in depth-first pre-order, children in octant
+/// order, so a node's subtree is the run of nodes from it up to `end`.
+#[derive(Clone, Copy)]
 struct OctNode {
-    center: [f64; 3],
-    half: f64,
-    /// A leaf's body; on an internal node the subtree's total mass and
-    /// center of mass, valid once the tree is finalized.
-    mass: f64,
+    /// A leaf's body (merged at [`MAX_DEPTH`]); on an internal node the
+    /// subtree's total mass and center of mass.
     com: [f64; 3],
-    /// `None` on a leaf; otherwise the arena index of the child in each
-    /// octant, or [`NO_CHILD`].
-    children: Option<[u32; 8]>,
+    mass: f64,
+    half: f64,
+    /// The index just past this node's subtree: one past its own on a leaf.
+    end: u32,
+    center: [f64; 3],
 }
 
 const MAX_DEPTH: usize = 48;
 
 impl OctNode {
-    fn leaf(center: [f64; 3], half: f64, b: PseudoBody) -> OctNode {
+    /// A leaf at index `at` holding `b`.
+    fn leaf(center: [f64; 3], half: f64, b: &PseudoBody, at: usize) -> OctNode {
         OctNode {
-            center,
-            half,
-            mass: b.mass,
             com: b.pos,
-            children: None,
+            mass: b.mass,
+            half,
+            end: u32::try_from(at + 1).expect("octree node count fits u32"),
+            center,
         }
-    }
-
-    fn octant(&self, p: &[f64; 3]) -> usize {
-        usize::from(p[0] > self.center[0])
-            | usize::from(p[1] > self.center[1]) << 1
-            | usize::from(p[2] > self.center[2]) << 2
-    }
-
-    fn child_center(&self, oct: usize) -> [f64; 3] {
-        let h = self.half / 2.0;
-        [
-            self.center[0] + if oct & 1 != 0 { h } else { -h },
-            self.center[1] + if oct & 2 != 0 { h } else { -h },
-            self.center[2] + if oct & 4 != 0 { h } else { -h },
-        ]
     }
 }
 
-/// The children of an internal node that exist, in octant order.
-fn present(children: [u32; 8]) -> impl Iterator<Item = usize> {
-    children
-        .into_iter()
-        .filter(|&c| c != NO_CHILD)
-        .map(|c| c as usize)
+fn octant(center: &[f64; 3], p: &[f64; 3]) -> usize {
+    usize::from(p[0] > center[0])
+        | usize::from(p[1] > center[1]) << 1
+        | usize::from(p[2] > center[2]) << 2
+}
+
+fn child_center(center: &[f64; 3], half: f64, oct: usize) -> [f64; 3] {
+    let h = half / 2.0;
+    [
+        center[0] + if oct & 1 != 0 { h } else { -h },
+        center[1] + if oct & 2 != 0 { h } else { -h },
+        center[2] + if oct & 4 != 0 { h } else { -h },
+    ]
 }
 
 /// A Barnes-Hut octree over a set of point masses.
+///
+/// The tree is one array in depth-first order: each node is followed by
+/// its children's subtrees in octant order and records where its own
+/// subtree ends. A walk is then a loop over that one slice that steps to
+/// `i + 1` to open a node and jumps to its `end` to skip it, visiting nodes
+/// in exactly the order a recursive walk would, with no call stack and no
+/// pointer chasing: each step reads the next node or one further on.
+///
+/// The tree has the shape that inserting the points one at a time gives:
+/// a cell holding one point is a leaf, a cell holding more is split, and
+/// at the depth limit the points of a cell merge into one leaf in input
+/// order. [`Octree::build`] gets that shape by a stable partition of the
+/// points into octants, cell by cell.
 pub struct Octree {
-    /// The root at index 0, every child after its parent; empty for a tree
-    /// over no points.
-    arena: Vec<OctNode>,
+    /// The root first; empty for a tree over no points.
+    tree: Vec<OctNode>,
     /// Number of tree nodes (for cost accounting).
     pub nodes: usize,
 }
@@ -295,102 +298,99 @@ impl Octree {
             center[k] = (bounds.min[k] + bounds.max[k]) / 2.0;
             half = half.max((bounds.max[k] - bounds.min[k]) / 2.0 + 1e-9);
         }
-        let mut tree = Octree {
-            arena: Vec::with_capacity(2 * points.len()),
-            nodes: 0,
-        };
-        for &b in points {
-            if tree.arena.is_empty() {
-                tree.arena.push(OctNode::leaf(center, half, b));
-            } else {
-                tree.insert(b);
+        let mut tree = Vec::with_capacity(2 * points.len());
+        match points {
+            [] => {}
+            [b] => tree.push(OctNode::leaf(center, half, b, 0)),
+            _ => {
+                // The points, and as much room again for partitioning them.
+                let mut buf = [points, points].concat();
+                let (points, spare) = buf.split_at_mut(points.len());
+                Self::split(&mut tree, points, spare, center, half, 0);
             }
         }
-        tree.finalize();
-        tree.nodes = tree.arena.len();
-        tree
+        let nodes = tree.len();
+        Octree { tree, nodes }
     }
 
-    /// Descends from the root to the octant `b` falls in, splitting the
-    /// leaf it meets there.
-    fn insert(&mut self, b: PseudoBody) {
-        let mut at = 0;
-        let mut depth = 0;
-        loop {
-            let node = &mut self.arena[at];
-            let Some(children) = node.children else {
-                if depth >= MAX_DEPTH {
-                    // Coincident points: merge masses (mass-weighted COM).
-                    let total = node.mass + b.mass;
-                    for k in 0..3 {
-                        node.com[k] = (node.com[k] * node.mass + b.pos[k] * b.mass) / total;
-                    }
-                    node.mass = total;
-                    return;
-                }
-                // Split: the resident body moves down one level, then `b`
-                // meets this node again as an internal one.
-                let resident = PseudoBody {
-                    pos: node.com,
-                    mass: node.mass,
-                };
-                node.children = Some([NO_CHILD; 8]);
-                self.add_leaf(at, resident);
-                continue;
-            };
-            match children[node.octant(&b.pos)] {
-                NO_CHILD => return self.add_leaf(at, b),
-                child => {
-                    at = child as usize;
-                    depth += 1;
-                }
-            }
-        }
-    }
-
-    /// Hangs a new leaf holding `b` under the internal node `parent`, in
-    /// the octant `b` falls in (which must be empty).
-    fn add_leaf(&mut self, parent: usize, b: PseudoBody) {
-        let node = &self.arena[parent];
-        let oct = node.octant(&b.pos);
-        let leaf = OctNode::leaf(node.child_center(oct), node.half / 2.0, b);
-        let index = u32::try_from(self.arena.len()).expect("octree node count fits u32");
-        self.arena.push(leaf);
-        let children = self.arena[parent]
-            .children
-            .as_mut()
-            .expect("add_leaf on a leaf");
-        children[oct] = index;
-    }
-
-    /// Sums every internal node's mass and center of mass over its
-    /// children in octant order. Children sit after their parent in the
-    /// arena, so one backward sweep sees each child before its parent.
-    fn finalize(&mut self) {
-        for at in (0..self.arena.len()).rev() {
-            let Some(children) = self.arena[at].children else {
-                continue;
-            };
-            let mut mass = 0.0;
-            let mut com = [0.0; 3];
-            for c in present(children) {
-                let child = &self.arena[c];
-                mass += child.mass;
+    /// Appends the subtree of the cell `center ± half` at `depth` that
+    /// holds `points` (two or more, in input order), partitioning them by
+    /// octant into `spare`, which its children then use the other way.
+    fn split(
+        tree: &mut Vec<OctNode>,
+        points: &mut [PseudoBody],
+        spare: &mut [PseudoBody],
+        center: [f64; 3],
+        half: f64,
+        depth: usize,
+    ) {
+        // Pushed as a leaf of the first point: a merged leaf grows from it,
+        // and a split node gets its sums and its end below.
+        let at = tree.len();
+        tree.push(OctNode::leaf(center, half, &points[0], at));
+        if depth >= MAX_DEPTH {
+            // Coincident points: merge masses (mass-weighted COM).
+            let node = &mut tree[at];
+            for b in &points[1..] {
+                let total = node.mass + b.mass;
                 for k in 0..3 {
-                    com[k] += child.com[k] * child.mass;
+                    node.com[k] = (node.com[k] * node.mass + b.pos[k] * b.mass) / total;
                 }
+                node.mass = total;
             }
-            for c in &mut com {
-                *c /= mass;
-            }
-            self.arena[at].mass = mass;
-            self.arena[at].com = com;
+            return;
         }
+        // A stable counting sort by octant.
+        let mut counts = [0usize; 8];
+        for b in points.iter() {
+            counts[octant(&center, &b.pos)] += 1;
+        }
+        let mut fill = [0usize; 8];
+        for oct in 1..8 {
+            fill[oct] = fill[oct - 1] + counts[oct - 1];
+        }
+        for b in points.iter() {
+            let oct = octant(&center, &b.pos);
+            spare[fill[oct]] = *b;
+            fill[oct] += 1;
+        }
+        // The children in octant order, each summed into this node's mass
+        // and center of mass once it is complete.
+        let (mut mass, mut com) = (0.0, [0.0; 3]);
+        let (mut points, mut spare) = (points, spare);
+        for (oct, n) in counts.into_iter().enumerate() {
+            if n == 0 {
+                continue;
+            }
+            let (these, rest) = std::mem::take(&mut spare).split_at_mut(n);
+            let (room, rest_room) = std::mem::take(&mut points).split_at_mut(n);
+            (spare, points) = (rest, rest_room);
+            let child = tree.len();
+            let c = child_center(&center, half, oct);
+            if n == 1 {
+                tree.push(OctNode::leaf(c, half / 2.0, &these[0], child));
+            } else {
+                Self::split(tree, these, room, c, half / 2.0, depth + 1);
+            }
+            let child = &tree[child];
+            mass += child.mass;
+            for k in 0..3 {
+                com[k] += child.com[k] * child.mass;
+            }
+        }
+        for x in &mut com {
+            *x /= mass;
+        }
+        let end = u32::try_from(tree.len()).expect("octree node count fits u32");
+        let node = &mut tree[at];
+        node.mass = mass;
+        node.com = com;
+        node.end = end;
     }
 
     /// Total mass in the tree.
     pub fn total_mass(&self) -> f64 {
-        self.arena.first().map_or(0.0, |r| r.mass)
+        self.tree.first().map_or(0.0, |r| r.mass)
     }
 
     /// Gravitational force on a unit test point at `pos` (multiplied by the
@@ -399,43 +399,33 @@ impl Octree {
     pub fn force_at(&self, pos: &[f64; 3], theta: f64) -> ([f64; 3], u64) {
         let mut f = [0.0; 3];
         let mut count = 0;
-        if !self.arena.is_empty() {
-            self.force_rec(0, pos, theta, &mut f, &mut count);
+        let mut at = 0;
+        while let Some(node) = self.tree.get(at) {
+            let dx = node.com[0] - pos[0];
+            let dy = node.com[1] - pos[1];
+            let dz = node.com[2] - pos[2];
+            let d2 = dx * dx + dy * dy + dz * dz;
+            // A leaf is a body; an internal node stands in for its subtree
+            // once it is far enough away for its size.
+            let s = 2.0 * node.half;
+            let far_enough = s * s < theta * theta * d2;
+            if node.end as usize != at + 1 && !far_enough {
+                at += 1;
+                continue;
+            }
+            at = node.end as usize;
+            if d2 < 1e-18 {
+                // The test point itself.
+                continue;
+            }
+            count += 1;
+            let t = d2 + SOFTENING_SQ;
+            let inv = 1.0 / (t * t.sqrt());
+            f[0] += node.mass * dx * inv;
+            f[1] += node.mass * dy * inv;
+            f[2] += node.mass * dz * inv;
         }
         (f, count)
-    }
-
-    fn force_rec(&self, at: usize, pos: &[f64; 3], theta: f64, f: &mut [f64; 3], count: &mut u64) {
-        let node = &self.arena[at];
-        let dx = node.com[0] - pos[0];
-        let dy = node.com[1] - pos[1];
-        let dz = node.com[2] - pos[2];
-        let d2 = dx * dx + dy * dy + dz * dz;
-        // A leaf is a body; an internal node stands in for its subtree once
-        // it is far enough away for its size.
-        let far_enough = || {
-            let s = 2.0 * node.half;
-            s * s < theta * theta * d2
-        };
-        match node.children {
-            Some(children) if !far_enough() => {
-                for c in present(children) {
-                    self.force_rec(c, pos, theta, f, count);
-                }
-            }
-            _ => {
-                if d2 < 1e-18 {
-                    // The test point itself.
-                    return;
-                }
-                *count += 1;
-                let t = d2 + SOFTENING_SQ;
-                let inv = 1.0 / (t * t.sqrt());
-                f[0] += node.mass * dx * inv;
-                f[1] += node.mass * dy * inv;
-                f[2] += node.mass * dz * inv;
-            }
-        }
     }
 
     /// Collects the *locally essential* pseudo-bodies this tree must export
@@ -445,38 +435,26 @@ impl Octree {
     /// real bodies. Returns the visited-node count for cost accounting.
     pub fn essential_for(&self, region: &Bbox, theta: f64, out: &mut Vec<PseudoBody>) -> u64 {
         let mut visited = 0;
-        if !self.arena.is_empty() {
-            self.essential_rec(0, region, theta, out, &mut visited);
+        let mut at = 0;
+        while let Some(node) = self.tree.get(at) {
+            visited += 1;
+            let leaf = node.end as usize == at + 1;
+            if !leaf {
+                let d = region.min_dist_to_cell(&node.center, node.half);
+                let s = 2.0 * node.half;
+                let never_opened = d > 0.0 && s < theta * d;
+                if !never_opened {
+                    at += 1;
+                    continue;
+                }
+            }
+            out.push(PseudoBody {
+                pos: node.com,
+                mass: node.mass,
+            });
+            at = node.end as usize;
         }
         visited
-    }
-
-    fn essential_rec(
-        &self,
-        at: usize,
-        region: &Bbox,
-        theta: f64,
-        out: &mut Vec<PseudoBody>,
-        visited: &mut u64,
-    ) {
-        *visited += 1;
-        let node = &self.arena[at];
-        let summary = PseudoBody {
-            pos: node.com,
-            mass: node.mass,
-        };
-        let Some(children) = node.children else {
-            return out.push(summary);
-        };
-        let d = region.min_dist_to_cell(&node.center, node.half);
-        let s = 2.0 * node.half;
-        if d > 0.0 && s < theta * d {
-            out.push(summary);
-        } else {
-            for c in present(children) {
-                self.essential_rec(c, region, theta, out, visited);
-            }
-        }
     }
 }
 
@@ -622,20 +600,23 @@ pub fn barnes_rank(
         let tree_nodes = tree.nodes;
 
         // ---- Part 3: precompute and ship essential sets ----
-        let mut exports: Vec<(usize, Vec<PseudoBody>)> = Vec::new();
+        let mut exports: Vec<(usize, Vec<PseudoBody>)> = Vec::with_capacity(p - 1);
         let mut walk_nodes = 0u64;
+        let mut out = Vec::new();
         for (q, reg) in regions.iter().enumerate() {
             if q == me {
                 continue;
             }
-            let mut out = Vec::new();
             walk_nodes += tree.essential_for(
                 &reg.expect("exchange delivered every remote region"),
                 cfg.theta,
                 &mut out,
             );
-            exports.push((q, out));
+            // One block of the exact size per recipient; `out` is reused.
+            exports.push((q, out.clone()));
+            out.clear();
         }
+        drop(out);
         drop(tree);
         ctx.compute_ns(tree_nodes as f64 * cfg.node_ns);
         ctx.compute_ns(walk_nodes as f64 * cfg.node_ns);
@@ -689,31 +670,29 @@ pub fn barnes_rank(
                 }
             }
         };
-        let mut imports: Vec<(u32, Vec<PseudoBody>)> = Vec::new();
+        // A delivered payload normally has one owner, so each batch moves out
+        // of its message, into this rank's points or on to its destination,
+        // without a copy. `unwrap_or_clone` copies only a payload that is
+        // still shared, such as one the reliable transport keeps to resend.
+        let mut imports: Vec<(u32, Vec<PseudoBody>)> = Vec::with_capacity(p - 1);
         let mut relays_left = relays_expected;
         let mut data_left = p - 1;
         while data_left > 0 || relays_left > 0 {
             let msg = ctx.recv(Filter::one_of(&[data_tag(step), relay_tag(step)]));
             if msg.tag == relay_tag(step) {
                 relays_left -= 1;
-                let bundle = msg.expect_ref::<RelayBundle>();
+                let bundle = Arc::unwrap_or_clone(msg.expect_shared::<RelayBundle>());
                 for (dst, sender, bodies) in bundle {
-                    if *dst as usize == me {
-                        imports.push((*sender, bodies.clone()));
+                    if dst as usize == me {
+                        imports.push((sender, bodies));
                         data_left -= 1;
                     } else {
                         let bytes = bodies.len() as u64 * PSEUDO_BODY_BYTES;
-                        ctx.send(
-                            *dst as usize,
-                            data_tag(step),
-                            (*sender, bodies.clone()),
-                            bytes,
-                        );
+                        ctx.send(dst as usize, data_tag(step), (sender, bodies), bytes);
                     }
                 }
             } else {
-                let (sender, bodies) = msg.expect_ref::<(u32, Vec<PseudoBody>)>();
-                imports.push((*sender, bodies.clone()));
+                imports.push(Arc::unwrap_or_clone(msg.expect_shared()));
                 data_left -= 1;
             }
         }
@@ -722,6 +701,7 @@ pub fn barnes_rank(
 
         // ---- Part 5: build the locally essential tree and compute forces ----
         let mut let_points = points;
+        let_points.reserve(imports.iter().map(|(_, bodies)| bodies.len()).sum());
         for (_, bodies) in imports {
             let_points.extend_from_slice(&bodies);
         }

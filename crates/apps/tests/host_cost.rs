@@ -161,6 +161,23 @@ fn host_costs_stay_what_the_algorithms_need() {
         "a Barnes/unoptimized 4x8 cell peaked at {peak} live heap bytes"
     );
 
+    // ---- a Barnes cell copies no batch twice ----
+    // Heap requests of one Barnes-Hut cell on the 4x8 machine. They were
+    // 13 947 (unoptimized) and 15 355 (optimized) when each export vector
+    // grew by doubling, and each imported or relayed batch was cloned out
+    // of the message that brought it.
+    for (variant, now, before) in [
+        (Variant::Unoptimized, 8_123, 13_947),
+        (Variant::Optimized, 8_187, 15_355),
+    ] {
+        let (blocks, run) = allocations_during(|| run_app(AppId::Barnes, &cfg, variant, &machine));
+        run.expect("the Barnes cell runs");
+        assert!(
+            blocks <= now,
+            "Barnes/{variant} 4x8 cell: {blocks} heap requests (was {before})"
+        );
+    }
+
     // ---- a cell generates its input once ----
     // `run_app` builds the input before the run and the 32 ranks read that
     // one copy, each copying out the block it owns. When every rank called

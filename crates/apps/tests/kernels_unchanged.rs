@@ -6,10 +6,16 @@
 //! octree keeps its nodes in one arena where every internal node boxed
 //! eight optional children. A fourth halved what a TSP search node costs:
 //! the distance matrix is one flat block where it was a vector of rows, and
-//! a node is `(city, visited set)` where it was a path vector. The goldens
+//! a node is `(city, visited set)` where it was a path vector. A fifth laid
+//! the octree out as one array in depth-first order, built by a stable
+//! partition of the points into octants, so that its force and export
+//! walks are loops over one slice: alone, the force walk ran about 3x and
+//! the export walk 2x faster at the same build cost, and a Barnes-Hut cell
+//! of the quick Figure 3 pass went from 9.9 to 6.5 ms. The goldens
 //! hash what these produce, so each has to be *the same function* as
 //! before, not a close one. The versions they replaced are kept here
-//! verbatim as the references.
+//! verbatim as the references; the octree's reference is still the boxed
+//! tree.
 
 #![allow(clippy::needless_range_loop)] // the references stay as they were written
 
@@ -485,21 +491,77 @@ fn generated_bodies_keep_their_order() {
     assert_eq!(bodies, generate_reference(&crowded));
 }
 
+/// Builds both trees over `input` and checks that they agree bit for bit
+/// on everything a rank reads: the node count, the total mass, the force
+/// and interaction count at each probe, and the nodes visited and the
+/// pseudo-bodies exported for each region, at each opening angle.
+fn assert_same_tree(
+    what: &str,
+    input: &[PseudoBody],
+    bounds: &Bbox,
+    probes: &[[f64; 3]],
+    regions: &[Bbox],
+) {
+    let arena = Octree::build(input, bounds);
+    let boxed = BoxedOctree::build(input, bounds);
+    assert_eq!(arena.nodes, boxed.nodes, "{what}: node count");
+    assert_eq!(
+        arena.total_mass().to_bits(),
+        boxed.total_mass().to_bits(),
+        "{what}: total mass"
+    );
+    for theta in [0.0, 0.6, 1.5] {
+        for pos in probes {
+            let (fa, ca) = arena.force_at(pos, theta);
+            let (fb, cb) = boxed.force_at(pos, theta);
+            assert_eq!(ca, cb, "{what} theta {theta}: interactions at {pos:?}");
+            assert_eq!(
+                fa.map(f64::to_bits),
+                fb.map(f64::to_bits),
+                "{what} theta {theta}: force at {pos:?}"
+            );
+        }
+        for region in regions {
+            let (mut ea, mut eb) = (Vec::new(), Vec::new());
+            let va = arena.essential_for(region, theta, &mut ea);
+            let vb = boxed.essential_for(region, theta, &mut eb);
+            assert_eq!(va, vb, "{what} theta {theta}: nodes visited");
+            assert_eq!(ea.len(), eb.len(), "{what} theta {theta}: export size");
+            for (a, b) in ea.iter().zip(&eb) {
+                assert_eq!(a.pos.map(f64::to_bits), b.pos.map(f64::to_bits), "{what}");
+                assert_eq!(a.mass.to_bits(), b.mass.to_bits(), "{what}");
+            }
+        }
+    }
+}
+
+fn bounds_of(points: &[PseudoBody]) -> Bbox {
+    let mut bounds = Bbox::empty();
+    for b in points {
+        bounds.include(&b.pos);
+    }
+    bounds
+}
+
+fn at(pos: [f64; 3], mass: f64) -> PseudoBody {
+    PseudoBody { pos, mass }
+}
+
 #[test]
 fn the_arena_tree_is_the_boxed_tree() {
     let cfg = BarnesConfig::small();
     let bodies = cfg.generate();
-    let points: Vec<PseudoBody> = bodies
-        .iter()
-        .map(|b| PseudoBody {
-            pos: b.pos,
-            mass: b.mass,
+    let points: Vec<PseudoBody> = bodies.iter().map(|b| at(b.pos, b.mass)).collect();
+    let bounds = bounds_of(&points);
+    let probes: Vec<[f64; 3]> = points.iter().map(|b| b.pos).collect();
+    // Each rank's region in a 32-rank run: what `barnes_rank` exports for.
+    let regions: Vec<Bbox> = (0..32)
+        .map(|rank| {
+            let (lo, hi) = block_range(points.len(), 32, rank);
+            bounds_of(&points[lo..hi])
         })
         .collect();
-    let mut bounds = Bbox::empty();
-    for b in &bodies {
-        bounds.include(&b.pos);
-    }
+
     // The whole input, each rank's block of a 32-rank run (the trees
     // `barnes_rank` builds), one body, none, and coincident bodies that
     // merge at the depth limit.
@@ -510,57 +572,149 @@ fn the_arena_tree_is_the_boxed_tree() {
     }
     let mut coincident = points[..40].to_vec();
     for i in 0..40 {
-        coincident.push(PseudoBody {
-            pos: points[i % 3].pos,
-            mass: 0.25 + i as f64,
-        });
+        coincident.push(at(points[i % 3].pos, 0.25 + i as f64));
     }
     inputs.push(coincident);
-
-    let regions: Vec<Bbox> = (0..32)
-        .map(|rank| {
-            let (lo, hi) = block_range(bodies.len(), 32, rank);
-            let mut region = Bbox::empty();
-            for b in &bodies[lo..hi] {
-                region.include(&b.pos);
-            }
-            region
-        })
-        .collect();
-
     for (n, input) in inputs.iter().enumerate() {
-        let arena = Octree::build(input, &bounds);
-        let boxed = BoxedOctree::build(input, &bounds);
-        assert_eq!(arena.nodes, boxed.nodes, "input {n}: node count");
-        assert_eq!(
-            arena.total_mass().to_bits(),
-            boxed.total_mass().to_bits(),
-            "input {n}: total mass"
-        );
-        for theta in [0.0, 0.6, 1.5] {
-            for b in &bodies {
-                let (fa, ca) = arena.force_at(&b.pos, theta);
-                let (fb, cb) = boxed.force_at(&b.pos, theta);
-                assert_eq!(ca, cb, "input {n} theta {theta}: interactions");
-                assert_eq!(
-                    fa.map(f64::to_bits),
-                    fb.map(f64::to_bits),
-                    "input {n} theta {theta}: force at {:?}",
-                    b.pos
-                );
+        assert_same_tree(&format!("input {n}"), input, &bounds, &probes, &regions);
+    }
+    hostile_inputs();
+    every_size();
+}
+
+/// Inputs built to reach the corners of the tree's definition.
+fn hostile_inputs() {
+    let mut rng = seeded_rng(0x0C7);
+    let cube = Bbox {
+        min: [0.0; 3],
+        max: [100.0; 3],
+    };
+    let mut cases: Vec<(String, Vec<PseudoBody>, Bbox)> = Vec::new();
+
+    // Points on the center planes of the cells along random paths down to
+    // depth 8, computed as the tree computes them: `>` sends a point on a
+    // plane to the lower octant, a point one ulp above it to the upper one.
+    let mut on_planes = Vec::new();
+    for _ in 0..6 {
+        let mut center = [50.0; 3];
+        let mut half: f64 = 50.0 + 1e-9;
+        for _ in 0..8 {
+            let up = |x: f64| f64::from_bits(x.to_bits() + 1);
+            for pick in 0..8u32 {
+                let pos: [f64; 3] = std::array::from_fn(|k| match (pick >> k) & 1 {
+                    0 => center[k],
+                    _ if pick == 7 => up(center[k]),
+                    _ => rng.gen_range(center[k] - half..center[k] + half),
+                });
+                on_planes.push(at(pos, rng.gen_range(0.5..2.0)));
             }
-            for region in &regions {
-                let (mut ea, mut eb) = (Vec::new(), Vec::new());
-                let va = arena.essential_for(region, theta, &mut ea);
-                let vb = boxed.essential_for(region, theta, &mut eb);
-                assert_eq!(va, vb, "input {n} theta {theta}: nodes visited");
-                assert_eq!(ea.len(), eb.len(), "input {n} theta {theta}: export size");
-                for (a, b) in ea.iter().zip(&eb) {
-                    assert_eq!(a.pos.map(f64::to_bits), b.pos.map(f64::to_bits));
-                    assert_eq!(a.mass.to_bits(), b.mass.to_bits());
-                }
+            let h = half / 2.0;
+            for c in &mut center {
+                *c += if rng.gen_range(0..2) == 0 { -h } else { h };
             }
+            half = h;
         }
+    }
+    cases.push(("center planes".into(), on_planes, cube));
+
+    // All points coincident: one leaf, merged in input order.
+    let coincident: Vec<PseudoBody> = (0..50)
+        .map(|i| at([37.5, 12.25, 81.0], 0.5 + i as f64 / 7.0))
+        .collect();
+    cases.push(("coincident".into(), coincident, cube));
+
+    // Pairs that stay in one cell to ever greater depths: the closest
+    // split only just above the depth limit, or never and merge there.
+    for k in [30, 40, 44, 46, 47, 48, 49, 52] {
+        let gap = 100.0 * 0.5f64.powi(k);
+        let pair = vec![at([33.3; 3], 1.0), at([33.3 + gap, 33.3, 33.3 - gap], 3.0)];
+        cases.push((format!("pair 2^-{k} apart"), pair, cube));
+    }
+
+    // Bounds of zero extent, around points on them and around points
+    // beyond them.
+    let p = [20.0, 40.0, 60.0];
+    let point_box = Bbox { min: p, max: p };
+    let stacked: Vec<PseudoBody> = (0..5).map(|i| at(p, 1.0 + i as f64)).collect();
+    cases.push((
+        "zero-extent bounds, points on them".into(),
+        stacked,
+        point_box,
+    ));
+    let spread: Vec<PseudoBody> = (0..40)
+        .map(|_| at([0; 3].map(|_| rng.gen_range(19.0..21.0)), 1.0))
+        .collect();
+    cases.push((
+        "zero-extent bounds, points around them".into(),
+        spread,
+        point_box,
+    ));
+
+    // None, one and two points.
+    let some: Vec<PseudoBody> = (0..2)
+        .map(|_| at([0; 3].map(|_| rng.gen_range(0.0..100.0)), 1.5))
+        .collect();
+    for n in 0..=2 {
+        cases.push((format!("{n} points"), some[..n].to_vec(), cube));
+    }
+
+    let regions = [
+        cube,
+        Bbox {
+            min: [0.0; 3],
+            max: [10.0; 3],
+        },
+        Bbox {
+            min: [150.0, -20.0, 40.0],
+            max: [160.0, -10.0, 60.0],
+        },
+    ];
+    for (what, input, bounds) in &cases {
+        let mut probes: Vec<[f64; 3]> = input.iter().map(|b| b.pos).collect();
+        probes.extend([[50.0; 3], [-5.0, 120.0, 50.0]]);
+        assert_same_tree(what, input, bounds, &probes, &regions);
+    }
+}
+
+/// A seeded sweep over every input size from none to 600 points.
+fn every_size() {
+    let mut rng = seeded_rng(0x512E);
+    for n in 0..=600 {
+        let input: Vec<PseudoBody> = (0..n)
+            .map(|_| {
+                at(
+                    [0; 3].map(|_| rng.gen_range(0.0..100.0)),
+                    rng.gen_range(0.5..2.0),
+                )
+            })
+            .collect();
+        // A rank's tree covers the global bounds, not its own.
+        let bounds = if n % 2 == 0 {
+            bounds_of(&input)
+        } else {
+            Bbox {
+                min: [-10.0; 3],
+                max: [110.0; 3],
+            }
+        };
+        let probes: Vec<[f64; 3]> = input
+            .iter()
+            .step_by(n / 3 + 1)
+            .map(|b| b.pos)
+            .chain([[0; 3].map(|_| rng.gen_range(0.0..100.0))])
+            .collect();
+        let corner: [f64; 3] = [0; 3].map(|_| rng.gen_range(0.0..90.0));
+        let regions = [
+            Bbox {
+                min: corner,
+                max: corner.map(|x| x + 10.0),
+            },
+            Bbox {
+                min: [200.0; 3],
+                max: [210.0; 3],
+            },
+        ];
+        assert_same_tree(&format!("{n} points"), &input, &bounds, &probes, &regions);
     }
 }
 
