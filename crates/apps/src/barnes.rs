@@ -267,7 +267,7 @@ fn child_center(center: &[f64; 3], half: f64, oct: usize) -> [f64; 3] {
 /// subtree ends. A walk is then a loop over that one slice that steps to
 /// `i + 1` to open a node and jumps to its `end` to skip it, visiting nodes
 /// in exactly the order a recursive walk would, with no call stack and no
-/// pointer chasing: each step reads the next node or one further on.
+/// pointer chasing: every step moves forward through the one array.
 ///
 /// The tree has the shape that inserting the points one at a time gives:
 /// a cell holding one point is a leaf, a cell holding more is split, and

@@ -11,7 +11,7 @@
 //! partition of the points into octants, so that its force and export
 //! walks are loops over one slice: alone, the force walk ran about 3x and
 //! the export walk 2x faster at the same build cost, and a Barnes-Hut cell
-//! of the quick Figure 3 pass went from 9.9 to 6.5 ms. The goldens
+//! of the Figure 3 benchmark went from 9.7 to 8.0 ms. The goldens
 //! hash what these produce, so each has to be *the same function* as
 //! before, not a close one. The versions they replaced are kept here
 //! verbatim as the references; the octree's reference is still the boxed
