@@ -19,10 +19,11 @@
 //!   processor on the far side. Too much combining delays replies and starves
 //!   processors at stage ends — the load-imbalance the paper observed.
 
+use std::any::Any;
 use std::collections::HashMap;
 
 use numagap_rt::{ClusterCombiner, Combiner, Ctx};
-use numagap_sim::{Filter, Tag};
+use numagap_sim::{Filter, Message, Tag};
 
 use crate::common::{mix64, RankOutput, Variant};
 
@@ -170,28 +171,48 @@ fn tags(stage: usize) -> [Tag; 4] {
     ]
 }
 
-enum EdgeSender {
-    Flat(Combiner<EdgeItem>),
-    Clustered(ClusterCombiner<EdgeItem>),
+/// One phase's outgoing items: combined per destination rank (the
+/// unoptimized variant), or per rank within the cluster and per cluster
+/// beyond it, through the far cluster's relay (the optimized one).
+enum Sender<T> {
+    Flat(Combiner<T>),
+    Clustered(ClusterCombiner<T>),
 }
 
-enum ValueSender {
-    Flat(Combiner<ValueItem>),
-    Clustered(ClusterCombiner<ValueItem>),
-}
+impl<T: Any + Send + Sync + Clone> Sender<T> {
+    fn new(
+        variant: Variant,
+        [data_tag, relay_tag]: [Tag; 2],
+        item_bytes: u64,
+        combine: usize,
+    ) -> Self {
+        match variant {
+            Variant::Unoptimized => Sender::Flat(Combiner::new(data_tag, item_bytes, combine)),
+            Variant::Optimized => Sender::Clustered(ClusterCombiner::new(
+                data_tag, relay_tag, item_bytes, combine,
+            )),
+        }
+    }
 
-impl ValueSender {
-    fn add(&mut self, ctx: &mut Ctx<'_>, dst: usize, item: ValueItem) {
+    fn add(&mut self, ctx: &mut Ctx<'_>, dst: usize, item: T) {
         match self {
-            ValueSender::Flat(c) => c.add(ctx, dst, item),
-            ValueSender::Clustered(c) => c.add(ctx, dst, item),
+            Sender::Flat(c) => c.add(ctx, dst, item),
+            Sender::Clustered(c) => c.add(ctx, dst, item),
         }
     }
 
     fn flush(&mut self, ctx: &mut Ctx<'_>) {
         match self {
-            ValueSender::Flat(c) => c.flush(ctx),
-            ValueSender::Clustered(c) => c.flush(ctx),
+            Sender::Flat(c) => c.flush(ctx),
+            Sender::Clustered(c) => c.flush(ctx),
+        }
+    }
+
+    /// Forwards a cluster batch this rank relays to its final destinations.
+    fn relay(&self, ctx: &mut Ctx<'_>, msg: Message) {
+        match self {
+            Sender::Flat(_) => unreachable!("per-rank combining sends no relay batches"),
+            Sender::Clustered(c) => c.handle_relay(ctx, msg),
         }
     }
 }
@@ -258,57 +279,45 @@ pub fn awari_rank(ctx: &mut Ctx<'_>, cfg: &AwariConfig, variant: Variant) -> Ran
         // ---- Phase A: announce edges for my states at this level ----
         let mut pending: HashMap<u64, (u8, bool)> = HashMap::new();
         let mut announced: u64 = 0;
-        {
-            let mut sender = match variant {
-                Variant::Unoptimized => {
-                    EdgeSender::Flat(Combiner::new(edge_tag, EDGE_ITEM_BYTES, cfg.combine))
-                }
-                Variant::Optimized => EdgeSender::Clustered(
-                    ClusterCombiner::new(edge_tag, edge_relay, EDGE_ITEM_BYTES, cfg.combine)
-                        .remote_threshold(cfg.combine * 8),
-                ),
-            };
-            for idx in 0..s {
-                let id = cfg.state_id(stage, idx);
-                if cfg.owner(id, p) != me {
-                    continue;
-                }
-                let deg = cfg.degree(id);
-                ctx.compute_ns(cfg.state_ns);
-                work += 1;
-                pending.insert(id, (deg as u8, false));
-                for i in 0..deg {
-                    let v_idx = cfg.successor(id, i);
-                    let v_id = cfg.state_id(stage - 1, v_idx);
-                    let dst = cfg.owner(v_id, p);
-                    announced += 1;
-                    let item = EdgeItem {
-                        u_id: id,
-                        v_idx: v_idx as u32,
-                    };
-                    match &mut sender {
-                        EdgeSender::Flat(comb) => comb.add(ctx, dst, item),
-                        EdgeSender::Clustered(comb) => comb.add(ctx, dst, item),
-                    }
-                }
+        // Kept through Phase B: relayed edge batches go out through its
+        // relay handler.
+        let mut edge_sender = Sender::new(
+            variant,
+            [edge_tag, edge_relay],
+            EDGE_ITEM_BYTES,
+            cfg.combine,
+        );
+        for idx in 0..s {
+            let id = cfg.state_id(stage, idx);
+            if cfg.owner(id, p) != me {
+                continue;
             }
-            match &mut sender {
-                EdgeSender::Flat(comb) => comb.flush(ctx),
-                EdgeSender::Clustered(comb) => comb.flush(ctx),
+            let deg = cfg.degree(id);
+            ctx.compute_ns(cfg.state_ns);
+            work += 1;
+            pending.insert(id, (deg as u8, false));
+            for i in 0..deg {
+                let v_idx = cfg.successor(id, i);
+                let v_id = cfg.state_id(stage - 1, v_idx);
+                let dst = cfg.owner(v_id, p);
+                announced += 1;
+                let item = EdgeItem {
+                    u_id: id,
+                    v_idx: v_idx as u32,
+                };
+                edge_sender.add(ctx, dst, item);
             }
         }
+        edge_sender.flush(ctx);
 
         // ---- Phase B: serve edges (replying immediately, combined), collect
         // values, relay cluster bundles ----
-        let mut value_sender = match variant {
-            Variant::Unoptimized => {
-                ValueSender::Flat(Combiner::new(value_tag, VALUE_ITEM_BYTES, cfg.combine))
-            }
-            Variant::Optimized => ValueSender::Clustered(
-                ClusterCombiner::new(value_tag, value_relay, VALUE_ITEM_BYTES, cfg.combine)
-                    .remote_threshold(cfg.combine * 8),
-            ),
-        };
+        let mut value_sender = Sender::new(
+            variant,
+            [value_tag, value_relay],
+            VALUE_ITEM_BYTES,
+            cfg.combine,
+        );
         let mut edges_processed: u64 = 0;
         let mut edge_relayed: u64 = 0;
         let mut value_relayed: u64 = 0;
@@ -378,13 +387,13 @@ pub fn awari_rank(ctx: &mut Ctx<'_>, cfg: &AwariConfig, variant: Variant) -> Ran
                     // Relaying is a regroup-and-resend, far cheaper than the
                     // real per-edge processing.
                     ctx.compute_ns(n as f64 * cfg.edge_ns * 0.05);
-                    relay_forward_edges(ctx, &msg, edge_tag);
+                    edge_sender.relay(ctx, msg);
                 }
                 t if t == value_relay => {
                     let n = msg.expect_ref::<Vec<(u32, ValueItem)>>().len() as u64;
                     value_relayed += n;
                     ctx.compute_ns(n as f64 * cfg.edge_ns * 0.05);
-                    relay_forward_values(ctx, &msg, value_tag);
+                    value_sender.relay(ctx, msg);
                 }
                 _ => unreachable!("filtered tag"),
             }
@@ -393,40 +402,6 @@ pub fn awari_rank(ctx: &mut Ctx<'_>, cfg: &AwariConfig, variant: Variant) -> Ran
     }
 
     RankOutput::new(checksum, work)
-}
-
-fn relay_forward_edges(ctx: &mut Ctx<'_>, msg: &numagap_sim::Message, data_tag: Tag) {
-    let items = msg.expect_ref::<Vec<(u32, EdgeItem)>>().clone();
-    let mut per_dst: HashMap<usize, Vec<EdgeItem>> = HashMap::new();
-    for (dst, item) in items {
-        per_dst.entry(dst as usize).or_default().push(item);
-    }
-    let mut dsts: Vec<usize> = per_dst.keys().copied().collect();
-    dsts.sort_unstable();
-    for dst in dsts {
-        let batch = per_dst
-            .remove(&dst)
-            .expect("dst key was just collected from per_dst");
-        let bytes = batch.len() as u64 * EDGE_ITEM_BYTES;
-        ctx.send(dst, data_tag, batch, bytes);
-    }
-}
-
-fn relay_forward_values(ctx: &mut Ctx<'_>, msg: &numagap_sim::Message, data_tag: Tag) {
-    let items = msg.expect_ref::<Vec<(u32, ValueItem)>>().clone();
-    let mut per_dst: HashMap<usize, Vec<ValueItem>> = HashMap::new();
-    for (dst, item) in items {
-        per_dst.entry(dst as usize).or_default().push(item);
-    }
-    let mut dsts: Vec<usize> = per_dst.keys().copied().collect();
-    dsts.sort_unstable();
-    for dst in dsts {
-        let batch = per_dst
-            .remove(&dst)
-            .expect("dst key was just collected from per_dst");
-        let bytes = batch.len() as u64 * VALUE_ITEM_BYTES;
-        ctx.send(dst, data_tag, batch, bytes);
-    }
 }
 
 #[cfg(test)]

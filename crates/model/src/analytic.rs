@@ -14,21 +14,24 @@
 //! link-slot booking ([`acquire`] never returns earlier than `ready`),
 //! gateway CPU FIFO, the per-pair +1 ns delivery floor, and deliver-sequence
 //! gating on receives — can only *delay* events. So a forward pass that
-//! charges each message its uncontended cost is a valid lower bound of the
-//! replayed makespan. Under that relaxation every event time is an affine
-//! function of the query point:
+//! charges each message its idle cost ([`TwoLayerNetwork::idle_cost`], the
+//! network's own itemization of the path it books) is a valid lower bound
+//! of the replayed makespan; `numagap-net`'s `link_properties` tests check
+//! that premise, arrival ≥ departure + idle cost, on every wide-area
+//! topology. Under that relaxation every event time is an affine function
+//! of the query point:
 //!
 //! ```text
 //! t(L, B) = α + β·L + γ·(1000 / B) − δ/2      (nanoseconds)
 //! ```
 //!
-//! where `α` accumulates compute, software overheads, gateway occupancies
-//! and exact intra-cluster hops; `β` counts WAN latency terms (one per
-//! route hop); `γ` counts WAN-serialized bytes (route hops × wire size
-//! incl. header); and `δ` counts the WAN serialization terms whose
-//! nanosecond cost the simulator *rounds* (`tx_time` uses `.round()`, which
-//! can round down by up to 0.5 ns each) — the `−δ/2` keeps the bound sound
-//! against that rounding.
+//! where `α` accumulates compute, software overheads, and each message's
+//! LAN legs and gateway occupancies; `β` counts WAN latency terms (the
+//! idle cost's `wan_hops`); `γ` counts WAN-serialized bytes (`wan_hops` ×
+//! `wire_size`, header included); and `δ` counts the WAN serialization
+//! terms whose nanosecond cost the simulator *rounds* (`tx_time` uses
+//! `.round()`, which can round down by up to 0.5 ns each) — the `−δ/2`
+//! keeps the bound sound against that rounding.
 //!
 //! A `max` over incomparable affine functions is not affine, so each DAG
 //! node carries a **candidate set** of `(α, β, γ, δ)` tuples whose pointwise
@@ -47,8 +50,8 @@
 //! [`acquire`]: numagap_net::LinkParams
 
 use crate::dag::{CommDag, Op};
-use numagap_net::LinkParams;
-use numagap_sim::SimDuration;
+use numagap_net::{LinkParams, TwoLayerNetwork};
+use numagap_sim::{Network, SimDuration};
 
 /// Cap on the per-node candidate-set size. 16 keeps compilation near-linear
 /// in the op count while in practice losing nothing: paper DAGs rarely
@@ -59,7 +62,7 @@ pub const MAX_CANDIDATES: usize = 16;
 /// with `npb` the WAN nanoseconds-per-byte (`1000 / B`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Cand {
-    /// Fixed nanoseconds: compute, overheads, gateway occupancy, intra hops.
+    /// Fixed nanoseconds: compute, overheads, gateway occupancy, LAN legs.
     alpha_ns: u64,
     /// WAN latency terms (route hops crossed).
     beta: u64,
@@ -157,33 +160,20 @@ fn prune(set: Vec<Cand>, probes: &[(f64, f64)]) -> Vec<Cand> {
 impl AnalyticModel {
     /// Compiles the envelope from a frozen DAG.
     ///
-    /// The fixed cost structure (software overheads, intra-cluster link,
-    /// gateway occupancy, WAN route hop counts) comes from the DAG's
-    /// recorded `base_spec`; only the WAN latency/bandwidth vary at query
-    /// time, mirroring how the what-if pipeline rebuilds specs via
-    /// `das_spec` around the same constants.
+    /// Each message's fixed terms (software overheads, LAN legs, gateway
+    /// occupancy, WAN hop count and wire size) are its idle cost on the
+    /// network of the DAG's recorded `base_spec`; only the WAN
+    /// latency/bandwidth vary at query time, mirroring how the what-if
+    /// pipeline rebuilds specs via `das_spec` around the same constants.
     ///
     /// # Panics
     ///
     /// Panics if the DAG is malformed (a recorded receive whose producer
     /// never sends), which a complete fault-free recording cannot produce.
     pub fn compile(dag: &CommDag) -> AnalyticModel {
-        let spec = &dag.base_spec;
-        let nclusters = spec.topology.nclusters();
+        let mut net = TwoLayerNetwork::new(dag.base_spec.clone());
+        let recv_o = net.recv_overhead().as_nanos();
         let n = dag.nprocs();
-        // Route hop counts per ordered cluster pair, under the recorded
-        // wide-area wiring.
-        let mut hops = vec![vec![0u64; nclusters]; nclusters];
-        for (a, row) in hops.iter_mut().enumerate() {
-            for (b, h) in row.iter_mut().enumerate() {
-                if a != b {
-                    *h = (spec.wan_topology.route(a, b, nclusters).len() - 1) as u64;
-                }
-            }
-        }
-        let send_o = spec.send_overhead.as_nanos();
-        let recv_o = spec.recv_overhead.as_nanos();
-        let occ = spec.gateway_overhead.as_nanos();
 
         let mut rank_sets: Vec<Vec<Cand>> = vec![vec![Cand::ZERO]; n];
         let mut msg_sets: Vec<Option<Vec<Cand>>> = vec![None; dag.msgs.len()];
@@ -201,37 +191,21 @@ impl AnalyticModel {
                             add_const(&mut rank_sets[p], d.as_nanos());
                         }
                         Op::Send { seq } => {
+                            // The fixed terms go to α; each WAN hop adds one
+                            // L, one serialization of the wire size, and one
+                            // rounded tx term.
                             let m = &dag.msgs[seq as usize];
-                            let size = m.wire_bytes + spec.header_bytes;
-                            let cs = spec.topology.cluster_of(m.src);
-                            let cd = spec.topology.cluster_of(m.dst);
+                            let cost = net.idle_cost(m.src, m.dst, m.wire_bytes);
+                            let fixed = cost.send_overhead + cost.lan + cost.gateway;
                             let mut arr = rank_sets[p].clone();
-                            if m.src == m.dst {
-                                // Loopback: software overhead only.
-                                add_const(&mut arr, send_o);
-                            } else if cs == cd {
-                                // One intra hop: latency + serialization,
-                                // both exact constants (the same rounded
-                                // tx_time the network model charges).
-                                let hop = spec.intra.latency.as_nanos()
-                                    + spec.intra.tx_time(size).as_nanos();
-                                add_const(&mut arr, send_o + hop);
-                            } else {
-                                // LAN to the gateway, h WAN hops each with
-                                // store-and-forward occupancy + L + tx, the
-                                // destination gateway, LAN to the receiver.
-                                let h = hops[cs][cd];
-                                let lan = spec.intra.latency.as_nanos()
-                                    + spec.intra.tx_time(size).as_nanos();
-                                for c in &mut arr {
-                                    c.alpha_ns += send_o + 2 * lan + (h + 1) * occ;
-                                    c.beta += h;
-                                    c.gamma += h * size;
-                                    c.delta += h;
-                                }
+                            for c in &mut arr {
+                                c.alpha_ns += fixed.as_nanos();
+                                c.beta += cost.wan_hops;
+                                c.gamma += cost.wan_hops * cost.wire_size;
+                                c.delta += cost.wan_hops;
                             }
                             msg_sets[seq as usize] = Some(prune(arr, &PROBES));
-                            add_const(&mut rank_sets[p], send_o);
+                            add_const(&mut rank_sets[p], cost.send_overhead.as_nanos());
                         }
                         Op::Recv { seq } => {
                             let Some(arr) = msg_sets[seq as usize].take() else {

@@ -6,8 +6,13 @@
 //! producer. The resulting chain of segments tiles the interval
 //! `[0, elapsed]` exactly, so the decomposition's terms always sum to the
 //! makespan (integer-nanosecond accounting, no residual drift).
+//!
+//! A message flight on the path is split by the one itemization of what a
+//! message costs, [`TwoLayerNetwork::idle_cost`], asked of a network built
+//! from the spec the replay ran under: its idle terms in path order, then
+//! the excess as queueing.
 
-use numagap_net::TwoLayerSpec;
+use numagap_net::{IdleCost, TwoLayerNetwork, TwoLayerSpec};
 use numagap_sim::SimDuration;
 
 use crate::dag::{CommDag, Op};
@@ -67,52 +72,28 @@ impl PathBreakdown {
     }
 }
 
-/// The uncontended cost terms of one message under `spec`, used to split a
-/// flight interval into model components; any excess over their sum is
-/// queueing.
-fn charge_message(
-    spec: &TwoLayerSpec,
-    dag: &CommDag,
-    seq: u64,
-    flight: SimDuration,
-    out: &mut PathBreakdown,
-) {
-    let m = &dag.msgs[seq as usize];
+/// Splits one on-path message's flight interval `[sent_at, arrival]` into
+/// the terms of its idle cost, in the order the message incurs them
+/// (send overhead first: the network's `ready` instant is `sender_free`);
+/// whatever the flight took beyond them is queueing.
+fn charge_message(cost: &IdleCost, flight: SimDuration, out: &mut PathBreakdown) {
     out.path_msgs += 1;
+    if cost.wan_hops > 0 {
+        out.path_inter_msgs += 1;
+    }
     let mut budget = flight;
-    let take = |amount: SimDuration, budget: &mut SimDuration| -> SimDuration {
-        let got = amount.min(*budget);
-        *budget = budget.saturating_sub(got);
+    let mut take = |amount: SimDuration| -> SimDuration {
+        let got = amount.min(budget);
+        budget = budget.saturating_sub(got);
         got
     };
-    // The flight interval [sent_at, arrival] starts with the sender-side
-    // software overhead (the network's `ready` instant is `sender_free`).
-    out.send_overhead += take(spec.send_overhead, &mut budget);
-    if m.src == m.dst {
-        // Loopback: delivery at `sender_free`, no wire involved.
-        out.queueing += budget;
-        return;
-    }
-    let size = m.wire_bytes + spec.header_bytes;
-    let lan_leg = spec.intra.latency + spec.intra.tx_time(size);
-    let cs = spec.topology.cluster_of(m.src);
-    let cd = spec.topology.cluster_of(m.dst);
-    if cs == cd {
-        out.intra += take(lan_leg, &mut budget);
-    } else {
-        out.path_inter_msgs += 1;
-        let hops = (spec
-            .wan_topology
-            .route(cs, cd, spec.topology.nclusters())
-            .len()
-            - 1) as u64;
-        out.intra += take(lan_leg * 2, &mut budget);
-        out.gateway += take(spec.gateway_overhead * (hops + 1), &mut budget);
-        out.inter_bandwidth += take(spec.inter.tx_time(size) * hops, &mut budget);
-        out.inter_latency += take(spec.inter.latency * hops, &mut budget);
-    }
-    // Whatever the flight cost beyond the uncontended terms is contention
-    // (FIFO queueing on NICs, gateways, or WAN links) or jitter.
+    out.send_overhead += take(cost.send_overhead);
+    out.intra += take(cost.lan);
+    out.gateway += take(cost.gateway);
+    out.inter_bandwidth += take(cost.wan_tx);
+    out.inter_latency += take(cost.wan_latency);
+    // Whatever the flight cost beyond the idle terms is contention (FIFO
+    // queueing on NICs, gateways, or WAN links) or jitter.
     out.queueing += budget;
 }
 
@@ -128,6 +109,7 @@ pub fn critical_path(dag: &CommDag, spec: &TwoLayerSpec, replay: &Replay) -> Pat
     if n == 0 {
         return out;
     }
+    let mut net = TwoLayerNetwork::new(spec.clone());
     // Producer location of every message: (rank, op index of its Send).
     let mut send_site = vec![(0usize, 0usize); dag.msgs.len()];
     for (p, ops) in dag.ops.iter().enumerate() {
@@ -173,8 +155,10 @@ pub fn critical_path(dag: &CommDag, spec: &TwoLayerSpec, replay: &Replay) -> Pat
                     // the message flight covered [sent_at, arrival]; continue
                     // on the producer just before its send.
                     out.recv_overhead += end.since(arrival);
+                    let m = &dag.msgs[seq as usize];
+                    let cost = net.idle_cost(m.src, m.dst, m.wire_bytes);
                     let sent = replay.sent_at[seq as usize];
-                    charge_message(spec, dag, seq, arrival.since(sent), &mut out);
+                    charge_message(&cost, arrival.since(sent), &mut out);
                     let (q, send_idx) = send_site[seq as usize];
                     p = q;
                     i = send_idx;

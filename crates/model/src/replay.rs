@@ -236,12 +236,11 @@ impl Replayer {
             // needs the delivery as an event here.
             let next = core.pop(|core, at, _src, seq| {
                 let m = dag.msgs[seq];
-                let t = net.transfer(m.src, m.dst, m.wire_bytes, at);
-                debug_assert_eq!(t.sender_free, net.sender_free(m.wire_bytes, at));
-                arrival[seq] = Some(t.arrival);
+                let arrives = net.transfer(m.src, m.dst, m.wire_bytes, at);
+                arrival[seq] = Some(arrives);
                 deliver_seq[seq] = core.reserve();
                 if let Some(w) = parked[seq].take() {
-                    core.schedule_reserved(t.arrival, deliver_seq[seq], w);
+                    core.schedule_reserved(arrives, deliver_seq[seq], w);
                 }
             });
             let Some(p) = next else {
@@ -261,10 +260,9 @@ impl Replayer {
                         break;
                     }
                     Op::Send { seq } => {
-                        let m = dag.msgs[seq as usize];
                         sink.sent(seq as usize, clock[p]);
                         core.defer(clock[p], p, seq as usize);
-                        clock[p] = net.sender_free(m.wire_bytes, clock[p]);
+                        clock[p] = net.sender_free(clock[p]);
                         sink.op_end(p, clock[p]);
                         pc[p] += 1;
                     }
@@ -284,8 +282,7 @@ impl Replayer {
                                 core.schedule_reserved(a, dseq, p);
                                 break;
                             }
-                            let o = net.recv_overhead(dag.msgs[seq as usize].wire_bytes);
-                            clock[p] = clock[p].max(a) + o;
+                            clock[p] = clock[p].max(a) + net.recv_overhead();
                             sink.op_end(p, clock[p]);
                             pc[p] += 1;
                         }

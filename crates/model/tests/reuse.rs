@@ -105,12 +105,12 @@ fn reference_replay(dag: &CommDag, spec: &TwoLayerSpec) -> Replay {
             pending.sort_unstable_by_key(|&(at, src, idx, _)| (at, src, idx));
             for (at, _, _, seq) in pending.drain(..) {
                 let m = dag.msgs[seq];
-                let t = net.transfer(m.src, m.dst, m.wire_bytes, at);
-                arrival[seq] = Some(t.arrival);
+                let arrives = net.transfer(m.src, m.dst, m.wire_bytes, at);
+                arrival[seq] = Some(arrives);
                 deliver_seq[seq] = evseq;
                 evseq += 1;
                 if let Some(w) = parked[seq].take() {
-                    heap.push(Reverse((t.arrival, deliver_seq[seq], w)));
+                    heap.push(Reverse((arrives, deliver_seq[seq], w)));
                 }
             }
             continue;
@@ -134,11 +134,10 @@ fn reference_replay(dag: &CommDag, spec: &TwoLayerSpec) -> Replay {
                     break;
                 }
                 Op::Send { seq } => {
-                    let m = dag.msgs[seq as usize];
                     sent_at[seq as usize] = clock[p];
                     pending.push((clock[p], p, sends_by_rank[p], seq as usize));
                     sends_by_rank[p] += 1;
-                    clock[p] = net.sender_free(m.wire_bytes, clock[p]);
+                    clock[p] = net.sender_free(clock[p]);
                     op_end[p].push(clock[p]);
                     pc[p] += 1;
                 }
@@ -149,8 +148,7 @@ fn reference_replay(dag: &CommDag, spec: &TwoLayerSpec) -> Replay {
                             heap.push(Reverse((a, dseq, p)));
                             break;
                         }
-                        let o = net.recv_overhead(dag.msgs[seq as usize].wire_bytes);
-                        clock[p] = clock[p].max(a) + o;
+                        clock[p] = clock[p].max(a) + net.recv_overhead();
                         op_end[p].push(clock[p]);
                         pc[p] += 1;
                     }

@@ -13,6 +13,10 @@
 //!   serialization + latency on the dedicated per-cluster-pair WAN link,
 //! * receiver software overhead (charged when the application receives).
 //!
+//! [`TwoLayerNetwork::idle_cost`] itemizes the same path on an idle machine
+//! ([`IdleCost`]); the critical-path split and the analytic bound in
+//! `numagap-model` read it rather than deriving the path a second time.
+//!
 //! ```
 //! use numagap_net::{das_spec, numa_gap};
 //!
@@ -37,11 +41,11 @@ pub use fault::{FaultPlan, GatewayOutage, LinkOutage};
 pub use floor::PairFloors;
 pub use hostile::{CrossTrafficPlan, LinkSchedule, ScheduleShape};
 pub use link::{LinkParams, LinkState};
-pub use model::{NetStats, TwoLayerNetwork, TwoLayerSpec};
+pub use model::{IdleCost, NetStats, TwoLayerNetwork, TwoLayerSpec};
 pub use presets::{
     asymmetric_spec, das_spec, numa_gap, uniform_spec, HeteroPreset, FIG1_BANDWIDTH_MBS,
     FIG1_LATENCY_MS, FIG4_FIXED_BANDWIDTH_MBS, FIG4_FIXED_LATENCY_MS, PAPER_BANDWIDTHS_MBS,
     PAPER_LATENCIES_MS,
 };
 pub use topology::Topology;
-pub use wan::{RouteCursor, WanTopology};
+pub use wan::WanTopology;

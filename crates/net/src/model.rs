@@ -5,15 +5,21 @@
 //! through the local gateway, a dedicated FIFO wide-area link for that
 //! cluster pair (the DAS WAN was fully connected), and the remote gateway —
 //! store-and-forward, exactly the structure whose cost the paper varies.
+//!
+//! This is the one place that says what a message costs.
+//! [`TwoLayerNetwork::transfer`] books it against the links' current
+//! occupancy; [`TwoLayerNetwork::idle_cost`] itemizes what the same path
+//! costs on an idle machine — the terms the critical-path split and the
+//! analytic bound read, so neither derives the path again.
 
-use numagap_sim::{FaultDisposition, Network, ProcId, SimDuration, SimTime, Tag, Transfer};
+use numagap_sim::{FaultDisposition, Network, ProcId, SimDuration, SimTime, Tag};
 
 use crate::fault::{FaultPlan, REORDER_DELAY_FACTOR};
 use crate::floor::PairFloors;
 use crate::hostile::{CrossTrafficPlan, LinkSchedule, CROSS_TRAFFIC_MEAN_BYTES};
 use crate::link::{LinkParams, LinkState};
 use crate::topology::Topology;
-use crate::wan::{RouteCursor, RouteTable, WanTopology};
+use crate::wan::{RouteTable, WanTopology};
 
 /// Full parameterization of a two-layer machine.
 ///
@@ -193,6 +199,41 @@ impl NetStats {
     /// Total messages on any layer.
     pub fn total_msgs(&self) -> u64 {
         self.intra_msgs + self.inter_msgs
+    }
+}
+
+/// What one message costs on an idle machine, term by term: the fixed
+/// two-layer path LAN, gateway, WAN hop(s), gateway, LAN, with no other
+/// traffic on any link or gateway. Built by [`TwoLayerNetwork::idle_cost`].
+///
+/// Without latency jitter, link schedule or cross-traffic, a message that
+/// finds every resource free arrives at its departure plus
+/// [`IdleCost::total`], and contention only ever delays it beyond that.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct IdleCost {
+    /// Sender-side software overhead.
+    pub send_overhead: SimDuration,
+    /// LAN legs, latency plus serialization each: none for a loopback
+    /// message, one within a cluster, two across clusters (sender to its
+    /// gateway, destination gateway to receiver).
+    pub lan: SimDuration,
+    /// Store-and-forward occupancy of every gateway and switch crossed:
+    /// `wan_hops + 1` of them across clusters, none within one.
+    pub gateway: SimDuration,
+    /// Wide-area propagation latency, `wan_hops` times the link's.
+    pub wan_latency: SimDuration,
+    /// Wide-area serialization of `wire_size` bytes, `wan_hops` times.
+    pub wan_tx: SimDuration,
+    /// Wide-area links on the route (zero within a cluster).
+    pub wan_hops: u64,
+    /// Bytes on the wire: the declared size plus the header.
+    pub wire_size: u64,
+}
+
+impl IdleCost {
+    /// The whole idle cost, departure to arrival.
+    pub fn total(&self) -> SimDuration {
+        self.send_overhead + self.lan + self.gateway + self.wan_latency + self.wan_tx
     }
 }
 
@@ -470,20 +511,48 @@ impl TwoLayerNetwork {
         }
         s
     }
+
+    /// What a `wire_bytes`-byte message from `src` to `dst` costs on this
+    /// machine when no other traffic is in its way (see [`IdleCost`]). The
+    /// wide-area hops are those of the route [`TwoLayerNetwork::transfer`]
+    /// books, resolved through the same table (on the pair's first use,
+    /// hence `&mut`); no link state is touched.
+    pub fn idle_cost(&mut self, src: ProcId, dst: ProcId, wire_bytes: u64) -> IdleCost {
+        let spec = &self.spec;
+        let wire_size = wire_bytes + spec.header_bytes;
+        let cs = spec.topology.cluster_of(src);
+        let cd = spec.topology.cluster_of(dst);
+        let (lan_legs, wan_hops, gateways) = if src == dst {
+            (0, 0, 0)
+        } else if cs == cd {
+            (1, 0, 0)
+        } else {
+            let hops = (self.routes.resolve(cs, cd).len() - 1) as u64;
+            (2, hops, hops + 1)
+        };
+        IdleCost {
+            send_overhead: spec.send_overhead,
+            lan: (spec.intra.latency + spec.intra.tx_time(wire_size)) * lan_legs,
+            gateway: spec.gateway_overhead * gateways,
+            wan_latency: spec.inter.latency * wan_hops,
+            wan_tx: spec.inter.tx_time(wire_size) * wan_hops,
+            wan_hops,
+            wire_size,
+        }
+    }
 }
 
 impl Network for TwoLayerNetwork {
     #[inline]
-    fn sender_free(&self, _wire_bytes: u64, now: SimTime) -> SimTime {
+    fn sender_free(&self, now: SimTime) -> SimTime {
         now + self.spec.send_overhead
     }
 
-    fn transfer(&mut self, src: ProcId, dst: ProcId, wire_bytes: u64, now: SimTime) -> Transfer {
+    fn transfer(&mut self, src: ProcId, dst: ProcId, wire_bytes: u64, now: SimTime) -> SimTime {
+        let ready = self.sender_free(now);
         let spec = &self.spec;
         let run = &mut self.run;
         let size = wire_bytes + spec.header_bytes;
-        let sender_free = now + spec.send_overhead;
-        let ready = sender_free;
         let cs = spec.topology.cluster_of(src);
         let cd = spec.topology.cluster_of(dst);
         let arrival = if cs == cd {
@@ -520,16 +589,16 @@ impl Network for TwoLayerNetwork {
             );
             // Traverse the wide-area route (one hop on the full mesh, more
             // through a star hub, around a ring/torus, or up and down a fat
-            // tree). The cursor walks the route's directed links in order;
-            // every node the message touches charges its store-and-forward
-            // CPU (FIFO resource: this throttles each cluster's wide-area
-            // message rate), and every hop pays the link's serialization
-            // and latency. Because the kernel flushes same-instant sends in
+            // tree), one directed link at a time, in order: every node the
+            // message touches charges its store-and-forward CPU (FIFO
+            // resource: this throttles each cluster's wide-area message
+            // rate), and every hop pays the link's serialization and
+            // latency. Because the kernel flushes same-instant sends in
             // canonical order, each hop's booking is schedule-invariant.
             let occ = spec.gateway_overhead;
             let tx_wan = spec.inter.tx_time(size);
-            let mut cursor = RouteCursor::new(self.routes.resolve(cs, cd));
-            while let Some((a, b)) = cursor.advance() {
+            for hop in self.routes.resolve(cs, cd).windows(2) {
+                let (a, b) = (hop[0], hop[1]);
                 let link = a * self.nnodes + b;
                 let wan_ready = run.gw_cpu[a].acquire(at, occ, size) + occ;
                 // Time-varying link quality: sample the schedule at the
@@ -574,10 +643,7 @@ impl Network for TwoLayerNetwork {
         };
         // Per-pair FIFO: never deliver before (or at the same instant as) an
         // earlier message of the same ordered pair.
-        Transfer {
-            sender_free,
-            arrival: run.pair_floor.admit(src.0, dst.0, arrival),
-        }
+        run.pair_floor.admit(src.0, dst.0, arrival)
     }
 
     #[inline]
@@ -586,12 +652,8 @@ impl Network for TwoLayerNetwork {
     }
 
     #[inline]
-    fn recv_overhead(&self, _wire_bytes: u64) -> SimDuration {
+    fn recv_overhead(&self) -> SimDuration {
         self.spec.recv_overhead
-    }
-
-    fn faults_enabled(&self) -> bool {
-        self.spec.fault_plan.is_some()
     }
 
     fn fault_disposition(
@@ -599,26 +661,20 @@ impl Network for TwoLayerNetwork {
         src: ProcId,
         dst: ProcId,
         tag: Tag,
-        _wire_bytes: u64,
         now: SimTime,
-        transfer: &Transfer,
-    ) -> FaultDisposition {
-        let Some(plan) = &self.spec.fault_plan else {
-            return FaultDisposition::on_time(transfer);
-        };
+        arrival: SimTime,
+    ) -> Option<FaultDisposition> {
+        let plan = self.spec.fault_plan.as_ref()?;
         let cs = self.spec.topology.cluster_of(src);
         let cd = self.spec.topology.cluster_of(dst);
         // The intra-cluster Myrinet layer is reliable; only WAN messages
         // are exposed to faults.
-        if cs == cd {
-            return FaultDisposition::on_time(transfer);
-        }
-        if plan.exempt_tag_min.is_some_and(|min| tag.raw() >= min) {
-            return FaultDisposition::on_time(transfer);
+        if cs == cd || plan.exempt_tag_min.is_some_and(|min| tag.raw() >= min) {
+            return None;
         }
         let route = self.routes.resolve(cs, cd);
         if let Some(cause) = plan.outage_cause(route, now) {
-            return FaultDisposition::dropped(cause);
+            return Some(FaultDisposition::dropped(cause));
         }
         let draws = &mut self.run.fault_seq[cs * self.spec.topology.nclusters() + cd];
         let n = *draws;
@@ -628,13 +684,17 @@ impl Network for TwoLayerNetwork {
             (self.spec.inter.latency.as_nanos() as f64 * REORDER_DELAY_FACTOR).round() as u64,
         );
         if u < plan.drop_prob {
-            FaultDisposition::dropped("wan-drop")
+            Some(FaultDisposition::dropped("wan-drop"))
         } else if u < plan.drop_prob + plan.duplicate_prob {
-            FaultDisposition::duplicated(transfer, transfer.arrival + delay, "wan-duplicate")
+            Some(FaultDisposition::duplicated(
+                arrival,
+                arrival + delay,
+                "wan-duplicate",
+            ))
         } else if u < plan.drop_prob + plan.duplicate_prob + plan.reorder_prob {
-            FaultDisposition::delayed(transfer.arrival + delay, "wan-reorder")
+            Some(FaultDisposition::delayed(arrival + delay, "wan-reorder"))
         } else {
-            FaultDisposition::on_time(transfer)
+            None
         }
     }
 }
@@ -654,8 +714,11 @@ mod tests {
         // size = 936 + 64 = 1000 bytes at 50 MB/s = 20 us tx; + 20 us latency
         // + 5 us send overhead.
         let expected = SimDuration::from_micros(5 + 20 + 20);
-        assert_eq!(t.arrival, SimTime::ZERO + expected);
-        assert_eq!(t.sender_free, SimTime::ZERO + SimDuration::from_micros(5));
+        assert_eq!(t, SimTime::ZERO + expected);
+        assert_eq!(
+            net.sender_free(SimTime::ZERO),
+            SimTime::ZERO + SimDuration::from_micros(5)
+        );
     }
 
     #[test]
@@ -667,10 +730,7 @@ mod tests {
         // gateway CPU 60us, WAN: 1000 bytes at 1 MB/s = 1000us tx + 10ms lat
         // gateway CPU 60us, LAN hop 40us
         let expected_us = 5 + 40 + 60 + 1000 + 10_000 + 60 + 40;
-        assert_eq!(
-            t.arrival,
-            SimTime::ZERO + SimDuration::from_micros(expected_us)
-        );
+        assert_eq!(t, SimTime::ZERO + SimDuration::from_micros(expected_us));
     }
 
     #[test]
@@ -680,8 +740,8 @@ mod tests {
         let b = net.transfer(ProcId(1), ProcId(9), 10_000, SimTime::ZERO);
         // Both go over the same cluster0->cluster1 WAN link; the second one's
         // WAN serialization starts after the first finishes.
-        assert!(b.arrival > a.arrival);
-        let gap = b.arrival.since(a.arrival);
+        assert!(b > a);
+        let gap = b.since(a);
         // Roughly one WAN serialization time (10064 bytes at 1 MB/s ~ 10 ms).
         assert!(gap >= SimDuration::from_millis(9), "gap was {gap}");
     }
@@ -693,7 +753,7 @@ mod tests {
         // Different destination cluster: separate link, near-identical timing
         // (only the shared sender NIC and gateway-in differ).
         let b = net.transfer(ProcId(1), ProcId(16), 100_000, SimTime::ZERO);
-        let gap = b.arrival.saturating_since(a.arrival);
+        let gap = b.saturating_since(a);
         assert!(
             gap < SimDuration::from_millis(5),
             "independent WAN links should not serialize each other, gap {gap}"
@@ -706,14 +766,14 @@ mod tests {
         let a = net.transfer(ProcId(0), ProcId(1), 1_000_000, SimTime::ZERO);
         let b = net.transfer(ProcId(0), ProcId(2), 1_000_000, SimTime::ZERO);
         // 1 MB at 50 MB/s = 20 ms serialization each, shared out-NIC.
-        assert!(b.arrival.since(a.arrival) >= SimDuration::from_millis(19));
+        assert!(b.since(a) >= SimDuration::from_millis(19));
     }
 
     #[test]
     fn loopback_is_cheap() {
         let mut net = spec_4x8().build();
         let t = net.transfer(ProcId(3), ProcId(3), 1_000_000, SimTime::ZERO);
-        assert_eq!(t.arrival, SimTime::ZERO + SimDuration::from_micros(5));
+        assert_eq!(t, SimTime::ZERO + SimDuration::from_micros(5));
     }
 
     #[test]
@@ -746,7 +806,6 @@ mod tests {
             (0..50)
                 .map(|i| {
                     net.transfer(ProcId(0), ProcId(2), 8, SimTime::from_nanos(i * 1_000_000))
-                        .arrival
                         .as_nanos()
                 })
                 .collect::<Vec<u64>>()
@@ -791,7 +850,6 @@ mod tests {
                 bytes,
                 SimTime::from_nanos(500_000_000),
             )
-            .arrival
         };
         let hostile = |bytes: u64| {
             let mut net = spec_4x8()
@@ -803,7 +861,6 @@ mod tests {
                 bytes,
                 SimTime::from_nanos(500_000_000),
             )
-            .arrival
         };
         // A large transfer half a second in: plenty of background load has
         // accumulated on the 0->1 link by then, so the hostile arrival is
@@ -837,7 +894,6 @@ mod tests {
                         500 + i * 37,
                         SimTime::from_nanos(i * 3_000_000),
                     )
-                    .arrival
                     .as_nanos()
                 })
                 .collect();
@@ -857,16 +913,13 @@ mod tests {
         // Before the step: identical to the clean cost model.
         let before = net.transfer(ProcId(0), ProcId(8), 936, SimTime::ZERO);
         let clean_us = 5 + 40 + 60 + 1000 + 10_000 + 60 + 40;
-        assert_eq!(
-            before.arrival,
-            SimTime::ZERO + SimDuration::from_micros(clean_us)
-        );
+        assert_eq!(before, SimTime::ZERO + SimDuration::from_micros(clean_us));
         // Well after the step: tx doubles (1000 -> 2000 us), latency
         // triples (10 -> 30 ms).
         let at = SimTime::from_nanos(200_000_000);
         let after = net.transfer(ProcId(1), ProcId(9), 936, at);
         let hostile_us = 5 + 40 + 60 + 2000 + 30_000 + 60 + 40;
-        assert_eq!(after.arrival, at + SimDuration::from_micros(hostile_us));
+        assert_eq!(after, at + SimDuration::from_micros(hostile_us));
     }
 
     #[test]
@@ -884,7 +937,6 @@ mod tests {
                         i * 101,
                         SimTime::from_nanos(i * 50_000),
                     )
-                    .arrival
                     .as_nanos()
                 })
                 .collect::<Vec<u64>>()
@@ -927,7 +979,7 @@ mod tests {
                 );
                 let now = SimTime::from_nanos(i * 1_500_000);
                 let t = net.transfer(src, dst, 200 + i * 997, now);
-                let fate = net.fault_disposition(src, dst, Tag::app(1), 0, now, &t);
+                let fate = net.fault_disposition(src, dst, Tag::app(1), now, t);
                 seen.push_str(&format!("{t:?} {fate:?}\n"));
             }
             format!("{seen}{net:?}")
@@ -952,8 +1004,7 @@ mod tests {
                 (i as u64 + 1) * 123,
                 SimTime::from_nanos(i as u64 * 1000),
             );
-            assert!(t.arrival >= SimTime::from_nanos(i as u64 * 1000));
-            assert!(t.sender_free >= SimTime::from_nanos(i as u64 * 1000));
+            assert!(t >= SimTime::from_nanos(i as u64 * 1000));
         }
     }
 }
@@ -976,7 +1027,7 @@ mod wan_topology_tests {
         // Cluster 1 (rank 2) to cluster 3 (rank 6): spoke to spoke.
         let direct = mesh.transfer(ProcId(2), ProcId(6), 1000, SimTime::ZERO);
         let via_hub = star.transfer(ProcId(2), ProcId(6), 1000, SimTime::ZERO);
-        let gap = via_hub.arrival.since(direct.arrival);
+        let gap = via_hub.since(direct);
         // One extra WAN hop: >= one extra latency (10 ms).
         assert!(gap >= SimDuration::from_millis(10), "gap {gap}");
     }
@@ -987,7 +1038,7 @@ mod wan_topology_tests {
         let mut star = spec(WanTopology::Star { hub: 0 }).build();
         let a = mesh.transfer(ProcId(0), ProcId(6), 500, SimTime::ZERO);
         let b = star.transfer(ProcId(0), ProcId(6), 500, SimTime::ZERO);
-        assert_eq!(a.arrival, b.arrival);
+        assert_eq!(a, b);
     }
 
     #[test]
@@ -995,7 +1046,7 @@ mod wan_topology_tests {
         let mut ring = spec(WanTopology::Ring).build();
         let near = ring.transfer(ProcId(0), ProcId(2), 100, SimTime::ZERO); // cluster 1
         let far = ring.transfer(ProcId(0), ProcId(4), 100, SimTime::ZERO); // cluster 2 (2 hops)
-        assert!(far.arrival.since(SimTime::ZERO) > near.arrival.since(SimTime::ZERO));
+        assert!(far.since(SimTime::ZERO) > near.since(SimTime::ZERO));
     }
 
     #[test]
@@ -1007,7 +1058,7 @@ mod wan_topology_tests {
         let direct = mesh.transfer(ProcId(0), ProcId(4), 1000, SimTime::ZERO);
         let routed = tree.transfer(ProcId(0), ProcId(4), 1000, SimTime::ZERO);
         // Three extra WAN hops: at least 30 ms more latency.
-        let gap = routed.arrival.since(direct.arrival);
+        let gap = routed.since(direct);
         assert!(gap >= SimDuration::from_millis(30), "gap {gap}");
         // The busy links include virtual switch nodes (ids >= 4).
         let s = tree.stats();
@@ -1044,7 +1095,7 @@ mod wan_topology_tests {
                 let src = ProcId((i % 4) as usize); // ranks 0..3 = clusters 0, 1
                 let dst = ProcId(4 + (i % 4) as usize); // clusters 2, 3
                 let t = net.transfer(src, dst, 50_000, SimTime::ZERO);
-                last = last.max(t.arrival);
+                last = last.max(t);
             }
             last
         };
@@ -1070,7 +1121,7 @@ mod wan_topology_tests {
                 // cluster 1 -> cluster 3 and cluster 2 -> cluster 3 etc.
                 let src = ProcId(2 + (i % 2) as usize * 2); // ranks 2 or 4
                 let t = net.transfer(src, ProcId(6), 100, SimTime::ZERO);
-                last = last.max(t.arrival);
+                last = last.max(t);
             }
             last
         };
@@ -1101,7 +1152,7 @@ mod validation_tests {
             for src in 0..8usize {
                 let dst = 8 + ((src + round as usize) % 24);
                 let t = net.transfer(ProcId(src), ProcId(dst), msg_bytes, SimTime::ZERO);
-                last_arrival = last_arrival.max(t.arrival);
+                last_arrival = last_arrival.max(t);
                 total += msg_bytes;
             }
         }
@@ -1129,7 +1180,7 @@ mod validation_tests {
                 msg_bytes,
                 SimTime::ZERO,
             );
-            last = last.max(t.arrival);
+            last = last.max(t);
             total += msg_bytes;
         }
         let mbs = total as f64 / 1e6 / last.as_secs_f64();

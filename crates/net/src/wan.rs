@@ -408,75 +408,6 @@ impl WanTopology {
     }
 }
 
-/// The position of an in-flight message along its wide-area route.
-///
-/// The network books a multi-hop transfer by advancing a cursor over the
-/// route's directed links in order — each `advance` yields the next
-/// `(from, to)` node pair to charge (switch CPU, then the link's FIFO
-/// interval list). Because the kernel flushes every same-instant send in
-/// canonical `(departure, rank, send index)` order, the sequence of cursor
-/// advances — and therefore every per-hop booking — is a pure function of
-/// application behavior.
-///
-/// # Examples
-///
-/// ```
-/// use numagap_net::{RouteCursor, WanTopology};
-///
-/// let route = WanTopology::Ring.route(0, 2, 4);
-/// let mut cursor = RouteCursor::new(&route);
-/// assert_eq!(cursor.hops_remaining(), 2);
-/// assert_eq!(cursor.advance(), Some((0, 1)));
-/// assert_eq!(cursor.at(), 1);
-/// assert_eq!(cursor.advance(), Some((1, 2)));
-/// assert_eq!(cursor.advance(), None);
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RouteCursor<'a> {
-    route: &'a [usize],
-    pos: usize,
-}
-
-impl<'a> RouteCursor<'a> {
-    /// Wraps a route (as produced by [`WanTopology::route`]). The cursor
-    /// borrows it: the network resolves each cluster pair's route once and
-    /// every message of the pair walks that same slice.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an empty route.
-    pub fn new(route: &'a [usize]) -> Self {
-        assert!(!route.is_empty(), "a route visits at least one node");
-        RouteCursor { route, pos: 0 }
-    }
-
-    /// The node the message currently sits at.
-    pub fn at(&self) -> usize {
-        self.route[self.pos]
-    }
-
-    /// Directed links still to traverse.
-    pub fn hops_remaining(&self) -> usize {
-        self.route.len() - 1 - self.pos
-    }
-
-    /// Moves over the next directed link, returning `(from, to)`, or `None`
-    /// once the message has reached the final node.
-    pub fn advance(&mut self) -> Option<(usize, usize)> {
-        if self.pos + 1 >= self.route.len() {
-            return None;
-        }
-        let link = (self.route[self.pos], self.route[self.pos + 1]);
-        self.pos += 1;
-        Some(link)
-    }
-
-    /// The full route the cursor walks.
-    pub fn route(&self) -> &'a [usize] {
-        self.route
-    }
-}
-
 /// Every route a network has needed so far, resolved once per ordered
 /// cluster pair into one flat arena.
 ///
@@ -764,20 +695,6 @@ mod tests {
     }
 
     #[test]
-    fn cursor_walks_the_route() {
-        let mut c = RouteCursor::new(&[2, 5, 0, 3]);
-        assert_eq!(c.at(), 2);
-        assert_eq!(c.hops_remaining(), 3);
-        assert_eq!(c.advance(), Some((2, 5)));
-        assert_eq!(c.advance(), Some((5, 0)));
-        assert_eq!(c.at(), 0);
-        assert_eq!(c.hops_remaining(), 1);
-        assert_eq!(c.advance(), Some((0, 3)));
-        assert_eq!(c.advance(), None);
-        assert_eq!(c.route(), &[2, 5, 0, 3]);
-    }
-
-    #[test]
     fn route_table_resolves_each_pair_once_to_the_computed_route() {
         for (shape, n) in [
             (WanTopology::FullMesh, 4),
@@ -798,13 +715,5 @@ mod tests {
                 assert_eq!(table.nodes.len(), filled, "{shape:?} pass {pass}");
             }
         }
-    }
-
-    #[test]
-    fn single_node_cursor_is_immediately_done() {
-        let mut c = RouteCursor::new(&[7]);
-        assert_eq!(c.at(), 7);
-        assert_eq!(c.hops_remaining(), 0);
-        assert_eq!(c.advance(), None);
     }
 }

@@ -162,7 +162,7 @@ fn network_memory_follows_traffic() {
         for i in 0..2 * 32 * 32 {
             let (src, dst) = (ProcId(i / 32 % 32), ProcId(i % 32));
             let now = SimTime::from_nanos(i as u64 * 1_000);
-            last = last.max(net.transfer(src, dst, 64 + i as u64, now).arrival);
+            last = last.max(net.transfer(src, dst, 64 + i as u64, now));
         }
         last
     };

@@ -15,13 +15,17 @@
 //!    message *before* its fault-free arrival; faults only remove
 //!    deliveries (drop), add strictly later copies (duplicate), or push
 //!    the single delivery later (reorder/delay).
+//! 3. **Contention only delays**: a booked message arrives exactly at its
+//!    itemized idle cost ([`TwoLayerNetwork::idle_cost`]) when nothing is in
+//!    its way, and never earlier when something is — the premise of the
+//!    analytic lower bound.
 //!
 //! All randomness is a seeded xorshift64* stream — runs are reproducible
 //! and the failure message names the seed.
 
 use numagap_net::{
-    CrossTrafficPlan, FaultPlan, LinkParams, LinkSchedule, LinkState, Topology, TwoLayerSpec,
-    WanTopology,
+    CrossTrafficPlan, FaultPlan, LinkParams, LinkSchedule, LinkState, Topology, TwoLayerNetwork,
+    TwoLayerSpec, WanTopology,
 };
 use numagap_sim::{Network, ProcId, SimDuration, SimTime, Tag};
 
@@ -159,17 +163,16 @@ fn same_pair_wan_traffic_arrives_in_send_order() {
                 if which < 3 {
                     let (src, dst) = pairs[which];
                     let bytes = rng.below(20_000);
-                    let t = net.transfer(src, dst, bytes, now);
-                    assert!(t.sender_free >= now, "jitter {jitter} seed {seed} op {i}");
-                    assert!(t.arrival >= now, "jitter {jitter} seed {seed} op {i}");
+                    let arrival = net.transfer(src, dst, bytes, now);
+                    assert!(arrival >= now, "jitter {jitter} seed {seed} op {i}");
                     assert!(
-                        t.arrival >= last_arrival[which],
+                        arrival >= last_arrival[which],
                         "jitter {jitter} seed {seed} op {i}: pair {which} reordered \
                          ({} < {})",
-                        t.arrival,
+                        arrival,
                         last_arrival[which]
                     );
-                    last_arrival[which] = t.arrival;
+                    last_arrival[which] = arrival;
                 } else {
                     // Cross traffic from another sender over the same
                     // cluster-0 -> cluster-1 WAN link.
@@ -201,25 +204,26 @@ fn fault_dispositions_never_deliver_before_the_fault_free_arrival() {
             let dst = ProcId(rng.below(32) as usize);
             let bytes = rng.below(10_000);
             let t = net.transfer(src, dst, bytes, now);
-            let d = net.fault_disposition(src, dst, Tag::app(0), bytes, now, &t);
-            match d.arrivals.len() {
+            let arrivals = net
+                .fault_disposition(src, dst, Tag::app(0), now, t)
+                .map_or_else(|| vec![t], |d| d.arrivals);
+            match arrivals.len() {
                 0 => drops += 1,
                 1 => {
                     assert!(
-                        d.arrivals[0] >= t.arrival,
-                        "seed {seed} op {i}: delivery {} precedes fault-free arrival {}",
-                        d.arrivals[0],
-                        t.arrival
+                        arrivals[0] >= t,
+                        "seed {seed} op {i}: delivery {} precedes fault-free arrival {t}",
+                        arrivals[0],
                     );
-                    if d.arrivals[0] > t.arrival {
+                    if arrivals[0] > t {
                         delays += 1;
                     }
                 }
                 2 => {
                     dups += 1;
-                    assert_eq!(d.arrivals[0], t.arrival, "seed {seed} op {i}");
+                    assert_eq!(arrivals[0], t, "seed {seed} op {i}");
                     assert!(
-                        d.arrivals[1] > t.arrival,
+                        arrivals[1] > t,
                         "seed {seed} op {i}: duplicate copy must arrive strictly later"
                     );
                 }
@@ -252,8 +256,11 @@ fn reorder_free_plans_preserve_first_delivery_order() {
             now += SimDuration::from_micros(rng.below(300));
             let bytes = rng.below(8_000);
             let t = net.transfer(ProcId(0), ProcId(8), bytes, now);
-            let d = net.fault_disposition(ProcId(0), ProcId(8), Tag::app(0), bytes, now, &t);
-            if let Some(&first) = d.arrivals.first() {
+            let first = match net.fault_disposition(ProcId(0), ProcId(8), Tag::app(0), now, t) {
+                None => Some(t),
+                Some(d) => d.arrivals.first().copied(),
+            };
+            if let Some(first) = first {
                 assert!(
                     first >= last_first,
                     "seed {seed} op {i}: surviving deliveries reordered \
@@ -308,16 +315,15 @@ fn same_pair_traffic_stays_fifo_under_cross_traffic_and_schedules() {
                 let which = rng.below(3) as usize;
                 let (src, dst) = pairs[which];
                 let bytes = rng.below(20_000);
-                let t = net.transfer(src, dst, bytes, now);
-                assert!(t.sender_free >= now, "shape {shape} seed {seed} op {i}");
+                let arrival = net.transfer(src, dst, bytes, now);
                 assert!(
-                    t.arrival >= last_arrival[which],
+                    arrival >= last_arrival[which],
                     "shape {shape} seed {seed} op {i}: pair {which} reordered \
                      ({} < {})",
-                    t.arrival,
+                    arrival,
                     last_arrival[which]
                 );
-                last_arrival[which] = t.arrival;
+                last_arrival[which] = arrival;
             }
             assert!(
                 net.stats().cross_msgs > 0,
@@ -348,15 +354,9 @@ fn hostile_transfers_from_idle_never_beat_the_clean_network() {
                 let c = wan_spec(0.0).build().transfer(src, dst, bytes, now);
                 let h = spec.clone().build().transfer(src, dst, bytes, now);
                 assert!(
-                    h.arrival >= c.arrival,
-                    "shape {shape} seed {seed} op {i}: hostile arrival {} beats \
-                     clean arrival {}",
-                    h.arrival,
-                    c.arrival
-                );
-                assert!(
-                    h.sender_free >= c.sender_free,
-                    "shape {shape} seed {seed} op {i}: hostile freed the sender early"
+                    h >= c,
+                    "shape {shape} seed {seed} op {i}: hostile arrival {h} beats \
+                     clean arrival {c}"
                 );
             }
             // The step schedule past its step point degrades every WAN
@@ -371,7 +371,7 @@ fn hostile_transfers_from_idle_never_beat_the_clean_network() {
                 .transfer(ProcId(0), ProcId(8), 100, late);
             if shape == 1 {
                 assert!(
-                    h.arrival > c.arrival,
+                    h > c,
                     "shape {shape} seed {seed}: fully degraded WAN must be \
                      strictly slower"
                 );
@@ -393,8 +393,7 @@ fn hostile_plans_replay_exactly_from_the_seed() {
                 let now = SimTime::from_nanos(i * 50_000);
                 let src = ProcId((i % 8) as usize);
                 let dst = ProcId(8 + (i % 24) as usize);
-                let t = net.transfer(src, dst, 1000 + i, now);
-                out.push((t.arrival.as_nanos(), t.sender_free.as_nanos()));
+                out.push(net.transfer(src, dst, 1000 + i, now).as_nanos());
             }
             (out, net.stats().cross_msgs, net.stats().cross_bytes)
         })
@@ -491,15 +490,14 @@ fn same_pair_traffic_stays_fifo_under_multi_hop_contention() {
             if which < 2 {
                 let (src, dst) = pairs[which];
                 let bytes = rng.below(20_000);
-                let t = net.transfer(src, dst, bytes, now);
-                assert!(t.sender_free >= now, "seed {seed} op {i}");
+                let arrival = net.transfer(src, dst, bytes, now);
                 assert!(
-                    t.arrival >= last_arrival[which],
+                    arrival >= last_arrival[which],
                     "seed {seed} op {i}: pair {which} reordered ({} < {})",
-                    t.arrival,
+                    arrival,
                     last_arrival[which]
                 );
-                last_arrival[which] = t.arrival;
+                last_arrival[which] = arrival;
             } else {
                 // Contending traffic on the relay's second hop (1 -> 2).
                 let _ = net.transfer(ProcId(8 + rng.below(8) as usize), ProcId(17), 5_000, now);
@@ -538,8 +536,7 @@ fn full_mesh_reproduces_single_hop_timings_bit_for_bit() {
             now += SimDuration::from_micros(rng.below(150));
             let src = ProcId(rng.below(nprocs) as usize);
             let dst = ProcId(rng.below(nprocs) as usize);
-            let t = net.transfer(src, dst, rng.below(30_000), now);
-            out.push((t.arrival.as_nanos(), t.sender_free.as_nanos()));
+            out.push(net.transfer(src, dst, rng.below(30_000), now).as_nanos());
         }
         out
     };
@@ -625,14 +622,105 @@ fn fault_schedules_replay_exactly_from_the_seed() {
             let src = ProcId((i % 8) as usize);
             let dst = ProcId(8 + (i % 24) as usize);
             let t = net.transfer(src, dst, 1000 + i, now);
-            let d = net.fault_disposition(src, dst, Tag::app(0), 1000 + i, now, &t);
-            out.push((
-                d.arrivals.iter().map(|t| t.as_nanos()).collect::<Vec<_>>(),
-                d.kind,
-            ));
+            let d = net.fault_disposition(src, dst, Tag::app(0), now, t);
+            out.push((t, d.map(|d| (d.arrivals, d.kind))));
         }
         out
     };
     assert_eq!(run(7), run(7), "same seed must replay bit-identically");
     assert_ne!(run(7), run(8), "different seeds must differ");
+}
+
+/// Every wide-area wiring that fits four clusters, parameters up to 4.
+fn shapes_at_four_clusters() -> Vec<WanTopology> {
+    let mut shapes = vec![WanTopology::FullMesh, WanTopology::Ring, WanTopology::Line];
+    for k in 1..=4 {
+        shapes.push(WanTopology::Star { hub: k - 1 });
+        shapes.push(WanTopology::FatTree { pod: k });
+        shapes.push(WanTopology::Dragonfly { groups: k });
+        for j in 1..=4 {
+            shapes.push(WanTopology::Torus2d { x: k, y: j });
+            for z in 1..=4 {
+                shapes.push(WanTopology::Torus3d { x: k, y: j, z });
+            }
+        }
+    }
+    shapes.retain(|shape| shape.validate(4).is_ok());
+    shapes
+}
+
+/// The itemization is what `transfer` charges an idle machine: on a fresh
+/// network, for every ordered rank pair of a 4x2 machine on every wiring
+/// that fits it, the arrival is the sender's free instant plus the LAN legs,
+/// the gateways, and one latency and one serialization per WAN hop of the
+/// pair's route.
+#[test]
+fn an_idle_transfer_costs_exactly_its_itemization() {
+    let shapes = shapes_at_four_clusters();
+    assert_eq!(shapes.len(), 13, "{shapes:?}");
+    let now = SimTime::from_nanos(1_234_567);
+    for shape in shapes {
+        let spec = TwoLayerSpec::new(Topology::symmetric(4, 2))
+            .inter(LinkParams::wide_area(2.0, 1.5))
+            .wan_topology(shape);
+        for (src, dst) in (0..8).flat_map(|s| (0..8).map(move |d| (ProcId(s), ProcId(d)))) {
+            for bytes in [0, 936, 70_000] {
+                let mut net = TwoLayerNetwork::new(spec.clone());
+                let cost = net.idle_cost(src, dst, bytes);
+                let arrival = net.transfer(src, dst, bytes, now);
+                let (cs, cd) = (src.0 / 2, dst.0 / 2);
+                let hops = if cs == cd {
+                    0
+                } else {
+                    shape.hops(cs, cd, 4) as u64
+                };
+                let wan = (spec.inter.latency + spec.inter.tx_time(cost.wire_size)) * hops;
+                let at = format!("{} {src:?} -> {dst:?}, {bytes} bytes", shape.label());
+                assert_eq!(cost.wan_hops, hops, "{at}");
+                assert_eq!(cost.wan_latency + cost.wan_tx, wan, "{at}");
+                assert_eq!(net.sender_free(now), now + cost.send_overhead, "{at}");
+                assert_eq!(
+                    arrival,
+                    net.sender_free(now) + cost.lan + cost.gateway + wan,
+                    "{at}"
+                );
+                assert_eq!(arrival, now + cost.total(), "{at}");
+            }
+        }
+    }
+}
+
+/// Contention only delays: seeded booking streams, with departures drawn in
+/// any order (the kernel books in departure order, a special case), never
+/// deliver a message before its departure plus its idle cost, on any wiring
+/// that fits four clusters. No jitter (which may shorten a hop's latency),
+/// fault plan, cross-traffic or schedule is installed.
+#[test]
+fn contention_never_beats_the_idle_cost() {
+    for shape in shapes_at_four_clusters() {
+        for seed in 1..=4u64 {
+            let mut rng = Rng::new(seed ^ 0x1D1E);
+            let mut net = wan_spec(0.0).wan_topology(shape).build();
+            let mut delayed = 0;
+            for i in 0..300 {
+                let now = SimTime::from_nanos(rng.below(40_000_000));
+                let src = ProcId(rng.below(32) as usize);
+                let dst = ProcId(rng.below(32) as usize);
+                let bytes = rng.below(20_000);
+                let idle = net.idle_cost(src, dst, bytes).total();
+                let arrival = net.transfer(src, dst, bytes, now);
+                assert!(
+                    arrival >= now + idle,
+                    "{} seed {seed} op {i}: arrival {arrival} beats departure {now} + idle {idle}",
+                    shape.label()
+                );
+                delayed += usize::from(arrival > now + idle);
+            }
+            assert!(
+                delayed > 0,
+                "{} seed {seed}: nothing contended",
+                shape.label()
+            );
+        }
+    }
 }

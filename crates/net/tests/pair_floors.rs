@@ -182,14 +182,14 @@ fn a_reset_network_has_no_floor_left() {
     let early = SimTime::from_nanos(10);
     for rank in 0..10 {
         let p = ProcId(rank);
-        assert_eq!(net.transfer(p, p, 8, late).arrival, late + overhead);
+        assert_eq!(net.transfer(p, p, 8, late), late + overhead);
         // Behind its predecessor: held until just after it.
         let held = late + overhead + SimDuration::from_nanos(1);
-        assert_eq!(net.transfer(p, p, 8, early).arrival, held);
+        assert_eq!(net.transfer(p, p, 8, early), held);
     }
     net.reset(inter);
     for rank in 0..10 {
         let p = ProcId(rank);
-        assert_eq!(net.transfer(p, p, 8, early).arrival, early + overhead);
+        assert_eq!(net.transfer(p, p, 8, early), early + overhead);
     }
 }

@@ -112,20 +112,26 @@ impl<T> Drop for Combiner<T> {
 /// An addressed item as shipped to a relay: `(final destination rank, item)`.
 pub type Addressed<T> = (u32, T);
 
+/// How many times `max_items` a per-remote-cluster batch holds before it is
+/// flushed: a cluster aggregates traffic for many destinations, so its
+/// batches should be proportionally bigger — that is the entire point of
+/// the second combining level.
+const REMOTE_BATCH_FACTOR: usize = 8;
+
 /// Two-level (cluster-aware) combining buffer.
 ///
 /// Same-cluster items are batched per destination rank exactly like
-/// [`Combiner`]. Items for a *remote* cluster are batched per cluster and
-/// shipped once over the wide-area link to that cluster's relay rank, which
-/// unpacks and forwards them locally (see [`ClusterCombiner::handle_relay`]).
-/// Receivers see ordinary `Vec<T>` batches under `data_tag` either way.
+/// [`Combiner`]. Items for a *remote* cluster are batched per cluster, up to
+/// eight times as many, and shipped once over the wide-area link to that
+/// cluster's relay rank, which unpacks and forwards them locally (see
+/// [`ClusterCombiner::handle_relay`]). Receivers see ordinary `Vec<T>`
+/// batches under `data_tag` either way.
 #[derive(Debug)]
 pub struct ClusterCombiner<T> {
     data_tag: Tag,
     relay_tag: Tag,
     item_bytes: u64,
     max_items: usize,
-    remote_max_items: usize,
     local: BTreeMap<usize, Vec<T>>,
     remote: BTreeMap<usize, Vec<Addressed<T>>>,
 }
@@ -146,20 +152,9 @@ impl<T: Any + Send + Sync + Clone> ClusterCombiner<T> {
             relay_tag,
             item_bytes,
             max_items,
-            remote_max_items: max_items,
             local: BTreeMap::new(),
             remote: BTreeMap::new(),
         }
-    }
-
-    /// Sets a separate (typically much larger) flush threshold for the
-    /// per-remote-cluster buffers: a cluster aggregates traffic for many
-    /// destinations, so its batches should be proportionally bigger — that
-    /// is the entire point of the second combining level.
-    pub fn remote_threshold(mut self, items: usize) -> Self {
-        assert!(items > 0, "remote threshold must be positive");
-        self.remote_max_items = items;
-        self
     }
 
     /// Number of currently buffered items (all destinations).
@@ -182,7 +177,7 @@ impl<T: Any + Send + Sync + Clone> ClusterCombiner<T> {
         } else {
             let v = self.remote.entry(dst_cluster).or_default();
             v.push((dst as u32, item));
-            if v.len() >= self.remote_max_items {
+            if v.len() >= self.max_items * REMOTE_BATCH_FACTOR {
                 let batch = std::mem::take(v);
                 self.send_remote(ctx, dst_cluster, batch);
             }
@@ -219,25 +214,12 @@ impl<T: Any + Send + Sync + Clone> ClusterCombiner<T> {
 
     /// Relay-side handler: unpacks a message received under `relay_tag` and
     /// forwards its items as per-destination `Vec<T>` batches under
-    /// `data_tag` over the fast local links (including to the relay itself
-    /// via loopback). Clones each item; prefer
-    /// [`ClusterCombiner::handle_relay_owned`] when the message can be given
-    /// up.
-    pub fn handle_relay(&self, ctx: &mut Ctx<'_>, msg: &Message) {
-        debug_assert_eq!(msg.tag, self.relay_tag, "not a relay message");
-        let items = msg.expect_ref::<Vec<Addressed<T>>>();
-        let mut per_dst: BTreeMap<usize, Vec<T>> = BTreeMap::new();
-        for (dst, item) in items {
-            per_dst.entry(*dst as usize).or_default().push(item.clone());
-        }
-        self.forward(ctx, per_dst);
-    }
-
-    /// Zero-copy variant of [`ClusterCombiner::handle_relay`]: consumes the
-    /// relay message and, when it holds the last reference to the batch (the
-    /// common case — a relay batch has exactly one addressee), *moves* the
-    /// items into their per-destination batches instead of cloning them.
-    pub fn handle_relay_owned(&self, ctx: &mut Ctx<'_>, msg: Message) {
+    /// `data_tag`, in ascending destination order, over the fast local links
+    /// (including to the relay itself via loopback). Consumes the message
+    /// and, when it holds the last reference to the batch (the common case —
+    /// a relay batch has exactly one addressee), *moves* the items into
+    /// their per-destination batches instead of cloning them.
+    pub fn handle_relay(&self, ctx: &mut Ctx<'_>, msg: Message) {
         debug_assert_eq!(msg.tag, self.relay_tag, "not a relay message");
         let shared = msg.expect_shared::<Vec<Addressed<T>>>();
         let mut per_dst: BTreeMap<usize, Vec<T>> = BTreeMap::new();
@@ -294,7 +276,7 @@ mod tests {
     use super::*;
     use crate::Machine;
     use numagap_net::{das_spec, uniform_spec};
-    use numagap_sim::Filter;
+    use numagap_sim::{Filter, SimDuration};
 
     #[test]
     fn combiner_flushes_on_threshold() {
@@ -376,7 +358,7 @@ mod tests {
                 if ctx.rank() == 2 {
                     // Relay: first handle the relay batch, then collect own.
                     let m = ctx.recv_tag(Tag::app(2));
-                    comb.handle_relay(ctx, &m);
+                    comb.handle_relay(ctx, m);
                 }
                 if ctx.rank() != 1 {
                     while received.len() < 4 {
@@ -396,48 +378,42 @@ mod tests {
     }
 
     #[test]
-    fn relay_owned_moves_items_and_matches_cloning_path() {
-        // Same routing as `cluster_combiner_routes_via_relay`, but the relay
-        // consumes the message through the zero-copy owned path. Delivered
-        // batches — and virtual time — must be identical to the cloning path.
-        let run = |owned: bool| {
-            let machine = Machine::new(das_spec(2, 2, 1.0, 1.0));
-            machine
-                .run(move |ctx| {
-                    let mut comb: ClusterCombiner<u64> =
-                        ClusterCombiner::new(Tag::app(1), Tag::app(2), 8, 64);
-                    let mut received: Vec<u64> = Vec::new();
-                    if ctx.rank() == 1 {
-                        for i in 0..12u64 {
-                            let dst = [0usize, 2, 3][(i % 3) as usize];
-                            comb.add(ctx, dst, i);
-                        }
-                        comb.flush(ctx);
+    fn relay_moves_items_into_per_destination_batches() {
+        // Same routing as `cluster_combiner_routes_via_relay`: the relay
+        // holds the only reference to its batch and moves the items into
+        // per-destination batches. Every rank's batches and the virtual
+        // makespan are pinned.
+        let machine = Machine::new(das_spec(2, 2, 1.0, 1.0));
+        let report = machine
+            .run(|ctx| {
+                let mut comb: ClusterCombiner<u64> =
+                    ClusterCombiner::new(Tag::app(1), Tag::app(2), 8, 64);
+                let mut received: Vec<u64> = Vec::new();
+                if ctx.rank() == 1 {
+                    for i in 0..12u64 {
+                        let dst = [0usize, 2, 3][(i % 3) as usize];
+                        comb.add(ctx, dst, i);
                     }
-                    if ctx.rank() == 2 {
-                        let m = ctx.recv_tag(Tag::app(2));
-                        if owned {
-                            comb.handle_relay_owned(ctx, m);
-                        } else {
-                            comb.handle_relay(ctx, &m);
-                        }
+                    comb.flush(ctx);
+                }
+                if ctx.rank() == 2 {
+                    let m = ctx.recv_tag(Tag::app(2));
+                    comb.handle_relay(ctx, m);
+                }
+                if ctx.rank() != 1 {
+                    while received.len() < 4 {
+                        let m = ctx.recv(Filter::tag(Tag::app(1)));
+                        received.extend(m.expect_ref::<Vec<u64>>());
                     }
-                    if ctx.rank() != 1 {
-                        while received.len() < 4 {
-                            let m = ctx.recv(Filter::tag(Tag::app(1)));
-                            received.extend(m.expect_ref::<Vec<u64>>());
-                        }
-                        received.sort_unstable();
-                    }
-                    received
-                })
-                .unwrap()
-        };
-        let cloned = run(false);
-        let owned = run(true);
-        assert_eq!(owned.results, cloned.results);
-        assert_eq!(owned.elapsed, cloned.elapsed, "virtual time must agree");
-        assert_eq!(owned.results[2], vec![1, 4, 7, 10]);
+                    received.sort_unstable();
+                }
+                received
+            })
+            .unwrap();
+        assert_eq!(report.results[0], vec![0, 3, 6, 9]);
+        assert_eq!(report.results[2], vec![1, 4, 7, 10]);
+        assert_eq!(report.results[3], vec![2, 5, 8, 11]);
+        assert_eq!(report.elapsed, SimDuration::from_nanos(1_378_320));
     }
 
     #[test]

@@ -348,6 +348,8 @@ struct PendingSend {
     dst: ProcId,
     tag: Tag,
     wire_bytes: u64,
+    /// When the sender resumed: the send's only sender-free instant, which
+    /// the observer reports once the send is booked.
     sender_free: SimTime,
     payload: Payload,
 }
@@ -427,12 +429,8 @@ impl<N: Network> Kernel<N> {
     /// --perturb`.
     fn book(&mut self, core: &mut Core, sent_at: SimTime, src: usize, send: PendingSend) {
         let (src, dst, tag, wire_bytes) = (ProcId(src), send.dst, send.tag, send.wire_bytes);
-        let transfer = self.net.transfer(src, dst, wire_bytes, sent_at);
-        debug_assert_eq!(
-            transfer.sender_free, send.sender_free,
-            "Network::sender_free must agree with Network::transfer"
-        );
-        debug_assert!(transfer.arrival >= sent_at);
+        let arrival = self.net.transfer(src, dst, wire_bytes, sent_at);
+        debug_assert!(arrival >= sent_at);
         let msg_seq = self.msg_seq;
         self.msg_seq += 1;
         let msg = Message {
@@ -441,45 +439,40 @@ impl<N: Network> Kernel<N> {
             tag,
             wire_bytes,
             sent_at,
-            arrived_at: transfer.arrival,
+            arrived_at: arrival,
             payload: send.payload,
         };
         if let Some(obs) = self.observer.as_mut() {
             obs.on_send(dst, &msg);
-            obs.on_sender_free(src, msg_seq, transfer.sender_free);
+            obs.on_sender_free(src, msg_seq, send.sender_free);
         }
-        if self.net.faults_enabled() {
-            let disposition = self
-                .net
-                .fault_disposition(src, dst, tag, wire_bytes, sent_at, &transfer);
-            if let Some(kind) = disposition.kind {
-                match kind {
-                    FaultKind::Drop => self.kstats.faults_dropped += 1,
-                    FaultKind::Duplicate => self.kstats.faults_duplicated += 1,
-                    FaultKind::Delay => self.kstats.faults_delayed += 1,
-                }
-                if let Some(obs) = self.observer.as_mut() {
-                    obs.on_fault(&FaultEvent {
-                        kind,
-                        src,
-                        dst,
-                        seq: msg_seq,
-                        tag,
-                        at: sent_at,
-                        cause: disposition.cause,
-                    });
-                }
-            }
-            // Fault copies share the payload `Arc`; only the
-            // message header is duplicated per arrival.
-            for &arrival in &disposition.arrivals {
-                debug_assert!(arrival >= sent_at);
-                let mut copy = msg.clone();
-                copy.arrived_at = arrival;
-                core.schedule(arrival, EventKind::Deliver(dst, copy));
-            }
-        } else {
-            core.schedule(transfer.arrival, EventKind::Deliver(dst, msg));
+        let Some(disposition) = self.net.fault_disposition(src, dst, tag, sent_at, arrival) else {
+            core.schedule(arrival, EventKind::Deliver(dst, msg));
+            return;
+        };
+        match disposition.kind {
+            FaultKind::Drop => self.kstats.faults_dropped += 1,
+            FaultKind::Duplicate => self.kstats.faults_duplicated += 1,
+            FaultKind::Delay => self.kstats.faults_delayed += 1,
+        }
+        if let Some(obs) = self.observer.as_mut() {
+            obs.on_fault(&FaultEvent {
+                kind: disposition.kind,
+                src,
+                dst,
+                seq: msg_seq,
+                tag,
+                at: sent_at,
+                cause: disposition.cause,
+            });
+        }
+        // Fault copies share the payload `Arc`; only the message header is
+        // duplicated per arrival.
+        for &arrival in &disposition.arrivals {
+            debug_assert!(arrival >= sent_at);
+            let mut copy = msg.clone();
+            copy.arrived_at = arrival;
+            core.schedule(arrival, EventKind::Deliver(dst, copy));
         }
     }
 
@@ -638,7 +631,7 @@ impl<N: Network> Kernel<N> {
                     if let Some(obs) = self.observer.as_mut() {
                         obs.on_send_posted(p, dst, wire_bytes, sent_at);
                     }
-                    let sender_free = self.net.sender_free(wire_bytes, sent_at);
+                    let sender_free = self.net.sender_free(sent_at);
                     debug_assert!(sender_free >= sent_at);
                     let slot = &mut self.slots[p.0];
                     slot.stats.msgs_sent += 1;
@@ -741,7 +734,7 @@ impl<N: Network> Kernel<N> {
     /// Every matched receive goes through here, whether it came out of the
     /// mailbox or straight from delivery.
     fn receive(&mut self, p: ProcId, at: SimTime, msg: &Message) -> SimTime {
-        let o = self.net.recv_overhead(msg.wire_bytes);
+        let o = self.net.recv_overhead();
         let slot = &mut self.slots[p.0];
         slot.clock = at + o;
         slot.stats.recv_overhead += o;

@@ -4,19 +4,16 @@
 //! `numagap-net` provides the two-layer cluster/WAN model, and this module
 //! provides [`IdealNetwork`], a trivial constant-delay model used in unit
 //! tests and as the "perfectly uniform" baseline.
+//!
+//! The trait answers each question about a message once. What a message
+//! would cost on an idle machine, term by term, is not a kernel question:
+//! the two-layer model answers it in one method of its own
+//! (`TwoLayerNetwork::idle_cost`), which the critical-path split and the
+//! analytic bound read.
 
 use crate::message::Tag;
 use crate::time::{SimDuration, SimTime};
 use crate::ProcId;
-
-/// Timing outcome of handing one message to the network.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Transfer {
-    /// When the *sender's CPU* becomes free again (send software overhead).
-    pub sender_free: SimTime,
-    /// When the message lands in the receiver's mailbox.
-    pub arrival: SimTime,
-}
 
 /// What kind of fault the network injected into a message.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -61,7 +58,7 @@ pub struct FaultEvent {
     pub cause: &'static str,
 }
 
-/// How the network disposed of one message under fault injection.
+/// How the network disposed of one message it injected a fault into.
 ///
 /// Returned by [`Network::fault_disposition`]; the kernel schedules one
 /// delivery per entry in `arrivals` (zero entries = dropped).
@@ -69,37 +66,28 @@ pub struct FaultEvent {
 pub struct FaultDisposition {
     /// Mailbox arrival times, one delivery each. Empty means dropped.
     pub arrivals: Vec<SimTime>,
-    /// The injected fault, if any. `None` means the fault-free single
-    /// on-time delivery.
-    pub kind: Option<FaultKind>,
-    /// Short cause label for the fault event (ignored when `kind` is `None`).
+    /// The injected fault.
+    pub kind: FaultKind,
+    /// Short cause label for the fault event.
     pub cause: &'static str,
 }
 
 impl FaultDisposition {
-    /// The fault-free disposition: one delivery at the transfer's arrival.
-    pub fn on_time(transfer: &Transfer) -> Self {
-        FaultDisposition {
-            arrivals: vec![transfer.arrival],
-            kind: None,
-            cause: "",
-        }
-    }
-
     /// The message is discarded.
     pub fn dropped(cause: &'static str) -> Self {
         FaultDisposition {
             arrivals: Vec::new(),
-            kind: Some(FaultKind::Drop),
+            kind: FaultKind::Drop,
             cause,
         }
     }
 
-    /// The message arrives on time and a duplicate copy arrives at `dup_at`.
-    pub fn duplicated(transfer: &Transfer, dup_at: SimTime, cause: &'static str) -> Self {
+    /// The message arrives on time, at `arrival`, and a duplicate copy
+    /// arrives at `dup_at`.
+    pub fn duplicated(arrival: SimTime, dup_at: SimTime, cause: &'static str) -> Self {
         FaultDisposition {
-            arrivals: vec![transfer.arrival, dup_at],
-            kind: Some(FaultKind::Duplicate),
+            arrivals: vec![arrival, dup_at],
+            kind: FaultKind::Duplicate,
             cause,
         }
     }
@@ -108,7 +96,7 @@ impl FaultDisposition {
     pub fn delayed(at: SimTime, cause: &'static str) -> Self {
         FaultDisposition {
             arrivals: vec![at],
-            kind: Some(FaultKind::Delay),
+            kind: FaultKind::Delay,
             cause,
         }
     }
@@ -116,25 +104,29 @@ impl FaultDisposition {
 
 /// A pluggable message cost model.
 ///
+/// Each question about a message has one answer here: when its sender is
+/// free ([`Network::sender_free`]), when it arrives ([`Network::transfer`]),
+/// what its receiver pays ([`Network::recv_overhead`]) and whether a fault
+/// befalls it ([`Network::fault_disposition`]).
+///
 /// Implementations are stateful: they track per-link occupancy so concurrent
 /// transfers contend for bandwidth. `transfer` is called in deterministic
 /// event order by the kernel.
 pub trait Network: Send + 'static {
     /// Charges a `wire_bytes`-byte message from `src` to `dst` departing at
-    /// `now`, updating internal link state.
-    fn transfer(&mut self, src: ProcId, dst: ProcId, wire_bytes: u64, now: SimTime) -> Transfer;
+    /// `now`, updating internal link state, and returns when the message
+    /// lands in the receiver's mailbox.
+    fn transfer(&mut self, src: ProcId, dst: ProcId, wire_bytes: u64, now: SimTime) -> SimTime;
 
-    /// When the sender's CPU becomes free after handing a `wire_bytes`-byte
-    /// message to the network at `now` — the sender-side software cost of
-    /// the eventual [`Network::transfer`] call, computed *without* touching
-    /// link state. The kernel resumes the sender from this value immediately
-    /// and defers the link booking itself to the end of the timestamp, where
-    /// bookings are replayed in canonical `(departure, rank, send index)`
-    /// order so contention arbitration cannot observe event tiebreak order.
-    /// Must equal the `sender_free` field of the `Transfer` later returned
-    /// for the same message. Defaults to `now` (no sender-side overhead).
-    fn sender_free(&self, wire_bytes: u64, now: SimTime) -> SimTime {
-        let _ = wire_bytes;
+    /// When the sender's CPU becomes free after handing a message to the
+    /// network at `now` — the sender-side software cost of the eventual
+    /// [`Network::transfer`] call, computed *without* touching link state.
+    /// The kernel resumes the sender from this value immediately and defers
+    /// the link booking itself to the end of the timestamp, where bookings
+    /// are replayed in canonical `(departure, rank, send index)` order so
+    /// contention arbitration cannot observe event tiebreak order. Defaults
+    /// to `now` (no sender-side overhead).
+    fn sender_free(&self, now: SimTime) -> SimTime {
         now
     }
 
@@ -142,34 +134,26 @@ pub trait Network: Send + 'static {
     fn num_procs(&self) -> usize;
 
     /// Receiver-side software overhead charged when the application actually
-    /// receives a message of this size. Defaults to zero.
-    fn recv_overhead(&self, wire_bytes: u64) -> SimDuration {
-        let _ = wire_bytes;
+    /// receives a message. Defaults to zero.
+    fn recv_overhead(&self) -> SimDuration {
         SimDuration::ZERO
     }
 
-    /// Whether this network may inject faults. When `false` (the default)
-    /// the kernel never calls [`Network::fault_disposition`] and the event
-    /// schedule is byte-identical to a build without fault support.
-    fn faults_enabled(&self) -> bool {
-        false
-    }
-
-    /// Decides the fate of one message under fault injection: deliver on
-    /// time, drop, duplicate, or delay. Called by the kernel in deterministic
-    /// event order, once per send, only when [`Network::faults_enabled`]
-    /// returns `true`. `now` is the departure time used for outage windows.
+    /// The fault, if any, injected into the message that departed at `now`
+    /// and that [`Network::transfer`] delivers at `arrival`: a drop, a
+    /// duplicate, or a delay. `None` (the default) means one delivery at
+    /// `arrival`. Called by the kernel in deterministic event order, once
+    /// per send, right after the send's `transfer`.
     fn fault_disposition(
         &mut self,
         src: ProcId,
         dst: ProcId,
         tag: Tag,
-        wire_bytes: u64,
         now: SimTime,
-        transfer: &Transfer,
-    ) -> FaultDisposition {
-        let _ = (src, dst, tag, wire_bytes, now);
-        FaultDisposition::on_time(transfer)
+        arrival: SimTime,
+    ) -> Option<FaultDisposition> {
+        let _ = (src, dst, tag, now, arrival);
+        None
     }
 }
 
@@ -182,9 +166,9 @@ pub trait Network: Send + 'static {
 /// use numagap_sim::{IdealNetwork, Network, ProcId, SimDuration, SimTime};
 ///
 /// let mut net = IdealNetwork::new(4, SimDuration::from_micros(1));
-/// let t = net.transfer(ProcId(0), ProcId(1), 1024, SimTime::ZERO);
-/// assert_eq!(t.arrival, SimTime::ZERO + SimDuration::from_micros(1));
-/// assert_eq!(t.sender_free, SimTime::ZERO);
+/// let arrival = net.transfer(ProcId(0), ProcId(1), 1024, SimTime::ZERO);
+/// assert_eq!(arrival, SimTime::ZERO + SimDuration::from_micros(1));
+/// assert_eq!(net.sender_free(SimTime::ZERO), SimTime::ZERO);
 /// ```
 #[derive(Debug, Clone)]
 pub struct IdealNetwork {
@@ -206,11 +190,8 @@ impl IdealNetwork {
 }
 
 impl Network for IdealNetwork {
-    fn transfer(&mut self, _src: ProcId, _dst: ProcId, _wire_bytes: u64, now: SimTime) -> Transfer {
-        Transfer {
-            sender_free: now,
-            arrival: now + self.latency,
-        }
+    fn transfer(&mut self, _src: ProcId, _dst: ProcId, _wire_bytes: u64, now: SimTime) -> SimTime {
+        now + self.latency
     }
 
     fn num_procs(&self) -> usize {
@@ -233,8 +214,8 @@ mod tests {
     #[test]
     fn instantaneous_delivers_at_now() {
         let mut net = IdealNetwork::instantaneous(2);
-        let t = net.transfer(ProcId(1), ProcId(0), 64, SimTime::from_nanos(5));
-        assert_eq!(t.arrival, SimTime::from_nanos(5));
+        let arrival = net.transfer(ProcId(1), ProcId(0), 64, SimTime::from_nanos(5));
+        assert_eq!(arrival, SimTime::from_nanos(5));
     }
 
     #[test]
