@@ -19,13 +19,11 @@
 //!
 //! # Ownership
 //!
-//! State lives behind `Arc<Mutex<..>>` shared between the [`Analysis`]
-//! handle (caller side) and the observer installed into the kernel, so
-//! findings survive runs that end in an error (`Sim::run` consumes the
-//! observer).
+//! [`Analysis`] is the observer itself. A run borrows it, and the caller
+//! reads the findings once the run returns — also when the run ended in an
+//! error.
 
 use std::collections::{BTreeMap, HashSet, VecDeque};
-use std::sync::{Arc, Mutex};
 
 use numagap_rt::tags;
 use numagap_rt::ReliableEnvelope;
@@ -96,8 +94,31 @@ struct WildcardMatch {
 /// Dedup key: kind, attributed rank, and two kind-specific words.
 type DedupKey = (DiagnosticKind, usize, u64, u64);
 
+/// The sanitizer: an [`Observer`] that checks one run.
+///
+/// Create one per run, lend it to the simulation (directly via
+/// `Sim::set_observer(Box::new(&mut analysis))` or through
+/// `numagap_rt::Machine::run_observed`), and read [`Analysis::diagnostics`]
+/// afterwards — the findings are there whether the run succeeded or died.
+///
+/// # Examples
+///
+/// ```
+/// use numagap_analysis::Analysis;
+/// use numagap_sim::{Filter, IdealNetwork, ProcId, Sim, Tag};
+///
+/// let mut analysis = Analysis::new(2);
+/// let mut sim = Sim::new(IdealNetwork::instantaneous(2));
+/// sim.set_observer(Box::new(&mut analysis));
+/// sim.spawn(|ctx| ctx.send(ProcId(1), Tag::app(0), 1u8, 1));
+/// sim.spawn(|ctx| {
+///     let _ = ctx.recv(Filter::tag(Tag::app(0)));
+/// });
+/// sim.run().unwrap();
+/// assert!(analysis.diagnostics().is_empty());
+/// ```
 #[derive(Debug)]
-struct State {
+pub struct Analysis {
     clocks: Vec<VectorClock>,
     /// The most recently posted receive filter per rank; a rank blocked in
     /// `recv` cannot post another, so this is current for every match.
@@ -114,7 +135,7 @@ struct State {
     finished: bool,
 }
 
-impl State {
+impl Analysis {
     fn push(
         &mut self,
         kind: DiagnosticKind,
@@ -181,96 +202,43 @@ fn is_barrier_tag(tag: Tag) -> bool {
     raw >= Tag::INTERNAL_BASE && raw - Tag::INTERNAL_BASE < tags::BARRIER_BLOCK + tags::BLOCK
 }
 
-/// The caller-side handle of the sanitizer.
-///
-/// Create one per run, install [`Analysis::observer`] into the simulation
-/// (directly via `Sim::set_observer` or through
-/// `numagap_rt::Machine::run_observed`), and read [`Analysis::diagnostics`]
-/// afterwards — the handle keeps working whether the run succeeded or died.
-///
-/// # Examples
-///
-/// ```
-/// use numagap_analysis::Analysis;
-/// use numagap_sim::{Filter, IdealNetwork, ProcId, Sim, Tag};
-///
-/// let analysis = Analysis::new(2);
-/// let mut sim = Sim::new(IdealNetwork::instantaneous(2));
-/// sim.set_observer(analysis.observer());
-/// sim.spawn(|ctx| ctx.send(ProcId(1), Tag::app(0), 1u8, 1));
-/// sim.spawn(|ctx| {
-///     let _ = ctx.recv(Filter::tag(Tag::app(0)));
-/// });
-/// sim.run().unwrap();
-/// assert!(analysis.diagnostics().is_empty());
-/// ```
-#[derive(Debug)]
-pub struct Analysis {
-    state: Arc<Mutex<State>>,
-}
-
 impl Analysis {
     /// A sanitizer for a run over `nprocs` processes.
     pub fn new(nprocs: usize) -> Self {
         Analysis {
-            state: Arc::new(Mutex::new(State {
-                clocks: vec![VectorClock::new(nprocs); nprocs],
-                pending: vec![None; nprocs],
-                inflight: BTreeMap::new(),
-                wildcards: VecDeque::new(),
-                diags: Vec::new(),
-                seen: HashSet::new(),
-                counts: BTreeMap::new(),
-                faulted: HashSet::new(),
-                fault_counts: FaultCounts::default(),
-                finished: false,
-            })),
+            clocks: vec![VectorClock::new(nprocs); nprocs],
+            pending: vec![None; nprocs],
+            inflight: BTreeMap::new(),
+            wildcards: VecDeque::new(),
+            diags: Vec::new(),
+            seen: HashSet::new(),
+            counts: BTreeMap::new(),
+            faulted: HashSet::new(),
+            fault_counts: FaultCounts::default(),
+            finished: false,
         }
-    }
-
-    /// An [`Observer`] feeding this handle. Install it with
-    /// `Sim::set_observer`. Creating several observers from one handle is
-    /// allowed but they must not be used in concurrent runs.
-    pub fn observer(&self) -> Box<dyn Observer> {
-        Box::new(Sanitizer {
-            state: Arc::clone(&self.state),
-        })
     }
 
     /// All findings recorded so far (online checks only; see
     /// [`Analysis::diagnose_error`] for post-mortem deadlock findings).
-    pub fn diagnostics(&self) -> Vec<Diagnostic> {
-        self.state
-            .lock()
-            .expect("sanitizer state poisoned")
-            .diags
-            .clone()
+    pub fn diagnostics(&self) -> &[Diagnostic] {
+        &self.diags
     }
 
     /// Total findings per kind, including ones beyond the storage cap.
-    pub fn counts(&self) -> BTreeMap<DiagnosticKind, usize> {
-        self.state
-            .lock()
-            .expect("sanitizer state poisoned")
-            .counts
-            .clone()
+    pub fn counts(&self) -> &BTreeMap<DiagnosticKind, usize> {
+        &self.counts
     }
 
     /// Whether the observed run reached a clean finish (`on_finish` fired).
     pub fn run_finished(&self) -> bool {
-        self.state
-            .lock()
-            .expect("sanitizer state poisoned")
-            .finished
+        self.finished
     }
 
     /// Injected faults attributed to the network's fault plan. All zero on
     /// fault-free runs.
     pub fn fault_counts(&self) -> FaultCounts {
-        self.state
-            .lock()
-            .expect("sanitizer state poisoned")
-            .fault_counts
+        self.fault_counts
     }
 
     /// Decomposes a run error into diagnostics: the deadlock itself (with
@@ -281,19 +249,12 @@ impl Analysis {
     }
 }
 
-/// The kernel-side half: forwards events into the shared state.
-struct Sanitizer {
-    state: Arc<Mutex<State>>,
-}
-
-impl Observer for Sanitizer {
+impl Observer for Analysis {
     fn on_send(&mut self, dst: ProcId, msg: &Message) {
-        let mut st = self.state.lock().expect("sanitizer state poisoned");
-        let st = &mut *st;
         let src = msg.src.0;
 
         if is_unknown_internal_tag(msg.tag) {
-            st.push(
+            self.push(
                 DiagnosticKind::ReservedTagMisuse,
                 Some(src),
                 Some(msg.sent_at),
@@ -315,7 +276,7 @@ impl Observer for Sanitizer {
             if est >= WIRE_CHECK_MIN_PAYLOAD
                 && msg.wire_bytes.saturating_mul(WIRE_UNDERCHARGE_FACTOR) < est
             {
-                st.push(
+                self.push(
                     DiagnosticKind::WireBytesMismatch,
                     Some(src),
                     Some(msg.sent_at),
@@ -337,8 +298,8 @@ impl Observer for Sanitizer {
 
         // The send is a local event: tick, then snapshot the clock the
         // message carries.
-        st.clocks[src].tick(src);
-        let snapshot = st.clocks[src].clone();
+        self.clocks[src].tick(src);
+        let snapshot = self.clocks[src].clone();
 
         // Late-send race direction: could this message have matched a recent
         // wildcard receive on `dst` under a different interleaving? Yes iff
@@ -347,7 +308,7 @@ impl Observer for Sanitizer {
         // Retransmissions and acks overtake freely by design, so transport
         // traffic is never a late-send race candidate.
         let race_candidate = !is_transport_msg(msg);
-        for w in &st.wildcards {
+        for w in &self.wildcards {
             if race_candidate
                 && w.receiver == dst.0
                 && w.matched_src != src
@@ -372,7 +333,7 @@ impl Observer for Sanitizer {
             }
         }
         for (receiver, at, key, detail) in overtakes {
-            st.push(
+            self.push(
                 DiagnosticKind::MessageRace,
                 Some(receiver),
                 Some(at),
@@ -381,7 +342,7 @@ impl Observer for Sanitizer {
             );
         }
 
-        st.inflight.insert(
+        self.inflight.insert(
             msg.seq,
             InFlight {
                 src,
@@ -396,39 +357,34 @@ impl Observer for Sanitizer {
     }
 
     fn on_fault(&mut self, event: &FaultEvent) {
-        let mut st = self.state.lock().expect("sanitizer state poisoned");
-        let st = &mut *st;
         match event.kind {
             FaultKind::Drop => {
-                st.fault_counts.dropped += 1;
+                self.fault_counts.dropped += 1;
                 // The plan ate this message: it can never be consumed, and
                 // that is the plan's fault, not the application's.
-                if st.inflight.remove(&event.seq).is_some() {
-                    st.fault_counts.attributed_leftovers += 1;
+                if self.inflight.remove(&event.seq).is_some() {
+                    self.fault_counts.attributed_leftovers += 1;
                 }
             }
             FaultKind::Duplicate => {
-                st.fault_counts.duplicated += 1;
-                st.faulted.insert(event.seq);
+                self.fault_counts.duplicated += 1;
+                self.faulted.insert(event.seq);
             }
             FaultKind::Delay => {
-                st.fault_counts.delayed += 1;
-                st.faulted.insert(event.seq);
+                self.fault_counts.delayed += 1;
+                self.faulted.insert(event.seq);
             }
         }
     }
 
     fn on_recv_posted(&mut self, p: ProcId, filter: &Filter, _blocking: bool, _now: SimTime) {
-        let mut st = self.state.lock().expect("sanitizer state poisoned");
-        st.pending[p.0] = Some(*filter);
+        self.pending[p.0] = Some(*filter);
     }
 
     fn on_recv_matched(&mut self, p: ProcId, msg: &Message, now: SimTime) {
-        let mut st = self.state.lock().expect("sanitizer state poisoned");
-        let st = &mut *st;
         let recvr = p.0;
-        let filter = st.pending[recvr];
-        let entry = st.inflight.remove(&msg.seq);
+        let filter = self.pending[recvr];
+        let entry = self.inflight.remove(&msg.seq);
         let msg_clock = entry.as_ref().map(|e| e.clock.clone());
 
         let wildcard = !is_transport_msg(msg) && filter.as_ref().is_some_and(|f| f.src.is_none());
@@ -439,7 +395,7 @@ impl Observer for Sanitizer {
                 // different sender also matches the filter and is causally
                 // concurrent with the matched one.
                 let mut found: Vec<(u64, usize, Tag, SimTime)> = Vec::new();
-                for (seq, m) in &st.inflight {
+                for (seq, m) in &self.inflight {
                     if m.dst == recvr
                         && m.src != msg.src.0
                         && !m.transport_env
@@ -464,7 +420,7 @@ impl Observer for Sanitizer {
                          rank {} was in flight and also matched the filter",
                         recvr, msg.seq, msg.src.0, seq, tag, src
                     );
-                    st.push(
+                    self.push(
                         DiagnosticKind::MessageRace,
                         Some(recvr),
                         Some(now),
@@ -478,13 +434,13 @@ impl Observer for Sanitizer {
         // Join the carried clock into the receiver: the match orders the
         // send before everything the receiver does next.
         if let Some(mclock) = msg_clock {
-            st.clocks[recvr].join(&mclock);
+            self.clocks[recvr].join(&mclock);
         }
-        st.clocks[recvr].tick(recvr);
+        self.clocks[recvr].tick(recvr);
 
         if wildcard {
-            let recv_clock = st.clocks[recvr].clone();
-            st.wildcards.push_back(WildcardMatch {
+            let recv_clock = self.clocks[recvr].clone();
+            self.wildcards.push_back(WildcardMatch {
                 receiver: recvr,
                 filter: filter.expect("wildcard implies a pending filter"),
                 matched_src: msg.src.0,
@@ -492,17 +448,15 @@ impl Observer for Sanitizer {
                 at: now,
                 recv_clock,
             });
-            while st.wildcards.len() > WILDCARD_WINDOW {
-                st.wildcards.pop_front();
+            while self.wildcards.len() > WILDCARD_WINDOW {
+                self.wildcards.pop_front();
             }
         }
     }
 
     fn on_finish(&mut self, _now: SimTime) {
-        let mut st = self.state.lock().expect("sanitizer state poisoned");
-        let st = &mut *st;
-        st.finished = true;
-        let leftovers: Vec<(u64, usize, usize, Tag, u64, bool, SimTime)> = st
+        self.finished = true;
+        let leftovers: Vec<(u64, usize, usize, Tag, u64, bool, SimTime)> = self
             .inflight
             .iter()
             .map(|(seq, m)| {
@@ -522,8 +476,8 @@ impl Observer for Sanitizer {
             // transport are attributed, not reported: an extra or delayed
             // copy of a faulted message, a retransmission that reached an
             // already-exited rank, or an ack to a finished sender.
-            if st.faulted.contains(&seq) || transport_env || tag == tags::ACK_TAG {
-                st.fault_counts.attributed_leftovers += 1;
+            if self.faulted.contains(&seq) || transport_env || tag == tags::ACK_TAG {
+                self.fault_counts.attributed_leftovers += 1;
                 continue;
             }
             let (kind, hint) = if is_barrier_tag(tag) {
@@ -540,7 +494,7 @@ impl Observer for Sanitizer {
                 "message #{seq} from rank {src} to rank {dst} tag {tag} \
                  ({wire_bytes} B, sent at {sent_at}): {hint}"
             );
-            st.push(kind, Some(dst), Some(sent_at), key, detail);
+            self.push(kind, Some(dst), Some(sent_at), key, detail);
         }
     }
 }
@@ -552,11 +506,11 @@ mod tests {
 
     fn run_with_analysis<F>(nprocs: usize, setup: F) -> Analysis
     where
-        F: FnOnce(&mut Sim<IdealNetwork>),
+        F: FnOnce(&mut Sim<'_, IdealNetwork>),
     {
-        let analysis = Analysis::new(nprocs);
+        let mut analysis = Analysis::new(nprocs);
         let mut sim = Sim::new(IdealNetwork::new(nprocs, SimDuration::from_micros(10)));
-        sim.set_observer(analysis.observer());
+        sim.set_observer(Box::new(&mut analysis));
         setup(&mut sim);
         let _ = sim.run();
         analysis
@@ -575,7 +529,7 @@ mod tests {
             });
         });
         assert!(analysis.run_finished());
-        assert_eq!(analysis.diagnostics(), Vec::new());
+        assert_eq!(analysis.diagnostics(), []);
     }
 
     #[test]
@@ -712,9 +666,9 @@ mod tests {
 
     #[test]
     fn dedup_and_caps_bound_storage() {
-        let analysis = Analysis::new(2);
+        let mut analysis = Analysis::new(2);
         let mut sim = Sim::new(IdealNetwork::instantaneous(2));
-        sim.set_observer(analysis.observer());
+        sim.set_observer(Box::new(&mut analysis));
         // Twenty distinct lost messages on distinct tags.
         sim.spawn(|ctx| {
             for t in 0..20u32 {

@@ -251,9 +251,9 @@ pub fn summarize(app: AppId, variant: Variant, report: RunReport<RankOutput>) ->
 }
 
 /// Runs one application on one machine and returns the machine's full
-/// [`RunReport`], optionally with a kernel [`Observer`] installed — the hook
-/// the sanitizer, the trace writer, and the performance model use to watch a
-/// run without perturbing it.
+/// [`RunReport`], optionally with a kernel [`Observer`] borrowed for the run
+/// — the hook the sanitizer, the trace writer, and the performance model use
+/// to watch a run without perturbing it.
 ///
 /// # Errors
 ///
@@ -263,7 +263,7 @@ pub fn run_app_report(
     cfg: &SuiteConfig,
     variant: Variant,
     machine: &Machine,
-    observer: Option<Box<dyn Observer>>,
+    observer: Option<&mut dyn Observer>,
 ) -> Result<RunReport<RankOutput>, SimError> {
     // An application's input (Awari has none) is generated here, once, and
     // every rank reads the one copy the entry closure owns.

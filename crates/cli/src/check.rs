@@ -99,9 +99,9 @@ pub fn check_app(
     variant: Variant,
     machine: &Machine,
 ) -> (Vec<Diagnostic>, Option<String>) {
-    let analysis = Analysis::new(machine.spec().topology.nprocs());
-    let result = run_app_report(app, cfg, variant, machine, Some(analysis.observer()));
-    let mut diags = analysis.diagnostics();
+    let mut analysis = Analysis::new(machine.spec().topology.nprocs());
+    let result = run_app_report(app, cfg, variant, machine, Some(&mut analysis));
+    let mut diags = analysis.diagnostics().to_vec();
     match result {
         Ok(report) => {
             diags.extend(check_rank_lints(&report.rank_lints));

@@ -4,7 +4,7 @@ use numagap_apps::{
     checksum_ok, pairs, run_app, run_app_report, serial_checksum, summarize, Scale, SuiteConfig,
     Variant,
 };
-use numagap_sim::Tracer;
+use numagap_sim::{Observer, Tracer};
 
 use crate::flags::Values;
 use crate::machine::print_fault_seed;
@@ -56,11 +56,11 @@ pub(crate) fn execute_run(args: &Values) -> i32 {
     let variant = args.variant.unwrap_or(Variant::Optimized);
     let cfg = SuiteConfig::at(args.scale.unwrap_or(Scale::Medium));
     let machine = args.machine.machine();
-    let tracer = args
+    let mut tracer = args
         .trace
         .as_ref()
         .map(|_| Tracer::new(machine.spec().topology.nprocs()));
-    let observer = tracer.as_ref().map(Tracer::observer);
+    let observer = tracer.as_mut().map(|t| t as &mut dyn Observer);
     let run = match run_app_report(app, &cfg, variant, &machine, observer) {
         Ok(report) => summarize(app, variant, report),
         Err(e) => {

@@ -519,6 +519,39 @@ fn unwritable_trace_path_is_an_error() {
 }
 
 #[test]
+fn run_trace_writes_valid_chrome_json_and_the_same_bytes_twice() {
+    let dir = std::env::temp_dir().join(format!("numagap-trace-test-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let traced = |name: &str| {
+        let path = dir.join(name);
+        let cmd = parse(&[
+            "run",
+            "--app",
+            "asp",
+            "--scale",
+            "small",
+            "--clusters",
+            "2",
+            "--procs",
+            "2",
+            "--trace",
+            path.to_str().unwrap(),
+        ])
+        .unwrap();
+        assert_eq!(execute(cmd), 0);
+        std::fs::read_to_string(&path).unwrap()
+    };
+    let first = traced("first.json");
+    let second = traced("second.json");
+    std::fs::remove_dir_all(&dir).unwrap();
+    match numagap_bench::json::parse(&first) {
+        Ok(numagap_bench::json::Json::Arr(events)) => assert!(events.len() > 1),
+        other => panic!("the trace is not a JSON array of events: {other:?}"),
+    }
+    assert!(first == second, "a second run wrote different bytes");
+}
+
+#[test]
 fn parses_predict() {
     let v = values(&["predict"]);
     assert!(v.apps.is_empty(), "all apps by default");

@@ -11,7 +11,7 @@
 //! what order) is frozen at the recording point, while every timing quantity
 //! is re-derived.
 
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::collections::VecDeque;
 
 use numagap_apps::{run_app_report, summarize, AppId, AppRun, SuiteConfig, Variant};
 use numagap_net::TwoLayerSpec;
@@ -86,8 +86,15 @@ impl CommDag {
     }
 }
 
+/// Records a [`CommDag`] from one observed run.
+///
+/// Lend it to a run (`Machine::run_observed`, or `run_app_report`'s
+/// observer slot); after the run completes, call [`DagRecorder::finish`] to
+/// take the DAG. The recorder assumes a fault-free network (every sent
+/// message either arrives or is never consumed) and must observe the run
+/// from its beginning so the kernel's message sequence numbers stay dense.
 #[derive(Debug)]
-struct RecState {
+pub struct DagRecorder {
     ops: Vec<Vec<Op>>,
     msgs: Vec<MsgMeta>,
     /// Per rank, op-list indices of `Op::Send` placeholders whose sequence
@@ -97,39 +104,17 @@ struct RecState {
     /// canonical `(departure, rank, send index)` order, which restricted to
     /// one rank is again that rank's program order — so resolving each
     /// rank's placeholders FIFO reconstructs the mapping exactly.
-    unresolved: Vec<std::collections::VecDeque<usize>>,
-}
-
-/// Records a [`CommDag`] from one observed run.
-///
-/// Attach via [`DagRecorder::observer`]; after the run completes, call
-/// [`DagRecorder::finish`] to take the DAG. The recorder assumes a
-/// fault-free network (every sent message either arrives or is never
-/// consumed) and must observe the run from its beginning so the kernel's
-/// message sequence numbers stay dense.
-#[derive(Debug)]
-pub struct DagRecorder {
-    state: Arc<Mutex<RecState>>,
+    unresolved: Vec<VecDeque<usize>>,
 }
 
 impl DagRecorder {
     /// A recorder for a machine with `nprocs` ranks.
     pub fn new(nprocs: usize) -> Self {
         DagRecorder {
-            state: Arc::new(Mutex::new(RecState {
-                ops: vec![Vec::new(); nprocs],
-                msgs: Vec::new(),
-                unresolved: vec![std::collections::VecDeque::new(); nprocs],
-            })),
+            ops: vec![Vec::new(); nprocs],
+            msgs: Vec::new(),
+            unresolved: vec![VecDeque::new(); nprocs],
         }
-    }
-
-    /// The kernel-side observer half. Install it with
-    /// `Machine::run_observed` (or `run_app_report`'s observer slot).
-    pub fn observer(&self) -> Box<dyn Observer> {
-        Box::new(DagObserver {
-            state: Arc::clone(&self.state),
-        })
     }
 
     /// Consumes the recorder and returns the recorded DAG, annotated with
@@ -137,72 +122,55 @@ impl DagRecorder {
     ///
     /// # Panics
     ///
-    /// Panics if the shared state is poisoned (an observer callback
-    /// panicked mid-run).
+    /// Panics if a recorded send was never booked (the run did not
+    /// complete).
     pub fn finish(self, base_spec: TwoLayerSpec, base_elapsed: SimDuration) -> CommDag {
-        let state = Arc::try_unwrap(self.state)
-            .map(|m| m.into_inner().expect("recorder state poisoned"))
-            .unwrap_or_else(|arc| {
-                let s: MutexGuard<'_, RecState> = arc.lock().expect("recorder state poisoned");
-                RecState {
-                    ops: s.ops.clone(),
-                    msgs: s.msgs.clone(),
-                    unresolved: s.unresolved.clone(),
-                }
-            });
         assert!(
-            state.unresolved.iter().all(|q| q.is_empty()),
+            self.unresolved.iter().all(VecDeque::is_empty),
             "recorded sends were never booked — run did not complete cleanly"
         );
         CommDag {
-            ops: state.ops,
-            msgs: state.msgs,
+            ops: self.ops,
+            msgs: self.msgs,
             base_spec,
             base_elapsed,
         }
     }
 }
 
-struct DagObserver {
-    state: Arc<Mutex<RecState>>,
-}
-
-impl Observer for DagObserver {
+impl Observer for DagRecorder {
     fn on_compute(&mut self, p: ProcId, start: SimTime, end: SimTime) {
         // One op per `compute` call, zero-duration included — the op count
         // must match the kernel's scheduling-slot count exactly for the
         // replay's event ordering to reproduce the recording.
-        let mut s = self.state.lock().expect("recorder state poisoned");
-        s.ops[p.0].push(Op::Compute(end.since(start)));
+        self.ops[p.0].push(Op::Compute(end.since(start)));
     }
 
     fn on_send_posted(&mut self, src: ProcId, _dst: ProcId, _wire_bytes: u64, _now: SimTime) {
         // The send's position in the rank's program order is fixed here; its
         // sequence number arrives with `on_send` when the kernel books the
         // transfer at the timestamp boundary.
-        let mut s = self.state.lock().expect("recorder state poisoned");
-        let idx = s.ops[src.0].len();
-        s.ops[src.0].push(Op::Send { seq: u64::MAX });
-        s.unresolved[src.0].push_back(idx);
+        let idx = self.ops[src.0].len();
+        self.ops[src.0].push(Op::Send { seq: u64::MAX });
+        self.unresolved[src.0].push_back(idx);
     }
 
     fn on_send(&mut self, dst: ProcId, msg: &Message) {
-        let mut s = self.state.lock().expect("recorder state poisoned");
         assert_eq!(
             msg.seq as usize,
-            s.msgs.len(),
+            self.msgs.len(),
             "DAG recorder requires dense message sequence numbers \
              (observe the run from its start)"
         );
-        s.msgs.push(MsgMeta {
+        self.msgs.push(MsgMeta {
             src: msg.src,
             dst,
             wire_bytes: msg.wire_bytes,
         });
-        let idx = s.unresolved[msg.src.0]
+        let idx = self.unresolved[msg.src.0]
             .pop_front()
             .expect("on_send without a preceding on_send_posted");
-        s.ops[msg.src.0][idx] = Op::Send { seq: msg.seq };
+        self.ops[msg.src.0][idx] = Op::Send { seq: msg.seq };
     }
 
     fn on_recv_matched(&mut self, p: ProcId, msg: &Message, _now: SimTime) {
@@ -210,9 +178,7 @@ impl Observer for DagObserver {
         // receive overhead; both are re-derived at replay, so only the
         // dependency edge is recorded. Missed `try_recv` polls cost no
         // virtual time and leave no op behind.
-        let mut s = self.state.lock().expect("recorder state poisoned");
-        let op = Op::Recv { seq: msg.seq };
-        s.ops[p.0].push(op);
+        self.ops[p.0].push(Op::Recv { seq: msg.seq });
     }
 }
 
@@ -228,8 +194,8 @@ pub fn record_app(
     variant: Variant,
     machine: &Machine,
 ) -> Result<(AppRun, CommDag), SimError> {
-    let recorder = DagRecorder::new(machine.spec().topology.nprocs());
-    let report = run_app_report(app, cfg, variant, machine, Some(recorder.observer()))?;
+    let mut recorder = DagRecorder::new(machine.spec().topology.nprocs());
+    let report = run_app_report(app, cfg, variant, machine, Some(&mut recorder))?;
     let run = summarize(app, variant, report);
     let dag = recorder.finish(machine.spec().clone(), run.elapsed);
     Ok((run, dag))

@@ -61,7 +61,7 @@ mod tests {
     /// replies. Contention-free enough that replay must be *exact*.
     fn run_recorded(spec: TwoLayerSpec) -> CommDag {
         let machine = Machine::new(spec);
-        let recorder = DagRecorder::new(machine.spec().topology.nprocs());
+        let mut recorder = DagRecorder::new(machine.spec().topology.nprocs());
         let report = machine
             .run_observed(
                 |ctx| {
@@ -86,7 +86,7 @@ mod tests {
                     }
                     me
                 },
-                recorder.observer(),
+                &mut recorder,
             )
             .expect("pingpong runs");
         recorder.finish(machine.spec().clone(), report.elapsed)

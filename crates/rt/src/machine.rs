@@ -105,21 +105,19 @@ impl Machine {
         self.run_inner(entry, None)
     }
 
-    /// Like [`Machine::run`], with a kernel [`Observer`] installed for the
+    /// Like [`Machine::run`], with a kernel [`Observer`] borrowed for the
     /// duration of the run — this is how the `numagap-analysis` sanitizer
-    /// attaches to a machine.
+    /// attaches to a machine. The caller keeps the observer and reads it
+    /// once the run returns.
     ///
     /// # Errors
     ///
-    /// Propagates simulator failures exactly like [`Machine::run`]. Observer
-    /// state shared via `Arc` (as [`numagap_analysis::Analysis`] does)
-    /// remains readable on the error path.
-    ///
-    /// [`numagap_analysis::Analysis`]: https://docs.rs/numagap-analysis
+    /// Propagates simulator failures exactly like [`Machine::run`]. The
+    /// observer still holds everything it saw before the run aborted.
     pub fn run_observed<T, F>(
         &self,
         entry: F,
-        observer: Box<dyn Observer>,
+        observer: &mut dyn Observer,
     ) -> Result<RunReport<T>, SimError>
     where
         F: Fn(&mut Ctx<'_>) -> T + Send + Sync + 'static,
@@ -131,7 +129,7 @@ impl Machine {
     fn run_inner<T, F>(
         &self,
         entry: F,
-        observer: Option<Box<dyn Observer>>,
+        observer: Option<&mut dyn Observer>,
     ) -> Result<RunReport<T>, SimError>
     where
         F: Fn(&mut Ctx<'_>) -> T + Send + Sync + 'static,
@@ -156,7 +154,7 @@ impl Machine {
             sim.time_limit(SimTime::ZERO + limit);
         }
         if let Some(observer) = observer {
-            sim.set_observer(observer);
+            sim.set_observer(Box::new(observer));
         }
         let topo = Arc::new(self.spec.topology.clone());
         let entry = Arc::new(entry);
@@ -343,7 +341,7 @@ mod tests {
     #[test]
     fn tracing_records_activity() {
         let machine = Machine::new(das_spec(2, 2, 1.0, 1.0));
-        let tracer = Tracer::new(4);
+        let mut tracer = Tracer::new(4);
         let report = machine
             .run_observed(
                 |ctx| {
@@ -355,7 +353,7 @@ mod tests {
                         ctx.recv_tag(Tag::app(0));
                     }
                 },
-                tracer.observer(),
+                &mut tracer,
             )
             .unwrap();
         let trace = tracer.finish();

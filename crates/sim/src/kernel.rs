@@ -189,16 +189,16 @@ struct ProcSlot {
 /// let out = sim.run().unwrap();
 /// assert_eq!(out.elapsed, SimDuration::from_millis(5));
 /// ```
-pub struct Sim<N: Network> {
+pub struct Sim<'o, N: Network> {
     net: N,
     entries: Vec<Entry>,
     time_limit: Option<SimTime>,
     stack_size: usize,
-    observer: Option<Box<dyn Observer>>,
+    observer: Option<Box<dyn Observer + 'o>>,
     tie_break: TieBreak,
 }
 
-impl<N: Network + std::fmt::Debug> std::fmt::Debug for Sim<N> {
+impl<N: Network + std::fmt::Debug> std::fmt::Debug for Sim<'_, N> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Sim")
             .field("network", &self.net)
@@ -208,7 +208,7 @@ impl<N: Network + std::fmt::Debug> std::fmt::Debug for Sim<N> {
     }
 }
 
-impl<N: Network> Sim<N> {
+impl<'o, N: Network> Sim<'o, N> {
     /// Creates a simulation over the given network model.
     pub fn new(net: N) -> Self {
         Sim {
@@ -237,8 +237,10 @@ impl<N: Network> Sim<N> {
     /// Installs an [`Observer`] that receives every communication event of
     /// the run (sends, posted and matched receives, exits). At most one
     /// observer is active; installing a second replaces the first. Runs
-    /// without an observer pay only a per-event `Option` check.
-    pub fn set_observer(&mut self, observer: Box<dyn Observer>) -> &mut Self {
+    /// without an observer pay only a per-event `Option` check. Pass
+    /// `Box::new(&mut observer)` to lend one for the run and read it after
+    /// [`Sim::run`] returns, whether the run completed or aborted.
+    pub fn set_observer(&mut self, observer: Box<dyn Observer + 'o>) -> &mut Self {
         self.observer = Some(observer);
         self
     }
@@ -348,15 +350,12 @@ struct PendingSend {
     dst: ProcId,
     tag: Tag,
     wire_bytes: u64,
-    /// When the sender resumed: the send's only sender-free instant, which
-    /// the observer reports once the send is booked.
-    sender_free: SimTime,
     payload: Payload,
 }
 
 type Core = EventCore<EventKind, PendingSend>;
 
-struct Kernel<N: Network> {
+struct Kernel<'o, N: Network> {
     net: N,
     slots: Vec<ProcSlot>,
     msg_seq: u64,
@@ -366,11 +365,11 @@ struct Kernel<N: Network> {
     profile: HotProfile,
     /// First rank whose panic was harvested, in detection order.
     first_failure: Option<usize>,
-    observer: Option<Box<dyn Observer>>,
+    observer: Option<Box<dyn Observer + 'o>>,
 }
 
-impl<N: Network> Kernel<N> {
-    fn start(sim: Sim<N>) -> Self {
+impl<'o, N: Network> Kernel<'o, N> {
+    fn start(sim: Sim<'o, N>) -> Self {
         let nprocs = sim.entries.len();
         let slots = sim
             .entries
@@ -444,7 +443,6 @@ impl<N: Network> Kernel<N> {
         };
         if let Some(obs) = self.observer.as_mut() {
             obs.on_send(dst, &msg);
-            obs.on_sender_free(src, msg_seq, send.sender_free);
         }
         let Some(disposition) = self.net.fault_disposition(src, dst, tag, sent_at, arrival) else {
             core.schedule(arrival, EventKind::Deliver(dst, msg));
@@ -648,7 +646,6 @@ impl<N: Network> Kernel<N> {
                         dst,
                         tag,
                         wire_bytes,
-                        sender_free,
                         payload,
                     };
                     core.defer(sent_at, p.0, send);
@@ -1024,42 +1021,33 @@ mod tests {
 
     #[test]
     fn observer_sees_the_full_event_stream() {
-        use std::sync::{Arc, Mutex};
-
         #[derive(Default)]
         struct Recorder {
-            events: Arc<Mutex<Vec<String>>>,
+            events: Vec<String>,
         }
         impl Observer for Recorder {
             fn on_send(&mut self, dst: ProcId, msg: &Message) {
                 self.events
-                    .lock()
-                    .unwrap()
                     .push(format!("send#{} {}->{}", msg.seq, msg.src.0, dst.0));
             }
             fn on_recv_posted(&mut self, p: ProcId, _f: &Filter, blocking: bool, _now: SimTime) {
                 let kind = if blocking { "recv" } else { "try" };
-                self.events.lock().unwrap().push(format!("{kind}@{}", p.0));
+                self.events.push(format!("{kind}@{}", p.0));
             }
             fn on_recv_matched(&mut self, p: ProcId, msg: &Message, _now: SimTime) {
-                self.events
-                    .lock()
-                    .unwrap()
-                    .push(format!("match#{}@{}", msg.seq, p.0));
+                self.events.push(format!("match#{}@{}", msg.seq, p.0));
             }
             fn on_exit(&mut self, p: ProcId, _now: SimTime) {
-                self.events.lock().unwrap().push(format!("exit@{}", p.0));
+                self.events.push(format!("exit@{}", p.0));
             }
             fn on_finish(&mut self, _now: SimTime) {
-                self.events.lock().unwrap().push("finish".into());
+                self.events.push("finish".into());
             }
         }
 
-        let events = Arc::new(Mutex::new(Vec::new()));
+        let mut recorder = Recorder::default();
         let mut sim = Sim::new(IdealNetwork::new(2, SimDuration::from_micros(1)));
-        sim.set_observer(Box::new(Recorder {
-            events: Arc::clone(&events),
-        }));
+        sim.set_observer(Box::new(&mut recorder));
         sim.spawn(|ctx| {
             ctx.send(ProcId(1), Tag::app(0), 1u8, 1);
         });
@@ -1068,7 +1056,7 @@ mod tests {
         });
         sim.run().unwrap();
 
-        let log = events.lock().unwrap().clone();
+        let log = recorder.events;
         let pos = |e: &str| {
             log.iter()
                 .position(|x| x == e)
@@ -1082,17 +1070,15 @@ mod tests {
 
     #[test]
     fn message_seqs_are_unique_and_ordered() {
-        use std::sync::{Arc, Mutex};
-
-        struct Seqs(Arc<Mutex<Vec<u64>>>);
+        struct Seqs(Vec<u64>);
         impl Observer for Seqs {
             fn on_send(&mut self, _dst: ProcId, msg: &Message) {
-                self.0.lock().unwrap().push(msg.seq);
+                self.0.push(msg.seq);
             }
         }
-        let seqs = Arc::new(Mutex::new(Vec::new()));
+        let mut seqs = Seqs(Vec::new());
         let mut sim = Sim::new(IdealNetwork::instantaneous(2));
-        sim.set_observer(Box::new(Seqs(Arc::clone(&seqs))));
+        sim.set_observer(Box::new(&mut seqs));
         sim.spawn(|ctx| {
             for i in 0..4u64 {
                 ctx.send(ProcId(1), Tag::app(0), i, 8);
@@ -1104,7 +1090,7 @@ mod tests {
             }
         });
         sim.run().unwrap();
-        assert_eq!(*seqs.lock().unwrap(), vec![0, 1, 2, 3]);
+        assert_eq!(seqs.0, vec![0, 1, 2, 3]);
     }
 
     #[test]

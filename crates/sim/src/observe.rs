@@ -6,10 +6,11 @@
 //! is installed the kernel pays a single `Option` check per event, so runs
 //! without analysis are unaffected.
 //!
-//! Observers run inside the kernel loop and must not block; they should
-//! record and return. State that must survive an aborted run (deadlock, time
-//! limit) belongs behind a shared handle (`Arc<Mutex<..>>`) owned by both the
-//! observer and the caller, since `Sim::run` consumes the observer.
+//! Observers run inside the kernel loop, on the thread that called
+//! `Sim::run`, and must not block; they should record and return. A run
+//! borrows its observer: pass `&mut observer` (any `&mut O` is itself an
+//! [`Observer`]), and once the run returns — `Ok` or `Err`, so an aborted
+//! run (deadlock, time limit) too — the caller reads the observer directly.
 
 use crate::message::{Filter, Message};
 use crate::network::FaultEvent;
@@ -22,7 +23,7 @@ use crate::ProcId;
 /// they need. Events arrive in deterministic simulation order: a message's
 /// `on_send` always precedes its `on_recv_matched`, and `on_finish` (if the
 /// run completes) follows every other event.
-pub trait Observer: Send {
+pub trait Observer {
     /// Process `src` executed a send of `wire_bytes` to `dst` at virtual
     /// time `now`. Fires at the moment the sending rank performs the call —
     /// in the rank's program order — *before* the message's sequence number
@@ -44,16 +45,6 @@ pub trait Observer: Send {
     /// callbacks from the sending rank.
     fn on_send(&mut self, dst: ProcId, msg: &Message) {
         let _ = (dst, msg);
-    }
-
-    /// Message `seq`'s sender got its CPU back at virtual time `at` (send
-    /// software overhead fully charged). Fires immediately after the
-    /// message's [`Observer::on_send`]; reported separately because the
-    /// sender-free instant is network-model state the [`Message`] itself
-    /// does not carry, and recorders (e.g. the `numagap-model` DAG
-    /// recorder) need it to close the sender's compute segment exactly.
-    fn on_sender_free(&mut self, src: ProcId, seq: u64, at: SimTime) {
-        let _ = (src, seq, at);
     }
 
     /// Process `p` finished a `compute` call spanning `[start, end]` in
@@ -95,8 +86,31 @@ pub trait Observer: Send {
     }
 }
 
-impl std::fmt::Debug for dyn Observer {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("<observer>")
+/// A borrowed observer observes: `sim.set_observer(Box::new(&mut obs))`
+/// lends `obs` to one run and leaves it with the caller afterwards.
+impl<O: Observer + ?Sized> Observer for &mut O {
+    fn on_send_posted(&mut self, src: ProcId, dst: ProcId, wire_bytes: u64, now: SimTime) {
+        (**self).on_send_posted(src, dst, wire_bytes, now);
+    }
+    fn on_send(&mut self, dst: ProcId, msg: &Message) {
+        (**self).on_send(dst, msg);
+    }
+    fn on_compute(&mut self, p: ProcId, start: SimTime, end: SimTime) {
+        (**self).on_compute(p, start, end);
+    }
+    fn on_recv_posted(&mut self, p: ProcId, filter: &Filter, blocking: bool, now: SimTime) {
+        (**self).on_recv_posted(p, filter, blocking, now);
+    }
+    fn on_recv_matched(&mut self, p: ProcId, msg: &Message, now: SimTime) {
+        (**self).on_recv_matched(p, msg, now);
+    }
+    fn on_fault(&mut self, event: &FaultEvent) {
+        (**self).on_fault(event);
+    }
+    fn on_exit(&mut self, p: ProcId, now: SimTime) {
+        (**self).on_exit(p, now);
+    }
+    fn on_finish(&mut self, now: SimTime) {
+        (**self).on_finish(now);
     }
 }

@@ -5,8 +5,6 @@
 //! [`TraceLog`] from the [`Observer`] callbacks every run already makes, so
 //! a run without one pays nothing for tracing.
 
-use std::sync::{Arc, Mutex};
-
 use crate::message::{Filter, Message, Tag};
 use crate::observe::Observer;
 use crate::time::SimTime;
@@ -220,15 +218,11 @@ impl TraceLog {
 
 /// Records a [`TraceLog`] from one observed run.
 ///
-/// Install [`Tracer::observer`] (with `Sim::set_observer`, or the observer
-/// slot of a machine run), run, then take the log with [`Tracer::finish`].
+/// Lend it to a run (`Sim::set_observer(Box::new(&mut tracer))`, or the
+/// observer slot of a machine run), then take the log with
+/// [`Tracer::finish`].
 #[derive(Debug)]
 pub struct Tracer {
-    state: Arc<Mutex<TracerState>>,
-}
-
-#[derive(Debug)]
-struct TracerState {
     log: TraceLog,
     /// Per rank, when its pending blocking receive was posted.
     posted: Vec<Option<SimTime>>,
@@ -238,41 +232,21 @@ impl Tracer {
     /// A tracer for a run of `nprocs` ranks.
     pub fn new(nprocs: usize) -> Self {
         Tracer {
-            state: Arc::new(Mutex::new(TracerState {
-                log: TraceLog::default(),
-                posted: vec![None; nprocs],
-            })),
+            log: TraceLog::default(),
+            posted: vec![None; nprocs],
         }
-    }
-
-    /// The kernel-side observer half.
-    pub fn observer(&self) -> Box<dyn Observer> {
-        Box::new(TraceObserver {
-            state: Arc::clone(&self.state),
-        })
     }
 
     /// The recorded trace: everything observed so far, for an aborted run
     /// too.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the shared state is poisoned (an observer callback
-    /// panicked mid-run).
     pub fn finish(self) -> TraceLog {
-        let mut state = self.state.lock().expect("tracer state poisoned");
-        std::mem::take(&mut state.log)
+        self.log
     }
 }
 
-struct TraceObserver {
-    state: Arc<Mutex<TracerState>>,
-}
-
-impl Observer for TraceObserver {
+impl Observer for Tracer {
     fn on_send(&mut self, dst: ProcId, msg: &Message) {
-        let mut s = self.state.lock().expect("tracer state poisoned");
-        s.log.message(
+        self.log.message(
             msg.src,
             dst,
             msg.tag,
@@ -283,13 +257,11 @@ impl Observer for TraceObserver {
     }
 
     fn on_compute(&mut self, p: ProcId, start: SimTime, end: SimTime) {
-        let mut s = self.state.lock().expect("tracer state poisoned");
-        s.log.compute(p, start, end);
+        self.log.compute(p, start, end);
     }
 
     fn on_recv_posted(&mut self, p: ProcId, _filter: &Filter, blocking: bool, now: SimTime) {
-        let mut s = self.state.lock().expect("tracer state poisoned");
-        s.posted[p.0] = blocking.then_some(now);
+        self.posted[p.0] = blocking.then_some(now);
     }
 
     fn on_recv_matched(&mut self, p: ProcId, msg: &Message, _now: SimTime) {
@@ -297,9 +269,8 @@ impl Observer for TraceObserver {
         // which fires at `arrived_at`. A message already in the mailbox
         // arrived no later than the post (a rank's clock never trails the
         // event time), so it yields an empty interval, which the log drops.
-        let mut s = self.state.lock().expect("tracer state poisoned");
-        if let Some(posted) = s.posted[p.0].take() {
-            s.log.blocked(p, posted, posted.max(msg.arrived_at));
+        if let Some(posted) = self.posted[p.0].take() {
+            self.log.blocked(p, posted, posted.max(msg.arrived_at));
         }
     }
 }
@@ -307,6 +278,59 @@ impl Observer for TraceObserver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{IdealNetwork, Sim, SimDuration, SimError};
+
+    #[test]
+    fn an_aborted_run_keeps_what_was_traced_before_the_halt() {
+        // Rank 0 computes, sends to rank 1, and both then wait on a tag
+        // nobody sends: the run deadlocks, and the borrowed tracer still
+        // holds every span and message booked before the halt.
+        let mut tracer = Tracer::new(2);
+        let mut sim = Sim::new(IdealNetwork::new(2, SimDuration::from_micros(1)));
+        sim.set_observer(Box::new(&mut tracer));
+        sim.spawn(|ctx| {
+            ctx.compute(SimDuration::from_micros(5));
+            ctx.send(ProcId(1), Tag::app(0), 1u8, 8);
+            let _ = ctx.recv(Filter::tag(Tag::app(9)));
+        });
+        sim.spawn(|ctx| {
+            let _ = ctx.recv(Filter::tag(Tag::app(0)));
+            ctx.compute(SimDuration::from_micros(3));
+            let _ = ctx.recv(Filter::tag(Tag::app(9)));
+        });
+        let err = sim.run().expect_err("both ranks wait forever");
+        assert!(matches!(err, SimError::Deadlock { .. }), "{err}");
+        let us = |n: u64| SimTime::from_nanos(n * 1000);
+        let log = tracer.finish();
+        assert_eq!(
+            log.events,
+            vec![
+                TraceEvent::Compute {
+                    rank: 0,
+                    start: us(0),
+                    end: us(5),
+                },
+                TraceEvent::Message {
+                    src: 0,
+                    dst: 1,
+                    tag: Tag::app(0),
+                    bytes: 8,
+                    sent: us(5),
+                    arrived: us(6),
+                },
+                TraceEvent::Blocked {
+                    rank: 1,
+                    start: us(0),
+                    end: us(6),
+                },
+                TraceEvent::Compute {
+                    rank: 1,
+                    start: us(6),
+                    end: us(9),
+                },
+            ]
+        );
+    }
 
     #[test]
     fn intervals_of_zero_length_are_dropped() {

@@ -103,8 +103,8 @@ fn render() -> String {
     let cfg = SuiteConfig::at(Scale::Small);
     let mut out = "# cell app variant bytes events fnv1a64\n".to_string();
     for (cell, app, variant, machine) in cells() {
-        let tracer = Tracer::new(machine.spec().topology.nprocs());
-        run_app_report(app, &cfg, variant, &machine, Some(tracer.observer()))
+        let mut tracer = Tracer::new(machine.spec().topology.nprocs());
+        run_app_report(app, &cfg, variant, &machine, Some(&mut tracer))
             .unwrap_or_else(|e| panic!("{app}/{variant} on {cell}: {e}"));
         let trace = tracer.finish();
         let json = trace.to_chrome_json();

@@ -19,11 +19,11 @@ use numagap_sim::{
     Filter, IdealNetwork, Observer, ProcId, RunOutcome, Sim, SimDuration, SimError, SimTime, Tag,
 };
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Barrier, Mutex};
+use std::sync::{Arc, Barrier};
 
 /// A deterministic multi-rank workload on the raw kernel: a token ring
 /// where every hop recomputes, so ranks suspend and resume continually.
-fn ring_sim() -> Sim<IdealNetwork> {
+fn ring_sim() -> Sim<'static, IdealNetwork> {
     const N: usize = 6;
     const ROUNDS: u32 = 5;
     let mut sim = Sim::new(IdealNetwork::new(N, SimDuration::from_micros(20)));
@@ -46,20 +46,20 @@ fn ring_sim() -> Sim<IdealNetwork> {
 /// Each resume hands back exactly one request, and each request fires
 /// exactly one of the four callbacks below, so pushing the rank there
 /// records the grants in the order the kernel issued them.
-struct Grants(Arc<Mutex<Vec<u32>>>);
+struct Grants(Vec<u32>);
 
 impl Observer for Grants {
     fn on_compute(&mut self, p: ProcId, _start: SimTime, _end: SimTime) {
-        self.0.lock().unwrap().push(p.0 as u32);
+        self.0.push(p.0 as u32);
     }
     fn on_send_posted(&mut self, src: ProcId, _dst: ProcId, _bytes: u64, _now: SimTime) {
-        self.0.lock().unwrap().push(src.0 as u32);
+        self.0.push(src.0 as u32);
     }
     fn on_recv_posted(&mut self, p: ProcId, _filter: &Filter, _blocking: bool, _now: SimTime) {
-        self.0.lock().unwrap().push(p.0 as u32);
+        self.0.push(p.0 as u32);
     }
     fn on_exit(&mut self, p: ProcId, _now: SimTime) {
-        self.0.lock().unwrap().push(p.0 as u32);
+        self.0.push(p.0 as u32);
     }
 }
 
@@ -213,16 +213,16 @@ fn a_time_limited_run_drops_everything_on_every_rank_stack() {
 }
 
 /// Runs `sim` to completion, recording its grant sequence.
-fn run_with_grants(mut sim: Sim<IdealNetwork>) -> (RunOutcome<IdealNetwork>, Vec<u32>) {
-    let grants = Arc::new(Mutex::new(Vec::new()));
-    sim.set_observer(Box::new(Grants(Arc::clone(&grants))));
+fn run_with_grants(sim: Sim<'_, IdealNetwork>) -> (RunOutcome<IdealNetwork>, Vec<u32>) {
+    let mut grants = Grants(Vec::new());
+    let mut sim = sim;
+    sim.set_observer(Box::new(&mut grants));
     let out = sim.run().expect("run completes");
-    let grants = std::mem::take(&mut *grants.lock().unwrap());
-    (out, grants)
+    (out, grants.0)
 }
 
 /// Elapsed time, grant sequence and clone count of one run.
-fn ring_observables(sim: Sim<IdealNetwork>) -> (SimDuration, Vec<u32>, u64) {
+fn ring_observables(sim: Sim<'_, IdealNetwork>) -> (SimDuration, Vec<u32>, u64) {
     let (out, grants) = run_with_grants(sim);
     (out.elapsed, grants, out.profile.bytes_cloned)
 }

@@ -16,12 +16,12 @@ use twolayer::sim::Tracer;
 fn main() {
     let cfg = AspConfig::small();
     let machine = Machine::new(das_spec(2, 4, 5.0, 1.0));
-    let tracer = Tracer::new(machine.spec().topology.nprocs());
+    let mut tracer = Tracer::new(machine.spec().topology.nprocs());
     let matrix = cfg.generate();
     let report = machine
         .run_observed(
             move |ctx| asp_rank(ctx, &cfg, &matrix, Variant::Optimized),
-            tracer.observer(),
+            &mut tracer,
         )
         .expect("simulation failed");
     let trace = tracer.finish();

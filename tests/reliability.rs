@@ -206,7 +206,7 @@ fn reordered_streams_are_released_in_order() {
 fn sanitizer_attributes_injected_drops() {
     let spec = das_spec(2, 1, 5.0, 1.0).fault_plan(FaultPlan::new(5).drop_prob(1.0));
     let machine = Machine::new(spec);
-    let analysis = Analysis::new(2);
+    let mut analysis = Analysis::new(2);
     machine
         .run_observed(
             |ctx| {
@@ -215,7 +215,7 @@ fn sanitizer_attributes_injected_drops() {
                     ctx.send(1, Tag::app(4), 1u8, 32);
                 }
             },
-            analysis.observer(),
+            &mut analysis,
         )
         .unwrap();
     let counts = analysis.fault_counts();
@@ -243,7 +243,7 @@ fn sanitizer_is_clean_under_transport_and_faults() {
     let machine = Machine::new(spec)
         .with_reliable_transport(cfg)
         .time_limit(SimDuration::from_secs(600));
-    let analysis = Analysis::new(nprocs);
+    let mut analysis = Analysis::new(nprocs);
     let report = machine
         .run_observed(
             |ctx| {
@@ -260,7 +260,7 @@ fn sanitizer_is_clean_under_transport_and_faults() {
                 }
                 token
             },
-            analysis.observer(),
+            &mut analysis,
         )
         .unwrap();
     assert!(report.kernel_stats.faults_dropped > 0);

@@ -45,7 +45,7 @@ fn suite_is_sanitizer_clean_on_both_machines() {
 #[test]
 fn injected_wildcard_race_is_detected() {
     let machine = Machine::new(das_spec(1, 3, 10.0, 1.0));
-    let analysis = Analysis::new(3);
+    let mut analysis = Analysis::new(3);
     machine
         .run_observed(
             |ctx| {
@@ -58,7 +58,7 @@ fn injected_wildcard_race_is_detected() {
                     r => ctx.send(0, Tag::app(0), r as u64, 8),
                 }
             },
-            analysis.observer(),
+            &mut analysis,
         )
         .unwrap();
     let diags = analysis.diagnostics();
@@ -72,7 +72,7 @@ fn injected_wildcard_race_is_detected() {
 #[test]
 fn injected_lost_message_is_detected() {
     let machine = Machine::new(das_spec(1, 2, 10.0, 1.0));
-    let analysis = Analysis::new(2);
+    let mut analysis = Analysis::new(2);
     machine
         .run_observed(
             |ctx| {
@@ -81,7 +81,7 @@ fn injected_lost_message_is_detected() {
                 }
                 // Rank 1 exits without receiving.
             },
-            analysis.observer(),
+            &mut analysis,
         )
         .unwrap();
     let diags = analysis.diagnostics();
@@ -96,14 +96,14 @@ fn injected_lost_message_is_detected() {
 fn deadlock_error_includes_wait_for_cycle() {
     let n = 4usize;
     let machine = Machine::new(das_spec(1, n, 10.0, 1.0));
-    let analysis = Analysis::new(n);
+    let mut analysis = Analysis::new(n);
     let err = machine
         .run_observed(
             move |ctx| {
                 let from = (ctx.rank() + 1) % ctx.nprocs();
                 ctx.recv_from(from, Tag::app(0));
             },
-            analysis.observer(),
+            &mut analysis,
         )
         .unwrap_err();
     let rendered = err.to_string();
@@ -139,7 +139,7 @@ proptest! {
         bytes in 1u64..4096,
     ) {
         let machine = Machine::new(das_spec(1, procs, f64::from(latency_ms), 1.0));
-        let analysis = Analysis::new(procs);
+        let mut analysis = Analysis::new(procs);
         machine
             .run_observed(
                 move |ctx| {
@@ -151,7 +151,7 @@ proptest! {
                         ctx.send(0, Tag::app(0), ctx.rank() as u64, bytes);
                     }
                 },
-                analysis.observer(),
+                &mut analysis,
             )
             .unwrap();
         let diags = analysis.diagnostics();
@@ -171,7 +171,7 @@ proptest! {
         bytes in 1u64..4096,
     ) {
         let machine = Machine::new(das_spec(1, procs, 5.0, 1.0));
-        let analysis = Analysis::new(procs);
+        let mut analysis = Analysis::new(procs);
         machine
             .run_observed(
                 move |ctx| {
@@ -183,10 +183,10 @@ proptest! {
                         ctx.recv_from((me + n - 1) % n, tag);
                     }
                 },
-                analysis.observer(),
+                &mut analysis,
             )
             .unwrap();
-        prop_assert_eq!(analysis.diagnostics(), Vec::new());
+        prop_assert_eq!(analysis.diagnostics(), []);
     }
 }
 
@@ -368,7 +368,7 @@ fn chrome_trace_json_survives_hostile_names() {
     ];
     for name in hostile {
         let machine = Machine::new(das_spec(2, 2, 1.0, 1.0));
-        let tracer = Tracer::new(4);
+        let mut tracer = Tracer::new(4);
         machine
             .run_observed(
                 |ctx| {
@@ -380,7 +380,7 @@ fn chrome_trace_json_survives_hostile_names() {
                     }
                     ctx.compute(SimDuration::from_micros(10));
                 },
-                tracer.observer(),
+                &mut tracer,
             )
             .unwrap();
         let mut trace = tracer.finish();
