@@ -10,7 +10,9 @@
 //! * sender software overhead,
 //! * FIFO serialization on the sender NIC and receiver NIC (intra links),
 //! * for inter-cluster messages: gateway forwarding overheads and FIFO
-//!   serialization + latency on the dedicated per-cluster-pair WAN link,
+//!   serialization + latency on each WAN link of the route (one dedicated
+//!   link per cluster pair on the default full mesh; [`WanTopology`] has
+//!   the other wirings),
 //! * receiver software overhead (charged when the application receives).
 //!
 //! [`TwoLayerNetwork::idle_cost`] itemizes the same path on an idle machine
@@ -43,9 +45,8 @@ pub use hostile::{CrossTrafficPlan, LinkSchedule, ScheduleShape};
 pub use link::{LinkParams, LinkState};
 pub use model::{IdleCost, NetStats, TwoLayerNetwork, TwoLayerSpec};
 pub use presets::{
-    asymmetric_spec, das_spec, numa_gap, uniform_spec, HeteroPreset, FIG1_BANDWIDTH_MBS,
-    FIG1_LATENCY_MS, FIG4_FIXED_BANDWIDTH_MBS, FIG4_FIXED_LATENCY_MS, PAPER_BANDWIDTHS_MBS,
-    PAPER_LATENCIES_MS,
+    das_spec, numa_gap, uniform_spec, HeteroPreset, FIG1_BANDWIDTH_MBS, FIG1_LATENCY_MS,
+    FIG4_FIXED_BANDWIDTH_MBS, FIG4_FIXED_LATENCY_MS, PAPER_BANDWIDTHS_MBS, PAPER_LATENCIES_MS,
 };
 pub use topology::Topology;
 pub use wan::WanTopology;

@@ -55,7 +55,9 @@ impl LinkParams {
     pub const MAX_WAN_LATENCY_MS: f64 = 100_000.0;
     /// …and at least this bandwidth, in MByte/s (30× below the paper's
     /// 0.03). Past them a run's virtual time can overflow its `u64`
-    /// nanoseconds.
+    /// nanoseconds, so a what-if point or `ref` outside them is a `400`
+    /// naming the range, and `--latency`, `--bandwidth` and their `--ref-`
+    /// forms outside them exit 2.
     pub const MIN_WAN_BANDWIDTH_MBS: f64 = 0.001;
 
     /// A WAN/ATM-like link with latency in milliseconds and bandwidth in

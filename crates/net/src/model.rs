@@ -2,9 +2,11 @@
 //!
 //! Intra-cluster messages traverse the sender's NIC and the receiver's NIC
 //! (Myrinet-class parameters); inter-cluster messages additionally pass
-//! through the local gateway, a dedicated FIFO wide-area link for that
-//! cluster pair (the DAS WAN was fully connected), and the remote gateway —
-//! store-and-forward, exactly the structure whose cost the paper varies.
+//! through the local gateway, the FIFO wide-area links of the route (one
+//! dedicated link per cluster pair on the default full mesh, as in the
+//! DAS), every gateway or switch the route relays through, and the remote
+//! gateway — store-and-forward, exactly the structure whose cost the paper
+//! varies.
 //!
 //! This is the one place that says what a message costs.
 //! [`TwoLayerNetwork::transfer`] books it against the links' current

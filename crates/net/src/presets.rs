@@ -48,29 +48,6 @@ pub fn uniform_spec(nprocs: usize) -> TwoLayerSpec {
     TwoLayerSpec::new(Topology::uniform(nprocs))
 }
 
-/// An asymmetric wide-area machine: explicit per-cluster sizes (e.g.
-/// `&[8, 8, 4, 2]` — a couple of full clusters plus smaller satellite
-/// sites), Myrinet inside clusters, fully-connected WAN between them.
-/// Real multi-site deployments are rarely the paper's neat `4x8`.
-///
-/// # Examples
-///
-/// ```
-/// use numagap_net::asymmetric_spec;
-///
-/// let spec = asymmetric_spec(&[8, 8, 4, 2], 10.0, 1.0);
-/// assert_eq!(spec.topology.label(), "8+8+4+2");
-/// assert_eq!(spec.topology.nprocs(), 22);
-/// ```
-pub fn asymmetric_spec(
-    cluster_sizes: &[usize],
-    wan_latency_ms: f64,
-    wan_bandwidth_mbs: f64,
-) -> TwoLayerSpec {
-    TwoLayerSpec::new(Topology::new(cluster_sizes))
-        .inter(LinkParams::wide_area(wan_latency_ms, wan_bandwidth_mbs))
-}
-
 /// Named per-cluster compute-speed presets for heterogeneous machines.
 ///
 /// Speeds are expressed in permille of nominal and applied via
@@ -179,14 +156,6 @@ mod tests {
     fn paper_grid_dimensions() {
         assert_eq!(PAPER_BANDWIDTHS_MBS.len(), 6);
         assert_eq!(PAPER_LATENCIES_MS.len(), 7);
-    }
-
-    #[test]
-    fn asymmetric_preset_shape() {
-        let spec = asymmetric_spec(&[8, 8, 4, 2], 10.0, 1.0);
-        assert_eq!(spec.topology.nclusters(), 4);
-        assert_eq!(spec.topology.cluster_sizes(), &[8, 8, 4, 2]);
-        assert!((spec.inter.mbytes_per_sec() - 1.0).abs() < 1e-9);
     }
 
     #[test]

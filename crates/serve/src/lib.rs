@@ -21,6 +21,22 @@
 //!   (`bench::json` with depth/number/garbage caps), and batch fan-out
 //!   through the bench engine's work-index loop so response bytes are
 //!   identical at any worker count.
+//!
+//! ## The size of a request bounds its cost
+//!
+//! A request is bounded in size, not in CPU time: [`MAX_HEAD_BYTES`] and
+//! [`MAX_BODY_BYTES`] cap what is read, [`MAX_POINTS`] the batch, and the
+//! JSON parser's depth and number-length caps the parse. The deadline acts
+//! through socket timeouts, so it bounds waits only; once a body is read,
+//! nothing interrupts the worker that answers it. The caps therefore mean
+//! something only because every CPU stage between reading the request and
+//! writing the reply (UTF-8 check, parse, analytic bound, grid detection,
+//! serialisation) costs at most O(n log n) in the batch's points and
+//! O(bytes) in the body; replay adds its per-point DAG walk, fanned over
+//! the workers. `tests/scaling.rs` holds the stages to that. Framing is
+//! strict where leniency would let two parties disagree about where a body
+//! ends: a `Content-Length` that is not plain digits, or two that differ,
+//! is a `400`.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

@@ -300,7 +300,26 @@ fn answer(
 /// value, 0 when it prints something else. They are when `t` is *canonical*
 /// — `0` or `[1-9][0-9]*`, then optionally `.` and digits; no sign, no
 /// exponent — and has at most 15 digits before its fraction's trailing
-/// zeros, which are not echoed (docs/ARCHITECTURE.md has the proof).
+/// zeros, which are not echoed. Proof:
+///
+/// 1. a decimal of at most 15 significant digits survives text → `f64` →
+///    text (`DBL_DIG` = 15), so no two such decimals parse to the same
+///    `f64`;
+/// 2. `{}` prints the *shortest* decimal that parses back to the value; the
+///    token without its padding is one that does (`str::parse` rounds
+///    correctly, so padding cannot change the value), in at most 15
+///    digits, so the shortest has at most 15 too and by (1) is the same
+///    number;
+/// 3. `{}` writes a number one way — positional, never an exponent, no
+///    sign for a non-negative value, a lone `0` before a leading point, no
+///    trailing fraction zeros — and that way is the canonical form without
+///    padding. (15 digits *in all*, a leading `0.` counted, also keeps the
+///    value above 10⁻¹⁵, far from the subnormals, where (1) fails.)
+///
+/// Any other token is printed, so two spellings of one point still answer
+/// with the same bytes (`fixtures/whatif_spellings.json`);
+/// `an_echoed_prefix_is_what_the_value_prints_as` checks the implication on
+/// seeded tokens.
 fn echo_len(t: &str) -> usize {
     let t = t.as_bytes();
     let digits = |t: &[u8]| t.iter().take_while(|c| c.is_ascii_digit()).count();

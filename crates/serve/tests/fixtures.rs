@@ -4,6 +4,19 @@
 //! The CI smoke job drives the same files through a real `numagap serve`
 //! process with curl and diffs the bodies; this test pins the contract
 //! in-process so a drift shows up in `cargo test` before it breaks CI.
+//!
+//! After an intentional change to the response bytes, regenerate the
+//! expected bodies the way the smoke job reads them, from a live server:
+//!
+//! ```sh
+//! target/release/numagap serve --port 47999 --workers 2 &
+//! for f in whatif_replay whatif_analytic whatif_spellings whatif_printed; do
+//!   curl -sf -X POST http://localhost:47999/v1/whatif \
+//!     --data-binary @crates/serve/fixtures/$f.json \
+//!     -o crates/serve/fixtures/$f.expected.json
+//! done
+//! curl -sf -X POST http://localhost:47999/v1/shutdown
+//! ```
 
 use std::fs;
 use std::path::Path;
@@ -35,7 +48,7 @@ fn committed_fixtures_match_the_live_service() {
             answer.body, expected,
             "fixture {name}: live response differs from the committed \
              expected body — if the change is intentional, regenerate the \
-             .expected.json files (see docs/ARCHITECTURE.md, serve section)"
+             .expected.json files (this file's header says how)"
         );
         checked += 1;
     }

@@ -19,9 +19,18 @@
 //! fiber of the same size there: repeated runs on one thread reuse stacks
 //! whose pages are already resident and make no system call. The cache
 //! never holds more than the thread has had live at once, and the thread's
-//! exit unmaps it. The flag values are Linux's: on other hosts, as on
-//! non-x86-64 ones, [`SUPPORTED`] is `false`, nothing below it is compiled,
-//! and the simulator runs every rank on a thread of its own.
+//! exit unmaps it.
+//!
+//! A stack is `Sim::stack_size` bytes rounded up to whole pages (8 MiB
+//! unless the caller sets it). Its pages are committed only when touched
+//! (`MAP_NORESERVE`), so thousands of ranks reserve address space, not
+//! memory. A guarded stack is two kernel mappings, so `vm.max_map_count`
+//! (65 530 by default) allows about 32 000 live ranks per process; past
+//! that `mmap` fails and the panic says so.
+//!
+//! The flag values are Linux's: on other hosts, as on non-x86-64 ones,
+//! [`SUPPORTED`] is `false`, nothing below it is compiled, and the
+//! simulator runs every rank on a thread of its own.
 
 /// Whether this build can run fibers at all.
 pub(crate) const SUPPORTED: bool = cfg!(all(target_arch = "x86_64", target_os = "linux"));

@@ -3,6 +3,15 @@
 //! All simulated time is kept in integer nanoseconds to guarantee exact,
 //! platform-independent arithmetic. [`SimTime`] is an absolute instant on the
 //! virtual clock; [`SimDuration`] is a span between two instants.
+//!
+//! The arithmetic is `#[inline]`, as are the other few-instruction helpers
+//! that booking a message calls across crates (`LinkParams::tx_time`, the
+//! `Topology::cluster_of*` lookups, the network's trivial trait methods). A
+//! non-generic function is inlined across crates only if it is marked so or
+//! the build links with LTO, and profiles belong to the workspace being
+//! built: `benchmark/` and any downstream user build these crates with
+//! their own. The attribute reaches every build; checked overflow and its
+//! panic messages are unchanged.
 
 use std::fmt;
 use std::iter::Sum;

@@ -3,8 +3,8 @@
 //! to see per-rank compute/blocked slices and message flow arrows.
 //!
 //! ```sh
-//! cargo run --release --example trace_timeline
-//! # then load /tmp/asp_trace.json in Perfetto
+//! cargo run --release --example trace_timeline -- target/asp_trace.json
+//! # then load target/asp_trace.json in Perfetto
 //! ```
 
 use twolayer::apps::asp::{asp_rank, AspConfig};
@@ -14,6 +14,9 @@ use twolayer::rt::Machine;
 use twolayer::sim::Tracer;
 
 fn main() {
+    let path = std::env::args()
+        .nth(1)
+        .expect("usage: trace_timeline <output.json>");
     let cfg = AspConfig::small();
     let machine = Machine::new(das_spec(2, 4, 5.0, 1.0));
     let mut tracer = Tracer::new(machine.spec().topology.nprocs());
@@ -38,8 +41,7 @@ fn main() {
         println!("  rank {rank}: {busy} computing ({util:.0}% utilization)");
     }
 
-    let path = "/tmp/asp_trace.json";
-    std::fs::write(path, trace.to_chrome_json()).expect("write trace");
+    std::fs::write(&path, trace.to_chrome_json()).expect("write trace");
     println!("\nChrome trace written to {path}");
     println!("open it in chrome://tracing or https://ui.perfetto.dev");
 }
