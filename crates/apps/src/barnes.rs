@@ -20,7 +20,7 @@ use std::sync::Arc;
 use rand::Rng;
 
 use numagap_rt::{Barrier, Ctx};
-use numagap_sim::{Filter, Tag};
+use numagap_sim::{Filter, Payload, Tag};
 
 use crate::common::{block_range, seeded_rng, RankOutput, Variant};
 
@@ -543,9 +543,28 @@ fn relay_tag(step: usize) -> Tag {
     Tag::app(0x4002 + 0x10 * step as u32)
 }
 
-/// One relayed bundle: for each final destination in the target cluster, the
-/// original sender and its pseudo-body batch.
-type RelayBundle = Vec<(u32, u32, Vec<PseudoBody>)>;
+/// One rank's essential sets for one step: a batch of pseudo-bodies for each
+/// other rank, all in one buffer. Every message that carries a batch, sent
+/// or relayed, shares the whole; its recipient reads its own range.
+struct Exports {
+    sender: u32,
+    bodies: Vec<PseudoBody>,
+    /// `ends[q]` is where rank `q`'s batch ends in `bodies`; it starts where
+    /// rank `q - 1`'s ends. The sender's own batch is empty.
+    ends: Vec<usize>,
+}
+
+impl Exports {
+    fn batch(&self, q: usize) -> &[PseudoBody] {
+        let start = if q == 0 { 0 } else { self.ends[q - 1] };
+        &self.bodies[start..self.ends[q]]
+    }
+
+    /// The wire size of rank `q`'s batch.
+    fn bytes(&self, q: usize) -> u64 {
+        self.batch(q).len() as u64 * PSEUDO_BODY_BYTES
+    }
+}
 
 /// Runs Barnes-Hut on one rank. `bodies` is the run's one
 /// [`BarnesConfig::generate`]d input; a rank copies only its block of it.
@@ -568,9 +587,10 @@ pub fn barnes_rank(
         for b in &mine {
             region.include(&b.pos);
         }
+        let my_region: Payload = Arc::new((me as u32, region));
         for q in 0..p {
             if q != me {
-                ctx.send(q, bbox_tag(step), (me as u32, region), 48);
+                ctx.send_payload(q, bbox_tag(step), Arc::clone(&my_region), 48);
             }
         }
         let mut regions: Vec<Option<Bbox>> = vec![None; p];
@@ -593,70 +613,55 @@ pub fn barnes_rank(
                 mass: b.mass,
             })
             .collect();
-        // A rank suspended in a charge, send or receive holds no tree: 32
+        // A rank suspended in a charge or a receive holds no tree: 32
         // of them are live at once, and a tree is the largest thing a rank
         // owns. So walk before charging and keep only the node count.
         let tree = Octree::build(&points, &global);
         let tree_nodes = tree.nodes;
 
         // ---- Part 3: precompute and ship essential sets ----
-        let mut exports: Vec<(usize, Vec<PseudoBody>)> = Vec::with_capacity(p - 1);
+        let mut exports = Exports {
+            sender: me as u32,
+            bodies: Vec::new(),
+            ends: Vec::with_capacity(p),
+        };
         let mut walk_nodes = 0u64;
-        let mut out = Vec::new();
         for (q, reg) in regions.iter().enumerate() {
-            if q == me {
-                continue;
+            if q != me {
+                walk_nodes += tree.essential_for(
+                    &reg.expect("exchange delivered every remote region"),
+                    cfg.theta,
+                    &mut exports.bodies,
+                );
             }
-            walk_nodes += tree.essential_for(
-                &reg.expect("exchange delivered every remote region"),
-                cfg.theta,
-                &mut out,
-            );
-            // One block of the exact size per recipient; `out` is reused.
-            exports.push((q, out.clone()));
-            out.clear();
+            exports.ends.push(exports.bodies.len());
         }
-        drop(out);
+        // The buffer outlives this step's sends until its last recipient has
+        // read its range: keep no doubling slack in it.
+        exports.bodies.shrink_to_fit();
         drop(tree);
         ctx.compute_ns(tree_nodes as f64 * cfg.node_ns);
         ctx.compute_ns(walk_nodes as f64 * cfg.node_ns);
-        match variant {
-            Variant::Unoptimized => {
-                for (q, bodies) in exports {
-                    let bytes = bodies.len() as u64 * PSEUDO_BODY_BYTES;
-                    ctx.send(q, data_tag(step), (me as u32, bodies), bytes);
-                }
-            }
-            Variant::Optimized => {
-                let my_cluster = ctx.cluster();
-                let nclusters = ctx.nclusters();
-                let mut bundles: Vec<RelayBundle> = vec![Vec::new(); nclusters];
-                for (q, bodies) in exports {
-                    let qc = ctx.topology().cluster_of_rank(q);
-                    if qc == my_cluster {
-                        let bytes = bodies.len() as u64 * PSEUDO_BODY_BYTES;
-                        ctx.send(q, data_tag(step), (me as u32, bodies), bytes);
-                    } else {
-                        bundles[qc].push((q as u32, me as u32, bodies));
-                    }
-                }
-                for (c, bundle) in bundles.into_iter().enumerate() {
-                    if bundle.is_empty() {
-                        continue;
-                    }
-                    let bytes: u64 = bundle
-                        .iter()
-                        .map(|(_, _, b)| 8 + b.len() as u64 * PSEUDO_BODY_BYTES)
-                        .sum();
-                    ctx.send(
-                        ctx.topology().cluster_root(c),
-                        relay_tag(step),
-                        bundle,
-                        bytes,
-                    );
-                }
+        let exports = Arc::new(exports);
+        let my_cluster = ctx.cluster();
+        for q in (0..p).filter(|&q| q != me) {
+            let direct =
+                variant == Variant::Unoptimized || ctx.topology().cluster_of_rank(q) == my_cluster;
+            if direct {
+                ctx.send_payload(q, data_tag(step), exports.clone(), exports.bytes(q));
             }
         }
+        if variant == Variant::Optimized {
+            // One message per remote cluster, to its root, which relays each
+            // member its batch.
+            for c in (0..ctx.nclusters()).filter(|&c| c != my_cluster) {
+                let members = ctx.topology().members(c);
+                let bytes: u64 = members.iter().map(|&q| 8 + exports.bytes(q)).sum();
+                let root = ctx.topology().cluster_root(c);
+                ctx.send_payload(root, relay_tag(step), exports.clone(), bytes);
+            }
+        }
+        drop(exports);
 
         // ---- Part 4: receive essential sets (serving relay duty) ----
         let csize = ctx.cluster_members().len();
@@ -670,40 +675,35 @@ pub fn barnes_rank(
                 }
             }
         };
-        // A delivered payload normally has one owner, so each batch moves out
-        // of its message, into this rank's points or on to its destination,
-        // without a copy. `unwrap_or_clone` copies only a payload that is
-        // still shared, such as one the reliable transport keeps to resend.
-        let mut imports: Vec<(u32, Vec<PseudoBody>)> = Vec::with_capacity(p - 1);
+        let mut imports: Vec<Arc<Exports>> = Vec::with_capacity(p - 1);
         let mut relays_left = relays_expected;
         let mut data_left = p - 1;
         while data_left > 0 || relays_left > 0 {
             let msg = ctx.recv(Filter::one_of(&[data_tag(step), relay_tag(step)]));
-            if msg.tag == relay_tag(step) {
+            let relayed = msg.tag == relay_tag(step);
+            let sets = msg.expect_shared::<Exports>();
+            if relayed {
+                // A relay brings a batch for every rank of this cluster:
+                // pass each on, and keep mine.
                 relays_left -= 1;
-                let bundle = Arc::unwrap_or_clone(msg.expect_shared::<RelayBundle>());
-                for (dst, sender, bodies) in bundle {
-                    if dst as usize == me {
-                        imports.push((sender, bodies));
-                        data_left -= 1;
-                    } else {
-                        let bytes = bodies.len() as u64 * PSEUDO_BODY_BYTES;
-                        ctx.send(dst as usize, data_tag(step), (sender, bodies), bytes);
+                for i in 0..csize {
+                    let dst = ctx.cluster_members()[i];
+                    if dst != me {
+                        ctx.send_payload(dst, data_tag(step), sets.clone(), sets.bytes(dst));
                     }
                 }
-            } else {
-                imports.push(Arc::unwrap_or_clone(msg.expect_shared()));
-                data_left -= 1;
             }
+            imports.push(sets);
+            data_left -= 1;
         }
         // Deterministic assembly order: identical trees in both variants.
-        imports.sort_by_key(|(sender, _)| *sender);
+        imports.sort_by_key(|sets| sets.sender);
 
         // ---- Part 5: build the locally essential tree and compute forces ----
         let mut let_points = points;
-        let_points.reserve(imports.iter().map(|(_, bodies)| bodies.len()).sum());
-        for (_, bodies) in imports {
-            let_points.extend_from_slice(&bodies);
+        let_points.reserve(imports.iter().map(|sets| sets.batch(me).len()).sum());
+        for sets in imports {
+            let_points.extend_from_slice(sets.batch(me));
         }
         let let_tree = Octree::build(&let_points, &global);
         drop(let_points);

@@ -17,8 +17,10 @@
 
 use rand::Rng;
 
+use std::sync::Arc;
+
 use numagap_rt::Ctx;
-use numagap_sim::{Filter, Tag};
+use numagap_sim::{Filter, Payload, Tag};
 
 use crate::common::{block_range, seeded_rng, RankOutput, Variant};
 
@@ -209,8 +211,9 @@ fn step_tag(base: Tag, step: usize) -> Tag {
     Tag::app(base.raw() + 0x10 * step as u32)
 }
 
-type Positions = Vec<[f64; 3]>;
-/// `(source/target rank, data)` as carried inside relayed messages.
+/// `(source/target rank, data)`: a rank's positions, or the forces on them.
+/// One rank's positions are one shared payload, however many ranks they are
+/// sent or relayed to.
 type Addressed = (u32, Vec<[f64; 3]>);
 
 /// The coordinator in cluster `cluster` for remote processor `s`.
@@ -244,12 +247,13 @@ pub fn water_rank(
         let force_acc_tag = step_tag(FORCE_ACC, step);
 
         // ---- Phase 1: distribute positions ("all-to-half", first half) ----
-        let my_positions: Positions = mine.iter().map(|m| m.pos).collect();
+        let positions: Addressed = (me as u32, mine.iter().map(|m| m.pos).collect());
+        let my_positions: Payload = Arc::new(positions);
         let pos_bytes = (b * 24) as u64;
         match variant {
             Variant::Unoptimized => {
                 for &q in &my_needed_by {
-                    ctx.send(q, pos_tag, (me as u32, my_positions.clone()), pos_bytes);
+                    ctx.send_payload(q, pos_tag, Arc::clone(&my_positions), pos_bytes);
                 }
             }
             Variant::Optimized => {
@@ -258,19 +262,14 @@ pub fn water_rank(
                 for &q in &my_needed_by {
                     let qc = ctx.topology().cluster_of_rank(q);
                     if qc == my_cluster {
-                        ctx.send(q, pos_tag, (me as u32, my_positions.clone()), pos_bytes);
+                        ctx.send_payload(q, pos_tag, Arc::clone(&my_positions), pos_bytes);
                     } else if !remote_clusters.contains(&qc) {
                         remote_clusters.push(qc);
                     }
                 }
                 for qc in remote_clusters {
                     let coord = coordinator(ctx, qc, me);
-                    ctx.send(
-                        coord,
-                        pos_relay_tag,
-                        (me as u32, my_positions.clone()),
-                        pos_bytes,
-                    );
+                    ctx.send_payload(coord, pos_relay_tag, Arc::clone(&my_positions), pos_bytes);
                 }
             }
         }
@@ -308,38 +307,37 @@ pub fn water_rank(
         }
 
         // ---- Phase 2: collect positions, serving coordinator duty ----
-        let mut blocks: Vec<(usize, Positions)> = Vec::new();
+        let mut blocks: Vec<Arc<Addressed>> = Vec::new();
         let mut relays_left = relay_sources.len();
         let mut pos_left = expected_pos;
         while pos_left > 0 || relays_left > 0 {
             let msg = ctx.recv(Filter::one_of(&[pos_tag, pos_relay_tag]));
-            let (src, positions) = {
-                let (s, ps) = msg.expect_ref::<Addressed>();
-                (*s as usize, ps.clone())
-            };
-            if msg.tag == pos_relay_tag {
+            let relayed = msg.tag == pos_relay_tag;
+            let block = msg.expect_shared::<Addressed>();
+            if relayed {
                 relays_left -= 1;
-                // Forward to every local consumer; keep a copy if I need it.
+                // Forward to every local consumer; keep it if I need it.
+                let src = block.0 as usize;
                 let consumers: Vec<usize> = needed_by(src, p)
                     .into_iter()
                     .filter(|&q| ctx.topology().cluster_of_rank(q) == my_cluster)
                     .collect();
-                let bytes = (positions.len() * 24) as u64;
+                let bytes = (block.1.len() * 24) as u64;
                 for q in consumers {
                     if q == me {
                         // My own copy was excluded from expected_pos.
-                        blocks.push((src, positions.clone()));
+                        blocks.push(Arc::clone(&block));
                     } else {
-                        ctx.send(q, pos_tag, (src as u32, positions.clone()), bytes);
+                        ctx.send_payload(q, pos_tag, block.clone(), bytes);
                     }
                 }
             } else {
-                blocks.push((src, positions));
+                blocks.push(block);
                 pos_left -= 1;
             }
         }
         // Deterministic order regardless of arrival interleaving.
-        blocks.sort_by_key(|(src, _)| *src);
+        blocks.sort_by_key(|block| block.0);
 
         // ---- Phase 3: compute forces (own-own and own-remote) ----
         let mut my_forces = vec![[0.0f64; 3]; b];
@@ -354,7 +352,8 @@ pub fn water_rank(
         }
         pair_count += (b * b.saturating_sub(1) / 2) as u64;
         let mut remote_forces: Vec<(usize, Vec<[f64; 3]>)> = Vec::new();
-        for (src, positions) in &blocks {
+        for block in &blocks {
+            let (src, positions) = (block.0 as usize, &block.1);
             let mut theirs = vec![[0.0f64; 3]; positions.len()];
             for (i, m) in mine.iter().enumerate() {
                 for (j, q) in positions.iter().enumerate() {
@@ -366,7 +365,7 @@ pub fn water_rank(
                 }
             }
             pair_count += (b * positions.len()) as u64;
-            remote_forces.push((*src, theirs));
+            remote_forces.push((src, theirs));
         }
         ctx.compute_ns(pair_count_since(&blocks, b) * cfg.pair_ns);
 
@@ -490,9 +489,9 @@ pub fn needs_contributors(target: usize, p: usize, members: &[usize]) -> usize {
 }
 
 /// Pairs computed this step (for the compute-cost charge).
-fn pair_count_since(blocks: &[(usize, Positions)], b: usize) -> f64 {
+fn pair_count_since(blocks: &[Arc<Addressed>], b: usize) -> f64 {
     let own = (b * b.saturating_sub(1) / 2) as f64;
-    let remote: f64 = blocks.iter().map(|(_, ps)| (b * ps.len()) as f64).sum();
+    let remote: f64 = blocks.iter().map(|block| (b * block.1.len()) as f64).sum();
     own + remote
 }
 

@@ -165,20 +165,26 @@ fn host_costs_stay_what_the_algorithms_need() {
         "a Barnes/unoptimized 4x8 cell peaked at {peak} live heap bytes"
     );
 
-    // ---- a Barnes cell copies no batch twice ----
-    // Heap requests of one Barnes-Hut cell on the 4x8 machine. They were
+    // ---- a value sent to many ranks is one payload ----
+    // Heap requests of one cell on the 4x8 machine. A Barnes-Hut cell made
     // 13 947 (unoptimized) and 15 355 (optimized) when each export vector
     // grew by doubling, and each imported or relayed batch was cloned out
-    // of the message that brought it.
-    for (variant, now, before) in [
-        (Variant::Unoptimized, 8_123, 13_947),
-        (Variant::Optimized, 8_187, 15_355),
+    // of the message that brought it; then 8 123 and 8 187 while every
+    // bounding box and every export was a payload of its own per recipient.
+    // A rank's essential sets are now one buffer per step, which every
+    // message of them shares and each recipient reads by its own range.
+    // Water/unoptimized made 7 668 while each recipient of a rank's
+    // positions got its own copy.
+    for (app, variant, now, before) in [
+        (AppId::Barnes, Variant::Unoptimized, 2_710, 8_123),
+        (AppId::Barnes, Variant::Optimized, 2_326, 8_187),
+        (AppId::Water, Variant::Unoptimized, 4_779, 7_668),
     ] {
-        let (blocks, run) = allocations_during(|| run_app(AppId::Barnes, &cfg, variant, &machine));
-        run.expect("the Barnes cell runs");
+        let (blocks, run) = allocations_during(|| run_app(app, &cfg, variant, &machine));
+        run.expect("the cell runs");
         assert!(
             blocks <= now,
-            "Barnes/{variant} 4x8 cell: {blocks} heap requests (was {before})"
+            "{app}/{variant} 4x8 cell: {blocks} heap requests (was {before})"
         );
     }
 

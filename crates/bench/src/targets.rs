@@ -191,7 +191,7 @@ pub(crate) fn app_cell(
 }
 
 /// One simulated Figure 3 grid point.
-pub(crate) struct GridRun {
+pub struct GridRun {
     /// Index of the point's wide-area wiring in the list the sweep was given.
     pub wiring: usize,
     /// WAN latency, ms.
@@ -227,7 +227,7 @@ pub(crate) fn grid_key(
 }
 
 /// The runs of one Figure 3 sweep, in canonical cell order.
-pub(crate) struct Fig3Runs {
+pub struct Fig3Runs {
     /// One all-Myrinet run per app, in the order the pairs first name the
     /// apps, with its host seconds.
     pub baselines: Vec<(AppRun, f64)>,
@@ -257,12 +257,24 @@ impl Fig3Runs {
     }
 }
 
-/// Runs the Figure 3 cells through [`sweep`]: one all-Myrinet baseline per
+/// Runs the Figure 3 cells through `sweep`: one all-Myrinet baseline per
 /// app of `pairs`, then each pair at each [`paper_grid`] point on each of
 /// `wirings` (`None` is the DAS full mesh). The `fig3` and `topo` targets
 /// and the predict pipeline all get their simulations here, so the same
-/// cell has the same key and the same virtual time in each.
-pub(crate) fn run_fig3_cells(
+/// cell has the same key and the same virtual time in each; a caller
+/// outside this crate that wants Figure 3's cells calls it too, rather than
+/// keeping a list of its own.
+///
+/// `quick` picks the reduced grid, `jobs` the number of cells simulated at
+/// once (the runs come back in cell order whatever it is), and `label`
+/// names the sweep on the progress line written while stderr is a
+/// terminal.
+///
+/// # Errors
+///
+/// [`BenchError::Sim`] naming the first cell, in cell order, whose run
+/// failed.
+pub fn run_fig3_cells(
     cfg: &SuiteConfig,
     pairs: &[(AppId, Variant)],
     wirings: &[Option<WanTopology>],

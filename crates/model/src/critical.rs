@@ -74,7 +74,8 @@ impl PathBreakdown {
 
 /// Splits one on-path message's flight interval `[sent_at, arrival]` into
 /// the terms of its idle cost, in the order the message incurs them
-/// (send overhead first: the network's `ready` instant is `sender_free`);
+/// (send overhead first: the first hop starts once the sender has paid
+/// `send_overhead`);
 /// whatever the flight took beyond them is queueing.
 fn charge_message(cost: &IdleCost, flight: SimDuration, out: &mut PathBreakdown) {
     out.path_msgs += 1;

@@ -262,7 +262,7 @@ impl Replayer {
                     Op::Send { seq } => {
                         sink.sent(seq as usize, clock[p]);
                         core.defer(clock[p], p, seq as usize);
-                        clock[p] = net.sender_free(clock[p]);
+                        clock[p] += net.send_overhead();
                         sink.op_end(p, clock[p]);
                         pc[p] += 1;
                     }

@@ -137,7 +137,7 @@ fn reference_replay(dag: &CommDag, spec: &TwoLayerSpec) -> Replay {
                     sent_at[seq as usize] = clock[p];
                     pending.push((clock[p], p, sends_by_rank[p], seq as usize));
                     sends_by_rank[p] += 1;
-                    clock[p] = net.sender_free(clock[p]);
+                    clock[p] += net.send_overhead();
                     op_end[p].push(clock[p]);
                     pc[p] += 1;
                 }

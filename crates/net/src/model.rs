@@ -545,13 +545,12 @@ impl TwoLayerNetwork {
 }
 
 impl Network for TwoLayerNetwork {
-    #[inline]
-    fn sender_free(&self, now: SimTime) -> SimTime {
-        now + self.spec.send_overhead
+    fn send_overhead(&self) -> SimDuration {
+        self.spec.send_overhead
     }
 
     fn transfer(&mut self, src: ProcId, dst: ProcId, wire_bytes: u64, now: SimTime) -> SimTime {
-        let ready = self.sender_free(now);
+        let ready = now + self.spec.send_overhead;
         let spec = &self.spec;
         let run = &mut self.run;
         let size = wire_bytes + spec.header_bytes;
@@ -717,10 +716,7 @@ mod tests {
         // + 5 us send overhead.
         let expected = SimDuration::from_micros(5 + 20 + 20);
         assert_eq!(t, SimTime::ZERO + expected);
-        assert_eq!(
-            net.sender_free(SimTime::ZERO),
-            SimTime::ZERO + SimDuration::from_micros(5)
-        );
+        assert_eq!(net.send_overhead(), SimDuration::from_micros(5));
     }
 
     #[test]

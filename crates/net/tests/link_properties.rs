@@ -678,10 +678,10 @@ fn an_idle_transfer_costs_exactly_its_itemization() {
                 let at = format!("{} {src:?} -> {dst:?}, {bytes} bytes", shape.label());
                 assert_eq!(cost.wan_hops, hops, "{at}");
                 assert_eq!(cost.wan_latency + cost.wan_tx, wan, "{at}");
-                assert_eq!(net.sender_free(now), now + cost.send_overhead, "{at}");
+                assert_eq!(net.send_overhead(), cost.send_overhead, "{at}");
                 assert_eq!(
                     arrival,
-                    net.sender_free(now) + cost.lan + cost.gateway + wan,
+                    now + net.send_overhead() + cost.lan + cost.gateway + wan,
                     "{at}"
                 );
                 assert_eq!(arrival, now + cost.total(), "{at}");

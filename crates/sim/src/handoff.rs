@@ -4,9 +4,9 @@
 //! This is what ranks run on where the build has no fibers (anything but
 //! x86-64 Linux); elsewhere it is compiled for `sched`'s test, which holds it
 //! to the fiber context's requests. The rank body runs on a dedicated `simproc-{rank}` thread, joined to its
-//! [`ThreadCtx`] by two `std::sync::mpsc` channels: grants one way, requests
-//! the other. The protocol alternates strictly, so neither channel ever
-//! holds more than one message. The rank's thread catches its own unwind and
+//! [`ThreadCtx`] by two `std::sync::mpsc` channels: grants one way,
+//! hand-overs the other. The protocol alternates strictly, so neither
+//! channel ever holds more than one message. The rank's thread catches its own unwind and
 //! returns what it has to hand over (payload bytes cloned, panic message)
 //! through its `JoinHandle`; its request sender dropping *is* the hang-up.
 //!
@@ -36,23 +36,24 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use crate::message;
-use crate::process::{self, Entry, Grant, Port, Request};
+use crate::process::{self, Entry, Grant, Handover, Outbox, Port, Request};
 use crate::sched::Context;
 use crate::ProcId;
 
 struct ThreadPort {
-    requests: Sender<Request>,
+    requests: Sender<Handover>,
     grants: Receiver<Grant>,
 }
 
 impl Port for ThreadPort {
-    fn exchange(&mut self, req: Request) -> Grant {
+    fn exchange(&mut self, handover: Handover) -> Grant {
         // A kernel that dropped its ends (both at once, so a failed send
         // means a failed `recv`) is tearing the run down.
-        let _ = self.requests.send(req);
+        let _ = self.requests.send(handover);
         self.grants.recv().unwrap_or(Grant::Abort)
     }
 }
@@ -60,7 +61,7 @@ impl Port for ThreadPort {
 /// A rank running on a dedicated OS thread.
 pub(crate) struct ThreadCtx {
     grants: Sender<Grant>,
-    requests: Receiver<Request>,
+    requests: Receiver<Handover>,
     /// `Some` until the rank's thread has been joined; yields the payload
     /// bytes the thread cloned and the panic message it ended with, if any.
     join: Option<JoinHandle<(u64, Option<String>)>>,
@@ -69,7 +70,13 @@ pub(crate) struct ThreadCtx {
 impl ThreadCtx {
     /// Spawns the rank's thread; it blocks at once, waiting for the first
     /// grant.
-    pub(crate) fn spawn(id: ProcId, nprocs: usize, stack_size: usize, entry: Entry) -> Self {
+    pub(crate) fn spawn(
+        id: ProcId,
+        nprocs: usize,
+        stack_size: usize,
+        outbox: Arc<Outbox>,
+        entry: Entry,
+    ) -> Self {
         let (grants, rank_grants) = channel();
         let (rank_requests, requests) = channel();
         let join = std::thread::Builder::new()
@@ -86,7 +93,7 @@ impl ThreadCtx {
                         requests: rank_requests.clone(),
                         grants: rank_grants,
                     });
-                    let exit = process::run_rank(id, nprocs, port, first, entry);
+                    let exit = process::run_rank(id, nprocs, outbox, port, first, entry);
                     let _ = rank_requests.send(exit);
                 }))
                 .err()
@@ -116,16 +123,21 @@ impl ThreadCtx {
 }
 
 impl Context for ThreadCtx {
-    fn resume(&mut self, grant: Grant) -> Result<Request, String> {
+    fn resume(&mut self, grant: Grant) -> Result<Handover, String> {
         // A grant the rank is no longer there to take fails to send, and
         // the `recv` below then reports the same hang-up.
         let _ = self.grants.send(grant);
         match self.requests.recv() {
-            Ok(exit @ Request::Exit(_)) => {
+            Ok(
+                exit @ Handover {
+                    request: Request::Exit(_),
+                    ..
+                },
+            ) => {
                 self.join();
                 Ok(exit)
             }
-            Ok(request) => Ok(request),
+            Ok(handover) => Ok(handover),
             Err(_) => Err(self
                 .join()
                 .unwrap_or_else(|| "<process hung up without panicking>".to_string())),
@@ -149,13 +161,13 @@ mod tests {
     use super::*;
     use crate::time::{SimDuration, SimTime};
     use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::Arc;
 
     fn spawn(body: impl FnOnce(&mut process::ProcCtx) -> u64 + Send + 'static) -> ThreadCtx {
         ThreadCtx::spawn(
             ProcId(0),
             1,
             64 * 1024,
+            Arc::new(Outbox::new(SimDuration::ZERO)),
             Box::new(move |ctx| Box::new(body(ctx))),
         )
     }
@@ -164,16 +176,16 @@ mod tests {
         Grant::Proceed(SimTime::from_nanos(ns))
     }
 
-    fn compute_ns(request: Result<Request, String>) -> u64 {
-        match request {
+    fn compute_ns(handed: Result<Handover, String>) -> u64 {
+        match handed.map(|h| h.request) {
             Ok(Request::Compute(d)) => d.as_nanos(),
             Ok(_) => panic!("not a compute request"),
             Err(message) => panic!("rank ended: {message}"),
         }
     }
 
-    fn exit_value(request: Result<Request, String>) -> u64 {
-        match request {
+    fn exit_value(handed: Result<Handover, String>) -> u64 {
+        match handed.map(|h| h.request) {
             Ok(Request::Exit(result)) => *result.downcast_ref().expect("a u64 result"),
             Ok(_) => panic!("not an exit"),
             Err(message) => panic!("rank ended: {message}"),

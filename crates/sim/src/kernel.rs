@@ -15,25 +15,30 @@
 //! * [`crate::sched`] — the event loop resumes the rank an event names and
 //!   gets its next request back as the return value; by default the rank is
 //!   a fiber on this very thread, so a virtual context switch is two stack
-//!   switches and nothing is handed to another thread.
+//!   switches and nothing is handed to another thread. A send is not a
+//!   switch: the rank leaves it in the run's outbox, and the kernel posts
+//!   the outbox whenever a resume returns (see [`crate::process`]).
 //! * [`crate::mailbox`] — one arrival-ordered queue per rank, scanned
 //!   front to back; a message whose receiver is already blocked on a
 //!   filter that accepts it never enters it.
 //! * [`crate::equeue`] — one binary heap in `(time, tie, seq)` order, the
-//!   order the what-if replayer's event loop keeps too.
+//!   order the what-if replayer's event loop keeps too. Its entries are
+//!   keys: a delivery names its message by index into the run's in-flight
+//!   slab, so a heap operation moves 40 bytes, not a whole message.
 //!
 //! The kernel self-profiles into [`HotProfile`]; the golden suite pins
 //! those counters exactly per app cell (`tests/golden/counts.txt`).
 
 use std::any::Any;
+use std::sync::Arc;
 
 use crate::equeue::{EventCore, TieBreak};
 use crate::error::{PendingMessage, ProcFailure, SimError, WaitState};
 use crate::mailbox::Mailbox;
-use crate::message::{self, Filter, Message, Payload, Tag};
+use crate::message::{self, Filter, Message};
 use crate::network::{FaultEvent, FaultKind, Network};
 use crate::observe::Observer;
-use crate::process::{self, Entry, Grant, ProcCtx, Request};
+use crate::process::{self, Entry, Grant, Handover, Outbox, Posted, ProcCtx, Request};
 use crate::sched::{self, Context};
 use crate::time::{SimDuration, SimTime};
 use crate::ProcId;
@@ -90,7 +95,8 @@ pub struct KernelStats {
 pub struct HotProfile {
     /// Virtual context switches: grants a process was resumed with.
     pub switches: u64,
-    /// Requests serviced from processes.
+    /// Operations serviced for processes: each request a process suspended
+    /// with, and each send it posted (a send does not suspend it).
     pub requests: u64,
     /// Constant 0: nothing measures it. It counted wakes of a parked peer
     /// when thread-backed ranks met the kernel in a hand-rolled slot; they
@@ -334,30 +340,64 @@ impl Drop for HostLocals {
     }
 }
 
-/// What the kernel's events do: resume a rank, or hand it a message.
+/// What the kernel's events do: resume a rank, or hand a message in flight
+/// (by its index in [`InFlight`]) to its receiver.
 enum EventKind {
     Wake(ProcId),
-    Deliver(ProcId, Message),
+    Deliver(usize),
 }
 
-/// A send whose stateful network booking the core holds until the end of
-/// the timestamp it was issued in (its departure and sender are the core's
-/// sort key). The sender already resumed, its clock advanced by the
-/// sender-side overhead from [`Network::sender_free`]; what remains — link
-/// acquisition, fault disposition, and scheduling the delivery — is
-/// [`Kernel::book`]'s.
-struct PendingSend {
-    dst: ProcId,
-    tag: Tag,
-    wire_bytes: u64,
-    payload: Payload,
+// A heap entry is its 24-byte `(time, tie, seq)` key and this.
+const _: () = assert!(std::mem::size_of::<EventKind>() <= 16);
+
+/// The core holds each posted send's stateful network booking until the end
+/// of the timestamp it was issued in (its departure and sender are the
+/// core's sort key). The sender kept running, its clock advanced by
+/// [`Network::send_overhead`]; what remains — link acquisition, fault
+/// disposition, and scheduling the delivery — is [`Kernel::book`]'s.
+type Core = EventCore<EventKind, Posted>;
+
+/// Booked messages not yet delivered, each with its receiver, in slots a
+/// delivery frees for the next booking.
+#[derive(Default)]
+struct InFlight {
+    slots: Vec<Option<(ProcId, Message)>>,
+    free: Vec<usize>,
 }
 
-type Core = EventCore<EventKind, PendingSend>;
+impl InFlight {
+    fn insert(&mut self, dst: ProcId, msg: Message) -> usize {
+        let entry = Some((dst, msg));
+        match self.free.pop() {
+            Some(slot) => {
+                self.slots[slot] = entry;
+                slot
+            }
+            None => {
+                self.slots.push(entry);
+                self.slots.len() - 1
+            }
+        }
+    }
+
+    fn take(&mut self, slot: usize) -> (ProcId, Message) {
+        let entry = self.slots[slot]
+            .take()
+            .expect("a delivery names a message in flight");
+        self.free.push(slot);
+        entry
+    }
+}
 
 struct Kernel<'o, N: Network> {
     net: N,
     slots: Vec<ProcSlot>,
+    /// The run's one outbox, which every rank sends into.
+    outbox: Arc<Outbox>,
+    /// The kernel's half of the outbox's double buffer: empty between
+    /// posts.
+    posting: Vec<Posted>,
+    in_flight: InFlight,
     msg_seq: u64,
     live: usize,
     time_limit: Option<SimTime>,
@@ -371,12 +411,19 @@ struct Kernel<'o, N: Network> {
 impl<'o, N: Network> Kernel<'o, N> {
     fn start(sim: Sim<'o, N>) -> Self {
         let nprocs = sim.entries.len();
+        let outbox = Arc::new(Outbox::new(sim.net.send_overhead()));
         let slots = sim
             .entries
             .into_iter()
             .enumerate()
             .map(|(rank, entry)| ProcSlot {
-                ctx: sched::spawn(ProcId(rank), nprocs, sim.stack_size, entry),
+                ctx: sched::spawn(
+                    ProcId(rank),
+                    nprocs,
+                    sim.stack_size,
+                    Arc::clone(&outbox),
+                    entry,
+                ),
                 mailbox: Mailbox::default(),
                 state: ProcState::Idle,
                 clock: SimTime::ZERO,
@@ -389,6 +436,9 @@ impl<'o, N: Network> Kernel<'o, N> {
         Kernel {
             net: sim.net,
             slots,
+            outbox,
+            posting: Vec::new(),
+            in_flight: InFlight::default(),
             msg_seq: 0,
             live: nprocs,
             time_limit: sim.time_limit,
@@ -401,12 +451,20 @@ impl<'o, N: Network> Kernel<'o, N> {
 
     /// Runs process `p` with `grant` until it suspends with its next
     /// request: one virtual context switch, and the only place the kernel
-    /// enters rank code. A rank that ends without an `Exit` (its entry
-    /// function panicked) is harvested as failed and yields `None`.
-    fn resume(&mut self, p: ProcId, grant: Grant) -> Option<Request> {
+    /// enters rank code. The sends the rank made meanwhile are posted first,
+    /// even when it died making no request: a rank that ends without an
+    /// `Exit` (its entry function panicked) is harvested as failed and
+    /// yields `None`.
+    fn resume(&mut self, core: &mut Core, p: ProcId, grant: Grant) -> Option<Request> {
         self.profile.switches += 1;
-        match self.slots[p.0].ctx.resume(grant) {
-            Ok(request) => {
+        let handed = self.slots[p.0].ctx.resume(grant);
+        self.post_sends(core, p);
+        match handed {
+            Ok(Handover { now, request }) => {
+                debug_assert_eq!(
+                    self.slots[p.0].clock, now,
+                    "rank {p} handed over a clock the kernel does not hold"
+                );
                 self.profile.requests += 1;
                 Some(request)
             }
@@ -414,6 +472,30 @@ impl<'o, N: Network> Kernel<'o, N> {
                 self.harvest_failure(p, message);
                 None
             }
+        }
+    }
+
+    /// Posts the sends rank `p` left in the outbox, in the order it made
+    /// them: each departs at the rank's clock, which then advances by the
+    /// send overhead — as the rank's own clock did — and its booking is
+    /// held to the end of the timestamp (see [`Kernel::book`]).
+    fn post_sends(&mut self, core: &mut Core, p: ProcId) {
+        self.outbox.swap(&mut self.posting);
+        let overhead = self.outbox.send_overhead;
+        let slot = &mut self.slots[p.0];
+        for send in self.posting.drain(..) {
+            let sent_at = slot.clock;
+            if let Some(obs) = self.observer.as_mut() {
+                obs.on_send_posted(p, send.dst, send.wire_bytes, sent_at);
+            }
+            slot.stats.msgs_sent += 1;
+            slot.stats.bytes_sent += send.wire_bytes;
+            slot.stats.send_overhead += overhead;
+            slot.clock = sent_at + overhead;
+            self.kstats.messages += 1;
+            self.kstats.bytes += send.wire_bytes;
+            self.profile.requests += 1;
+            core.defer(sent_at, p.0, send);
         }
     }
 
@@ -426,7 +508,7 @@ impl<'o, N: Network> Kernel<'o, N> {
     /// which order the kernel happened to run their senders in. Verified
     /// end to end by the tiebreak-invariance suite and `numagap check
     /// --perturb`.
-    fn book(&mut self, core: &mut Core, sent_at: SimTime, src: usize, send: PendingSend) {
+    fn book(&mut self, core: &mut Core, sent_at: SimTime, src: usize, send: Posted) {
         let (src, dst, tag, wire_bytes) = (ProcId(src), send.dst, send.tag, send.wire_bytes);
         let arrival = self.net.transfer(src, dst, wire_bytes, sent_at);
         debug_assert!(arrival >= sent_at);
@@ -445,7 +527,7 @@ impl<'o, N: Network> Kernel<'o, N> {
             obs.on_send(dst, &msg);
         }
         let Some(disposition) = self.net.fault_disposition(src, dst, tag, sent_at, arrival) else {
-            core.schedule(arrival, EventKind::Deliver(dst, msg));
+            core.schedule(arrival, EventKind::Deliver(self.in_flight.insert(dst, msg)));
             return;
         };
         match disposition.kind {
@@ -470,7 +552,10 @@ impl<'o, N: Network> Kernel<'o, N> {
             debug_assert!(arrival >= sent_at);
             let mut copy = msg.clone();
             copy.arrived_at = arrival;
-            core.schedule(arrival, EventKind::Deliver(dst, copy));
+            core.schedule(
+                arrival,
+                EventKind::Deliver(self.in_flight.insert(dst, copy)),
+            );
         }
     }
 
@@ -504,7 +589,10 @@ impl<'o, N: Network> Kernel<'o, N> {
                     self.slots[p.0].clock = clock;
                     self.service(&mut core, p, Grant::Proceed(clock));
                 }
-                EventKind::Deliver(p, msg) => self.deliver(&mut core, p, msg),
+                EventKind::Deliver(slot) => {
+                    let (p, msg) = self.in_flight.take(slot);
+                    self.deliver(&mut core, p, msg);
+                }
             }
             if self.live == 0 {
                 break;
@@ -602,7 +690,7 @@ impl<'o, N: Network> Kernel<'o, N> {
     /// waits on virtual time (compute, blocked recv), exits, or dies.
     fn service(&mut self, core: &mut Core, p: ProcId, mut grant: Grant) {
         loop {
-            let Some(req) = self.resume(p, grant) else {
+            let Some(req) = self.resume(core, p, grant) else {
                 return;
             };
             match req {
@@ -618,38 +706,6 @@ impl<'o, N: Network> Kernel<'o, N> {
                     }
                     core.schedule(wake_at, EventKind::Wake(p));
                     return;
-                }
-                Request::Send {
-                    dst,
-                    tag,
-                    wire_bytes,
-                    payload,
-                } => {
-                    let sent_at = self.slots[p.0].clock;
-                    if let Some(obs) = self.observer.as_mut() {
-                        obs.on_send_posted(p, dst, wire_bytes, sent_at);
-                    }
-                    let sender_free = self.net.sender_free(sent_at);
-                    debug_assert!(sender_free >= sent_at);
-                    let slot = &mut self.slots[p.0];
-                    slot.stats.msgs_sent += 1;
-                    slot.stats.bytes_sent += wire_bytes;
-                    slot.stats.send_overhead += sender_free.since(sent_at);
-                    slot.clock = sender_free;
-                    self.kstats.messages += 1;
-                    self.kstats.bytes += wire_bytes;
-                    // The stateful part (link booking, faults, delivery) is
-                    // deferred to the timestamp boundary — see
-                    // [`Kernel::book`] — so the sender resumes now knowing
-                    // only its own overhead.
-                    let send = PendingSend {
-                        dst,
-                        tag,
-                        wire_bytes,
-                        payload,
-                    };
-                    core.defer(sent_at, p.0, send);
-                    grant = Grant::Proceed(sender_free);
                 }
                 Request::Recv(filter) => {
                     let now = self.slots[p.0].clock;
@@ -829,7 +885,7 @@ mod tests {
     use std::sync::Arc;
 
     use super::*;
-    use crate::message::Tag;
+    use crate::message::{Payload, Tag};
     use crate::network::IdealNetwork;
 
     #[test]
@@ -1169,6 +1225,29 @@ mod tests {
                 .copied(),
             Some(7)
         );
+    }
+
+    #[test]
+    fn a_send_made_before_a_panic_is_still_delivered() {
+        // Rank 0 never hands over after its send: the kernel posts it when
+        // the resume that ran it reports the panic.
+        let mut sim = Sim::new(IdealNetwork::new(2, SimDuration::from_micros(1)));
+        sim.spawn(|ctx| {
+            ctx.send(ProcId(1), Tag::app(0), 5u32, 4);
+            panic!("dies after sending");
+        });
+        sim.spawn(|ctx| ctx.recv(Filter::tag(Tag::app(0))).expect_clone::<u32>());
+        let out = sim.run().unwrap();
+        let failure = out.results[0].as_ref().unwrap_err();
+        assert!(
+            failure.message.contains("dies after sending"),
+            "{failure:?}"
+        );
+        let got = out.results[1].as_ref().unwrap().downcast_ref::<u32>();
+        assert_eq!(got, Some(&5));
+        assert_eq!(out.kernel_stats.messages, 1);
+        assert_eq!(out.proc_stats[0].msgs_sent, 1);
+        assert_eq!(out.elapsed, SimDuration::from_micros(1));
     }
 
     #[test]

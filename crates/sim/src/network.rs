@@ -104,8 +104,8 @@ impl FaultDisposition {
 
 /// A pluggable message cost model.
 ///
-/// Each question about a message has one answer here: when its sender is
-/// free ([`Network::sender_free`]), when it arrives ([`Network::transfer`]),
+/// Each question about a message has one answer here: what its sender pays
+/// ([`Network::send_overhead`]), when it arrives ([`Network::transfer`]),
 /// what its receiver pays ([`Network::recv_overhead`]) and whether a fault
 /// befalls it ([`Network::fault_disposition`]).
 ///
@@ -118,16 +118,17 @@ pub trait Network: Send + 'static {
     /// lands in the receiver's mailbox.
     fn transfer(&mut self, src: ProcId, dst: ProcId, wire_bytes: u64, now: SimTime) -> SimTime;
 
-    /// When the sender's CPU becomes free after handing a message to the
-    /// network at `now` — the sender-side software cost of the eventual
-    /// [`Network::transfer`] call, computed *without* touching link state.
-    /// The kernel resumes the sender from this value immediately and defers
-    /// the link booking itself to the end of the timestamp, where bookings
-    /// are replayed in canonical `(departure, rank, send index)` order so
-    /// contention arbitration cannot observe event tiebreak order. Defaults
-    /// to `now` (no sender-side overhead).
-    fn sender_free(&self, now: SimTime) -> SimTime {
-        now
+    /// The sender-side software cost of handing a message to the network:
+    /// a message departing at `now` leaves its sender's CPU free at `now +
+    /// send_overhead()`, and [`Network::transfer`] starts its first hop no
+    /// earlier. A constant of the network: the kernel reads it once, when a
+    /// run starts, and a rank pays it on its own clock without suspending,
+    /// while the link booking waits for the end of the timestamp, where
+    /// bookings are replayed in canonical `(departure, rank, send index)`
+    /// order so contention arbitration cannot observe event tiebreak order.
+    /// Defaults to zero.
+    fn send_overhead(&self) -> SimDuration {
+        SimDuration::ZERO
     }
 
     /// Number of processor endpoints this network connects.
@@ -168,7 +169,7 @@ pub trait Network: Send + 'static {
 /// let mut net = IdealNetwork::new(4, SimDuration::from_micros(1));
 /// let arrival = net.transfer(ProcId(0), ProcId(1), 1024, SimTime::ZERO);
 /// assert_eq!(arrival, SimTime::ZERO + SimDuration::from_micros(1));
-/// assert_eq!(net.sender_free(SimTime::ZERO), SimTime::ZERO);
+/// assert_eq!(net.send_overhead(), SimDuration::ZERO);
 /// ```
 #[derive(Debug, Clone)]
 pub struct IdealNetwork {

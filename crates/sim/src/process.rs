@@ -2,13 +2,22 @@
 //!
 //! Each simulated processor is an execution context with a stack of its own
 //! (see [`crate::sched`]) that the kernel resumes with a [`Grant`] and that
-//! runs until its next [`Request`]. The kernel resumes exactly one process
-//! at a time and every simulated operation is such a rendezvous, which keeps
-//! the whole run deterministic regardless of host scheduling.
+//! runs until it hands over its next [`Request`]. The kernel resumes exactly
+//! one process at a time, which keeps the whole run deterministic regardless
+//! of host scheduling.
+//!
+//! Only an operation whose outcome the rest of the machine decides suspends
+//! the rank: compute (other ranks run meanwhile), receive, poll and exit. A
+//! send does not. As in the paper's Panda layer it is asynchronous: the rank
+//! pays the sender-side overhead on its own clock, leaves the message in the
+//! run's [`Outbox`] and keeps running; the kernel posts the outbox, in the
+//! order the rank filled it, when the rank next hands over, before it serves
+//! the request. Nothing else happens in between, so the run is what it would
+//! be if every send were served on the spot.
 
 use std::any::Any;
 use std::cell::Cell;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use crate::message::{Filter, Message, Payload, Tag};
 use crate::time::{SimDuration, SimTime};
@@ -18,19 +27,61 @@ use crate::ProcId;
 pub(crate) enum Request {
     /// Advance this process's clock by the given amount of compute time.
     Compute(SimDuration),
-    /// Hand a message to the network (asynchronous send).
-    Send {
-        dst: ProcId,
-        tag: Tag,
-        wire_bytes: u64,
-        payload: Payload,
-    },
     /// Block until a matching message is available.
     Recv(Filter),
     /// Poll for a matching message without blocking.
     TryRecv(Filter),
     /// The process finished with this result.
     Exit(Box<dyn Any + Send>),
+}
+
+/// What a rank hands the kernel when it suspends: its next request, and its
+/// clock as it advanced on its own since the last grant (by the overhead of
+/// each send in the outbox), which the kernel checks against its own.
+pub(crate) struct Handover {
+    pub(crate) now: SimTime,
+    pub(crate) request: Request,
+}
+
+/// A send a rank made and the kernel has not posted yet.
+pub(crate) struct Posted {
+    pub(crate) dst: ProcId,
+    pub(crate) tag: Tag,
+    pub(crate) wire_bytes: u64,
+    pub(crate) payload: Payload,
+}
+
+/// The sends made since the last hand-over: one buffer per run, shared by
+/// its ranks and its kernel. At most one rank runs at a time and the kernel
+/// waits while it does, so the buffer only ever holds the sends of the rank
+/// that ran last, in the order it made them, and its lock is never
+/// contended: it is only there because a rank may run on a thread of its
+/// own.
+pub(crate) struct Outbox {
+    sends: Mutex<Vec<Posted>>,
+    /// What a send costs its sender: the run's [`crate::Network::send_overhead`].
+    pub(crate) send_overhead: SimDuration,
+}
+
+impl Outbox {
+    pub(crate) fn new(send_overhead: SimDuration) -> Self {
+        Outbox {
+            sends: Mutex::new(Vec::new()),
+            send_overhead,
+        }
+    }
+
+    /// The buffer. A panic cannot leave it half-updated (nothing that holds
+    /// the lock runs rank code), so a poisoned lock is taken as it is.
+    fn sends(&self) -> MutexGuard<'_, Vec<Posted>> {
+        self.sends.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Swaps the buffer with `other`: the kernel takes the posted sends and
+    /// leaves its own (drained) buffer behind, so neither allocates again.
+    pub(crate) fn swap(&self, other: &mut Vec<Posted>) {
+        std::mem::swap(&mut *self.sends(), other);
+    }
 }
 
 /// Kernel replies completing a request.
@@ -59,11 +110,11 @@ fn abort_rank() -> ! {
 /// A rank's type-erased entry function.
 pub(crate) type Entry = Box<dyn FnOnce(&mut ProcCtx) -> Box<dyn Any + Send> + Send + 'static>;
 
-/// The process end of the kernel rendezvous: suspends the rank with `req`
-/// and returns the grant the kernel resumes it with. One implementation per
-/// kind of execution context.
+/// The process end of the kernel rendezvous: suspends the rank with its
+/// hand-over and returns the grant the kernel resumes it with. One
+/// implementation per kind of execution context.
 pub(crate) trait Port {
-    fn exchange(&mut self, req: Request) -> Grant;
+    fn exchange(&mut self, handover: Handover) -> Grant;
 }
 
 thread_local! {
@@ -86,19 +137,21 @@ pub(crate) fn set_current_rank(rank: Option<usize>) -> Option<usize> {
     CURRENT_RANK.with(|c| c.replace(rank))
 }
 
-/// Runs one rank from its first grant to its `Exit` request — the body every
-/// execution context wraps. Unwinds on a user panic or a kernel abort.
+/// Runs one rank from its first grant to its `Exit` hand-over — the body
+/// every execution context wraps. Unwinds on a user panic or a kernel abort.
 pub(crate) fn run_rank(
     id: ProcId,
     nprocs: usize,
+    outbox: Arc<Outbox>,
     port: Box<dyn Port>,
     first: Grant,
     entry: Entry,
-) -> Request {
+) -> Handover {
     let mut ctx = ProcCtx {
         id,
         nprocs,
         now: SimTime::ZERO,
+        outbox,
         port,
     };
     match first {
@@ -106,7 +159,11 @@ pub(crate) fn run_rank(
         Grant::Abort => abort_rank(),
         _ => unreachable!("initial grant must be a proceed"),
     }
-    Request::Exit(entry(&mut ctx))
+    let request = Request::Exit(entry(&mut ctx));
+    Handover {
+        now: ctx.now,
+        request,
+    }
 }
 
 /// Renders a caught panic payload as a rank's failure diagnostic.
@@ -147,6 +204,7 @@ pub struct ProcCtx {
     id: ProcId,
     nprocs: usize,
     now: SimTime,
+    outbox: Arc<Outbox>,
     port: Box<dyn Port>,
 }
 
@@ -181,8 +239,9 @@ impl ProcCtx {
         self.now
     }
 
-    fn rendezvous(&mut self, req: Request) -> Grant {
-        match self.port.exchange(req) {
+    fn rendezvous(&mut self, request: Request) -> Grant {
+        let now = self.now;
+        match self.port.exchange(Handover { now, request }) {
             Grant::Abort => abort_rank(),
             grant => grant,
         }
@@ -201,12 +260,14 @@ impl ProcCtx {
 
     /// Sends `value` to `dst` with matching `tag`, charging `wire_bytes` on
     /// the network. Asynchronous: returns as soon as the sender-side software
-    /// overhead has been paid; delivery happens later in virtual time.
+    /// overhead has been paid; delivery happens later in virtual time. The
+    /// rank does not suspend (see the module docs).
     pub fn send<T: Any + Send + Sync>(&mut self, dst: ProcId, tag: Tag, value: T, wire_bytes: u64) {
         self.send_payload(dst, tag, Arc::new(value), wire_bytes);
     }
 
-    /// Sends an already-shared payload (cheap for multicast fan-out).
+    /// Sends an already-shared payload: a value sent to many ranks is one
+    /// allocation, whatever the fan-out.
     pub fn send_payload(&mut self, dst: ProcId, tag: Tag, payload: Payload, wire_bytes: u64) {
         assert!(
             dst.0 < self.nprocs,
@@ -214,15 +275,14 @@ impl ProcCtx {
             dst.0,
             self.nprocs
         );
-        match self.rendezvous(Request::Send {
+        let send = Posted {
             dst,
             tag,
             wire_bytes,
             payload,
-        }) {
-            Grant::Proceed(now) => self.now = now,
-            _ => unreachable!("send answered with a non-proceed grant"),
-        }
+        };
+        self.outbox.sends().push(send);
+        self.now += self.outbox.send_overhead;
     }
 
     /// Blocks until a message matching `filter` arrives, and returns it.

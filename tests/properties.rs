@@ -25,7 +25,7 @@ proptest! {
         let n = srcs.len().min(dsts.len()).min(sizes.len()).min(gaps.len());
         for i in 0..n {
             now += SimDuration::from_nanos(gaps[i]);
-            let sender_free = net.sender_free(now);
+            let sender_free = now + net.send_overhead();
             let arrival = net.transfer(ProcId(srcs[i]), ProcId(dsts[i]), sizes[i], now);
             prop_assert!(sender_free >= now);
             prop_assert!(arrival >= sender_free);
