@@ -435,11 +435,10 @@ pub fn water_rank(
         let mut acc_left: usize = acc.iter().map(|(_, _, c)| *c).sum();
         while force_left > 0 || acc_left > 0 {
             let msg = ctx.recv(Filter::one_of(&[force_tag, force_acc_tag]));
-            let (target, forces) = {
-                let (t, fs) = msg.expect_ref::<Addressed>();
-                (*t as usize, fs.clone())
-            };
-            if msg.tag == force_acc_tag {
+            let (tag, src) = (msg.tag, msg.src);
+            let (target, forces) = Arc::unwrap_or_clone(msg.expect_shared::<Addressed>());
+            let target = target as usize;
+            if tag == force_acc_tag {
                 acc_left -= 1;
                 let slot = acc
                     .iter_mut()
@@ -457,7 +456,7 @@ pub fn water_rank(
                     ctx.send(target, force_tag, (target as u32, summed), bytes);
                 }
             } else {
-                incoming.push((msg.src.0, forces));
+                incoming.push((src.0, forces));
                 force_left -= 1;
             }
         }

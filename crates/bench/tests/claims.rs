@@ -1,8 +1,12 @@
-//! The paper's Figure 3 verdicts (and Table 1's traffic order), each
-//! decided once: a claim is the paper's sentence plus a check over the
-//! records of the committed medium baseline, `baselines/medium/BENCH_fig3.json`
-//! — every pair at every point of the 7 × 6 grid on the 4x8 machine, and
-//! each app's all-Myrinet 1x32 run. No simulation runs here.
+//! The paper's Table 1, Table 2 and Figure 3 verdicts, each decided once: a
+//! claim is the paper's sentence plus a check over the records of the
+//! committed medium baselines. `baselines/medium/BENCH_fig3.json` holds
+//! every pair at every point of the 7 × 6 grid on the 4x8 machine, and each
+//! app's all-Myrinet 1x32 run; `baselines/medium/BENCH_table1.json` holds
+//! each app's unoptimized run on one Myrinet cluster of 1, 8 and 32
+//! processors. Their keys are disjoint, so the claims read them as one
+//! list. Table 1's grain rows also read the 1x32 runs of the paper-scale
+//! `baselines/paper/BENCH_fig3.json`. No simulation runs here.
 //!
 //! A check returns what it measured and whether the sentence holds. Its
 //! threshold comes from the paper's words, never from the measured value:
@@ -11,13 +15,15 @@
 //!   `numagap predict` reads it;
 //! - a gap is how many times slower than Myrinet (20 µs, 50 MB/s) a WAN
 //!   setting is, and an order of magnitude of it is a factor of ten;
-//! - "~x" holds within a factor of two of x.
+//! - "~x" holds within a factor of two of x;
+//! - the paper's own numbers are [`TABLE1`], their only copy.
 //!
-//! The claims render as the tables between EXPERIMENTS.md's `fig3-claims`
-//! and `table1-claims` markers; the test fails with the stale rows, each
-//! led by its claim id, when a committed block differs. After a change
-//! that moves virtual time on purpose, copy the fresh medium summary over
-//! the committed one, then regenerate the blocks with
+//! The claims and the grain rows render as the tables between
+//! EXPERIMENTS.md's `table1`, `table2-claims` and `fig3-claims` markers;
+//! the test fails with the stale rows, each led by its app or claim id,
+//! when a committed block differs. After a change that moves virtual time
+//! on purpose, copy the fresh summaries over the committed ones, then
+//! regenerate the blocks with
 //!
 //! ```text
 //! UPDATE_GOLDEN=1 cargo test -p numagap-bench --test claims
@@ -34,7 +40,9 @@ use numagap_bench::targets::paper_grid;
 use numagap_model::{gap_thresholds, GapThresholds};
 use numagap_net::LinkParams;
 
-const BASELINE: &str = "baselines/medium/BENCH_fig3.json";
+const MEDIUM_FIG3: &str = "baselines/medium/BENCH_fig3.json";
+const MEDIUM_TABLE1: &str = "baselines/medium/BENCH_table1.json";
+const PAPER_FIG3: &str = "baselines/paper/BENCH_fig3.json";
 const UNOPT: Variant = Variant::Unoptimized;
 const OPT: Variant = Variant::Optimized;
 
@@ -45,7 +53,67 @@ struct Claim {
     check: fn(&[RunRecord]) -> (String, bool),
 }
 
-const FIG3: [Claim; 10] = [
+/// One program's row of the paper's Table 1: its speedup on one Myrinet
+/// cluster of 32 and of 8 processors, and its traffic and runtime on 32.
+struct PaperRow {
+    app: AppId,
+    speedup32: f64,
+    speedup8: f64,
+    mbs: f64,
+    runtime_s: f64,
+}
+
+const fn paper_row(
+    app: AppId,
+    speedup32: f64,
+    speedup8: f64,
+    mbs: f64,
+    runtime_s: f64,
+) -> PaperRow {
+    PaperRow {
+        app,
+        speedup32,
+        speedup8,
+        mbs,
+        runtime_s,
+    }
+}
+
+/// The paper's Table 1: speedup at 32p and 8p, traffic MB/s, runtime s.
+const TABLE1: [PaperRow; 6] = [
+    paper_row(AppId::Water, 31.2, 7.8, 3.8, 9.1),
+    paper_row(AppId::Barnes, 28.4, 7.1, 17.8, 1.8),
+    paper_row(AppId::Tsp, 29.2, 7.7, 0.52, 4.7),
+    paper_row(AppId::Asp, 31.3, 7.8, 0.75, 6.0),
+    paper_row(AppId::Awari, 7.8, 4.6, 4.1, 2.3),
+    paper_row(AppId::Fft, 32.9, 5.3, 128.0, 0.26),
+];
+
+const TABLE1_CLAIMS: [Claim; 3] = [
+    Claim {
+        id: "table1.speedup",
+        paper: "Every application except Awari runs efficiently on one cluster",
+        check: speedups,
+    },
+    Claim {
+        id: "table1.awari",
+        paper: "Awari's single-cluster speedup is poor",
+        check: awari_speedup,
+    },
+    Claim {
+        id: "table1.traffic-order",
+        paper: "FFT is by far the most traffic-intensive application, TSP the least",
+        check: traffic_order,
+    },
+];
+
+const TABLE2_CLAIMS: [Claim; 1] = [Claim {
+    id: "table2.wan-messages",
+    paper: "Each optimization reduces its program's inter-cluster communication",
+    check: wan_messages,
+}];
+
+const FIG3_CLAIMS: [Claim; 10] = [
     Claim {
         id: "fig3.degrade",
         paper: "Unoptimized programs degrade sharply once the gap exceeds ~1 order of magnitude",
@@ -104,26 +172,39 @@ const FIG3: [Claim; 10] = [
     },
 ];
 
-const TABLE1: [Claim; 1] = [Claim {
-    id: "table1.traffic-order",
-    paper: "FFT is by far the most traffic-intensive application, TSP the least",
-    check: traffic_order,
-}];
-
-/// Each generated block of EXPERIMENTS.md: its marker name and its claims.
-const BLOCKS: [(&str, &[Claim]); 2] = [("fig3-claims", &FIG3), ("table1-claims", &TABLE1)];
-
 fn record<'r>(recs: &'r [RunRecord], key: &str) -> &'r RunRecord {
     recs.iter()
         .find(|r| r.key == key)
         .unwrap_or_else(|| panic!("no record '{key}'"))
 }
 
+/// The pair's run at one grid point.
+fn cell(recs: &[RunRecord], app: AppId, variant: Variant, lat: f64, bw: f64) -> &RunRecord {
+    record(recs, &format!("{app}/{variant}/lat{lat}/bw{bw}"))
+}
+
 /// Relative speedup at one grid point: the pair's makespan as a percentage
 /// of its app's all-Myrinet one, the y axis of every Figure 3 panel.
 fn pct(recs: &[RunRecord], app: AppId, variant: Variant, lat: f64, bw: f64) -> f64 {
-    let key = format!("{app}/{variant}/lat{lat}/bw{bw}");
-    100.0 * record(recs, &format!("baseline/{app}")).virtual_s / record(recs, &key).virtual_s
+    100.0 * runtime_s(recs, app) / cell(recs, app, variant, lat, bw).virtual_s
+}
+
+/// Virtual seconds of the app's all-Myrinet 1x32 run.
+fn runtime_s(recs: &[RunRecord], app: AppId) -> f64 {
+    record(recs, &format!("baseline/{app}")).virtual_s
+}
+
+/// Bytes per second of virtual time on the app's all-Myrinet 1x32 run, as
+/// Table 1's traffic column.
+fn traffic_mbs(recs: &[RunRecord], app: AppId) -> f64 {
+    let r = record(recs, &format!("baseline/{app}"));
+    (r.intra_bytes + r.inter_bytes) as f64 / r.virtual_s / 1e6
+}
+
+/// The app's speedup on one Myrinet cluster of `procs` processors.
+fn speedup(recs: &[RunRecord], app: AppId, procs: usize) -> f64 {
+    record(recs, &format!("{app}/p1")).virtual_s
+        / record(recs, &format!("{app}/p{procs}")).virtual_s
 }
 
 /// One panel, indexed `[latency][bandwidth]` over the grid, which lists
@@ -159,6 +240,20 @@ fn gaps(t: GapThresholds) -> (f64, f64) {
 /// "~x": within a factor of two of x.
 fn about(measured: f64, paper: f64) -> bool {
     (0.5..=2.0).contains(&(measured / paper))
+}
+
+/// `x` to `digits` significant digits.
+fn sig(x: f64, digits: u8) -> String {
+    let decimals = (f64::from(digits) - 1.0 - x.abs().log10().floor()).clamp(0.0, 17.0);
+    format!("{x:.*}", decimals as usize)
+}
+
+fn mark(holds: bool) -> char {
+    if holds {
+        '✓'
+    } else {
+        '✗'
+    }
 }
 
 fn show(value: Option<f64>) -> String {
@@ -426,15 +521,52 @@ fn extremes(recs: &[RunRecord]) -> (String, bool) {
     (format!("at or above 25 %: {}", edges.join("; ")), false)
 }
 
-/// Bytes per second of virtual time on the all-Myrinet run, as Table 1's
-/// traffic column; "by far" is an order of magnitude above Water's (the
-/// paper's Table 1 has 128 against 3.8 MB/s).
+/// "Efficiently": ~the paper's speedup, at 32 and at 8 processors.
+fn speedups(recs: &[RunRecord]) -> (String, bool) {
+    let mut holds = true;
+    let mut each = Vec::new();
+    for row in TABLE1.iter().filter(|row| row.app != AppId::Awari) {
+        let (s32, s8) = (speedup(recs, row.app, 32), speedup(recs, row.app, 8));
+        holds &= about(s32, row.speedup32) && about(s8, row.speedup8);
+        each.push(format!(
+            "{} {:.2}×, {:.2}×",
+            row.app,
+            s32 / row.speedup32,
+            s8 / row.speedup8
+        ));
+    }
+    (
+        format!(
+            "measured ÷ paper speedup at 32p and 8p: {}",
+            each.join("; ")
+        ),
+        holds,
+    )
+}
+
+/// "Poor": ~the paper's Awari speedup at 32 processors.
+fn awari_speedup(recs: &[RunRecord]) -> (String, bool) {
+    let row = TABLE1
+        .iter()
+        .find(|row| row.app == AppId::Awari)
+        .expect("Table 1 has Awari's row");
+    let (s32, s8) = (speedup(recs, row.app, 32), speedup(recs, row.app, 8));
+    (
+        format!(
+            "32p speedup {s32:.1} against the paper's {} ({:.1}×); 8p {s8:.1} against {}",
+            row.speedup32,
+            s32 / row.speedup32,
+            row.speedup8
+        ),
+        about(s32, row.speedup32),
+    )
+}
+
+/// Table 1's traffic column; "by far" is an order of magnitude above
+/// Water's, as the paper's FFT is in [`TABLE1`].
 fn traffic_order(recs: &[RunRecord]) -> (String, bool) {
-    let rate = |app: AppId| {
-        let r = record(recs, &format!("baseline/{app}"));
-        (r.intra_bytes + r.inter_bytes) as f64 / r.virtual_s / 1e6
-    };
-    let rates: Vec<f64> = AppId::ALL.iter().map(|&app| rate(app)).collect();
+    let rate = |app| traffic_mbs(recs, app);
+    let rates: Vec<f64> = AppId::ALL.into_iter().map(rate).collect();
     let (fft, tsp, water) = (rate(AppId::Fft), rate(AppId::Tsp), rate(AppId::Water));
     (
         format!(
@@ -447,7 +579,86 @@ fn traffic_order(recs: &[RunRecord]) -> (String, bool) {
     )
 }
 
-/// Every record key of the full medium Figure 3 grid.
+/// Fewer inter-cluster messages than the unoptimized variant at every
+/// grid point; the ratio is the optimized variant's count over the
+/// unoptimized one's.
+fn wan_messages(recs: &[RunRecord]) -> (String, bool) {
+    let (lats, bws) = paper_grid(false);
+    let n = lats.len() * bws.len();
+    let mut holds = true;
+    let mut each = Vec::new();
+    for app in AppId::ALL.into_iter().filter(|app| app.has_optimized()) {
+        let ratios: Vec<f64> = lats
+            .iter()
+            .flat_map(|&lat| bws.iter().map(move |&bw| (lat, bw)))
+            .map(|(lat, bw)| {
+                let msgs = |variant| cell(recs, app, variant, lat, bw).inter_msgs as f64;
+                msgs(OPT) / msgs(UNOPT)
+            })
+            .collect();
+        let fewer = ratios.iter().filter(|&&r| r < 1.0).count();
+        holds &= fewer == n;
+        let (lo, hi) = (
+            format!("{:.3}", min(ratios.iter().copied())),
+            format!("{:.3}", max(ratios.iter().copied())),
+        );
+        let range = if lo == hi { lo } else { format!("{lo}–{hi}") };
+        let short = if fewer == n {
+            String::new()
+        } else {
+            format!(" (fewer at {fewer} of {n})")
+        };
+        each.push(format!("{app} {range}{short}"));
+    }
+    (
+        format!(
+            "optimized ÷ unoptimized inter-cluster messages over the {n} points: {}",
+            each.join(", ")
+        ),
+        holds,
+    )
+}
+
+/// Table 1 beside what the committed baselines measure: speedups at
+/// medium scale, and traffic and runtime of the all-Myrinet 1x32 run at
+/// medium and at paper scale. The grain holds at a scale when its traffic
+/// rate is ~the paper's; the ratio is measured over the paper's.
+fn table1_rows(medium: &[RunRecord], paper: &[RunRecord]) -> String {
+    let mut table = String::from(
+        "| Program | Speedup 32p: paper / medium | Speedup 8p: paper / medium \
+         | Traffic MB/s: paper / medium / paper scale \
+         | Runtime s: paper / medium / paper scale | Grain at medium \
+         | Grain at paper scale |\n|---|---|---|---|---|---|---|\n",
+    );
+    for row in &TABLE1 {
+        let app = row.app;
+        let grain = |recs| {
+            let ratio = traffic_mbs(recs, app) / row.mbs;
+            format!("{} {}×", mark(about(ratio, 1.0)), sig(ratio, 2))
+        };
+        // `{:?}` prints the paper's numbers as typed, 6.0 and not 6.
+        writeln!(
+            table,
+            "| {app} | {:?} / {:.1} | {:?} / {:.1} | {:?} / {} / {} | {:?} / {} / {} | {} | {} |",
+            row.speedup32,
+            speedup(medium, app, 32),
+            row.speedup8,
+            speedup(medium, app, 8),
+            row.mbs,
+            sig(traffic_mbs(medium, app), 3),
+            sig(traffic_mbs(paper, app), 3),
+            row.runtime_s,
+            sig(runtime_s(medium, app), 3),
+            sig(runtime_s(paper, app), 3),
+            grain(medium),
+            grain(paper),
+        )
+        .unwrap();
+    }
+    table
+}
+
+/// Every record key of the full Figure 3 grid.
 fn grid_keys() -> Vec<String> {
     let (lats, bws) = paper_grid(false);
     let mut keys: Vec<String> = AppId::ALL
@@ -464,16 +675,32 @@ fn grid_keys() -> Vec<String> {
     keys
 }
 
-/// The summary's records, if it is the full medium Figure 3 grid.
-fn checked(summary: &BenchSummary) -> Result<&[RunRecord], String> {
-    if summary.target != "fig3" || summary.scale != "medium" || summary.quick {
+/// Every record key of the Table 1 sweep.
+fn table1_keys() -> Vec<String> {
+    AppId::ALL
+        .iter()
+        .flat_map(|app| [1, 8, 32].map(|p| format!("{app}/p{p}")))
+        .collect()
+}
+
+/// The summary's records, if it is the full `target` sweep at `scale`.
+fn checked<'s>(
+    summary: &'s BenchSummary,
+    target: &str,
+    scale: &str,
+) -> Result<&'s [RunRecord], String> {
+    if summary.target != target || summary.scale != scale || summary.quick {
         return Err(format!(
-            "the claims read the full medium Figure 3 grid, not target {} at scale {} \
-             (quick: {})",
+            "the claims read the full {target} sweep at scale {scale}, not target {} at \
+             scale {} (quick: {})",
             summary.target, summary.scale, summary.quick
         ));
     }
-    let keys = grid_keys();
+    let keys = if target == "fig3" {
+        grid_keys()
+    } else {
+        table1_keys()
+    };
     let missing: Vec<&str> = keys
         .iter()
         .filter(|key| !summary.records.iter().any(|r| &r.key == *key))
@@ -481,7 +708,7 @@ fn checked(summary: &BenchSummary) -> Result<&[RunRecord], String> {
         .collect();
     if !missing.is_empty() {
         return Err(format!(
-            "the summary lacks {} of the grid's {} keys: {}",
+            "the summary lacks {} of the {target} sweep's {} keys: {}",
             missing.len(),
             keys.len(),
             missing.join(", ")
@@ -490,24 +717,56 @@ fn checked(summary: &BenchSummary) -> Result<&[RunRecord], String> {
     Ok(&summary.records)
 }
 
-fn medium() -> BenchSummary {
-    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join(BASELINE);
-    BenchSummary::load(&path).expect("the committed medium baseline loads")
+fn load(path: &str) -> BenchSummary {
+    let full = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join(path);
+    BenchSummary::load(&full).unwrap_or_else(|e| panic!("{path} loads: {e}"))
+}
+
+/// The records of one committed summary, checked to be its full sweep.
+fn baseline(path: &str, target: &str, scale: &str) -> Vec<RunRecord> {
+    let summary = load(path);
+    checked(&summary, target, scale)
+        .unwrap_or_else(|e| panic!("{path}: {e}"))
+        .to_vec()
+}
+
+/// Both medium summaries' records, which the claims read as one list.
+fn medium() -> Vec<RunRecord> {
+    let mut recs = baseline(MEDIUM_FIG3, "fig3", "medium");
+    recs.extend(baseline(MEDIUM_TABLE1, "table1", "medium"));
+    recs
 }
 
 fn render(claims: &[Claim], recs: &[RunRecord]) -> String {
     let mut table = String::from("| id | Claim in paper | Measured |\n|---|---|---|\n");
     for claim in claims {
         let (measured, holds) = (claim.check)(recs);
-        let verdict = if holds { '✓' } else { '✗' };
         writeln!(
             table,
-            "| {} | {} | {verdict} {measured} |",
-            claim.id, claim.paper
+            "| {} | {} | {} {measured} |",
+            claim.id,
+            claim.paper,
+            mark(holds)
         )
         .unwrap();
     }
     table
+}
+
+/// Each generated block of EXPERIMENTS.md: its marker name and its tables.
+fn blocks(medium: &[RunRecord], paper: &[RunRecord]) -> [(&'static str, String); 3] {
+    [
+        (
+            "table1",
+            format!(
+                "{}\n{}",
+                table1_rows(medium, paper),
+                render(&TABLE1_CLAIMS, medium)
+            ),
+        ),
+        ("table2-claims", render(&TABLE2_CLAIMS, medium)),
+        ("fig3-claims", render(&FIG3_CLAIMS, medium)),
+    ]
 }
 
 /// `doc` with the text between the named block's markers replaced by `table`.
@@ -533,20 +792,22 @@ fn only_in(a: &str, b: &str, mark: char) -> String {
 
 #[test]
 fn the_claims_blocks_match_the_medium_baseline() {
-    let summary = medium();
-    let recs = checked(&summary).unwrap_or_else(|e| panic!("{BASELINE}: {e}"));
+    let (medium, paper) = (medium(), baseline(PAPER_FIG3, "fig3", "paper"));
     let doc_path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../EXPERIMENTS.md");
     let doc = std::fs::read_to_string(&doc_path).expect("read EXPERIMENTS.md");
-    let fresh = BLOCKS.iter().fold(doc.clone(), |doc, (name, claims)| {
-        with_block(&doc, name, &render(claims, recs))
-    });
+    let fresh = blocks(&medium, &paper)
+        .iter()
+        .fold(doc.clone(), |doc, (name, block)| {
+            with_block(&doc, name, block)
+        });
     if std::env::var("UPDATE_GOLDEN").as_deref() == Ok("1") {
         std::fs::write(&doc_path, &fresh).expect("write EXPERIMENTS.md");
         return;
     }
     assert!(
         doc == fresh,
-        "EXPERIMENTS.md's claims blocks are stale against {BASELINE}; regenerate with \
+        "EXPERIMENTS.md's generated blocks are stale against {MEDIUM_FIG3}, {MEDIUM_TABLE1} \
+         and {PAPER_FIG3}; regenerate with \
          `UPDATE_GOLDEN=1 cargo test -p numagap-bench --test claims` if the change is \
          intended:\n{}{}",
         only_in(&doc, &fresh, '-'),
@@ -554,48 +815,84 @@ fn the_claims_blocks_match_the_medium_baseline() {
     );
 }
 
+/// Both medium sweeps run each app on the same all-Myrinet 1x32 machine.
+#[test]
+fn the_table1_32p_runs_are_the_fig3_baselines() {
+    let recs = medium();
+    for app in AppId::ALL {
+        let (t1, f3) = (
+            record(&recs, &format!("{app}/p32")),
+            record(&recs, &format!("baseline/{app}")),
+        );
+        assert!(
+            t1.virtual_s.to_bits() == f3.virtual_s.to_bits()
+                && t1.checksum.to_bits() == f3.checksum.to_bits()
+                && (t1.intra_bytes, t1.inter_bytes) == (f3.intra_bytes, f3.inter_bytes),
+            "{app}: {app}/p32 of {MEDIUM_TABLE1} and baseline/{app} of {MEDIUM_FIG3} differ"
+        );
+    }
+}
+
 #[test]
 fn a_moved_cell_flips_its_claim_and_the_diff_names_it() {
     let committed = medium();
-    let mut moved = committed.clone();
-    let cell = "TSP/unoptimized/lat300/bw6.3";
-    moved
-        .records
-        .iter_mut()
-        .find(|r| r.key == cell)
-        .expect("the cell is in the baseline")
-        .virtual_s *= 0.6;
-    let claim = FIG3.iter().find(|c| c.id == "fig3.tsp").unwrap();
-    assert_ne!(
-        (claim.check)(&committed.records).1,
-        (claim.check)(&moved.records).1,
-        "a 40 % faster unoptimized TSP at 300 ms must flip fig3.tsp"
-    );
-    let diff = only_in(
-        &render(&FIG3, &moved.records),
-        &render(&FIG3, &committed.records),
-        '+',
-    );
-    assert!(
-        diff.lines().any(|l| l.starts_with("+ | fig3.tsp | ")),
-        "the stale row names its claim:\n{diff}"
-    );
+    for (cell, factor, claims, id) in [
+        // a 40 % faster unoptimized TSP at 300 ms
+        (
+            "TSP/unoptimized/lat300/bw6.3",
+            0.6,
+            &FIG3_CLAIMS[..],
+            "fig3.tsp",
+        ),
+        // a serial Water run 2.5 times faster
+        ("Water/p1", 0.4, &TABLE1_CLAIMS[..], "table1.speedup"),
+    ] {
+        let mut moved = committed.clone();
+        moved
+            .iter_mut()
+            .find(|r| r.key == cell)
+            .expect("the cell is in the baseline")
+            .virtual_s *= factor;
+        let claim = claims.iter().find(|c| c.id == id).unwrap();
+        assert_ne!(
+            (claim.check)(&committed).1,
+            (claim.check)(&moved).1,
+            "{cell} scaled by {factor} must flip {id}"
+        );
+        let diff = only_in(&render(claims, &moved), &render(claims, &committed), '+');
+        assert!(
+            diff.lines().any(|l| l.starts_with(&format!("+ | {id} | "))),
+            "the stale row names its claim:\n{diff}"
+        );
+    }
 }
 
 #[test]
 fn a_summary_off_the_medium_grid_is_refused_by_name() {
-    let mut short = medium();
-    let cell = "Awari/optimized/lat30/bw0.3";
-    short.records.retain(|r| r.key != cell);
-    let err = checked(&short).unwrap_err();
-    assert!(
-        err.contains(cell) && err.contains("1 of the grid's 468"),
-        "{err}"
-    );
-    let mut quick = medium();
-    quick.quick = true;
-    assert!(checked(&quick).unwrap_err().contains("quick: true"));
-    let mut small = medium();
-    small.scale = "small".to_string();
-    assert!(checked(&small).unwrap_err().contains("scale small"));
+    for (path, target, cell, count) in [
+        (MEDIUM_FIG3, "fig3", "Awari/optimized/lat30/bw0.3", 468),
+        (MEDIUM_TABLE1, "table1", "Awari/p8", 18),
+    ] {
+        let mut short = load(path);
+        short.records.retain(|r| r.key != cell);
+        let err = checked(&short, target, "medium").unwrap_err();
+        assert!(
+            err.contains(cell) && err.contains(&format!("1 of the {target} sweep's {count}")),
+            "{err}"
+        );
+        let mut quick = load(path);
+        quick.quick = true;
+        assert!(checked(&quick, target, "medium")
+            .unwrap_err()
+            .contains("quick: true"));
+        let mut small = load(path);
+        small.scale = "small".to_string();
+        assert!(checked(&small, target, "medium")
+            .unwrap_err()
+            .contains("scale small"));
+    }
+    let fig3 = load(MEDIUM_FIG3);
+    assert!(checked(&fig3, "table1", "medium")
+        .unwrap_err()
+        .contains("not target fig3"));
 }

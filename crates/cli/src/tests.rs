@@ -1138,17 +1138,45 @@ fn every_ci_command_line_parses() {
     let ci = std::fs::read_to_string(path).expect("ci.yml");
     let found = invocations(&ci);
     let lines: Vec<&str> = ci.lines().collect();
+    // The medium step loops over the committed medium baselines and takes
+    // each one's target from its name, BENCH_<target>.json: its
+    // `"$target"` stands for each of those targets in turn.
+    let medium = concat!(env!("CARGO_MANIFEST_DIR"), "/../bench/baselines/medium");
+    let targets: Vec<String> = std::fs::read_dir(medium)
+        .expect("the medium baselines")
+        .filter_map(|entry| {
+            let name = entry.ok()?.file_name().into_string().ok()?;
+            Some(
+                name.strip_prefix("BENCH_")?
+                    .strip_suffix(".json")?
+                    .to_string(),
+            )
+        })
+        .collect();
+    assert!(targets.len() >= 2, "medium baselines: {targets:?}");
+    let var = "\"$target\"";
     for (cmd, line, args) in &found {
-        let mut argv = vec![*cmd];
-        argv.extend(args.iter().map(String::as_str));
-        // A line that keeps its exit status checks for a usage error.
-        let refused = lines[line - 1].contains("|| status=$?");
-        assert_eq!(
-            parse(&argv).is_err(),
-            refused,
-            "ci.yml:{line}: {argv:?}: {:?}",
-            parse(&argv)
-        );
+        // Once per target the loop takes; once as it stands without a loop.
+        let values: Vec<&str> = if args.iter().any(|a| a == var) {
+            targets.iter().map(String::as_str).collect()
+        } else {
+            vec![var]
+        };
+        for value in values {
+            let mut argv = vec![*cmd];
+            argv.extend(
+                args.iter()
+                    .map(|a| if a == var { value } else { a.as_str() }),
+            );
+            // A line that keeps its exit status checks for a usage error.
+            let refused = lines[line - 1].contains("|| status=$?");
+            assert_eq!(
+                parse(&argv).is_err(),
+                refused,
+                "ci.yml:{line}: {argv:?}: {:?}",
+                parse(&argv)
+            );
+        }
     }
     assert!(
         found.len() >= 15,
