@@ -35,5 +35,5 @@ pub mod vclock;
 pub use deadlock::diagnose_sim_error;
 pub use diag::{Diagnostic, DiagnosticKind};
 pub use lints::check_rank_lints;
-pub use sanitizer::{Analysis, FaultCounts};
+pub use sanitizer::Analysis;
 pub use vclock::VectorClock;

@@ -46,18 +46,6 @@ pub fn check_rank_lints(rank_lints: &[Vec<LintRecord>]) -> Vec<Diagnostic> {
                         .or_default()
                         .push(*generation);
                 }
-                LintRecord::TransportUndelivered { buffered } => {
-                    out.push(Diagnostic {
-                        kind: DiagnosticKind::LostMessage,
-                        rank: Some(rank),
-                        at: None,
-                        detail: format!(
-                            "rank exited while the reliable transport still \
-                             held {buffered} delivered message(s) the \
-                             application never received"
-                        ),
-                    });
-                }
             }
         }
     }

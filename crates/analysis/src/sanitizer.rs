@@ -26,10 +26,7 @@
 use std::collections::{BTreeMap, HashSet, VecDeque};
 
 use numagap_rt::tags;
-use numagap_rt::ReliableEnvelope;
-use numagap_sim::{
-    FaultEvent, FaultKind, Filter, Message, Observer, ProcId, SimError, SimTime, Tag,
-};
+use numagap_sim::{Filter, Message, Observer, ProcId, SimError, SimTime, Tag};
 
 use crate::deadlock::diagnose_sim_error;
 use crate::diag::{Diagnostic, DiagnosticKind};
@@ -56,27 +53,8 @@ struct InFlight {
     tag: Tag,
     wire_bytes: u64,
     sent_at: SimTime,
-    /// The payload is a reliable-transport envelope (a retransmission
-    /// remnant of it reaching an exited rank is transport bookkeeping, not
-    /// an application defect).
-    transport_env: bool,
     /// Sender's vector clock at the send (the clock the message "carries").
     clock: VectorClock,
-}
-
-/// Injected faults the sanitizer attributed to the fault plan instead of
-/// raising diagnostics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FaultCounts {
-    /// Messages dropped by the plan (would otherwise be lost messages).
-    pub dropped: u64,
-    /// Messages the plan duplicated.
-    pub duplicated: u64,
-    /// Messages the plan delayed past their fault-free arrival.
-    pub delayed: u64,
-    /// Messages still unconsumed at finish that were charged to the fault
-    /// plan or the reliable transport rather than reported as lost.
-    pub attributed_leftovers: u64,
 }
 
 /// A completed source-wildcard match, kept briefly for the late-send check.
@@ -128,10 +106,6 @@ pub struct Analysis {
     diags: Vec<Diagnostic>,
     seen: HashSet<DedupKey>,
     counts: BTreeMap<DiagnosticKind, usize>,
-    /// Kernel seqs of messages the fault plan duplicated or delayed: extra
-    /// or late copies of these may go unconsumed without being defects.
-    faulted: HashSet<u64>,
-    fault_counts: FaultCounts,
     finished: bool,
 }
 
@@ -177,15 +151,6 @@ fn estimate_payload_bytes(msg: &Message) -> Option<u64> {
     None
 }
 
-/// Transport control and bookkeeping traffic — acknowledgements and data
-/// envelopes — is invisible to the race detector. In transport mode every
-/// kernel-level receive is the transport's own wildcard poll; application
-/// filters are applied above the kernel, where message choice is made
-/// deterministic again by per-sender in-order release.
-fn is_transport_msg(msg: &Message) -> bool {
-    msg.tag == tags::ACK_TAG || msg.downcast_ref::<ReliableEnvelope>().is_some()
-}
-
 /// Whether `tag` lies in the runtime-reserved space but outside every block
 /// the runtime actually defines.
 fn is_unknown_internal_tag(tag: Tag) -> bool {
@@ -194,7 +159,7 @@ fn is_unknown_internal_tag(tag: Tag) -> bool {
         return false;
     }
     let offset = raw - Tag::INTERNAL_BASE;
-    offset >= tags::ACK_BLOCK + tags::BLOCK
+    offset >= tags::SERVICE_BLOCK + tags::BLOCK
 }
 
 fn is_barrier_tag(tag: Tag) -> bool {
@@ -213,8 +178,6 @@ impl Analysis {
             diags: Vec::new(),
             seen: HashSet::new(),
             counts: BTreeMap::new(),
-            faulted: HashSet::new(),
-            fault_counts: FaultCounts::default(),
             finished: false,
         }
     }
@@ -233,12 +196,6 @@ impl Analysis {
     /// Whether the observed run reached a clean finish (`on_finish` fired).
     pub fn run_finished(&self) -> bool {
         self.finished
-    }
-
-    /// Injected faults attributed to the network's fault plan. All zero on
-    /// fault-free runs.
-    pub fn fault_counts(&self) -> FaultCounts {
-        self.fault_counts
     }
 
     /// Decomposes a run error into diagnostics: the deadlock itself (with
@@ -305,12 +262,8 @@ impl Observer for Analysis {
         // wildcard receive on `dst` under a different interleaving? Yes iff
         // the send is not causally ordered after that match.
         let mut overtakes = Vec::new();
-        // Retransmissions and acks overtake freely by design, so transport
-        // traffic is never a late-send race candidate.
-        let race_candidate = !is_transport_msg(msg);
         for w in &self.wildcards {
-            if race_candidate
-                && w.receiver == dst.0
+            if w.receiver == dst.0
                 && w.matched_src != src
                 && w.filter.src.is_none()
                 && w.filter.tag.accepts(msg.tag)
@@ -350,31 +303,9 @@ impl Observer for Analysis {
                 tag: msg.tag,
                 wire_bytes: msg.wire_bytes,
                 sent_at: msg.sent_at,
-                transport_env: msg.downcast_ref::<ReliableEnvelope>().is_some(),
                 clock: snapshot,
             },
         );
-    }
-
-    fn on_fault(&mut self, event: &FaultEvent) {
-        match event.kind {
-            FaultKind::Drop => {
-                self.fault_counts.dropped += 1;
-                // The plan ate this message: it can never be consumed, and
-                // that is the plan's fault, not the application's.
-                if self.inflight.remove(&event.seq).is_some() {
-                    self.fault_counts.attributed_leftovers += 1;
-                }
-            }
-            FaultKind::Duplicate => {
-                self.fault_counts.duplicated += 1;
-                self.faulted.insert(event.seq);
-            }
-            FaultKind::Delay => {
-                self.fault_counts.delayed += 1;
-                self.faulted.insert(event.seq);
-            }
-        }
     }
 
     fn on_recv_posted(&mut self, p: ProcId, filter: &Filter, _blocking: bool, _now: SimTime) {
@@ -387,7 +318,7 @@ impl Observer for Analysis {
         let entry = self.inflight.remove(&msg.seq);
         let msg_clock = entry.as_ref().map(|e| e.clock.clone());
 
-        let wildcard = !is_transport_msg(msg) && filter.as_ref().is_some_and(|f| f.src.is_none());
+        let wildcard = filter.as_ref().is_some_and(|f| f.src.is_none());
         if wildcard {
             let filter = filter.as_ref().expect("wildcard implies a pending filter");
             if let Some(mclock) = msg_clock.as_ref() {
@@ -398,8 +329,6 @@ impl Observer for Analysis {
                 for (seq, m) in &self.inflight {
                     if m.dst == recvr
                         && m.src != msg.src.0
-                        && !m.transport_env
-                        && m.tag != tags::ACK_TAG
                         && filter.tag.accepts(m.tag)
                         && m.clock.concurrent(mclock)
                     {
@@ -456,30 +385,12 @@ impl Observer for Analysis {
 
     fn on_finish(&mut self, _now: SimTime) {
         self.finished = true;
-        let leftovers: Vec<(u64, usize, usize, Tag, u64, bool, SimTime)> = self
+        let leftovers: Vec<(u64, usize, usize, Tag, u64, SimTime)> = self
             .inflight
             .iter()
-            .map(|(seq, m)| {
-                (
-                    *seq,
-                    m.src,
-                    m.dst,
-                    m.tag,
-                    m.wire_bytes,
-                    m.transport_env,
-                    m.sent_at,
-                )
-            })
+            .map(|(seq, m)| (*seq, m.src, m.dst, m.tag, m.wire_bytes, m.sent_at))
             .collect();
-        for (seq, src, dst, tag, wire_bytes, transport_env, sent_at) in leftovers {
-            // Leftovers explained by the fault plan or the reliable
-            // transport are attributed, not reported: an extra or delayed
-            // copy of a faulted message, a retransmission that reached an
-            // already-exited rank, or an ack to a finished sender.
-            if self.faulted.contains(&seq) || transport_env || tag == tags::ACK_TAG {
-                self.fault_counts.attributed_leftovers += 1;
-                continue;
-            }
+        for (seq, src, dst, tag, wire_bytes, sent_at) in leftovers {
             let (kind, hint) = if is_barrier_tag(tag) {
                 (
                     DiagnosticKind::BarrierEpochMismatch,
@@ -618,7 +529,7 @@ mod tests {
             sim.spawn(|ctx| {
                 ctx.send(
                     ProcId(1),
-                    Tag::internal(tags::ACK_BLOCK + tags::BLOCK),
+                    Tag::internal(tags::SERVICE_BLOCK + tags::BLOCK),
                     (),
                     1,
                 )

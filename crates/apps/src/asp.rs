@@ -283,12 +283,12 @@ pub fn asp_rank(
         // Migration: the outgoing host hands the counter over the first
         // time it sees the host change (happens `clusters-1` times, or
         // never when unoptimized). Only the host of iteration `k-1` may
-        // forward: a faulty WAN can release the MIGRATE to the next host
-        // ahead of row broadcasts still in flight on other streams, and
-        // that early recipient must simply hold the counter until its own
-        // hosting range begins — bouncing it to the *current* host would
-        // strand it, since that host has already passed its migration
-        // point and will never forward it again.
+        // forward. The next host serves MIGRATE while it still waits for
+        // earlier rows, so the counter can reach it before its own hosting
+        // range begins, and it must simply hold the counter until then —
+        // bouncing it to the *current* host would strand it, since that
+        // host has already passed its migration point and will never
+        // forward it again.
         if uses_sequencer && host != me {
             let prev_host = if k == 0 {
                 host

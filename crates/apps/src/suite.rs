@@ -4,7 +4,7 @@
 use std::fmt;
 
 use numagap_net::NetStats;
-use numagap_rt::{Machine, RunReport, TransportStats};
+use numagap_rt::{Machine, RunReport};
 use numagap_sim::{KernelStats, Observer, SimDuration, SimError};
 
 use crate::asp::{asp_rank, matrix_checksum, serial_asp, AspConfig};
@@ -215,24 +215,14 @@ pub struct AppRun {
     pub inter_msgs_per_cluster: f64,
     /// Whole-machine traffic in MByte/s (Table 1).
     pub total_mbs: f64,
-    /// Injected WAN faults (drops + duplicates + delays); zero when the
-    /// machine's spec carries no fault plan.
-    pub faults_injected: u64,
-    /// Whole-run kernel accounting (events, messages, bytes, faults) —
+    /// Whole-run kernel accounting (events, messages, bytes) —
     /// deterministic per cell, recorded by the benchmark pipeline.
     pub kernel: KernelStats,
-    /// Machine-wide reliable-transport counters; `None` when the machine ran
-    /// without the transport.
-    pub transport: Option<TransportStats>,
-    /// The fault-plan seed the run executed under, if any — enough to replay
-    /// the exact fault schedule.
-    pub seed: Option<u64>,
 }
 
 /// The [`AppRun`] of one run's report, for a caller that needs the report
 /// too: take what it keeps (its trace, say) out first.
 pub fn summarize(app: AppId, variant: Variant, report: RunReport<RankOutput>) -> AppRun {
-    let k = &report.kernel_stats;
     AppRun {
         app,
         variant,
@@ -242,10 +232,7 @@ pub fn summarize(app: AppId, variant: Variant, report: RunReport<RankOutput>) ->
         inter_mbs_per_cluster: report.inter_mbytes_per_sec_per_cluster(),
         inter_msgs_per_cluster: report.inter_msgs_per_sec_per_cluster(),
         total_mbs: report.total_mbytes_per_sec(),
-        faults_injected: k.faults_dropped + k.faults_duplicated + k.faults_delayed,
         kernel: report.kernel_stats,
-        transport: report.transport_totals(),
-        seed: report.effective_seed(),
         net: report.net_stats,
     }
 }

@@ -81,7 +81,8 @@ pub const RULES: &[Rule] = &[
         summary: "unseeded or thread-local RNG",
         rationale: "thread_rng/from_entropy/RandomState draw from OS entropy, so runs are \
                     unreproducible. All randomness must flow from an explicit seed recorded \
-                    in the run's report (FaultPlan, workload seeds, splitmix streams).",
+                    in the run's spec (cross-traffic and schedule plans, workload seeds, \
+                    splitmix streams).",
         sim_state_only: false,
     },
     Rule {
@@ -801,8 +802,11 @@ mod inline {}
         assert_eq!(files, expected);
         // A module that is not a crate root or a `mod.rs` keeps its children
         // in its own directory.
-        let files = test_module_files(&beside("soak.rs"), "#[cfg(test)]\nmod tests;\n");
-        assert_eq!(files, ["soak/tests.rs", "soak/tests/mod.rs"].map(beside));
+        let files = test_module_files(&beside("engine.rs"), "#[cfg(test)]\nmod tests;\n");
+        assert_eq!(
+            files,
+            ["engine/tests.rs", "engine/tests/mod.rs"].map(beside)
+        );
     }
 
     #[test]

@@ -26,7 +26,7 @@ use numagap_sim::{HotProfile, KernelStats};
 use crate::json::{self, Json};
 
 /// Version stamped into every `BENCH_*.json`; bump on schema changes.
-pub const BENCH_SCHEMA_VERSION: u64 = 1;
+pub const BENCH_SCHEMA_VERSION: u64 = 2;
 
 /// Everything recorded from one experiment cell.
 #[derive(Debug, Clone, PartialEq)]
@@ -50,7 +50,9 @@ pub struct RunRecord {
     pub inter_msgs: u64,
     /// Inter-cluster payload bytes.
     pub inter_bytes: u64,
-    /// Fault-plan seed the cell ran under, if any.
+    /// No longer written, read or compared: always `None`, since no run
+    /// carries a seed its spec does not state. The field stays only because
+    /// `benchmark/` builds `RunRecord` by struct literal.
     pub seed: Option<u64>,
     /// No longer written, read or compared: always `None`. The kernel's
     /// exact hot-path counters are pinned per golden cell by
@@ -77,7 +79,7 @@ impl RunRecord {
             intra_bytes: run.net.intra_payload_bytes,
             inter_msgs: run.net.inter_msgs,
             inter_bytes: run.net.inter_payload_bytes,
-            seed: run.seed,
+            seed: None,
             profile: None,
             sim_threads: None,
         }
@@ -99,7 +101,7 @@ impl RunRecord {
             intra_bytes: report.net_stats.intra_payload_bytes,
             inter_msgs: report.net_stats.inter_msgs,
             inter_bytes: report.net_stats.inter_payload_bytes,
-            seed: report.effective_seed(),
+            seed: None,
             profile: None,
             sim_threads: None,
         }
@@ -155,10 +157,6 @@ impl BenchSummary {
         );
         for (i, r) in self.records.iter().enumerate() {
             let sep = if i + 1 < self.records.len() { "," } else { "" };
-            let seed = match r.seed {
-                Some(s) => s.to_string(),
-                None => "null".to_string(),
-            };
             // Additive: records without it serialize exactly as they did
             // before the field existed, so committed baselines stay
             // byte-identical.
@@ -171,8 +169,7 @@ impl BenchSummary {
                 "\n    {{\"key\": \"{}\", \"wall_s\": {}, \"virtual_s\": {}, \
                  \"checksum\": {}, \"events\": {}, \"messages\": {}, \"bytes\": {}, \
                  \"intra_msgs\": {}, \"intra_bytes\": {}, \"inter_msgs\": {}, \
-                 \"inter_bytes\": {}, \"faults_dropped\": {}, \"faults_duplicated\": {}, \
-                 \"faults_delayed\": {}, \"seed\": {}{}}}{}",
+                 \"inter_bytes\": {}{}}}{}",
                 json::escape(&r.key),
                 r.wall_s,
                 r.virtual_s,
@@ -184,10 +181,6 @@ impl BenchSummary {
                 r.intra_bytes,
                 r.inter_msgs,
                 r.inter_bytes,
-                r.kernel.faults_dropped,
-                r.kernel.faults_duplicated,
-                r.kernel.faults_delayed,
-                seed,
                 sim_threads,
                 sep,
             );
@@ -284,18 +277,12 @@ fn record_from_json(r: &Json) -> Result<RunRecord, String> {
             events: field_u64(r, "events")?,
             messages: field_u64(r, "messages")?,
             bytes: field_u64(r, "bytes")?,
-            faults_dropped: field_u64(r, "faults_dropped")?,
-            faults_duplicated: field_u64(r, "faults_duplicated")?,
-            faults_delayed: field_u64(r, "faults_delayed")?,
         },
         intra_msgs: field_u64(r, "intra_msgs")?,
         intra_bytes: field_u64(r, "intra_bytes")?,
         inter_msgs: field_u64(r, "inter_msgs")?,
         inter_bytes: field_u64(r, "inter_bytes")?,
-        seed: match r.get("seed") {
-            None | Some(Json::Null) => None,
-            Some(v) => Some(v.as_u64().ok_or("non-integer 'seed'")?),
-        },
+        seed: None,
         profile: None,
         sim_threads: match r.get("sim_threads") {
             None => None,
@@ -497,7 +484,6 @@ mod tests {
                 events: 100,
                 messages: 40,
                 bytes: 4096,
-                ..KernelStats::default()
             },
             intra_msgs: 30,
             intra_bytes: 3000,
@@ -524,8 +510,8 @@ mod tests {
     #[test]
     fn json_round_trip_is_exact() {
         let mut s = summary(vec![record("a/b/c", 0.125, 3.0625), record("d", 0.5, 7.5)]);
-        s.records[1].seed = Some(99);
-        s.records[1].kernel.faults_dropped = 3;
+        s.records[1].intra_msgs = 99;
+        s.records[1].kernel.messages = 3;
         let parsed = BenchSummary::from_json(&s.to_json()).unwrap();
         assert_eq!(parsed, s);
     }

@@ -7,7 +7,6 @@ use numagap_rt::Machine;
 use numagap_sim::TieBreak;
 
 use crate::flags::Values;
-use crate::machine::print_fault_seed;
 use crate::EXIT_FINDINGS;
 
 /// Executes the `check` command: the one application `--app` names, or all
@@ -17,7 +16,6 @@ use crate::EXIT_FINDINGS;
 pub(crate) fn execute_check(args: &Values) -> i32 {
     let cfg = SuiteConfig::at(args.scale.unwrap_or(Scale::Small));
     let machine = args.machine.machine();
-    print_fault_seed(&machine);
     println!(
         "sanitizing {} on {}",
         match args.apps.first() {

@@ -1,8 +1,7 @@
 //! The flag table: every `--flag` of every command is one row of [`TABLE`]
 //! — its name, value syntax, range check, default, help line, whether it
-//! may carry several values, and the commands that read it. [`parse`],
-//! [`usage`], the per-command [`section`] and the rewriting of soak's
-//! `reproduce:` lines ([`pin`]) walk these rows.
+//! may be given more than once, and the commands that read it. [`parse`],
+//! [`usage`] and the per-command [`section`] walk these rows.
 //!
 //! Adding a flag is adding a row and the [`Values`] field it sets: the row
 //! makes it parse on exactly the commands it names, appear in `numagap
@@ -18,7 +17,7 @@ use numagap_bench::targets::TARGETS;
 use numagap_net::{HeteroPreset, LinkParams, WanTopology};
 
 use crate::bench::selected;
-use crate::{audit, bench, check, machine, predict, run, serve, soak};
+use crate::{audit, bench, check, machine, predict, run, serve};
 use crate::{Command, MachineArgs, ScheduleArg};
 
 /// A parse failure with a user-facing message.
@@ -38,8 +37,6 @@ impl std::error::Error for ParseError {}
 /// `Values::default()` is only the blank [`parse`] fills in.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Values {
-    /// The command line after the command's name, as given.
-    pub(crate) line: Vec<String>,
     pub(crate) apps: Vec<AppId>,
     pub(crate) variant: Option<Variant>,
     pub(crate) scale: Option<Scale>,
@@ -50,14 +47,6 @@ pub struct Values {
     pub(crate) verify: bool,
     pub(crate) trace: Option<String>,
     pub(crate) perturb: bool,
-    pub(crate) intensities: Vec<f64>,
-    pub(crate) cross_traffic: Vec<f64>,
-    pub(crate) schedules: Vec<ScheduleArg>,
-    pub(crate) hetero: Vec<HeteroPreset>,
-    pub(crate) seeds: u64,
-    pub(crate) repro: bool,
-    pub(crate) timeout_s: u64,
-    pub(crate) no_outage: bool,
     pub(crate) jobs: Option<usize>,
     pub(crate) target: String,
     pub(crate) quick: bool,
@@ -175,19 +164,6 @@ fn parse_clusters(s: &str) -> Result<(usize, Option<Vec<usize>>), String> {
     }
 }
 
-/// `cluster:from_ms:until_ms`, the window non-empty.
-fn parse_outage(s: &str) -> Result<(usize, f64, f64), String> {
-    let parts: Vec<&str> = s.split(':').collect();
-    let [cluster, from, until] = parts.as_slice() else {
-        return Err("expected cluster:from_ms:until_ms".to_string());
-    };
-    let (cluster, from, until) = (number(cluster)?, number(from)?, number(until)?);
-    if from >= until {
-        return Err(format!("the window {from}..{until} is empty"));
-    }
-    Ok((cluster, from, until))
-}
-
 fn parse_target(s: &str) -> Result<String, String> {
     let target = s.to_ascii_lowercase();
     if selected(&target).next().is_some() {
@@ -222,8 +198,6 @@ pub(crate) struct Flag {
     pub(crate) cmds: &'static [&'static str],
     /// The commands (of `cmds`) on which it may be given more than once.
     repeat: &'static [&'static str],
-    /// The commands (of `cmds`) on which its value may be a comma list.
-    list: &'static [&'static str],
     set: SetFn,
 }
 
@@ -242,7 +216,6 @@ const fn flag(
         help: "",
         cmds,
         repeat: &[],
-        list: &[],
         set: |_, _| Ok(()),
     }
 }
@@ -265,10 +238,6 @@ impl Flag {
         Flag { repeat, ..self }
     }
 
-    const fn list(self, list: &'static [&'static str]) -> Flag {
-        Flag { list, ..self }
-    }
-
     const fn set(self, set: SetFn) -> Flag {
         Flag { set, ..self }
     }
@@ -276,17 +245,14 @@ impl Flag {
 
 /// The commands that build a machine, and so read the machine-shape,
 /// hostile-network and seed rows.
-const MACHINE: &[&str] = &["run", "suite", "check", "soak", "info"];
-/// The machine commands whose fault plan comes from the command line; soak
-/// generates its own from the intensities and the planted outage.
-const FAULTS: &[&str] = &["run", "suite", "check", "info"];
+const MACHINE: &[&str] = &["run", "suite", "check", "info"];
 /// These run the paper's fixed machines, of which only the wiring is open.
 const EXPERIMENTS: &[&str] = &["bench", "predict"];
 /// Every command that simulates can be re-wired.
-const WIRED: &[&str] = &["run", "suite", "check", "soak", "info", "bench", "predict"];
+const WIRED: &[&str] = &["run", "suite", "check", "info", "bench", "predict"];
 /// The commands that choose among the applications and their variants.
-const CHOOSERS: &[&str] = &["run", "check", "soak", "predict"];
-const SCALED: &[&str] = &["run", "check", "soak", "bench", "predict"];
+const CHOOSERS: &[&str] = &["run", "check", "predict"];
+const SCALED: &[&str] = &["run", "check", "bench", "predict"];
 
 /// A titled group of rows in `numagap help`.
 struct Group {
@@ -304,18 +270,18 @@ static TABLE: &[Group] = &[
             flag("--app", "<name>", "", CHOOSERS)
                 .help(
                     "application: water | barnes | tsp | asp | awari | fft. run requires it; \
-                     check, soak and predict cover only the named one(s)",
+                     check and predict cover only the named one(s)",
                 )
                 .unset("all six")
-                .repeat(&["soak", "predict"])
+                .repeat(&["predict"])
                 .set(|v, s| parse_app(s).map(|app| v.apps.push(app))),
             flag("--variant", "<unopt|opt>", "", CHOOSERS)
                 .help("program variant")
-                .unset("run: opt; check, soak, predict: the paper's per app")
+                .unset("run: opt; check, predict: the paper's per app")
                 .set(|v, s| parse_variant(s).map(|x| v.variant = Some(x))),
             flag("--scale", "<small|medium|paper>", "", SCALED)
                 .help("problem size")
-                .unset("medium; check, soak: small")
+                .unset("medium; check: small")
                 .set(|v, s| parse_scale(s).map(|x| v.scale = Some(x))),
             switch("--verify", &["run"])
                 .help("check the result against the serial reference")
@@ -380,23 +346,20 @@ static TABLE: &[Group] = &[
                     "per-cluster compute speeds: uniform | slow-home (cluster 0 at 0.4x) | \
                      tiered (descending to 0.4x)",
                 )
-                .list(&["soak"])
                 .set(|v, s| {
                     HeteroPreset::parse(s)
                         .ok_or("unknown preset".into())
-                        .map(|x| v.hetero.push(x))
+                        .map(|x| v.machine.hetero = x)
                 }),
             flag("--cross-traffic", "<0..0.9>", "0", MACHINE)
                 .help("seeded background flows occupying this fraction of each WAN link")
-                .list(&["soak"])
-                .set(|v, s| within(s, 0.0, 0.9).map(|x| v.cross_traffic.push(x))),
+                .set(|v, s| within(s, 0.0, 0.9).map(|x| v.machine.cross_traffic = x)),
             flag("--schedule", "<shape>", "none", MACHINE)
                 .help("time-varying WAN quality: none | diurnal | step | drift")
-                .list(&["soak"])
                 .set(|v, s| {
                     ScheduleArg::parse(s)
                         .ok_or("unknown shape".into())
-                        .map(|x| v.schedules.push(x))
+                        .map(|x| v.machine.schedule = x)
                 }),
             flag("--schedule-period", "<ms>", "500", MACHINE)
                 .help("diurnal period / step onset / drift horizon")
@@ -407,59 +370,16 @@ static TABLE: &[Group] = &[
             flag("--degrade-bandwidth", "<0.01..1>", "0.5", MACHINE)
                 .help("bandwidth multiplier at full degradation")
                 .set(|v, s| within(s, 0.01, 1.0).map(|x| v.machine.degrade_bandwidth = x)),
-        ],
-    },
-    Group {
-        title: "FAULT FLAGS",
-        note: "Enabling faults turns on the reliable transport, so applications still \
-               complete, degraded only in virtual time.",
-        rows: &[
-            flag("--seed", "<N>", "", MACHINE)
-                .help(
-                    "seed of the fault plan, the cross-traffic and the schedule, echoed in \
-                     reports; soak counts its cells' seeds up from it",
-                )
-                .unset("0; soak: 1")
-                .set(|v, s| number(s).map(|x| v.machine.seed = Some(x))),
-            flag("--drop", "<0..1>", "0", FAULTS)
-                .help("WAN message drop probability")
-                .set(|v, s| within(s, 0.0, 1.0).map(|x| v.machine.drop = x)),
-            flag("--duplicate", "<0..1>", "0", FAULTS)
-                .help("WAN message duplication probability")
-                .set(|v, s| within(s, 0.0, 1.0).map(|x| v.machine.duplicate = x)),
-            flag("--reorder", "<0..1>", "0", FAULTS)
-                .help("WAN message reorder probability")
-                .set(|v, s| within(s, 0.0, 1.0).map(|x| v.machine.reorder = x)),
-            flag("--outage", "<c:from:until>", "", FAULTS)
-                .help("gateway crash window of cluster c, in ms")
-                .repeat(FAULTS)
-                .set(|v, s| parse_outage(s).map(|o| v.machine.outages.push(o))),
+            flag("--seed", "<N>", "0", MACHINE)
+                .help("seed of the cross-traffic and the schedule")
+                .set(|v, s| number(s).map(|x| v.machine.seed = x)),
         ],
     },
     Group {
         title: "SWEEP FLAGS",
         note: "",
         rows: &[
-            flag("--intensities", "<i,i,..>", "0.05,0.15", &["soak"])
-                .help(
-                    "fault intensities to sweep, each in [0, 0.5] (drop + duplicate + reorder \
-                     must stay within 1)",
-                )
-                .list(&["soak"])
-                .set(|v, s| within(s, 0.0, 0.5).map(|x| v.intensities.push(x))),
-            flag("--seeds", "<N>", "3", &["soak"])
-                .help("seeds per cell")
-                .set(|v, s| count(s).map(|x| v.seeds = x)),
-            switch("--repro", &["soak"])
-                .help("replay each cell; require an identical schedule, virtual time and traffic")
-                .set(|v, s| given(s).map(|x| v.repro = x)),
-            flag("--timeout", "<secs>", "3600", &["soak"])
-                .help("virtual-time limit per cell; a cell beyond it is a hang")
-                .set(|v, s| number(s).map(|x| v.timeout_s = x)),
-            switch("--no-outage", &["soak"])
-                .help("skip the planted mid-run gateway outage")
-                .set(|v, s| given(s).map(|x| v.no_outage = x)),
-            flag("--jobs", "<N>", "", &["soak", "bench", "predict"])
+            flag("--jobs", "<N>", "", EXPERIMENTS)
                 .help("worker threads for the sweep's cells")
                 .unset("available cores")
                 .set(|v, s| count(s).map(|x| v.jobs = Some(x))),
@@ -575,18 +495,6 @@ pub(crate) static COMMANDS: &[CmdSpec] = &[
         execute: audit::execute_audit,
     },
     CmdSpec {
-        name: "soak",
-        about: "fault/hostile scenario matrix",
-        notes: "Each cell runs one app at drop=i, duplicate=i/2, reorder=i/2 plus a gateway \
-                outage parked mid-run (placed from a fault-free probe), then verifies the \
-                checksum against the serial reference. Those plans are the sweep's own, so \
-                soak reads no drop, duplicate, reorder or outage flag. Comma lists given to \
-                the first three hostile-network flags multiply the matrix with \
-                hostile-network dimensions. Failing cells print the seed and the full \
-                command line that reproduces the one cell.",
-        execute: soak::execute_soak,
-    },
-    CmdSpec {
         name: "bench",
         about: "run experiments (the only way to), or compare two summaries",
         notes: "This is the only way to run an experiment: each target fans its independent \
@@ -663,10 +571,7 @@ pub fn parse(args: &[&str]) -> Result<Command, ParseError> {
         };
         return Err(ParseError(format!("unknown command '{cmd}'{hint}")));
     };
-    let mut values = Values {
-        line: rest.iter().map(|a| a.to_string()).collect(),
-        ..Values::default()
-    };
+    let mut values = Values::default();
     let mut args = rest.iter().copied();
     let mut seen: Vec<&str> = Vec::new();
     while let Some(arg) = args.next() {
@@ -682,7 +587,7 @@ pub fn parse(args: &[&str]) -> Result<Command, ParseError> {
         if seen.contains(&arg) && !row.repeat.contains(&cmd) {
             let several = match row.repeat {
                 [] => String::new(),
-                on => format!("; only {} take several, not '{cmd}'", on.join(", ")),
+                on => format!("; repeatable only on {}, not '{cmd}'", on.join(", ")),
             };
             return Err(ParseError(format!(
                 "flag {arg} is given more than once{several}"
@@ -697,12 +602,6 @@ pub fn parse(args: &[&str]) -> Result<Command, ParseError> {
             return Err(ParseError(format!("flag {arg} needs a value")));
         }
         for text in texts {
-            if text.contains(',') && !row.list.is_empty() && !row.list.contains(&cmd) {
-                return Err(ParseError(format!(
-                    "flag {arg} takes a comma list only on {}, not on '{cmd}'",
-                    row.list.join(", ")
-                )));
-            }
             set(&mut values, row, text)?;
         }
     }
@@ -714,33 +613,18 @@ pub fn parse(args: &[&str]) -> Result<Command, ParseError> {
     Ok(Command::Execute(spec, Box::new(values)))
 }
 
-/// One value's text through `row`'s setter, element by element on the rows
-/// that take a comma list.
+/// One value's text through `row`'s setter.
 fn set(values: &mut Values, row: &Flag, text: &str) -> Result<(), ParseError> {
-    let pieces = match row.list {
-        [] => vec![text],
-        _ => text.split(',').collect(),
-    };
-    for piece in pieces {
-        (row.set)(values, piece).map_err(|why| {
-            ParseError(format!("invalid value '{piece}' for {}: {why}", row.name))
-        })?;
-    }
-    Ok(())
+    (row.set)(values, text)
+        .map_err(|why| ParseError(format!("invalid value '{text}' for {}: {why}", row.name)))
 }
 
-/// What spans flags: the machine takes its wiring and the last element of
-/// each hostile dimension (the whole lists are soak's); run needs its
+/// What spans flags: the machine takes its wiring; run needs its
 /// application; an application is named once, and the variant must select
-/// one of the paper's pairs; the rank count, the fault plan, the outages
-/// and the wiring must fit; and soak's seeds, counted up from `--seed`,
-/// must not run past the last one.
+/// one of the paper's pairs; and the rank count and the wiring must fit.
 fn settle(cmd: &str, v: &mut Values) -> Result<(), ParseError> {
     let m = &mut v.machine;
     m.wan_topology = v.topology.unwrap_or_default();
-    m.hetero = *v.hetero.last().expect("a list has an element");
-    m.cross_traffic = *v.cross_traffic.last().expect("a list has an element");
-    m.schedule = *v.schedules.last().expect("a list has an element");
     if cmd == "run" && v.apps.is_empty() {
         return Err(ParseError("run requires --app".into()));
     }
@@ -778,27 +662,6 @@ fn settle(cmd: &str, v: &mut Values) -> Result<(), ParseError> {
              and a process runs at most {MAX_RANKS}"
         )));
     }
-    let faults = m.drop + m.duplicate + m.reorder;
-    if faults > 1.0 {
-        return Err(ParseError(format!(
-            "the drop, duplicate and reorder probabilities must stay within 1 together, \
-             got {faults}"
-        )));
-    }
-    let first_seed = m.seed.unwrap_or(soak::FIRST_SEED);
-    if cmd == "soak" && first_seed.checked_add(v.seeds - 1).is_none() {
-        return Err(ParseError(format!(
-            "--seed {first_seed} and --seeds {} run past the largest seed, {}",
-            v.seeds,
-            u64::MAX
-        )));
-    }
-    if let Some((cluster, _, _)) = m.outages.iter().find(|o| o.0 >= m.clusters) {
-        return Err(ParseError(format!(
-            "outage cluster {cluster} is out of range (the machine has {} clusters)",
-            m.clusters
-        )));
-    }
     // bench/predict run fixed 4-cluster machines; validate the shape
     // against the machine the command will build.
     let clusters = match EXPERIMENTS.contains(&cmd) {
@@ -808,26 +671,6 @@ fn settle(cmd: &str, v: &mut Values) -> Result<(), ParseError> {
     m.wan_topology
         .validate(clusters)
         .map_err(|e| ParseError(format!("the --topology shape does not fit: {e}")))
-}
-
-/// `args`, a command line after its command's name, with each flag of
-/// `pins` set to the pinned value alone: the flag's own arguments are
-/// dropped wherever it appears, and the pins appended in order.
-pub(crate) fn pin(args: &[String], pins: &[(&str, String)]) -> Vec<String> {
-    let mut out = Vec::new();
-    let mut rest = args.iter();
-    while let Some(arg) = rest.next() {
-        let arity = rows().find(|r| r.name == arg).map_or(0, arity);
-        let taken: Vec<&String> = rest.by_ref().take(arity).collect();
-        if pins.iter().all(|(name, _)| name != arg) {
-            out.push(arg.clone());
-            out.extend(taken.into_iter().cloned());
-        }
-    }
-    for (name, value) in pins {
-        out.extend([name.to_string(), value.clone()]);
-    }
-    out
 }
 
 /// Appends `head` and then `text`, word-wrapped to 80 columns with every
@@ -858,9 +701,6 @@ fn entry(out: &mut String, row: &Flag) {
     let mut text = row.help.to_string();
     if !row.repeat.is_empty() {
         text += &format!("; repeatable on {}", row.repeat.join(", "));
-    }
-    if !row.list.is_empty() {
-        text += &format!("; a comma list on {}", row.list.join(", "));
     }
     if !(row.default.is_empty() && row.unset.is_empty()) {
         text += &format!(" [default:\u{a0}{}{}]", row.default, row.unset);
@@ -919,8 +759,8 @@ pub fn usage() -> String {
         out.push('\n');
     }
     out.push_str(
-        "EXIT CODES:\n  0  clean\n  1  findings: unwaived diagnostics, checksum mismatches, \
-         failed soak cells\n  2  usage or internal error\n",
+        "EXIT CODES:\n  0  clean\n  1  findings: unwaived diagnostics, checksum mismatches\n  \
+         2  usage or internal error\n",
     );
     out
 }

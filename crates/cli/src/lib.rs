@@ -7,7 +7,6 @@
 //! numagap suite [machine flags]          # all six apps, the paper's variants
 //! numagap check [--app X] [--perturb] [machine flags]  # communication sanitizer
 //! numagap audit [--root DIR] [--rules]   # determinism static analysis
-//! numagap soak [--app X ...] [machine flags]  # fault/hostile scenario matrix
 //! numagap bench [--target T] [--jobs N]  # run experiments (the only way to)
 //! numagap bench --compare OLD NEW        # diff two BENCH_*.json summaries
 //! numagap serve [--port P] [--workers N] # batched what-if prediction server
@@ -25,7 +24,7 @@
 //!
 //! Exit codes are uniform across commands: `0` clean, [`EXIT_FINDINGS`]
 //! when the command ran and found failures (sanitizer diagnostics,
-//! checksum mismatches, failing soak cells), [`EXIT_ERROR`] for usage or
+//! checksum mismatches), [`EXIT_ERROR`] for usage or
 //! internal errors (bad flags, simulator aborts, I/O failures).
 
 #![warn(missing_docs)]
@@ -38,7 +37,6 @@ mod machine;
 mod predict;
 mod run;
 mod serve;
-mod soak;
 
 pub use check::{check_app, waived};
 pub use flags::{parse, section, usage, ParseError};
@@ -47,10 +45,10 @@ pub use machine::{MachineArgs, ScheduleArg};
 use flags::{CmdSpec, Values};
 
 /// Exit code: the command ran to completion but found failures — sanitizer
-/// diagnostics, checksum mismatches, or failing soak cells.
+/// diagnostics or checksum mismatches.
 pub const EXIT_FINDINGS: i32 = 1;
 /// Exit code: usage or internal error — unparseable flags, a simulator
-/// abort outside a soak cell, or an I/O failure.
+/// abort, or an I/O failure.
 pub const EXIT_ERROR: i32 = 2;
 
 /// A parsed command line.

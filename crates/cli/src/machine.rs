@@ -4,10 +4,10 @@
 use std::fmt;
 
 use numagap_net::{
-    numa_gap, CrossTrafficPlan, FaultPlan, HeteroPreset, LinkParams, LinkSchedule, Topology,
-    TwoLayerSpec, WanTopology,
+    numa_gap, CrossTrafficPlan, HeteroPreset, LinkParams, LinkSchedule, Topology, TwoLayerSpec,
+    WanTopology,
 };
-use numagap_rt::{Machine, TransportConfig};
+use numagap_rt::Machine;
 use numagap_sim::{SimDuration, SimTime};
 
 use crate::flags::Values;
@@ -51,7 +51,7 @@ impl fmt::Display for ScheduleArg {
     }
 }
 
-/// Machine-shape and fault-injection flags shared by all commands.
+/// Machine-shape and hostile-network flags shared by the machine commands.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MachineArgs {
     /// Number of clusters.
@@ -83,17 +83,8 @@ pub struct MachineArgs {
     pub bandwidth_mbs: f64,
     /// WAN latency jitter fraction.
     pub jitter: f64,
-    /// Fault-plan seed; `--seed` installs a (possibly zero-probability)
-    /// plan so the run's report echoes the seed it executed under.
-    pub seed: Option<u64>,
-    /// WAN drop probability.
-    pub drop: f64,
-    /// WAN duplicate probability.
-    pub duplicate: f64,
-    /// WAN reorder probability.
-    pub reorder: f64,
-    /// Gateway crash-restart windows: `(cluster, from_ms, until_ms)`.
-    pub outages: Vec<(usize, f64, f64)>,
+    /// Seed of the cross-traffic and the link schedule (`--seed`).
+    pub seed: u64,
     /// Wide-area wiring between cluster gateways (`--topology`); the
     /// default full mesh reproduces the paper's machine bit-for-bit.
     pub wan_topology: WanTopology,
@@ -114,42 +105,13 @@ impl Default for MachineArgs {
             latency_ms: 10.0,
             bandwidth_mbs: 1.0,
             jitter: 0.0,
-            seed: None,
-            drop: 0.0,
-            duplicate: 0.0,
-            reorder: 0.0,
-            outages: Vec::new(),
+            seed: 0,
             wan_topology: WanTopology::FullMesh,
         }
     }
 }
 
-fn ms_to_simtime(ms: f64) -> SimTime {
-    SimTime::from_nanos((ms * 1e6).round() as u64)
-}
-
 impl MachineArgs {
-    /// The fault plan these flags describe; `None` when no fault flag (and
-    /// no `--seed`) was given.
-    pub fn fault_plan(&self) -> Option<FaultPlan> {
-        let configured = self.seed.is_some()
-            || self.drop > 0.0
-            || self.duplicate > 0.0
-            || self.reorder > 0.0
-            || !self.outages.is_empty();
-        if !configured {
-            return None;
-        }
-        let mut plan = FaultPlan::new(self.seed.unwrap_or(0))
-            .drop_prob(self.drop)
-            .duplicate_prob(self.duplicate)
-            .reorder_prob(self.reorder);
-        for &(cluster, from, until) in &self.outages {
-            plan = plan.gateway_outage(cluster, ms_to_simtime(from), ms_to_simtime(until));
-        }
-        Some(plan)
-    }
-
     /// The cluster layout these flags describe, with the hetero preset's
     /// compute speeds applied.
     pub fn topology(&self) -> Topology {
@@ -160,17 +122,16 @@ impl MachineArgs {
         self.hetero.apply(topo)
     }
 
-    /// The link schedule for an explicit shape and seed, using this
-    /// machine's period and degradation factors. `None` for
-    /// [`ScheduleArg::None`].
-    pub fn schedule_for(&self, shape: ScheduleArg, seed: u64) -> Option<LinkSchedule> {
+    /// The time-varying WAN schedule these flags describe, if any: the
+    /// shape, with this machine's period and degradation factors.
+    pub fn link_schedule(&self) -> Option<LinkSchedule> {
         let period = SimDuration::from_millis_f64(self.schedule_period_ms);
         let at = SimTime::from_nanos(period.as_nanos());
-        let schedule = match shape {
+        let schedule = match self.schedule {
             ScheduleArg::None => return None,
-            ScheduleArg::Diurnal => LinkSchedule::diurnal(seed, period),
-            ScheduleArg::Step => LinkSchedule::step(seed, at),
-            ScheduleArg::Drift => LinkSchedule::drift(seed, at),
+            ScheduleArg::Diurnal => LinkSchedule::diurnal(self.seed, period),
+            ScheduleArg::Step => LinkSchedule::step(self.seed, at),
+            ScheduleArg::Drift => LinkSchedule::drift(self.seed, at),
         };
         Some(
             schedule
@@ -179,57 +140,26 @@ impl MachineArgs {
         )
     }
 
-    /// The time-varying WAN schedule these flags describe, if any.
-    pub fn link_schedule(&self) -> Option<LinkSchedule> {
-        self.schedule_for(self.schedule, self.seed.unwrap_or(0))
-    }
-
     /// Builds the interconnect spec, including any configured hostile
-    /// plans (cross-traffic, link schedule) and fault plan.
+    /// plans (cross-traffic, link schedule).
     pub fn spec(&self) -> TwoLayerSpec {
         let mut spec = TwoLayerSpec::new(self.topology())
             .inter(LinkParams::wide_area(self.latency_ms, self.bandwidth_mbs))
             .wan_topology(self.wan_topology)
             .wan_latency_jitter(self.jitter);
         if self.cross_traffic > 0.0 {
-            spec = spec.cross_traffic(
-                CrossTrafficPlan::new(self.seed.unwrap_or(0)).intensity(self.cross_traffic),
-            );
+            spec =
+                spec.cross_traffic(CrossTrafficPlan::new(self.seed).intensity(self.cross_traffic));
         }
         if let Some(schedule) = self.link_schedule() {
             spec = spec.link_schedule(schedule);
         }
-        match self.fault_plan() {
-            Some(plan) => spec.fault_plan(plan),
-            None => spec,
-        }
+        spec
     }
 
-    /// Builds the machine. When the fault plan can actually fire, the
-    /// reliable transport is enabled (applications would otherwise hang on
-    /// dropped messages) along with a generous virtual time limit so an
-    /// unrecoverable schedule aborts instead of spinning forever.
+    /// Builds the machine.
     pub fn machine(&self) -> Machine {
-        let spec = self.spec();
-        let faulty = spec.fault_plan.as_ref().is_some_and(|p| p.any_faults());
-        let machine = Machine::new(spec.clone());
-        if faulty {
-            machine
-                .with_reliable_transport(TransportConfig::for_spec(&spec))
-                .time_limit(SimDuration::from_secs(3600))
-        } else {
-            machine
-        }
-    }
-}
-
-/// Echoes the seed a faulty machine runs under, so the run can be repeated.
-pub(crate) fn print_fault_seed(machine: &Machine) {
-    if let Some(plan) = &machine.spec().fault_plan {
-        println!(
-            "fault seed: {} (reproduce with --seed {})",
-            plan.seed, plan.seed
-        );
+        Machine::new(self.spec())
     }
 }
 
@@ -260,16 +190,5 @@ pub(crate) fn execute_info(args: &Values) -> i32 {
         spec.wan_topology.nnodes(spec.topology.nclusters())
     );
     println!("NUMA gap: {lat_gap:.0}x latency, {bw_gap:.1}x bandwidth");
-    if let Some(plan) = &spec.fault_plan {
-        println!(
-            "faults:  seed {} drop {:.0}% duplicate {:.0}% reorder {:.0}%, \
-                     {} outage window(s)",
-            plan.seed,
-            plan.drop_prob * 100.0,
-            plan.duplicate_prob * 100.0,
-            plan.reorder_prob * 100.0,
-            plan.link_outages.len() + plan.gateway_outages.len()
-        );
-    }
     0
 }

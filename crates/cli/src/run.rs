@@ -7,14 +7,12 @@ use numagap_apps::{
 use numagap_sim::{Observer, Tracer};
 
 use crate::flags::Values;
-use crate::machine::print_fault_seed;
 use crate::{EXIT_ERROR, EXIT_FINDINGS};
 
 /// Executes the `suite` command.
 pub(crate) fn execute_suite(args: &Values) -> i32 {
     let cfg = SuiteConfig::at(Scale::Small);
     let m = args.machine.machine();
-    print_fault_seed(&m);
     println!(
         "{:<12} {:<12} {:>12} {:>12} {:>9}",
         "Program", "variant", "runtime", "WAN msgs", "verified"
@@ -70,9 +68,6 @@ pub(crate) fn execute_run(args: &Values) -> i32 {
     };
     println!("app:        {} ({})", run.app, run.variant);
     println!("machine:    {}", machine.spec().topology.label());
-    if let Some(seed) = run.seed {
-        println!("seed:       {seed} (fault plan; reproduce with --seed {seed})");
-    }
     println!("runtime:    {}", run.elapsed);
     println!(
         "traffic:    {} intra msgs, {} inter msgs, {} inter bytes",
@@ -80,17 +75,6 @@ pub(crate) fn execute_run(args: &Values) -> i32 {
     );
     println!("checksum:   {:.6}", run.checksum);
     println!("work units: {}", run.work);
-    if run.faults_injected > 0 {
-        let t = run.transport.unwrap_or_default();
-        println!(
-            "faults:     {} injected; {} retransmit(s), {} duplicate(s) \
-                     suppressed, goodput {:.1}%",
-            run.faults_injected,
-            t.retransmits,
-            t.duplicates_suppressed,
-            t.goodput() * 100.0
-        );
-    }
     if !run.net.wan_busy.is_empty() {
         let max_busy = run
             .net

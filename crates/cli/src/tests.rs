@@ -7,16 +7,12 @@ use super::*;
 use crate::bench::selected;
 use crate::flags::{parse_app, rows, Flag, COMMANDS};
 
-/// What `argv` sets, as the command it names reads it; the command line
-/// itself is left out, so two spellings of one setting compare equal.
+/// What `argv` sets, as the command it names reads it.
 fn values(argv: &[&str]) -> Values {
     match parse(argv).unwrap_or_else(|e| panic!("{argv:?}: {e}")) {
         Command::Execute(spec, v) => {
             assert_eq!(spec.name, argv[0]);
-            Values {
-                line: Vec::new(),
-                ..*v
-            }
+            *v
         }
         Command::Help => panic!("{argv:?} parsed as help"),
     }
@@ -319,103 +315,6 @@ fn info_executes() {
     assert_eq!(execute(parse(&["info"]).unwrap()), 0);
 }
 
-#[test]
-fn parses_fault_flags() {
-    let m = values(&[
-        "run",
-        "--app",
-        "fft",
-        "--seed",
-        "9",
-        "--drop",
-        "0.1",
-        "--duplicate",
-        "0.05",
-        "--reorder",
-        "0.02",
-        "--outage",
-        "1:10:20",
-        "--clusters",
-        "2",
-    ])
-    .machine;
-    assert_eq!(m.seed, Some(9));
-    assert!((m.drop - 0.1).abs() < 1e-12);
-    assert!((m.duplicate - 0.05).abs() < 1e-12);
-    assert!((m.reorder - 0.02).abs() < 1e-12);
-    assert_eq!(m.outages, vec![(1, 10.0, 20.0)]);
-    let plan = m.fault_plan().expect("faults configured");
-    assert_eq!(plan.seed, 9);
-    assert_eq!(plan.gateway_outages.len(), 1);
-    // No fault flags: no plan, and the transport stays off.
-    assert_eq!(values(&["run", "--app", "fft"]).machine.fault_plan(), None);
-    // --seed alone installs a (zero-probability) plan so the seed is
-    // echoed and replayable.
-    let m = values(&["run", "--app", "fft", "--seed", "3"]).machine;
-    let plan = m.fault_plan().expect("seed installs a plan");
-    assert_eq!(plan.seed, 3);
-}
-
-#[test]
-fn rejects_bad_fault_flags() {
-    assert!(
-        parse(&["run", "--app", "fft", "--drop", "0.6", "--duplicate", "0.6"]).is_err(),
-        "probabilities must sum within 1"
-    );
-    assert!(
-        parse(&[
-            "run",
-            "--app",
-            "fft",
-            "--clusters",
-            "2",
-            "--outage",
-            "7:1:2"
-        ])
-        .is_err(),
-        "outage cluster must exist"
-    );
-}
-
-#[test]
-fn parses_soak_flags() {
-    let v = values(&[
-        "soak",
-        "--app",
-        "asp",
-        "--app",
-        "fft",
-        "--variant",
-        "opt",
-        "--intensities",
-        "0.1,0.2",
-        "--seeds",
-        "5",
-        "--seed",
-        "11",
-        "--repro",
-        "--timeout",
-        "60",
-        "--no-outage",
-    ]);
-    assert_eq!(v.apps, vec![AppId::Asp, AppId::Fft]);
-    assert_eq!(v.variant, Some(Variant::Optimized));
-    assert_eq!(v.intensities, vec![0.1, 0.2]);
-    assert_eq!(v.seeds, 5);
-    assert_eq!(v.machine.seed, Some(11));
-    assert!(v.repro);
-    assert_eq!(v.timeout_s, 60);
-    assert!(v.no_outage);
-    let v = values(&["soak"]);
-    assert!(v.apps.is_empty(), "all apps by default");
-    assert_eq!(v.variant, None, "the paper's variants by default");
-    assert_eq!(v.intensities, vec![0.05, 0.15]);
-    assert_eq!(v.seeds, 3);
-    assert!(!v.repro);
-    assert_eq!(v.timeout_s, 3600);
-    assert_selection_is_checked("soak");
-}
-
 /// `cmd` rejects an application named twice, and a variant that selects
 /// none of the paper's pairs.
 fn assert_selection_is_checked(cmd: &str) {
@@ -427,76 +326,6 @@ fn assert_selection_is_checked(cmd: &str) {
         "{err}"
     );
     assert!(parse(&[cmd, "--app", "fft", "--variant", "unopt"]).is_ok());
-}
-
-#[test]
-fn soak_seeds_stop_at_the_largest_seed() {
-    let max = u64::MAX.to_string();
-    let err = parse(&["soak", "--seed", &max, "--seeds", "2"])
-        .unwrap_err()
-        .0;
-    assert!(err.contains("--seed") && err.contains("--seeds 2"), "{err}");
-    // The range may end on the largest seed, from either end.
-    assert_eq!(values(&["soak", "--seed", &max, "--seeds", "1"]).seeds, 1);
-    let all = values(&["soak", "--seed", "0", "--seeds", &max]);
-    assert_eq!((all.machine.seed, all.seeds), (Some(0), u64::MAX));
-    assert!(parse(&["soak", "--seeds", &max]).is_ok(), "counts from 1");
-    assert!(parse(&["soak", "--seed", "2", "--seeds", &max]).is_err());
-}
-
-#[test]
-fn soak_passes_on_tiny_sweep() {
-    let cmd = parse(&[
-        "soak",
-        "--app",
-        "fft",
-        "--scale",
-        "small",
-        "--clusters",
-        "2",
-        "--procs",
-        "2",
-        "--intensities",
-        "0.1",
-        "--seeds",
-        "1",
-        "--seed",
-        "5",
-        "--repro",
-    ])
-    .unwrap();
-    // FFT has one variant, so one cell per scenario.
-    let Command::Execute(_, v) = &cmd else {
-        panic!("soak parses to a command")
-    };
-    let fft = [(AppId::Fft, Variant::Unoptimized, HeteroPreset::Uniform)];
-    assert_eq!(crate::soak::triples(v), fft);
-    assert_eq!(execute(cmd), 0);
-}
-
-#[test]
-fn soak_hang_is_a_finding() {
-    // A zero-second virtual time limit makes every cell a "hang": the
-    // sweep must fail with the findings exit code, not an error.
-    let cmd = parse(&[
-        "soak",
-        "--app",
-        "fft",
-        "--scale",
-        "small",
-        "--clusters",
-        "2",
-        "--procs",
-        "2",
-        "--intensities",
-        "0.1",
-        "--seeds",
-        "1",
-        "--timeout",
-        "0",
-    ])
-    .unwrap();
-    assert_eq!(execute(cmd), EXIT_FINDINGS);
 }
 
 #[test]
@@ -603,7 +432,7 @@ fn rejects_bad_predict_flags() {
     let err = parse(&["predict", "--latency", "5"]).unwrap_err();
     assert!(err.0.contains("not read by 'predict'"), "{err}");
     assert!(parse(&["predict", "--clusters", "8"]).is_err());
-    assert!(parse(&["predict", "--drop", "0.1"]).is_err());
+    assert!(parse(&["predict", "--seed", "1"]).is_err());
 }
 
 #[test]
@@ -633,30 +462,6 @@ fn predict_executes_end_to_end() {
         .collect();
     assert_eq!(written, ["PREDICT_fig3.json"]);
     let _ = std::fs::remove_dir_all(&out);
-}
-
-#[test]
-fn faulty_run_executes_clean() {
-    let cmd = parse(&[
-        "run",
-        "--app",
-        "asp",
-        "--variant",
-        "opt",
-        "--scale",
-        "small",
-        "--clusters",
-        "2",
-        "--procs",
-        "2",
-        "--seed",
-        "42",
-        "--drop",
-        "0.1",
-        "--verify",
-    ])
-    .unwrap();
-    assert_eq!(execute(cmd), 0);
 }
 
 #[test]
@@ -718,75 +523,17 @@ fn parses_hostile_network_flags() {
 
 #[test]
 fn rejects_bad_hostile_flags() {
-    // Only soak sweeps a hostile dimension; elsewhere a list is an error,
-    // not its last element.
+    // A hostile flag takes one value: a list is an error, not its last
+    // element.
     for (flag, list) in [
         ("--cross-traffic", "0,0.4"),
         ("--schedule", "none,step"),
         ("--hetero", "uniform,slow-home"),
     ] {
         let err = parse(&["run", "--app", "fft", flag, list]).unwrap_err();
-        assert!(err.0.contains("a comma list only on soak"), "{err}");
+        assert!(err.0.contains(&format!("'{list}' for {flag}")), "{err}");
         assert!(parse(&["check", flag, list]).is_err());
     }
-}
-
-#[test]
-fn soak_sweeps_hostile_dimensions_as_comma_lists() {
-    let v = values(&[
-        "soak",
-        "--cross-traffic",
-        "0,0.4",
-        "--schedule",
-        "none,step",
-        "--hetero",
-        "uniform,slow-home",
-    ]);
-    assert_eq!(v.cross_traffic, vec![0.0, 0.4]);
-    assert_eq!(v.schedules, vec![ScheduleArg::None, ScheduleArg::Step]);
-    assert_eq!(
-        v.hetero,
-        vec![HeteroPreset::Uniform, HeteroPreset::SlowHome]
-    );
-    // Defaults reproduce the classic fault-only matrix: one clean value
-    // per hostile dimension.
-    let v = values(&["soak"]);
-    assert_eq!(v.cross_traffic, vec![0.0]);
-    assert_eq!(v.schedules, vec![ScheduleArg::None]);
-    assert_eq!(v.hetero, vec![HeteroPreset::Uniform]);
-}
-
-#[test]
-fn hostile_soak_passes_on_tiny_sweep() {
-    // The full hostile matrix on the smallest machine: asymmetric
-    // heterogeneous clusters, cross-traffic, a step schedule, faults,
-    // and a replay check — all from one seed.
-    let cmd = parse(&[
-        "soak",
-        "--app",
-        "fft",
-        "--scale",
-        "small",
-        "--clusters",
-        "2,1",
-        "--procs",
-        "2",
-        "--hetero",
-        "slow-home",
-        "--cross-traffic",
-        "0.3",
-        "--schedule",
-        "step",
-        "--intensities",
-        "0.1",
-        "--seeds",
-        "1",
-        "--seed",
-        "5",
-        "--repro",
-    ])
-    .unwrap();
-    assert_eq!(execute(cmd), 0);
 }
 
 #[test]
@@ -813,7 +560,6 @@ fn topology_parses_on_every_subcommand() {
     for argv in [
         vec!["suite", "--topology", "star:1"],
         vec!["check", "--topology", "line"],
-        vec!["soak", "--topology", "ring"],
         vec!["info", "--topology", "fattree:2"],
     ] {
         assert!(parse(&argv).is_ok(), "{argv:?}");
@@ -847,7 +593,7 @@ fn bad_topologies_fail_parse_on_every_subcommand() {
         ],
         vec!["suite", "--clusters", "3", "--topology", "star:3"],
         vec!["check", "--clusters", "5", "--topology", "dragonfly:2"],
-        vec!["soak", "--clusters", "2,2,2", "--topology", "torus:2x2"],
+        vec!["check", "--clusters", "2,2,2", "--topology", "torus:2x2"],
         vec!["info", "--clusters", "2", "--topology", "fattree:3"],
         // bench/predict validate against their fixed 4-cluster machine
         // no matter what --clusters says.
@@ -885,11 +631,9 @@ fn sample(row: &Flag) -> Option<&'static [&'static str]> {
         "--app" => &["fft"],
         "--variant" => &["unopt"],
         "--scale" => &["paper"],
-        "--seed" => &["7"],
         "--jobs" | "--workers" => &["2"],
         "--out" | "--root" | "--trace" => &["some/path"],
         "--topology" => &["ring"],
-        "--outage" => &["1:5:10"],
         "--compare" => &["old.json", "new.json"],
         _ => return None,
     })
@@ -915,11 +659,7 @@ fn bad_values(row: &Flag) -> &'static [&'static str] {
         "--schedule" => &["lunar"],
         "--degrade-latency" => &["0.5", "101"],
         "--degrade-bandwidth" => &["0", "1.5"],
-        "--drop" | "--duplicate" | "--reorder" => &["1.5", "-0.1"],
-        "--outage" => &["1:20:10", "nope", "1:2"],
-        "--intensities" => &["0.7", "0.05,nan"],
-        "--seed" | "--timeout" => &["x", "-1"],
-        "--seeds" => &["0", "x", "-1"],
+        "--seed" => &["x", "-1"],
         "--target" => &["fig9"],
         "--threshold" => &["1.0", "nan"],
         "--port" => &["notaport", "70000"],
@@ -1009,11 +749,7 @@ fn every_row_of_the_flag_table_holds_in_parse_and_usage() {
                 argv.extend([row.name, bad]);
                 let err = parse(&argv).unwrap_err().0;
                 assert!(
-                    err.contains(&format!(
-                        "'{}' for {}",
-                        bad.rsplit(',').next().unwrap(),
-                        row.name
-                    )) || err.contains(&format!("'{bad}' for {}", row.name)),
+                    err.contains(&format!("'{bad}' for {}", row.name)),
                     "{argv:?}: {err}"
                 );
             }
@@ -1184,21 +920,17 @@ fn every_ci_command_line_parses() {
         found.len()
     );
     // One of them in full: what CI runs is what the flags say.
-    let soak = found
+    let hostile = found
         .iter()
-        .find(|(cmd, _, args)| *cmd == "soak" && args.iter().any(|a| a == "--hetero"))
-        .expect("the hostile-network soak");
-    let mut argv = vec!["soak"];
-    argv.extend(soak.2.iter().map(String::as_str));
+        .find(|(cmd, _, args)| *cmd == "check" && args.iter().any(|a| a == "--hetero"))
+        .expect("the hostile-network perturbation check");
+    let mut argv = vec!["check"];
+    argv.extend(hostile.2.iter().map(String::as_str));
     let v = values(&argv);
     assert_eq!(v.apps, vec![AppId::Asp]);
-    assert_eq!(v.machine.cluster_sizes, Some(vec![2, 1]));
-    assert_eq!(v.cross_traffic, vec![0.0, 0.4]);
-    assert_eq!(v.schedules, vec![ScheduleArg::None, ScheduleArg::Step]);
-    assert_eq!(
-        v.hetero,
-        vec![HeteroPreset::Uniform, HeteroPreset::SlowHome]
-    );
-    assert_eq!((v.seeds, v.machine.seed), (1, Some(7)));
-    assert!(v.repro && v.timeout_s == 3600);
+    assert_eq!(v.variant, Some(Variant::Optimized));
+    assert!(v.perturb);
+    assert_eq!(v.machine.hetero, HeteroPreset::SlowHome);
+    assert!((v.machine.cross_traffic - 0.5).abs() < 1e-12);
+    assert_eq!(v.machine.schedule, ScheduleArg::Diurnal);
 }

@@ -69,17 +69,16 @@ fn the_scheduler_flag_is_unknown_on_every_command() {
 
 #[test]
 fn a_flag_the_command_does_not_read_is_a_usage_error() {
-    const MACHINE: &str = "run, suite, check, soak, info";
-    const FAULTS: &str = "run, suite, check, info";
+    const MACHINE: &str = "run, suite, check, info";
     // Each of these exited 0 once, with the flag silently dropped.
     for (argv, message) in [
         // suite runs small by definition.
         (
             &["suite", "--scale", "paper"][..],
-            "flag --scale is not read by 'suite' (accepted by: run, check, soak, bench, predict)",
+            "flag --scale is not read by 'suite' (accepted by: run, check, bench, predict)",
         ),
-        // bench and predict run the paper's fixed machines, fault-free;
-        // the wiring is the one machine flag they read.
+        // bench and predict run the paper's fixed machines; the wiring is
+        // the one machine flag they read.
         (
             &[
                 "bench",
@@ -97,52 +96,26 @@ fn a_flag_the_command_does_not_read_is_a_usage_error() {
             &format!("flag --latency is not read by 'predict' (accepted by: {MACHINE})"),
         ),
         (
-            &["bench", "--drop", "0.1"],
-            &format!("flag --drop is not read by 'bench' (accepted by: {FAULTS})"),
+            &["bench", "--seed", "1"],
+            &format!("flag --seed is not read by 'bench' (accepted by: {MACHINE})"),
         ),
         (
-            &["info", "--quick", "--seeds", "9", "--target", "fig3"],
+            &["info", "--quick", "--target", "fig3"],
             "flag --quick is not read by 'info' (accepted by: bench, predict)",
         ),
         (
             &["audit", "--latency", "3"],
             &format!("flag --latency is not read by 'audit' (accepted by: {MACHINE})"),
         ),
-        // soak's fault plan is its own: --intensities and the planted outage.
-        (
-            &["soak", "--outage", "1:5:10"],
-            &format!("flag --outage is not read by 'soak' (accepted by: {FAULTS})"),
-        ),
-        (
-            &["soak", "--drop", "0.2"],
-            &format!("flag --drop is not read by 'soak' (accepted by: {FAULTS})"),
-        ),
-        (
-            &["soak", "--reorder", "0.2", "--duplicate", "0.1"],
-            &format!("flag --reorder is not read by 'soak' (accepted by: {FAULTS})"),
-        ),
-        // Only soak sweeps a hostile dimension; only soak and predict take
-        // several applications.
-        (
-            &["run", "--app", "asp", "--cross-traffic", "0,0.4"],
-            "flag --cross-traffic takes a comma list only on soak, not on 'run'",
-        ),
-        (
-            &["check", "--schedule", "none,step"],
-            "flag --schedule takes a comma list only on soak, not on 'check'",
-        ),
-        (
-            &["info", "--hetero", "uniform,tiered"],
-            "flag --hetero takes a comma list only on soak, not on 'info'",
-        ),
+        // Only predict takes several applications.
         (
             &["run", "--app", "asp", "--app", "fft"],
-            "flag --app is given more than once; only soak, predict take several, not 'run'",
+            "flag --app is given more than once; repeatable only on predict, not 'run'",
         ),
         // serve's thread count has one spelling.
         (
             &["serve", "--jobs", "3"],
-            "flag --jobs is not read by 'serve' (accepted by: soak, bench, predict)",
+            "flag --jobs is not read by 'serve' (accepted by: bench, predict)",
         ),
     ] {
         let out = numagap(argv).output().expect("spawn numagap");
@@ -160,24 +133,13 @@ fn a_flag_the_command_does_not_read_is_a_usage_error() {
             "{argv:?}: {err}"
         );
     }
-    // The lists are read where the table says so.
-    for argv in [
-        &[
-            "soak",
-            "--cross-traffic",
-            "0,0.4",
-            "--schedule",
-            "none,step",
-            "--rules",
-        ][..],
-        &["predict", "--app", "asp", "--app", "fft", "--rules"],
-    ] {
-        let err = stderr_of(&numagap(argv).output().expect("spawn numagap"));
-        assert!(
-            err.starts_with("error: flag --rules is not read by"),
-            "{argv:?}: {err}"
-        );
-    }
+    // Several applications are read where the table says so.
+    let argv = ["predict", "--app", "asp", "--app", "fft", "--rules"];
+    let err = stderr_of(&numagap(&argv).output().expect("spawn numagap"));
+    assert!(
+        err.starts_with("error: flag --rules is not read by"),
+        "{argv:?}: {err}"
+    );
     // And the machine flags suite does read run it: one row per pair of
     // the paper's variants, FFT once.
     let out = numagap(&["suite", "--clusters", "2", "--procs", "2"])

@@ -169,7 +169,7 @@ impl AnalyticModel {
     /// # Panics
     ///
     /// Panics if the DAG is malformed (a recorded receive whose producer
-    /// never sends), which a complete fault-free recording cannot produce.
+    /// never sends), which a complete recording cannot produce.
     pub fn compile(dag: &CommDag) -> AnalyticModel {
         let mut net = TwoLayerNetwork::new(dag.base_spec.clone());
         let recv_o = net.recv_overhead().as_nanos();

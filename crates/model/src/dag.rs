@@ -90,8 +90,8 @@ impl CommDag {
 ///
 /// Lend it to a run (`Machine::run_observed`, or `run_app_report`'s
 /// observer slot); after the run completes, call [`DagRecorder::finish`] to
-/// take the DAG. The recorder assumes a fault-free network (every sent
-/// message either arrives or is never consumed) and must observe the run
+/// take the DAG. The kernel delivers every booked message exactly once, so
+/// each recorded receive names one send; the recorder must observe the run
 /// from its beginning so the kernel's message sequence numbers stay dense.
 #[derive(Debug)]
 pub struct DagRecorder {

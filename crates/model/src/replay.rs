@@ -322,7 +322,7 @@ impl Replayer {
 /// # Panics
 ///
 /// Panics if the DAG is malformed (a recorded receive whose producer never
-/// sends, which a complete fault-free recording cannot produce), or if the
+/// sends, which a complete recording cannot produce), or if the
 /// what-if spec's topology disagrees with the recorded rank count.
 pub fn replay(dag: &CommDag, spec: &TwoLayerSpec) -> Replay {
     Replayer::new(spec).replay(dag, spec.inter)

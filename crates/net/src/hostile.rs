@@ -10,7 +10,7 @@
 //!   bandwidth through the same gap-filling [`crate::LinkState`] interval
 //!   list application messages book into. Every background message's
 //!   departure time and size is derived from the plan seed and a per-link
-//!   message counter through the splitmix64 finalizer the jitter/fault
+//!   message counter through the splitmix64 finalizer the latency-jitter
 //!   machinery uses — identical seeds replay identical background load.
 //! * A [`LinkSchedule`] scales each directed WAN link's latency up and
 //!   bandwidth down as a *pure function* of virtual time and the seed:

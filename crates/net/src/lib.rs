@@ -30,7 +30,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-mod fault;
 mod floor;
 mod hostile;
 mod link;
@@ -39,7 +38,6 @@ mod presets;
 mod topology;
 mod wan;
 
-pub use fault::{FaultPlan, GatewayOutage, LinkOutage};
 pub use floor::PairFloors;
 pub use hostile::{CrossTrafficPlan, LinkSchedule, ScheduleShape};
 pub use link::{LinkParams, LinkState};

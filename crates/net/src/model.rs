@@ -14,9 +14,8 @@
 //! costs on an idle machine — the terms the critical-path split and the
 //! analytic bound read, so neither derives the path again.
 
-use numagap_sim::{FaultDisposition, Network, ProcId, SimDuration, SimTime, Tag};
+use numagap_sim::{Network, ProcId, SimDuration, SimTime};
 
-use crate::fault::{FaultPlan, REORDER_DELAY_FACTOR};
 use crate::floor::PairFloors;
 use crate::hostile::{CrossTrafficPlan, LinkSchedule, CROSS_TRAFFIC_MEAN_BYTES};
 use crate::link::{LinkParams, LinkState};
@@ -67,11 +66,6 @@ pub struct TwoLayerSpec {
     /// routes messages over multiple wide-area hops through intermediate
     /// gateways or switches — the paper's "less perfect" future topologies.
     pub wan_topology: WanTopology,
-    /// Deterministic WAN fault injection, or `None` (the default) for a
-    /// perfectly reliable network. When `None` the kernel never consults the
-    /// fault machinery, so fault-free runs are byte-identical to builds
-    /// without it.
-    pub fault_plan: Option<FaultPlan>,
     /// Seeded background traffic occupying WAN link bandwidth, or `None`
     /// (the default) for a dedicated network. When `None` no background
     /// bookings are made, so clean runs are byte-identical to builds
@@ -96,7 +90,6 @@ impl TwoLayerSpec {
             gateway_overhead: SimDuration::from_micros(60),
             wan_latency_jitter: 0.0,
             wan_topology: WanTopology::FullMesh,
-            fault_plan: None,
             cross_traffic: None,
             link_schedule: None,
         }
@@ -125,12 +118,6 @@ impl TwoLayerSpec {
     /// Sets the inter-cluster link class.
     pub fn inter(mut self, params: LinkParams) -> Self {
         self.inter = params;
-        self
-    }
-
-    /// Installs a deterministic WAN fault plan.
-    pub fn fault_plan(mut self, plan: FaultPlan) -> Self {
-        self.fault_plan = Some(plan);
         self
     }
 
@@ -269,15 +256,11 @@ struct RunState {
     /// One independent FIFO link per directed node pair the topology can
     /// route over, indexed `from_node * nnodes + to_node`; diagonal unused.
     wan: Vec<LinkState>,
-    /// Last fault-free arrival per ordered `(src, dst)` pair that has
-    /// communicated: the per-pair FIFO delivery rule.
+    /// Last arrival per ordered `(src, dst)` pair that has communicated:
+    /// the per-pair FIFO delivery rule.
     pair_floor: PairFloors,
     /// Counter feeding the deterministic latency-jitter hash.
     jitter_seq: u64,
-    /// Per ordered cluster pair, indexed `src * nclusters + dst`: how many
-    /// fault decisions this link has drawn. Feeds the fault plan's split
-    /// per-link decision streams.
-    fault_seq: Vec<u64>,
     /// Next background cross-traffic departure per ordered node pair,
     /// indexed like `wan`. `SimTime::ZERO` means the stream has not drawn
     /// its first gap yet (no gap draw is ever zero).
@@ -312,7 +295,6 @@ impl RunState {
             wan,
             pair_floor,
             jitter_seq,
-            fault_seq,
             xt_next,
             xt_seq,
             stats,
@@ -332,7 +314,6 @@ impl RunState {
         }
         pair_floor.reset(nprocs);
         *jitter_seq = 0;
-        refill(fault_seq, nclusters * nclusters, 0);
         refill(xt_next, nnodes * nnodes, SimTime::ZERO);
         refill(xt_seq, nnodes * nnodes, 0);
         // Every counter back to zero; the two per-cluster vectors keep
@@ -404,7 +385,7 @@ impl RunState {
     }
 }
 
-/// splitmix64 finalizer — the deterministic jitter/fault hash.
+/// splitmix64 finalizer — the deterministic jitter and cross-traffic hash.
 pub(crate) fn mix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9e3779b97f4a7c15);
     x = (x ^ (x >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
@@ -438,15 +419,12 @@ impl TwoLayerNetwork {
     ///
     /// # Panics
     ///
-    /// Panics when the spec is inconsistent: a fault/cross-traffic plan or
+    /// Panics when the spec is inconsistent: a cross-traffic plan or
     /// link schedule with out-of-bounds parameters, or a wide-area topology
     /// that does not fit the cluster count (see [`WanTopology::validate`]).
     pub fn new(spec: TwoLayerSpec) -> Self {
         let n = spec.topology.nprocs();
         let c = spec.topology.nclusters();
-        if let Some(plan) = &spec.fault_plan {
-            plan.validate();
-        }
         if let Some(plan) = &spec.cross_traffic {
             plan.validate();
         }
@@ -655,48 +633,6 @@ impl Network for TwoLayerNetwork {
     #[inline]
     fn recv_overhead(&self) -> SimDuration {
         self.spec.recv_overhead
-    }
-
-    fn fault_disposition(
-        &mut self,
-        src: ProcId,
-        dst: ProcId,
-        tag: Tag,
-        now: SimTime,
-        arrival: SimTime,
-    ) -> Option<FaultDisposition> {
-        let plan = self.spec.fault_plan.as_ref()?;
-        let cs = self.spec.topology.cluster_of(src);
-        let cd = self.spec.topology.cluster_of(dst);
-        // The intra-cluster Myrinet layer is reliable; only WAN messages
-        // are exposed to faults.
-        if cs == cd || plan.exempt_tag_min.is_some_and(|min| tag.raw() >= min) {
-            return None;
-        }
-        let route = self.routes.resolve(cs, cd);
-        if let Some(cause) = plan.outage_cause(route, now) {
-            return Some(FaultDisposition::dropped(cause));
-        }
-        let draws = &mut self.run.fault_seq[cs * self.spec.topology.nclusters() + cd];
-        let n = *draws;
-        *draws += 1;
-        let u = plan.draw(cs, cd, n);
-        let delay = SimDuration::from_nanos(
-            (self.spec.inter.latency.as_nanos() as f64 * REORDER_DELAY_FACTOR).round() as u64,
-        );
-        if u < plan.drop_prob {
-            Some(FaultDisposition::dropped("wan-drop"))
-        } else if u < plan.drop_prob + plan.duplicate_prob {
-            Some(FaultDisposition::duplicated(
-                arrival,
-                arrival + delay,
-                "wan-duplicate",
-            ))
-        } else if u < plan.drop_prob + plan.duplicate_prob + plan.reorder_prob {
-            Some(FaultDisposition::delayed(arrival + delay, "wan-reorder"))
-        } else {
-            None
-        }
     }
 }
 
@@ -948,12 +884,10 @@ mod tests {
 
     #[test]
     fn a_reset_network_is_the_network_new_would_build() {
-        use crate::fault::FaultPlan;
         use crate::hostile::{CrossTrafficPlan, LinkSchedule};
         // Between them the specs move every piece of state a run mutates:
         // multi-hop routes through real and virtual nodes, the jitter
-        // counter, the background streams under a schedule, and the
-        // per-link fault draws.
+        // counter and the background streams under a schedule.
         let specs = [
             spec_4x8(),
             spec_4x8()
@@ -963,11 +897,10 @@ mod tests {
                 .wan_topology(WanTopology::FatTree { pod: 2 })
                 .cross_traffic(CrossTrafficPlan::new(7).intensity(0.5))
                 .link_schedule(LinkSchedule::step(3, SimTime::from_nanos(40_000_000))),
-            spec_4x8().fault_plan(FaultPlan::new(11).drop_prob(0.2).reorder_prob(0.2)),
         ];
-        // Sixty messages, most of them inter-cluster, several per pair, each
-        // put to the fault plan. The outcome is every arrival and verdict
-        // plus the network's whole state afterwards, as `Debug` prints it.
+        // Sixty messages, most of them inter-cluster, several per pair. The
+        // outcome is every arrival plus the network's whole state
+        // afterwards, as `Debug` prints it.
         let drive = |net: &mut TwoLayerNetwork| {
             let mut seen = String::new();
             for i in 0..60u64 {
@@ -977,8 +910,7 @@ mod tests {
                 );
                 let now = SimTime::from_nanos(i * 1_500_000);
                 let t = net.transfer(src, dst, 200 + i * 997, now);
-                let fate = net.fault_disposition(src, dst, Tag::app(1), now, t);
-                seen.push_str(&format!("{t:?} {fate:?}\n"));
+                seen.push_str(&format!("{t:?}\n"));
             }
             format!("{seen}{net:?}")
         };

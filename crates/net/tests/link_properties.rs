@@ -1,8 +1,7 @@
 //! Property tests for the link layer's ordering guarantees.
 //!
 //! The simulator's determinism story leans on two properties of the cost
-//! model, and fault injection deliberately bends (but must never break)
-//! them:
+//! model:
 //!
 //! 1. **Per-pair FIFO**: traffic between a fixed processor pair arrives
 //!    in send order no matter how sizes, gaps, contention, or
@@ -11,11 +10,7 @@
 //!    order it behaves exactly like a FIFO queue, and when the kernel's
 //!    canonical replay books chains out of ready order, the model's
 //!    per-pair arrival floor restores send-order delivery.
-//! 2. **Arrival-time monotonicity**: no fault disposition may deliver a
-//!    message *before* its fault-free arrival; faults only remove
-//!    deliveries (drop), add strictly later copies (duplicate), or push
-//!    the single delivery later (reorder/delay).
-//! 3. **Contention only delays**: a booked message arrives exactly at its
+//! 2. **Contention only delays**: a booked message arrives exactly at its
 //!    itemized idle cost ([`TwoLayerNetwork::idle_cost`]) when nothing is in
 //!    its way, and never earlier when something is — the premise of the
 //!    analytic lower bound.
@@ -24,10 +19,10 @@
 //! and the failure message names the seed.
 
 use numagap_net::{
-    CrossTrafficPlan, FaultPlan, LinkParams, LinkSchedule, LinkState, Topology, TwoLayerNetwork,
-    TwoLayerSpec, WanTopology,
+    CrossTrafficPlan, LinkParams, LinkSchedule, LinkState, Topology, TwoLayerNetwork, TwoLayerSpec,
+    WanTopology,
 };
-use numagap_sim::{Network, ProcId, SimDuration, SimTime, Tag};
+use numagap_sim::{Network, ProcId, SimDuration, SimTime};
 
 /// Deterministic xorshift64* — the same generator the kernel's own property
 /// tests use; no wall-clock seeding anywhere.
@@ -50,11 +45,6 @@ impl Rng {
     /// Uniform in `[0, n)`.
     fn below(&mut self, n: u64) -> u64 {
         self.next() % n
-    }
-
-    /// Uniform float in `[0, 1)`.
-    fn unit(&mut self) -> f64 {
-        (self.next() >> 11) as f64 / (1u64 << 53) as f64
     }
 }
 
@@ -183,100 +173,6 @@ fn same_pair_wan_traffic_arrives_in_send_order() {
     }
 }
 
-/// Randomized fault plans never deliver early: every disposition arrival
-/// is at or after the fault-free arrival, drops deliver nothing, and
-/// duplicates deliver the on-time copy first plus a strictly later copy.
-#[test]
-fn fault_dispositions_never_deliver_before_the_fault_free_arrival() {
-    for seed in 1..=12u64 {
-        let mut rng = Rng::new(seed ^ 0x5EED);
-        // Random probabilities, capped so they sum below 1.
-        let plan = FaultPlan::new(seed)
-            .drop_prob(rng.unit() * 0.3)
-            .duplicate_prob(rng.unit() * 0.3)
-            .reorder_prob(rng.unit() * 0.3);
-        let mut net = wan_spec(0.0).fault_plan(plan).build();
-        let mut now = SimTime::ZERO;
-        let (mut drops, mut dups, mut delays) = (0u32, 0u32, 0u32);
-        for i in 0..600 {
-            now += SimDuration::from_micros(rng.below(500));
-            let src = ProcId(rng.below(32) as usize);
-            let dst = ProcId(rng.below(32) as usize);
-            let bytes = rng.below(10_000);
-            let t = net.transfer(src, dst, bytes, now);
-            let arrivals = net
-                .fault_disposition(src, dst, Tag::app(0), now, t)
-                .map_or_else(|| vec![t], |d| d.arrivals);
-            match arrivals.len() {
-                0 => drops += 1,
-                1 => {
-                    assert!(
-                        arrivals[0] >= t,
-                        "seed {seed} op {i}: delivery {} precedes fault-free arrival {t}",
-                        arrivals[0],
-                    );
-                    if arrivals[0] > t {
-                        delays += 1;
-                    }
-                }
-                2 => {
-                    dups += 1;
-                    assert_eq!(arrivals[0], t, "seed {seed} op {i}");
-                    assert!(
-                        arrivals[1] > t,
-                        "seed {seed} op {i}: duplicate copy must arrive strictly later"
-                    );
-                }
-                n => panic!("seed {seed} op {i}: {n} deliveries from one message"),
-            }
-        }
-        // The plans draw real probabilities; over 600 messages (most of
-        // them inter-cluster) at least one fault of some kind must fire,
-        // otherwise the test is vacuously checking the fault-free path.
-        assert!(
-            drops + dups + delays > 0,
-            "seed {seed}: fault plan injected nothing"
-        );
-    }
-}
-
-/// Reorder-free fault plans (drops and duplicates only) preserve per-pair
-/// FIFO of the *first* delivery of every surviving message — the property
-/// the reliable transport's dedup window leans on.
-#[test]
-fn reorder_free_plans_preserve_first_delivery_order() {
-    for seed in 1..=8u64 {
-        let mut rng = Rng::new(seed ^ 0xF1F0);
-        let plan = FaultPlan::new(seed).drop_prob(0.15).duplicate_prob(0.2);
-        let mut net = wan_spec(0.0).fault_plan(plan).build();
-        let mut now = SimTime::ZERO;
-        let mut last_first = SimTime::ZERO;
-        let mut delivered = 0u32;
-        for i in 0..400 {
-            now += SimDuration::from_micros(rng.below(300));
-            let bytes = rng.below(8_000);
-            let t = net.transfer(ProcId(0), ProcId(8), bytes, now);
-            let first = match net.fault_disposition(ProcId(0), ProcId(8), Tag::app(0), now, t) {
-                None => Some(t),
-                Some(d) => d.arrivals.first().copied(),
-            };
-            if let Some(first) = first {
-                assert!(
-                    first >= last_first,
-                    "seed {seed} op {i}: surviving deliveries reordered \
-                     ({first} < {last_first})"
-                );
-                last_first = first;
-                delivered += 1;
-            }
-        }
-        assert!(
-            delivered > 200,
-            "seed {seed}: too few survivors to be meaningful"
-        );
-    }
-}
-
 /// The three hostile schedule shapes, each with seeded cross-traffic at
 /// half intensity and aggressive (but legal) degradation factors. The
 /// short diurnal period and step/drift horizons sit inside the virtual
@@ -336,8 +232,7 @@ fn same_pair_traffic_stays_fifo_under_cross_traffic_and_schedules() {
 
 /// A hostile network never speeds a message up: from an idle network, any
 /// single transfer under cross-traffic and a degradation schedule arrives
-/// at or after its clean-network arrival — the hostile analogue of the
-/// fault layer's never-deliver-early rule. (Under *contention history* the
+/// at or after its clean-network arrival. (Under *contention history* the
 /// pairwise claim is deliberately not made: the gap-filling link server
 /// may leave idle an interval the clean network had occupied, so a later
 /// message can legitimately slot in earlier.)
@@ -606,31 +501,6 @@ fn schedule_factors_stay_bounded_periodic_and_monotone() {
     }
 }
 
-/// The whole fault pipeline is deterministic: identical seeds reproduce
-/// identical dispositions, different seeds genuinely differ.
-#[test]
-fn fault_schedules_replay_exactly_from_the_seed() {
-    let run = |seed: u64| {
-        let plan = FaultPlan::new(seed)
-            .drop_prob(0.1)
-            .duplicate_prob(0.1)
-            .reorder_prob(0.1);
-        let mut net = wan_spec(0.0).fault_plan(plan).build();
-        let mut out = Vec::new();
-        for i in 0..300u64 {
-            let now = SimTime::from_nanos(i * 40_000);
-            let src = ProcId((i % 8) as usize);
-            let dst = ProcId(8 + (i % 24) as usize);
-            let t = net.transfer(src, dst, 1000 + i, now);
-            let d = net.fault_disposition(src, dst, Tag::app(0), now, t);
-            out.push((t, d.map(|d| (d.arrivals, d.kind))));
-        }
-        out
-    };
-    assert_eq!(run(7), run(7), "same seed must replay bit-identically");
-    assert_ne!(run(7), run(8), "different seeds must differ");
-}
-
 /// Every wide-area wiring that fits four clusters, parameters up to 4.
 fn shapes_at_four_clusters() -> Vec<WanTopology> {
     let mut shapes = vec![WanTopology::FullMesh, WanTopology::Ring, WanTopology::Line];
@@ -694,7 +564,7 @@ fn an_idle_transfer_costs_exactly_its_itemization() {
 /// any order (the kernel books in departure order, a special case), never
 /// deliver a message before its departure plus its idle cost, on any wiring
 /// that fits four clusters. No jitter (which may shorten a hop's latency),
-/// fault plan, cross-traffic or schedule is installed.
+/// cross-traffic or schedule is installed.
 #[test]
 fn contention_never_beats_the_idle_cost() {
     for shape in shapes_at_four_clusters() {

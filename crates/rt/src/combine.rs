@@ -215,27 +215,15 @@ impl<T: Any + Send + Sync + Clone> ClusterCombiner<T> {
     /// Relay-side handler: unpacks a message received under `relay_tag` and
     /// forwards its items as per-destination `Vec<T>` batches under
     /// `data_tag`, in ascending destination order, over the fast local links
-    /// (including to the relay itself via loopback). Consumes the message
-    /// and, when it holds the last reference to the batch (the common case —
-    /// a relay batch has exactly one addressee), *moves* the items into
-    /// their per-destination batches instead of cloning them.
+    /// (including to the relay itself via loopback). A relay batch has
+    /// exactly one addressee, so the relay holds the last reference to it
+    /// and *moves* the items into their per-destination batches.
     pub fn handle_relay(&self, ctx: &mut Ctx<'_>, msg: Message) {
         debug_assert_eq!(msg.tag, self.relay_tag, "not a relay message");
-        let shared = msg.expect_shared::<Vec<Addressed<T>>>();
+        let items = std::sync::Arc::unwrap_or_clone(msg.expect_shared::<Vec<Addressed<T>>>());
         let mut per_dst: BTreeMap<usize, Vec<T>> = BTreeMap::new();
-        match std::sync::Arc::try_unwrap(shared) {
-            Ok(items) => {
-                for (dst, item) in items {
-                    per_dst.entry(dst as usize).or_default().push(item);
-                }
-            }
-            Err(shared) => {
-                // Still referenced elsewhere (duplicated by fault injection
-                // and not yet deduplicated): fall back to cloning.
-                for (dst, item) in shared.iter() {
-                    per_dst.entry(*dst as usize).or_default().push(item.clone());
-                }
-            }
+        for (dst, item) in items {
+            per_dst.entry(dst as usize).or_default().push(item);
         }
         self.forward(ctx, per_dst);
     }

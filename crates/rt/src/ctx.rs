@@ -6,7 +6,6 @@ use std::sync::Arc;
 use numagap_net::Topology;
 use numagap_sim::{Filter, Message, Payload, ProcCtx, ProcId, SimDuration, SimTime, Tag};
 
-use crate::reliable::{TransportConfig, TransportState, TransportStats};
 use crate::tags::rpc_reply_tag;
 
 /// Runtime view of one simulated processor.
@@ -17,7 +16,6 @@ use crate::tags::rpc_reply_tag;
 pub struct Ctx<'a> {
     sim: &'a mut ProcCtx,
     topo: Arc<Topology>,
-    transport: Option<TransportState>,
 }
 
 impl std::fmt::Debug for Ctx<'_> {
@@ -34,28 +32,7 @@ impl<'a> Ctx<'a> {
     /// Wraps a raw simulator context. Used by [`crate::Machine`]; application
     /// code never calls this.
     pub fn new(sim: &'a mut ProcCtx, topo: Arc<Topology>) -> Self {
-        Ctx {
-            sim,
-            topo,
-            transport: None,
-        }
-    }
-
-    /// Opts this rank into the reliable transport: all subsequent sends and
-    /// receives gain sequence numbers, ack/retransmit, duplicate
-    /// suppression, and in-order release, surviving any WAN fault plan.
-    /// [`crate::Machine::with_reliable_transport`] calls this on every rank.
-    pub fn enable_reliable_transport(&mut self, cfg: TransportConfig) {
-        let nprocs = self.sim.nprocs();
-        self.transport = Some(TransportState::new(cfg, nprocs));
-    }
-
-    /// Flushes the reliable transport (retransmitting until every sent
-    /// message is acknowledged or its peer is known to have exited) and
-    /// returns its counters. Called by [`crate::Machine`] when the rank's
-    /// entry function returns; `None` when the transport is disabled.
-    pub fn finish_transport(&mut self) -> Option<TransportStats> {
-        self.transport.as_mut().map(|t| t.finish(self.sim))
+        Ctx { sim, topo }
     }
 
     /// This process's rank in `0..nprocs`.
@@ -126,18 +103,12 @@ impl<'a> Ctx<'a> {
 
     /// Sends a shared payload (no deep copy; cheap for multicast fan-out).
     pub fn send_payload(&mut self, dst: usize, tag: Tag, payload: Payload, wire_bytes: u64) {
-        match self.transport.as_mut() {
-            Some(t) => t.send(self.sim, &self.topo, dst, tag, payload, wire_bytes),
-            None => self.sim.send_payload(ProcId(dst), tag, payload, wire_bytes),
-        }
+        self.sim.send_payload(ProcId(dst), tag, payload, wire_bytes);
     }
 
     /// Blocks until a message matching `filter` arrives.
     pub fn recv(&mut self, filter: Filter) -> Message {
-        match self.transport.as_mut() {
-            Some(t) => t.recv(self.sim, &filter),
-            None => self.sim.recv(filter),
-        }
+        self.sim.recv(filter)
     }
 
     /// Blocks until any message with `tag` arrives.
@@ -152,10 +123,7 @@ impl<'a> Ctx<'a> {
 
     /// Non-blocking poll for a matching message.
     pub fn try_recv(&mut self, filter: Filter) -> Option<Message> {
-        match self.transport.as_mut() {
-            Some(t) => t.try_recv(self.sim, &filter),
-            None => self.sim.try_recv(filter),
-        }
+        self.sim.try_recv(filter)
     }
 
     /// Receives a message with `tag` and clones out a typed payload.

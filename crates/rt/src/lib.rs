@@ -36,7 +36,6 @@ mod combine;
 mod ctx;
 pub mod lint;
 mod machine;
-pub mod reliable;
 mod sync;
 pub mod tags;
 
@@ -45,7 +44,6 @@ pub use combine::{Addressed, ClusterCombiner, Combiner};
 pub use ctx::Ctx;
 pub use lint::LintRecord;
 pub use machine::{Machine, RunReport};
-pub use reliable::{Ack, ReliableEnvelope, TransportConfig, TransportStats};
 pub use sync::{get_seq, Barrier, SequencerServer};
 
 // `coll::Coll`'s tests: every operation under both algorithm families on

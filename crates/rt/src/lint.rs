@@ -38,14 +38,6 @@ pub enum LintRecord {
         /// Generations completed when the barrier was dropped.
         generation: u64,
     },
-    /// The reliable transport still held received-but-never-consumed
-    /// messages when the rank finished: the application exited without
-    /// receiving everything its peers sent it.
-    TransportUndelivered {
-        /// Messages left in the transport's delivery buffer and
-        /// reorder stash.
-        buffered: usize,
-    },
 }
 
 impl fmt::Display for LintRecord {
@@ -58,10 +50,6 @@ impl fmt::Display for LintRecord {
             LintRecord::BarrierGeneration { id, generation } => {
                 write!(f, "barrier {id} finished at generation {generation}")
             }
-            LintRecord::TransportUndelivered { buffered } => write!(
-                f,
-                "rank finished with {buffered} transport-delivered message(s) never received"
-            ),
         }
     }
 }

@@ -9,8 +9,6 @@ use numagap_sim::{
 
 use crate::ctx::Ctx;
 use crate::lint::{self, LintRecord};
-use crate::reliable::{TransportConfig, TransportStats};
-use crate::tags;
 
 /// A configured two-layer machine on which SPMD programs run.
 ///
@@ -28,7 +26,6 @@ use crate::tags;
 pub struct Machine {
     spec: TwoLayerSpec,
     time_limit: Option<SimDuration>,
-    transport: Option<TransportConfig>,
     tie_break: TieBreak,
     stack_size: Option<usize>,
 }
@@ -39,7 +36,6 @@ impl Machine {
         Machine {
             spec,
             time_limit: None,
-            transport: None,
             tie_break: TieBreak::Fifo,
             stack_size: None,
         }
@@ -64,18 +60,6 @@ impl Machine {
     /// behind `numagap check --perturb`.
     pub fn with_tie_break(mut self, policy: TieBreak) -> Self {
         self.tie_break = policy;
-        self
-    }
-
-    /// Runs every rank over the reliable transport (see `crate::reliable`),
-    /// so applications complete with identical results under any WAN fault
-    /// plan — degraded only in simulated time. The transport's ack tag
-    /// block is automatically exempted from the spec's fault plan.
-    ///
-    /// Transport-mode ranks poll instead of blocking, so a protocol
-    /// deadlock runs until the [`Machine::time_limit`] — set one.
-    pub fn with_reliable_transport(mut self, cfg: TransportConfig) -> Self {
-        self.transport = Some(cfg);
         self
     }
 
@@ -135,16 +119,7 @@ impl Machine {
         F: Fn(&mut Ctx<'_>) -> T + Send + Sync + 'static,
         T: Send + 'static,
     {
-        let mut spec = self.spec.clone();
-        if self.transport.is_some() {
-            if let Some(plan) = spec.fault_plan.as_mut() {
-                // The ack control plane is modeled as reliable (see the
-                // `crate::reliable` docs); without this every run would face
-                // the Two Generals problem at exit.
-                plan.exempt_tag_min.get_or_insert(tags::ACK_TAG.raw());
-            }
-        }
-        let net = TwoLayerNetwork::new(spec.clone());
+        let net = TwoLayerNetwork::new(self.spec.clone());
         let mut sim = Sim::new(net);
         sim.tie_break(self.tie_break);
         if let Some(bytes) = self.stack_size {
@@ -161,26 +136,19 @@ impl Machine {
         for _rank in 0..self.spec.topology.nprocs() {
             let entry = Arc::clone(&entry);
             let topo = Arc::clone(&topo);
-            let transport = self.transport.clone();
             sim.spawn(move |pctx| {
                 let mut ctx = Ctx::new(pctx, topo);
-                if let Some(cfg) = transport {
-                    ctx.enable_reliable_transport(cfg);
-                }
                 // Arm this rank's lint sink so runtime primitives the entry
                 // creates (combiners, barriers) can report on drop.
                 let lints = lint::arm();
                 let result = entry(&mut ctx);
-                // Flush before taking lints: the flush itself can report.
-                let transport_stats = ctx.finish_transport();
-                (result, lints.take(), transport_stats)
+                (result, lints.take())
             });
         }
         let out = sim.run()?;
         let net_stats = out.network.stats();
         let mut results = Vec::with_capacity(out.results.len());
         let mut rank_lints = Vec::with_capacity(out.results.len());
-        let mut transport_stats = Vec::with_capacity(out.results.len());
         for r in out.results {
             // A rank-level panic no longer aborts the kernel; surface the
             // first one here as the machine-level error `Machine::run`
@@ -189,14 +157,11 @@ impl Machine {
                 rank: f.rank,
                 message: f.message,
             })?;
-            let (result, lints, tstats) = *r
-                .downcast::<(T, Vec<LintRecord>, Option<TransportStats>)>()
+            let (result, lints) = *r
+                .downcast::<(T, Vec<LintRecord>)>()
                 .expect("machine entry result type mismatch");
             results.push(result);
             rank_lints.push(lints);
-            if let Some(tstats) = tstats {
-                transport_stats.push(tstats);
-            }
         }
         Ok(RunReport {
             elapsed: out.elapsed,
@@ -206,8 +171,7 @@ impl Machine {
             profile: out.profile,
             net_stats,
             rank_lints,
-            transport_stats,
-            spec,
+            spec: self.spec.clone(),
             sim_threads: out.sim_threads,
         })
     }
@@ -230,9 +194,6 @@ pub struct RunReport<T> {
     pub net_stats: NetStats,
     /// Runtime lint records collected on each rank (see [`crate::lint`]).
     pub rank_lints: Vec<Vec<LintRecord>>,
-    /// Per-rank reliable-transport counters; empty unless the machine was
-    /// built [`Machine::with_reliable_transport`].
-    pub transport_stats: Vec<TransportStats>,
     /// The spec the machine ran with.
     pub spec: TwoLayerSpec,
     /// Number of OS threads rank code executed on (see
@@ -242,23 +203,11 @@ pub struct RunReport<T> {
 }
 
 impl<T> RunReport<T> {
-    /// The seed of the spec's fault plan, if any — echoed so any faulty run
-    /// is reproducible from its report alone.
+    /// Always `None`: no run carries a seed that its spec does not already
+    /// state. Still a method only because `benchmark/src/workload/fig3.rs`
+    /// calls it.
     pub fn effective_seed(&self) -> Option<u64> {
-        self.spec.fault_plan.as_ref().map(|p| p.seed)
-    }
-
-    /// Machine-wide reliable-transport counters; `None` unless the machine
-    /// ran with the transport enabled.
-    pub fn transport_totals(&self) -> Option<TransportStats> {
-        if self.transport_stats.is_empty() {
-            return None;
-        }
-        let mut total = TransportStats::default();
-        for s in &self.transport_stats {
-            total.merge(s);
-        }
-        Some(total)
+        None
     }
 
     /// Aggregate inter-cluster payload volume in MByte/s averaged over the

@@ -20,13 +20,6 @@ pub const COLL_BLOCK: u32 = 2 * BLOCK;
 pub const RELAY_BLOCK: u32 = 3 * BLOCK;
 /// Runtime-internal application protocols (sequencers, work queues).
 pub const SERVICE_BLOCK: u32 = 4 * BLOCK;
-/// Reliable-transport acknowledgements (see `crate::reliable`).
-pub const ACK_BLOCK: u32 = 5 * BLOCK;
-
-/// The tag all reliable-transport acknowledgements travel on. Fault plans
-/// exempt this block so the control plane stays dependable; data envelopes
-/// ride the application's own tags.
-pub const ACK_TAG: Tag = Tag::internal_const(ACK_BLOCK);
 
 /// The RPC reply tag for a given caller rank.
 ///
@@ -67,8 +60,7 @@ mod tests {
         let b = coll_tag(0).raw();
         let c = relay_tag(0).raw();
         let d = service_tag(0).raw();
-        let e = ACK_TAG.raw();
-        assert!(a < b && b < c && c < d && d < e);
+        assert!(a < b && b < c && c < d);
         assert!(rpc_reply_tag(BLOCK as usize - 1).raw() < b);
     }
 

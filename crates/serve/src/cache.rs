@@ -4,7 +4,7 @@
 //! what-if query (a full simulated run at the reference point, plus the
 //! single-cluster baseline). The cache keys each frozen recording by
 //! everything that determines its content — application, variant, problem
-//! scale, wide-area wiring, fault seed namespace, and the WAN reference
+//! scale, wide-area wiring, seed namespace, and the WAN reference
 //! point — so two requests that would record byte-identical DAGs share one
 //! entry. Eviction is LRU over a bounded entry count; hit/miss/eviction
 //! counters are served by `/v1/stats`.
@@ -36,8 +36,10 @@ pub struct CacheKey {
     pub scale: Scale,
     /// Wide-area wiring; `None` is the DAS full mesh.
     pub topology: Option<WanTopology>,
-    /// Fault-seed namespace (recordings are fault-free; the seed keys the
-    /// namespace so future fault-aware recordings cannot collide).
+    /// The request's `seed` namespace. No recording draws from it, so keys
+    /// that differ only here hold identical DAGs. It stays in the key
+    /// because responses echo it in their `key` field and because
+    /// `benchmark/src/probes.rs` builds `CacheKey` by struct literal.
     pub seed: u64,
     /// WAN latency of the reference recording, ms.
     pub ref_latency_ms: f64,

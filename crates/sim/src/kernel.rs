@@ -1,6 +1,6 @@
 //! The discrete-event kernel: one driver of the [`EventCore`], doing the
 //! per-event work of a live run — resuming ranks, mailboxes, link
-//! booking and faults, and the observer.
+//! booking, and the observer.
 //!
 //! Determinism: the core orders every event and every deferred booking
 //! (see [`crate::equeue`]) and the kernel runs exactly one process at a
@@ -36,7 +36,7 @@ use crate::equeue::{EventCore, TieBreak};
 use crate::error::{PendingMessage, ProcFailure, SimError, WaitState};
 use crate::mailbox::Mailbox;
 use crate::message::{self, Filter, Message};
-use crate::network::{FaultEvent, FaultKind, Network};
+use crate::network::Network;
 use crate::observe::Observer;
 use crate::process::{self, Entry, Grant, Handover, Outbox, Posted, ProcCtx, Request};
 use crate::sched::{self, Context};
@@ -77,12 +77,6 @@ pub struct KernelStats {
     pub messages: u64,
     /// Total payload bytes transferred.
     pub bytes: u64,
-    /// Messages discarded by fault injection.
-    pub faults_dropped: u64,
-    /// Messages duplicated by fault injection.
-    pub faults_duplicated: u64,
-    /// Messages delayed past their fault-free arrival by fault injection.
-    pub faults_delayed: u64,
 }
 
 /// Cheap self-profiling counters of the kernel's own real-time hot path,
@@ -353,8 +347,8 @@ const _: () = assert!(std::mem::size_of::<EventKind>() <= 16);
 /// The core holds each posted send's stateful network booking until the end
 /// of the timestamp it was issued in (its departure and sender are the
 /// core's sort key). The sender kept running, its clock advanced by
-/// [`Network::send_overhead`]; what remains — link acquisition, fault
-/// disposition, and scheduling the delivery — is [`Kernel::book`]'s.
+/// [`Network::send_overhead`]; what remains — link acquisition and
+/// scheduling the delivery — is [`Kernel::book`]'s.
 type Core = EventCore<EventKind, Posted>;
 
 /// Booked messages not yet delivered, each with its receiver, in slots a
@@ -512,10 +506,8 @@ impl<'o, N: Network> Kernel<'o, N> {
         let (src, dst, tag, wire_bytes) = (ProcId(src), send.dst, send.tag, send.wire_bytes);
         let arrival = self.net.transfer(src, dst, wire_bytes, sent_at);
         debug_assert!(arrival >= sent_at);
-        let msg_seq = self.msg_seq;
-        self.msg_seq += 1;
         let msg = Message {
-            seq: msg_seq,
+            seq: self.msg_seq,
             src,
             tag,
             wire_bytes,
@@ -523,40 +515,11 @@ impl<'o, N: Network> Kernel<'o, N> {
             arrived_at: arrival,
             payload: send.payload,
         };
+        self.msg_seq += 1;
         if let Some(obs) = self.observer.as_mut() {
             obs.on_send(dst, &msg);
         }
-        let Some(disposition) = self.net.fault_disposition(src, dst, tag, sent_at, arrival) else {
-            core.schedule(arrival, EventKind::Deliver(self.in_flight.insert(dst, msg)));
-            return;
-        };
-        match disposition.kind {
-            FaultKind::Drop => self.kstats.faults_dropped += 1,
-            FaultKind::Duplicate => self.kstats.faults_duplicated += 1,
-            FaultKind::Delay => self.kstats.faults_delayed += 1,
-        }
-        if let Some(obs) = self.observer.as_mut() {
-            obs.on_fault(&FaultEvent {
-                kind: disposition.kind,
-                src,
-                dst,
-                seq: msg_seq,
-                tag,
-                at: sent_at,
-                cause: disposition.cause,
-            });
-        }
-        // Fault copies share the payload `Arc`; only the message header is
-        // duplicated per arrival.
-        for &arrival in &disposition.arrivals {
-            debug_assert!(arrival >= sent_at);
-            let mut copy = msg.clone();
-            copy.arrived_at = arrival;
-            core.schedule(
-                arrival,
-                EventKind::Deliver(self.in_flight.insert(dst, copy)),
-            );
-        }
+        core.schedule(arrival, EventKind::Deliver(self.in_flight.insert(dst, msg)));
     }
 
     /// The event loop. Every early `return Err` below drops the kernel with

@@ -62,7 +62,7 @@ pub use equeue::{EventCore, TieBreak};
 pub use error::{format_filter, PendingMessage, ProcFailure, SimError, WaitState};
 pub use kernel::{HotProfile, KernelStats, ProcStats, RunOutcome, Sim};
 pub use message::{Filter, Message, Payload, Tag, TagFilter, TagSet};
-pub use network::{FaultDisposition, FaultEvent, FaultKind, IdealNetwork, Network};
+pub use network::{IdealNetwork, Network};
 pub use observe::Observer;
 pub use process::{current_rank, ProcCtx};
 pub use time::{SimDuration, SimTime};

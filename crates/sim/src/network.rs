@@ -11,103 +11,14 @@
 //! (`TwoLayerNetwork::idle_cost`), which the critical-path split and the
 //! analytic bound read.
 
-use crate::message::Tag;
 use crate::time::{SimDuration, SimTime};
 use crate::ProcId;
-
-/// What kind of fault the network injected into a message.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultKind {
-    /// The message was silently discarded and never delivered.
-    Drop,
-    /// A second copy of the message was delivered (later than the original).
-    Duplicate,
-    /// The message was delivered, but later than its fault-free arrival,
-    /// allowing it to be overtaken by subsequent sends on the same pair.
-    Delay,
-}
-
-impl FaultKind {
-    /// Stable lower-case label used in logs and diagnostics.
-    pub fn name(self) -> &'static str {
-        match self {
-            FaultKind::Drop => "drop",
-            FaultKind::Duplicate => "duplicate",
-            FaultKind::Delay => "delay",
-        }
-    }
-}
-
-/// A fault the network injected, surfaced through [`crate::Observer::on_fault`].
-#[derive(Debug, Clone)]
-pub struct FaultEvent {
-    /// What happened to the message.
-    pub kind: FaultKind,
-    /// Sender rank.
-    pub src: ProcId,
-    /// Destination rank.
-    pub dst: ProcId,
-    /// Kernel sequence number of the affected message (matches the `seq`
-    /// passed to [`crate::Observer::on_send`]).
-    pub seq: u64,
-    /// The message tag.
-    pub tag: Tag,
-    /// Virtual time the message departed.
-    pub at: SimTime,
-    /// Why the fault fired (e.g. `"wan-drop"`, `"link-outage"`).
-    pub cause: &'static str,
-}
-
-/// How the network disposed of one message it injected a fault into.
-///
-/// Returned by [`Network::fault_disposition`]; the kernel schedules one
-/// delivery per entry in `arrivals` (zero entries = dropped).
-#[derive(Debug, Clone)]
-pub struct FaultDisposition {
-    /// Mailbox arrival times, one delivery each. Empty means dropped.
-    pub arrivals: Vec<SimTime>,
-    /// The injected fault.
-    pub kind: FaultKind,
-    /// Short cause label for the fault event.
-    pub cause: &'static str,
-}
-
-impl FaultDisposition {
-    /// The message is discarded.
-    pub fn dropped(cause: &'static str) -> Self {
-        FaultDisposition {
-            arrivals: Vec::new(),
-            kind: FaultKind::Drop,
-            cause,
-        }
-    }
-
-    /// The message arrives on time, at `arrival`, and a duplicate copy
-    /// arrives at `dup_at`.
-    pub fn duplicated(arrival: SimTime, dup_at: SimTime, cause: &'static str) -> Self {
-        FaultDisposition {
-            arrivals: vec![arrival, dup_at],
-            kind: FaultKind::Duplicate,
-            cause,
-        }
-    }
-
-    /// The single delivery is postponed to `at`.
-    pub fn delayed(at: SimTime, cause: &'static str) -> Self {
-        FaultDisposition {
-            arrivals: vec![at],
-            kind: FaultKind::Delay,
-            cause,
-        }
-    }
-}
 
 /// A pluggable message cost model.
 ///
 /// Each question about a message has one answer here: what its sender pays
-/// ([`Network::send_overhead`]), when it arrives ([`Network::transfer`]),
-/// what its receiver pays ([`Network::recv_overhead`]) and whether a fault
-/// befalls it ([`Network::fault_disposition`]).
+/// ([`Network::send_overhead`]), when it arrives ([`Network::transfer`])
+/// and what its receiver pays ([`Network::recv_overhead`]).
 ///
 /// Implementations are stateful: they track per-link occupancy so concurrent
 /// transfers contend for bandwidth. `transfer` is called in deterministic
@@ -138,23 +49,6 @@ pub trait Network: Send + 'static {
     /// receives a message. Defaults to zero.
     fn recv_overhead(&self) -> SimDuration {
         SimDuration::ZERO
-    }
-
-    /// The fault, if any, injected into the message that departed at `now`
-    /// and that [`Network::transfer`] delivers at `arrival`: a drop, a
-    /// duplicate, or a delay. `None` (the default) means one delivery at
-    /// `arrival`. Called by the kernel in deterministic event order, once
-    /// per send, right after the send's `transfer`.
-    fn fault_disposition(
-        &mut self,
-        src: ProcId,
-        dst: ProcId,
-        tag: Tag,
-        now: SimTime,
-        arrival: SimTime,
-    ) -> Option<FaultDisposition> {
-        let _ = (src, dst, tag, now, arrival);
-        None
     }
 }
 

@@ -13,7 +13,6 @@
 //! run (deadlock, time limit) too — the caller reads the observer directly.
 
 use crate::message::{Filter, Message};
-use crate::network::FaultEvent;
 use crate::time::SimTime;
 use crate::ProcId;
 
@@ -67,13 +66,6 @@ pub trait Observer {
         let _ = (p, msg, now);
     }
 
-    /// The network injected a fault into message `event.seq`. Fires after
-    /// the message's [`Observer::on_send`], only when the network has fault
-    /// injection enabled.
-    fn on_fault(&mut self, event: &FaultEvent) {
-        let _ = event;
-    }
-
     /// Process `p` exited normally at virtual time `now`.
     fn on_exit(&mut self, p: ProcId, now: SimTime) {
         let _ = (p, now);
@@ -103,9 +95,6 @@ impl<O: Observer + ?Sized> Observer for &mut O {
     }
     fn on_recv_matched(&mut self, p: ProcId, msg: &Message, now: SimTime) {
         (**self).on_recv_matched(p, msg, now);
-    }
-    fn on_fault(&mut self, event: &FaultEvent) {
-        (**self).on_fault(event);
     }
     fn on_exit(&mut self, p: ProcId, now: SimTime) {
         (**self).on_exit(p, now);

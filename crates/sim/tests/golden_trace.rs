@@ -4,9 +4,9 @@
 //! where a run's time went, so its bytes are pinned like the makespans:
 //! for each cell, the length, the event count and a 64-bit FNV-1a digest
 //! of `TraceLog::to_chrome_json` go to `tests/golden/traces.txt`. The
-//! cells cover a clean full mesh, a routed ring, a hostile schedule with
-//! cross-traffic, and drop, duplicate and reorder faults under the
-//! reliable transport (its polling receives and duplicate deliveries).
+//! cells cover a clean full mesh, a routed ring, and a hostile schedule
+//! with cross-traffic; that TSP cell is the one whose ranks also poll
+//! with `try_recv`.
 //!
 //! To regenerate after an *intentional* change:
 //!
@@ -18,8 +18,8 @@ use std::fmt::Write as _;
 use std::path::PathBuf;
 
 use numagap_apps::{run_app_report, AppId, Scale, SuiteConfig, Variant};
-use numagap_net::{das_spec, CrossTrafficPlan, FaultPlan, LinkSchedule, WanTopology};
-use numagap_rt::{Machine, TransportConfig};
+use numagap_net::{das_spec, CrossTrafficPlan, LinkSchedule, WanTopology};
+use numagap_rt::Machine;
 use numagap_sim::{SimDuration, Tracer};
 
 const TRACES: &str = "traces.txt";
@@ -42,13 +42,6 @@ fn cells() -> Vec<(&'static str, AppId, Variant, Machine)> {
                 .latency_factor(2.0)
                 .bandwidth_factor(0.5),
         );
-    let faulty = slow().fault_plan(
-        FaultPlan::new(9)
-            .drop_prob(0.1)
-            .duplicate_prob(0.05)
-            .reorder_prob(0.05),
-    );
-    let transport = TransportConfig::for_spec(&faulty);
     vec![
         (
             "mesh",
@@ -79,14 +72,6 @@ fn cells() -> Vec<(&'static str, AppId, Variant, Machine)> {
             AppId::Tsp,
             Variant::Unoptimized,
             Machine::new(hostile),
-        ),
-        (
-            "faults",
-            AppId::Awari,
-            Variant::Optimized,
-            Machine::new(faulty)
-                .with_reliable_transport(transport)
-                .time_limit(SimDuration::from_secs(3600)),
         ),
     ]
 }

@@ -286,24 +286,6 @@ proptest! {
             );
         }
     }
-
-    /// Fault-plan draws are pure functions of (seed, link, counter): the
-    /// same triple redraws identically, and the per-link streams stay inside
-    /// the unit interval.
-    #[test]
-    fn fault_draws_are_pure_and_bounded(
-        seed in 0u64..1_000_000,
-        a in 0usize..16,
-        b in 0usize..16,
-        n in 0u64..10_000,
-    ) {
-        use twolayer::net::FaultPlan;
-        let plan = FaultPlan::new(seed);
-        let u = plan.draw(a, b, n);
-        prop_assert!((0.0..=1.0).contains(&u));
-        prop_assert_eq!(u, plan.draw(a, b, n), "draw must be deterministic");
-        prop_assert_eq!(u, FaultPlan::new(seed).draw(a, b, n));
-    }
 }
 
 /// Exhaustive companion to `wan_routes_are_sound` on small machines: every
