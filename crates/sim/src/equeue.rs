@@ -269,6 +269,30 @@ impl<E, S> EventCore<E, S> {
         Some(entry.kind)
     }
 
+    /// The earliest queued event, without popping it: what the next
+    /// [`EventCore::pop`] returns when no send is held. It is only a hint.
+    /// When sends are held and the timestamp ends, `pop` books them first,
+    /// and it may then return a delivery one of those bookings scheduled.
+    /// An event scheduled before the next `pop` can come first as well.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use numagap_sim::{EventCore, SimTime, TieBreak};
+    ///
+    /// let mut core: EventCore<&str, ()> = EventCore::new(TieBreak::Fifo);
+    /// core.schedule(SimTime::from_nanos(9), "late");
+    /// core.schedule(SimTime::from_nanos(4), "early");
+    /// assert_eq!(core.peek(), Some(&"early"));
+    /// let no_sends = |_: &mut EventCore<&str, ()>, _, _, _| unreachable!();
+    /// assert_eq!(core.pop(no_sends), Some("early"));
+    /// assert_eq!(core.peek(), Some(&"late"));
+    /// ```
+    #[inline]
+    pub fn peek(&self) -> Option<&E> {
+        self.heap.peek().map(|top| &top.kind)
+    }
+
     /// Hands every held send to `book` as `(core, departure, rank, send)`,
     /// in canonical `(departure, rank, per-rank send index)` order, without
     /// popping anything. [`EventCore::pop`] calls it at each timestamp
@@ -487,6 +511,39 @@ mod tests {
             // The deliveries took seq 3.. in booking order.
             assert!(core.has_run(SimTime::from_nanos(11), 3), "{policy}");
             assert!(!core.has_run(SimTime::from_nanos(21), 4), "{policy}");
+        }
+    }
+
+    #[test]
+    fn peek_names_the_next_pop_unless_held_sends_book_first() {
+        for policy in [TieBreak::Fifo, TieBreak::Reversed, TieBreak::Shuffled(5)] {
+            // With nothing held, every peek is exactly the next pop.
+            let mut core: EventCore<u32, u32> = EventCore::new(policy);
+            core.reset(4, |rank| rank as u32);
+            core.schedule(SimTime::from_nanos(3), 40);
+            core.schedule(SimTime::from_nanos(1), 41);
+            let mut log = Vec::new();
+            loop {
+                let peeked = core.peek().copied();
+                assert_eq!(peeked, core.pop(book_into(&mut log)), "{policy}");
+                if peeked.is_none() {
+                    break;
+                }
+            }
+            assert!(log.is_empty());
+
+            // A send held at time 0 is booked when `pop` passes time 0, and
+            // its delivery at 10 ns comes before the event peek named.
+            let mut core: EventCore<u32, u32> = EventCore::new(policy);
+            core.reset(1, |_| 0);
+            core.schedule(SimTime::from_nanos(50), 7);
+            assert_eq!(core.pop(book_into(&mut log)), Some(0), "{policy}");
+            core.defer(SimTime::ZERO, 0, 0);
+            assert_eq!(core.peek(), Some(&7), "{policy}");
+            assert_eq!(core.pop(book_into(&mut log)), Some(100), "{policy}");
+            assert_eq!(log, [(0, 0, 0)], "{policy}");
+            assert_eq!(core.peek(), Some(&7), "{policy}");
+            log.clear();
         }
     }
 

@@ -17,7 +17,13 @@
 //!   a fiber on this very thread, so a virtual context switch is two stack
 //!   switches and nothing is handed to another thread. A send is not a
 //!   switch: the rank leaves it in the run's outbox, and the kernel posts
-//!   the outbox whenever a resume returns (see [`crate::process`]).
+//!   the outbox whenever a resume returns (see [`crate::process`]). A
+//!   resume of a rank that has not run for a while is cold: at 4096 ranks
+//!   its fiber's control block and top stack page are out of the cache and
+//!   the TLB, and those misses were about a third of a run. So after each
+//!   pop the kernel peeks at the next event and has the rank it will
+//!   resume prefetch its control block and the 2 KiB of stack below it
+//!   ([`Context::prefetch`]), while the current event runs.
 //! * [`crate::mailbox`] — one arrival-ordered queue per rank, scanned
 //!   front to back; a message whose receiver is already blocked on a
 //!   filter that accepts it never enters it.
@@ -39,7 +45,7 @@ use crate::message::{self, Filter, Message};
 use crate::network::Network;
 use crate::observe::Observer;
 use crate::process::{self, Entry, Grant, Handover, Outbox, Posted, ProcCtx, Request};
-use crate::sched::{self, Context};
+use crate::sched::{Context, RankCtx};
 use crate::time::{SimDuration, SimTime};
 use crate::ProcId;
 
@@ -161,7 +167,7 @@ enum ProcState {
 }
 
 struct ProcSlot {
-    ctx: Box<dyn Context>,
+    ctx: RankCtx,
     mailbox: Mailbox,
     state: ProcState,
     clock: SimTime,
@@ -374,6 +380,11 @@ impl InFlight {
         }
     }
 
+    /// The receiver of the message in `slot`, if one is there.
+    fn receiver(&self, slot: usize) -> Option<ProcId> {
+        self.slots.get(slot)?.as_ref().map(|&(dst, _)| dst)
+    }
+
     fn take(&mut self, slot: usize) -> (ProcId, Message) {
         let entry = self.slots[slot]
             .take()
@@ -411,7 +422,7 @@ impl<'o, N: Network> Kernel<'o, N> {
             .into_iter()
             .enumerate()
             .map(|(rank, entry)| ProcSlot {
-                ctx: sched::spawn(
+                ctx: RankCtx::spawn(
                     ProcId(rank),
                     nprocs,
                     sim.stack_size,
@@ -524,7 +535,7 @@ impl<'o, N: Network> Kernel<'o, N> {
 
     /// The event loop. Every early `return Err` below drops the kernel with
     /// ranks still suspended mid-body; dropping a live rank's context
-    /// unwinds it (see [`sched::spawn`]), so an aborted run still runs every
+    /// unwinds it (see [`RankCtx`]), so an aborted run still runs every
     /// destructor on every rank's stack before `Sim::run` returns.
     fn run(mut self, mut core: Core) -> Result<RunOutcome<N>, SimError> {
         // The core books held sends before it pops past their timestamp,
@@ -540,6 +551,7 @@ impl<'o, N: Network> Kernel<'o, N> {
                 }
             }
             self.kstats.events += 1;
+            self.prefetch_next(&core);
             match event {
                 EventKind::Wake(p) => {
                     if matches!(self.slots[p.0].state, ProcState::Done) {
@@ -647,6 +659,21 @@ impl<'o, N: Network> Kernel<'o, N> {
                 self.slots.len()
             },
         })
+    }
+
+    /// Warms the context of the rank the next event will likely resume (a
+    /// wake's rank, a delivery's receiver; see [`EventCore::peek`]), so the
+    /// cache misses of its resume overlap the current event.
+    #[inline]
+    fn prefetch_next(&self, core: &Core) {
+        let next = match core.peek() {
+            Some(&EventKind::Wake(p)) => Some(p),
+            Some(&EventKind::Deliver(slot)) => self.in_flight.receiver(slot),
+            None => None,
+        };
+        if let Some(slot) = next.and_then(|p| self.slots.get(p.0)) {
+            slot.ctx.prefetch();
+        }
     }
 
     /// Resumes process `p` with `grant` and services its requests until it

@@ -4,10 +4,10 @@
 //! there is nothing to schedule: the kernel's event loop pops an event, calls
 //! [`Context::resume`] on the rank it names with the completing [`Grant`],
 //! and gets back the rank's [`Handover`]: its next request, after the sends
-//! it left in the run's [`Outbox`] on the way. The rank dispatch order *is*
-//! the grant order — a pure function of the canonical `(time, seq)` event
-//! order, whatever kind of context runs the rank body. The build picks the
-//! kind; nothing at run time does:
+//! it left in the run's [`Outbox`](crate::process::Outbox) on the way. The
+//! rank dispatch order *is* the grant order — a pure function of the
+//! canonical `(time, seq)` event order, whatever kind of context runs the
+//! rank body. The build picks the kind; nothing at run time does:
 //!
 //! * on x86-64 Linux each rank is a [`crate::fiber`] resumed and suspended on
 //!   the thread that called `Sim::run`; a virtual context switch is two
@@ -19,10 +19,7 @@
 //! [`Context`] with the same grants and requires the same sends and requests
 //! back.
 
-use std::sync::Arc;
-
-use crate::process::{Entry, Grant, Handover, Outbox};
-use crate::ProcId;
+use crate::process::{Grant, Handover};
 
 /// The kernel's handle on one rank's execution context.
 pub(crate) trait Context {
@@ -33,25 +30,26 @@ pub(crate) trait Context {
     /// returns. A context must not be resumed again after an `Exit` or an
     /// `Err`.
     fn resume(&mut self, grant: Grant) -> Result<Handover, String>;
+
+    /// Hints that the rank is resumed soon: starts loading into the cache
+    /// what its next resume reads first. It changes nothing the rank or the
+    /// kernel can observe, and may be called at any point of the rank's
+    /// life, finished or not. A thread rank has nothing to warm: its resume
+    /// wakes another OS thread, so the default does nothing.
+    fn prefetch(&self) {}
 }
 
-/// Creates rank `id`'s execution context. The rank body starts running on
-/// the first `resume`. Dropping a context whose rank is still suspended
-/// mid-body resumes it one last time with [`Grant::Abort`], so every value on
-/// the rank's stack is dropped — that is how an aborted run tears down.
-pub(crate) fn spawn(
-    id: ProcId,
-    nprocs: usize,
-    stack_size: usize,
-    outbox: Arc<Outbox>,
-    entry: Entry,
-) -> Box<dyn Context> {
-    #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
-    let ctx = fiber_ctx::FiberCtx::spawn(id, nprocs, stack_size, outbox, entry);
-    #[cfg(not(all(target_arch = "x86_64", target_os = "linux")))]
-    let ctx = crate::handoff::ThreadCtx::spawn(id, nprocs, stack_size, outbox, entry);
-    Box::new(ctx)
-}
+/// The one context kind this build runs ranks on, held by value in the
+/// kernel's rank slots. `RankCtx::spawn(id, nprocs, stack_size, outbox,
+/// entry)` creates rank `id`'s context; the rank body starts running on the
+/// first `resume`. Dropping a context whose rank is still suspended mid-body
+/// resumes it one last time with [`Grant::Abort`], so every value on the
+/// rank's stack is dropped — that is how an aborted run tears down.
+#[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+pub(crate) type RankCtx = fiber_ctx::FiberCtx;
+/// The one context kind this build runs ranks on (see the fiber build's).
+#[cfg(not(all(target_arch = "x86_64", target_os = "linux")))]
+pub(crate) type RankCtx = crate::handoff::ThreadCtx;
 
 #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
 mod fiber_ctx {
@@ -81,13 +79,13 @@ mod fiber_ctx {
     }
 
     /// A rank running as a fiber on the kernel's own thread.
-    pub(super) struct FiberCtx {
+    pub(crate) struct FiberCtx {
         fiber: Fiber<Grant, Yielded>,
         rank: usize,
     }
 
     impl FiberCtx {
-        pub(super) fn spawn(
+        pub(crate) fn spawn(
             id: ProcId,
             nprocs: usize,
             stack_size: usize,
@@ -112,6 +110,11 @@ mod fiber_ctx {
         fn resume(&mut self, grant: Grant) -> Result<Handover, String> {
             process::set_current_rank(Some(self.rank));
             self.fiber.resume(grant)
+        }
+
+        #[inline]
+        fn prefetch(&self) {
+            self.fiber.prefetch();
         }
     }
 
