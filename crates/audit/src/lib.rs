@@ -81,8 +81,7 @@ pub const RULES: &[Rule] = &[
         summary: "unseeded or thread-local RNG",
         rationale: "thread_rng/from_entropy/RandomState draw from OS entropy, so runs are \
                     unreproducible. All randomness must flow from an explicit seed recorded \
-                    in the run's spec (cross-traffic and schedule plans, workload seeds, \
-                    splitmix streams).",
+                    in the run's spec (workload seeds, splitmix streams).",
         sim_state_only: false,
     },
     Rule {

@@ -27,7 +27,6 @@ use numagap_sim::SimDuration;
 
 pub mod ablations;
 pub mod engine;
-pub mod hostile;
 pub mod json;
 pub mod magpie;
 pub mod predict;

@@ -39,7 +39,7 @@ pub struct Target {
 }
 
 /// Every experiment, in the order `--target all` runs them.
-pub static TARGETS: [Target; 10] = [
+pub static TARGETS: [Target; 9] = [
     Target {
         name: "table1",
         about: "Table 1 single-cluster speedups, traffic and runtime (+ Table 2)",
@@ -59,11 +59,6 @@ pub static TARGETS: [Target; 10] = [
         name: "fig4",
         about: "Figure 4 communication-time share vs bandwidth / latency",
         run: run_fig4,
-    },
-    Target {
-        name: "hostile",
-        about: "robustness scorecard: slow clusters, cross-traffic, diurnal WAN",
-        run: crate::hostile::run_hostile,
     },
     Target {
         name: "topo",
@@ -106,8 +101,8 @@ pub struct SweepOpts {
     /// Wide-area wiring override (`--topology`). `None` keeps each target's
     /// default: the paper targets run the DAS full mesh bit-identically to
     /// builds without this field, and the `topo` target sweeps its whole
-    /// canonical shape list. `Some` re-wires the paper/hostile sweep
-    /// machines, and restricts `topo` to that single shape.
+    /// canonical shape list. `Some` re-wires the paper sweep machines, and
+    /// restricts `topo` to that single shape.
     pub topology: Option<WanTopology>,
 }
 

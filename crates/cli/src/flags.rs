@@ -14,11 +14,11 @@ use std::str::FromStr;
 
 use numagap_apps::{pairs, AppId, Scale, Variant};
 use numagap_bench::targets::TARGETS;
-use numagap_net::{HeteroPreset, LinkParams, WanTopology};
+use numagap_net::{LinkParams, WanTopology};
 
 use crate::bench::selected;
 use crate::{audit, bench, check, machine, predict, run, serve};
-use crate::{Command, MachineArgs, ScheduleArg};
+use crate::{Command, MachineArgs};
 
 /// A parse failure with a user-facing message.
 #[derive(Debug, Clone, PartialEq)]
@@ -243,8 +243,7 @@ impl Flag {
     }
 }
 
-/// The commands that build a machine, and so read the machine-shape,
-/// hostile-network and seed rows.
+/// The commands that build a machine, and so read the machine-shape rows.
 const MACHINE: &[&str] = &["run", "suite", "check", "info"];
 /// These run the paper's fixed machines, of which only the wiring is open.
 const EXPERIMENTS: &[&str] = &["bench", "predict"];
@@ -334,45 +333,6 @@ static TABLE: &[Group] = &[
                 )
                 .unset("mesh")
                 .set(|v, s| WanTopology::parse(s).map(|t| v.topology = Some(t))),
-        ],
-    },
-    Group {
-        title: "HOSTILE-NETWORK FLAGS",
-        note: "Cross-traffic and schedules are pure functions of the seed and virtual time: \
-               the same command line replays bit-identically.",
-        rows: &[
-            flag("--hetero", "<preset>", "uniform", MACHINE)
-                .help(
-                    "per-cluster compute speeds: uniform | slow-home (cluster 0 at 0.4x) | \
-                     tiered (descending to 0.4x)",
-                )
-                .set(|v, s| {
-                    HeteroPreset::parse(s)
-                        .ok_or("unknown preset".into())
-                        .map(|x| v.machine.hetero = x)
-                }),
-            flag("--cross-traffic", "<0..0.9>", "0", MACHINE)
-                .help("seeded background flows occupying this fraction of each WAN link")
-                .set(|v, s| within(s, 0.0, 0.9).map(|x| v.machine.cross_traffic = x)),
-            flag("--schedule", "<shape>", "none", MACHINE)
-                .help("time-varying WAN quality: none | diurnal | step | drift")
-                .set(|v, s| {
-                    ScheduleArg::parse(s)
-                        .ok_or("unknown shape".into())
-                        .map(|x| v.machine.schedule = x)
-                }),
-            flag("--schedule-period", "<ms>", "500", MACHINE)
-                .help("diurnal period / step onset / drift horizon")
-                .set(|v, s| above(s, 0.0, false).map(|x| v.machine.schedule_period_ms = x)),
-            flag("--degrade-latency", "<1..100>", "2", MACHINE)
-                .help("latency multiplier at full degradation")
-                .set(|v, s| within(s, 1.0, 100.0).map(|x| v.machine.degrade_latency = x)),
-            flag("--degrade-bandwidth", "<0.01..1>", "0.5", MACHINE)
-                .help("bandwidth multiplier at full degradation")
-                .set(|v, s| within(s, 0.01, 1.0).map(|x| v.machine.degrade_bandwidth = x)),
-            flag("--seed", "<N>", "0", MACHINE)
-                .help("seed of the cross-traffic and the schedule")
-                .set(|v, s| number(s).map(|x| v.machine.seed = x)),
         ],
     },
     Group {

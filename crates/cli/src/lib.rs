@@ -40,7 +40,7 @@ mod serve;
 
 pub use check::{check_app, waived};
 pub use flags::{parse, section, usage, ParseError};
-pub use machine::{MachineArgs, ScheduleArg};
+pub use machine::MachineArgs;
 
 use flags::{CmdSpec, Values};
 

@@ -1,7 +1,7 @@
 use numagap_analysis::DiagnosticKind;
 use numagap_apps::{AppId, Scale, Variant};
 use numagap_bench::targets::TARGETS;
-use numagap_net::{HeteroPreset, WanTopology};
+use numagap_net::WanTopology;
 
 use super::*;
 use crate::bench::selected;
@@ -432,7 +432,7 @@ fn rejects_bad_predict_flags() {
     let err = parse(&["predict", "--latency", "5"]).unwrap_err();
     assert!(err.0.contains("not read by 'predict'"), "{err}");
     assert!(parse(&["predict", "--clusters", "8"]).is_err());
-    assert!(parse(&["predict", "--seed", "1"]).is_err());
+    assert!(parse(&["predict", "--jitter", "0.1"]).is_err());
 }
 
 #[test]
@@ -476,64 +476,6 @@ fn parses_cluster_size_lists() {
     assert!(parse(&["info", "--clusters", "8,0,4"]).is_err());
     assert!(parse(&["info", "--clusters", "0"]).is_err());
     assert!(parse(&["info", "--clusters", "8,x"]).is_err());
-}
-
-#[test]
-fn parses_hostile_network_flags() {
-    let m = values(&[
-        "run",
-        "--app",
-        "fft",
-        "--seed",
-        "9",
-        "--hetero",
-        "slow-home",
-        "--cross-traffic",
-        "0.4",
-        "--schedule",
-        "diurnal",
-        "--schedule-period",
-        "250",
-        "--degrade-latency",
-        "3",
-        "--degrade-bandwidth",
-        "0.33",
-    ])
-    .machine;
-    assert_eq!(m.hetero, HeteroPreset::SlowHome);
-    assert!((m.cross_traffic - 0.4).abs() < 1e-12);
-    assert_eq!(m.schedule, ScheduleArg::Diurnal);
-    assert!((m.schedule_period_ms - 250.0).abs() < 1e-12);
-    let spec = m.spec();
-    assert!(spec.topology.is_heterogeneous());
-    let plan = spec.cross_traffic.expect("cross-traffic plan installed");
-    assert_eq!(plan.seed, 9);
-    assert!((plan.intensity - 0.4).abs() < 1e-12);
-    let schedule = spec.link_schedule.expect("schedule installed");
-    assert_eq!(schedule.seed, 9);
-    assert_eq!(schedule.peak_latency_permille, 3000);
-    assert_eq!(schedule.floor_bandwidth_permille, 330);
-    // Defaults leave the spec free of hostile plans — the classic
-    // machine, bit-identical to the pre-hostile CLI.
-    let spec = values(&["run", "--app", "fft"]).machine.spec();
-    assert_eq!(spec.cross_traffic, None);
-    assert_eq!(spec.link_schedule, None);
-    assert!(!spec.topology.is_heterogeneous());
-}
-
-#[test]
-fn rejects_bad_hostile_flags() {
-    // A hostile flag takes one value: a list is an error, not its last
-    // element.
-    for (flag, list) in [
-        ("--cross-traffic", "0,0.4"),
-        ("--schedule", "none,step"),
-        ("--hetero", "uniform,slow-home"),
-    ] {
-        let err = parse(&["run", "--app", "fft", flag, list]).unwrap_err();
-        assert!(err.0.contains(&format!("'{list}' for {flag}")), "{err}");
-        assert!(parse(&["check", flag, list]).is_err());
-    }
 }
 
 #[test]
@@ -598,7 +540,7 @@ fn bad_topologies_fail_parse_on_every_subcommand() {
         // bench/predict validate against their fixed 4-cluster machine
         // no matter what --clusters says.
         vec!["bench", "--target", "topo", "--topology", "torus:3x3"],
-        vec!["bench", "--target", "hostile", "--topology", "dragonfly:3"],
+        vec!["bench", "--target", "fig3", "--topology", "dragonfly:3"],
         vec!["predict", "--topology", "star:7"],
     ] {
         assert!(parse(&argv).is_err(), "{argv:?} should be rejected");
@@ -651,15 +593,9 @@ fn bad_values(row: &Flag) -> &'static [&'static str] {
         // Past `LinkParams`' WAN limits, where virtual time overflows.
         "--latency" | "--ref-latency" => &["-1", "abc", "inf", "100000.5", "1e300"],
         "--bandwidth" | "--ref-bandwidth" => &["0", "-2", "nan", "0.0009", "1e-12"],
-        "--schedule-period" | "--max-error" => &["0", "-2", "nan"],
+        "--max-error" => &["0", "-2", "nan"],
         "--jitter" => &["1", "1.5", "-0.1"],
         "--topology" => &["moebius", "torus:2x", "ring:3"],
-        "--hetero" => &["bogus"],
-        "--cross-traffic" => &["0.95", "-0.1", "nan"],
-        "--schedule" => &["lunar"],
-        "--degrade-latency" => &["0.5", "101"],
-        "--degrade-bandwidth" => &["0", "1.5"],
-        "--seed" => &["x", "-1"],
         "--target" => &["fig9"],
         "--threshold" => &["1.0", "nan"],
         "--port" => &["notaport", "70000"],
@@ -920,17 +856,15 @@ fn every_ci_command_line_parses() {
         found.len()
     );
     // One of them in full: what CI runs is what the flags say.
-    let hostile = found
+    let jittered = found
         .iter()
-        .find(|(cmd, _, args)| *cmd == "check" && args.iter().any(|a| a == "--hetero"))
-        .expect("the hostile-network perturbation check");
+        .find(|(cmd, _, args)| *cmd == "check" && args.iter().any(|a| a == "--jitter"))
+        .expect("the jittered perturbation check");
     let mut argv = vec!["check"];
-    argv.extend(hostile.2.iter().map(String::as_str));
+    argv.extend(jittered.2.iter().map(String::as_str));
     let v = values(&argv);
     assert_eq!(v.apps, vec![AppId::Asp]);
     assert_eq!(v.variant, Some(Variant::Optimized));
     assert!(v.perturb);
-    assert_eq!(v.machine.hetero, HeteroPreset::SlowHome);
-    assert!((v.machine.cross_traffic - 0.5).abs() < 1e-12);
-    assert_eq!(v.machine.schedule, ScheduleArg::Diurnal);
+    assert_eq!(v.machine.jitter, 0.3);
 }

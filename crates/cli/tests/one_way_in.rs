@@ -3,7 +3,8 @@
 //! flag, the `REPRO_*` environment knobs — are driven here through the real
 //! binary: the first two are usage errors (exit 2), the last is ignored.
 //! So is the other thing a command line used to get away with: a flag the
-//! command never reads.
+//! command never reads. So are the hostile-network flags: the machine
+//! models no cross-traffic, link schedule or slow cluster.
 
 use std::process::{Command, Output};
 
@@ -21,8 +22,8 @@ fn stderr_of(out: &Output) -> String {
 
 #[test]
 fn experiment_names_are_not_subcommands() {
-    // An alias command that existed, and two that never did.
-    for name in ["hostile", "scale", "fig3"] {
+    // Two experiments that never were commands.
+    for name in ["scale", "fig3"] {
         let out = numagap(&[name, "--quick"]).output().expect("spawn numagap");
         assert_eq!(out.status.code(), Some(2), "{name}");
         let err = stderr_of(&out);
@@ -36,12 +37,14 @@ fn experiment_names_are_not_subcommands() {
     let usage = String::from_utf8_lossy(&help.stdout).into_owned();
     assert!(!usage.contains("numagap hostile") && !usage.contains("numagap scale"));
     // Nor is a deleted experiment a target.
-    let out = numagap(&["bench", "--target", "selfperf"])
-        .output()
-        .expect("spawn numagap");
-    assert_eq!(out.status.code(), Some(2));
-    let err = stderr_of(&out);
-    assert!(err.contains("unknown bench target"), "{err}");
+    for name in ["selfperf", "hostile"] {
+        let out = numagap(&["bench", "--target", name])
+            .output()
+            .expect("spawn numagap");
+        assert_eq!(out.status.code(), Some(2), "{name}");
+        let err = stderr_of(&out);
+        assert!(err.contains("unknown bench target"), "{name}: {err}");
+    }
     // Nor is the deleted endgame-database builder a command.
     let out = numagap(&["awari-db"]).output().expect("spawn numagap");
     assert_eq!(out.status.code(), Some(2));
@@ -63,6 +66,31 @@ fn the_scheduler_flag_is_unknown_on_every_command() {
         assert!(
             err.contains("unknown flag '--sim-workers'"),
             "{argv:?}: {err}"
+        );
+    }
+}
+
+#[test]
+fn the_hostile_network_flags_are_unknown() {
+    // `info` prints the machine and runs nothing, so a flag that still
+    // parses makes its line exit 0 at once.
+    for (flag, value) in [
+        ("--hetero", "slow-home"),
+        ("--cross-traffic", "0.5"),
+        ("--schedule", "diurnal"),
+        ("--schedule-period", "250"),
+        ("--degrade-latency", "3"),
+        ("--degrade-bandwidth", "0.5"),
+        ("--seed", "1"),
+    ] {
+        let out = numagap(&["info", flag, value])
+            .output()
+            .expect("spawn numagap");
+        assert_eq!(out.status.code(), Some(2), "{flag}");
+        let err = stderr_of(&out);
+        assert!(
+            err.contains(&format!("unknown flag '{flag}'")),
+            "{flag}: {err}"
         );
     }
 }
@@ -96,8 +124,8 @@ fn a_flag_the_command_does_not_read_is_a_usage_error() {
             &format!("flag --latency is not read by 'predict' (accepted by: {MACHINE})"),
         ),
         (
-            &["bench", "--seed", "1"],
-            &format!("flag --seed is not read by 'bench' (accepted by: {MACHINE})"),
+            &["bench", "--jitter", "0.1"],
+            &format!("flag --jitter is not read by 'bench' (accepted by: {MACHINE})"),
         ),
         (
             &["info", "--quick", "--target", "fig3"],

@@ -9,18 +9,14 @@
 //! *scripted* run spawns one rank per recorded op list, and each rank does
 //! exactly what its list says — no application code, but the kernel's own
 //! mailboxes, event order and network model. That run must equal the live
-//! run it was recorded from, and the replayer at every quick Figure 3 point
-//! (and at the storm machine's two corners), whatever the event-core
-//! tie-break policy.
+//! run it was recorded from, and the replayer at every quick Figure 3 point,
+//! whatever the event-core tie-break policy.
 
 use std::sync::{Arc, OnceLock};
 
 use numagap_apps::{pairs, variants, AppId, Scale, SuiteConfig, Variant};
 use numagap_model::{record_app, replay, CommDag, Op, Replayer};
-use numagap_net::{
-    das_spec, uniform_spec, CrossTrafficPlan, HeteroPreset, LinkParams, LinkSchedule, Topology,
-    TwoLayerNetwork, TwoLayerSpec, WanTopology,
-};
+use numagap_net::{das_spec, uniform_spec, LinkParams, TwoLayerNetwork, TwoLayerSpec, WanTopology};
 use numagap_rt::Machine;
 use numagap_sim::{Filter, Sim, SimDuration, Tag, TieBreak};
 
@@ -69,21 +65,6 @@ fn scripted(dag: &CommDag, spec: &TwoLayerSpec, tie_break: TieBreak) -> SimDurat
         .elapsed
 }
 
-/// The hostile-storm machine: slow-home heterogeneous clusters, seeded
-/// cross-traffic and a diurnal WAN schedule — the shape the golden makespan
-/// suite pins.
-fn storm_spec() -> TwoLayerSpec {
-    let topo = HeteroPreset::SlowHome.apply(Topology::symmetric(4, 8));
-    TwoLayerSpec::new(topo)
-        .inter(LinkParams::wide_area(10.0, 1.0))
-        .cross_traffic(CrossTrafficPlan::new(7).intensity(0.5))
-        .link_schedule(
-            LinkSchedule::diurnal(7, SimDuration::from_millis(500))
-                .latency_factor(3.0)
-                .bandwidth_factor(0.33),
-        )
-}
-
 /// Each of the 11 pairs' recording, by name.
 type Recorded = Vec<(String, CommDag)>;
 
@@ -109,23 +90,24 @@ fn record_all(spec: &TwoLayerSpec) -> Recorded {
     recorded
 }
 
-/// The storm's recordings, shared by the tests that read them.
-fn storm() -> &'static Recorded {
-    static STORM: OnceLock<Recorded> = OnceLock::new();
-    STORM.get_or_init(|| record_all(&storm_spec()))
+/// The ring's recordings, shared by the tests that read them. Its routed
+/// hops share links, so relayed traffic contends.
+fn ring() -> &'static Recorded {
+    static RING: OnceLock<Recorded> = OnceLock::new();
+    RING.get_or_init(|| record_all(&das_spec(4, 8, 10.0, 1.0).wan_topology(WanTopology::Ring)))
 }
 
 /// At every quick fig3 point, the scripted run of each recording equals
 /// the replayer's makespan.
-fn scripted_matches_the_replayer_on_the_quick_grid(wiring: &str, spec: TwoLayerSpec) {
-    for (name, dag) in record_all(&spec) {
+fn scripted_matches_the_replayer_on_the_quick_grid(wiring: &str, recorded: &Recorded) {
+    for (name, dag) in recorded {
         let mut replayer = Replayer::new(&dag.base_spec);
         for lat in QUICK_LATENCIES {
             for bw in QUICK_BANDWIDTHS {
                 let inter = LinkParams::wide_area(lat, bw);
                 assert_eq!(
-                    scripted(&dag, &dag.base_spec.clone().inter(inter), TieBreak::Fifo),
-                    replayer.makespan(&dag, inter),
+                    scripted(dag, &dag.base_spec.clone().inter(inter), TieBreak::Fifo),
+                    replayer.makespan(dag, inter),
                     "{name} on the {wiring} at ({lat} ms, {bw} MB/s)"
                 );
             }
@@ -135,37 +117,22 @@ fn scripted_matches_the_replayer_on_the_quick_grid(wiring: &str, spec: TwoLayerS
 
 #[test]
 fn scripted_ranks_match_the_live_run_and_the_replayer_on_the_paper_mesh() {
-    scripted_matches_the_replayer_on_the_quick_grid("mesh", das_spec(4, 8, 10.0, 1.0));
+    let recorded = record_all(&das_spec(4, 8, 10.0, 1.0));
+    scripted_matches_the_replayer_on_the_quick_grid("mesh", &recorded);
 }
 
 #[test]
 fn scripted_ranks_match_the_live_run_and_the_replayer_on_a_ring_wan() {
-    let spec = das_spec(4, 8, 10.0, 1.0).wan_topology(WanTopology::Ring);
-    scripted_matches_the_replayer_on_the_quick_grid("ring", spec);
-}
-
-#[test]
-fn scripted_ranks_match_the_live_run_and_the_replayer_under_the_hostile_storm() {
-    for (name, dag) in storm() {
-        let mut replayer = Replayer::new(&dag.base_spec);
-        for (lat, bw) in CORNERS {
-            let inter = LinkParams::wide_area(lat, bw);
-            assert_eq!(
-                scripted(dag, &dag.base_spec.clone().inter(inter), TieBreak::Fifo),
-                replayer.makespan(dag, inter),
-                "{name} under the storm at ({lat} ms, {bw} MB/s)"
-            );
-        }
-    }
+    scripted_matches_the_replayer_on_the_quick_grid("ring", ring());
 }
 
 /// The replayer implements only the kernel's native `Fifo` order. That is
 /// enough because a recording's makespan does not depend on the order of
-/// equal-timestamp events: under the storm, at both corners, every
-/// adversarial policy gives the `Fifo` run.
+/// equal-timestamp events: on the ring, at both corners, every adversarial
+/// policy gives the `Fifo` run.
 #[test]
 fn replay_does_not_depend_on_the_tie_break_policy() {
-    for (name, dag) in storm() {
+    for (name, dag) in ring() {
         for (lat, bw) in CORNERS {
             let spec = dag.base_spec.clone().inter(LinkParams::wide_area(lat, bw));
             let fifo = scripted(dag, &spec, TieBreak::Fifo);

@@ -9,10 +9,7 @@ use std::collections::BinaryHeap;
 
 use numagap_apps::{variants, AppId, Scale, SuiteConfig, Variant};
 use numagap_model::{record_app, replay, CommDag, Op, Replay, Replayer};
-use numagap_net::{
-    das_spec, CrossTrafficPlan, LinkParams, LinkSchedule, TwoLayerNetwork, TwoLayerSpec,
-    WanTopology,
-};
+use numagap_net::{das_spec, LinkParams, TwoLayerNetwork, TwoLayerSpec, WanTopology};
 use numagap_rt::Machine;
 use numagap_sim::{Network, SimTime};
 
@@ -235,8 +232,7 @@ fn every_piece_of_network_state_is_restored_between_points() {
     let base = || das_spec(4, 8, 10.0, 0.3);
     // One machine per piece of state `TwoLayerNetwork::reset` restores
     // beyond plain link occupancy: multi-hop routes through gateways and
-    // through virtual switches, the jitter counter, the background streams,
-    // and a schedule sampled against rebuilt occupancy.
+    // through virtual switches, and the jitter counter.
     let machines = [
         ("ring", base().wan_topology(WanTopology::Ring)),
         (
@@ -244,14 +240,6 @@ fn every_piece_of_network_state_is_restored_between_points() {
             base().wan_topology(WanTopology::FatTree { pod: 2 }),
         ),
         ("jitter", base().wan_latency_jitter(0.25)),
-        (
-            "cross-traffic",
-            base().cross_traffic(CrossTrafficPlan::new(7).intensity(0.4)),
-        ),
-        (
-            "schedule",
-            base().link_schedule(LinkSchedule::step(3, SimTime::from_nanos(20_000_000))),
-        ),
     ];
     for (name, spec) in machines {
         let mut replayer = Replayer::new(&spec);

@@ -31,7 +31,6 @@
 #![warn(missing_debug_implementations)]
 
 mod floor;
-mod hostile;
 mod link;
 mod model;
 mod presets;
@@ -39,11 +38,10 @@ mod topology;
 mod wan;
 
 pub use floor::PairFloors;
-pub use hostile::{CrossTrafficPlan, LinkSchedule, ScheduleShape};
 pub use link::{LinkParams, LinkState};
 pub use model::{IdleCost, NetStats, TwoLayerNetwork, TwoLayerSpec};
 pub use presets::{
-    das_spec, numa_gap, uniform_spec, HeteroPreset, FIG1_BANDWIDTH_MBS, FIG1_LATENCY_MS,
+    das_spec, numa_gap, uniform_spec, FIG1_BANDWIDTH_MBS, FIG1_LATENCY_MS,
     FIG4_FIXED_BANDWIDTH_MBS, FIG4_FIXED_LATENCY_MS, PAPER_BANDWIDTHS_MBS, PAPER_LATENCIES_MS,
 };
 pub use topology::Topology;

@@ -17,7 +17,6 @@
 use numagap_sim::{Network, ProcId, SimDuration, SimTime};
 
 use crate::floor::PairFloors;
-use crate::hostile::{CrossTrafficPlan, LinkSchedule, CROSS_TRAFFIC_MEAN_BYTES};
 use crate::link::{LinkParams, LinkState};
 use crate::topology::Topology;
 use crate::wan::{RouteTable, WanTopology};
@@ -66,15 +65,6 @@ pub struct TwoLayerSpec {
     /// routes messages over multiple wide-area hops through intermediate
     /// gateways or switches — the paper's "less perfect" future topologies.
     pub wan_topology: WanTopology,
-    /// Seeded background traffic occupying WAN link bandwidth, or `None`
-    /// (the default) for a dedicated network. When `None` no background
-    /// bookings are made, so clean runs are byte-identical to builds
-    /// without it.
-    pub cross_traffic: Option<CrossTrafficPlan>,
-    /// Time-varying WAN quality (latency up, bandwidth down) as a pure
-    /// function of virtual time, or `None` (the default) for constant link
-    /// parameters.
-    pub link_schedule: Option<LinkSchedule>,
 }
 
 impl TwoLayerSpec {
@@ -90,8 +80,6 @@ impl TwoLayerSpec {
             gateway_overhead: SimDuration::from_micros(60),
             wan_latency_jitter: 0.0,
             wan_topology: WanTopology::FullMesh,
-            cross_traffic: None,
-            link_schedule: None,
         }
     }
 
@@ -121,30 +109,6 @@ impl TwoLayerSpec {
         self
     }
 
-    /// Installs seeded background cross-traffic on the WAN links.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the plan's parameters are out of bounds (see
-    /// [`CrossTrafficPlan::validate`]).
-    pub fn cross_traffic(mut self, plan: CrossTrafficPlan) -> Self {
-        plan.validate();
-        self.cross_traffic = Some(plan);
-        self
-    }
-
-    /// Installs a time-varying WAN quality schedule.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the schedule's parameters are out of bounds (see
-    /// [`LinkSchedule::validate`]).
-    pub fn link_schedule(mut self, schedule: LinkSchedule) -> Self {
-        schedule.validate();
-        self.link_schedule = Some(schedule);
-        self
-    }
-
     /// Builds the stateful network model.
     pub fn build(self) -> TwoLayerNetwork {
         TwoLayerNetwork::new(self)
@@ -170,13 +134,8 @@ pub struct NetStats {
     pub inter_bytes_out: Vec<u64>,
     /// Busy time per ordered WAN link `(from_node, to_node, busy)`. Nodes
     /// are cluster gateways, or virtual switch ids `>= nclusters` on a fat
-    /// tree. Includes background cross-traffic occupancy when a plan is
-    /// active.
+    /// tree.
     pub wan_busy: Vec<(usize, usize, SimDuration)>,
-    /// Background cross-traffic messages injected on WAN links.
-    pub cross_msgs: u64,
-    /// Background cross-traffic bytes injected on WAN links.
-    pub cross_bytes: u64,
 }
 
 impl NetStats {
@@ -195,9 +154,9 @@ impl NetStats {
 /// two-layer path LAN, gateway, WAN hop(s), gateway, LAN, with no other
 /// traffic on any link or gateway. Built by [`TwoLayerNetwork::idle_cost`].
 ///
-/// Without latency jitter, link schedule or cross-traffic, a message that
-/// finds every resource free arrives at its departure plus
-/// [`IdleCost::total`], and contention only ever delays it beyond that.
+/// Without latency jitter, a message that finds every resource free
+/// arrives at its departure plus [`IdleCost::total`], and contention only
+/// ever delays it beyond that.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IdleCost {
     /// Sender-side software overhead.
@@ -241,8 +200,8 @@ pub struct TwoLayerNetwork {
     run: RunState,
 }
 
-/// What a run mutates: link occupancy, ordering floors, decision-stream
-/// counters and traffic statistics.
+/// What a run mutates: link occupancy, ordering floors, the jitter counter
+/// and traffic statistics.
 #[derive(Debug, Default)]
 struct RunState {
     out_nic: Vec<LinkState>,
@@ -261,13 +220,6 @@ struct RunState {
     pair_floor: PairFloors,
     /// Counter feeding the deterministic latency-jitter hash.
     jitter_seq: u64,
-    /// Next background cross-traffic departure per ordered node pair,
-    /// indexed like `wan`. `SimTime::ZERO` means the stream has not drawn
-    /// its first gap yet (no gap draw is ever zero).
-    xt_next: Vec<SimTime>,
-    /// Background messages already injected per ordered node pair.
-    /// Indexes the cross-traffic plan's split per-link decision streams.
-    xt_seq: Vec<u64>,
     stats: NetStats,
 }
 
@@ -295,8 +247,6 @@ impl RunState {
             wan,
             pair_floor,
             jitter_seq,
-            xt_next,
-            xt_seq,
             stats,
         } = self;
         // Each link keeps its interval list's capacity, which `refill`
@@ -314,8 +264,6 @@ impl RunState {
         }
         pair_floor.reset(nprocs);
         *jitter_seq = 0;
-        refill(xt_next, nnodes * nnodes, SimTime::ZERO);
-        refill(xt_seq, nnodes * nnodes, 0);
         // Every counter back to zero; the two per-cluster vectors keep
         // their allocations.
         *stats = NetStats {
@@ -326,77 +274,14 @@ impl RunState {
         refill(&mut stats.inter_msgs_out, nclusters, 0);
         refill(&mut stats.inter_bytes_out, nclusters, 0);
     }
-
-    /// Advances the ordered link `(a, b)`'s background traffic stream up to
-    /// `upto`, booking every background message departing at or before that
-    /// instant into the link's gap-filling interval list (`link` is the
-    /// pair's index into `wan`). Application messages with later ready
-    /// points then contend with the background load exactly as the interval
-    /// list dictates.
-    ///
-    /// The kernel's canonical transfer booking makes the sequence of
-    /// `transfer` calls — and therefore the set of advance points — a pure
-    /// function of application behavior, so the injected background load
-    /// replays bit-identically from the plan seed.
-    fn inject_cross_traffic(
-        &mut self,
-        spec: &TwoLayerSpec,
-        (a, b): (usize, usize),
-        link: usize,
-        upto: SimTime,
-    ) {
-        let Some(plan) = spec.cross_traffic else {
-            return;
-        };
-        if plan.intensity <= 0.0 {
-            return;
-        }
-        // Mean interarrival gap that makes background serialization consume
-        // `intensity` of the link: tx(mean size) / intensity.
-        let mean_tx = spec.inter.tx_time(CROSS_TRAFFIC_MEAN_BYTES);
-        let mean_gap_ns = (mean_tx.as_nanos() as f64 / plan.intensity).round() as u64;
-        // Gap for background message `k` uses draw `2k`, its size draw
-        // `2k + 1`; gaps are uniform in [0.5, 1.5) x mean (never zero).
-        let gap = |k: u64| {
-            let u = plan.draw(a, b, 2 * k);
-            SimDuration::from_nanos(((0.5 + u) * mean_gap_ns as f64).round() as u64)
-        };
-        if self.xt_next[link] == SimTime::ZERO {
-            self.xt_next[link] = SimTime::ZERO + gap(0);
-        }
-        while self.xt_next[link] <= upto {
-            let k = self.xt_seq[link];
-            let u = plan.draw(a, b, 2 * k + 1);
-            // Sizes uniform in [0.5, 1.5) x mean.
-            let bytes =
-                CROSS_TRAFFIC_MEAN_BYTES / 2 + (u * CROSS_TRAFFIC_MEAN_BYTES as f64).round() as u64;
-            let dep = self.xt_next[link];
-            let mut tx = spec.inter.tx_time(bytes);
-            if let Some(schedule) = spec.link_schedule {
-                let (_, bw_pm) = schedule.factors_permille(a, b, dep);
-                tx = permille_scale(tx, 1000, bw_pm);
-            }
-            self.wan[link].acquire(dep, tx, bytes);
-            self.stats.cross_msgs += 1;
-            self.stats.cross_bytes += bytes;
-            self.xt_seq[link] = k + 1;
-            self.xt_next[link] = dep + gap(k + 1);
-        }
-    }
 }
 
-/// splitmix64 finalizer — the deterministic jitter and cross-traffic hash.
-pub(crate) fn mix64(mut x: u64) -> u64 {
+/// splitmix64 finalizer — the deterministic jitter hash.
+fn mix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9e3779b97f4a7c15);
     x = (x ^ (x >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94d049bb133111eb);
     x ^ (x >> 31)
-}
-
-/// Scales a duration by an integer permille ratio (`num / den`), rounding
-/// down; u128 intermediates keep multi-second durations exact.
-fn permille_scale(d: SimDuration, num: u64, den: u64) -> SimDuration {
-    SimDuration::from_nanos((d.as_nanos() as u128 * num as u128 / den as u128) as u64)
 }
 
 /// One LAN hop: serialize out of `out` for `tx` (the intra-cluster link's
@@ -419,18 +304,11 @@ impl TwoLayerNetwork {
     ///
     /// # Panics
     ///
-    /// Panics when the spec is inconsistent: a cross-traffic plan or
-    /// link schedule with out-of-bounds parameters, or a wide-area topology
-    /// that does not fit the cluster count (see [`WanTopology::validate`]).
+    /// Panics when the wide-area topology does not fit the cluster count
+    /// (see [`WanTopology::validate`]).
     pub fn new(spec: TwoLayerSpec) -> Self {
         let n = spec.topology.nprocs();
         let c = spec.topology.nclusters();
-        if let Some(plan) = &spec.cross_traffic {
-            plan.validate();
-        }
-        if let Some(schedule) = &spec.link_schedule {
-            schedule.validate();
-        }
         if let Err(e) = spec.wan_topology.validate(c) {
             panic!("invalid wan topology: {e}");
         }
@@ -455,8 +333,8 @@ impl TwoLayerNetwork {
 
     /// Makes this the network `TwoLayerNetwork::new` would build from the
     /// same spec with `inter` as its inter-cluster link class, without
-    /// building it: every booking, floor, decision-stream counter and
-    /// statistic is back at its initial value, in the allocations already
+    /// building it: every booking, floor, the jitter counter and every
+    /// statistic are back at their initial values, in the allocations already
     /// held (interval lists keep their capacity). Routes stay resolved — the
     /// wiring and the cluster count, which are all a route depends on, do
     /// not change.
@@ -580,22 +458,8 @@ impl Network for TwoLayerNetwork {
                 let (a, b) = (hop[0], hop[1]);
                 let link = a * self.nnodes + b;
                 let wan_ready = run.gw_cpu[a].acquire(at, occ, size) + occ;
-                // Time-varying link quality: sample the schedule at the
-                // instant the message is ready to enter the link.
-                let (lat_pm, bw_pm) = match spec.link_schedule {
-                    Some(schedule) => schedule.factors_permille(a, b, wan_ready),
-                    None => (1000, 1000),
-                };
-                let tx_link = if bw_pm == 1000 {
-                    tx_wan
-                } else {
-                    permille_scale(tx_wan, 1000, bw_pm)
-                };
-                // Book any background traffic departing up to this point so
-                // the application message contends with it for the link.
-                run.inject_cross_traffic(spec, (a, b), link, wan_ready);
-                let wan_start = run.wan[link].acquire(wan_ready, tx_link, size);
-                let mut latency = if spec.wan_latency_jitter > 0.0 {
+                let wan_start = run.wan[link].acquire(wan_ready, tx_wan, size);
+                let latency = if spec.wan_latency_jitter > 0.0 {
                     run.jitter_seq += 1;
                     let u = mix64(run.jitter_seq) as f64 / u64::MAX as f64; // [0, 1]
                     let factor = 1.0 + spec.wan_latency_jitter * (2.0 * u - 1.0);
@@ -605,10 +469,7 @@ impl Network for TwoLayerNetwork {
                 } else {
                     spec.inter.latency
                 };
-                if lat_pm != 1000 {
-                    latency = permille_scale(latency, lat_pm, 1000);
-                }
-                at = wan_start + tx_link + latency;
+                at = wan_start + tx_wan + latency;
             }
             // The destination gateway's CPU, then the receiver's LAN.
             let ready3 = run.gw_cpu[cd].acquire(at, occ, size) + occ;
@@ -774,129 +635,16 @@ mod tests {
     }
 
     #[test]
-    fn cross_traffic_slows_the_contended_link_only() {
-        use crate::hostile::CrossTrafficPlan;
-        let clean = |bytes: u64| {
-            let mut net = spec_4x8().build();
-            net.transfer(
-                ProcId(0),
-                ProcId(8),
-                bytes,
-                SimTime::from_nanos(500_000_000),
-            )
-        };
-        let hostile = |bytes: u64| {
-            let mut net = spec_4x8()
-                .cross_traffic(CrossTrafficPlan::new(7).intensity(0.6))
-                .build();
-            net.transfer(
-                ProcId(0),
-                ProcId(8),
-                bytes,
-                SimTime::from_nanos(500_000_000),
-            )
-        };
-        // A large transfer half a second in: plenty of background load has
-        // accumulated on the 0->1 link by then, so the hostile arrival is
-        // strictly later.
-        assert!(
-            hostile(200_000) > clean(200_000),
-            "background load must delay the contended transfer"
-        );
-        let mut net = spec_4x8()
-            .cross_traffic(CrossTrafficPlan::new(7).intensity(0.6))
-            .build();
-        net.transfer(ProcId(0), ProcId(8), 1000, SimTime::from_nanos(500_000_000));
-        let s = net.stats();
-        assert!(s.cross_msgs > 0, "background messages were injected");
-        assert!(s.cross_bytes > 0);
-        assert_eq!(s.inter_msgs, 1, "background load is not app traffic");
-    }
-
-    #[test]
-    fn cross_traffic_replays_bit_identically_from_the_seed() {
-        use crate::hostile::CrossTrafficPlan;
-        let run = |seed: u64| {
-            let mut net = spec_4x8()
-                .cross_traffic(CrossTrafficPlan::new(seed).intensity(0.5))
-                .build();
-            let arrivals: Vec<u64> = (0..40u64)
-                .map(|i| {
-                    net.transfer(
-                        ProcId((i % 8) as usize),
-                        ProcId(8 + (i % 24) as usize),
-                        500 + i * 37,
-                        SimTime::from_nanos(i * 3_000_000),
-                    )
-                    .as_nanos()
-                })
-                .collect();
-            (arrivals, net.stats().cross_msgs, net.stats().cross_bytes)
-        };
-        assert_eq!(run(7), run(7), "same seed must replay bit-identically");
-        assert_ne!(run(7), run(8), "different seeds must differ");
-    }
-
-    #[test]
-    fn step_schedule_degrades_latency_and_bandwidth_after_the_step() {
-        use crate::hostile::LinkSchedule;
-        let schedule = LinkSchedule::step(0, SimTime::from_nanos(100_000_000))
-            .latency_factor(3.0)
-            .bandwidth_factor(0.5);
-        let mut net = spec_4x8().link_schedule(schedule).build();
-        // Before the step: identical to the clean cost model.
-        let before = net.transfer(ProcId(0), ProcId(8), 936, SimTime::ZERO);
-        let clean_us = 5 + 40 + 60 + 1000 + 10_000 + 60 + 40;
-        assert_eq!(before, SimTime::ZERO + SimDuration::from_micros(clean_us));
-        // Well after the step: tx doubles (1000 -> 2000 us), latency
-        // triples (10 -> 30 ms).
-        let at = SimTime::from_nanos(200_000_000);
-        let after = net.transfer(ProcId(1), ProcId(9), 936, at);
-        let hostile_us = 5 + 40 + 60 + 2000 + 30_000 + 60 + 40;
-        assert_eq!(after, at + SimDuration::from_micros(hostile_us));
-    }
-
-    #[test]
-    fn absent_hostile_plans_match_the_clean_model_exactly() {
-        use crate::hostile::CrossTrafficPlan;
-        let clean = spec_4x8();
-        let zero = spec_4x8().cross_traffic(CrossTrafficPlan::new(1).intensity(0.0));
-        let run = |spec: TwoLayerSpec| {
-            let mut net = spec.build();
-            (0..64u64)
-                .map(|i| {
-                    net.transfer(
-                        ProcId((i % 32) as usize),
-                        ProcId(((i * 11 + 5) % 32) as usize),
-                        i * 101,
-                        SimTime::from_nanos(i * 50_000),
-                    )
-                    .as_nanos()
-                })
-                .collect::<Vec<u64>>()
-        };
-        assert_eq!(
-            run(clean),
-            run(zero),
-            "zero-intensity cross traffic must not change any arrival"
-        );
-    }
-
-    #[test]
     fn a_reset_network_is_the_network_new_would_build() {
-        use crate::hostile::{CrossTrafficPlan, LinkSchedule};
         // Between them the specs move every piece of state a run mutates:
-        // multi-hop routes through real and virtual nodes, the jitter
-        // counter and the background streams under a schedule.
+        // multi-hop routes through real and virtual nodes and the jitter
+        // counter.
         let specs = [
             spec_4x8(),
             spec_4x8()
                 .wan_topology(WanTopology::Ring)
                 .wan_latency_jitter(0.3),
-            spec_4x8()
-                .wan_topology(WanTopology::FatTree { pod: 2 })
-                .cross_traffic(CrossTrafficPlan::new(7).intensity(0.5))
-                .link_schedule(LinkSchedule::step(3, SimTime::from_nanos(40_000_000))),
+            spec_4x8().wan_topology(WanTopology::FatTree { pod: 2 }),
         ];
         // Sixty messages, most of them inter-cluster, several per pair. The
         // outcome is every arrival plus the network's whole state

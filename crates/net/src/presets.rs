@@ -48,75 +48,6 @@ pub fn uniform_spec(nprocs: usize) -> TwoLayerSpec {
     TwoLayerSpec::new(Topology::uniform(nprocs))
 }
 
-/// Named per-cluster compute-speed presets for heterogeneous machines.
-///
-/// Speeds are expressed in permille of nominal and applied via
-/// [`Topology::with_cluster_speeds`]; communication hardware stays
-/// uniform.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum HeteroPreset {
-    /// Every cluster at nominal speed — the paper's homogeneous DAS.
-    Uniform,
-    /// Cluster 0 (the "home" cluster, where rank 0 and most sequencers
-    /// and masters live) runs at 0.4x nominal; the rest are nominal.
-    SlowHome,
-    /// Descending speeds: cluster 0 nominal, each later cluster 150
-    /// permille slower, floored at 0.4x — a mix of hardware generations.
-    Tiered,
-}
-
-impl HeteroPreset {
-    /// All presets, in CLI/reporting order.
-    pub const ALL: [HeteroPreset; 3] = [
-        HeteroPreset::Uniform,
-        HeteroPreset::SlowHome,
-        HeteroPreset::Tiered,
-    ];
-
-    /// Parses a CLI name (`uniform`, `slow-home`, `tiered`).
-    pub fn parse(name: &str) -> Option<Self> {
-        match name {
-            "uniform" => Some(HeteroPreset::Uniform),
-            "slow-home" => Some(HeteroPreset::SlowHome),
-            "tiered" => Some(HeteroPreset::Tiered),
-            _ => None,
-        }
-    }
-
-    /// The per-cluster speeds (permille of nominal) for a machine with
-    /// `nclusters` clusters.
-    pub fn speeds(self, nclusters: usize) -> Vec<u64> {
-        match self {
-            HeteroPreset::Uniform => vec![1000; nclusters],
-            HeteroPreset::SlowHome => {
-                let mut v = vec![1000; nclusters];
-                v[0] = 400;
-                v
-            }
-            HeteroPreset::Tiered => (0..nclusters)
-                .map(|c| 1000u64.saturating_sub(150 * c as u64).max(400))
-                .collect(),
-        }
-    }
-
-    /// Applies this preset's speeds to a topology.
-    pub fn apply(self, topology: Topology) -> Topology {
-        let speeds = self.speeds(topology.nclusters());
-        topology.with_cluster_speeds(&speeds)
-    }
-}
-
-impl std::fmt::Display for HeteroPreset {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let name = match self {
-            HeteroPreset::Uniform => "uniform",
-            HeteroPreset::SlowHome => "slow-home",
-            HeteroPreset::Tiered => "tiered",
-        };
-        f.write_str(name)
-    }
-}
-
 /// The intra-cluster gap reference: how many times slower each WAN setting is
 /// than Myrinet, `(latency_gap, bandwidth_gap)`.
 pub fn numa_gap(spec: &TwoLayerSpec) -> (f64, f64) {
@@ -156,35 +87,5 @@ mod tests {
     fn paper_grid_dimensions() {
         assert_eq!(PAPER_BANDWIDTHS_MBS.len(), 6);
         assert_eq!(PAPER_LATENCIES_MS.len(), 7);
-    }
-
-    #[test]
-    fn hetero_presets_shape_and_parse() {
-        assert_eq!(
-            HeteroPreset::parse("slow-home"),
-            Some(HeteroPreset::SlowHome)
-        );
-        assert_eq!(HeteroPreset::parse("bogus"), None);
-        assert_eq!(
-            HeteroPreset::SlowHome.speeds(4),
-            vec![400, 1000, 1000, 1000]
-        );
-        assert_eq!(
-            HeteroPreset::Tiered.speeds(6),
-            vec![1000, 850, 700, 550, 400, 400]
-        );
-        assert!(!HeteroPreset::Uniform
-            .apply(Topology::symmetric(2, 2))
-            .is_heterogeneous());
-        let slow = HeteroPreset::SlowHome.apply(Topology::symmetric(4, 8));
-        assert_eq!(slow.speed_permille(0), 400);
-        assert_eq!(slow.to_owned().label(), "4x8");
-        for p in HeteroPreset::ALL {
-            assert_eq!(
-                HeteroPreset::parse(&p.to_string()),
-                Some(p),
-                "{p} round-trips"
-            );
-        }
     }
 }

@@ -1,6 +1,6 @@
 //! Processor-to-cluster layout of a two-layer machine.
 
-use numagap_sim::{ProcId, SimDuration};
+use numagap_sim::ProcId;
 
 /// Which ranks live in which cluster.
 ///
@@ -24,12 +24,6 @@ pub struct Topology {
     cluster_sizes: Vec<usize>,
     cluster_of: Vec<usize>,
     members: Vec<Vec<usize>>,
-    /// Per-cluster compute speed in permille of nominal (1000 = nominal,
-    /// 500 = half speed). Empty means every cluster is nominal — the
-    /// homogeneous default, kept empty so it compares equal to topologies
-    /// built before heterogeneity existed and round-trips old serialized
-    /// forms.
-    speeds_permille: Vec<u64>,
 }
 
 impl Topology {
@@ -60,64 +54,7 @@ impl Topology {
             cluster_sizes: sizes.to_vec(),
             cluster_of,
             members,
-            speeds_permille: Vec::new(),
         }
-    }
-
-    /// Assigns per-cluster compute speeds in permille of nominal: `1000`
-    /// is nominal, `400` computes 2.5x slower, `2000` twice as fast. The
-    /// runtime scales every `compute` call by the caller's cluster speed;
-    /// communication costs are unaffected (the NICs and gateways are the
-    /// same hardware everywhere).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `speeds` has one entry per cluster, each in
-    /// `[100, 10000]` (0.1x to 10x nominal).
-    pub fn with_cluster_speeds(mut self, speeds: &[u64]) -> Self {
-        assert_eq!(
-            speeds.len(),
-            self.nclusters(),
-            "need one speed per cluster ({} clusters, {} speeds)",
-            self.nclusters(),
-            speeds.len()
-        );
-        assert!(
-            speeds.iter().all(|&s| (100..=10_000).contains(&s)),
-            "cluster speeds must be in [100, 10000] permille, got {speeds:?}"
-        );
-        // Normalize the homogeneous case to the empty representation so
-        // `with_cluster_speeds(&[1000; n])` equals the plain topology.
-        if speeds.iter().all(|&s| s == 1000) {
-            self.speeds_permille = Vec::new();
-        } else {
-            self.speeds_permille = speeds.to_vec();
-        }
-        self
-    }
-
-    /// Compute speed of a cluster in permille of nominal.
-    pub fn speed_permille(&self, cluster: usize) -> u64 {
-        self.speeds_permille.get(cluster).copied().unwrap_or(1000)
-    }
-
-    /// Whether any cluster runs at a non-nominal compute speed.
-    pub fn is_heterogeneous(&self) -> bool {
-        self.speeds_permille.iter().any(|&s| s != 1000)
-    }
-
-    /// Scales a nominal compute duration by `rank`'s cluster speed: a
-    /// cluster at 500 permille takes twice the nominal time.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rank` is out of range.
-    pub fn scale_compute(&self, rank: usize, d: SimDuration) -> SimDuration {
-        let pm = self.speed_permille(self.cluster_of_rank(rank));
-        if pm == 1000 {
-            return d;
-        }
-        SimDuration::from_nanos((d.as_nanos() as u128 * 1000 / pm as u128) as u64)
     }
 
     /// `clusters` clusters of `procs_per_cluster` processors each.
@@ -221,42 +158,6 @@ mod tests {
         assert!(t.is_inter(1, 2));
         assert!(!t.is_inter(3, 4));
         assert_eq!(t.label(), "2+3");
-    }
-
-    #[test]
-    fn cluster_speeds_scale_compute() {
-        let t = Topology::symmetric(2, 2).with_cluster_speeds(&[400, 1000]);
-        assert!(t.is_heterogeneous());
-        assert_eq!(t.speed_permille(0), 400);
-        assert_eq!(t.speed_permille(1), 1000);
-        let d = SimDuration::from_micros(100);
-        // Cluster 0 at 0.4x speed: 2.5x the time. Cluster 1: unchanged.
-        assert_eq!(t.scale_compute(0, d), SimDuration::from_micros(250));
-        assert_eq!(t.scale_compute(2, d), d);
-    }
-
-    #[test]
-    fn uniform_speeds_normalize_to_the_homogeneous_form() {
-        let plain = Topology::symmetric(2, 2);
-        let explicit = Topology::symmetric(2, 2).with_cluster_speeds(&[1000, 1000]);
-        assert_eq!(plain, explicit);
-        assert!(!explicit.is_heterogeneous());
-        assert_eq!(
-            plain.scale_compute(0, SimDuration::from_micros(7)),
-            SimDuration::from_micros(7)
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "one speed per cluster")]
-    fn rejects_speed_count_mismatch() {
-        let _ = Topology::symmetric(2, 2).with_cluster_speeds(&[1000]);
-    }
-
-    #[test]
-    #[should_panic(expected = "cluster speeds must be in")]
-    fn rejects_out_of_range_speeds() {
-        let _ = Topology::symmetric(2, 2).with_cluster_speeds(&[1000, 50]);
     }
 
     #[test]

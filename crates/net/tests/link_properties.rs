@@ -18,10 +18,7 @@
 //! All randomness is a seeded xorshift64* stream — runs are reproducible
 //! and the failure message names the seed.
 
-use numagap_net::{
-    CrossTrafficPlan, LinkParams, LinkSchedule, LinkState, Topology, TwoLayerNetwork, TwoLayerSpec,
-    WanTopology,
-};
+use numagap_net::{LinkParams, LinkState, Topology, TwoLayerNetwork, TwoLayerSpec, WanTopology};
 use numagap_sim::{Network, ProcId, SimDuration, SimTime};
 
 /// Deterministic xorshift64* — the same generator the kernel's own property
@@ -171,130 +168,6 @@ fn same_pair_wan_traffic_arrives_in_send_order() {
             }
         }
     }
-}
-
-/// The three hostile schedule shapes, each with seeded cross-traffic at
-/// half intensity and aggressive (but legal) degradation factors. The
-/// short diurnal period and step/drift horizons sit inside the virtual
-/// window the tests sweep, so every curve segment is exercised.
-fn hostile_specs(seed: u64) -> [TwoLayerSpec; 3] {
-    let schedules = [
-        LinkSchedule::diurnal(seed, SimDuration::from_millis(2)),
-        LinkSchedule::step(seed, SimTime::from_nanos(5_000_000)),
-        LinkSchedule::drift(seed, SimTime::from_nanos(20_000_000)),
-    ];
-    schedules.map(|s| {
-        wan_spec(0.0)
-            .cross_traffic(CrossTrafficPlan::new(seed).intensity(0.5))
-            .link_schedule(s.latency_factor(3.0).bandwidth_factor(0.25))
-    })
-}
-
-/// Per-pair FIFO survives the full hostile stack: background cross-traffic
-/// competing for the WAN links plus a time-varying quality schedule of any
-/// shape never reorder a fixed pair's traffic.
-#[test]
-fn same_pair_traffic_stays_fifo_under_cross_traffic_and_schedules() {
-    for seed in 1..=6u64 {
-        for (shape, spec) in hostile_specs(seed).into_iter().enumerate() {
-            let mut rng = Rng::new(seed ^ 0xC0DE ^ (shape as u64) << 8);
-            let mut net = spec.build();
-            let pairs = [
-                (ProcId(0), ProcId(8)),
-                (ProcId(1), ProcId(9)),
-                (ProcId(2), ProcId(3)),
-            ];
-            let mut last_arrival = [SimTime::ZERO; 3];
-            let mut now = SimTime::ZERO;
-            for i in 0..400 {
-                now += SimDuration::from_micros(rng.below(200));
-                let which = rng.below(3) as usize;
-                let (src, dst) = pairs[which];
-                let bytes = rng.below(20_000);
-                let arrival = net.transfer(src, dst, bytes, now);
-                assert!(
-                    arrival >= last_arrival[which],
-                    "shape {shape} seed {seed} op {i}: pair {which} reordered \
-                     ({} < {})",
-                    arrival,
-                    last_arrival[which]
-                );
-                last_arrival[which] = arrival;
-            }
-            assert!(
-                net.stats().cross_msgs > 0,
-                "shape {shape} seed {seed}: no background traffic was injected, \
-                 the hostile path was not exercised"
-            );
-        }
-    }
-}
-
-/// A hostile network never speeds a message up: from an idle network, any
-/// single transfer under cross-traffic and a degradation schedule arrives
-/// at or after its clean-network arrival. (Under *contention history* the
-/// pairwise claim is deliberately not made: the gap-filling link server
-/// may leave idle an interval the clean network had occupied, so a later
-/// message can legitimately slot in earlier.)
-#[test]
-fn hostile_transfers_from_idle_never_beat_the_clean_network() {
-    for seed in 1..=6u64 {
-        for (shape, spec) in hostile_specs(seed).into_iter().enumerate() {
-            let mut rng = Rng::new(seed ^ 0xBAD ^ (shape as u64) << 8);
-            for i in 0..60 {
-                let now = SimTime::from_nanos(rng.below(30_000_000));
-                let src = ProcId(rng.below(32) as usize);
-                let dst = ProcId(rng.below(32) as usize);
-                let bytes = rng.below(20_000);
-                let c = wan_spec(0.0).build().transfer(src, dst, bytes, now);
-                let h = spec.clone().build().transfer(src, dst, bytes, now);
-                assert!(
-                    h >= c,
-                    "shape {shape} seed {seed} op {i}: hostile arrival {h} beats \
-                     clean arrival {c}"
-                );
-            }
-            // The step schedule past its step point degrades every WAN
-            // message strictly: 3x latency cannot round away.
-            let late = SimTime::from_nanos(10_000_000);
-            let c = wan_spec(0.0)
-                .build()
-                .transfer(ProcId(0), ProcId(8), 100, late);
-            let h = spec
-                .clone()
-                .build()
-                .transfer(ProcId(0), ProcId(8), 100, late);
-            if shape == 1 {
-                assert!(
-                    h > c,
-                    "shape {shape} seed {seed}: fully degraded WAN must be \
-                     strictly slower"
-                );
-            }
-        }
-    }
-}
-
-/// The hostile stack is a pure function of the seed: identical seeds
-/// replay transfer timings and cross-traffic counters bit-identically,
-/// different seeds genuinely differ.
-#[test]
-fn hostile_plans_replay_exactly_from_the_seed() {
-    let run = |seed: u64| {
-        hostile_specs(seed).map(|spec| {
-            let mut net = spec.build();
-            let mut out = Vec::new();
-            for i in 0..300u64 {
-                let now = SimTime::from_nanos(i * 50_000);
-                let src = ProcId((i % 8) as usize);
-                let dst = ProcId(8 + (i % 24) as usize);
-                out.push(net.transfer(src, dst, 1000 + i, now).as_nanos());
-            }
-            (out, net.stats().cross_msgs, net.stats().cross_bytes)
-        })
-    };
-    assert_eq!(run(7), run(7), "same seed must replay bit-identically");
-    assert_ne!(run(7), run(8), "different seeds must differ");
 }
 
 /// Every shape that fits a drawn cluster count yields routes that are
@@ -459,48 +332,6 @@ fn full_mesh_reproduces_single_hop_timings_bit_for_bit() {
     }
 }
 
-/// Schedule curves respect their own bounds at every instant and shape:
-/// the latency multiplier stays within `[1, peak]`, the bandwidth
-/// multiplier within `[floor, 1]`, the diurnal wave is exactly periodic,
-/// and drift degradation is monotone until its horizon.
-#[test]
-fn schedule_factors_stay_bounded_periodic_and_monotone() {
-    let period = SimDuration::from_millis(2);
-    let diurnal = LinkSchedule::diurnal(11, period)
-        .latency_factor(5.0)
-        .bandwidth_factor(0.1);
-    let drift = LinkSchedule::drift(11, SimTime::from_nanos(20_000_000)).latency_factor(2.5);
-    let mut rng = Rng::new(0x5C4E);
-    for _ in 0..2_000 {
-        let a = rng.below(32) as usize;
-        let b = rng.below(32) as usize;
-        let at = SimTime::from_nanos(rng.below(50_000_000));
-        for s in [&diurnal, &drift] {
-            let (lat, bw) = s.factors_permille(a, b, at);
-            assert!(
-                (1000..=s.peak_latency_permille).contains(&lat),
-                "latency factor {lat} outside [1000, {}]",
-                s.peak_latency_permille
-            );
-            assert!(
-                (s.floor_bandwidth_permille..=1000).contains(&bw),
-                "bandwidth factor {bw} outside [{}, 1000]",
-                s.floor_bandwidth_permille
-            );
-        }
-        assert_eq!(
-            diurnal.factors_permille(a, b, at),
-            diurnal.factors_permille(a, b, at + period),
-            "diurnal wave must repeat exactly every period"
-        );
-        let later = at + SimDuration::from_nanos(1 + rng.below(1_000_000));
-        assert!(
-            drift.degradation_permille(a, b, later) >= drift.degradation_permille(a, b, at),
-            "drift degradation must be monotone"
-        );
-    }
-}
-
 /// Every wide-area wiring that fits four clusters, parameters up to 4.
 fn shapes_at_four_clusters() -> Vec<WanTopology> {
     let mut shapes = vec![WanTopology::FullMesh, WanTopology::Ring, WanTopology::Line];
@@ -563,8 +394,8 @@ fn an_idle_transfer_costs_exactly_its_itemization() {
 /// Contention only delays: seeded booking streams, with departures drawn in
 /// any order (the kernel books in departure order, a special case), never
 /// deliver a message before its departure plus its idle cost, on any wiring
-/// that fits four clusters. No jitter (which may shorten a hop's latency),
-/// cross-traffic or schedule is installed.
+/// that fits four clusters. No jitter is installed (it may shorten a hop's
+/// latency).
 #[test]
 fn contention_never_beats_the_idle_cost() {
     for shape in shapes_at_four_clusters() {

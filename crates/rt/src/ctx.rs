@@ -75,18 +75,13 @@ impl<'a> Ctx<'a> {
         self.sim.now()
     }
 
-    /// Spends virtual CPU time. `d` is the *nominal* cost; on
-    /// heterogeneous machines it is scaled by this rank's cluster compute
-    /// speed ([`Topology::scale_compute`]), so a rank in a half-speed
-    /// cluster burns twice the virtual time for the same work.
+    /// Spends virtual CPU time.
     pub fn compute(&mut self, d: SimDuration) {
-        let d = self.topo.scale_compute(self.sim.rank(), d);
         self.sim.compute(d);
     }
 
     /// Spends virtual CPU time given in nanoseconds (convenient for cost
-    /// models that compute `f64` nanosecond totals). Scaled by the rank's
-    /// cluster compute speed like [`Ctx::compute`].
+    /// models that compute `f64` nanosecond totals).
     ///
     /// # Panics
     ///
@@ -175,24 +170,6 @@ mod tests {
             report.results,
             vec![(0, 0, 0), (1, 0, 0), (2, 1, 2), (3, 1, 2)]
         );
-    }
-
-    #[test]
-    fn heterogeneous_clusters_scale_compute_time() {
-        use numagap_sim::SimDuration;
-        // Cluster 0 at 0.4x speed, cluster 1 nominal: the same nominal
-        // compute costs 2.5x more virtual time on cluster 0.
-        let topo = Topology::symmetric(2, 2).with_cluster_speeds(&[400, 1000]);
-        let machine = Machine::new(TwoLayerSpec::new(topo));
-        let report = machine
-            .run(|ctx| {
-                ctx.compute(SimDuration::from_micros(100));
-                ctx.compute_ns(100_000.0);
-                ctx.now().as_nanos()
-            })
-            .unwrap();
-        assert_eq!(report.results[0], 500_000, "slow cluster: 2 x 250us");
-        assert_eq!(report.results[2], 200_000, "nominal cluster: 2 x 100us");
     }
 
     #[test]

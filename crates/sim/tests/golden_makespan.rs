@@ -4,8 +4,9 @@
 //! event-queue buffering) must leave virtual time **bit-identical** — that
 //! is the contract every committed benchmark baseline depends on. This
 //! suite pins the exact makespan (nanoseconds), kernel message count, and
-//! run checksum of all 11 app/variant combinations on four wide-area
-//! machines against a committed golden file, `tests/golden/makespans.txt`.
+//! run checksum of all 11 app/variant combinations on two wide-area
+//! machines, and of the ten without FFT on a 16x16 one, against a committed
+//! golden file, `tests/golden/makespans.txt`.
 //!
 //! The same runs also pin what the kernel *did* to get there: every
 //! [`HotProfile`] counter except the constant `park_wakes` (context
@@ -29,11 +30,9 @@ use std::fmt::Write as _;
 use std::path::PathBuf;
 
 use numagap_apps::{run_app, run_app_report, total_checksum, AppId, Scale, SuiteConfig, Variant};
-use numagap_net::{
-    das_spec, CrossTrafficPlan, HeteroPreset, LinkParams, LinkSchedule, Topology, TwoLayerSpec,
-};
+use numagap_net::das_spec;
 use numagap_rt::Machine;
-use numagap_sim::{HotProfile, SimDuration};
+use numagap_sim::HotProfile;
 
 /// The two wide-area presets pinned by the suite: the paper's local-ATM
 /// ceiling territory (fast WAN) and a slow long-haul setting. Both exercise
@@ -71,22 +70,6 @@ fn combos() -> Vec<(AppId, Variant)> {
     v
 }
 
-/// The hostile-network preset: slow-home heterogeneous clusters on the
-/// slow WAN with seeded cross-traffic and a diurnal degradation schedule.
-/// Pins the whole hostile machinery — plan injection, schedule scaling,
-/// and compute-speed scaling — bit-for-bit alongside the clean presets.
-fn hostile_spec() -> TwoLayerSpec {
-    let topo = HeteroPreset::SlowHome.apply(Topology::symmetric(CLUSTERS, PROCS_PER_CLUSTER));
-    TwoLayerSpec::new(topo)
-        .inter(LinkParams::wide_area(10.0, 1.0))
-        .cross_traffic(CrossTrafficPlan::new(7).intensity(0.5))
-        .link_schedule(
-            LinkSchedule::diurnal(7, SimDuration::from_millis(500))
-                .latency_factor(3.0)
-                .bandwidth_factor(0.33),
-        )
-}
-
 /// The two golden files' contents, rendered from one run per cell.
 #[derive(Default)]
 struct Rendered {
@@ -109,7 +92,6 @@ fn render() -> Rendered {
             (preset, Machine::new(spec))
         })
         .collect();
-    machines.push(("wan-hostile", Machine::new(hostile_spec())));
     // The scale regime: a 16x16 (256-rank) machine, an order of magnitude
     // past the paper presets, pinned exact.
     // FFT is excluded — its Small matrix has 64 rows, fewer than one per
